@@ -362,9 +362,9 @@ func TestExchangeDeterminismSubPhases(t *testing.T) {
 // layouts that split the rank space) must reproduce the goroutine
 // kernel's run bit for bit — virtual time, message counters, phase
 // breakdown, migrations, and the per-iteration trace JSONL, byte for
-// byte. The three kernels share no scheduling machinery (goroutines +
-// channel mailboxes vs a priority queue over passive rank states vs
-// lookahead-windowed worker shards), so agreement here is evidence the
+// byte. The two engines share no scheduling machinery (goroutines +
+// mailboxes vs priority queues over passive rank states, on one worker
+// or sharded into lookahead windows), so agreement here is evidence the
 // virtual timeline is a pure function of the simulated program, not of
 // the engine executing it.
 func TestKernelEquivalence(t *testing.T) {
@@ -386,8 +386,7 @@ func TestKernelEquivalence(t *testing.T) {
 		workers int
 	}
 	kernels := []kernelCfg{
-		{"event", "event", 0},
-		{"pevent-w1", "pevent", 1},
+		{"event", "event", 0}, // pevent at one worker
 		{"pevent-w2", "pevent", 2},
 		{"pevent-w8", "pevent", 8},
 	}

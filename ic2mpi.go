@@ -151,15 +151,15 @@ const (
 	// measured on.
 	KernelGoroutine = mpi.KernelGoroutine
 	// KernelEvent runs ranks as passive states driven by a discrete-event
-	// scheduler: bit-identical virtual timelines with flat per-rank
-	// memory, built for worlds of thousands of simulated processors.
-	// Virtual clock only.
+	// scheduler on one worker: bit-identical virtual timelines with flat
+	// per-rank memory, built for worlds of thousands of simulated
+	// processors. Virtual clock only.
 	KernelEvent = mpi.KernelEvent
-	// KernelParallelEvent runs the discrete-event scheduler sharded across
+	// KernelParallelEvent runs the same scheduler sharded across
 	// min(GOMAXPROCS, procs) workers under a conservative lookahead
-	// horizon (Config.KernelWorkers overrides the worker count).
-	// Bit-identical to the other kernels at any worker count. Virtual
-	// clock only.
+	// horizon (Config.KernelWorkers overrides the worker count; at one
+	// worker it is KernelEvent). Bit-identical to the other kernels at
+	// any worker count. Virtual clock only.
 	KernelParallelEvent = mpi.KernelParallelEvent
 )
 

@@ -4,7 +4,10 @@
 // The original system ran as MPI processes on an SGI Origin 2000. Pure-Go,
 // stdlib-only code has no viable MPI bindings, so this package executes the
 // same single-program-multiple-data structure with one goroutine per rank
-// and channels/condition variables as the interconnect. Point-to-point
+// and mailboxes guarded by condition variables as the interconnect — or,
+// for large worlds, with ranks as passive states of a discrete-event
+// scheduler on one or several workers (Options.Kernel, see kernel.go; the
+// virtual timeline is the same either way). Point-to-point
 // operations (Send, Isend, Recv, Irecv, Wait), collectives (Barrier, Bcast,
 // Gather, Allgather, Reduce, Allreduce) and Wtime mirror the MPI calls the
 // thesis' appendices use.

@@ -1,29 +1,11 @@
 package mpi
 
-// The discrete-event kernel (Options.Kernel == KernelEvent): ranks are
-// passive states driven by one scheduler goroutine popping wake events
-// from a priority queue ordered on (virtual time, rank, seq). Exactly
-// one rank executes at any moment — goroutines survive only as
-// suspended stack carriers parked on an unbuffered resume channel — so
-// none of the kernel's state needs a lock, and memory per rank is flat:
-// a parked goroutine, one pending-queue header, and a wait record.
-// Message envelopes live in a world-level slab indexed by int32 and are
-// recycled through a free list, replacing the per-rank mailbox locks
-// and envelope free lists of the goroutine kernel.
-//
-// Equivalence with the goroutine kernel is by construction, not by
-// scheduling luck: a message's arrival time is a pure function of its
-// content (sender clock at injection, size, epoch, endpoint pair);
-// matching is FIFO per (src, tag) with the source always named; the
-// barrier releases every participant at the maximum contributed clock.
-// Any schedule that respects per-rank program order therefore yields
-// identical clocks, stats and traces — TestKernelEquivalence pins this
-// bit-for-bit across every registered scenario.
-
-import "fmt"
+// The scheduler queue of the event-driven kernel (pevent.go): wake events
+// in a min-heap ordered on (virtual time, rank, seq), and the record of
+// what a parked rank is waiting for.
 
 // event is one scheduler wake-up: rank becomes runnable at virtual time
-// time. seq is a global injection counter, so ordering on
+// time. seq is the owning worker's injection counter, so ordering on
 // (time, rank, seq) is total and FIFO among equal-time wake-ups of the
 // same rank — the deterministic tie-break the fuzz target pins.
 type event struct {
@@ -97,259 +79,4 @@ func (q *eventQueue) pop() event {
 type waitState struct {
 	active   bool
 	src, tag int
-}
-
-// eventKernel is the per-World state of the discrete-event engine. All
-// fields are accessed only by the currently running goroutine (scheduler
-// or the single resumed rank); the resume/yield channel handoffs order
-// every access, so no field needs a lock.
-type eventKernel struct {
-	w *World
-	q eventQueue
-	// seq stamps events in injection order for the FIFO tie-break.
-	seq uint64
-	// slab holds every in-flight message envelope; free indexes recycled
-	// slots. Indices stay valid across slab growth where pointers would
-	// dangle.
-	slab []message
-	free []int32
-	// pending[r] is rank r's receive queue in injection order (slab
-	// indices); matching scans it exactly like the goroutine mailbox.
-	pending [][]int32
-	waiting []waitState
-	// scheduled[r] guards the at-most-one-outstanding-event-per-rank
-	// invariant; done[r] lets the scheduler skip stale wakes.
-	scheduled []bool
-	done      []bool
-	ndone     int
-	// resume[r] hands control to rank r; yield hands it back. Both are
-	// unbuffered so the handoff is a strict rendezvous (and a
-	// happens-before edge for the race detector).
-	resume []chan struct{}
-	yield  chan struct{}
-	// Barrier state, replacing the goroutine kernel's generation-counting
-	// barrier: the last arriver releases every parked participant with a
-	// wake at the maximum contributed clock, in ascending rank order.
-	barArrived  int
-	barMax      float64
-	barWaiting  []bool
-	barReleased []bool
-	barOut      []float64
-	deadlocked  bool
-}
-
-// wake makes rank runnable at virtual time t. At most one event per rank
-// is outstanding: the rank rescans its wait condition on resume, so a
-// single wake suffices no matter how many new messages queued meanwhile.
-func (ev *eventKernel) wake(rank int, t float64) {
-	if ev.scheduled[rank] || ev.done[rank] {
-		return
-	}
-	ev.scheduled[rank] = true
-	ev.seq++
-	ev.q.push(event{time: t, rank: int32(rank), seq: ev.seq})
-}
-
-// wakeAll schedules every parked rank, used on failure so blocked ranks
-// observe the fail flag and unwind (the event-kernel analogue of the
-// goroutine kernel's wakeAll broadcast).
-func (ev *eventKernel) wakeAll() {
-	for r := 0; r < ev.w.procs; r++ {
-		ev.wake(r, 0)
-	}
-}
-
-// failWake implements engine: single-threaded, so a failing rank can
-// wake the whole world directly.
-func (ev *eventKernel) failWake(rank int) { ev.wakeAll() }
-
-// park suspends the calling rank until the scheduler resumes it.
-func (ev *eventKernel) park(rank int) {
-	ev.yield <- struct{}{}
-	<-ev.resume[rank]
-}
-
-// alloc stores m in the slab and returns its index.
-func (ev *eventKernel) alloc(m message) int32 {
-	if n := len(ev.free); n > 0 {
-		idx := ev.free[n-1]
-		ev.free = ev.free[:n-1]
-		ev.slab[idx] = m
-		return idx
-	}
-	ev.slab = append(ev.slab, m)
-	return int32(len(ev.slab) - 1)
-}
-
-// release zeroes the slot (dropping the payload reference) and recycles it.
-func (ev *eventKernel) release(idx int32) {
-	ev.slab[idx] = message{}
-	ev.free = append(ev.free, idx)
-}
-
-// send is the event-kernel half of Isend: queue the envelope and, when
-// the destination is parked on a matching Recv, schedule its wake at the
-// message's arrival time.
-func (ev *eventKernel) send(dst int, m message) {
-	idx := ev.alloc(m)
-	ev.pending[dst] = append(ev.pending[dst], idx)
-	if ws := ev.waiting[dst]; ws.active && m.src == ws.src && (ws.tag == AnyTag || m.tag == ws.tag) {
-		ev.wake(dst, ev.w.arrival(m, dst))
-	}
-}
-
-// recv is the event-kernel half of Recv: consume the first queued
-// (src, tag) match, or park until a sender schedules a wake. The clock
-// advance in completeRecv depends only on the matched message, so the
-// wake time itself never leaks into the timeline.
-func (ev *eventKernel) recv(c *Comm, src, tag int) (any, error) {
-	rank := c.rank
-	for {
-		if c.world.failFlag.Load() {
-			return nil, fmt.Errorf("mpi: rank %d Recv aborted: sibling rank failed", rank)
-		}
-		q := ev.pending[rank]
-		for i, idx := range q {
-			m := ev.slab[idx]
-			if m.src == src && (tag == AnyTag || m.tag == tag) {
-				ev.pending[rank] = append(q[:i], q[i+1:]...)
-				ev.release(idx)
-				c.completeRecv(m)
-				return m.payload, nil
-			}
-		}
-		ev.waiting[rank] = waitState{active: true, src: src, tag: tag}
-		ev.park(rank)
-		ev.waiting[rank].active = false
-	}
-}
-
-// probe is the event-kernel half of Probe.
-func (ev *eventKernel) probe(rank, src, tag int) bool {
-	for _, idx := range ev.pending[rank] {
-		m := &ev.slab[idx]
-		if m.src == src && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
-	}
-	return false
-}
-
-// barrier is the event-kernel Barrier: participants park until the last
-// arriver releases everyone at the maximum contributed clock. Releases
-// are pushed in ascending rank order at the release time, so the exit
-// schedule is deterministic; the released maximum is identical to the
-// goroutine barrier's because max is order-independent.
-func (ev *eventKernel) barrier(c *Comm) (float64, error) {
-	rank := c.rank
-	if c.world.failFlag.Load() {
-		return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
-	}
-	if t := c.clock.Now(); t > ev.barMax {
-		ev.barMax = t
-	}
-	ev.barArrived++
-	if ev.barArrived == c.world.procs {
-		out := ev.barMax
-		ev.barArrived = 0
-		ev.barMax = 0
-		for r := 0; r < c.world.procs; r++ {
-			if ev.barWaiting[r] {
-				ev.barWaiting[r] = false
-				ev.barReleased[r] = true
-				ev.barOut[r] = out
-				ev.wake(r, out)
-			}
-		}
-		return out, nil
-	}
-	ev.barWaiting[rank] = true
-	ev.park(rank)
-	if ev.barReleased[rank] {
-		ev.barReleased[rank] = false
-		return ev.barOut[rank], nil
-	}
-	// Woken without a release: the world is failing. Withdraw so the
-	// count cannot go stale, mirroring the goroutine barrier's abort.
-	ev.barWaiting[rank] = false
-	ev.barArrived--
-	return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
-}
-
-// runEvent drives fn across w.procs ranks under the event kernel and
-// blocks until every rank returns. The calling goroutine becomes the
-// scheduler; rank goroutines exist only to carry suspended stacks.
-func runEvent(w *World, fn func(c *Comm) error) error {
-	procs := w.procs
-	ev := &eventKernel{
-		w:           w,
-		pending:     make([][]int32, procs),
-		waiting:     make([]waitState, procs),
-		scheduled:   make([]bool, procs),
-		done:        make([]bool, procs),
-		resume:      make([]chan struct{}, procs),
-		yield:       make(chan struct{}),
-		barWaiting:  make([]bool, procs),
-		barReleased: make([]bool, procs),
-		barOut:      make([]float64, procs),
-	}
-	w.eng = ev
-	for r := range ev.resume {
-		ev.resume[r] = make(chan struct{})
-	}
-	for r := 0; r < procs; r++ {
-		go func(rank int) {
-			c := &Comm{
-				world:        w,
-				rank:         rank,
-				sendOverhead: w.cost.SendOverhead(rank),
-				recvOverhead: w.cost.RecvOverhead(rank),
-			}
-			<-ev.resume[rank]
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
-						ev.wakeAll()
-					}
-				}()
-				if err := fn(c); err != nil {
-					w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
-					ev.wakeAll()
-				}
-			}()
-			ev.done[rank] = true
-			ev.ndone++
-			ev.yield <- struct{}{}
-		}(r)
-	}
-	// Seed: every rank becomes runnable at time zero, in rank order.
-	for r := 0; r < procs; r++ {
-		ev.wake(r, 0)
-	}
-	for ev.ndone < procs {
-		if ev.q.Len() == 0 {
-			// Every undone rank is parked and nothing will wake it. The
-			// goroutine kernel hangs here; the event kernel can prove the
-			// deadlock (the heap is drained) and fail instead.
-			if ev.deadlocked {
-				break
-			}
-			ev.deadlocked = true
-			w.setFail(fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-ev.ndone, procs))
-			ev.wakeAll()
-			continue
-		}
-		e := ev.q.pop()
-		rank := int(e.rank)
-		if ev.done[rank] {
-			continue
-		}
-		ev.scheduled[rank] = false
-		ev.resume[rank] <- struct{}{}
-		<-ev.yield
-	}
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.fail
 }

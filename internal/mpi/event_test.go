@@ -1,9 +1,10 @@
 package mpi
 
-// Unit tests of the discrete-event kernel: in-package equivalence
-// smokes against the goroutine kernel, the failure paths the big
-// differential suite (TestKernelEquivalence at the repo root) cannot
-// reach, and the ordering contract of the event queue itself.
+// Unit tests of the event-driven kernel under both of its names:
+// in-package equivalence smokes against the goroutine kernel, the
+// failure paths the big differential suite (TestKernelEquivalence at the
+// repo root) cannot reach, and the ordering contract of the event queue
+// itself.
 
 import (
 	"errors"
@@ -24,17 +25,17 @@ type kernelSnap struct {
 }
 
 // kernelMatrix enumerates every engine configuration the in-package
-// equivalence smokes cross-check: the three kernels, with the parallel
-// event kernel pinned at several explicit worker counts so worker
-// partitioning (including a block size of one) is exercised regardless
-// of GOMAXPROCS.
+// equivalence smokes cross-check: the three kernel names, with pevent
+// also pinned at explicit worker counts so worker partitioning
+// (including a block size of one) is exercised regardless of GOMAXPROCS.
+// One worker is the event row.
 func kernelMatrix(procs int) map[string]Options {
 	m := map[string]Options{
 		"goroutine": {Kernel: KernelGoroutine},
 		"event":     {Kernel: KernelEvent},
 		"pevent":    {Kernel: KernelParallelEvent},
 	}
-	for _, w := range []int{1, 2, 3} {
+	for _, w := range []int{2, 3} {
 		if w <= procs {
 			m[fmt.Sprintf("pevent-w%d", w)] = Options{Kernel: KernelParallelEvent, Workers: w}
 		}
@@ -147,79 +148,104 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	}
 }
 
-// TestEventKernelRejectsRealClock pins the mode restriction.
-func TestEventKernelRejectsRealClock(t *testing.T) {
-	err := Run(Options{Procs: 2, Mode: RealClock, Kernel: KernelEvent}, func(c *Comm) error { return nil })
-	if err == nil {
-		t.Fatal("expected an error for RealClock under the event kernel")
+// eventConfigs is the table the failure-path tests run over: the
+// one-worker kernel under its own name, and pevent with the ranks split
+// over two and three workers, so the failing rank, the blocked ranks and
+// a phantom sender land both together and apart.
+var eventConfigs = []struct {
+	name    string
+	kernel  Kernel
+	workers int
+}{
+	{"event", KernelEvent, 0},
+	{"pevent-w2", KernelParallelEvent, 2},
+	{"pevent-w3", KernelParallelEvent, 3},
+}
+
+// forEventKernels runs body once per eventConfigs row, as a
+// subtest, with free-network options at the given rank count.
+func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Options)) {
+	for _, cfg := range eventConfigs {
+		opts := freeOpts(procs)
+		opts.Kernel, opts.Workers = cfg.kernel, cfg.workers
+		t.Run(cfg.name, func(t *testing.T) { body(t, opts) })
 	}
 }
 
-// TestEventKernelDetectsDeadlock: a receive that can never be satisfied
-// drains the event queue; the kernel must fail the world (the goroutine
-// kernel would hang forever here, which is why this test exists only
-// for the event kernel).
-func TestEventKernelDetectsDeadlock(t *testing.T) {
-	opts := freeOpts(3)
-	opts.Kernel = KernelEvent
-	err := Run(opts, func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, err := c.Recv(1, 42) // rank 1 never sends
-			return err
+// TestEventKernelRejectsRealClock pins the mode restriction.
+func TestEventKernelRejectsRealClock(t *testing.T) {
+	forEventKernels(t, 2, func(t *testing.T, opts Options) {
+		opts.Mode = RealClock
+		if err := Run(opts, func(c *Comm) error { return nil }); err == nil {
+			t.Fatal("expected an error for RealClock under an event kernel")
 		}
-		return nil
 	})
-	if err == nil {
-		t.Fatal("expected a deadlock error")
-	}
+}
+
+// TestEventKernelDetectsDeadlock: a receive that can never be satisfied
+// drains every event heap; the kernel must fail the world, whether the
+// blocked rank shares a worker with its phantom sender or not (the
+// goroutine kernel would hang forever here, which is why it has no row).
+func TestEventKernelDetectsDeadlock(t *testing.T) {
+	forEventKernels(t, 3, func(t *testing.T, opts Options) {
+		err := Run(opts, func(c *Comm) error {
+			if c.Rank() == 0 {
+				_, err := c.Recv(1, 42) // rank 1 never sends
+				return err
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("expected a deadlock error")
+		}
+	})
 }
 
 // TestEventKernelErrorAndPanicPropagate mirrors TestRankErrorPropagates
 // and TestPanicConvertedToError on the event path: the failure must
-// unblock ranks parked in Recv and in Barrier.
+// unblock ranks parked in Recv and in Barrier, including on workers the
+// failing rank does not own.
 func TestEventKernelErrorAndPanicPropagate(t *testing.T) {
 	boom := errors.New("boom")
-	for name, fail := range map[string]func(){
-		"error": func() {},
-		"panic": func() { panic("kaboom") },
-	} {
-		opts := freeOpts(4)
-		opts.Kernel = KernelEvent
-		err := Run(opts, func(c *Comm) error {
-			switch c.Rank() {
-			case 0:
-				if name == "panic" {
-					fail()
+	forEventKernels(t, 4, func(t *testing.T, opts Options) {
+		for _, mode := range []string{"error", "panic"} {
+			err := Run(opts, func(c *Comm) error {
+				switch c.Rank() {
+				case 0:
+					if mode == "panic" {
+						panic("kaboom")
+					}
+					return boom
+				case 1:
+					_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
+					return err
+				default:
+					return c.Barrier() // parked in Barrier when rank 0 fails
 				}
-				return boom
-			case 1:
-				_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
-				return err
-			default:
-				return c.Barrier() // parked in Barrier when rank 0 fails
+			})
+			if err == nil {
+				t.Fatalf("%s: expected failure to propagate", mode)
 			}
-		})
-		if err == nil {
-			t.Fatalf("%s: expected failure to propagate", name)
 		}
-	}
+	})
 }
 
 // TestEventKernelFailUnblocks mirrors TestFailUnblocksBarrier: Comm.Fail
-// from a running rank must wake barrier waiters.
+// from a running rank must wake barrier waiters, on its own worker and
+// on others.
 func TestEventKernelFailUnblocks(t *testing.T) {
-	opts := freeOpts(3)
-	opts.Kernel = KernelEvent
-	err := Run(opts, func(c *Comm) error {
-		if c.Rank() == 2 {
-			c.Fail(errors.New("deliberate"))
-			return nil
+	forEventKernels(t, 3, func(t *testing.T, opts Options) {
+		err := Run(opts, func(c *Comm) error {
+			if c.Rank() == 2 {
+				c.Fail(errors.New("deliberate"))
+				return nil
+			}
+			return c.Barrier()
+		})
+		if err == nil {
+			t.Fatal("expected the injected failure")
 		}
-		return c.Barrier()
 	})
-	if err == nil {
-		t.Fatal("expected the injected failure")
-	}
 }
 
 // TestEventQueueOrder drives the queue with a seeded random insertion

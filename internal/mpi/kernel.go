@@ -10,6 +10,8 @@ import (
 // same virtual timeline: every clock advance is a pure function of
 // message content and per-rank program order, never of host scheduling,
 // so the kernels are bit-identical and differ only in host-side cost.
+// There are three names over two engines: event and pevent share one
+// scheduler and differ in worker count.
 type Kernel int
 
 const (
@@ -18,20 +20,20 @@ const (
 	// concurrently. Best host-time at small worlds; memory and scheduler
 	// pressure grow with rank count.
 	KernelGoroutine Kernel = iota
-	// KernelEvent is the discrete-event engine: ranks are passive states
-	// driven by a scheduler popping wake events from a priority queue
-	// ordered on (virtual time, rank, seq), with slab-allocated message
-	// envelopes instead of per-rank mailbox locks. Exactly one rank runs
-	// at a time, so the simulation needs no locks and scales to tens of
-	// thousands of ranks with flat memory per rank. VirtualClock only.
+	// KernelEvent is the discrete-event engine (pevent.go) on one worker:
+	// ranks are passive states driven by a scheduler popping wake events
+	// from a priority queue ordered on (virtual time, rank, seq), with
+	// slab-allocated message envelopes instead of per-rank mailbox locks.
+	// Exactly one rank runs at a time, and the simulation scales to tens
+	// of thousands of ranks with flat memory per rank. VirtualClock only.
 	KernelEvent
-	// KernelParallelEvent is the conservative parallel event engine:
-	// ranks are partitioned across min(GOMAXPROCS, procs) workers (see
-	// Options.Workers), each owning a private event heap and message
-	// slab. Workers execute events concurrently below a per-window safe
-	// horizon derived from the cost model's MinDelay lookahead, staging
-	// cross-worker sends into per-worker lanes merged at the window
-	// barrier — see pevent.go. Bit-identical to the other two kernels.
+	// KernelParallelEvent is the same engine run conservatively in
+	// parallel: ranks are partitioned across min(GOMAXPROCS, procs)
+	// workers (see Options.Workers), each owning a private event heap and
+	// message slab. Workers execute events concurrently below a
+	// per-window safe horizon derived from the cost model's MinDelay
+	// lookahead, staging cross-worker sends into per-worker lanes merged
+	// at the window barrier. At one worker it is KernelEvent.
 	// VirtualClock only.
 	KernelParallelEvent
 )

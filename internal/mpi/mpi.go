@@ -34,36 +34,18 @@ type Options struct {
 	// Mode selects virtual or real time accounting.
 	Mode ClockMode
 	// Kernel selects the execution engine: KernelGoroutine (default, one
-	// goroutine per rank), KernelEvent (discrete-event scheduler for
-	// large worlds; VirtualClock only) or KernelParallelEvent (the
-	// lookahead-windowed multi-worker event scheduler; VirtualClock
-	// only). All are bit-identical in virtual time, stats and traces —
-	// see kernel.go.
+	// goroutine per rank), KernelEvent (the discrete-event scheduler on
+	// one worker, for large worlds) or KernelParallelEvent (the same
+	// scheduler sharded across workers in lookahead windows). The event
+	// kernels are VirtualClock only. All are bit-identical in virtual
+	// time, stats and traces — see kernel.go.
 	Kernel Kernel
 	// Workers bounds the worker count of KernelParallelEvent: 0 (the
 	// default) resolves to min(GOMAXPROCS, Procs); explicit values are
 	// clamped to Procs. Any worker count produces the same bytes — the
 	// knob trades host parallelism against per-window coordination cost.
-	// Ignored by the other kernels.
+	// Ignored by the other kernels (KernelEvent is always one worker).
 	Workers int
-}
-
-// engine abstracts the event-driven execution engines (event, pevent)
-// behind the Comm hot paths: a nil World.eng selects the goroutine
-// kernel's mailbox path, preserving its branch-free fast path.
-type engine interface {
-	// send queues message m for rank dst (m.src identifies the sender).
-	send(dst int, m message)
-	// recv blocks rank c until a (src, tag) match is consumed.
-	recv(c *Comm, src, tag int) (any, error)
-	// probe reports whether a (src, tag) match is already queued at rank.
-	probe(rank, src, tag int) bool
-	// barrier parks rank c until all ranks arrive; returns the released
-	// maximum clock.
-	barrier(c *Comm) (float64, error)
-	// failWake wakes parked ranks after a failure so they can observe
-	// the fail flag and unwind; rank is the failing caller.
-	failWake(rank int)
 }
 
 // World owns the shared state of one SPMD execution: mailboxes, the barrier,
@@ -86,10 +68,9 @@ type World struct {
 	tv    netmodel.TimeVarying
 	boxes []*mailbox
 	bar   *barrier
-	// eng is non-nil when the world runs under an event-driven kernel
-	// (event.go, pevent.go); Comm methods branch to it instead of the
-	// mailboxes.
-	eng   engine
+	// eng is non-nil when the world runs under the event-driven kernel
+	// (pevent.go); Comm methods branch to it instead of the mailboxes.
+	eng   *eventEngine
 	start time.Time
 	// failFlag is the lock-free fast path for "has any rank failed":
 	// receive loops poll it on every wakeup, so it must not require
@@ -172,7 +153,7 @@ func newBarrier(procs int) *barrier {
 // wait blocks until all procs arrive and returns the maximum clock value
 // contributed by any participant. abort is re-checked whenever the waiter
 // is woken so that a failing sibling rank (which broadcasts on the barrier
-// via wakeAll) unblocks everyone instead of leaving them asleep.
+// via failWake) unblocks everyone instead of leaving them asleep.
 func (b *barrier) wait(clock float64, abort func() bool) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -310,10 +291,11 @@ func Run(opts Options, fn func(c *Comm) error) error {
 		if opts.Mode == RealClock {
 			return fmt.Errorf("mpi: the %s kernel simulates virtual time only; RealClock requires the goroutine kernel", opts.Kernel)
 		}
+		workers := opts.Workers
 		if opts.Kernel == KernelEvent {
-			return runEvent(w, fn)
+			workers = 1
 		}
-		return runPEvent(w, fn, opts.Workers)
+		return runPEvent(w, fn, workers)
 	}
 	w.boxes = make([]*mailbox, opts.Procs)
 	for i := range w.boxes {
@@ -324,30 +306,33 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	for r := 0; r < opts.Procs; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{
-				world:        w,
-				rank:         rank,
-				sendOverhead: cost.SendOverhead(rank),
-				recvOverhead: cost.RecvOverhead(rank),
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
-					// Wake everyone so a panicked collective does not hang
-					// sibling ranks forever.
-					w.wakeAll()
-				}
-			}()
-			if err := fn(c); err != nil {
-				w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
-				w.wakeAll()
-			}
+			w.runRank(rank, fn)
 		}(r)
 	}
 	wg.Wait()
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.fail
+	return w.failed()
+}
+
+// runRank executes fn as rank's program under either kernel. An error
+// or a panic fails the world and wakes blocked siblings, so a failed
+// collective does not hang them forever.
+func (w *World) runRank(rank int, fn func(c *Comm) error) {
+	c := &Comm{
+		world:        w,
+		rank:         rank,
+		sendOverhead: w.cost.SendOverhead(rank),
+		recvOverhead: w.cost.RecvOverhead(rank),
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
+			w.failWake(rank)
+		}
+	}()
+	if err := fn(c); err != nil {
+		w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
+		w.failWake(rank)
+	}
 }
 
 func (w *World) setFail(err error) {
@@ -365,9 +350,14 @@ func (w *World) failed() error {
 	return w.fail
 }
 
-// wakeAll broadcasts on every mailbox and the barrier so blocked ranks can
-// observe a failure and unwind.
-func (w *World) wakeAll() {
+// failWake wakes blocked ranks after rank failed the world, so they
+// observe the failure and unwind: the event kernel reschedules parked
+// ranks, the goroutine kernel broadcasts on every mailbox and the barrier.
+func (w *World) failWake(rank int) {
+	if w.eng != nil {
+		w.eng.failWake(rank)
+		return
+	}
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		b.cond.Broadcast()
@@ -619,9 +609,5 @@ func (c *Comm) Barrier() error {
 // observe the failure and unwind.
 func (c *Comm) Fail(err error) {
 	c.world.setFail(fmt.Errorf("mpi: rank %d: %w", c.rank, err))
-	if eng := c.world.eng; eng != nil {
-		eng.failWake(c.rank)
-		return
-	}
-	c.world.wakeAll()
+	c.world.failWake(c.rank)
 }

@@ -1,10 +1,19 @@
 package mpi
 
-// The conservative parallel event kernel (Options.Kernel ==
-// KernelParallelEvent): ranks are partitioned into contiguous blocks
-// across min(GOMAXPROCS, procs) workers, each owning a private event
-// heap, message slab and coroutine carriers — a sharded copy of the
-// sequential event kernel (event.go). Execution proceeds in windows: the
+// The event-driven kernel behind both event kernel names. Ranks are
+// passive states: goroutines survive only as suspended stack carriers
+// parked on an unbuffered resume channel, woken by events popped from a
+// priority queue ordered on (virtual time, rank, seq). Message envelopes
+// live in slabs indexed by int32 and recycled through a free list, so
+// memory per rank is flat: a parked goroutine, one pending-queue header
+// and a wait record.
+//
+// Ranks are partitioned into contiguous blocks across workers, each
+// owning a private event heap, message slab and coroutine carriers, and
+// running one rank at a time. KernelEvent is one worker: a single window
+// with an infinite horizon, i.e. a sequential discrete-event scheduler
+// that needs no synchronization at all. KernelParallelEvent shards over
+// min(GOMAXPROCS, procs) workers and proceeds in windows: the
 // coordinator computes the global floor (the minimum next event time
 // across workers) and a safe horizon floor + lookahead, where lookahead
 // is the cost model's MinDelay — the classic Chandy–Misra–Bryant
@@ -14,24 +23,27 @@ package mpi
 // sends into per-(src-worker, dst-worker) lanes; the coordinator merges
 // the lanes at the window barrier, in (src-worker, injection) order.
 //
-// Byte-identity with the other two kernels is by construction, not by
-// windowing: a message's arrival time is a pure function of its content
-// (sender clock at injection, size, epoch, endpoint pair); matching is
-// FIFO per (src, tag) with the source always named, and all of a source
-// rank's messages to a given destination ride the same lane in program
-// order, so per-src FIFO — the only queue order matching can observe —
-// survives any merge interleaving. The barrier releases every
-// participant at the maximum contributed clock, which is
-// order-independent. The lookahead is therefore purely a performance
+// Byte-identity with the goroutine kernel, at any worker count, is by
+// construction, not by scheduling luck or windowing: a message's arrival
+// time is a pure function of its content (sender clock at injection,
+// size, epoch, endpoint pair); matching is FIFO per (src, tag) with the
+// source always named, and all of a source rank's messages to a given
+// destination ride the same lane in program order, so per-src FIFO — the
+// only queue order matching can observe — survives any merge
+// interleaving. The barrier releases every participant at the maximum
+// contributed clock, which is order-independent. Any schedule that
+// respects per-rank program order therefore yields identical clocks,
+// stats and traces (TestKernelEquivalence pins this bit-for-bit across
+// every registered scenario), and the lookahead is purely a performance
 // knob (how much each worker may run ahead between synchronizations);
 // MinDelay == 0 degrades to lock-step windows, never to wrong answers.
 //
 // The one seam where cross-worker timing could leak into a program is
-// Probe, which observes whether a message is already queued. The
-// sequential kernels guarantee that everything sent before a barrier is
-// visible after it; to preserve that, a multi-worker barrier releases
-// every participant — the last arriver included — only at the next
-// window fold, after staged lanes have merged.
+// Probe, which observes whether a message is already queued. One worker
+// and the goroutine kernel guarantee that everything sent before a
+// barrier is visible after it; to preserve that, a multi-worker barrier
+// releases every participant — the last arriver included — only at the
+// next window fold, after staged lanes have merged.
 
 import (
 	"fmt"
@@ -57,11 +69,10 @@ type barWake struct {
 // peWorker is one worker's shard of the kernel: the event heap, slab and
 // staging lanes for its contiguous block of ranks [lo, hi). All fields
 // are touched only by the worker's own goroutine during a window (one
-// rank coroutine runs at a time per worker, exactly like the sequential
-// kernel) and by the coordinator between windows; the start/ready
-// channel handoffs order the two.
+// rank coroutine runs at a time per worker) and by the coordinator
+// between windows; the start/ready channel handoffs order the two.
 type peWorker struct {
-	k      *peventKernel
+	k      *eventEngine
 	id     int
 	lo, hi int
 	q      eventQueue
@@ -79,12 +90,12 @@ type peWorker struct {
 	ready chan struct{}
 }
 
-// peventKernel is the shared state of the parallel event engine. The
+// eventEngine is the per-World state of the event-driven kernel. The
 // per-rank slices are sharded by ownership: entry r is touched only by
 // the worker owning rank r (or by the coordinator between windows). The
 // barrier state is the one genuinely shared region — ranks of different
 // workers arrive concurrently — and is guarded by barMu.
-type peventKernel struct {
+type eventEngine struct {
 	w         *World
 	workers   []*peWorker
 	owner     []int32 // rank -> owning worker
@@ -93,7 +104,14 @@ type peventKernel struct {
 	// coordinator before the start signal, read by workers after it.
 	floor   float64
 	horizon float64
-	// Sharded per-rank state (see struct comment).
+	// Sharded per-rank state (see struct comment). pending[r] is rank r's
+	// receive queue in injection order (indices into its worker's slab,
+	// which stay valid across slab growth where pointers would dangle);
+	// scheduled[r] guards the at-most-one-outstanding-event-per-rank
+	// invariant; done[r] lets a worker skip stale wakes. resume[r] hands
+	// control to rank r and its worker's yield hands it back: both are
+	// unbuffered, so each handoff is a strict rendezvous (and a
+	// happens-before edge for the race detector).
 	pending   [][]int32
 	waiting   []waitState
 	scheduled []bool
@@ -113,8 +131,9 @@ type peventKernel struct {
 }
 
 // wake makes rank runnable at virtual time t on its owning worker's
-// heap. The at-most-one-outstanding-event-per-rank invariant of the
-// sequential kernel carries over unchanged.
+// heap. At most one event per rank is outstanding: the rank rescans its
+// wait condition on resume, so a single wake suffices no matter how many
+// new messages queued meanwhile.
 func (pw *peWorker) wake(rank int, t float64) {
 	k := pw.k
 	if k.scheduled[rank] || k.done[rank] {
@@ -150,8 +169,7 @@ func (pw *peWorker) release(idx int32) {
 }
 
 // deliver queues m for rank dst (owned by this worker) and, when dst is
-// parked on a matching Recv, schedules its wake at the arrival time —
-// the staged/local twin of eventKernel.send.
+// parked on a matching Recv, schedules its wake at the arrival time.
 func (pw *peWorker) deliver(m message, dst int) {
 	k := pw.k
 	idx := pw.alloc(m)
@@ -161,11 +179,10 @@ func (pw *peWorker) deliver(m message, dst int) {
 	}
 }
 
-// send implements engine: same-worker messages deliver immediately
-// (preserving the sequential kernel's behavior within a shard);
-// cross-worker messages park in the staging lane for the destination's
-// worker until the window fold.
-func (k *peventKernel) send(dst int, m message) {
+// send is the event-kernel half of Isend: same-worker messages deliver
+// immediately; cross-worker messages park in the staging lane for the
+// destination's worker until the window fold.
+func (k *eventEngine) send(dst int, m message) {
 	sw := k.workers[k.owner[m.src]]
 	dw := int(k.owner[dst])
 	if dw == sw.id {
@@ -175,11 +192,12 @@ func (k *peventKernel) send(dst int, m message) {
 	sw.lanes[dw] = append(sw.lanes[dw], stagedMsg{m: m, dst: int32(dst)})
 }
 
-// recv implements engine: consume the first queued (src, tag) match, or
-// park until a sender (or a window fold merging a staged message)
-// schedules a wake. Identical matching and clock rules to the
-// sequential kernel.
-func (k *peventKernel) recv(c *Comm, src, tag int) (any, error) {
+// recv is the event-kernel half of Recv: consume the first queued
+// (src, tag) match, or park until a sender (or a window fold merging a
+// staged message) schedules a wake. The clock advance in completeRecv
+// depends only on the matched message, so the wake time itself never
+// leaks into the timeline.
+func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
 	pw := k.workers[k.owner[rank]]
 	for {
@@ -202,13 +220,13 @@ func (k *peventKernel) recv(c *Comm, src, tag int) (any, error) {
 	}
 }
 
-// probe implements engine. Staged cross-worker messages are invisible
-// until their fold — which is exactly the visibility the sequential
-// kernels guarantee: Probe only promises to see messages whose send is
-// ordered before it (own sends, or sends from before a completed
+// probe is the event-kernel half of Probe. Staged cross-worker messages
+// are invisible until their fold — which is exactly the visibility the
+// goroutine kernel guarantees: Probe only promises to see messages whose
+// send is ordered before it (own sends, or sends from before a completed
 // barrier), and barriers under this kernel release only after lanes
 // merge.
-func (k *peventKernel) probe(rank, src, tag int) bool {
+func (k *eventEngine) probe(rank, src, tag int) bool {
 	pw := k.workers[k.owner[rank]]
 	for _, idx := range k.pending[rank] {
 		m := &pw.slab[idx]
@@ -219,13 +237,14 @@ func (k *peventKernel) probe(rank, src, tag int) bool {
 	return false
 }
 
-// barrier implements engine. Arrival counting is the only cross-worker
-// rendezvous in the kernel, so it takes barMu. With one worker the last
-// arriver releases everyone directly (the sequential kernel's rule);
-// with several, every participant — the last arriver included — parks
-// and leaves at the next window fold, after staged lanes merge, so
-// post-barrier Probe sees every pre-barrier message.
-func (k *peventKernel) barrier(c *Comm) (float64, error) {
+// barrier is the event-kernel Barrier. Arrival counting is the only
+// cross-worker rendezvous in the kernel, so it takes barMu. With one
+// worker the last arriver releases every parked participant directly,
+// in ascending rank order at the release time; with several, every
+// participant — the last arriver included — parks and leaves at the
+// next window fold, after staged lanes merge, so post-barrier Probe sees
+// every pre-barrier message.
+func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	rank := c.rank
 	if c.world.failFlag.Load() {
 		return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
@@ -240,38 +259,33 @@ func (k *peventKernel) barrier(c *Comm) (float64, error) {
 		out := k.barMax
 		k.barArrived = 0
 		k.barMax = 0
-		if len(k.workers) == 1 {
-			for r := 0; r < c.world.procs; r++ {
-				if k.barWaiting[r] {
-					k.barWaiting[r] = false
-					k.barReleased[r] = true
-					k.barOut[r] = out
-					pw.wake(r, out)
-				}
-			}
-			k.barMu.Unlock()
-			return out, nil
-		}
+		single := len(k.workers) == 1
 		for r := 0; r < c.world.procs; r++ {
-			if k.barWaiting[r] {
-				k.barWaiting[r] = false
-				k.barReleased[r] = true
-				k.barOut[r] = out
+			if !k.barWaiting[r] {
+				continue
+			}
+			k.barWaiting[r] = false
+			k.barReleased[r] = true
+			k.barOut[r] = out
+			if single {
+				pw.wake(r, out)
+			} else {
 				k.pendingBarWakes = append(k.pendingBarWakes, barWake{rank: int32(r), out: out})
 			}
+		}
+		if single {
+			k.barMu.Unlock()
+			return out, nil
 		}
 		k.barReleased[rank] = true
 		k.barOut[rank] = out
 		k.pendingBarWakes = append(k.pendingBarWakes, barWake{rank: int32(rank), out: out})
-		k.barMu.Unlock()
-		pw.park(rank)
-		k.barMu.Lock()
 	} else {
 		k.barWaiting[rank] = true
-		k.barMu.Unlock()
-		pw.park(rank)
-		k.barMu.Lock()
 	}
+	k.barMu.Unlock()
+	pw.park(rank)
+	k.barMu.Lock()
 	if k.barReleased[rank] {
 		k.barReleased[rank] = false
 		out := k.barOut[rank]
@@ -279,18 +293,18 @@ func (k *peventKernel) barrier(c *Comm) (float64, error) {
 		return out, nil
 	}
 	// Woken without a release: the world is failing. Withdraw so the
-	// count cannot go stale, mirroring the sequential kernels' abort.
+	// count cannot go stale, mirroring the goroutine barrier's abort.
 	k.barWaiting[rank] = false
 	k.barArrived--
 	k.barMu.Unlock()
 	return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
 }
 
-// failWake implements engine: a failing rank wakes its own worker's
-// parked ranks directly (its worker's heap is safely accessible from
-// the running coroutine); ranks of other workers are woken by the
-// coordinator at every fold while the fail flag is up.
-func (k *peventKernel) failWake(rank int) {
+// failWake is the event-kernel half of World.failWake: a failing rank
+// wakes its own worker's parked ranks directly (its worker's heap is
+// safely accessible from the running coroutine); ranks of other workers
+// are woken by the coordinator at every fold while the fail flag is up.
+func (k *eventEngine) failWake(rank int) {
 	pw := k.workers[k.owner[rank]]
 	pw.wakeBlock()
 }
@@ -330,7 +344,7 @@ func (pw *peWorker) runWindow() {
 // per-src FIFO because each source's messages share one lane), then
 // deliver deferred barrier releases, then propagate a failure to every
 // worker's parked ranks.
-func (k *peventKernel) fold() {
+func (k *eventEngine) fold() {
 	for _, dst := range k.workers {
 		for _, src := range k.workers {
 			lane := src.lanes[dst.id]
@@ -366,14 +380,14 @@ func peWorkerCount(workers, procs int) int {
 	return workers
 }
 
-// runPEvent drives fn across w.procs ranks under the parallel event
-// kernel and blocks until every rank returns. The calling goroutine
-// becomes the window coordinator; each worker runs its shard's windows
-// on its own goroutine.
+// runPEvent drives fn across w.procs ranks under the event-driven kernel
+// and blocks until every rank returns. The calling goroutine becomes the
+// window coordinator; each worker runs its shard's windows on its own
+// goroutine; rank goroutines exist only to carry suspended stacks.
 func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
-	k := &peventKernel{
+	k := &eventEngine{
 		w:           w,
 		workers:     make([]*peWorker, nw),
 		owner:       make([]int32, procs),
@@ -412,25 +426,8 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		pw := pw
 		for r := pw.lo; r < pw.hi; r++ {
 			go func(rank int) {
-				c := &Comm{
-					world:        w,
-					rank:         rank,
-					sendOverhead: w.cost.SendOverhead(rank),
-					recvOverhead: w.cost.RecvOverhead(rank),
-				}
 				<-k.resume[rank]
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
-							k.failWake(rank)
-						}
-					}()
-					if err := fn(c); err != nil {
-						w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
-						k.failWake(rank)
-					}
-				}()
+				w.runRank(rank, fn)
 				k.done[rank] = true
 				pw.ndone++
 				pw.yield <- struct{}{}
@@ -463,8 +460,9 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		}
 		if math.IsInf(floor, 1) {
 			// Every undone rank is parked, no lane or release is pending
-			// (fold drained them), and no heap holds an event: provable
-			// deadlock, exactly as in the sequential event kernel.
+			// (fold drained them), and no heap holds an event. The
+			// goroutine kernel hangs here; this one can prove the deadlock
+			// and fail instead.
 			if k.deadlocked {
 				break
 			}
@@ -479,7 +477,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		if nw == 1 {
 			// One worker needs no conservative horizon: there is no
 			// sibling to synchronize with, so the whole run is one window
-			// — the sequential event kernel with a different heap owner.
+			// — a sequential discrete-event scheduler.
 			k.horizon = math.Inf(1)
 		} else {
 			k.horizon = floor + k.lookahead
@@ -501,7 +499,5 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 	for _, pw := range k.workers {
 		close(pw.start)
 	}
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.fail
+	return w.failed()
 }

@@ -1,12 +1,11 @@
 package mpi
 
-// Unit tests of the conservative parallel event kernel: failure paths at
-// worker counts the differential suites cannot pin explicitly, the
-// cross-worker visibility contract of Probe after a barrier, and the
-// worker-count resolution rules.
+// Unit tests of the event-driven kernel's multi-worker seams: the
+// cross-worker visibility contract of Probe after a barrier, per-source
+// FIFO across a staging lane, and the worker-count resolution rules. The
+// failure paths are in event_test.go, one table over both kernel names.
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -18,14 +17,6 @@ func peventOpts(procs, workers int) Options {
 	o.Kernel = KernelParallelEvent
 	o.Workers = workers
 	return o
-}
-
-// TestParallelEventRejectsRealClock pins the mode restriction.
-func TestParallelEventRejectsRealClock(t *testing.T) {
-	err := Run(Options{Procs: 2, Mode: RealClock, Kernel: KernelParallelEvent}, func(c *Comm) error { return nil })
-	if err == nil {
-		t.Fatal("expected an error for RealClock under the parallel event kernel")
-	}
 }
 
 // TestParallelEventWorkerCount pins the Options.Workers resolution:
@@ -45,72 +36,17 @@ func TestParallelEventWorkerCount(t *testing.T) {
 			t.Errorf("peWorkerCount(%d, %d) = %d, want in [%d, %d]", tc.workers, tc.procs, got, tc.min, tc.max)
 		}
 	}
-}
-
-// TestParallelEventDetectsDeadlock mirrors TestEventKernelDetectsDeadlock
-// at every worker layout: a drained set of heaps with undone ranks must
-// fail the world, whether the blocked rank shares a worker with its
-// phantom sender or not.
-func TestParallelEventDetectsDeadlock(t *testing.T) {
-	for _, workers := range []int{1, 2, 3} {
-		err := Run(peventOpts(3, workers), func(c *Comm) error {
-			if c.Rank() == 0 {
-				_, err := c.Recv(1, 42) // rank 1 never sends
-				return err
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: expected a deadlock error", workers)
+	// Options.Workers is ignored under the event name: always one worker.
+	opts := freeOpts(8)
+	opts.Kernel, opts.Workers = KernelEvent, 8
+	err := Run(opts, func(c *Comm) error {
+		if n := len(c.world.eng.workers); n != 1 {
+			return fmt.Errorf("KernelEvent with Workers=8 ran on %d workers, want 1", n)
 		}
-	}
-}
-
-// TestParallelEventErrorAndPanicPropagate mirrors the event-kernel test:
-// a failing rank must unblock ranks parked in Recv and in Barrier on
-// every worker, including workers the failing rank does not own.
-func TestParallelEventErrorAndPanicPropagate(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 2, 4} {
-		for name, fail := range map[string]func(){
-			"error": func() {},
-			"panic": func() { panic("kaboom") },
-		} {
-			err := Run(peventOpts(4, workers), func(c *Comm) error {
-				switch c.Rank() {
-				case 0:
-					if name == "panic" {
-						fail()
-					}
-					return boom
-				case 1:
-					_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
-					return err
-				default:
-					return c.Barrier() // parked in Barrier when rank 0 fails
-				}
-			})
-			if err == nil {
-				t.Fatalf("workers=%d %s: expected failure to propagate", workers, name)
-			}
-		}
-	}
-}
-
-// TestParallelEventFailUnblocks mirrors TestEventKernelFailUnblocks with
-// the failing rank and the barrier waiters on different workers.
-func TestParallelEventFailUnblocks(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		err := Run(peventOpts(3, workers), func(c *Comm) error {
-			if c.Rank() == 2 {
-				c.Fail(errors.New("deliberate"))
-				return nil
-			}
-			return c.Barrier()
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: expected the injected failure", workers)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
 	}
 }
 

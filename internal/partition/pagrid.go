@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/topology"
@@ -114,6 +115,7 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 	for _, q := range part {
 		counts[q]++
 	}
+	var cands []int
 	for pass := 0; pass < p.passes(); pass++ {
 		et := p.estTimes(g, part, net, k)
 		cur := maxOf(et)
@@ -128,24 +130,26 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 			}
 			// Candidate destinations: parts adjacent to v, plus the
 			// fastest underloaded part (helps heterogeneous networks where
-			// the right move may not be along an edge).
-			cands := map[int]bool{}
-			for _, u := range g.adj[v] {
-				if part[u] != from {
-					cands[part[u]] = true
-				}
-			}
+			// the right move may not be along an edge). Tried in ascending
+			// order, so equally good destinations resolve to the lowest
+			// part id on every run.
 			light := from
 			for q := 0; q < k; q++ {
 				if et[q] < et[light] {
 					light = q
 				}
 			}
-			cands[light] = true
+			cands = append(cands[:0], light)
+			for _, u := range g.adj[v] {
+				if part[u] != from {
+					cands = append(cands, part[u])
+				}
+			}
+			sort.Ints(cands)
 			bestTo := -1
 			bestMax := cur
-			for to := range cands {
-				if to == from || counts[from] == 1 {
+			for i, to := range cands {
+				if to == from || counts[from] == 1 || (i > 0 && to == cands[i-1]) {
 					continue
 				}
 				nf, nt := p.moveDelta(g, part, net, v, from, to, rref, et)

@@ -306,7 +306,7 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 		return nil, err
 	}
 	s.table = table
-	s.sparse = cfg.Procs > sparseStateThreshold || cfg.ForceSparseState
+	s.sparse = cfg.Procs > sparseStateThreshold
 	if s.sparse {
 		s.sendCountM = make(map[int]int)
 		s.recvCountM = make(map[int]int)

@@ -105,8 +105,7 @@ func TestResumeEquivalenceOverlappedPooled(t *testing.T) {
 
 func TestResumeEquivalenceSparseBookkeeping(t *testing.T) {
 	cfg := checkpointConfig(t, 4)
-	cfg.ForceSparseState = true
-	assertResumeEquivalence(t, cfg)
+	withSparseState(func() { assertResumeEquivalence(t, cfg) })
 }
 
 func TestResumeEquivalencePerturbed(t *testing.T) {

@@ -3,9 +3,10 @@ package platform
 // The sparse-bookkeeping contract: a rank using the neighbor-keyed count
 // maps (rankState.sparse) must produce exactly the virtual timeline,
 // message counters, migrations and final data of the dense fast path.
-// These white-box tests force sparse mode at small scale and diff every
-// observable against the dense twin, across both exchange variants, both
-// buffer modes, both kernels, and through live task migration.
+// These white-box tests force sparse mode at small scale (by lowering
+// sparseStateThreshold, so none of them may run in parallel) and diff
+// every observable against the dense twin, across both exchange variants,
+// both buffer modes, both kernels, and through live task migration.
 
 import (
 	"reflect"
@@ -14,15 +15,23 @@ import (
 	"ic2mpi/internal/mpi"
 )
 
+// withSparseState runs fn with every world it builds on the sparse
+// bookkeeping, whatever its processor count.
+func withSparseState(fn func()) {
+	old := sparseStateThreshold
+	sparseStateThreshold = 0
+	defer func() { sparseStateThreshold = old }()
+	fn()
+}
+
 func runPair(t *testing.T, cfg Config) (*Result, *Result) {
 	t.Helper()
 	dense, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
-	sp := cfg
-	sp.ForceSparseState = true
-	sparse, err := Run(sp)
+	var sparse *Result
+	withSparseState(func() { sparse, err = Run(cfg) })
 	if err != nil {
 		t.Fatalf("sparse run: %v", err)
 	}
@@ -95,8 +104,8 @@ func TestSparseStateMatchesDenseWithMigration(t *testing.T) {
 }
 
 // TestSparseThresholdEngages checks the automatic switch: above
-// sparseStateThreshold ranks go sparse without ForceSparseState, and the
-// results still match the dense run of the same configuration.
+// sparseStateThreshold ranks go sparse, and the results still match the
+// dense run of the same configuration.
 func TestSparseThresholdEngages(t *testing.T) {
 	old := sparseStateThreshold
 	defer func() { sparseStateThreshold = old }()

@@ -55,9 +55,8 @@ type rankState struct {
 	// A rank in a P-processor world talks to O(degree) neighbors, so the
 	// dense sendCount/recvCount cost O(P) memory per rank — O(P²) across
 	// the world — which is what caps the goroutine-kernel sweeps around a
-	// thousand ranks. Above sparseStateThreshold (or under
-	// Config.ForceSparseState) the rank keeps only the processors it
-	// actually exchanges with, in sendCountM/recvCountM, plus sorted
+	// thousand ranks. Above sparseStateThreshold the rank keeps only the
+	// processors it actually exchanges with, in sendCountM/recvCountM, plus sorted
 	// sendProcs/recvProcs so every loop still visits destinations in the
 	// same ascending-processor order the dense scans use — that ordering
 	// is what keeps the virtual timeline bit-identical across modes.
@@ -107,8 +106,9 @@ type rankState struct {
 // sparseStateThreshold is the processor count above which ranks switch
 // from dense per-processor count vectors to the sparse neighbor-keyed
 // bookkeeping (see rankState.sparse). A package variable rather than a
-// constant so white-box tests can lower it; Config.ForceSparseState is
-// the supported external knob.
+// constant so white-box tests can lower it to pit the sparse bookkeeping
+// against the dense fast path at small scale; the virtual timeline is
+// identical either way.
 var sparseStateThreshold = 1024
 
 // shadowUpdate is one packed buffer element (struct buffer_data_node):
@@ -146,7 +146,7 @@ func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 		return nil, err
 	}
 	s.table = table
-	s.sparse = cfg.Procs > sparseStateThreshold || cfg.ForceSparseState
+	s.sparse = cfg.Procs > sparseStateThreshold
 	if s.sparse {
 		s.sendCountM = make(map[int]int)
 		s.recvCountM = make(map[int]int)

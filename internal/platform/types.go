@@ -272,13 +272,15 @@ type Config struct {
 	// Kernel selects the mpi execution engine: mpi.KernelGoroutine (the
 	// default — one goroutine per rank, the engine every pinned table and
 	// golden trace was measured on), mpi.KernelEvent (discrete-event
-	// scheduler, bit-identical in virtual time, built for worlds of
-	// thousands of ranks) or mpi.KernelParallelEvent (conservative
-	// parallel event scheduler, bit-identical at any worker count).
-	// VirtualClock only for the event kernels.
+	// scheduler on one worker, bit-identical in virtual time, built for
+	// worlds of thousands of ranks) or mpi.KernelParallelEvent (the same
+	// scheduler sharded across workers in conservative lookahead windows,
+	// bit-identical at any worker count). VirtualClock only for the event
+	// kernels.
 	Kernel mpi.Kernel
 	// KernelWorkers sets the worker count for mpi.KernelParallelEvent
-	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels.
+	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels
+	// (mpi.KernelEvent is always one worker).
 	// A host-side tuning knob only: results are identical at any value.
 	KernelWorkers int
 	// SkipFinalGather disables gathering final node data into
@@ -290,14 +292,6 @@ type Config struct {
 	// migration. Meant for tests; adds O(nodes) host work per iteration
 	// but no virtual time.
 	CheckInvariants bool
-	// ForceSparseState switches every rank to the sparse neighbor-keyed
-	// communication bookkeeping regardless of Procs (it normally engages
-	// only above sparseStateThreshold processors, where the dense
-	// per-processor count vectors would cost O(P) memory per rank). Meant
-	// for differential tests that pit the sparse bookkeeping against the
-	// dense fast path at small scale; the virtual timeline is identical
-	// either way.
-	ForceSparseState bool
 	// CheckpointEvery, when > 0, captures a RunSnapshot at the end of
 	// every CheckpointEvery-th iteration (except the last — a completed
 	// run has nothing to resume) and hands it to CheckpointSink. Capture

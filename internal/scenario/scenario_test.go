@@ -222,6 +222,49 @@ func TestPartitionResolver(t *testing.T) {
 	}
 }
 
+// TestPaGridTieCellsRepeat partitions, many times over, the four cells
+// whose PaGrid refinement meets equally good destinations for a vertex:
+// the tie must resolve the same way on every run, or every byte
+// downstream of the partition varies with it.
+func TestPaGridTieCellsRepeat(t *testing.T) {
+	for _, c := range []struct {
+		scenario string
+		procs    int
+		network  string
+	}{
+		{"hex64-fine", 8, "hypercube"},
+		{"hex64-fine", 8, "mesh2d"},
+		{"random64-fine", 16, "mesh2d"},
+		{"random64-fine", 16, "fattree"},
+	} {
+		sc, err := Get(c.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := sc.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := netmodel.New(c.network, c.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []int
+		for run := 0; run < 250; run++ {
+			part, err := PartitionOn("pagrid", g, c.procs, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = part
+			} else if !reflect.DeepEqual(part, first) {
+				t.Errorf("%s procs=%d network=%s: run %d gave a different partition than run 0", c.scenario, c.procs, c.network, run)
+				break
+			}
+		}
+	}
+}
+
 func TestBalancerResolver(t *testing.T) {
 	for _, name := range Balancers() {
 		if _, err := NewBalancer(name); err != nil {

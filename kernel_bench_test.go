@@ -18,13 +18,10 @@ import (
 )
 
 // BenchmarkKernelHostTime compares the host-side cost of the three
-// execution kernels on the same simulated world (hex64-fine, identical
-// virtual timelines). At small proc counts the goroutine kernel's
-// parallelism wins; as the simulated machine grows, per-rank channels
-// and scheduler churn make it fall behind the event kernels' priority
-// queues. The parallel event kernel tracks the sequential event kernel
-// on a single-core host and pulls ahead with real cores, worker count
-// permitting. The crossover is the table recorded in docs/benchmarks.md.
+// kernel names on the same simulated world (hex64-fine, identical
+// virtual timelines): the goroutine engine, and the event engine on one
+// worker (event) and on min(GOMAXPROCS, procs) workers (pevent). The
+// table recorded in docs/benchmarks.md is one run of it.
 func BenchmarkKernelHostTime(b *testing.B) {
 	sc, err := scenario.Get("hex64-fine")
 	if err != nil {
@@ -46,9 +43,9 @@ func BenchmarkKernelHostTime(b *testing.B) {
 }
 
 // BenchmarkKernelMemoryPerRank reports the peak host memory per
-// simulated rank while each event kernel runs hex64-fine at 8192 procs —
-// the flat-memory property the scale smoke test asserts a hard ceiling
-// on. The custom peak-bytes/rank metric is the number to watch; the
+// simulated rank while the event engine, under each of its names, runs
+// hex64-fine at 8192 procs — the flat-memory property the scale smoke
+// test asserts a hard ceiling on. The custom peak-bytes/rank metric is the number to watch; the
 // standard B/op column only counts cumulative allocation.
 func BenchmarkKernelMemoryPerRank(b *testing.B) {
 	const procs = 8192
