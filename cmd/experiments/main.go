@@ -109,13 +109,14 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken after the run completes, to this file")
 	format := flag.String("format", "text", "output format: text, json or csv")
-	tracePath := flag.String("trace", "", `write a per-iteration trace of one -scenario run: JSONL, CSV when the path ends in .csv, or "-" for JSONL on stdout`)
-	checkpointPath := flag.String("checkpoint", "", "write an epoch-boundary snapshot of one -scenario run to this file (see -checkpoint-every)")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "iterations between snapshots written to -checkpoint")
-	resumePath := flag.String("resume", "", "restore one -scenario run from a -checkpoint snapshot file and replay the remaining iterations")
-	shardSpec := flag.String("shard", "", `run one contiguous chunk of the sweep: "i/n" (1-based shard i of n), coordinated through -manifest`)
-	manifestPath := flag.String("manifest", "", "sharded-sweep manifest file (-shard), or comma-separated completed manifests (-merge)")
-	merge := flag.Bool("merge", false, "combine the completed -manifest file(s) into the sweep report an unsharded run would produce")
+	var mode runMode
+	flag.StringVar(&mode.tracePath, "trace", "", `write a per-iteration trace of one -scenario run: JSONL, CSV when the path ends in .csv, or "-" for JSONL on stdout`)
+	flag.StringVar(&mode.checkpointPath, "checkpoint", "", "write an epoch-boundary snapshot of one -scenario run to this file (see -checkpoint-every)")
+	flag.IntVar(&mode.checkpointEvery, "checkpoint-every", 1, "iterations between snapshots written to -checkpoint")
+	flag.StringVar(&mode.resumePath, "resume", "", "restore one -scenario run from a -checkpoint snapshot file and replay the remaining iterations")
+	flag.StringVar(&mode.shardSpec, "shard", "", `run one contiguous chunk of the sweep: "i/n" (1-based shard i of n), coordinated through -manifest`)
+	flag.StringVar(&mode.manifestPath, "manifest", "", "sharded-sweep manifest file (-shard), or comma-separated completed manifests (-merge)")
+	flag.BoolVar(&mode.merge, "merge", false, "combine the completed -manifest file(s) into the sweep report an unsharded run would produce")
 	flag.Parse()
 	experiments.Parallelism = *parallel
 
@@ -181,51 +182,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		switch {
-		case *merge:
-			if *shardSpec != "" || *tracePath != "" || *checkpointPath != "" || *resumePath != "" {
-				log.Fatal("-merge is mutually exclusive with -shard, -trace, -checkpoint and -resume")
-			}
-			rep, err := mergeManifests(sc, *manifestPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			reports = append(reports, rep)
-		case *shardSpec != "":
-			if *tracePath != "" || *checkpointPath != "" || *resumePath != "" {
-				log.Fatal("-shard is mutually exclusive with -trace, -checkpoint and -resume")
-			}
-			if err := runShard(sc, *sweep, ax, *shardSpec, *manifestPath); err != nil {
-				log.Fatal(err)
-			}
-			return // progress goes to stderr; -merge emits the report
-		case *manifestPath != "":
-			log.Fatal("-manifest requires -shard or -merge")
-		case *tracePath != "" || *checkpointPath != "" || *resumePath != "":
-			rep, emit, err := runSingle(sc, ax, *kernelWorkers, *tracePath, *checkpointPath, *checkpointEvery, *resumePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if !emit {
-				return // stdout carries the trace; no report
-			}
-			reports = append(reports, rep)
-		default:
-			workers := *kernelWorkers
-			rep, err := experiments.RunSweepWith(sc, ax, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
-				p.KernelWorkers = workers
-				return sc.Run(p)
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			reports = append(reports, rep)
+		rep, err := runScenario(sc, *sweep, ax, mode, cellRunner(*kernelWorkers))
+		if err != nil {
+			log.Fatal(err)
 		}
-	case *tracePath != "":
+		if rep == nil {
+			return // the mode wrote its own output (trace on stdout, shard manifest)
+		}
+		reports = append(reports, rep)
+	case mode.tracePath != "":
 		log.Fatal("-trace requires -scenario (see -list for scenario names)")
-	case *checkpointPath != "" || *resumePath != "":
+	case mode.checkpointPath != "" || mode.resumePath != "":
 		log.Fatal("-checkpoint/-resume require -scenario (see -list for scenario names)")
-	case *shardSpec != "" || *manifestPath != "" || *merge:
+	case mode.shardSpec != "" || mode.manifestPath != "" || mode.merge:
 		log.Fatal("-shard/-manifest/-merge require -scenario (see -list for scenario names)")
 	case *sweep != "":
 		log.Fatal("-sweep requires -scenario (see -list for scenario names)")
@@ -314,60 +283,106 @@ func applyAxisFlag(val, name string, axis *[]string) error {
 	return nil
 }
 
+// runMode carries the flags that pick how a -scenario invocation runs:
+// the whole sweep (all zero), one traced, checkpointed or resumed run, one
+// shard of the sweep, or the merge of completed shards.
+type runMode struct {
+	tracePath       string
+	checkpointPath  string
+	checkpointEvery int
+	resumePath      string
+	shardSpec       string
+	manifestPath    string
+	merge           bool
+}
+
+// cellRunner returns the runner every simulating mode executes its cells
+// through, so a host-side knob applied here reaches all of them.
+func cellRunner(kernelWorkers int) experiments.CellRunner {
+	return func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+		p.KernelWorkers = kernelWorkers
+		return sc.Run(p)
+	}
+}
+
+// runScenario executes sc over ax in the mode m selects. A nil report
+// means the mode wrote its own output and there is nothing to print.
+func runScenario(sc scenario.Scenario, sweep string, ax experiments.Axes, m runMode, run experiments.CellRunner) (*experiments.SweepReport, error) {
+	single := m.tracePath != "" || m.checkpointPath != "" || m.resumePath != ""
+	switch {
+	case m.merge:
+		if m.shardSpec != "" || single {
+			return nil, fmt.Errorf("-merge is mutually exclusive with -shard, -trace, -checkpoint and -resume")
+		}
+		return mergeManifests(sc, m.manifestPath)
+	case m.shardSpec != "":
+		if single {
+			return nil, fmt.Errorf("-shard is mutually exclusive with -trace, -checkpoint and -resume")
+		}
+		// Progress goes to stderr; -merge emits the report.
+		return nil, runShard(sc, sweep, ax, m.shardSpec, m.manifestPath, run)
+	case m.manifestPath != "":
+		return nil, fmt.Errorf("-manifest requires -shard or -merge")
+	case single:
+		return runSingle(sc, ax, m, run)
+	default:
+		return experiments.RunSweepWith(sc, ax, run)
+	}
+}
+
 // runSingle executes the single parameter combination described by ax
 // with any of tracing, checkpointing and snapshot-resume attached, and
-// returns the one-row report. emit is false when the trace went to
-// stdout and no report should be printed.
-func runSingle(sc scenario.Scenario, ax experiments.Axes, kernelWorkers int, tracePath, checkpointPath string, checkpointEvery int, resumePath string) (rep *experiments.SweepReport, emit bool, err error) {
+// returns the one-row report, or nil when the trace went to stdout and no
+// report should be printed.
+func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experiments.CellRunner) (*experiments.SweepReport, error) {
 	p, err := ax.Single()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	p.KernelWorkers = kernelWorkers
 	key, err := experiments.CellKey(sc, p)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
+	if m.resumePath != "" {
+		data, err := os.ReadFile(m.resumePath)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		meta, snap, err := checkpoint.Decode(data)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if meta.CellKey != key {
-			return nil, false, fmt.Errorf("snapshot %s was taken for run\n  %s\nbut this invocation selects\n  %s\nrefusing to resume a different run", resumePath, meta.CellKey, key)
+			return nil, fmt.Errorf("snapshot %s was taken for run\n  %s\nbut this invocation selects\n  %s\nrefusing to resume a different run", m.resumePath, meta.CellKey, key)
 		}
 		p.ResumeFrom = snap
-		log.Printf("resuming %s from %s at iteration %d of %d", sc.Name, resumePath, snap.Iter, snap.Iterations)
+		log.Printf("resuming %s from %s at iteration %d of %d", sc.Name, m.resumePath, snap.Iter, snap.Iterations)
 	}
-	if checkpointPath != "" {
-		p.CheckpointEvery = checkpointEvery
+	if m.checkpointPath != "" {
+		p.CheckpointEvery = m.checkpointEvery
 		p.CheckpointSink = func(s *platform.RunSnapshot) error {
 			data, err := checkpoint.Encode(checkpoint.Meta{CellKey: key}, s)
 			if err != nil {
 				return err
 			}
-			return atomicWrite(checkpointPath, data)
+			return atomicWrite(m.checkpointPath, data)
 		}
 	}
 	var rec *trace.Recorder
-	if tracePath != "" {
+	if m.tracePath != "" {
 		rec = &trace.Recorder{}
 		p.Trace = rec
 	}
-	res, err := sc.Run(p)
+	res, err := run(sc, 0, p)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if tracePath != "" {
-		if err := writeTrace(tracePath, rec); err != nil {
-			return nil, false, err
+	if m.tracePath != "" {
+		if err := writeTrace(m.tracePath, rec); err != nil {
+			return nil, err
 		}
-		if tracePath == "-" {
-			return nil, false, nil
+		if m.tracePath == "-" {
+			return nil, nil
 		}
 	}
 	return &experiments.SweepReport{
@@ -375,14 +390,14 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, kernelWorkers int, tra
 		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
 		Scenario: sc.Name,
 		Rows:     []experiments.SweepRow{{Result: *res}},
-	}, true, nil
+	}, nil
 }
 
 // runShard executes one shard of the sweep, coordinated through the
 // manifest file: created on first use, loaded and verified against the
 // requested sweep otherwise, and rewritten after the shard's remaining
 // cells complete.
-func runShard(sc scenario.Scenario, spec string, ax experiments.Axes, shardSpec, manifestPath string) error {
+func runShard(sc scenario.Scenario, spec string, ax experiments.Axes, shardSpec, manifestPath string, run experiments.CellRunner) error {
 	if manifestPath == "" {
 		return fmt.Errorf("-shard requires -manifest (the file coordinating the sharded sweep)")
 	}
@@ -414,7 +429,7 @@ func runShard(sc scenario.Scenario, spec string, ax experiments.Axes, shardSpec,
 		return err
 	}
 	before := len(m.Remaining(index))
-	if err := m.RunShard(sc, index); err != nil {
+	if err := m.RunShardWith(sc, index, run); err != nil {
 		return err
 	}
 	data, err := m.Encode()

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"ic2mpi/internal/scenario"
 )
 
 // TestResolveAxesFlagPlumbing is the regression harness for the PR 8
@@ -89,5 +93,56 @@ func TestResolveAxesFlagConflicts(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantA) {
 			t.Fatalf("resolveAxes(%q, %+v): error %q does not name %s", tc.sweep, tc.flags, err, tc.wantA)
 		}
+	}
+}
+
+// TestKernelWorkersReachEveryRunMode is the same harness for the host-side
+// knob that is not an axis: -kernel-workers must arrive in the
+// scenario.Params of every cell under every mode that simulates. The
+// scenario's Runner stands in for the simulation and records what it was
+// handed.
+func TestKernelWorkersReachEveryRunMode(t *testing.T) {
+	const workers = 3
+	dir := t.TempDir()
+	cases := []struct {
+		name  string
+		sweep string
+		mode  runMode
+		cells int // cells the mode must run
+	}{
+		{name: "sweep", sweep: "procs=1,2,4,8;kernel=pevent", cells: 4},
+		{name: "single run with -trace", sweep: "procs=4;kernel=pevent", mode: runMode{tracePath: filepath.Join(dir, "trace.jsonl")}, cells: 1},
+		{name: "-shard", sweep: "procs=1,2,4,8;kernel=pevent", mode: runMode{shardSpec: "1/2", manifestPath: filepath.Join(dir, "manifest.json")}, cells: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := scenario.Get("heat")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var got []int
+			sc.Runner = func(sc scenario.Scenario, p scenario.Params) (*scenario.Result, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				got = append(got, p.KernelWorkers)
+				return &scenario.Result{Scenario: sc.Name, Params: p}, nil
+			}
+			ax, err := resolveAxes(tc.sweep, axisFlags{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runScenario(sc, tc.sweep, ax, tc.mode, cellRunner(workers)); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != tc.cells {
+				t.Fatalf("ran %d cells, want %d", len(got), tc.cells)
+			}
+			for i, w := range got {
+				if w != workers {
+					t.Errorf("cell %d ran with KernelWorkers = %d, want %d: the flag was dropped on the way", i, w, workers)
+				}
+			}
+		})
 	}
 }

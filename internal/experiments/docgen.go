@@ -59,8 +59,6 @@ func DocFiles() map[string][]DocSection {
 		},
 		"benchmarks.md": {
 			{ID: "vtime-ablations", Generate: vtimeAblations},
-			{ID: "daemon-throughput", Generate: daemonThroughput},
-			{ID: "kernel-hosttime", Generate: kernelHostTime},
 		},
 	}
 }

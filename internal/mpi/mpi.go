@@ -421,7 +421,7 @@ func (c *Comm) Charge(d float64) {
 // mutate it until the receiver has consumed it. The platform either hands
 // over freshly packed buffers (as the C original does) or, with pooled
 // exchange buffers, reuses a buffer only once the exchange protocol proves
-// its receipt — see the sendPool comment in internal/platform/state.go for
+// its receipt — see the peer.pool comment in internal/platform/state.go for
 // that argument. Anything in this runtime that held payload references
 // past delivery (logging, replay, delayed matching) would break it.
 func (c *Comm) Isend(dst, tag int, payload any, bytes int) error {

@@ -292,27 +292,9 @@ func validateResume(c *Config, snap *RunSnapshot) error {
 // the resume-side twin of newRankState: no InitData calls, no init-phase
 // charges — the restored phase vector already accounts for them.
 func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankState, error) {
-	s := &rankState{
-		cfg:   cfg,
-		comm:  comm,
-		me:    comm.Rank(),
-		speed: cfg.Network.Speed(comm.Rank()),
-		owner: append([]int(nil), snap.Owner...),
-		byID:  make(map[graph.NodeID]*ownNode),
-	}
-	n := cfg.Graph.NumVertices()
-	table, err := NewHashTable(n/2 + 1)
+	s, err := emptyRankState(cfg, comm, snap.Owner)
 	if err != nil {
 		return nil, err
-	}
-	s.table = table
-	s.sparse = cfg.Procs > sparseStateThreshold
-	if s.sparse {
-		s.sendCountM = make(map[int]int)
-		s.recvCountM = make(map[int]int)
-	} else {
-		s.sendCount = make([]int, cfg.Procs)
-		s.recvCount = make([]int, cfg.Procs)
 	}
 	rs := snap.Ranks[s.me]
 	for _, ns := range rs.Nodes {
@@ -324,12 +306,7 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 			continue
 		}
 		node := &ownNode{id: ns.ID, neighbors: cfg.Graph.Adj[ns.ID], lastCost: ns.LastCost}
-		s.classify(node)
-		if node.peripheral {
-			s.peripheral = append(s.peripheral, node)
-		} else {
-			s.internal = append(s.internal, node)
-		}
+		s.place(node)
 		s.byID[ns.ID] = node
 	}
 	// rs.Nodes is ascending, so the per-kind lists are already sorted.

@@ -103,11 +103,6 @@ func TestResumeEquivalenceOverlappedPooled(t *testing.T) {
 	assertResumeEquivalence(t, cfg)
 }
 
-func TestResumeEquivalenceSparseBookkeeping(t *testing.T) {
-	cfg := checkpointConfig(t, 4)
-	withSparseState(func() { assertResumeEquivalence(t, cfg) })
-}
-
 func TestResumeEquivalencePerturbed(t *testing.T) {
 	cfg := checkpointConfig(t, 4)
 	sched, err := fault.Parse("brownout")

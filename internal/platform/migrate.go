@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ic2mpi/internal/graph"
@@ -117,8 +118,8 @@ func (s *rankState) recordLoadSample(iter int, times []float64) {
 func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// One gather carries both the communication-buffer-size vector (the
 	// processor graph's edge weights) and the owned-node count used by the
-	// estimated-time update. sendRow materializes the dense vector even in
-	// sparse bookkeeping mode — the balancer's processor graph is dense.
+	// estimated-time update. sendRow expands the peer list into a dense
+	// vector — the balancer's processor graph is dense.
 	row := s.sendRow()
 	gathered, err := s.comm.GatherInts(0, row)
 	if err != nil {
@@ -362,7 +363,7 @@ func (s *rankState) chooseMigratingNode(idle int) (graph.NodeID, int64) {
 	bestScore := 0
 	bestCost := 0.0
 	for _, node := range s.peripheral {
-		if !containsInt(node.shadowFor, idle) {
+		if !slices.Contains(node.shadowFor, idle) {
 			continue
 		}
 		score := 0

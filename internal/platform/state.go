@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ic2mpi/internal/graph"
@@ -44,45 +45,21 @@ type rankState struct {
 
 	table *HashTable // own + shadow data entries
 
-	// sendCount[p] is the number of my peripheral nodes that are shadows
-	// for processor p (buffer_size_for_communication).
-	sendCount []int
-	// recvCount[p] is the number of shadow nodes I hold that p owns; I
-	// expect exactly one update per such node per exchange.
-	recvCount []int
+	// peers is the exchange bookkeeping: one entry per processor this rank
+	// shares a graph edge with, in strictly ascending proc order. A rank in
+	// a P-processor world talks to O(degree) neighbours, so this is the
+	// whole per-rank exchange state at every P. Every exchange loop ranges
+	// over it, and the ascending order is what pins the send/receive
+	// sequence — and with it the virtual timeline.
+	peers []peer
 
-	// sparse replaces the dense count vectors with neighbor-keyed maps.
-	// A rank in a P-processor world talks to O(degree) neighbors, so the
-	// dense sendCount/recvCount cost O(P) memory per rank — O(P²) across
-	// the world — which is what caps the goroutine-kernel sweeps around a
-	// thousand ranks. Above sparseStateThreshold the rank keeps only the
-	// processors it actually exchanges with, in sendCountM/recvCountM, plus sorted
-	// sendProcs/recvProcs so every loop still visits destinations in the
-	// same ascending-processor order the dense scans use — that ordering
-	// is what keeps the virtual timeline bit-identical across modes.
-	sparse     bool
-	sendCountM map[int]int
-	recvCountM map[int]int
-	sendProcs  []int
-	recvProcs  []int
-
-	// Exchange buffer pool (Config.ReuseBuffers). sendPool holds two
-	// generations of per-destination send buffers; successive exchanges
-	// alternate generations, so a buffer handed to Isend in exchange k is
-	// only truncated and repacked in exchange k+2. That gap is what makes
-	// reuse safe under the runtime's deliver-by-reference contract: shadow
-	// exchange is symmetric (sendCount[p] > 0 iff recvCount[p] > 0), so
-	// receiving p's exchange-(k+1) buffer proves p finished its exchange k
-	// and has already unpacked everything we sent it in exchange k.
-	// nbrScratch is the recycled node+neighbors list handed to the node
-	// function. All three stay nil unless ReuseBuffers is on.
-	sendPool [2][][]shadowUpdate
-	// sendPoolSparse is the sparse-mode twin of sendPool: the same
-	// two-generation parity discipline, keyed by destination instead of
-	// indexed by it.
-	sendPoolSparse [2]map[int][]shadowUpdate
-	exchanges      int
-	nbrScratch     []Neighbor
+	// exchanges counts pooled exchanges; its parity selects the peer.pool
+	// generation. bufScratch and nbrScratch are the recycled per-exchange
+	// buffer table and the node+neighbors list handed to the node function.
+	// All of it stays zero unless Config.ReuseBuffers is on.
+	exchanges  int
+	bufScratch [][]shadowUpdate
+	nbrScratch []Neighbor
 
 	phase [NumPhases]float64
 	// workTime is the compute time of the most recent full iteration — the
@@ -103,13 +80,25 @@ type rankState struct {
 	migrations int
 }
 
-// sparseStateThreshold is the processor count above which ranks switch
-// from dense per-processor count vectors to the sparse neighbor-keyed
-// bookkeeping (see rankState.sparse). A package variable rather than a
-// constant so white-box tests can lower it to pit the sparse bookkeeping
-// against the dense fast path at small scale; the virtual timeline is
-// identical either way.
-var sparseStateThreshold = 1024
+// peer is what a rank keeps per neighbouring processor.
+type peer struct {
+	proc int
+	// send is the number of my peripheral nodes that are shadows on proc
+	// (buffer_size_for_communication); recv is the number of shadow nodes I
+	// hold that proc owns — I expect exactly one update per such node per
+	// exchange. Both are positive: either way the entry exists because one
+	// of my nodes is adjacent to one of proc's.
+	send, recv int
+	// pool holds two generations of send buffers for proc
+	// (Config.ReuseBuffers); successive exchanges alternate generations, so
+	// a buffer handed to Isend in exchange k is only truncated and repacked
+	// in exchange k+2. That gap is what makes reuse safe under the
+	// runtime's deliver-by-reference contract: I also receive from every
+	// peer I send to, so receiving proc's exchange-(k+1) buffer proves proc
+	// finished its exchange k and has already unpacked everything I sent it
+	// in exchange k.
+	pool [2][]shadowUpdate
+}
 
 // shadowUpdate is one packed buffer element (struct buffer_data_node):
 // global ID plus the node's updated data.
@@ -126,34 +115,35 @@ func updateBytes(us []shadowUpdate) int {
 	return total
 }
 
+// emptyRankState is the start newRankState and restoreRankState share: the
+// rank's identity, its own copy of the node-to-owner map and an empty data
+// store.
+func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) (*rankState, error) {
+	table, err := NewHashTable(cfg.Graph.NumVertices()/2 + 1)
+	if err != nil {
+		return nil, err
+	}
+	return &rankState{
+		cfg:   cfg,
+		comm:  comm,
+		me:    comm.Rank(),
+		speed: cfg.Network.Speed(comm.Rank()),
+		owner: append([]int(nil), owner...),
+		byID:  make(map[graph.NodeID]*ownNode),
+		table: table,
+	}, nil
+}
+
 // newRankState runs the initialization phase on one processor: it expands
 // the node-to-processor mapping into node lists, the data node list and
 // the hash table, charging the per-entry initialization overhead.
 func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 	t0 := comm.Wtime()
-	s := &rankState{
-		cfg:   cfg,
-		comm:  comm,
-		me:    comm.Rank(),
-		speed: cfg.Network.Speed(comm.Rank()),
-		owner: append([]int(nil), cfg.InitialPartition...),
-		byID:  make(map[graph.NodeID]*ownNode),
-	}
-	n := cfg.Graph.NumVertices()
-	buckets := n/2 + 1
-	table, err := NewHashTable(buckets)
+	s, err := emptyRankState(cfg, comm, cfg.InitialPartition)
 	if err != nil {
 		return nil, err
 	}
-	s.table = table
-	s.sparse = cfg.Procs > sparseStateThreshold
-	if s.sparse {
-		s.sendCountM = make(map[int]int)
-		s.recvCountM = make(map[int]int)
-	} else {
-		s.sendCount = make([]int, cfg.Procs)
-		s.recvCount = make([]int, cfg.Procs)
-	}
+	n := cfg.Graph.NumVertices()
 
 	entries := 0
 	// Build own node lists and own data entries.
@@ -171,12 +161,7 @@ func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 			return nil, err
 		}
 		entries++
-		s.classify(node)
-		if node.peripheral {
-			s.peripheral = append(s.peripheral, node)
-		} else {
-			s.internal = append(s.internal, node)
-		}
+		s.place(node)
 		s.byID[id] = node
 		entries++
 	}
@@ -202,6 +187,17 @@ func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 	return s, nil
 }
 
+// place classifies node against the current owner map and appends it to
+// the internal or the peripheral list.
+func (s *rankState) place(node *ownNode) {
+	s.classify(node)
+	if node.peripheral {
+		s.peripheral = append(s.peripheral, node)
+	} else {
+		s.internal = append(s.internal, node)
+	}
+}
+
 // classify recomputes a node's peripheral flag and shadowFor set from the
 // current owner map.
 func (s *rankState) classify(node *ownNode) {
@@ -213,57 +209,25 @@ func (s *rankState) classify(node *ownNode) {
 			continue
 		}
 		node.peripheral = true
-		if !containsInt(node.shadowFor, p) {
+		if !slices.Contains(node.shadowFor, p) {
 			node.shadowFor = append(node.shadowFor, p)
 		}
 	}
 	sort.Ints(node.shadowFor)
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// rebuildCounts recomputes sendCount and recvCount from the node lists and
-// the owner map. sendCount falls out of the peripheral shadowFor sets;
-// recvCount counts distinct shadow nodes per owning processor. In sparse
-// mode the counts live in maps and the sorted sendProcs/recvProcs lists
-// are rebuilt alongside.
+// rebuildCounts recomputes the peer list from the node lists and the owner
+// map: send falls out of the peripheral shadowFor sets, recv counts the
+// distinct shadow nodes per owning processor. Entries are edited in place,
+// so a peer that survives a migration keeps its pooled buffers, and one
+// left without a shared edge is dropped.
 func (s *rankState) rebuildCounts() {
-	if s.sparse {
-		clear(s.sendCountM)
-		clear(s.recvCountM)
-		for _, node := range s.peripheral {
-			for _, p := range node.shadowFor {
-				s.sendCountM[p]++
-			}
-		}
-		seen := make(map[graph.NodeID]bool)
-		for _, node := range s.peripheral {
-			for _, u := range node.neighbors {
-				p := s.owner[u]
-				if p != s.me && !seen[u] {
-					seen[u] = true
-					s.recvCountM[p]++
-				}
-			}
-		}
-		s.sendProcs = sortedProcs(s.sendCountM, s.sendProcs)
-		s.recvProcs = sortedProcs(s.recvCountM, s.recvProcs)
-		return
-	}
-	for p := range s.sendCount {
-		s.sendCount[p] = 0
-		s.recvCount[p] = 0
+	for i := range s.peers {
+		s.peers[i].send, s.peers[i].recv = 0, 0
 	}
 	for _, node := range s.peripheral {
 		for _, p := range node.shadowFor {
-			s.sendCount[p]++
+			s.peerFor(p).send++
 		}
 	}
 	seen := make(map[graph.NodeID]bool)
@@ -272,34 +236,37 @@ func (s *rankState) rebuildCounts() {
 			p := s.owner[u]
 			if p != s.me && !seen[u] {
 				seen[u] = true
-				s.recvCount[p]++
+				s.peerFor(p).recv++
 			}
 		}
 	}
+	// DeleteFunc zeroes the vacated tail, releasing the dropped peers'
+	// pooled buffers.
+	s.peers = slices.DeleteFunc(s.peers, func(pe peer) bool { return pe.send == 0 })
 }
 
-// sortedProcs collects a count map's keys in ascending order, reusing buf.
-func sortedProcs(counts map[int]int, buf []int) []int {
-	buf = buf[:0]
-	for p := range counts {
-		buf = append(buf, p)
+// peerFor returns the entry for processor p, inserting an empty one at its
+// place in the ascending order if there is none. The pointer is valid
+// until the next insertion.
+func (s *rankState) peerFor(p int) *peer {
+	i := 0
+	for i < len(s.peers) && s.peers[i].proc < p {
+		i++
 	}
-	sort.Ints(buf)
-	return buf
+	if i == len(s.peers) || s.peers[i].proc != p {
+		s.peers = slices.Insert(s.peers, i, peer{proc: p})
+	}
+	return &s.peers[i]
 }
 
 // sendRow materializes the dense per-processor send-count vector (with
 // numOwned appended — the row the load balancer gathers at rank 0). The
-// balancer's processor graph is inherently dense, so sparse mode pays the
-// O(P) expansion only inside balancing rounds, never per exchange.
+// balancer's processor graph is inherently dense, so the O(P) expansion is
+// paid only inside balancing rounds, never per exchange.
 func (s *rankState) sendRow() []int {
 	row := make([]int, s.cfg.Procs+1)
-	if s.sparse {
-		for _, p := range s.sendProcs {
-			row[p] = s.sendCountM[p]
-		}
-	} else {
-		copy(row, s.sendCount)
+	for _, pe := range s.peers {
+		row[pe.proc] = pe.send
 	}
 	row[s.cfg.Procs] = s.numOwned()
 	return row
@@ -317,12 +284,7 @@ func (s *rankState) reclassifyAll() {
 	s.internal = s.internal[:0]
 	s.peripheral = s.peripheral[:0]
 	for _, node := range all {
-		s.classify(node)
-		if node.peripheral {
-			s.peripheral = append(s.peripheral, node)
-		} else {
-			s.internal = append(s.internal, node)
-		}
+		s.place(node)
 	}
 	sortNodes(s.internal)
 	sortNodes(s.peripheral)
@@ -332,9 +294,6 @@ func (s *rankState) reclassifyAll() {
 func sortNodes(nodes []*ownNode) {
 	sort.Slice(nodes, func(a, b int) bool { return nodes[a].id < nodes[b].id })
 }
-
-// ownsNode reports whether this rank currently owns id.
-func (s *rankState) ownsNode(id graph.NodeID) bool { return s.owner[id] == s.me }
 
 // numOwned returns the number of nodes this rank owns.
 func (s *rankState) numOwned() int { return len(s.internal) + len(s.peripheral) }
@@ -364,7 +323,7 @@ func (s *rankState) checkInvariants() error {
 		for _, u := range node.neighbors {
 			if s.owner[u] != s.me {
 				remote = true
-				if !containsInt(node.shadowFor, s.owner[u]) {
+				if !slices.Contains(node.shadowFor, s.owner[u]) {
 					return fmt.Errorf("rank %d: peripheral node %d missing shadowFor %d", s.me, node.id, s.owner[u])
 				}
 			}
@@ -393,6 +352,54 @@ func (s *rankState) checkInvariants() error {
 			if s.table.Lookup(u) == nil {
 				return fmt.Errorf("rank %d: shadow %d of peripheral %d missing", s.me, u, node.id)
 			}
+		}
+	}
+	return s.checkPeers()
+}
+
+// checkPeers validates the peer list: strictly ascending, never this rank
+// itself, both counts positive on every entry, and equal to a from-scratch
+// recount over the owner map and the application graph.
+func (s *rankState) checkPeers() error {
+	send := make(map[int]int)
+	recv := make(map[int]int)
+	shadows := make(map[graph.NodeID]bool)
+	for v, adj := range s.cfg.Graph.Adj {
+		if s.owner[v] != s.me {
+			continue
+		}
+		dests := make(map[int]bool)
+		for _, u := range adj {
+			p := s.owner[u]
+			if p == s.me {
+				continue
+			}
+			if !dests[p] {
+				dests[p] = true
+				send[p]++
+			}
+			if !shadows[u] {
+				shadows[u] = true
+				recv[p]++
+			}
+		}
+	}
+	if len(s.peers) != len(send) {
+		return fmt.Errorf("rank %d: %d peers, owner map gives %d neighbouring processors", s.me, len(s.peers), len(send))
+	}
+	for i, pe := range s.peers {
+		if i > 0 && s.peers[i-1].proc >= pe.proc {
+			return fmt.Errorf("rank %d: peer list not strictly ascending at %d (proc %d after %d)", s.me, i, pe.proc, s.peers[i-1].proc)
+		}
+		if pe.proc == s.me {
+			return fmt.Errorf("rank %d: peer list contains the rank itself", s.me)
+		}
+		if pe.send <= 0 || pe.recv <= 0 {
+			return fmt.Errorf("rank %d: peer %d has send %d, recv %d; both must be positive", s.me, pe.proc, pe.send, pe.recv)
+		}
+		if pe.send != send[pe.proc] || pe.recv != recv[pe.proc] {
+			return fmt.Errorf("rank %d: peer %d has send %d, recv %d; owner map gives %d, %d",
+				s.me, pe.proc, pe.send, pe.recv, send[pe.proc], recv[pe.proc])
 		}
 	}
 	return nil

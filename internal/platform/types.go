@@ -231,9 +231,10 @@ type Config struct {
 	// Overlap selects the Fig. 8a variant: peripheral nodes first, then
 	// internal-node computation overlapped with shadow communication.
 	Overlap bool
-	// ReuseBuffers enables the pooled exchange fast path: per-destination
-	// send buffers and the node+neighbors list handed to Node are recycled
-	// across iterations instead of freshly allocated, making the
+	// ReuseBuffers enables the pooled exchange fast path: the send buffers
+	// (two generations per neighbouring processor, peer.pool) and the
+	// node+neighbors list handed to Node are recycled across iterations
+	// instead of freshly allocated, making the
 	// steady-state compute/communicate round allocation-free. Virtual-time
 	// results and final node data are bit-identical with the pool on or
 	// off (enforced by TestExchangeDeterminism). When enabled, Node

@@ -287,6 +287,16 @@ func (m *Manifest) checkScenario(sc scenario.Scenario) error {
 // manifest. Already-done cells are skipped, so an interrupted shard can
 // be re-run to completion from its persisted manifest.
 func (m *Manifest) RunShard(sc scenario.Scenario, i int) error {
+	return m.RunShardWith(sc, i, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+		return sc.Run(p)
+	})
+}
+
+// RunShardWith is RunShard with a custom per-cell runner, the same seam
+// as experiments.RunSweepWith: a caller that runs its sweeps through a
+// runner hands the same one to its shards. The runner's cell index counts
+// within the shard's remaining cells.
+func (m *Manifest) RunShardWith(sc scenario.Scenario, i int, run experiments.CellRunner) error {
 	if i < 0 || i >= m.Shards {
 		return fmt.Errorf("shard: shard %d out of range [0, %d)", i, m.Shards)
 	}
@@ -302,9 +312,7 @@ func (m *Manifest) RunShard(sc scenario.Scenario, i int) error {
 	for k, idx := range todo {
 		params[k] = all[idx]
 	}
-	results, err := experiments.RunCells(sc, params, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
-		return sc.Run(p)
-	})
+	results, err := experiments.RunCells(sc, params, run)
 	if err != nil {
 		return err
 	}

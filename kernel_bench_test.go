@@ -1,46 +1,20 @@
 package ic2mpi_test
 
 // Benchmark guards for the execution kernels. Two kinds of pins live
-// here: host-time/memory benchmarks comparing the discrete-event
-// scheduler against the goroutine-per-rank kernel, and a regression
-// guard that holds the BenchmarkExchange* allocation counts documented
-// in docs/benchmarks.md to their pinned values on the default kernel —
-// the event-kernel and sparse-state work must not cost the dense fast
-// path anything.
+// here: a memory benchmark for the discrete-event scheduler at scale, and
+// a regression guard that holds the BenchmarkExchange* allocation counts
+// documented in docs/benchmarks.md to their pinned values on the default
+// kernel — kernel and rank-state work must not cost the exchange path
+// anything. Host-time comparisons of the kernels are bench/'s
+// mpi.rank_iters_per_s.* rows.
 
 import (
-	"fmt"
 	"testing"
 
 	"ic2mpi"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 )
-
-// BenchmarkKernelHostTime compares the host-side cost of the three
-// kernel names on the same simulated world (hex64-fine, identical
-// virtual timelines): the goroutine engine, and the event engine on one
-// worker (event) and on min(GOMAXPROCS, procs) workers (pevent). The
-// table recorded in docs/benchmarks.md is one run of it.
-func BenchmarkKernelHostTime(b *testing.B) {
-	sc, err := scenario.Get("hex64-fine")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, procs := range []int{16, 256, 4096} {
-		for _, kernel := range []string{"goroutine", "event", "pevent"} {
-			b.Run(fmt.Sprintf("procs=%d/kernel=%s", procs, kernel), func(b *testing.B) {
-				p := scenario.Params{Procs: procs, Kernel: kernel, Iterations: 10}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sc.Run(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkKernelMemoryPerRank reports the peak host memory per
 // simulated rank while the event engine, under each of its names, runs

@@ -79,9 +79,9 @@ func TestEventKernelScaleSmoke(t *testing.T) {
 	}
 	// The ceiling is deliberately generous: the dominant per-rank costs
 	// are one suspended goroutine stack (the coroutine carrier the event
-	// kernel parks ranks on) plus the sparse rank state, together well
+	// kernel parks ranks on) plus the O(degree) rank state, together well
 	// under 16 KiB on every measured configuration. A regression to
-	// dense O(P) per-rank vectors or per-rank channel mailboxes blows
+	// O(P) per-rank vectors or per-rank channel mailboxes blows
 	// through it by an order of magnitude.
 	const perRankCeiling = 32 << 10 // bytes
 	for _, kernel := range []string{"event", "pevent"} {
