@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/platform"
@@ -178,30 +179,52 @@ func (sc Scenario) Terrain() (*graph.Graph, error) {
 	return g, nil
 }
 
-// InitData returns the platform InitData plug-in deploying the armies.
+// InitData returns the platform InitData plug-in deploying the armies. Hex
+// id's unit strengths are the first UnitsPerHex draws of a math/rand stream
+// seeded with Seed + id*7919, so they do not depend on which hexes are asked
+// for or in what order. Seeding a stream is far dearer than drawing from it
+// and every rank asks for its own hexes and its shadows, so the returned
+// function draws the whole deployment once, on its first call, and from then
+// on only copies strengths into a fresh HexData. It is safe to call from
+// several goroutines.
 func (sc Scenario) InitData() func(graph.NodeID) platform.NodeData {
-	rows, cols := sc.Rows, sc.Cols
-	// Pre-generate all strengths deterministically, independent of call
-	// order, by seeding per hex.
-	return func(id graph.NodeID) platform.NodeData {
-		r := int(id) / cols
-		h := &HexData{}
-		var side Side
-		switch {
+	side := func(id graph.NodeID) (Side, bool) {
+		switch r := int(id) / sc.Cols; {
 		case r < sc.DeploymentRows:
-			side = Red
-		case r >= rows-sc.DeploymentRows:
-			side = Blue
-		default:
+			return Red, true
+		case r >= sc.Rows-sc.DeploymentRows:
+			return Blue, true
+		}
+		return 0, false
+	}
+	var once sync.Once
+	var strengths []int32 // UnitsPerHex per hex; deployed hexes only are drawn
+	draw := func() {
+		strengths = make([]int32, sc.Rows*sc.Cols*sc.UnitsPerHex)
+		rng := rand.New(rand.NewSource(0))
+		span := int64(sc.MaxStrength - sc.MinStrength + 1)
+		for id := 0; id < sc.Rows*sc.Cols; id++ {
+			if _, deployed := side(graph.NodeID(id)); !deployed {
+				continue
+			}
+			rng.Seed(sc.Seed + int64(id)*7919)
+			for i := 0; i < sc.UnitsPerHex; i++ {
+				strengths[id*sc.UnitsPerHex+i] = sc.MinStrength + int32(rng.Int63n(span))
+			}
+		}
+	}
+	return func(id graph.NodeID) platform.NodeData {
+		h := &HexData{}
+		sd, deployed := side(id)
+		if !deployed {
 			return h
 		}
-		rng := rand.New(rand.NewSource(sc.Seed + int64(id)*7919))
-		span := int64(sc.MaxStrength - sc.MinStrength + 1)
+		once.Do(draw)
 		for i := 0; i < sc.UnitsPerHex; i++ {
 			h.Units = append(h.Units, Unit{
 				ID:       int32(int(id)*64 + i),
-				Side:     side,
-				Strength: sc.MinStrength + int32(rng.Int63n(span)),
+				Side:     sd,
+				Strength: strengths[int(id)*sc.UnitsPerHex+i],
 			})
 		}
 		return h

@@ -2,6 +2,9 @@ package battlefield
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +125,65 @@ func TestInitDataDeployments(t *testing.T) {
 	for i := range a.Units {
 		if a.Units[i] != b.Units[i] {
 			t.Fatal("InitData not deterministic")
+		}
+	}
+}
+
+// TestInitDataMatchesPerHexSeeding holds the once-drawn strength table to
+// what seeding a fresh stream per hex gives, on all 1024 hexes of the
+// thesis' terrain, with the closure's first calls racing each other: every
+// rank of a run calls the same closure from its own goroutine.
+func TestInitDataMatchesPerHexSeeding(t *testing.T) {
+	sc := DefaultScenario()
+	n := sc.Rows * sc.Cols
+	want := make([]*HexData, n)
+	for v := range want {
+		h := &HexData{}
+		r := v / sc.Cols
+		if r < sc.DeploymentRows || r >= sc.Rows-sc.DeploymentRows {
+			side := Red
+			if r >= sc.DeploymentRows {
+				side = Blue
+			}
+			rng := rand.New(rand.NewSource(sc.Seed + int64(v)*7919))
+			for i := 0; i < sc.UnitsPerHex; i++ {
+				h.Units = append(h.Units, Unit{
+					ID:       int32(v*64 + i),
+					Side:     side,
+					Strength: sc.MinStrength + int32(rng.Int63n(int64(sc.MaxStrength-sc.MinStrength+1))),
+				})
+			}
+		}
+		want[v] = h
+	}
+
+	init := sc.InitData()
+	const callers = 8
+	got := make([][]*HexData, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each caller starts at another hex, so the first call is not
+			// always for hex 0.
+			hexes := make([]*HexData, n)
+			for i := range hexes {
+				v := (i + c*n/callers) % n
+				hexes[v] = init(graph.NodeID(v)).(*HexData)
+			}
+			got[c] = hexes
+		}()
+	}
+	wg.Wait()
+	for c, hexes := range got {
+		for v, h := range hexes {
+			if !reflect.DeepEqual(h, want[v]) {
+				t.Fatalf("caller %d, hex %d: got %+v, per-hex seeding gives %+v", c, v, h, want[v])
+			}
+			if c > 0 && h == got[0][v] {
+				t.Fatalf("hex %d: two calls returned the same HexData", v)
+			}
 		}
 	}
 }

@@ -231,24 +231,26 @@ func greedyGrow(g *wgraph, k int, rng *rand.Rand) []int {
 	weights := make([]int, k)
 	assigned := 0
 
+	// One distance array and one queue serve every seed search and every
+	// region's growth, so a many-part call allocates them once, not per part.
+	dist := make([]int, g.n)
+	queue := make([]int, 0, g.n)
 	seed := rng.Intn(g.n)
 	for p := 0; p < k && assigned < g.n; p++ {
 		// Pick the unassigned vertex farthest (BFS hops) from all assigned
 		// vertices as the next seed; the first seed is random.
 		if p > 0 {
-			seed = farthestUnassigned(g, part)
+			seed = farthestUnassigned(g, part, dist, queue)
 			if seed == -1 {
 				break
 			}
 		}
-		queue := []int{seed}
+		queue = append(queue[:0], seed)
 		part[seed] = p
 		weights[p] += g.vw[seed]
 		assigned++
-		for len(queue) > 0 && weights[p] < target {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.adj[v] {
+		for head := 0; head < len(queue) && weights[p] < target; head++ {
+			for _, u := range g.adj[queue[head]] {
 				if part[u] != -1 || weights[p] >= target {
 					continue
 				}
@@ -306,23 +308,22 @@ func greedyGrow(g *wgraph, k int, rng *rand.Rand) []int {
 }
 
 // farthestUnassigned returns the unassigned vertex at maximum BFS distance
-// from the set of assigned vertices (-1 if none).
-func farthestUnassigned(g *wgraph, part []int) int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int
+// from the set of assigned vertices (-1 if none). dist (one entry per
+// vertex) and queue (capacity for every vertex) are the caller's scratch
+// space; their contents on entry do not matter.
+func farthestUnassigned(g *wgraph, part, dist, queue []int) int {
+	queue = queue[:0]
 	for v := 0; v < g.n; v++ {
 		if part[v] != -1 {
 			dist[v] = 0
 			queue = append(queue, v)
+		} else {
+			dist[v] = -1
 		}
 	}
 	best, bestD := -1, -1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, u := range g.adj[v] {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
@@ -404,6 +405,9 @@ func rebalance(g *wgraph, part []int, k int) {
 	}
 }
 
+// partConn is the total weight of one vertex's edges into one other part.
+type partConn struct{ part, ext int }
+
 // refineFM performs greedy boundary refinement: repeated passes moving the
 // boundary vertex with the highest edge-cut gain whose move keeps every
 // part within the balance bound. A pass with no improving move terminates
@@ -417,33 +421,39 @@ func refineFM(g *wgraph, part []int, k int, maxImb float64, passes int, rng *ran
 	if maxW < 1 {
 		maxW = 1
 	}
+	var conn []partConn
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		order := rng.Perm(g.n)
 		for _, v := range order {
 			from := part[v]
-			// External degree per part.
-			var conn map[int]int
+			// External degree per part. A vertex touches a handful of
+			// parts, so a short list searched linearly stands in for a map.
+			conn = conn[:0]
 			internal := 0
 			for i, u := range g.adj[v] {
 				if part[u] == from {
 					internal += g.ew[v][i]
-				} else {
-					if conn == nil {
-						conn = make(map[int]int)
-					}
-					conn[part[u]] += g.ew[v][i]
+					continue
 				}
+				j := 0
+				for j < len(conn) && conn[j].part != part[u] {
+					j++
+				}
+				if j == len(conn) {
+					conn = append(conn, partConn{part: part[u]})
+				}
+				conn[j].ext += g.ew[v][i]
 			}
-			if conn == nil {
+			if len(conn) == 0 {
 				continue // not a boundary vertex
 			}
-			// Tie-break equal gains on the smallest part id: preferring
-			// whichever part Go's randomized map order yields first would
-			// make the partition differ across runs.
+			// Highest gain wins and equal gains go to the smallest part id,
+			// so the choice does not depend on the order conn lists the
+			// parts in.
 			bestTo, bestGain := -1, 0
-			for to, ext := range conn {
-				gain := ext - internal
+			for _, c := range conn {
+				to, gain := c.part, c.ext-internal
 				if gain < bestGain || gain == 0 ||
 					(gain == bestGain && bestTo != -1 && to > bestTo) {
 					continue

@@ -292,11 +292,12 @@ func validateResume(c *Config, snap *RunSnapshot) error {
 // the resume-side twin of newRankState: no InitData calls, no init-phase
 // charges — the restored phase vector already accounts for them.
 func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankState, error) {
-	s, err := emptyRankState(cfg, comm, snap.Owner)
-	if err != nil {
+	s := emptyRankState(cfg, comm, snap.Owner)
+	rs := snap.Ranks[s.me]
+	var err error
+	if s.table, err = NewHashTable(len(rs.Nodes) + 1); err != nil {
 		return nil, err
 	}
-	rs := snap.Ranks[s.me]
 	for _, ns := range rs.Nodes {
 		d := ns.Data.CloneData()
 		if err := s.table.Insert(&entry{id: ns.ID, data: d, mostRecent: d}); err != nil {
@@ -311,6 +312,7 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	}
 	// rs.Nodes is ascending, so the per-kind lists are already sorted.
 	s.rebuildCounts()
+	s.resolveAll()
 	s.phase = rs.Phase
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations

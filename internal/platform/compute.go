@@ -113,10 +113,7 @@ func (s *rankState) makeBuffers() [][]shadowUpdate {
 // update into the outgoing buffers. Time is attributed to the compute and
 // overhead phases exactly as Figures 21-22 split them.
 func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadowUpdate) error {
-	e := s.table.Lookup(node.id)
-	if e == nil {
-		return fmt.Errorf("platform: rank %d: no data entry for owned node %d", s.me, node.id)
-	}
+	e := node.self
 	// Computation overhead: form the list of the node and its neighbors.
 	t0 := s.comm.Wtime()
 	var neighbors []Neighbor
@@ -129,11 +126,7 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadow
 		neighbors = make([]Neighbor, len(node.neighbors))
 	}
 	for i, u := range node.neighbors {
-		ne := s.table.Lookup(u)
-		if ne == nil {
-			return fmt.Errorf("platform: rank %d: missing neighbor data %d for node %d", s.me, u, node.id)
-		}
-		neighbors[i] = Neighbor{ID: u, Data: ne.data}
+		neighbors[i] = Neighbor{ID: u, Data: node.nbr[i].data}
 	}
 	s.comm.Charge(float64(len(neighbors)+1) * s.cfg.Overheads.ListPerNeighbor)
 	t1 := s.comm.Wtime()
@@ -186,18 +179,13 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadow
 // ("update data to most recent data before the next iteration").
 func (s *rankState) flipMostRecent() {
 	t0 := s.comm.Wtime()
-	count := 0
 	for _, node := range s.internal {
-		e := s.table.Lookup(node.id)
-		e.data = e.mostRecent
-		count++
+		node.self.data = node.self.mostRecent
 	}
 	for _, node := range s.peripheral {
-		e := s.table.Lookup(node.id)
-		e.data = e.mostRecent
-		count++
+		node.self.data = node.self.mostRecent
 	}
-	s.comm.Charge(float64(count) * s.cfg.Overheads.UpdatePerNode)
+	s.comm.Charge(float64(s.numOwned()) * s.cfg.Overheads.UpdatePerNode)
 	s.phase[PhaseComputeOverhead] += s.comm.Wtime() - t0
 }
 
@@ -270,10 +258,10 @@ func (s *rankState) recvShadows(sub int, reqs []*mpi.Request) error {
 func (s *rankState) gatherFinalData() ([]NodeData, error) {
 	own := make([]shadowUpdate, 0, s.numOwned())
 	for _, node := range s.internal {
-		own = append(own, shadowUpdate{id: node.id, data: s.table.Lookup(node.id).data})
+		own = append(own, shadowUpdate{id: node.id, data: node.self.data})
 	}
 	for _, node := range s.peripheral {
-		own = append(own, shadowUpdate{id: node.id, data: s.table.Lookup(node.id).data})
+		own = append(own, shadowUpdate{id: node.id, data: node.self.data})
 	}
 	all, err := s.comm.Gather(0, own, updateBytes(own))
 	if err != nil {

@@ -10,8 +10,10 @@ import (
 // "Hash tables are implemented as an array of pointers to sorted linked
 // lists which contain the locations for node data. A modulo hash function
 // is applied on the node global ID (key) to obtain the location for node
-// data." It provides amortized O(1) access to own and shadow node data
-// during computation and during shadow updates after communication.
+// data." It provides amortized O(1) access by global ID to a rank's own and
+// shadow node data: shadow updates after communication, migration and
+// checkpoint capture go through it, while the compute loop follows the entry
+// pointers each own node resolved from it when it joined the rank.
 //
 // The table stores *entry pointers so that updating an entry through the
 // table is visible to every list that references it, exactly as the C
@@ -54,10 +56,12 @@ func (e *entry) ID() graph.NodeID { return e.id }
 // Data returns the entry's current node data.
 func (e *entry) Data() NodeData { return e.data }
 
-// NewHashTable returns a table with the given bucket count. The thesis
-// uses HASH_TABLE_LENGTH = 10 regardless of graph size; callers here size
-// the table to the expected entry count but the chaining behaviour is
-// identical.
+// NewHashTable returns a table with the given bucket count, fixed for the
+// table's life. The thesis uses HASH_TABLE_LENGTH = 10 regardless of graph
+// size; a rank here asks for one bucket per entry it starts with (own nodes
+// plus shadows, not a share of the whole graph), so chains stay short, and
+// entries that arrive by migration lengthen them — the chaining behaviour is
+// the thesis'.
 func NewHashTable(buckets int) (*HashTable, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("platform: hash table needs >= 1 bucket, got %d", buckets)

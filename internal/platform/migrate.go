@@ -267,7 +267,9 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 				})
 			}
 		}
-		// Commit ownership changes and rebuild bookkeeping everywhere.
+		// Commit ownership changes and rebuild bookkeeping everywhere. The
+		// first commit of a run is where a rank stops sharing the owner map.
+		s.ownOwner()
 		for _, m := range round {
 			s.owner[m.node] = m.to
 		}
@@ -428,14 +430,9 @@ func (s *rankState) migrateOut(m migration) error {
 	// for the 'idle' processor". The node's own current data rides along
 	// so the destination does not depend on having held the shadow.
 	buf := make([]shadowUpdate, 0, len(node.neighbors)+1)
-	self := s.table.Lookup(m.node)
-	buf = append(buf, shadowUpdate{id: m.node, data: self.data})
-	for _, u := range node.neighbors {
-		e := s.table.Lookup(u)
-		if e == nil {
-			return fmt.Errorf("platform: rank %d missing data for neighbor %d of migrating node %d", s.me, u, m.node)
-		}
-		buf = append(buf, shadowUpdate{id: u, data: e.data})
+	buf = append(buf, shadowUpdate{id: m.node, data: node.self.data})
+	for i, u := range node.neighbors {
+		buf = append(buf, shadowUpdate{id: u, data: node.nbr[i].data})
 	}
 	if err := s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf)); err != nil {
 		return err
@@ -479,6 +476,9 @@ func (s *rankState) migrateIn(m migration) error {
 	// peripheral node list" — reclassifyAll will demote it to internal if
 	// it has no remote neighbors after the ownership flip.
 	node := &ownNode{id: m.node, neighbors: s.cfg.Graph.Adj[m.node]}
+	// Every neighbor's entry is in the table now, received or already held.
+	node.nbr = make([]*entry, len(node.neighbors))
+	s.resolve(node)
 	s.byID[m.node] = node
 	s.peripheral = append(s.peripheral, node)
 	return nil

@@ -140,22 +140,25 @@ func TestRepeatedMigrationSameDirection(t *testing.T) {
 	}
 }
 
-func TestDynamicBalancingImprovesImbalancedRun(t *testing.T) {
-	// Only proc 1's nodes (16..31 under the block partition) run coarse:
-	// proc 1 does >25% more work than both its neighbors, so the 25%
-	// heuristic must migrate work off it and beat the static run.
-	g := hexGrid(t, 8, 8)
-	imbalancedGrain := func(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
-		for _, nb := range nbrs {
-			sum += int64(nb.Data.(IntData))
-		}
-		cost := 0.3e-3
-		if int(id) >= 16 && int(id) < 32 {
-			cost = 3e-3
-		}
-		return IntData(sum / int64(len(nbrs)+1)), cost
+// imbalancedGrain averages like averaging, but nodes 16..31 — proc 1's under
+// the four-way block partition of an 8x8 grid — cost ten times the rest.
+func imbalancedGrain(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
+	sum := int64(self.(IntData))
+	for _, nb := range nbrs {
+		sum += int64(nb.Data.(IntData))
 	}
+	cost := 0.3e-3
+	if int(id) >= 16 && int(id) < 32 {
+		cost = 3e-3
+	}
+	return IntData(sum / int64(len(nbrs)+1)), cost
+}
+
+func TestDynamicBalancingImprovesImbalancedRun(t *testing.T) {
+	// Only proc 1's nodes run coarse: proc 1 does >25% more work than both
+	// its neighbors, so the 25% heuristic must migrate work off it and beat
+	// the static run.
+	g := hexGrid(t, 8, 8)
 	static := baseConfig(g, 4)
 	static.Node = imbalancedGrain
 	static.Iterations = 40

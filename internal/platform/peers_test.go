@@ -49,8 +49,9 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 	var procs [][]int
 	var held []pools
 	const iterations = 7
+	own := nodesByOwner(c.InitialPartition, c.Procs)
 	err = mpi.Run(mpi.Options{Procs: c.Procs, Cost: c.Network}, func(comm *mpi.Comm) error {
-		st, err := newRankState(c, comm)
+		st, err := newRankState(c, comm, own[comm.Rank()])
 		if err != nil {
 			return err
 		}

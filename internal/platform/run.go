@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ic2mpi/internal/graph"
@@ -20,10 +21,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		FinalPartition: append([]int(nil), c.InitialPartition...),
-		Stats:          make([]mpi.Stats, c.Procs),
-	}
+	res := &Result{Stats: make([]mpi.Stats, c.Procs)}
 	for ph := range res.PhaseTimes {
 		res.PhaseTimes[ph] = make([]float64, c.Procs)
 	}
@@ -45,6 +43,13 @@ func Run(cfg Config) (*Result, error) {
 	var col *snapCollector
 	if c.CheckpointEvery > 0 {
 		col = newSnapCollector(c)
+	}
+	// The partition index: which nodes each rank starts with, worked out
+	// once here instead of by every rank scanning the whole owner map. A
+	// resumed rank reads the same from its RankSnap.
+	var own [][]graph.NodeID
+	if c.ResumeFrom == nil {
+		own = nodesByOwner(c.InitialPartition, c.Procs)
 	}
 	var mu sync.Mutex
 	elapsed := make([]float64, c.Procs)
@@ -83,7 +88,7 @@ func Run(cfg Config) (*Result, error) {
 				return err
 			}
 			start = comm.Wtime()
-			if st, err = newRankState(c, comm); err != nil {
+			if st, err = newRankState(c, comm, own[comm.Rank()]); err != nil {
 				return err
 			}
 		}
@@ -178,8 +183,10 @@ func Run(cfg Config) (*Result, error) {
 			res.PhaseTimes[ph][st.me] = st.phase[ph]
 		}
 		res.Stats[st.me] = comm.Stats()
-		copy(res.FinalPartition, st.owner)
 		if st.me == 0 {
+			// The migration barriers keep every rank's owner map the same,
+			// so rank 0's is the run's.
+			res.FinalPartition = slices.Clone(st.owner)
 			res.FinalData = final
 			res.Migrations = migrated
 		}

@@ -19,6 +19,12 @@ type ownNode struct {
 	peripheral bool
 	neighbors  []graph.NodeID // sorted, from the application graph
 	shadowFor  []int          // sorted processor ids; empty for internal nodes
+	// self is the node's own data entry and nbr[i] the entry of
+	// neighbors[i], looked up once when the node joins the rank (resolve).
+	// A rank never removes an entry from its table, so the pointers stay
+	// equal to what a look-up would return, and the compute loop does none.
+	self *entry
+	nbr  []*entry
 	// lastCost is the node's observed compute cost in the most recent
 	// iteration (summed over sub-phases). The migration-node selection
 	// uses it to prefer shedding hot nodes.
@@ -27,8 +33,8 @@ type ownNode struct {
 
 // rankState is everything one processor keeps in local memory: the
 // internal and peripheral node lists, the data store with its hash index
-// (own + shadow entries), the node-to-owner map (the thesis' output_arr,
-// replicated on every processor), and the communication buffer sizes.
+// (own + shadow entries), the node-to-owner map (the thesis' output_arr),
+// and the communication buffer sizes.
 type rankState struct {
 	cfg  *Config
 	comm *mpi.Comm
@@ -37,7 +43,13 @@ type rankState struct {
 	// multiplier for this processor (1 on homogeneous machines).
 	speed float64
 
-	owner []int // node -> owning processor, kept in sync across ranks
+	// owner maps node -> owning processor, kept in sync across ranks. The
+	// thesis replicates it on every processor; here every rank starts on the
+	// run's one read-only map (Config.InitialPartition or RunSnapshot.Owner,
+	// which belong to the caller) and ownerShared says it still is. A rank
+	// must call ownOwner before its first write.
+	owner       []int
+	ownerShared bool
 
 	internal   []*ownNode
 	peripheral []*ownNode
@@ -116,75 +128,132 @@ func updateBytes(us []shadowUpdate) int {
 }
 
 // emptyRankState is the start newRankState and restoreRankState share: the
-// rank's identity, its own copy of the node-to-owner map and an empty data
-// store.
-func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) (*rankState, error) {
-	table, err := NewHashTable(cfg.Graph.NumVertices()/2 + 1)
-	if err != nil {
-		return nil, err
-	}
+// rank's identity and the run's shared node-to-owner map.
+func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 	return &rankState{
-		cfg:   cfg,
-		comm:  comm,
-		me:    comm.Rank(),
-		speed: cfg.Network.Speed(comm.Rank()),
-		owner: append([]int(nil), owner...),
-		byID:  make(map[graph.NodeID]*ownNode),
-		table: table,
-	}, nil
+		cfg:         cfg,
+		comm:        comm,
+		me:          comm.Rank(),
+		speed:       cfg.Network.Speed(comm.Rank()),
+		owner:       owner,
+		ownerShared: true,
+		byID:        make(map[graph.NodeID]*ownNode),
+	}
+}
+
+// ownOwner gives the rank a private copy of the owner map if it is still
+// reading the run's shared one. Every write to s.owner comes after it.
+func (s *rankState) ownOwner() {
+	if s.ownerShared {
+		s.owner = slices.Clone(s.owner)
+		s.ownerShared = false
+	}
+}
+
+// nodesByOwner inverts a node-to-owner map: the result lists each
+// processor's nodes in ascending order, all in one backing array. Run builds
+// it once so that no rank has to scan the whole map for its own nodes.
+func nodesByOwner(owner []int, procs int) [][]graph.NodeID {
+	start := make([]int, procs+1)
+	for _, p := range owner {
+		start[p+1]++
+	}
+	for p := 0; p < procs; p++ {
+		start[p+1] += start[p]
+	}
+	nodes := make([]graph.NodeID, len(owner))
+	lists := make([][]graph.NodeID, procs)
+	for p := range lists {
+		lists[p] = nodes[start[p]:start[p]:start[p+1]]
+	}
+	for v, p := range owner {
+		lists[p] = append(lists[p], graph.NodeID(v))
+	}
+	return lists
 }
 
 // newRankState runs the initialization phase on one processor: it expands
-// the node-to-processor mapping into node lists, the data node list and
-// the hash table, charging the per-entry initialization overhead.
-func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
+// mine, the nodes the initial partition gives this rank (ascending), into
+// node lists, the data node list and the hash table, charging the per-entry
+// initialization overhead.
+func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState, error) {
 	t0 := comm.Wtime()
-	s, err := emptyRankState(cfg, comm, cfg.InitialPartition)
-	if err != nil {
-		return nil, err
-	}
-	n := cfg.Graph.NumVertices()
+	s := emptyRankState(cfg, comm, cfg.InitialPartition)
 
-	entries := 0
-	// Build own node lists and own data entries.
-	for v := 0; v < n; v++ {
-		if s.owner[v] != s.me {
-			continue
-		}
-		id := graph.NodeID(v)
-		node := &ownNode{id: id, neighbors: cfg.Graph.Adj[v]}
-		d := cfg.InitData(id)
-		if d == nil {
-			return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
-		}
-		if err := s.table.Insert(&entry{id: id, data: d, mostRecent: d}); err != nil {
-			return nil, err
-		}
-		entries++
+	// Node lists first: they need only the owner map, and the peer counts
+	// that fall out of them say how many shadows the data index will hold.
+	for _, id := range mine {
+		node := &ownNode{id: id, neighbors: cfg.Graph.Adj[id]}
 		s.place(node)
 		s.byID[id] = node
-		entries++
 	}
-	// Insert shadow entries: non-local neighbors of peripheral nodes.
+	s.rebuildCounts()
+	shadows := 0
+	for _, pe := range s.peers {
+		shadows += pe.recv
+	}
+	var err error
+	if s.table, err = NewHashTable(len(mine) + shadows + 1); err != nil {
+		return nil, err
+	}
+	insert := func(id graph.NodeID) error {
+		d := cfg.InitData(id)
+		if d == nil {
+			return fmt.Errorf("platform: InitData returned nil for node %d", id)
+		}
+		return s.table.Insert(&entry{id: id, data: d, mostRecent: d})
+	}
+	for _, id := range mine {
+		if err := insert(id); err != nil {
+			return nil, err
+		}
+	}
+	// Shadow entries: non-local neighbors of peripheral nodes.
 	for _, node := range s.peripheral {
 		for _, u := range node.neighbors {
 			if s.owner[u] == s.me || s.table.Lookup(u) != nil {
 				continue
 			}
-			d := cfg.InitData(u)
-			if d == nil {
-				return nil, fmt.Errorf("platform: InitData returned nil for node %d", u)
-			}
-			if err := s.table.Insert(&entry{id: u, data: d, mostRecent: d}); err != nil {
+			if err := insert(u); err != nil {
 				return nil, err
 			}
-			entries++
 		}
 	}
-	s.rebuildCounts()
-	comm.Charge(float64(entries) * cfg.Overheads.InitPerEntry)
+	s.resolveAll()
+	// One node-list and one data entry per owned node, one entry per shadow.
+	comm.Charge(float64(2*len(mine)+shadows) * cfg.Overheads.InitPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
 	return s, nil
+}
+
+// resolveAll resolves every owned node's entry pointers, carving the nbr
+// lists out of one backing array. newRankState and restoreRankState call it
+// once the table holds every own and shadow entry.
+func (s *rankState) resolveAll() {
+	lists := [2][]*ownNode{s.internal, s.peripheral}
+	total := 0
+	for _, list := range lists {
+		for _, node := range list {
+			total += len(node.neighbors)
+		}
+	}
+	backing := make([]*entry, total)
+	for _, list := range lists {
+		for _, node := range list {
+			n := len(node.neighbors)
+			node.nbr, backing = backing[:n:n], backing[n:]
+			s.resolve(node)
+		}
+	}
+}
+
+// resolve looks up node's own entry and its neighbors' entries; node.nbr
+// must already have one slot per neighbor.
+func (s *rankState) resolve(node *ownNode) {
+	node.self = s.table.Lookup(node.id)
+	for i, u := range node.neighbors {
+		node.nbr[i] = s.table.Lookup(u)
+	}
 }
 
 // place classifies node against the current owner map and appends it to
@@ -339,8 +408,21 @@ func (s *rankState) checkInvariants() error {
 		if s.owner[id] != s.me {
 			return fmt.Errorf("rank %d: byID holds non-owned node %d", s.me, id)
 		}
-		if s.table.Lookup(id) == nil {
+		e := s.table.Lookup(id)
+		if e == nil {
 			return fmt.Errorf("rank %d: owned node %d missing from hash table", s.me, id)
+		}
+		// The resolved pointers must be exactly what a look-up returns.
+		if node.self != e {
+			return fmt.Errorf("rank %d: node %d's resolved entry is not the table's", s.me, id)
+		}
+		if len(node.nbr) != len(node.neighbors) {
+			return fmt.Errorf("rank %d: node %d has %d resolved neighbors of %d", s.me, id, len(node.nbr), len(node.neighbors))
+		}
+		for i, u := range node.neighbors {
+			if node.nbr[i] != s.table.Lookup(u) {
+				return fmt.Errorf("rank %d: node %d's resolved entry for neighbor %d is not the table's", s.me, id, u)
+			}
 		}
 	}
 	if len(s.byID) != s.numOwned() {

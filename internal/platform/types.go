@@ -396,7 +396,9 @@ type Result struct {
 	// Config.SkipFinalGather).
 	FinalData []NodeData
 	// FinalPartition is the node-to-processor map after dynamic load
-	// balancing (equal to the initial partition for static runs).
+	// balancing (equal to the initial partition for static runs). It is the
+	// caller's to keep: a copy of rank 0's map, never Config.InitialPartition
+	// itself.
 	FinalPartition []int
 	// Migrations counts executed task migrations.
 	Migrations int
