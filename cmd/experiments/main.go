@@ -6,7 +6,7 @@
 //
 //	experiments                      # run every paper experiment, paper order
 //	experiments -run table3,fig12    # selected paper experiments
-//	experiments -list                # list experiment IDs and scenarios
+//	experiments -list                # list experiment IDs, scenarios and sweep axes
 //	experiments -scenario life       # sweep a scenario over 1..16 processors
 //	experiments -scenario hex64-fine -sweep "procs=1,2,4,8;partitioner=metis,pagrid"
 //	experiments -scenario hex64-fine -sweep "procs=1,2,4,8,16" -network hypercube,mesh2d
@@ -22,16 +22,11 @@
 //	experiments -scenario heat -sweep "procs=1,2,4" -shard 1/4 -manifest m1.json
 //	experiments -scenario heat -sweep "procs=1,2,4" -merge -manifest m1.json,m2.json,m3.json,m4.json
 //
-// The -sweep specification is semicolon-separated axis=value,value pairs
-// over the axes procs, partitioner, exchange (basic|overlap), buffers
-// (pooled|unpooled), balancer (none|centralized|centralized-strict|
-// diffusion|worksteal|hierarchical|predictive), network
-// (uniform|hypercube|mesh2d|fattree|hetgrid), perturb
-// (none|brownout|links|ramp|chaos, each optionally @<seed>), kernel (see
-// mpi.KernelNames: goroutine|event|pevent) and iters; unspecified axes
-// stay at the scenario's default. -balancer, -network, -perturb and
-// -kernel are shorthand for the balancer, network, perturb and kernel
-// axes.
+// The -sweep specification is semicolon-separated axis=value,value pairs;
+// -list prints the axis names and docs/scenarios.md tabulates the values
+// each accepts. Unspecified axes stay at the scenario's default, and an
+// axis takes its values once. -balancer, -network, -perturb and -kernel
+// are shorthand for the sweep clauses of the same names.
 // -kernel-workers sets the pevent kernel's worker count (0 means
 // min(GOMAXPROCS, procs)); it is a host-side tuning knob — output bytes
 // are identical at any value.
@@ -85,7 +80,6 @@ import (
 
 	"ic2mpi/internal/checkpoint"
 	"ic2mpi/internal/experiments"
-	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/shard"
@@ -100,10 +94,11 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and registered scenarios, then exit")
 	scen := flag.String("scenario", "", "registered scenario to sweep (see -list)")
 	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4;partitioner=metis,pagrid;buffers=pooled,unpooled"`)
-	balancer := flag.String("balancer", "", `dynamic load balancers to sweep, comma-separated (shorthand for the balancer axis), e.g. "none,centralized,worksteal"`)
-	network := flag.String("network", "", `interconnect models to sweep, comma-separated (shorthand for the network axis), e.g. "hypercube,mesh2d"`)
-	perturb := flag.String("perturb", "", `fault-injection schedules to sweep, comma-separated (shorthand for the perturb axis), e.g. "none,brownout,chaos@3"`)
-	kernel := flag.String("kernel", "", fmt.Sprintf("mpi execution kernels to sweep, comma-separated (shorthand for the kernel axis): %s", strings.Join(mpi.KernelNames(), "|")))
+	axisFlags := make(map[string]string) // the shorthand axis flags given, name → value
+	for _, name := range shorthandAxes {
+		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
+			func(v string) error { axisFlags[name] = v; return nil })
+	}
 	kernelWorkers := flag.Int("kernel-workers", 0, "worker count for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
 	parallel := flag.Int("parallel", 0, "concurrent sweep runs; 0 means number of CPUs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -160,6 +155,8 @@ func main() {
 		for _, line := range strings.Split(strings.TrimRight(experiments.ScenarioList(), "\n"), "\n") {
 			fmt.Println("  " + line)
 		}
+		fmt.Println("\nsweep axes (-sweep; docs/scenarios.md tabulates their values):")
+		fmt.Println("  " + strings.Join(experiments.AxisNames(), ", "))
 		return
 	}
 
@@ -173,12 +170,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ax, err := resolveAxes(*sweep, axisFlags{
-			balancer: *balancer,
-			network:  *network,
-			perturb:  *perturb,
-			kernel:   *kernel,
-		})
+		ax, err := resolveAxes(*sweep, axisFlags)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -198,14 +190,12 @@ func main() {
 		log.Fatal("-shard/-manifest/-merge require -scenario (see -list for scenario names)")
 	case *sweep != "":
 		log.Fatal("-sweep requires -scenario (see -list for scenario names)")
-	case *balancer != "":
-		log.Fatal("-balancer requires -scenario (see -list for scenario names)")
-	case *network != "":
-		log.Fatal("-network requires -scenario (see -list for scenario names)")
-	case *perturb != "":
-		log.Fatal("-perturb requires -scenario (see -list for scenario names)")
-	case *kernel != "":
-		log.Fatal("-kernel requires -scenario (see -list for scenario names)")
+	case len(axisFlags) > 0:
+		for _, name := range shorthandAxes {
+			if _, given := axisFlags[name]; given {
+				log.Fatalf("-%s requires -scenario (see -list for scenario names)", name)
+			}
+		}
 	default:
 		ids := experiments.IDs()
 		if *run != "" {
@@ -235,52 +225,26 @@ func main() {
 	}
 }
 
-// axisFlags carries the shorthand axis flags (-balancer, -network,
-// -perturb, -kernel) into resolveAxes.
-type axisFlags struct {
-	balancer, network, perturb, kernel string
-}
+// shorthandAxes are the sweep axes that also have a flag of their own name.
+var shorthandAxes = []string{"balancer", "network", "perturb", "kernel"}
 
-// resolveAxes parses the -sweep specification and merges every shorthand
-// axis flag into its axis. Each flag is applied here, in one place, so a
-// parsed-but-dropped flag (the PR 8 -kernel bug) cannot recur without
-// failing the flag→axis table test.
-func resolveAxes(sweep string, f axisFlags) (experiments.Axes, error) {
+// resolveAxes parses the -sweep specification and lands every shorthand
+// flag given (name → value) in its axis through the same Axes.Set a sweep
+// clause goes through: a flag cannot parse and then miss its axis, and
+// naming an axis by flag and by clause is refused like naming it twice.
+func resolveAxes(sweep string, axisFlags map[string]string) (experiments.Axes, error) {
 	ax, err := experiments.ParseAxes(sweep)
 	if err != nil {
 		return ax, err
 	}
-	if err := applyAxisFlag(f.balancer, "balancer", &ax.Balancers); err != nil {
-		return ax, err
-	}
-	if err := applyAxisFlag(f.network, "network", &ax.Networks); err != nil {
-		return ax, err
-	}
-	if err := applyAxisFlag(f.perturb, "perturb", &ax.Perturbs); err != nil {
-		return ax, err
-	}
-	if err := applyAxisFlag(f.kernel, "kernel", &ax.Kernels); err != nil {
-		return ax, err
-	}
-	return ax, nil
-}
-
-// applyAxisFlag merges a comma-separated shorthand flag (-balancer,
-// -network, -perturb, -kernel) into its sweep axis; naming the axis both
-// ways is an error.
-func applyAxisFlag(val, name string, axis *[]string) error {
-	if val == "" {
-		return nil
-	}
-	if len(*axis) > 0 {
-		return fmt.Errorf(`-%s and a "%s=" sweep axis are mutually exclusive`, name, name)
-	}
-	for _, v := range strings.Split(val, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			*axis = append(*axis, v)
+	for _, name := range shorthandAxes {
+		if v, given := axisFlags[name]; given {
+			if err := ax.Set(name, v); err != nil {
+				return ax, fmt.Errorf("-%s: %w", name, err)
+			}
 		}
 	}
-	return nil
+	return ax, nil
 }
 
 // runMode carries the flags that pick how a -scenario invocation runs:
@@ -385,12 +349,7 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 			return nil, nil
 		}
 	}
-	return &experiments.SweepReport{
-		ID:       "sweep-" + sc.Name,
-		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
-		Scenario: sc.Name,
-		Rows:     []experiments.SweepRow{{Result: *res}},
-	}, nil
+	return experiments.NewSweepReport(sc, res), nil
 }
 
 // runShard executes one shard of the sweep, coordinated through the

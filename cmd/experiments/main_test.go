@@ -1,97 +1,59 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"ic2mpi/internal/experiments"
 	"ic2mpi/internal/scenario"
 )
 
 // TestResolveAxesFlagPlumbing is the regression harness for the PR 8
 // -kernel bug class: a shorthand flag that parses fine but never lands in
-// its sweep axis. Every shorthand flag is driven through resolveAxes and
-// asserted to arrive in the resolved Axes — in the right field, split on
-// commas, trimmed — and to conflict with its spelled-out sweep axis.
+// its sweep axis. Every shorthand flag, alone and next to an unrelated
+// -sweep clause, must resolve to exactly the axes the spelled-out clause of
+// the same name resolves to (internal/experiments pins which Params field
+// a clause reaches).
 func TestResolveAxesFlagPlumbing(t *testing.T) {
-	axisOf := func(ax interface{}, field string) []string {
-		return reflect.ValueOf(ax).FieldByName(field).Interface().([]string)
+	const values = "a, b ,c"
+	landsLikeClause := func(t *testing.T, sweep, name string) {
+		got, err := resolveAxes(sweep, map[string]string{name: values})
+		if err != nil {
+			t.Fatalf("resolveAxes(%q, -%s %q): %v", sweep, name, values, err)
+		}
+		want, err := experiments.ParseAxes(sweep + ";" + name + "=" + values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-%s %q with -sweep %q resolved to %+v, the clause resolves to %+v", name, values, sweep, got, want)
+		}
 	}
-	cases := []struct {
-		name  string
-		sweep string
-		flags axisFlags
-		field string // Axes field the flag must land in
-		want  []string
-	}{
-		{
-			name:  "balancer flag lands in Balancers",
-			flags: axisFlags{balancer: "none,centralized,worksteal,hierarchical,predictive"},
-			field: "Balancers",
-			want:  []string{"none", "centralized", "worksteal", "hierarchical", "predictive"},
-		},
-		{
-			name:  "network flag lands in Networks",
-			flags: axisFlags{network: "hypercube,mesh2d"},
-			field: "Networks",
-			want:  []string{"hypercube", "mesh2d"},
-		},
-		{
-			name:  "perturb flag lands in Perturbs",
-			flags: axisFlags{perturb: "none, brownout ,ramp"},
-			field: "Perturbs",
-			want:  []string{"none", "brownout", "ramp"},
-		},
-		{
-			name:  "kernel flag lands in Kernels",
-			flags: axisFlags{kernel: "event,pevent"},
-			field: "Kernels",
-			want:  []string{"event", "pevent"},
-		},
-		{
-			name:  "flags compose with an unrelated sweep axis",
-			sweep: "procs=2,4",
-			flags: axisFlags{balancer: "diffusion", perturb: "brownout"},
-			field: "Balancers",
-			want:  []string{"diffusion"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ax, err := resolveAxes(tc.sweep, tc.flags)
-			if err != nil {
-				t.Fatalf("resolveAxes(%q, %+v): %v", tc.sweep, tc.flags, err)
-			}
-			if got := axisOf(ax, tc.field); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("axis %s = %v, want %v", tc.field, got, tc.want)
-			}
+	for _, name := range shorthandAxes {
+		// Named after the Axes field: the capitalised plural of the axis.
+		t.Run(fmt.Sprintf("%s flag lands in %s%ss", name, strings.ToUpper(name[:1]), name[1:]), func(t *testing.T) {
+			landsLikeClause(t, "", name)
 		})
 	}
+	t.Run("flags compose with an unrelated sweep axis", func(t *testing.T) {
+		for _, name := range shorthandAxes {
+			landsLikeClause(t, "procs=2,4", name)
+		}
+	})
 }
 
 // TestResolveAxesFlagConflicts asserts each shorthand flag refuses to
 // coexist with its spelled-out sweep axis instead of silently dropping
 // one of the two.
 func TestResolveAxesFlagConflicts(t *testing.T) {
-	cases := []struct {
-		sweep string
-		flags axisFlags
-		wantA string // flag name expected in the error
-	}{
-		{sweep: "balancer=none", flags: axisFlags{balancer: "diffusion"}, wantA: "-balancer"},
-		{sweep: "network=uniform", flags: axisFlags{network: "mesh2d"}, wantA: "-network"},
-		{sweep: "perturb=none", flags: axisFlags{perturb: "ramp"}, wantA: "-perturb"},
-		{sweep: "kernel=event", flags: axisFlags{kernel: "pevent"}, wantA: "-kernel"},
-	}
-	for _, tc := range cases {
-		_, err := resolveAxes(tc.sweep, tc.flags)
-		if err == nil {
-			t.Fatalf("resolveAxes(%q, %+v): expected a conflict error", tc.sweep, tc.flags)
-		}
-		if !strings.Contains(err.Error(), tc.wantA) {
-			t.Fatalf("resolveAxes(%q, %+v): error %q does not name %s", tc.sweep, tc.flags, err, tc.wantA)
+	for _, name := range shorthandAxes {
+		_, err := resolveAxes(name+"=x", map[string]string{name: "y"})
+		if err == nil || !strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), "set twice") {
+			t.Errorf("-%s next to a %s= clause: got error %v, want one naming the flag and the double set", name, name, err)
 		}
 	}
 }
@@ -128,7 +90,7 @@ func TestKernelWorkersReachEveryRunMode(t *testing.T) {
 				got = append(got, p.KernelWorkers)
 				return &scenario.Result{Scenario: sc.Name, Params: p}, nil
 			}
-			ax, err := resolveAxes(tc.sweep, axisFlags{})
+			ax, err := resolveAxes(tc.sweep, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"ic2mpi"
+	"ic2mpi/internal/partition"
 	"ic2mpi/internal/workload"
 )
 
@@ -27,7 +29,7 @@ func main() {
 
 	np := flag.Int("np", 4, "number of virtual processors")
 	graphPath := flag.String("graph", "", "application program graph in Chaco format (required)")
-	partName := flag.String("partitioner", "metis", "static partitioner: metis, pagrid, rowband, colband, rectband, bf, block, roundrobin")
+	partName := flag.String("partitioner", "metis", "static partitioner: "+strings.Join(partition.Names(), ", ")+", block, roundrobin")
 	iters := flag.Int("iters", 20, "iterations")
 	grain := flag.Float64("grain", 0.3e-3, "per-node grain size in seconds (paper: 0.0003 fine, 0.003 coarse)")
 	dynamic := flag.Bool("dynamic", false, "enable the dynamic load balancer")
@@ -105,54 +107,19 @@ func main() {
 	}
 }
 
+// pickPartitioner resolves -partitioner: a registered partitioner or one of
+// the two trivial baselines, plus the processor network it maps onto.
 func pickPartitioner(name string, np int) (ic2mpi.Partitioner, *ic2mpi.Network, error) {
 	switch name {
-	case "metis":
-		return ic2mpi.NewMetis(1), nil, nil
-	case "pagrid":
-		net, err := ic2mpi.Hypercube(np)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ic2mpi.NewPaGrid(0.45, 1), net, nil
-	case "rowband":
-		return ic2mpi.RowBand(), nil, nil
-	case "colband":
-		return ic2mpi.ColumnBand(), nil, nil
-	case "rectband":
-		return ic2mpi.RectBand(), nil, nil
-	case "bf":
-		return ic2mpi.BFPartition(), nil, nil
 	case "block":
-		return blockPartitioner{}, nil, nil
+		return partition.Block{}, nil, nil
 	case "roundrobin":
-		return roundRobinPartitioner{}, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown partitioner %q", name)
+		return partition.RoundRobin{}, nil, nil
 	}
-}
-
-// blockPartitioner and roundRobinPartitioner adapt the internal baselines
-// through the public interface.
-type blockPartitioner struct{}
-
-func (blockPartitioner) Name() string { return "Block" }
-func (blockPartitioner) Partition(g *ic2mpi.Graph, _ *ic2mpi.Network, k int) ([]int, error) {
-	n := g.NumVertices()
-	part := make([]int, n)
-	for v := range part {
-		part[v] = v * k / n
+	pt, err := partition.New(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w; also block, roundrobin", err)
 	}
-	return part, nil
-}
-
-type roundRobinPartitioner struct{}
-
-func (roundRobinPartitioner) Name() string { return "RoundRobin" }
-func (roundRobinPartitioner) Partition(g *ic2mpi.Graph, _ *ic2mpi.Network, k int) ([]int, error) {
-	part := make([]int, g.NumVertices())
-	for v := range part {
-		part[v] = v % k
-	}
-	return part, nil
+	net, err := partition.DefaultNetwork(pt, np)
+	return pt, net, err
 }

@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"ic2mpi"
+	"ic2mpi/internal/partition"
 )
 
 func main() {
@@ -24,7 +26,7 @@ func main() {
 
 	k := flag.Int("k", 4, "number of parts")
 	graphPath := flag.String("graph", "", "Chaco graph file (required)")
-	partName := flag.String("partitioner", "all", "metis, pagrid, rowband, colband, rectband, bf, rcb, or all")
+	partName := flag.String("partitioner", "all", strings.Join(partition.Names(), ", ")+", or all")
 	rref := flag.Float64("rref", 0.45, "PaGrid communication/computation ratio")
 	assign := flag.Bool("assign", false, "print the node-to-processor assignment")
 	coordsPath := flag.String("coords", "", "coordinates sidecar file (one 'row col' line per vertex)")
@@ -62,7 +64,7 @@ func main() {
 		}
 	}
 
-	names := []string{"metis", "pagrid", "rowband", "colband", "rectband", "bf", "rcb"}
+	names := partition.Names()
 	if *partName != "all" {
 		names = []string{*partName}
 	}
@@ -95,27 +97,16 @@ func main() {
 	}
 }
 
+// pick resolves one registered partitioner name, hands PaGrid the -rref
+// ratio, and returns the processor network the partitioner maps onto.
 func pick(name string, k int, rref float64) (ic2mpi.Partitioner, *ic2mpi.Network, error) {
-	switch name {
-	case "metis":
-		return ic2mpi.NewMetis(1), nil, nil
-	case "pagrid":
-		net, err := ic2mpi.Hypercube(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ic2mpi.NewPaGrid(rref, 1), net, nil
-	case "rowband":
-		return ic2mpi.RowBand(), nil, nil
-	case "colband":
-		return ic2mpi.ColumnBand(), nil, nil
-	case "rectband":
-		return ic2mpi.RectBand(), nil, nil
-	case "bf":
-		return ic2mpi.BFPartition(), nil, nil
-	case "rcb":
-		return ic2mpi.RCB(), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown partitioner %q", name)
+	pt, err := partition.New(name)
+	if err != nil {
+		return nil, nil, err
 	}
+	if pg, ok := pt.(*partition.PaGrid); ok {
+		pg.Rref = rref
+	}
+	net, err := partition.DefaultNetwork(pt, k)
+	return pt, net, err
 }

@@ -12,6 +12,11 @@ import (
 	"testing"
 
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/fault"
+	"ic2mpi/internal/mpi"
+	"ic2mpi/internal/netmodel"
+	"ic2mpi/internal/partition"
+	"ic2mpi/internal/scenario"
 )
 
 // mdLink matches inline links [text](target); images share the syntax.
@@ -59,6 +64,48 @@ func TestMarkdownLinks(t *testing.T) {
 			}
 			if fragment != "" && strings.HasSuffix(resolved, ".md") {
 				checkAnchor(t, file, resolved, fragment)
+			}
+		}
+	}
+}
+
+// TestScenarioAxisTableCoversRegistries is the drift fence between the
+// hand-written axis table in docs/scenarios.md and the code's registries:
+// the table must have a row for every experiments.AxisNames() entry, and
+// the row of each name-valued axis must name every value its registry
+// accepts.
+func TestScenarioAxisTableCoversRegistries(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("docs", "scenarios.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(body), "| Axis | Values |\n")
+	if !ok {
+		t.Fatal("docs/scenarios.md: no axis table")
+	}
+	rows := make(map[string]string) // axis name → its Values cell
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			break // end of the table
+		}
+		rows[strings.Trim(cells[1], " `")] = cells[2]
+	}
+	values := map[string][]string{
+		"partitioner": partition.Names(),
+		"balancer":    scenario.Balancers(),
+		"network":     netmodel.Names(),
+		"perturb":     fault.Names(),
+		"kernel":      mpi.KernelNames(),
+	}
+	for _, axis := range experiments.AxisNames() {
+		row, ok := rows[axis]
+		if !ok {
+			t.Errorf("docs/scenarios.md: axis table has no row for %q", axis)
+		}
+		for _, v := range values[axis] {
+			if !strings.Contains(row, "`"+v+"`") {
+				t.Errorf("docs/scenarios.md: axis %q row does not name the value %q", axis, v)
 			}
 		}
 	}

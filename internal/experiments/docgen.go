@@ -172,7 +172,7 @@ func scenarioDocTable(name string, cols docColumns) func() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rep, err := RunSweep(sc, DefaultAxes())
+		rep, err := RunSweep(sc, Axes{})
 		if err != nil {
 			return "", err
 		}
@@ -207,7 +207,7 @@ func maxSpeedup(name string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rep, err := RunSweep(sc, DefaultAxes())
+	rep, err := RunSweep(sc, Axes{})
 	if err != nil {
 		return 0, err
 	}
@@ -246,10 +246,7 @@ func hex64FineNetworks() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ax := DefaultAxes()
-	ax.Balancers = []string{"centralized"}
-	ax.Networks = networks
-	rep, err := RunSweep(sc, ax)
+	rep, err := RunSweep(sc, Axes{Balancers: []string{"centralized"}, Networks: networks})
 	if err != nil {
 		return "", err
 	}
@@ -285,6 +282,26 @@ func hex64FineNetworks() (string, error) {
 	return b.String(), nil
 }
 
+// faultSweep is the run both fault tables below are made of: the named
+// scenario at 8 processors for 45 iterations with the aggressive balancing
+// schedule (every 3 iterations, up to 3 plan+migrate rounds), swept over
+// the given balancers, networks and perturbations (nil: the scenario's
+// default). recs[i] holds the per-iteration trace of rep.Rows[i].
+func faultSweep(name string, balancers, networks, perturbs []string) (rep *SweepReport, recs []*trace.Recorder, err error) {
+	sc, err := scenario.Get(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	ax := Axes{Procs: []int{8}, Iterations: []int{45}, Balancers: balancers, Networks: networks, Perturbs: perturbs}
+	recs = make([]*trace.Recorder, ax.Size())
+	rep, err = RunSweepWith(sc, ax, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
+		recs[i] = &trace.Recorder{}
+		p.BalanceEvery, p.BalanceRounds, p.Trace = 3, 3, recs[i]
+		return sc.Run(p)
+	})
+	return rep, recs, err
+}
+
 // brownoutRecovery renders the fault-injection table: heat, hex64-fine
 // and hex64-coarse at 8 processors under the canonical mid-run brownout
 // (one seed-chosen processor 3x slower for the middle third of a 45-
@@ -299,46 +316,17 @@ func hex64FineNetworks() (string, error) {
 // while on coarse-grain runs the balancer recovers a large slice of the
 // brownout.
 func brownoutRecovery() (string, error) {
-	scenarios := []string{"heat", "hex64-fine", "hex64-coarse"}
-	balancers := []string{"none", "centralized", "diffusion"}
-	type cell struct {
-		elapsed    float64
-		migrations int
-	}
-	results := make([]cell, len(scenarios)*len(balancers))
-	errs := make([]error, len(results))
-	forEachParallel(len(results), func(i int) {
-		sc, err := scenario.Get(scenarios[i/len(balancers)])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		res, err := sc.Run(scenario.Params{
-			Procs:         8,
-			Iterations:    45,
-			BalanceEvery:  3,
-			BalanceRounds: 3,
-			Balancer:      balancers[i%len(balancers)],
-			Perturb:       "brownout",
-		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = cell{elapsed: res.Elapsed, migrations: res.Migrations}
-	})
-	for _, err := range errs {
+	var b strings.Builder
+	b.WriteString("| scenario | balancer | time (s) | vs none | migrations |\n|---|---|---:|---:|---:|")
+	for _, name := range []string{"heat", "hex64-fine", "hex64-coarse"} {
+		rep, _, err := faultSweep(name, []string{"none", "centralized", "diffusion"}, nil, []string{"brownout"})
 		if err != nil {
 			return "", err
 		}
-	}
-	var b strings.Builder
-	b.WriteString("| scenario | balancer | time (s) | vs none | migrations |\n|---|---|---:|---:|---:|")
-	for i, c := range results {
-		none := results[(i/len(balancers))*len(balancers)]
-		fmt.Fprintf(&b, "\n| %s | %s | %.4f | %.2f | %d |",
-			scenarios[i/len(balancers)], balancers[i%len(balancers)],
-			c.elapsed, none.elapsed/c.elapsed, c.migrations)
+		for _, row := range rep.Rows {
+			fmt.Fprintf(&b, "\n| %s | %s | %.4f | %.2f | %d |",
+				name, row.Params.Balancer, row.Elapsed, rep.Rows[0].Elapsed/row.Elapsed, row.Migrations)
+		}
 	}
 	return b.String(), nil
 }
@@ -354,62 +342,28 @@ func brownoutRecovery() (string, error) {
 // iterations whose compute-time imbalance exceeds 1.25 — how long the
 // machine stayed out of balance, not just how the run ended.
 func balancerTournament() (string, error) {
-	networks := []string{"hypercube", "hetgrid"}
-	perturbs := []string{"none", "brownout", "ramp"}
 	balancers := []string{"none", "centralized", "diffusion", "worksteal", "hierarchical", "predictive"}
-	type cell struct {
-		elapsed    float64
-		recovery   int
-		migrations int
-	}
-	results := make([]cell, len(networks)*len(perturbs)*len(balancers))
-	errs := make([]error, len(results))
-	forEachParallel(len(results), func(i int) {
-		net := networks[i/(len(perturbs)*len(balancers))]
-		pert := perturbs[(i/len(balancers))%len(perturbs)]
-		bal := balancers[i%len(balancers)]
-		sc, err := scenario.Get("hex64-coarse")
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		rec := &trace.Recorder{}
-		res, err := sc.Run(scenario.Params{
-			Procs:         8,
-			Iterations:    45,
-			Network:       net,
-			Perturb:       pert,
-			Balancer:      bal,
-			BalanceEvery:  3,
-			BalanceRounds: 3,
-			Trace:         rec,
-		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		recovery := 0
-		for _, d := range rec.Series() {
-			if d.Imbalance > 1.25 {
-				recovery++
-			}
-		}
-		results[i] = cell{elapsed: res.Elapsed, recovery: recovery, migrations: res.Migrations}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return "", err
-		}
-	}
 	var b strings.Builder
 	b.WriteString("| network | perturb | balancer | time (s) | vs none | recovery iters | migrations |\n|---|---|---|---:|---:|---:|---:|")
-	for i, c := range results {
-		none := results[(i/len(balancers))*len(balancers)]
-		fmt.Fprintf(&b, "\n| %s | %s | %s | %.4f | %.2f | %d | %d |",
-			networks[i/(len(perturbs)*len(balancers))],
-			perturbs[(i/len(balancers))%len(perturbs)],
-			balancers[i%len(balancers)],
-			c.elapsed, none.elapsed/c.elapsed, c.recovery, c.migrations)
+	for _, net := range []string{"hypercube", "hetgrid"} {
+		for _, pert := range []string{"none", "brownout", "ramp"} {
+			// One sweep per (network, perturb) block of the table: the
+			// balancer axis enumerates outside both.
+			rep, recs, err := faultSweep("hex64-coarse", balancers, []string{net}, []string{pert})
+			if err != nil {
+				return "", err
+			}
+			for i, row := range rep.Rows {
+				recovery := 0
+				for _, d := range recs[i].Series() {
+					if d.Imbalance > 1.25 {
+						recovery++
+					}
+				}
+				fmt.Fprintf(&b, "\n| %s | %s | %s | %.4f | %.2f | %d | %d |",
+					net, pert, row.Params.Balancer, row.Elapsed, rep.Rows[0].Elapsed/row.Elapsed, recovery, row.Migrations)
+			}
+		}
 	}
 	return b.String(), nil
 }

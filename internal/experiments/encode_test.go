@@ -180,6 +180,10 @@ func TestParseAxesErrors(t *testing.T) {
 	for _, spec := range []string{
 		"procs", "procs=", "procs=zero", "procs=0", "iters=-3",
 		"warp=9", "exchange=",
+		// An axis takes its values once, whatever its kind and whichever
+		// of its keys repeats it.
+		"procs=2;partitioner=metis;procs=4", "iters=5;iterations=10",
+		"partitioner=metis;partitioner=rcb", "kernel=event;procs=4;kernels=pevent",
 	} {
 		if _, err := ParseAxes(spec); err == nil {
 			t.Errorf("ParseAxes(%q) accepted", spec)

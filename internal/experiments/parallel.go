@@ -68,13 +68,6 @@ func forEachParallel(n int, fn func(int)) {
 // subset of a sweep's cells with the same pool and the same determinism
 // guarantees as RunSweep itself.
 func RunCells(sc scenario.Scenario, params []scenario.Params, run CellRunner) ([]*scenario.Result, error) {
-	return runCellsAll(sc, params, run)
-}
-
-// runCellsAll executes every parameter set against sc through run on the
-// worker pool and returns results in input order, failing on the first
-// error in input order.
-func runCellsAll(sc scenario.Scenario, params []scenario.Params, run CellRunner) ([]*scenario.Result, error) {
 	results := make([]*scenario.Result, len(params))
 	errs := make([]error, len(params))
 	forEachParallel(len(params), func(i int) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -23,7 +24,7 @@ import (
 type Axes struct {
 	// Procs is the processor-count axis.
 	Procs []int `json:"procs"`
-	// Partitioners is the static-partitioner axis (scenario.Partitioners
+	// Partitioners is the static-partitioner axis (partition.Names
 	// names the accepted values).
 	Partitioners []string `json:"partitioners"`
 	// Exchanges is the exchange-mode axis ("basic", "overlap").
@@ -48,60 +49,188 @@ type Axes struct {
 	Iterations []int `json:"iterations"`
 }
 
-// DefaultAxes sweeps the paper's processor counts with every other axis
-// at the scenario's default.
-func DefaultAxes() Axes {
-	return Axes{
-		Procs:        append([]int(nil), Procs...),
-		Partitioners: []string{""},
-		Exchanges:    []string{""},
-		Buffers:      []string{""},
-		Balancers:    []string{""},
-		Networks:     []string{""},
-		Perturbs:     []string{""},
-		Kernels:      []string{""},
-		Iterations:   []int{0},
+// axis is one row of the axes table: everything the package knows about one
+// sweep axis. The accessors are built by newAxis from the axis's slice in
+// Axes and its field in scenario.Params, so no function below names an
+// axis.
+type axis struct {
+	// keys are the accepted clause keys, canonical name first.
+	keys []string
+	// def is the number of values the axis sweeps when none are named.
+	def int
+	// len counts the values named explicitly (0: the default applies).
+	len func(*Axes) int
+	// fill gives an axis with no values its explicit default value(s).
+	fill func(*Axes)
+	// set parses one clause's values into the axis.
+	set func(*Axes, []string) error
+	// spread writes the axis's column of the enumeration: each value in
+	// turn into the Params field of stride consecutive cells, cyclically.
+	spread func(ax *Axes, cells []scenario.Params, stride int)
+}
+
+// n is the number of values the axis sweeps in ax.
+func (a *axis) n(ax *Axes) int {
+	if n := a.len(ax); n > 0 {
+		return n
+	}
+	return a.def
+}
+
+func newAxis[T comparable](keys []string, vals func(*Axes) *[]T, field func(*scenario.Params) *T, def []T, parse func(string) (T, bool)) axis {
+	return axis{
+		keys: keys,
+		def:  len(def),
+		len:  func(ax *Axes) int { return len(*vals(ax)) },
+		fill: func(ax *Axes) {
+			if v := vals(ax); len(*v) == 0 {
+				*v = slices.Clone(def)
+			}
+		},
+		set: func(ax *Axes, list []string) error {
+			out := make([]T, len(list))
+			for i, s := range list {
+				var ok bool
+				if out[i], ok = parse(s); !ok {
+					return fmt.Errorf("experiments: bad %s value %q", keys[0], s)
+				}
+			}
+			*vals(ax) = out
+			return nil
+		},
+		spread: func(ax *Axes, cells []scenario.Params, stride int) {
+			v := *vals(ax)
+			if len(v) == 0 {
+				v = def
+			}
+			var zero T
+			if len(v) == 1 && v[0] == zero {
+				return // cells start zeroed
+			}
+			for i := 0; i < len(cells); {
+				for _, x := range v {
+					for end := i + stride; i < end; i++ {
+						*field(&cells[i]) = x
+					}
+				}
+			}
+		},
 	}
 }
 
-// normalize fills empty axes with the single "scenario default" value.
-func (ax Axes) normalize() Axes {
-	if len(ax.Procs) == 0 {
-		ax.Procs = append([]int(nil), Procs...)
+// nameAxis is an axis of names, validated by Scenario.Normalize; its
+// default is the single value "" (the scenario's own default).
+func nameAxis(keys []string, vals func(*Axes) *[]string, field func(*scenario.Params) *string) axis {
+	return newAxis(keys, vals, field, []string{""}, func(s string) (string, bool) { return s, true })
+}
+
+// intAxis is an axis of positive integers with the given default values.
+func intAxis(keys []string, vals func(*Axes) *[]int, field func(*scenario.Params) *int, def []int) axis {
+	return newAxis(keys, vals, field, def, func(s string) (int, bool) {
+		n, err := strconv.Atoi(s)
+		return n, err == nil && n >= 1
+	})
+}
+
+// axes declares the sweep space, outermost axis of the enumeration first:
+// a processor-count group is contiguous, so Cells()[g*len(Procs):] is one
+// speedup group. Adding an axis is one row here plus its Axes field, its
+// Params field and its Scenario.Normalize block.
+var axes = [...]axis{
+	intAxis([]string{"iters", "iterations"},
+		func(ax *Axes) *[]int { return &ax.Iterations },
+		func(p *scenario.Params) *int { return &p.Iterations }, []int{0}),
+	nameAxis([]string{"partitioner", "partitioners", "part"},
+		func(ax *Axes) *[]string { return &ax.Partitioners },
+		func(p *scenario.Params) *string { return &p.Partitioner }),
+	nameAxis([]string{"exchange", "exchanges"},
+		func(ax *Axes) *[]string { return &ax.Exchanges },
+		func(p *scenario.Params) *string { return &p.Exchange }),
+	nameAxis([]string{"buffers", "buffer"},
+		func(ax *Axes) *[]string { return &ax.Buffers },
+		func(p *scenario.Params) *string { return &p.Buffers }),
+	nameAxis([]string{"balancer", "balancers"},
+		func(ax *Axes) *[]string { return &ax.Balancers },
+		func(p *scenario.Params) *string { return &p.Balancer }),
+	nameAxis([]string{"network", "networks"},
+		func(ax *Axes) *[]string { return &ax.Networks },
+		func(p *scenario.Params) *string { return &p.Network }),
+	nameAxis([]string{"perturb", "perturbs"},
+		func(ax *Axes) *[]string { return &ax.Perturbs },
+		func(p *scenario.Params) *string { return &p.Perturb }),
+	nameAxis([]string{"kernel", "kernels"},
+		func(ax *Axes) *[]string { return &ax.Kernels },
+		func(p *scenario.Params) *string { return &p.Kernel }),
+	intAxis([]string{"procs", "proc"},
+		func(ax *Axes) *[]int { return &ax.Procs },
+		func(p *scenario.Params) *int { return &p.Procs }, Procs),
+}
+
+// AxisNames returns the canonical name of every sweep axis, outermost axis
+// of the enumeration first.
+func AxisNames() []string {
+	names := make([]string, len(axes))
+	for i := range axes {
+		names[i] = axes[i].keys[0]
 	}
-	if len(ax.Partitioners) == 0 {
-		ax.Partitioners = []string{""}
-	}
-	if len(ax.Exchanges) == 0 {
-		ax.Exchanges = []string{""}
-	}
-	if len(ax.Buffers) == 0 {
-		ax.Buffers = []string{""}
-	}
-	if len(ax.Balancers) == 0 {
-		ax.Balancers = []string{""}
-	}
-	if len(ax.Networks) == 0 {
-		ax.Networks = []string{""}
-	}
-	if len(ax.Perturbs) == 0 {
-		ax.Perturbs = []string{""}
-	}
-	if len(ax.Kernels) == 0 {
-		ax.Kernels = []string{""}
-	}
-	if len(ax.Iterations) == 0 {
-		ax.Iterations = []int{0}
+	return names
+}
+
+// Normalized returns ax with every empty axis filled to its explicit
+// default: the paper's processor counts (Procs), and the single "scenario
+// default" value ("" or 0) elsewhere. It is the space Size counts and Cells
+// enumerates.
+func (ax Axes) Normalized() Axes {
+	for i := range axes {
+		axes[i].fill(&ax)
 	}
 	return ax
 }
 
+// Empty reports whether ax names no explicit axis values at all.
+func (ax Axes) Empty() bool {
+	for i := range axes {
+		if axes[i].len(&ax) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Size returns the number of runs the sweep performs.
 func (ax Axes) Size() int {
-	ax = ax.normalize()
-	return len(ax.Procs) * len(ax.Partitioners) * len(ax.Exchanges) *
-		len(ax.Buffers) * len(ax.Balancers) * len(ax.Networks) *
-		len(ax.Perturbs) * len(ax.Kernels) * len(ax.Iterations)
+	size := 1
+	for i := range axes {
+		size *= axes[i].n(&ax)
+	}
+	return size
+}
+
+// Set names the values of one axis — by any of its accepted keys — from a
+// comma-separated list. An axis takes its values once: naming it again,
+// whether by a second sweep clause or by a CLI shorthand flag, is an error.
+func (ax *Axes) Set(name, list string) error {
+	name = strings.TrimSpace(name)
+	var vals []string
+	for _, v := range strings.Split(list, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) == 0 {
+		return fmt.Errorf("experiments: sweep axis %q has no values", name)
+	}
+	for i := range axes {
+		a := &axes[i]
+		if !slices.Contains(a.keys, name) {
+			continue
+		}
+		if a.len(ax) > 0 {
+			return fmt.Errorf("experiments: sweep axis %q is set twice", a.keys[0])
+		}
+		return a.set(ax, vals)
+	}
+	return fmt.Errorf("experiments: unknown sweep axis %q (known: %s)", name, strings.Join(AxisNames(), ", "))
 }
 
 // ParseAxes parses a sweep specification of semicolon-separated
@@ -109,14 +238,10 @@ func (ax Axes) Size() int {
 //
 //	procs=1,2,4,8;partitioner=metis,pagrid;network=uniform,hypercube
 //
-// Accepted axis names: procs, partitioner, exchange, buffers, balancer,
-// network, perturb, kernel, iters (singular and plural forms both work).
-// Unspecified axes stay at the scenario's default.
+// AxisNames lists the axes (plural forms work too). Unspecified axes stay
+// at the scenario's default; naming an axis twice is an error.
 func ParseAxes(spec string) (Axes, error) {
-	ax := Axes{}
-	if strings.TrimSpace(spec) == "" {
-		return ax, nil
-	}
+	var ax Axes
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -126,48 +251,8 @@ func ParseAxes(spec string) (Axes, error) {
 		if !ok {
 			return ax, fmt.Errorf("experiments: sweep clause %q is not axis=value,...", clause)
 		}
-		var vals []string
-		for _, v := range strings.Split(list, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return ax, fmt.Errorf("experiments: sweep axis %q has no values", key)
-		}
-		switch strings.TrimSpace(key) {
-		case "procs", "proc":
-			for _, v := range vals {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return ax, fmt.Errorf("experiments: bad procs value %q", v)
-				}
-				ax.Procs = append(ax.Procs, n)
-			}
-		case "iters", "iterations":
-			for _, v := range vals {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return ax, fmt.Errorf("experiments: bad iterations value %q", v)
-				}
-				ax.Iterations = append(ax.Iterations, n)
-			}
-		case "partitioner", "partitioners", "part":
-			ax.Partitioners = vals
-		case "exchange", "exchanges":
-			ax.Exchanges = vals
-		case "buffers", "buffer":
-			ax.Buffers = vals
-		case "balancer", "balancers":
-			ax.Balancers = vals
-		case "network", "networks":
-			ax.Networks = vals
-		case "perturb", "perturbs":
-			ax.Perturbs = vals
-		case "kernel", "kernels":
-			ax.Kernels = vals
-		default:
-			return ax, fmt.Errorf("experiments: unknown sweep axis %q (known: procs, partitioner, exchange, buffers, balancer, network, perturb, kernel, iters)", key)
+		if err := ax.Set(key, list); err != nil {
+			return ax, err
 		}
 	}
 	return ax, nil
@@ -198,44 +283,35 @@ type SweepReport struct {
 	Notes string `json:"notes,omitempty"`
 }
 
+// NewSweepReport returns the report of sc's sweep with one row per result,
+// in the order given and with no speedups.
+func NewSweepReport(sc scenario.Scenario, results ...*scenario.Result) *SweepReport {
+	rep := &SweepReport{
+		ID:       "sweep-" + sc.Name,
+		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
+		Scenario: sc.Name,
+		Rows:     make([]SweepRow, len(results)),
+	}
+	for i, res := range results {
+		rep.Rows[i].Result = *res
+	}
+	return rep
+}
+
 // Single converts a sweep specification in which every axis has at most
 // one value into the parameters of that single run (unset axes stay at
 // the scenario's default). It errors when any axis holds multiple values.
 func (ax Axes) Single() (scenario.Params, error) {
-	var p scenario.Params
-	if len(ax.Procs) > 1 || len(ax.Partitioners) > 1 || len(ax.Exchanges) > 1 ||
-		len(ax.Buffers) > 1 || len(ax.Balancers) > 1 || len(ax.Networks) > 1 ||
-		len(ax.Perturbs) > 1 || len(ax.Kernels) > 1 || len(ax.Iterations) > 1 {
-		return p, fmt.Errorf("experiments: expected a single parameter combination, got a %d-run sweep", ax.Size())
+	var p [1]scenario.Params
+	for i := range axes {
+		switch n := axes[i].len(&ax); {
+		case n > 1:
+			return scenario.Params{}, fmt.Errorf("experiments: expected a single parameter combination, got a %d-run sweep", ax.Size())
+		case n == 1:
+			axes[i].spread(&ax, p[:], 1)
+		}
 	}
-	if len(ax.Procs) == 1 {
-		p.Procs = ax.Procs[0]
-	}
-	if len(ax.Partitioners) == 1 {
-		p.Partitioner = ax.Partitioners[0]
-	}
-	if len(ax.Exchanges) == 1 {
-		p.Exchange = ax.Exchanges[0]
-	}
-	if len(ax.Buffers) == 1 {
-		p.Buffers = ax.Buffers[0]
-	}
-	if len(ax.Balancers) == 1 {
-		p.Balancer = ax.Balancers[0]
-	}
-	if len(ax.Networks) == 1 {
-		p.Network = ax.Networks[0]
-	}
-	if len(ax.Perturbs) == 1 {
-		p.Perturb = ax.Perturbs[0]
-	}
-	if len(ax.Kernels) == 1 {
-		p.Kernel = ax.Kernels[0]
-	}
-	if len(ax.Iterations) == 1 {
-		p.Iterations = ax.Iterations[0]
-	}
-	return p, nil
+	return p[0], nil
 }
 
 // RunTraced executes the single parameter combination described by ax
@@ -253,53 +329,24 @@ func RunTraced(sc scenario.Scenario, ax Axes, rec *trace.Recorder) (*SweepReport
 	if err != nil {
 		return nil, err
 	}
-	return &SweepReport{
-		ID:       "sweep-" + sc.Name,
-		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
-		Scenario: sc.Name,
-		Rows:     []SweepRow{{Result: *res}},
-	}, nil
+	return NewSweepReport(sc, res), nil
 }
 
-// Cells enumerates the sweep's parameter combinations in deterministic
-// axis order: iterations, partitioner, exchange, buffers, balancer,
-// network, perturbation, kernel, then processor count innermost — so each
-// contiguous chunk of len(ax.Procs) cells forms one speedup group. This
-// is the exact run order RunSweep assembles rows in, and the unit the
-// daemon's result cache keys on (one CellKey per cell).
+// Cells enumerates the sweep's parameter combinations in the axes table's
+// order — iterations outermost, then partitioner, exchange, buffers,
+// balancer, network, perturbation, kernel, and processor count innermost —
+// so each contiguous chunk of len(ax.Procs) cells forms one speedup group:
+// cell i is i written in the mixed radix of the axis lengths. This is the
+// exact run order RunSweep assembles rows in, and the unit the daemon's
+// result cache keys on (one CellKey per cell).
 func (ax Axes) Cells() []scenario.Params {
-	ax = ax.normalize()
-	params := make([]scenario.Params, 0, ax.Size())
-	for _, iters := range ax.Iterations {
-		for _, part := range ax.Partitioners {
-			for _, ex := range ax.Exchanges {
-				for _, buf := range ax.Buffers {
-					for _, bal := range ax.Balancers {
-						for _, netw := range ax.Networks {
-							for _, pert := range ax.Perturbs {
-								for _, kern := range ax.Kernels {
-									for _, procs := range ax.Procs {
-										params = append(params, scenario.Params{
-											Procs:       procs,
-											Partitioner: part,
-											Exchange:    ex,
-											Buffers:     buf,
-											Balancer:    bal,
-											Network:     netw,
-											Perturb:     pert,
-											Kernel:      kern,
-											Iterations:  iters,
-										})
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+	cells := make([]scenario.Params, ax.Size())
+	stride := 1
+	for k := len(axes) - 1; k >= 0; k-- {
+		axes[k].spread(&ax, cells, stride)
+		stride *= axes[k].n(&ax)
 	}
-	return params
+	return cells
 }
 
 // CellRunner executes one sweep cell: cell i of the Cells() enumeration,
@@ -323,22 +370,16 @@ func RunSweep(sc scenario.Scenario, ax Axes) (*SweepReport, error) {
 // its normalized parameters, the assembled report is byte-identical
 // either way.
 func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, error) {
-	ax = ax.normalize()
-	rep := &SweepReport{
-		ID:       "sweep-" + sc.Name,
-		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
-		Scenario: sc.Name,
-	}
-	params := ax.Cells()
-	results, err := runCellsAll(sc, params, run)
+	results, err := RunCells(sc, ax.Cells(), run)
 	if err != nil {
 		return nil, err
 	}
-	for g := 0; g < len(results); g += len(ax.Procs) {
-		group := make([]SweepRow, 0, len(ax.Procs))
-		for _, res := range results[g : g+len(ax.Procs)] {
-			group = append(group, SweepRow{Result: *res})
-		}
+	rep := NewSweepReport(sc, results...)
+	// One run of the innermost axis, the processor counts, is one speedup
+	// group.
+	procs := axes[len(axes)-1].n(&ax)
+	for g := 0; g < len(rep.Rows); g += procs {
+		group := rep.Rows[g : g+procs]
 		// Speedups relative to the group's 1-processor run.
 		var base float64
 		for _, row := range group {
@@ -352,7 +393,6 @@ func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, 
 				group[i].Speedup = base / group[i].Elapsed
 			}
 		}
-		rep.Rows = append(rep.Rows, group...)
 	}
 	return rep, nil
 }

@@ -35,6 +35,66 @@ type Partitioner interface {
 	Partition(g *graph.Graph, net *topology.Network, k int) ([]int, error)
 }
 
+// registry is the name → constructor table behind every name-keyed caller:
+// the scenario partitioner axis, cmd/ic2mpi and cmd/partgraph. Its order is
+// the order Names reports and error messages list.
+var registry = []struct {
+	name string
+	new  func() Partitioner
+}{
+	{"metis", func() Partitioner { return &Multilevel{Seed: 1} }},
+	{"pagrid", func() Partitioner { return &PaGrid{Rref: 0.45, Seed: 1} }},
+	{"rowband", func() Partitioner { return RowBand{} }},
+	{"colband", func() Partitioner { return ColumnBand{} }},
+	{"rectband", func() Partitioner { return RectBand{} }},
+	{"rcb", func() Partitioner { return RCB{} }},
+	{"bf", func() Partitioner { return BFGrayCode{} }},
+}
+
+// Names returns the registered partitioner names.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
+	}
+	return names
+}
+
+// constructor returns the registered constructor of name, or nil.
+func constructor(name string) func() Partitioner {
+	for _, r := range registry {
+		if r.name == name {
+			return r.new
+		}
+	}
+	return nil
+}
+
+// Known reports whether name is registered, constructing nothing: the
+// per-cell validation in scenario.Normalize runs it on the daemon's hot
+// path.
+func Known(name string) bool { return constructor(name) != nil }
+
+// New returns a fresh instance of the named partitioner at the settings
+// every pinned result was measured with: seed 1, and the paper's
+// Rref = 0.45 for PaGrid.
+func New(name string) (Partitioner, error) {
+	if mk := constructor(name); mk != nil {
+		return mk(), nil
+	}
+	return nil, fmt.Errorf("partition: unknown partitioner %q (known: %v)", name, Names())
+}
+
+// DefaultNetwork returns the processor network pt maps onto when the caller
+// has none of its own: the k-processor hypercube — the paper's Origin 2000
+// — for PaGrid, nil for the partitioners that ignore the network.
+func DefaultNetwork(pt Partitioner, k int) (*topology.Network, error) {
+	if _, ok := pt.(*PaGrid); !ok {
+		return nil, nil
+	}
+	return topology.Hypercube(k)
+}
+
 // Validate checks that part is a legal assignment of g's vertices to k
 // processors. The platform calls this on every plug-in's output before
 // trusting it (failure injection tests rely on this).

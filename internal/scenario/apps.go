@@ -153,13 +153,30 @@ func PageRankBSP(g *graph.Graph, procs, iters int, rec *trace.Recorder) ([]float
 // model). A non-nil rec records one trace sample per (superstep,
 // process): the scatter loop as compute, Sync as communicate.
 func PageRankBSPOn(g *graph.Graph, procs, iters int, model netmodel.Model, rec *trace.Recorder) ([]float64, float64, error) {
-	return pageRankBSPKernel(g, procs, iters, model, mpi.KernelGoroutine, rec)
+	return pageRankBSPRun(g, iters, bsp.Options{Procs: procs, Cost: model}, rec)
 }
 
-// pageRankBSPKernel is PageRankBSPOn with an explicit mpi execution
-// kernel; the scenario runner threads Params.Kernel through here so the
-// sweep engine can run the BSP workload on the event kernel too.
-func pageRankBSPKernel(g *graph.Graph, procs, iters int, model netmodel.Model, kernel mpi.Kernel, rec *trace.Recorder) ([]float64, float64, error) {
+// bspOptions builds the superstep layer's options from normalized
+// parameters — the one place the pagerank-bsp runner's knobs (procs,
+// network, kernel, kernel workers) cross into bsp.Options. The empty
+// network keeps the scenario's built-in free-comm machine; a named one
+// prices the h-relations.
+func bspOptions(p Params) (bsp.Options, error) {
+	opts := bsp.Options{Procs: p.Procs, Workers: p.KernelWorkers}
+	var err error
+	if p.Network != "" {
+		if opts.Cost, err = netmodel.New(p.Network, p.Procs); err != nil {
+			return opts, err
+		}
+	}
+	opts.Kernel, err = mpi.ParseKernel(p.Kernel)
+	return opts, err
+}
+
+// pageRankBSPRun is PageRankBSPOn at explicit bsp.Options, so the scenario
+// runner can put the BSP workload on the event kernels too.
+func pageRankBSPRun(g *graph.Graph, iters int, opts bsp.Options, rec *trace.Recorder) ([]float64, float64, error) {
+	procs := opts.Procs
 	n := g.NumVertices()
 	ranks := make([]float64, n)
 	times := make([]float64, procs)
@@ -182,7 +199,7 @@ func pageRankBSPKernel(g *graph.Graph, procs, iters int, model netmodel.Model, k
 			rec.RecordEdgeCut(it, cut)
 		}
 	}
-	runErr := bsp.Run(bsp.Options{Procs: procs, Cost: model, Kernel: kernel}, func(p *bsp.Proc) error {
+	runErr := bsp.Run(opts, func(p *bsp.Proc) error {
 		lo := p.Pid() * n / p.NProcs()
 		hi := (p.Pid() + 1) * n / p.NProcs()
 
@@ -341,19 +358,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			// The empty network keeps the scenario's built-in free-comm
-			// machine; an explicit -network prices the h-relations.
-			var model netmodel.Model
-			if p.Network != "" {
-				if model, err = netmodel.New(p.Network, p.Procs); err != nil {
-					return nil, err
-				}
-			}
-			kernel, err := mpi.ParseKernel(p.Kernel)
+			opts, err := bspOptions(p)
 			if err != nil {
 				return nil, err
 			}
-			_, elapsed, err := pageRankBSPKernel(g, p.Procs, p.Iterations, model, kernel, p.Trace)
+			_, elapsed, err := pageRankBSPRun(g, p.Iterations, opts, p.Trace)
 			if err != nil {
 				return nil, err
 			}

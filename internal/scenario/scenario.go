@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ic2mpi/internal/balance"
 	"ic2mpi/internal/fault"
@@ -40,8 +41,8 @@ const (
 type Params struct {
 	// Procs is the number of virtual processors.
 	Procs int `json:"procs"`
-	// Partitioner names the static partitioner; see Partitioners for the
-	// accepted names.
+	// Partitioner names the static partitioner; see partition.Names for
+	// the accepted names.
 	Partitioner string `json:"partitioner"`
 	// Exchange is ExchangeBasic or ExchangeOverlap.
 	Exchange string `json:"exchange"`
@@ -163,12 +164,6 @@ type Scenario struct {
 // deterministic run — the property the daemon's result cache keys on
 // (see experiments.CellKey).
 func (sc Scenario) Normalize(p Params) (Params, error) {
-	return sc.normalize(p)
-}
-
-// normalize fills p's zero fields from the scenario's and the package's
-// defaults and validates the enumerated fields.
-func (sc Scenario) normalize(p Params) (Params, error) {
 	def := sc.Defaults
 	if p.Procs == 0 {
 		if p.Procs = def.Procs; p.Procs == 0 {
@@ -203,7 +198,7 @@ func (sc Scenario) normalize(p Params) (Params, error) {
 			p.Network = netmodel.NameHypercube
 		}
 	}
-	if p.Network != "" && !knownNetwork(p.Network) {
+	if p.Network != "" && !slices.Contains(netmodel.Names(), p.Network) {
 		return p, fmt.Errorf("scenario %s: unknown network %q (known: %v)", sc.Name, p.Network, netmodel.Names())
 	}
 	if p.Perturb == "" {
@@ -254,10 +249,10 @@ func (sc Scenario) normalize(p Params) (Params, error) {
 			return p, fmt.Errorf("scenario %s: unknown buffer mode %q (want %s or %s)",
 				sc.Name, p.Buffers, BuffersPooled, BuffersUnpooled)
 		}
-		if !knownName(p.Partitioner, Partitioners()) {
-			return p, fmt.Errorf("scenario %s: unknown partitioner %q (known: %v)", sc.Name, p.Partitioner, Partitioners())
+		if !partition.Known(p.Partitioner) {
+			return p, fmt.Errorf("scenario %s: unknown partitioner %q (known: %v)", sc.Name, p.Partitioner, partition.Names())
 		}
-		if !knownName(p.Balancer, Balancers()) {
+		if !slices.Contains(Balancers(), p.Balancer) {
 			return p, fmt.Errorf("scenario %s: unknown balancer %q (known: %v)", sc.Name, p.Balancer, Balancers())
 		}
 	}
@@ -275,7 +270,7 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 	if sc.Runner != nil {
 		return nil, fmt.Errorf("scenario %s: custom runner, no platform config", sc.Name)
 	}
-	p, err := sc.normalize(p)
+	p, err := sc.Normalize(p)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +338,7 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 // Run executes the scenario at the given parameters and reports the
 // machine-readable metrics.
 func (sc Scenario) Run(p Params) (*Result, error) {
-	p, err := sc.normalize(p)
+	p, err := sc.Normalize(p)
 	if err != nil {
 		return nil, err
 	}
@@ -381,11 +376,6 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 	return out, nil
 }
 
-// Partitioners returns the accepted Params.Partitioner names.
-func Partitioners() []string {
-	return []string{"metis", "pagrid", "rowband", "colband", "rectband", "rcb", "bf"}
-}
-
 // Partition runs the named static partitioner on g for k processors.
 // PaGrid maps onto the Origin 2000's hypercube with the paper's
 // Rref = 0.45; the geometric partitioners require graph coordinates.
@@ -399,50 +389,17 @@ func Partition(name string, g *graph.Graph, k int) ([]int, error) {
 // hypercube. A nil model (or one without an underlying graph, such as
 // the uniform crossbar) keeps the historical hypercube target.
 func PartitionOn(name string, g *graph.Graph, k int, model netmodel.Model) ([]int, error) {
-	switch name {
-	case "metis":
-		return (&partition.Multilevel{Seed: 1}).Partition(g, nil, k)
-	case "pagrid":
-		var net *topology.Network
-		if topo, ok := model.(netmodel.Topology); ok {
-			net = topo.Net
-		} else {
-			var err error
-			if net, err = topology.Hypercube(k); err != nil {
-				return nil, err
-			}
-		}
-		return (&partition.PaGrid{Rref: 0.45, Seed: 1}).Partition(g, net, k)
-	case "rowband":
-		return partition.RowBand{}.Partition(g, nil, k)
-	case "colband":
-		return partition.ColumnBand{}.Partition(g, nil, k)
-	case "rectband":
-		return partition.RectBand{}.Partition(g, nil, k)
-	case "rcb":
-		return partition.RCB{}.Partition(g, nil, k)
-	case "bf":
-		return partition.BFGrayCode{}.Partition(g, nil, k)
-	default:
-		return nil, fmt.Errorf("scenario: unknown partitioner %q (known: %v)", name, Partitioners())
+	pt, err := partition.New(name)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// knownNetwork reports whether name is a registered interconnect model;
-// normalize uses it so validation does not construct (and discard) the
-// model's link matrix on every run.
-func knownNetwork(name string) bool {
-	return knownName(name, netmodel.Names())
-}
-
-// knownName reports whether name appears in the accepted list.
-func knownName(name string, known []string) bool {
-	for _, n := range known {
-		if n == name {
-			return true
-		}
+	var net *topology.Network
+	if topo, ok := model.(netmodel.Topology); ok {
+		net = topo.Net
+	} else if net, err = partition.DefaultNetwork(pt, k); err != nil {
+		return nil, err
 	}
-	return false
+	return pt.Partition(g, net, k)
 }
 
 // Balancers returns the accepted Params.Balancer names.

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"ic2mpi/internal/graph"
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
+	"ic2mpi/internal/partition"
 	"ic2mpi/internal/platform"
 )
 
@@ -122,7 +124,7 @@ func TestEveryScenarioRuns(t *testing.T) {
 
 func TestNormalizeDefaults(t *testing.T) {
 	sc, _ := Lookup("imbalance")
-	p, err := sc.normalize(Params{Procs: 4})
+	p, err := sc.Normalize(Params{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestNormalizeRejectsBadModes(t *testing.T) {
 // fault model, and custom-runner scenarios reject perturbation.
 func TestPerturbNormalization(t *testing.T) {
 	sc, _ := Lookup("hex64-fine")
-	p, err := sc.normalize(Params{Procs: 4})
+	p, err := sc.Normalize(Params{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestPartitionResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Partitioners() {
+	for _, name := range partition.Names() {
 		part, err := Partition(name, g, 4)
 		if err != nil {
 			t.Errorf("Partition(%q) failed: %v", name, err)
@@ -387,6 +389,30 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 
 // TestHeatConfigGathersBitIdentical pins the heat scenario to the
 // sequential reference, the property its example advertises.
+// TestBSPOptionsCarryEveryKnob pins the custom runner's side of the knob
+// plumbing: every parameter the pagerank-bsp runner acts on — the pevent
+// worker count included, which it used to drop — arrives in bsp.Options.
+func TestBSPOptionsCarryEveryKnob(t *testing.T) {
+	sc, _ := Lookup("pagerank-bsp")
+	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", KernelWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := bspOptions(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Procs != 4 || opts.Kernel != mpi.KernelParallelEvent || opts.Workers != 3 {
+		t.Errorf("bspOptions = %+v, want 4 procs on the pevent kernel at 3 workers", opts)
+	}
+	if opts.Cost == nil || opts.Cost.String() != "mesh2d" {
+		t.Errorf("bspOptions cost model = %v, want mesh2d", opts.Cost)
+	}
+	if free, err := bspOptions(Params{Procs: 2, Kernel: "goroutine"}); err != nil || free.Cost != nil {
+		t.Errorf("bspOptions without a network: cost %v, err %v; want the free-comm machine", free.Cost, err)
+	}
+}
+
 func TestHeatConfigBitIdentical(t *testing.T) {
 	sc, _ := Lookup("heat")
 	cfg, err := sc.Config(Params{Procs: 8, Iterations: 50})

@@ -43,13 +43,6 @@ type JobSpec struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// axesEmpty reports whether ax names no explicit axis values at all.
-func axesEmpty(ax experiments.Axes) bool {
-	return len(ax.Procs) == 0 && len(ax.Partitioners) == 0 && len(ax.Exchanges) == 0 &&
-		len(ax.Buffers) == 0 && len(ax.Balancers) == 0 && len(ax.Networks) == 0 &&
-		len(ax.Perturbs) == 0 && len(ax.Kernels) == 0 && len(ax.Iterations) == 0
-}
-
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
 // (unknown fields rejected), a registered scenario, a well-formed sweep
 // space no larger than maxCells cells, every cell normalizable, and a
@@ -75,7 +68,7 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 		return spec, scenario.Scenario{}, err
 	}
 	if spec.Sweep != "" {
-		if !axesEmpty(spec.Axes) {
+		if !spec.Axes.Empty() {
 			return spec, scenario.Scenario{}, errors.New(`set "axes" or "sweep", not both`)
 		}
 		if spec.Axes, err = experiments.ParseAxes(spec.Sweep); err != nil {

@@ -98,7 +98,7 @@ func jobPath(dir, id string) string {
 // persistJobLocked writes j's spec record. Callers hold the server mutex.
 func (s *Server) persistJobLocked(j *Job) error {
 	spec := j.Spec
-	if !axesEmpty(spec.Axes) {
+	if !spec.Axes.Empty() {
 		spec.Sweep = "" // Axes is authoritative; both set would fail re-validation
 	}
 	data, err := json.Marshal(persistedJob{ID: j.ID, Client: j.Client, QueuedAt: j.QueuedAt, Spec: spec})

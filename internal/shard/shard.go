@@ -97,7 +97,7 @@ func New(sc scenario.Scenario, spec string, ax experiments.Axes, shards int) (*M
 		Version:  Version,
 		Scenario: sc.Name,
 		Spec:     spec,
-		Axes:     normalizedAxes(ax),
+		Axes:     ax.Normalized(),
 		Shards:   shards,
 		Cells:    make([]Cell, 0, len(cells)),
 	}
@@ -123,33 +123,6 @@ func New(sc scenario.Scenario, spec string, ax experiments.Axes, shards int) (*M
 	m.Verify = append(m.Verify,
 		fmt.Sprintf("experiments -scenario %s%s -merge -manifest <file> -format json", sc.Name, quoted))
 	return m, nil
-}
-
-// normalizedAxes returns ax with every empty axis filled to its explicit
-// single-default value — the same filling Axes.normalize applies — so
-// the encoded manifest records the exact space it enumerates and
-// Axes.Size always matches len(Cells).
-func normalizedAxes(ax experiments.Axes) experiments.Axes {
-	fill := func(s []string) []string {
-		if len(s) == 0 {
-			return []string{""}
-		}
-		return s
-	}
-	if len(ax.Procs) == 0 {
-		ax.Procs = experiments.DefaultAxes().Procs
-	}
-	if len(ax.Iterations) == 0 {
-		ax.Iterations = []int{0}
-	}
-	ax.Partitioners = fill(ax.Partitioners)
-	ax.Exchanges = fill(ax.Exchanges)
-	ax.Buffers = fill(ax.Buffers)
-	ax.Balancers = fill(ax.Balancers)
-	ax.Networks = fill(ax.Networks)
-	ax.Perturbs = fill(ax.Perturbs)
-	ax.Kernels = fill(ax.Kernels)
-	return ax
 }
 
 // Encode serializes the manifest. Field order is fixed by the struct
