@@ -10,20 +10,14 @@ import (
 	"ic2mpi/internal/topology"
 )
 
-// scaledNet returns a 2-processor network whose single link costs scale.
+// scaledNet returns a procs-processor network whose every link costs scale.
 func scaledNet(t *testing.T, procs int, scale float64) *topology.Network {
 	t.Helper()
 	net, err := topology.Uniform(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range net.LinkCost {
-		for j := range net.LinkCost[i] {
-			if i != j {
-				net.LinkCost[i][j] = scale
-			}
-		}
-	}
+	net.Link = func(p, q int) float64 { return scale }
 	return net
 }
 
@@ -51,7 +45,7 @@ func TestTopologyModelMultipliesWireCost(t *testing.T) {
 	}
 }
 
-func TestTopologyModelZeroLinkCostIgnored(t *testing.T) {
+func TestTopologyModelZeroCostLinkIgnored(t *testing.T) {
 	model, err := netmodel.NewTopology(scaledNet(t, 2, 0), netmodel.LogGP{Latency: 1e-3})
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +75,7 @@ func TestTopologyModelDistinctPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.LinkCost[0][1], net.LinkCost[1][0] = 1, 1
-	net.LinkCost[0][2], net.LinkCost[2][0] = 2, 2
+	net.Link = func(p, q int) float64 { return float64(max(p, q)) } // 0-1 costs 1, 0-2 and 1-2 cost 2
 	model, err := netmodel.NewTopology(net, netmodel.LogGP{Latency: 1e-3})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +116,11 @@ func TestTopologyModelDistinctPairs(t *testing.T) {
 // machine end to end through the runtime: a message between ranks three
 // bit-flips apart pays three times the wire latency.
 func TestHypercubeModelMatchesHammingDistance(t *testing.T) {
-	model, err := netmodel.NewHypercube(8, netmodel.LogGP{Latency: 1e-3})
+	net, err := topology.Hypercube(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := netmodel.NewTopology(net, netmodel.LogGP{Latency: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 
 	"ic2mpi/internal/topology"
 )
@@ -193,8 +194,8 @@ type Topology struct {
 	Base LogGP
 	// Net is the processor network graph (link costs + speeds).
 	Net *topology.Network
-	// name is the registry name when built by a named constructor, or
-	// Net.Name for ad-hoc graphs.
+	// name is the registry name when built by New, or Net.Name for ad-hoc
+	// graphs.
 	name string
 }
 
@@ -211,52 +212,6 @@ func NewTopology(net *topology.Network, base LogGP) (Topology, error) {
 	return Topology{Base: base, Net: net, name: net.Name}, nil
 }
 
-// NewHypercube returns the hypercube model over procs processors: wire
-// cost scales with the Hamming distance of the endpoint ids, the routing
-// distance on the paper's Origin 2000 CRAYlink interconnect.
-func NewHypercube(procs int, base LogGP) (Topology, error) {
-	net, err := topology.Hypercube(procs)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Base: base, Net: net, name: NameHypercube}, nil
-}
-
-// NewMesh2D returns the 2-D mesh model over procs processors: wire cost
-// scales with the Manhattan distance between the endpoints' mesh
-// positions (dimension-ordered routing on a topology.Dims grid).
-func NewMesh2D(procs int, base LogGP) (Topology, error) {
-	net, err := topology.Mesh2D(procs)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Base: base, Net: net, name: NameMesh2D}, nil
-}
-
-// NewFatTree returns the fat-tree model over procs processors with the
-// given switch arity: wire cost scales with the up*-down* switch-hop
-// count 2l-1, l being the level of the endpoints' lowest common
-// ancestor switch.
-func NewFatTree(procs, arity int, base LogGP) (Topology, error) {
-	net, err := topology.FatTree(procs, arity)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Base: base, Net: net, name: NameFatTree}, nil
-}
-
-// NewHeterogeneousGrid returns the two-cluster computational-grid model:
-// the second half of the processors run slowFactor times slower, and
-// inter-cluster links cost wanCost times a local link — the environment
-// the PaGrid partitioner targets.
-func NewHeterogeneousGrid(procs int, slowFactor, wanCost float64, base LogGP) (Topology, error) {
-	net, err := topology.HeterogeneousGrid(procs, slowFactor, wanCost)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Base: base, Net: net, name: NameHetGrid}, nil
-}
-
 // ArrivalTime implements Model: the wire time Latency + nbytes*ByteTime
 // is multiplied by the link cost between src and dst (hop count for the
 // distance-derived graphs). Self-sends and non-positive link costs fall
@@ -264,7 +219,7 @@ func NewHeterogeneousGrid(procs int, slowFactor, wanCost float64, base LogGP) (T
 func (t Topology) ArrivalTime(src, dst int, sendStart float64, nbytes int) float64 {
 	wire := t.Base.Latency + float64(nbytes)*t.Base.ByteTime
 	if src != dst {
-		if s := t.Net.Cost(src, dst); s > 0 {
+		if s := t.Net.Link(src, dst); s > 0 {
 			wire *= s
 		}
 	}
@@ -272,50 +227,37 @@ func (t Topology) ArrivalTime(src, dst int, sendStart float64, nbytes int) float
 }
 
 // MinDelay implements Model: the base latency scaled by the cheapest
-// effective link factor of the network. A link cost of 0 between
-// distinct ranks prices as an unscaled wire (factor 1), matching
-// ArrivalTime's fallback. Dense networks are swept exactly; matrix-free
-// networks (the >1024-proc hypercube/mesh forms, where an O(P²) sweep is
-// exactly what CostFn exists to avoid) sample adjacent-id pairs — which
-// contain a distance-1 link in every shipped constructor — and cap the
-// factor at 1, so the result can only under-estimate, which keeps the
-// lower-bound contract safe for any graph the sample cannot prove.
+// effective link factor seen on the network's topology.SampleStride pairs
+// and its adjacent-id pairs (which contain a one-hop link in every shipped
+// machine). A link cost of 0 prices as an unscaled wire (factor 1),
+// matching ArrivalTime's fallback. Below 64 processors every pair is seen
+// and the bound is exact; above, an unseen link could be cheaper than
+// every seen one, so the factor is capped at one hop — the result can only
+// under-estimate a network whose links all cost more, which keeps the
+// lower-bound contract.
 func (t Topology) MinDelay() float64 {
-	return t.Base.Latency * t.minLinkFactor()
-}
-
-// minLinkFactor returns the smallest effective wire multiplier across
-// distinct rank pairs (see MinDelay for the matrix-free caveat).
-func (t Topology) minLinkFactor() float64 {
 	p := t.Net.Procs()
-	if p < 2 {
-		return 1
-	}
-	if t.Net.CostFn != nil && t.Net.LinkCost == nil {
-		min := 1.0
-		for i := 0; i+1 < p; i++ {
-			if c := t.Net.CostFn(i, i+1); c > 0 && c < min {
-				min = c
-			}
+	factor := math.Inf(1)
+	see := func(i, j int) {
+		c := t.Net.Link(i, j)
+		if c <= 0 {
+			c = 1 // ArrivalTime's unscaled-wire fallback
 		}
-		return min
+		factor = min(factor, c)
 	}
-	min := 0.0
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			c := t.Net.LinkCost[i][j]
-			if c <= 0 {
-				c = 1 // ArrivalTime's unscaled-wire fallback
-			}
-			if min == 0 || c < min {
-				min = c
-			}
+	stride := topology.SampleStride(p)
+	for i := 0; i < p; i += stride {
+		for j := i + stride; j < p; j += stride {
+			see(i, j)
 		}
 	}
-	if min == 0 {
-		return 1
+	for i := 0; i+1 < p; i++ {
+		see(i, i+1)
 	}
-	return min
+	if stride > 1 || p < 2 {
+		factor = min(factor, 1)
+	}
+	return t.Base.Latency * factor
 }
 
 // SendOverhead implements Model.
@@ -375,9 +317,29 @@ const (
 	DefaultHetGridWANCost = 10
 )
 
+// machines is the one table of named machines, in presentation order:
+// each name with the processor network graph it is priced on. The flat
+// crossbar has none (nil) — it is the Uniform model.
+var machines = []struct {
+	name string
+	net  func(procs int) (*topology.Network, error)
+}{
+	{NameUniform, nil},
+	{NameHypercube, topology.Hypercube},
+	{NameMesh2D, topology.Mesh2D},
+	{NameFatTree, func(procs int) (*topology.Network, error) { return topology.FatTree(procs, DefaultFatTreeArity) }},
+	{NameHetGrid, func(procs int) (*topology.Network, error) {
+		return topology.HeterogeneousGrid(procs, DefaultHetGridSlowFactor, DefaultHetGridWANCost)
+	}},
+}
+
 // Names returns the model names New accepts, in presentation order.
 func Names() []string {
-	return []string{NameUniform, NameHypercube, NameMesh2D, NameFatTree, NameHetGrid}
+	names := make([]string, len(machines))
+	for i, m := range machines {
+		names[i] = m.name
+	}
+	return names
 }
 
 // New resolves a model name to a machine over procs processors with the
@@ -385,18 +347,21 @@ func Names() []string {
 // and the experiments network axis share. The empty name resolves to
 // NameUniform.
 func New(name string, procs int) (Model, error) {
-	switch name {
-	case "", NameUniform:
-		return NewUniform(Origin2000()), nil
-	case NameHypercube:
-		return NewHypercube(procs, Origin2000())
-	case NameMesh2D:
-		return NewMesh2D(procs, Origin2000())
-	case NameFatTree:
-		return NewFatTree(procs, DefaultFatTreeArity, Origin2000())
-	case NameHetGrid:
-		return NewHeterogeneousGrid(procs, DefaultHetGridSlowFactor, DefaultHetGridWANCost, Origin2000())
-	default:
-		return nil, fmt.Errorf("netmodel: unknown model %q (known: %v)", name, Names())
+	if name == "" {
+		name = NameUniform
 	}
+	for _, m := range machines {
+		if m.name != name {
+			continue
+		}
+		if m.net == nil {
+			return NewUniform(Origin2000()), nil
+		}
+		net, err := m.net(procs)
+		if err != nil {
+			return nil, err
+		}
+		return Topology{Base: Origin2000(), Net: net, name: name}, nil
+	}
+	return nil, fmt.Errorf("netmodel: unknown model %q (known: %v)", name, Names())
 }

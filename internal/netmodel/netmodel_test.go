@@ -96,7 +96,7 @@ func TestHopMonotonicity(t *testing.T) {
 					}
 					hops := 1.0
 					if topo, ok := m.(Topology); ok {
-						hops = topo.Net.LinkCost[src][dst]
+						hops = topo.Net.Cost(src, dst)
 					}
 					pairs = append(pairs, pair{hops, m.ArrivalTime(src, dst, 0, 4096)})
 				}
@@ -113,11 +113,23 @@ func TestHopMonotonicity(t *testing.T) {
 	}
 }
 
-func TestHypercubeDistances(t *testing.T) {
-	m, err := NewHypercube(8, LogGP{Latency: 1})
+// unitLatency prices build(procs) at one second per hop and nothing else,
+// so an arrival time reads as the link cost.
+func unitLatency(t *testing.T, build func(procs int) (*topology.Network, error), procs int) Topology {
+	t.Helper()
+	net, err := build(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := NewTopology(net, LogGP{Latency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestHypercubeDistances(t *testing.T) {
+	m := unitLatency(t, topology.Hypercube, 8)
 	// 0 -> 7 flips three bits; 0 -> 4 flips one.
 	if got := m.ArrivalTime(0, 7, 0, 0); got != 3 {
 		t.Fatalf("0->7 arrival %v, want 3", got)
@@ -129,10 +141,7 @@ func TestHypercubeDistances(t *testing.T) {
 
 func TestMesh2DDistances(t *testing.T) {
 	// 16 processors arrange as a 4x4 mesh; 0 sits at (0,0), 15 at (3,3).
-	m, err := NewMesh2D(16, LogGP{Latency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := unitLatency(t, topology.Mesh2D, 16)
 	if got := m.ArrivalTime(0, 15, 0, 0); got != 6 {
 		t.Fatalf("corner-to-corner arrival %v, want 6", got)
 	}
@@ -145,10 +154,7 @@ func TestFatTreeDistances(t *testing.T) {
 	// Arity 4: ranks 0-3 share a leaf switch (1 hop); any two distinct
 	// leaves among 16 procs meet one level up (3 hops); with 64 procs,
 	// ranks 0 and 63 meet two levels up (5 hops).
-	m, err := NewFatTree(64, 4, LogGP{Latency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := unitLatency(t, func(procs int) (*topology.Network, error) { return topology.FatTree(procs, 4) }, 64)
 	cases := []struct {
 		src, dst int
 		want     float64
@@ -161,10 +167,7 @@ func TestFatTreeDistances(t *testing.T) {
 }
 
 func TestHeterogeneousGridModel(t *testing.T) {
-	m, err := NewHeterogeneousGrid(4, 2, 10, LogGP{Latency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := unitLatency(t, func(procs int) (*topology.Network, error) { return topology.HeterogeneousGrid(procs, 2, 10) }, 4)
 	if m.Speed(0) != 1 || m.Speed(3) != 2 {
 		t.Fatalf("speeds %v/%v, want 1/2", m.Speed(0), m.Speed(3))
 	}
@@ -203,7 +206,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	m, err := NewHypercube(4, Origin2000())
+	m, err := New(NameHypercube, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func benchArrival(b *testing.B, m Model) {
 func BenchmarkArrivalTimeUniform(b *testing.B) { benchArrival(b, NewUniform(Origin2000())) }
 
 func BenchmarkArrivalTimeHypercube(b *testing.B) {
-	m, err := NewHypercube(8, Origin2000())
+	m, err := New(NameHypercube, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func BenchmarkArrivalTimeHypercube(b *testing.B) {
 }
 
 func BenchmarkArrivalTimeFatTree(b *testing.B) {
-	m, err := NewFatTree(8, 4, Origin2000())
+	m, err := New(NameFatTree, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

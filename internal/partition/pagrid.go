@@ -16,7 +16,7 @@ import (
 // graph" — and minimizes *estimated execution time* of the mapping rather
 // than raw edge-cut:
 //
-//	ET(p) = Speed[p] * work(p) + Rref * Σ_{cut edges (v,u), v∈p} w(v,u) * LinkCost[p][part[u]]
+//	ET(p) = Speed[p] * work(p) + Rref * Σ_{cut edges (v,u), v∈p} w(v,u) * Cost(p, part[u])
 //	cost  = max_p ET(p)
 //
 // The implementation seeds with a Multilevel edge-cut partition and then

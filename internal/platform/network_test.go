@@ -53,7 +53,7 @@ func TestNetworkSpeedSlowsComputation(t *testing.T) {
 	}
 }
 
-func TestNetworkLinkCostSlowsCommunication(t *testing.T) {
+func TestNetworkCostlyLinksSlowCommunication(t *testing.T) {
 	g := hexGrid(t, 4, 8)
 	base := baseConfig(g, 4)
 
@@ -68,13 +68,7 @@ func TestNetworkLinkCostSlowsCommunication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range expensive.LinkCost {
-		for j := range expensive.LinkCost[i] {
-			if i != j {
-				expensive.LinkCost[i][j] = 20
-			}
-		}
-	}
+	expensive.Link = func(p, q int) float64 { return 20 }
 	base.Network = overNet(t, expensive)
 	far := assertMatchesSequential(t, base)
 
@@ -131,7 +125,7 @@ func TestNetworkValidation(t *testing.T) {
 func TestNetworkHypercubeMatchesSequential(t *testing.T) {
 	g := hexGrid(t, 8, 8)
 	cfg := baseConfig(g, 8)
-	net, err := netmodel.NewHypercube(8, netmodel.Origin2000())
+	net, err := netmodel.New(netmodel.NameHypercube, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

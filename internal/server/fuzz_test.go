@@ -3,8 +3,8 @@ package server
 // FuzzJobSpec hardens the daemon's input boundary: DecodeJobSpec parses
 // attacker-controlled JSON into an experiments.Axes sweep space, and
 // must never panic and never accept a spec that violates its own
-// invariants (unknown format, over-cap sweep, multi-cell trace,
-// non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
+// invariants (unknown format, over-cap sweep, over-cap cell, multi-cell
+// trace, non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
 
 import (
 	"testing"
@@ -19,6 +19,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"scenario":"heat","sweep":"procs=1;balancer=centralized;perturb=brownout:2:4:0.5"}`,
 		`{"scenario":"nope"}`,
 		`{"scenario":"heat","sweep":"procs=0"}`,
+		`{"scenario":"heat","sweep":"procs=2000000"}`,
 		`{"scenario":"heat","format":"xml"}`,
 		`{"scenario":"heat","axes":{"iterations":[-1]}}`,
 		`{"scenario":"heat","sweep":"procs=1,2","trace":true}`,
@@ -53,8 +54,12 @@ func FuzzJobSpec(f *testing.F) {
 			}
 		}
 		for _, p := range spec.Axes.Cells() {
-			if _, err := sc.Normalize(p); err != nil {
+			np, err := sc.Normalize(p)
+			if err != nil {
 				t.Fatalf("accepted spec with non-normalizable cell %+v: %v", p, err)
+			}
+			if np.Procs > maxProcs {
+				t.Fatalf("accepted spec with a %d-processor cell (cap %d)", np.Procs, maxProcs)
 			}
 		}
 	})

@@ -43,13 +43,19 @@ type JobSpec struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// maxProcs caps the simulated processors of one cell: the largest size any
+// doc names, about 400 MB of rank state at the measured ~6 KiB per rank. A
+// running cell cannot be cancelled, so an oversized one is refused here
+// rather than discovered as an out-of-memory kill.
+const maxProcs = 1 << 16
+
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
 // (unknown fields rejected), a registered scenario, a well-formed sweep
-// space no larger than maxCells cells, every cell normalizable, and a
-// single-cell space when a trace is requested. It returns the spec with
-// Format defaulted and the resolved scenario; any error is safe to echo
-// to the client. This is the daemon's input boundary — FuzzJobSpec pins
-// that it never panics.
+// space no larger than maxCells cells of at most maxProcs processors,
+// every cell normalizable, and a single-cell space when a trace is
+// requested. It returns the spec with Format defaulted and the resolved
+// scenario; any error is safe to echo to the client. This is the daemon's
+// input boundary — FuzzJobSpec pins that it never panics.
 func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -84,6 +90,11 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 	}
 	if n := spec.Axes.Size(); n > maxCells {
 		return spec, scenario.Scenario{}, fmt.Errorf("sweep has %d cells, daemon cap is %d", n, maxCells)
+	}
+	for _, procs := range spec.Axes.Procs {
+		if procs > maxProcs {
+			return spec, scenario.Scenario{}, fmt.Errorf("procs=%d exceeds the daemon cap of %d processors per cell", procs, maxProcs)
+		}
 	}
 	if spec.Trace {
 		if _, err := spec.Axes.Single(); err != nil {

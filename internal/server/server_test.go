@@ -314,6 +314,7 @@ func TestSubmitErrors(t *testing.T) {
 		{"bad_format", `{"scenario":"heat","format":"xml"}`},
 		{"trace_multi_cell", `{"scenario":"heat","sweep":"procs=1,2","trace":true}`},
 		{"too_many_cells", `{"scenario":"heat","sweep":"procs=1,2;iters=1,2,3,4,5,6,7,8,9"}`},
+		{"too_many_procs", `{"scenario":"heat","sweep":"procs=2000000"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

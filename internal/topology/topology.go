@@ -7,52 +7,49 @@ import (
 
 // Network is a weighted processor graph: Procs processors with relative
 // Speed (execution-time multiplier; 1.0 = reference processor) and a
-// pairwise LinkCost matrix (communication cost multiplier per unit of
-// traffic; 0 on the diagonal). The thesis' PaGrid input "grid format"
-// carries exactly this information.
+// pairwise link cost (communication cost multiplier per unit of traffic).
+// The thesis' PaGrid input "grid format" carries exactly this information.
+//
+// The link costs have one form at every processor count: the function
+// Link. The constructors below return closed forms, so a network costs
+// O(P) memory (its speeds) and no per-pair set-up; a processor graph given
+// as a table m is
+//
+//	Link: func(p, q int) float64 { return m[p][q] }
 type Network struct {
 	// Name labels the network in reports.
 	Name string
 	// Speed[p] is processor p's relative execution-time multiplier: a
 	// processor with Speed 2 takes twice as long per unit of work.
 	Speed []float64
-	// LinkCost[p][q] is the relative cost of sending one unit of data from
-	// p to q; symmetric, zero diagonal. For a hypercube this is the
-	// Hamming distance between p and q (store-and-forward hops). nil when
-	// the network is matrix-free (CostFn set): a dense matrix is O(P²)
-	// memory — 2 GB for a 16384-processor hypercube — which the
-	// event-kernel scale path cannot afford.
-	LinkCost [][]float64
-	// CostFn, when non-nil, computes the link cost on demand instead of
-	// LinkCost. It must satisfy the same invariants (symmetric,
-	// non-negative, zero diagonal) and, for the regular topologies that
-	// use it, evaluates the identical formula the dense constructor would
-	// have stored — so a matrix-free network prices every message
-	// bit-identically to its dense twin. Read costs through Cost, never
-	// through LinkCost directly.
-	CostFn func(p, q int) float64
+	// Link(p, q) is the relative cost of sending one unit of data between
+	// the distinct processors p and q; symmetric and non-negative. For a
+	// hypercube this is the Hamming distance between p and q
+	// (store-and-forward hops). It is never asked about p == q: read costs
+	// through Cost, which owns the zero diagonal.
+	Link func(p, q int) float64
 }
 
 // Procs returns the number of processors.
 func (n *Network) Procs() int { return len(n.Speed) }
 
-// Cost returns the link cost between p and q, from the dense matrix or
-// the matrix-free cost function.
+// Cost returns the link cost between p and q: 0 on the diagonal, Link
+// elsewhere.
 func (n *Network) Cost(p, q int) float64 {
-	if n.CostFn != nil {
-		return n.CostFn(p, q)
+	if p == q {
+		return 0
 	}
-	return n.LinkCost[p][q]
+	return n.Link(p, q)
 }
 
-// MatrixFreeThreshold is the processor count above which the regular
-// topology constructors (Hypercube, Mesh2D) switch from a dense
-// LinkCost matrix to a matrix-free CostFn. Below it the dense matrix is
-// small and keeps every historical code path untouched; above it the
-// O(P²) matrix would dominate the memory of an event-kernel run.
-const MatrixFreeThreshold = 1024
+// SampleStride is the spacing of the processor ids whose pairs Validate
+// (and netmodel's lookahead bound) examine: visiting all P² pairs is what
+// the function form exists to avoid, so at most 64 ids per side are
+// sampled — which is every pair (stride 1) below 64 processors.
+func SampleStride(procs int) int { return procs/64 + 1 }
 
-// Validate checks the structural invariants of the network.
+// Validate checks the structural invariants of the network: positive
+// speeds, and non-negative symmetric link costs on the SampleStride pairs.
 func (n *Network) Validate() error {
 	p := len(n.Speed)
 	if p == 0 {
@@ -63,44 +60,17 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("topology: processor %d has non-positive speed %g", i, s)
 		}
 	}
-	if n.CostFn != nil && n.LinkCost == nil {
-		// Matrix-free: the full O(P²) sweep is exactly what this form
-		// exists to avoid. Check the diagonal everywhere and spot-check
-		// symmetry/sign on a deterministic stride of pairs.
-		for i := 0; i < p; i++ {
-			if c := n.CostFn(i, i); c != 0 {
-				return fmt.Errorf("topology: CostFn(%d,%d) = %g, want 0", i, i, c)
-			}
-		}
-		stride := p/64 + 1
-		for i := 0; i < p; i += stride {
-			for j := 0; j < p; j += stride {
-				c := n.CostFn(i, j)
-				if c < 0 {
-					return fmt.Errorf("topology: negative link cost at (%d,%d)", i, j)
-				}
-				if c != n.CostFn(j, i) {
-					return fmt.Errorf("topology: asymmetric link cost at (%d,%d)", i, j)
-				}
-			}
-		}
-		return nil
+	if n.Link == nil {
+		return fmt.Errorf("topology: network has no Link function")
 	}
-	if len(n.LinkCost) != p {
-		return fmt.Errorf("topology: LinkCost has %d rows for %d procs", len(n.LinkCost), p)
-	}
-	for i := range n.LinkCost {
-		if len(n.LinkCost[i]) != p {
-			return fmt.Errorf("topology: LinkCost row %d has %d cols for %d procs", i, len(n.LinkCost[i]), p)
-		}
-		if n.LinkCost[i][i] != 0 {
-			return fmt.Errorf("topology: LinkCost[%d][%d] = %g, want 0", i, i, n.LinkCost[i][i])
-		}
-		for j := range n.LinkCost[i] {
-			if n.LinkCost[i][j] < 0 {
+	stride := SampleStride(p)
+	for i := 0; i < p; i += stride {
+		for j := i + stride; j < p; j += stride {
+			c := n.Link(i, j)
+			if c < 0 {
 				return fmt.Errorf("topology: negative link cost at (%d,%d)", i, j)
 			}
-			if n.LinkCost[i][j] != n.LinkCost[j][i] {
+			if c != n.Link(j, i) {
 				return fmt.Errorf("topology: asymmetric link cost at (%d,%d)", i, j)
 			}
 		}
@@ -108,41 +78,26 @@ func (n *Network) Validate() error {
 	return nil
 }
 
+// homogeneous returns procs unit-speed processors priced by link.
+func homogeneous(name string, procs int, link func(p, q int) float64) (*Network, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("topology: %s: procs must be >= 1", name)
+	}
+	speed := make([]float64, procs)
+	for i := range speed {
+		speed[i] = 1
+	}
+	return &Network{Name: name, Speed: speed, Link: link}, nil
+}
+
 // Hypercube returns a homogeneous hypercube network over procs processors.
 // procs need not be a power of two: link cost between p and q is the
 // Hamming distance of their ids, which is the routing distance on the
 // enclosing hypercube (the Origin 2000's interconnect is hypercube-based).
 func Hypercube(procs int) (*Network, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("topology: Hypercube needs procs >= 1, got %d", procs)
-	}
-	n := &Network{
-		Name:  fmt.Sprintf("%d-processor hypercube", procs),
-		Speed: unitSpeeds(procs),
-	}
-	if procs > MatrixFreeThreshold {
-		n.CostFn = func(p, q int) float64 { return float64(bits.OnesCount(uint(p ^ q))) }
-		return n, nil
-	}
-	n.LinkCost = make([][]float64, procs)
-	for p := 0; p < procs; p++ {
-		n.LinkCost[p] = make([]float64, procs)
-		for q := 0; q < procs; q++ {
-			if p != q {
-				n.LinkCost[p][q] = float64(bits.OnesCount(uint(p ^ q)))
-			}
-		}
-	}
-	return n, nil
-}
-
-// unitSpeeds returns procs homogeneous unit speeds.
-func unitSpeeds(procs int) []float64 {
-	s := make([]float64, procs)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
+	return homogeneous(fmt.Sprintf("%d-processor hypercube", procs), procs, func(p, q int) float64 {
+		return float64(bits.OnesCount(uint(p ^ q)))
+	})
 }
 
 // Mesh2D returns a homogeneous 2-D mesh network over procs processors:
@@ -150,14 +105,11 @@ func unitSpeeds(procs int) []float64 {
 // the link cost between two processors is their Manhattan distance — the
 // store-and-forward hop count of dimension-ordered mesh routing.
 func Mesh2D(procs int) (*Network, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("topology: Mesh2D needs procs >= 1, got %d", procs)
-	}
 	rows, cols, err := Dims(procs)
 	if err != nil {
 		return nil, err
 	}
-	manhattan := func(p, q int) float64 {
+	return homogeneous(fmt.Sprintf("%dx%d mesh", rows, cols), procs, func(p, q int) float64 {
 		dr := p/cols - q/cols
 		if dr < 0 {
 			dr = -dr
@@ -167,25 +119,7 @@ func Mesh2D(procs int) (*Network, error) {
 			dc = -dc
 		}
 		return float64(dr + dc)
-	}
-	n := &Network{
-		Name:  fmt.Sprintf("%dx%d mesh", rows, cols),
-		Speed: unitSpeeds(procs),
-	}
-	if procs > MatrixFreeThreshold {
-		n.CostFn = manhattan
-		return n, nil
-	}
-	n.LinkCost = make([][]float64, procs)
-	for p := 0; p < procs; p++ {
-		n.LinkCost[p] = make([]float64, procs)
-		for q := 0; q < procs; q++ {
-			if p != q {
-				n.LinkCost[p][q] = manhattan(p, q)
-			}
-		}
-	}
-	return n, nil
+	})
 }
 
 // FatTree returns a homogeneous fat-tree network over procs processors
@@ -196,55 +130,25 @@ func Mesh2D(procs int) (*Network, error) {
 // switch-hop count of up*-down* routing. Because a fat tree thickens its
 // upper links, this counts latency hops only; bandwidth is uniform.
 func FatTree(procs, arity int) (*Network, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("topology: FatTree needs procs >= 1, got %d", procs)
-	}
 	if arity < 2 {
 		return nil, fmt.Errorf("topology: FatTree needs arity >= 2, got %d", arity)
 	}
-	n := &Network{
-		Name:     fmt.Sprintf("%d-processor %d-ary fat tree", procs, arity),
-		Speed:    make([]float64, procs),
-		LinkCost: make([][]float64, procs),
-	}
-	for p := 0; p < procs; p++ {
-		n.Speed[p] = 1
-		n.LinkCost[p] = make([]float64, procs)
-		for q := 0; q < procs; q++ {
-			if p != q {
-				level := 1
-				for pg, qg := p/arity, q/arity; pg != qg; pg, qg = pg/arity, qg/arity {
-					level++
-				}
-				n.LinkCost[p][q] = float64(2*level - 1)
-			}
+	return homogeneous(fmt.Sprintf("%d-processor %d-ary fat tree", procs, arity), procs, func(p, q int) float64 {
+		level := 1
+		for p, q = p/arity, q/arity; p != q; p, q = p/arity, q/arity {
+			level++
 		}
-	}
-	return n, nil
+		return float64(2*level - 1)
+	})
 }
 
 // Uniform returns a fully connected homogeneous network with unit link
 // costs — what Metis implicitly assumes ("Metis does not use processor
 // network graph").
 func Uniform(procs int) (*Network, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("topology: Uniform needs procs >= 1, got %d", procs)
-	}
-	n := &Network{
-		Name:     fmt.Sprintf("%d-processor uniform network", procs),
-		Speed:    make([]float64, procs),
-		LinkCost: make([][]float64, procs),
-	}
-	for p := 0; p < procs; p++ {
-		n.Speed[p] = 1
-		n.LinkCost[p] = make([]float64, procs)
-		for q := 0; q < procs; q++ {
-			if p != q {
-				n.LinkCost[p][q] = 1
-			}
-		}
-	}
-	return n, nil
+	return homogeneous(fmt.Sprintf("%d-processor uniform network", procs), procs, func(p, q int) float64 {
+		return 1
+	})
 }
 
 // HeterogeneousGrid returns a two-cluster computational grid of the kind
@@ -253,37 +157,21 @@ func Uniform(procs int) (*Network, error) {
 // inter-cluster links cost wanCost. Used by the ablation experiments that
 // show PaGrid's advantage growing with heterogeneity.
 func HeterogeneousGrid(procs int, slowFactor, wanCost float64) (*Network, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("topology: HeterogeneousGrid needs procs >= 1, got %d", procs)
-	}
 	if slowFactor <= 0 || wanCost < 0 {
 		return nil, fmt.Errorf("topology: bad parameters slowFactor=%g wanCost=%g", slowFactor, wanCost)
 	}
-	n := &Network{
-		Name:     fmt.Sprintf("%d-processor heterogeneous grid", procs),
-		Speed:    make([]float64, procs),
-		LinkCost: make([][]float64, procs),
-	}
 	half := procs / 2
-	for p := 0; p < procs; p++ {
-		if p < half || procs == 1 {
-			n.Speed[p] = 1
-		} else {
-			n.Speed[p] = slowFactor
+	n, err := homogeneous(fmt.Sprintf("%d-processor heterogeneous grid", procs), procs, func(p, q int) float64 {
+		if (p < half) == (q < half) {
+			return 1
 		}
-		n.LinkCost[p] = make([]float64, procs)
+		return wanCost
+	})
+	if err != nil {
+		return nil, err
 	}
-	for p := 0; p < procs; p++ {
-		for q := 0; q < procs; q++ {
-			if p == q {
-				continue
-			}
-			if (p < half) == (q < half) {
-				n.LinkCost[p][q] = 1
-			} else {
-				n.LinkCost[p][q] = wanCost
-			}
-		}
+	for p := max(half, 1); p < procs; p++ { // a lone processor is fast
+		n.Speed[p] = slowFactor
 	}
 	return n, nil
 }

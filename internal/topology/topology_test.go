@@ -24,16 +24,16 @@ func TestHypercubeValid(t *testing.T) {
 	}
 }
 
-func TestHypercubeLinkCostIsHammingDistance(t *testing.T) {
+func TestHypercubeCostIsHammingDistance(t *testing.T) {
 	n, err := Hypercube(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.LinkCost[0][7] != 3 {
-		t.Fatalf("cost(0,7) = %g, want 3", n.LinkCost[0][7])
+	if n.Cost(0, 7) != 3 {
+		t.Fatalf("cost(0,7) = %g, want 3", n.Cost(0, 7))
 	}
-	if n.LinkCost[5][4] != 1 {
-		t.Fatalf("cost(5,4) = %g, want 1", n.LinkCost[5][4])
+	if n.Cost(5, 4) != 1 {
+		t.Fatalf("cost(5,4) = %g, want 1", n.Cost(5, 4))
 	}
 }
 
@@ -45,7 +45,7 @@ func TestUniformValid(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n.LinkCost[1][4] != 1 || n.LinkCost[2][2] != 0 {
+	if n.Cost(1, 4) != 1 || n.Cost(2, 2) != 0 {
 		t.Fatal("uniform link costs wrong")
 	}
 	if _, err := Uniform(-1); err == nil {
@@ -64,7 +64,7 @@ func TestHeterogeneousGrid(t *testing.T) {
 	if n.Speed[0] != 1 || n.Speed[7] != 2.5 {
 		t.Fatalf("speeds %v", n.Speed)
 	}
-	if n.LinkCost[0][1] != 1 || n.LinkCost[0][7] != 10 {
+	if n.Cost(0, 1) != 1 || n.Cost(0, 7) != 10 {
 		t.Fatal("link costs wrong")
 	}
 	if _, err := HeterogeneousGrid(4, 0, 1); err == nil {
@@ -77,7 +77,7 @@ func TestHeterogeneousGrid(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	n, _ := Uniform(3)
-	n.LinkCost[0][1] = 5 // asymmetric now
+	n.Link = func(p, q int) float64 { return float64(1 + 4*p) } // (0,1) costs 1, (1,0) costs 5
 	if err := n.Validate(); err == nil {
 		t.Fatal("missed asymmetric cost")
 	}
@@ -87,9 +87,59 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("missed zero speed")
 	}
 	n, _ = Uniform(3)
-	n.LinkCost[1][1] = 1
+	n.Link = func(p, q int) float64 { return -1 }
 	if err := n.Validate(); err == nil {
-		t.Fatal("missed nonzero diagonal")
+		t.Fatal("missed negative cost")
+	}
+	n, _ = Uniform(3)
+	n.Link = nil
+	if err := n.Validate(); err == nil {
+		t.Fatal("missed nil Link")
+	}
+}
+
+// TestClosedFormAtEveryScale is the one-form contract: every constructor
+// returns a closed-form Link, so a network validates, prices its farthest
+// id pair to the hand-computed value and costs a handful of allocations —
+// no per-pair set-up — at 96 processors and at 16384 alike.
+func TestClosedFormAtEveryScale(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(procs int) (*Network, error)
+		// far[i] is the hand-computed Cost(0, procs-1) at sizes[i].
+		far [4]float64
+	}{
+		// Set bits of 95, 1023, 1024 and 16383.
+		{"hypercube", Hypercube, [4]float64{6, 10, 1, 14}},
+		// Corner to corner of the 8x12, 32x32, 25x41 and 128x128 Dims grids.
+		{"mesh2d", Mesh2D, [4]float64{7 + 11, 31 + 31, 24 + 40, 127 + 127}},
+		// 2l-1 for the lowest common 4-ary switch at levels 4, 5, 6 and 7.
+		{"fattree", func(procs int) (*Network, error) { return FatTree(procs, 4) }, [4]float64{7, 9, 11, 13}},
+		{"uniform", Uniform, [4]float64{1, 1, 1, 1}},
+		// Processors 0 and procs-1 always sit in opposite halves.
+		{"hetgrid", func(procs int) (*Network, error) { return HeterogeneousGrid(procs, 2, 10) }, [4]float64{10, 10, 10, 10}},
+	} {
+		for i, procs := range []int{96, 1024, 1025, 16384} {
+			n, err := tc.build(procs)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", tc.name, procs, err)
+			}
+			if err := n.Validate(); err != nil {
+				t.Errorf("%s/%d: %v", tc.name, procs, err)
+			}
+			if n.Procs() != procs {
+				t.Errorf("%s/%d: Procs() = %d", tc.name, procs, n.Procs())
+			}
+			if got := n.Cost(0, procs-1); got != tc.far[i] || n.Cost(procs-1, 0) != got {
+				t.Errorf("%s/%d: Cost(0,%d) = %g, want %g", tc.name, procs, procs-1, got, tc.far[i])
+			}
+			if got := n.Cost(procs-1, procs-1); got != 0 {
+				t.Errorf("%s/%d: diagonal costs %g", tc.name, procs, got)
+			}
+			if allocs := testing.AllocsPerRun(5, func() { tc.build(procs) }); allocs > 8 {
+				t.Errorf("%s/%d: construction allocates %v objects, want <= 8", tc.name, procs, allocs)
+			}
+		}
 	}
 }
 

@@ -3,10 +3,11 @@ package ic2mpi_test
 // Scale smoke: the event kernels' reason to exist is worlds of thousands
 // of simulated processors on one host. These tests run the paper's
 // hex64-fine scenario at 4096 and 16384 simulated procs under the event
-// and parallel event kernels and assert both completion and a per-rank
-// memory ceiling — the
-// flat-memory property that the sparse rank bookkeeping and matrix-free
-// topologies buy. Skipped with -short; CI runs them in a dedicated job.
+// and parallel event kernels — and at 16384 on the fattree and hetgrid
+// machines — and assert both completion and a per-rank memory ceiling,
+// machine included: the flat-memory property that the degree-sized rank
+// bookkeeping and closed-form topologies buy. Skipped with -short; CI
+// runs them in a dedicated job.
 
 import (
 	"fmt"
@@ -84,41 +85,54 @@ func TestEventKernelScaleSmoke(t *testing.T) {
 	// O(P) per-rank vectors or per-rank channel mailboxes blows
 	// through it by an order of magnitude.
 	const perRankCeiling = 32 << 10 // bytes
-	for _, kernel := range []string{"event", "pevent"} {
-		for _, procs := range []int{4096, 16384} {
-			kernel, procs := kernel, procs
-			t.Run(fmt.Sprintf("kernel=%s/procs=%d", kernel, procs), func(t *testing.T) {
+	type row struct {
+		kernel  string
+		procs   int
+		network string // "" is the scenario's default machine
+	}
+	rows := []row{
+		{"event", 4096, ""}, {"event", 16384, ""},
+		{"pevent", 4096, ""}, {"pevent", 16384, ""},
+		{"event", 16384, "fattree"}, {"event", 16384, "hetgrid"},
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("kernel=%s/procs=%d", r.kernel, r.procs)
+		if r.network != "" {
+			name += "/network=" + r.network
+		}
+		t.Run(name, func(t *testing.T) {
+			// The machine is built inside the measured region, so its
+			// memory counts against the per-rank ceiling too.
+			var res *platform.Result
+			peak := peakMemDuring(func() {
 				cfg, err := sc.Config(scenario.Params{
-					Procs:      procs,
-					Kernel:     kernel,
+					Procs:      r.procs,
+					Kernel:     r.kernel,
+					Network:    r.network,
 					Iterations: 3,
 				})
 				if err != nil {
-					t.Fatal(err)
-				}
-				var res *platform.Result
-				peak := peakMemDuring(func() {
-					var runErr error
-					res, runErr = platform.Run(*cfg)
-					if runErr != nil {
-						t.Errorf("run failed: %v", runErr)
-					}
-				})
-				if t.Failed() {
+					t.Errorf("config failed: %v", err)
 					return
 				}
-				if res.Elapsed <= 0 {
-					t.Errorf("elapsed %v, want > 0", res.Elapsed)
-				}
-				if len(res.Stats) != procs {
-					t.Fatalf("stats for %d ranks, want %d", len(res.Stats), procs)
-				}
-				perRank := peak / uint64(procs)
-				t.Logf("kernel=%s procs=%d peak=%d bytes (%.1f KiB/rank)", kernel, procs, peak, float64(perRank)/1024)
-				if perRank > perRankCeiling {
-					t.Errorf("per-rank memory %d bytes exceeds ceiling %d", perRank, perRankCeiling)
+				if res, err = platform.Run(*cfg); err != nil {
+					t.Errorf("run failed: %v", err)
 				}
 			})
-		}
+			if t.Failed() {
+				return
+			}
+			if res.Elapsed <= 0 {
+				t.Errorf("elapsed %v, want > 0", res.Elapsed)
+			}
+			if len(res.Stats) != r.procs {
+				t.Fatalf("stats for %d ranks, want %d", len(res.Stats), r.procs)
+			}
+			perRank := peak / uint64(r.procs)
+			t.Logf("%s peak=%d bytes (%.1f KiB/rank)", name, peak, float64(perRank)/1024)
+			if perRank > perRankCeiling {
+				t.Errorf("per-rank memory %d bytes exceeds ceiling %d", perRank, perRankCeiling)
+			}
+		})
 	}
 }
