@@ -70,12 +70,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"ic2mpi/internal/checkpoint"
@@ -99,8 +101,8 @@ func main() {
 		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
 			func(v string) error { axisFlags[name] = v; return nil })
 	}
-	kernelWorkers := flag.Int("kernel-workers", 0, "worker count for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
-	parallel := flag.Int("parallel", 0, "concurrent sweep runs; 0 means number of CPUs")
+	kernelWorkers := countFlag(flag.CommandLine, "kernel-workers", "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
+	parallel := countFlag(flag.CommandLine, "parallel", "`count` of concurrent sweep runs; 0 means number of CPUs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken after the run completes, to this file")
 	format := flag.String("format", "text", "output format: text, json or csv")
@@ -223,6 +225,20 @@ func main() {
 	if err := experiments.WriteReport(os.Stdout, *format, reports...); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// countFlag registers an int flag (default 0, "pick for me") that refuses
+// a negative value when it is parsed, so the usage error names the flag
+// instead of the value silently meaning the default.
+func countFlag(fs *flag.FlagSet, name, usage string) *int {
+	n := new(int)
+	fs.Func(name, usage, func(v string) (err error) {
+		if *n, err = strconv.Atoi(v); err == nil && *n < 0 {
+			err = errors.New("must be >= 0")
+		}
+		return err
+	})
+	return n
 }
 
 // shorthandAxes are the sweep axes that also have a flag of their own name.

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -54,6 +56,33 @@ func TestResolveAxesFlagConflicts(t *testing.T) {
 		_, err := resolveAxes(name+"=x", map[string]string{name: "y"})
 		if err == nil || !strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), "set twice") {
 			t.Errorf("-%s next to a %s= clause: got error %v, want one naming the flag and the double set", name, name, err)
+		}
+	}
+}
+
+// TestCountFlagsRejectNegatives: -kernel-workers -3 and -parallel -2 used
+// to be accepted and mean "default"; each must now fail at parse time
+// with an error naming the flag, and still take 0 and positive counts.
+func TestCountFlagsRejectNegatives(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+		want        int
+		bad         bool
+	}{
+		{flag: "kernel-workers", value: "-3", bad: true},
+		{flag: "parallel", value: "-2", bad: true},
+		{flag: "kernel-workers", value: "0"},
+		{flag: "parallel", value: "4", want: 4},
+	} {
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		n := countFlag(fs, tc.flag, "a count")
+		err := fs.Parse([]string{"-" + tc.flag, tc.value})
+		switch {
+		case tc.bad && (err == nil || !strings.Contains(err.Error(), "-"+tc.flag)):
+			t.Errorf("-%s %s: got error %v, want one naming the flag", tc.flag, tc.value, err)
+		case !tc.bad && (err != nil || *n != tc.want):
+			t.Errorf("-%s %s: got %d, %v, want %d", tc.flag, tc.value, *n, err, tc.want)
 		}
 	}
 }

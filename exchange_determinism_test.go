@@ -364,7 +364,7 @@ func TestExchangeDeterminismSubPhases(t *testing.T) {
 // breakdown, migrations, and the per-iteration trace JSONL, byte for
 // byte. The two engines share no scheduling machinery (goroutines +
 // mailboxes vs priority queues over passive rank states, on one worker
-// or sharded into lookahead windows), so agreement here is evidence the
+// or sharded across several), so agreement here is evidence the
 // virtual timeline is a pure function of the simulated program, not of
 // the engine executing it.
 func TestKernelEquivalence(t *testing.T) {

@@ -156,10 +156,10 @@ const (
 	// processors. Virtual clock only.
 	KernelEvent = mpi.KernelEvent
 	// KernelParallelEvent runs the same scheduler sharded across
-	// min(GOMAXPROCS, procs) workers under a conservative lookahead
-	// horizon (Config.KernelWorkers overrides the worker count; at one
-	// worker it is KernelEvent). Bit-identical to the other kernels at
-	// any worker count. Virtual clock only.
+	// min(GOMAXPROCS, procs) workers that synchronize only when every one
+	// has run out of events (Config.KernelWorkers overrides the worker
+	// count; at one worker it is KernelEvent). Bit-identical to the other
+	// kernels at any worker count. Virtual clock only.
 	KernelParallelEvent = mpi.KernelParallelEvent
 )
 

@@ -177,6 +177,9 @@ func Parse(spec string) (*Schedule, error) {
 // to one run shape. It implements netmodel.TimeVarying; its epoch-less
 // Model methods answer for epoch 0, the unperturbed initialization
 // phase. A Model is immutable after Wrap and safe for concurrent use.
+// Every perturbed price is a pure function of (epoch, endpoints, size,
+// send time), so a schedule — speed-ups included — needs no cooperation
+// from the kernel that runs it.
 type Model struct {
 	base         netmodel.Model
 	sched        Schedule
@@ -440,21 +443,6 @@ func (m *Model) RecvOverhead(rank int) float64 { return m.base.RecvOverhead(rank
 
 // Speed implements netmodel.Model for epoch 0.
 func (m *Model) Speed(rank int) float64 { return m.base.Speed(rank) }
-
-// MinDelay implements netmodel.Model, epoch-aware: the smallest wire
-// delay any message can see in any epoch of the run. Link faults only
-// multiply wire time by Factor; a Factor >= 1 (degradation) leaves the
-// base bound intact, while a Factor < 1 — the schedule grammar does not
-// forbid a speed-up — shrinks it, so brownout and fault windows tighten
-// the parallel event kernel's lookahead instead of breaking it. CPU
-// factors scale overheads, not the wire, so they never lower the bound.
-func (m *Model) MinDelay() float64 {
-	d := m.base.MinDelay()
-	if l := m.sched.Links; l != nil && l.Prob > 0 && l.Factor < 1 {
-		d *= l.Factor
-	}
-	return d
-}
 
 // Validate implements netmodel.Model: the base model must serve procs
 // ranks and the wrapper must have been built for at least that many

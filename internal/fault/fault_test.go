@@ -292,34 +292,3 @@ func TestStringNamesSpec(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
-
-// TestMinDelayEpochSafe pins the fault wrapper's lookahead bound: the
-// wrapped MinDelay must hold in every epoch — including epochs where a
-// link fault scales the wire by a sub-1 factor — for every pair and at
-// every payload size, because the parallel event kernel's safe horizon
-// trusts it across the whole run.
-func TestMinDelayEpochSafe(t *testing.T) {
-	const procs, iters = 8, 12
-	for _, spec := range []string{"brownout", "links", "ramp", "chaos", "brownout@7"} {
-		m := wrap(t, spec, procs, iters)
-		d := m.MinDelay()
-		if d <= 0 {
-			t.Fatalf("%s: MinDelay = %v, want > 0", spec, d)
-		}
-		for epoch := 0; epoch < iters; epoch++ {
-			for src := 0; src < procs; src++ {
-				for dst := 0; dst < procs; dst++ {
-					if src == dst {
-						continue
-					}
-					for _, n := range []int{0, 1, 4096} {
-						if got := m.ArrivalTimeAt(epoch, src, dst, 0, n); got < d-1e-15 {
-							t.Fatalf("%s epoch %d: ArrivalTimeAt(%d,%d,0,%d) = %v below MinDelay %v",
-								spec, epoch, src, dst, n, got, d)
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/topology"
@@ -163,12 +165,25 @@ var eventConfigs = []struct {
 }
 
 // forEventKernels runs body once per eventConfigs row, as a
-// subtest, with free-network options at the given rank count.
+// subtest, with free-network options at the given rank count, and then
+// checks the carrier lifecycle: however the runs inside body ended, no
+// rank coroutine and no worker goroutine outlives them.
 func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Options)) {
 	for _, cfg := range eventConfigs {
 		opts := freeOpts(procs)
 		opts.Kernel, opts.Workers = cfg.kernel, cfg.workers
-		t.Run(cfg.name, func(t *testing.T) { body(t, opts) })
+		t.Run(cfg.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			body(t, opts)
+			// Carriers are gone when Run returns; a worker goroutine may
+			// still be on its way out of its closed start channel.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the runs, %d after: a carrier or a worker leaked", before, after)
+			}
+		})
 	}
 }
 
@@ -195,8 +210,8 @@ func TestEventKernelDetectsDeadlock(t *testing.T) {
 			}
 			return nil
 		})
-		if err == nil {
-			t.Fatal("expected a deadlock error")
+		if want := "mpi: deadlock: 1 of 3 ranks blocked with no runnable event"; err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
 	})
 }
@@ -204,27 +219,57 @@ func TestEventKernelDetectsDeadlock(t *testing.T) {
 // TestEventKernelErrorAndPanicPropagate mirrors TestRankErrorPropagates
 // and TestPanicConvertedToError on the event path: the failure must
 // unblock ranks parked in Recv and in Barrier, including on workers the
-// failing rank does not own.
+// failing rank does not own. The failing rank is the last one and first
+// collects a token from every sibling, so each sibling is parked when it
+// fails: one on its own worker ran before it, and a token from another
+// worker crosses only at the fold that follows its sender's park. The
+// clean row runs the same hand-offs to the end: in the token window only
+// the last worker has events, so the coordinator resumes its rank; after
+// the barrier every worker has, so that worker's own goroutine does.
 func TestEventKernelErrorAndPanicPropagate(t *testing.T) {
 	boom := errors.New("boom")
 	forEventKernels(t, 4, func(t *testing.T, opts Options) {
-		for _, mode := range []string{"error", "panic"} {
+		for _, tc := range []struct{ mode, want string }{
+			{"clean", ""},
+			{"error", "mpi: rank 3: boom"},
+			{"panic", "mpi: rank 3 panicked: kaboom"},
+		} {
 			err := Run(opts, func(c *Comm) error {
-				switch c.Rank() {
-				case 0:
-					if mode == "panic" {
-						panic("kaboom")
+				last := c.Size() - 1
+				for round := 0; round < 3; round++ {
+					if c.Rank() != last {
+						if err := c.Isend(last, round, nil, 8); err != nil {
+							return err
+						}
+						if c.Rank() == 0 && tc.mode != "clean" {
+							_, err := c.Recv(1, 99) // parked in Recv when the last rank fails
+							return err
+						}
+					} else {
+						for src := 0; src < last; src++ {
+							if _, err := c.Recv(src, round); err != nil {
+								return err
+							}
+						}
+						switch tc.mode {
+						case "error":
+							return boom
+						case "panic":
+							panic("kaboom")
+						}
 					}
-					return boom
-				case 1:
-					_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
-					return err
-				default:
-					return c.Barrier() // parked in Barrier when rank 0 fails
+					if err := c.Barrier(); err != nil { // parked here when the last rank fails
+						return err
+					}
 				}
+				return nil
 			})
-			if err == nil {
-				t.Fatalf("%s: expected failure to propagate", mode)
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Fatalf("%s: got error %q, want %q", tc.mode, got, tc.want)
 			}
 		}
 	})
@@ -242,8 +287,8 @@ func TestEventKernelFailUnblocks(t *testing.T) {
 			}
 			return c.Barrier()
 		})
-		if err == nil {
-			t.Fatal("expected the injected failure")
+		if want := "mpi: rank 2: deliberate"; err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
 	})
 }

@@ -36,16 +36,22 @@ type Options struct {
 	// Kernel selects the execution engine: KernelGoroutine (default, one
 	// goroutine per rank), KernelEvent (the discrete-event scheduler on
 	// one worker, for large worlds) or KernelParallelEvent (the same
-	// scheduler sharded across workers in lookahead windows). The event
-	// kernels are VirtualClock only. All are bit-identical in virtual
-	// time, stats and traces — see kernel.go.
+	// scheduler sharded across workers that synchronize only when all are
+	// out of events). The event kernels are VirtualClock only. All are
+	// bit-identical in virtual time, stats and traces — see kernel.go.
 	Kernel Kernel
 	// Workers bounds the worker count of KernelParallelEvent: 0 (the
 	// default) resolves to min(GOMAXPROCS, Procs); explicit values are
 	// clamped to Procs. Any worker count produces the same bytes — the
-	// knob trades host parallelism against per-window coordination cost.
-	// Ignored by the other kernels (KernelEvent is always one worker).
+	// knob trades host parallelism against messages that wait a window in
+	// a cross-worker lane. Ignored by the other kernels (KernelEvent is
+	// always one worker).
 	Workers int
+	// Probe, when non-nil, is overwritten as Run returns with what the
+	// event engine did on the host (windows, activations, parks, staged
+	// messages). It is an observer, not a setting: a run with Probe set is
+	// byte-identical to one without. Left untouched by KernelGoroutine.
+	Probe *KernelCounters
 }
 
 // World owns the shared state of one SPMD execution: mailboxes, the barrier,
@@ -295,7 +301,7 @@ func Run(opts Options, fn func(c *Comm) error) error {
 		if opts.Kernel == KernelEvent {
 			workers = 1
 		}
-		return runPEvent(w, fn, workers)
+		return runPEvent(w, fn, workers, opts.Probe)
 	}
 	w.boxes = make([]*mailbox, opts.Procs)
 	for i := range w.boxes {
@@ -474,7 +480,7 @@ func (c *Comm) Recv(src, tag int) (any, error) {
 		// box.mu on every wakeup of every blocked receiver.
 		if c.world.failFlag.Load() {
 			box.mu.Unlock()
-			return nil, fmt.Errorf("mpi: rank %d Recv aborted: sibling rank failed", c.rank)
+			return nil, errAborted(c.rank, "Recv")
 		}
 		for i, env := range box.pending {
 			if env.src == src && (tag == AnyTag || env.tag == tag) {
@@ -488,6 +494,16 @@ func (c *Comm) Recv(src, tag int) (any, error) {
 		}
 		box.cond.Wait()
 	}
+}
+
+// errAborted is what a blocking call returns once a sibling rank has
+// failed the world. It is built out of line: under the event kernel a
+// rank parks inside Recv and Barrier, and fmt.Errorf's argument
+// temporaries would otherwise be part of every parked stack.
+//
+//go:noinline
+func errAborted(rank int, op string) error {
+	return fmt.Errorf("mpi: rank %d %s aborted: sibling rank failed", rank, op)
 }
 
 // arrival prices message m's delivery at rank dst. sentAt already
@@ -593,7 +609,7 @@ func (c *Comm) Barrier() error {
 	} else {
 		t = c.world.bar.wait(c.clock.Now(), func() bool { return c.world.failed() != nil })
 		if err := c.world.failed(); err != nil {
-			return fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", c.rank)
+			return errAborted(c.rank, "Barrier")
 		}
 	}
 	if c.world.mode == VirtualClock {

@@ -1,53 +1,55 @@
 package mpi
 
 // The event-driven kernel behind both event kernel names. Ranks are
-// passive states: goroutines survive only as suspended stack carriers
-// parked on an unbuffered resume channel, woken by events popped from a
-// priority queue ordered on (virtual time, rank, seq). Message envelopes
-// live in slabs indexed by int32 and recycled through a free list, so
-// memory per rank is flat: a parked goroutine, one pending-queue header
-// and a wait record.
+// passive states: a rank's program runs on a runtime coroutine
+// (iter.Pull) that exists only to carry its suspended stack. A worker
+// pops wake events from a priority queue ordered on (virtual time, rank,
+// seq) and switches to the rank (next); a blocking MPI call switches back
+// (yield). Both are runtime.coroswitch: the thread passes from worker to
+// rank and back without the run queue, a wake-up of an idle P or a futex.
+// Message envelopes live in slabs indexed by int32 and recycled through a
+// free list, so memory per rank is flat: a parked coroutine, one
+// pending-queue header and a wait record.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
-// owning a private event heap, message slab and coroutine carriers, and
-// running one rank at a time. KernelEvent is one worker: a single window
-// with an infinite horizon, i.e. a sequential discrete-event scheduler
-// that needs no synchronization at all. KernelParallelEvent shards over
-// min(GOMAXPROCS, procs) workers and proceeds in windows: the
-// coordinator computes the global floor (the minimum next event time
-// across workers) and a safe horizon floor + lookahead, where lookahead
-// is the cost model's MinDelay — the classic Chandy–Misra–Bryant
-// conservative bound: no message injected inside the window can demand a
-// wake-up below the horizon of a sibling worker. Workers then execute
-// their events below the horizon concurrently, staging cross-worker
-// sends into per-(src-worker, dst-worker) lanes; the coordinator merges
-// the lanes at the window barrier, in (src-worker, injection) order.
+// owning a private event heap, message slab and its ranks' carriers, and
+// running one rank at a time. A window runs every worker until its heap
+// is empty — every rank it owns has finished or is parked on something
+// only another worker or the fold can supply — staging sends to other
+// workers' ranks into per-(src-worker, dst-worker) lanes. The fold then,
+// single-threaded, merges the lanes in (src-worker, injection) order,
+// delivers barrier releases and propagates a failure. KernelEvent is one
+// worker: one window on the caller's goroutine, a sequential
+// discrete-event scheduler with no synchronization at all.
 //
-// Byte-identity with the goroutine kernel, at any worker count, is by
-// construction, not by scheduling luck or windowing: a message's arrival
-// time is a pure function of its content (sender clock at injection,
-// size, epoch, endpoint pair); matching is FIFO per (src, tag) with the
-// source always named, and all of a source rank's messages to a given
-// destination ride the same lane in program order, so per-src FIFO — the
-// only queue order matching can observe — survives any merge
-// interleaving. The barrier releases every participant at the maximum
-// contributed clock, which is order-independent. Any schedule that
-// respects per-rank program order therefore yields identical clocks,
-// stats and traces (TestKernelEquivalence pins this bit-for-bit across
-// every registered scenario), and the lookahead is purely a performance
-// knob (how much each worker may run ahead between synchronizations);
-// MinDelay == 0 degrades to lock-step windows, never to wrong answers.
+// No worker waits for another's virtual time. A conservative parallel
+// simulator bounds how far a worker may run ahead because a late message
+// could otherwise reach a rank in its past; here there is no such past
+// to protect, by four rules of the Comm API and this engine:
 //
-// The one seam where cross-worker timing could leak into a program is
-// Probe, which observes whether a message is already queued. One worker
-// and the goroutine kernel guarantee that everything sent before a
-// barrier is visible after it; to preserve that, a multi-worker barrier
-// releases every participant — the last arriver included — only at the
-// next window fold, after staged lanes have merged.
+//  1. A Recv names its source: only the next matching message from src
+//     can complete it, so how far other ranks have run is invisible.
+//  2. Matching is FIFO per (src, tag), and all of a source rank's
+//     messages to one destination ride one lane in program order, so the
+//     only queue order matching can observe survives any merge.
+//  3. A message's arrival time is a pure function of its content (sender
+//     clock at injection, size, epoch, endpoint pair), never of when the
+//     host delivered it; the wake time in the heap orders host work only.
+//  4. A barrier releases every participant at the maximum contributed
+//     clock, which is order-independent, and only at the fold: one worker
+//     and the goroutine kernel guarantee that everything sent before a
+//     barrier is visible to Probe after it — the one seam where
+//     cross-worker timing could reach a program — so every participant,
+//     the last arriver included, leaves after the staged lanes merge.
+//
+// Any schedule that respects per-rank program order therefore yields
+// identical clocks, stats and traces: byte-identity with the goroutine
+// kernel, at any worker count and on a zero-latency network, is by
+// construction (TestKernelEquivalence pins it across every scenario).
 
 import (
 	"fmt"
-	"math"
+	"iter"
 	"runtime"
 	"sync"
 )
@@ -66,9 +68,30 @@ type barWake struct {
 	out  float64
 }
 
+// carrier is one rank's suspended program, an iter.Pull pair: next
+// switches to the rank until it parks or returns (false once it has
+// returned), stop unwinds a rank that will never be resumed. yield is the
+// rank's side of the same switch, recorded when the rank first runs.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// KernelCounters is what the event engine did on the host during one Run
+// (Options.Probe). The counts are a function of the program, the cost
+// model and the worker count only — they repeat exactly from run to run
+// — and never reach a clock, a Stats, a trace or a report.
+type KernelCounters struct {
+	Windows     int // every worker run until its heap was empty, then one fold
+	Activations int // resumes of a rank's coroutine
+	Parks       int // suspensions of a rank in Recv or Barrier
+	StagedMsgs  int // cross-worker messages that waited in a lane for a fold
+}
+
 // peWorker is one worker's shard of the kernel: the event heap, slab and
 // staging lanes for its contiguous block of ranks [lo, hi). All fields
-// are touched only by the worker's own goroutine during a window (one
+// are touched only by whichever goroutine runs the worker's window (one
 // rank coroutine runs at a time per worker) and by the coordinator
 // between windows; the start/ready channel handoffs order the two.
 type peWorker struct {
@@ -83,9 +106,11 @@ type peWorker struct {
 	// window, in injection order.
 	lanes [][]stagedMsg
 	ndone int
-	// yield hands control from a rank coroutine back to the worker;
-	// start/ready frame one window between coordinator and worker.
-	yield chan struct{}
+	// Host-side tallies for KernelCounters, summed when Run returns.
+	activations, parks int
+	// start/ready frame one window between the coordinator and this
+	// worker's goroutine; nil for worker 0, whose windows the coordinator
+	// always runs itself.
 	start chan struct{}
 	ready chan struct{}
 }
@@ -96,27 +121,21 @@ type peWorker struct {
 // barrier state is the one genuinely shared region — ranks of different
 // workers arrive concurrently — and is guarded by barMu.
 type eventEngine struct {
-	w         *World
-	workers   []*peWorker
-	owner     []int32 // rank -> owning worker
-	lookahead float64
-	// floor/horizon frame the current window; written by the
-	// coordinator before the start signal, read by workers after it.
-	floor   float64
-	horizon float64
+	w       *World
+	fn      func(c *Comm) error // the rank program
+	workers []*peWorker
+	owner   []int32 // rank -> owning worker
 	// Sharded per-rank state (see struct comment). pending[r] is rank r's
 	// receive queue in injection order (indices into its worker's slab,
 	// which stay valid across slab growth where pointers would dangle);
 	// scheduled[r] guards the at-most-one-outstanding-event-per-rank
-	// invariant; done[r] lets a worker skip stale wakes. resume[r] hands
-	// control to rank r and its worker's yield hands it back: both are
-	// unbuffered, so each handoff is a strict rendezvous (and a
-	// happens-before edge for the race detector).
+	// invariant; done[r] lets a worker skip stale wakes; carriers[r] is
+	// rank r's coroutine.
 	pending   [][]int32
 	waiting   []waitState
 	scheduled []bool
 	done      []bool
-	resume    []chan struct{}
+	carriers  []carrier
 
 	barMu           sync.Mutex
 	barArrived      int
@@ -126,8 +145,7 @@ type eventEngine struct {
 	barOut          []float64
 	pendingBarWakes []barWake
 
-	active     []*peWorker // per-window scratch: workers with events
-	deadlocked bool
+	staged int // host-side tally for KernelCounters, kept by fold
 }
 
 // wake makes rank runnable at virtual time t on its owning worker's
@@ -145,9 +163,11 @@ func (pw *peWorker) wake(rank int, t float64) {
 }
 
 // park suspends the calling rank coroutine until its worker resumes it.
+// yield reports false only to a rank being unwound by stop, which happens
+// with the fail flag up: the caller's next failure check sends it home.
 func (pw *peWorker) park(rank int) {
-	pw.yield <- struct{}{}
-	<-pw.k.resume[rank]
+	pw.parks++
+	pw.k.carriers[rank].yield(struct{}{})
 }
 
 // alloc stores m in the worker's slab and returns its index.
@@ -202,7 +222,7 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	pw := k.workers[k.owner[rank]]
 	for {
 		if c.world.failFlag.Load() {
-			return nil, fmt.Errorf("mpi: rank %d Recv aborted: sibling rank failed", rank)
+			return nil, errAborted(rank, "Recv")
 		}
 		q := k.pending[rank]
 		for i, idx := range q {
@@ -247,7 +267,7 @@ func (k *eventEngine) probe(rank, src, tag int) bool {
 func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	rank := c.rank
 	if c.world.failFlag.Load() {
-		return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
+		return 0, errAborted(rank, "Barrier")
 	}
 	pw := k.workers[k.owner[rank]]
 	k.barMu.Lock()
@@ -297,7 +317,7 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	k.barWaiting[rank] = false
 	k.barArrived--
 	k.barMu.Unlock()
-	return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
+	return 0, errAborted(rank, "Barrier")
 }
 
 // failWake is the event-kernel half of World.failWake: a failing rank
@@ -305,8 +325,7 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 // safely accessible from the running coroutine); ranks of other workers
 // are woken by the coordinator at every fold while the fail flag is up.
 func (k *eventEngine) failWake(rank int) {
-	pw := k.workers[k.owner[rank]]
-	pw.wakeBlock()
+	k.workers[k.owner[rank]].wakeBlock()
 }
 
 // wakeBlock schedules every undone rank of this worker's block.
@@ -318,24 +337,31 @@ func (pw *peWorker) wakeBlock() {
 	}
 }
 
-// runWindow executes this worker's events strictly below the window
-// horizon (plus anything at the global floor, the progress guarantee
-// when lookahead is zero), one rank coroutine at a time.
+// runWindow executes this worker's events until its heap is empty, one
+// rank coroutine at a time, on the calling goroutine.
 func (pw *peWorker) runWindow() {
 	k := pw.k
 	for pw.q.Len() > 0 {
-		top := pw.q.h[0]
-		if top.time >= k.horizon && top.time > k.floor {
-			break
-		}
-		e := pw.q.pop()
-		rank := int(e.rank)
+		rank := int(pw.q.pop().rank)
 		if k.done[rank] {
 			continue
 		}
 		k.scheduled[rank] = false
-		k.resume[rank] <- struct{}{}
-		<-pw.yield
+		pw.activations++
+		c := &k.carriers[rank]
+		if c.next == nil {
+			// The one closure a carrier enters. Created on first use, not
+			// up front: a rank's first stack is then the one the previous
+			// rank's growth just freed, instead of every rank's held at once.
+			c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+				c.yield = yield
+				k.w.runRank(rank, k.fn)
+			})
+		}
+		if _, parked := c.next(); !parked {
+			k.done[rank] = true
+			pw.ndone++
+		}
 	}
 }
 
@@ -348,6 +374,7 @@ func (k *eventEngine) fold() {
 	for _, dst := range k.workers {
 		for _, src := range k.workers {
 			lane := src.lanes[dst.id]
+			k.staged += len(lane)
 			for i := range lane {
 				dst.deliver(lane[i].m, int(lane[i].dst))
 			}
@@ -371,41 +398,33 @@ func peWorkerCount(workers, procs int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > procs {
-		workers = procs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return min(workers, procs)
 }
 
 // runPEvent drives fn across w.procs ranks under the event-driven kernel
-// and blocks until every rank returns. The calling goroutine becomes the
-// window coordinator; each worker runs its shard's windows on its own
-// goroutine; rank goroutines exist only to carry suspended stacks.
-func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
+// and blocks until every rank returns. The calling goroutine is the
+// window coordinator and runs the first worker that has events itself;
+// every other worker's windows run on a goroutine of its own, so one
+// worker needs none. Rank coroutines exist only to carry suspended
+// stacks, and none outlives the call.
+func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
 	k := &eventEngine{
 		w:           w,
+		fn:          fn,
 		workers:     make([]*peWorker, nw),
 		owner:       make([]int32, procs),
-		lookahead:   w.cost.MinDelay(),
 		pending:     make([][]int32, procs),
 		waiting:     make([]waitState, procs),
 		scheduled:   make([]bool, procs),
 		done:        make([]bool, procs),
-		resume:      make([]chan struct{}, procs),
+		carriers:    make([]carrier, procs),
 		barWaiting:  make([]bool, procs),
 		barReleased: make([]bool, procs),
 		barOut:      make([]float64, procs),
-		active:      make([]*peWorker, 0, nw),
 	}
 	w.eng = k
-	for r := range k.resume {
-		k.resume[r] = make(chan struct{})
-	}
 	for i := range k.workers {
 		pw := &peWorker{
 			k:     k,
@@ -413,37 +432,25 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 			lo:    i * procs / nw,
 			hi:    (i + 1) * procs / nw,
 			lanes: make([][]stagedMsg, nw),
-			yield: make(chan struct{}),
-			start: make(chan struct{}),
-			ready: make(chan struct{}),
 		}
 		k.workers[i] = pw
 		for r := pw.lo; r < pw.hi; r++ {
 			k.owner[r] = int32(i)
-		}
-	}
-	for _, pw := range k.workers {
-		pw := pw
-		for r := pw.lo; r < pw.hi; r++ {
-			go func(rank int) {
-				<-k.resume[rank]
-				w.runRank(rank, fn)
-				k.done[rank] = true
-				pw.ndone++
-				pw.yield <- struct{}{}
-			}(r)
-		}
-		// Seed: every rank becomes runnable at time zero, in rank order.
-		for r := pw.lo; r < pw.hi; r++ {
+			// Seed: every rank becomes runnable at time zero, in rank order.
 			pw.wake(r, 0)
 		}
-		go func() {
-			for range pw.start {
-				pw.runWindow()
-				pw.ready <- struct{}{}
-			}
-		}()
+		if i > 0 {
+			pw.start, pw.ready = make(chan struct{}), make(chan struct{})
+			go func() {
+				for range pw.start {
+					pw.runWindow()
+					pw.ready <- struct{}{}
+				}
+			}()
+		}
 	}
+	active := make([]*peWorker, 0, nw) // per-window scratch: workers with events
+	windows, deadlocked := 0, false
 	for {
 		total := 0
 		for _, pw := range k.workers {
@@ -452,52 +459,51 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		if total == procs {
 			break
 		}
-		floor := math.Inf(1)
+		active = active[:0]
 		for _, pw := range k.workers {
-			if pw.q.Len() > 0 && pw.q.h[0].time < floor {
-				floor = pw.q.h[0].time
+			if pw.q.Len() > 0 {
+				active = append(active, pw)
 			}
 		}
-		if math.IsInf(floor, 1) {
+		if len(active) == 0 {
 			// Every undone rank is parked, no lane or release is pending
 			// (fold drained them), and no heap holds an event. The
 			// goroutine kernel hangs here; this one can prove the deadlock
 			// and fail instead.
-			if k.deadlocked {
+			if deadlocked {
 				break
 			}
-			k.deadlocked = true
+			deadlocked = true
 			w.setFail(fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-total, procs))
 			for _, pw := range k.workers {
 				pw.wakeBlock()
 			}
 			continue
 		}
-		k.floor = floor
-		if nw == 1 {
-			// One worker needs no conservative horizon: there is no
-			// sibling to synchronize with, so the whole run is one window
-			// — a sequential discrete-event scheduler.
-			k.horizon = math.Inf(1)
-		} else {
-			k.horizon = floor + k.lookahead
-		}
-		k.active = k.active[:0]
-		for _, pw := range k.workers {
-			if pw.q.Len() > 0 {
-				k.active = append(k.active, pw)
-			}
-		}
-		for _, pw := range k.active {
+		windows++
+		for _, pw := range active[1:] {
 			pw.start <- struct{}{}
 		}
-		for _, pw := range k.active {
+		active[0].runWindow()
+		for _, pw := range active[1:] {
 			<-pw.ready
 		}
 		k.fold()
 	}
-	for _, pw := range k.workers {
+	for _, pw := range k.workers[1:] {
 		close(pw.start)
+	}
+	for r := range k.carriers {
+		if stop := k.carriers[r].stop; stop != nil && !k.done[r] {
+			stop()
+		}
+	}
+	if probe != nil {
+		*probe = KernelCounters{Windows: windows, StagedMsgs: k.staged}
+		for _, pw := range k.workers {
+			probe.Activations += pw.activations
+			probe.Parks += pw.parks
+		}
 	}
 	return w.failed()
 }

@@ -2,12 +2,16 @@ package mpi
 
 // Unit tests of the event-driven kernel's multi-worker seams: the
 // cross-worker visibility contract of Probe after a barrier, per-source
-// FIFO across a staging lane, and the worker-count resolution rules. The
-// failure paths are in event_test.go, one table over both kernel names.
+// FIFO across a staging lane, a worker running a whole superstep ahead of
+// its sibling, the window count, and the worker-count resolution rules.
+// The failure paths are in event_test.go, one table over both kernel
+// names.
 
 import (
 	"fmt"
 	"testing"
+
+	"ic2mpi/internal/netmodel"
 )
 
 // peventOpts returns free-network options running the parallel event
@@ -116,6 +120,109 @@ func TestParallelEventCrossWorkerFIFO(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// TestParallelEventRunsAhead is the case a bound on how far a worker may
+// run ahead would exist for, on the machine where that bound would be
+// zero: under the free (zero-latency) network the first half of the
+// ranks — all of worker 0 at two and three workers — charge 1000x more
+// per step than the rest, so a light worker finishes each superstep
+// before a heavy one's first fold. Every rank exchanges with a partner on
+// another worker each step and, after the barrier, must Probe the
+// partner's pre-barrier message. Clocks and Stats must equal the
+// goroutine kernel's and event's bit for bit.
+func TestParallelEventRunsAhead(t *testing.T) {
+	const procs, steps = 6, 5
+	snaps := runAllKernels(t, freeOpts(procs), func(c *Comm) error {
+		r := c.Rank()
+		partner := (r + procs/2) % procs
+		cost := 1e-6
+		if r < procs/2 {
+			cost = 1e-3
+		}
+		for step := 0; step < steps; step++ {
+			c.Charge(cost * float64(step+r+1))
+			if err := c.Isend(partner, step, r, 32); err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if !c.Probe(partner, step) {
+				return fmt.Errorf("rank %d step %d: partner %d's pre-barrier send invisible to Probe", r, step, partner)
+			}
+			if c.Probe(partner, steps) {
+				return fmt.Errorf("rank %d step %d: Probe saw a message nobody sends", r, step)
+			}
+			if _, err := c.Recv(partner, step); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	checkKernelsAgree(t, "free network", snaps)
+}
+
+// TestWindowCountPinned pins what the coordinator does for a 256-rank
+// ring halo with a barrier per iteration on the hypercube at two workers:
+// two windows per iteration — one ends with the two boundary pairs parked
+// on a staged message, the next with everyone in the barrier — where a
+// window bounded by the network's smallest delay took hundreds. The
+// counts are a function of the program and the worker count only, so they
+// repeat exactly, and observing them changes nothing.
+func TestWindowCountPinned(t *testing.T) {
+	const procs, iters = 256, 20
+	cost, err := netmodel.New(netmodel.NameHypercube, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(probe *KernelCounters) []kernelSnap {
+		snaps := make([]kernelSnap, procs)
+		opts := Options{Procs: procs, Cost: cost, Kernel: KernelParallelEvent, Workers: 2, Probe: probe}
+		err := Run(opts, func(c *Comm) error {
+			next, prev := (c.Rank()+1)%procs, (c.Rank()+procs-1)%procs
+			for it := 0; it < iters; it++ {
+				c.Charge(1e-5)
+				for _, dst := range []int{next, prev} {
+					if err := c.Isend(dst, it, c.Rank(), 64); err != nil {
+						return err
+					}
+				}
+				for _, src := range []int{prev, next} {
+					if _, err := c.Recv(src, it); err != nil {
+						return err
+					}
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			}
+			snaps[c.Rank()] = kernelSnap{c.Wtime(), c.Stats()}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snaps
+	}
+	var first, second KernelCounters
+	observed, plain := run(&first), run(nil)
+	run(&second)
+	// Every rank parks twice an iteration (a Recv, the barrier) and is
+	// resumed once more than it parks; four messages an iteration cross
+	// the two worker boundaries.
+	want := KernelCounters{Windows: 2*iters + 1, Activations: procs * (2*iters + 1), Parks: procs * 2 * iters, StagedMsgs: 4 * iters}
+	if first != want {
+		t.Errorf("counters %+v, pinned %+v", first, want)
+	}
+	if second != first {
+		t.Errorf("counters do not repeat: %+v then %+v", first, second)
+	}
+	for r := range plain {
+		if observed[r] != plain[r] {
+			t.Errorf("rank %d: %+v with Probe set, %+v without", r, observed[r], plain[r])
 		}
 	}
 }

@@ -24,7 +24,6 @@ package netmodel
 
 import (
 	"fmt"
-	"math"
 
 	"ic2mpi/internal/topology"
 )
@@ -78,23 +77,15 @@ func Origin2000() LogGP {
 
 // Model prices communication on one interconnect. Implementations must
 // be deterministic, safe for concurrent calls, and hop-monotone: more
-// hops between a pair never produces an earlier arrival.
+// hops between a pair never produces an earlier arrival. Every price is a
+// pure function of the call's arguments — that, not any bound on how
+// small a delay can be, is what lets the event kernels run ranks in any
+// order and on any number of workers without changing a clock.
 type Model interface {
 	// ArrivalTime returns the virtual time at which a message of nbytes
 	// sent from src at sendStart (the sender's clock after its send
 	// overhead) becomes available at dst.
 	ArrivalTime(src, dst int, sendStart float64, nbytes int) float64
-	// MinDelay returns the minimum wire delay any message can experience
-	// between two distinct ranks: a lower bound on
-	// ArrivalTime(src, dst, t, n) - t over all src != dst, n >= 0 and all
-	// conditions the model can be in (every epoch, for time-varying
-	// models). It is the conservative lookahead of the parallel event
-	// kernel: no message injected at time t can affect any rank before
-	// t + MinDelay, so events below that horizon are safe to execute
-	// concurrently. 0 (a free or degenerate machine) disables windowing
-	// without breaking correctness — the kernel's safe horizon is a
-	// performance heuristic, never a correctness input.
-	MinDelay() float64
 	// SendOverhead is the CPU time rank spends injecting one message.
 	SendOverhead(rank int) float64
 	// RecvOverhead is the CPU time rank spends extracting one message.
@@ -158,10 +149,6 @@ func (u Uniform) ArrivalTime(src, dst int, sendStart float64, nbytes int) float6
 	return sendStart + wire
 }
 
-// MinDelay implements Model: every pair pays the full latency, so the
-// cheapest possible message (zero bytes) arrives Latency after injection.
-func (u Uniform) MinDelay() float64 { return u.Base.Latency }
-
 // SendOverhead implements Model.
 func (u Uniform) SendOverhead(rank int) float64 { return u.Base.SendOverhead }
 
@@ -224,40 +211,6 @@ func (t Topology) ArrivalTime(src, dst int, sendStart float64, nbytes int) float
 		}
 	}
 	return sendStart + wire
-}
-
-// MinDelay implements Model: the base latency scaled by the cheapest
-// effective link factor seen on the network's topology.SampleStride pairs
-// and its adjacent-id pairs (which contain a one-hop link in every shipped
-// machine). A link cost of 0 prices as an unscaled wire (factor 1),
-// matching ArrivalTime's fallback. Below 64 processors every pair is seen
-// and the bound is exact; above, an unseen link could be cheaper than
-// every seen one, so the factor is capped at one hop — the result can only
-// under-estimate a network whose links all cost more, which keeps the
-// lower-bound contract.
-func (t Topology) MinDelay() float64 {
-	p := t.Net.Procs()
-	factor := math.Inf(1)
-	see := func(i, j int) {
-		c := t.Net.Link(i, j)
-		if c <= 0 {
-			c = 1 // ArrivalTime's unscaled-wire fallback
-		}
-		factor = min(factor, c)
-	}
-	stride := topology.SampleStride(p)
-	for i := 0; i < p; i += stride {
-		for j := i + stride; j < p; j += stride {
-			see(i, j)
-		}
-	}
-	for i := 0; i+1 < p; i++ {
-		see(i, i+1)
-	}
-	if stride > 1 || p < 2 {
-		factor = min(factor, 1)
-	}
-	return t.Base.Latency * factor
 }
 
 // SendOverhead implements Model.

@@ -269,37 +269,3 @@ func BenchmarkArrivalTimeFatTree(b *testing.B) {
 	}
 	benchArrival(b, m)
 }
-
-// TestMinDelay pins the conservative-lookahead contract of every named
-// model: MinDelay must be positive (a zero lookahead degrades the
-// parallel event kernel to lock-step windows) and must never exceed the
-// actual delay of any (src, dst) pair at any payload size — the safe
-// horizon of the parallel event kernel depends on this bound being a
-// true lower bound.
-func TestMinDelay(t *testing.T) {
-	for _, name := range Names() {
-		for _, procs := range []int{2, 5, 8, 16} {
-			m, err := New(name, procs)
-			if err != nil {
-				t.Fatalf("New(%q, %d): %v", name, procs, err)
-			}
-			d := m.MinDelay()
-			if d <= 0 {
-				t.Fatalf("%s/%d procs: MinDelay = %v, want > 0", name, procs, d)
-			}
-			for src := 0; src < procs; src++ {
-				for dst := 0; dst < procs; dst++ {
-					if src == dst {
-						continue
-					}
-					for _, n := range []int{0, 1, 4096} {
-						if got := m.ArrivalTime(src, dst, 0, n); got < d-1e-15 {
-							t.Fatalf("%s/%d procs: ArrivalTime(%d,%d,0,%d) = %v below MinDelay %v",
-								name, procs, src, dst, n, got, d)
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -275,9 +275,9 @@ type Config struct {
 	// golden trace was measured on), mpi.KernelEvent (discrete-event
 	// scheduler on one worker, bit-identical in virtual time, built for
 	// worlds of thousands of ranks) or mpi.KernelParallelEvent (the same
-	// scheduler sharded across workers in conservative lookahead windows,
-	// bit-identical at any worker count). VirtualClock only for the event
-	// kernels.
+	// scheduler sharded across workers that synchronize only when all are
+	// out of events, bit-identical at any worker count). VirtualClock only
+	// for the event kernels.
 	Kernel mpi.Kernel
 	// KernelWorkers sets the worker count for mpi.KernelParallelEvent
 	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels

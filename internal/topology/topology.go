@@ -42,14 +42,8 @@ func (n *Network) Cost(p, q int) float64 {
 	return n.Link(p, q)
 }
 
-// SampleStride is the spacing of the processor ids whose pairs Validate
-// (and netmodel's lookahead bound) examine: visiting all P² pairs is what
-// the function form exists to avoid, so at most 64 ids per side are
-// sampled — which is every pair (stride 1) below 64 processors.
-func SampleStride(procs int) int { return procs/64 + 1 }
-
 // Validate checks the structural invariants of the network: positive
-// speeds, and non-negative symmetric link costs on the SampleStride pairs.
+// speeds, and non-negative symmetric link costs on the sampled pairs.
 func (n *Network) Validate() error {
 	p := len(n.Speed)
 	if p == 0 {
@@ -63,7 +57,10 @@ func (n *Network) Validate() error {
 	if n.Link == nil {
 		return fmt.Errorf("topology: network has no Link function")
 	}
-	stride := SampleStride(p)
+	// Visiting all P² pairs is what the function form exists to avoid, so
+	// at most 64 ids per side are sampled — which is every pair (stride 1)
+	// below 64 processors.
+	stride := p/64 + 1
 	for i := 0; i < p; i += stride {
 		for j := i + stride; j < p; j += stride {
 			c := n.Link(i, j)

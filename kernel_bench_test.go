@@ -6,15 +6,61 @@ package ic2mpi_test
 // documented in docs/benchmarks.md to their pinned values on the default
 // kernel — kernel and rank-state work must not cost the exchange path
 // anything. Host-time comparisons of the kernels are bench/'s
-// mpi.rank_iters_per_s.* rows.
+// mpi.rank_iters_per_s.* rows; BenchmarkKernelCell is only the handle
+// for putting one of bench/'s machine cells under -cpuprofile.
 
 import (
 	"testing"
 
 	"ic2mpi"
+	"ic2mpi/internal/graph"
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
+	"ic2mpi/internal/workload"
 )
+
+// BenchmarkKernelCell runs bench/'s two machine cells (bench/inputs.go:
+// sparse is hex64-fine on 4096 ranks x 10 iterations; dense a 64x64 hex
+// grid on 256 busy ranks x 20 iterations, metis, hypercube) once per op
+// under one kernel, so that a profile holds one kernel's work and nothing
+// else — the recipe behind docs/benchmarks.md's attribution:
+//
+//	go test -run '^$' -bench 'BenchmarkKernelCell/dense/event' -benchtime 40x -cpuprofile cpu.prof .
+func BenchmarkKernelCell(b *testing.B) {
+	sparse, err := scenario.Get("hex64-fine")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dense := scenario.Scenario{
+		Name:     "hex4096-fine",
+		Graph:    func() (*graph.Graph, error) { return graph.HexGrid(64, 64) },
+		InitData: workload.InitID,
+		Node: func(*graph.Graph) platform.NodeFunc {
+			return workload.Averaging(workload.UniformGrain(workload.FineGrain))
+		},
+	}
+	for _, cell := range []struct {
+		name   string
+		sc     scenario.Scenario
+		params scenario.Params
+	}{
+		{"sparse", sparse, scenario.Params{Procs: 4096, Iterations: 10}},
+		{"dense", dense, scenario.Params{Procs: 256, Iterations: 20, Partitioner: "metis", Network: "hypercube"}},
+	} {
+		for _, kernel := range mpi.KernelNames() {
+			b.Run(cell.name+"/"+kernel, func(b *testing.B) {
+				p := cell.params
+				p.Kernel = kernel
+				for i := 0; i < b.N; i++ {
+					if _, err := cell.sc.Run(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkKernelMemoryPerRank reports the peak host memory per
 // simulated rank while the event engine, under each of its names, runs

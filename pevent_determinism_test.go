@@ -1,7 +1,7 @@
 package ic2mpi_test
 
-// Worker-count determinism harness for the conservative parallel event
-// kernel: the worker count is a host-side tuning knob, so every
+// Worker-count determinism harness for the parallel event kernel: the
+// worker count is a host-side tuning knob, so every
 // observable artifact — assembled sweep report JSON, checkpoint
 // snapshots, resumed runs, per-iteration traces — must be byte-identical
 // at 1, 2 and 8 workers, on unperturbed and perturbed machines alike.
