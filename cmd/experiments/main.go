@@ -29,11 +29,13 @@
 // are shorthand for the sweep clauses of the same names.
 // -kernel-workers sets the pevent kernel's worker count (0 means
 // min(GOMAXPROCS, procs)); it is a host-side tuning knob — output bytes
-// are identical at any value.
+// are identical at any value — and, like -kernel, needs -scenario: the
+// paper experiments run the default kernel.
 //
-// Sweep runs execute concurrently on -parallel workers (default: number
-// of CPUs). Output order — and output bytes — are independent of the
-// setting; -parallel 1 only serves to measure the speedup.
+// Sweep runs — those of -scenario and those behind the paper's tables and
+// figures alike — execute concurrently on -parallel workers (default:
+// number of CPUs). Output order — and output bytes — are independent of
+// the setting; -parallel 1 only serves to measure the speedup.
 //
 // -cpuprofile and -memprofile write pprof profiles of the invocation
 // (the CPU profile covers the experiment/sweep execution; the heap
@@ -95,7 +97,7 @@ func main() {
 	run := flag.String("run", "", "paper experiment IDs, comma-separated (e.g. table7,fig12); empty runs all")
 	list := flag.Bool("list", false, "list experiment IDs and registered scenarios, then exit")
 	scen := flag.String("scenario", "", "registered scenario to sweep (see -list)")
-	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4;partitioner=metis,pagrid;buffers=pooled,unpooled"`)
+	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4;partitioner=metis,pagrid;exchange=basic,overlap"`)
 	axisFlags := make(map[string]string) // the shorthand axis flags given, name → value
 	for _, name := range shorthandAxes {
 		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
@@ -184,21 +186,10 @@ func main() {
 			return // the mode wrote its own output (trace on stdout, shard manifest)
 		}
 		reports = append(reports, rep)
-	case mode.tracePath != "":
-		log.Fatal("-trace requires -scenario (see -list for scenario names)")
-	case mode.checkpointPath != "" || mode.resumePath != "":
-		log.Fatal("-checkpoint/-resume require -scenario (see -list for scenario names)")
-	case mode.shardSpec != "" || mode.manifestPath != "" || mode.merge:
-		log.Fatal("-shard/-manifest/-merge require -scenario (see -list for scenario names)")
-	case *sweep != "":
-		log.Fatal("-sweep requires -scenario (see -list for scenario names)")
-	case len(axisFlags) > 0:
-		for _, name := range shorthandAxes {
-			if _, given := axisFlags[name]; given {
-				log.Fatalf("-%s requires -scenario (see -list for scenario names)", name)
-			}
-		}
 	default:
+		if err := needsScenario(mode, *sweep, axisFlags, *kernelWorkers); err != nil {
+			log.Fatal(err)
+		}
 		ids := experiments.IDs()
 		if *run != "" {
 			ids = strings.Split(*run, ",")
@@ -225,6 +216,33 @@ func main() {
 	if err := experiments.WriteReport(os.Stdout, *format, reports...); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// needsScenario refuses, naming the first one given, the flags that act on
+// a -scenario sweep only: without -scenario such a flag would parse and
+// then reach nothing.
+func needsScenario(m runMode, sweep string, axisFlags map[string]string, kernelWorkers int) error {
+	type rule struct {
+		given bool
+		text  string
+	}
+	all := []rule{
+		{m.tracePath != "", "-trace requires"},
+		{m.checkpointPath != "" || m.resumePath != "", "-checkpoint/-resume require"},
+		{m.shardSpec != "" || m.manifestPath != "" || m.merge, "-shard/-manifest/-merge require"},
+		{sweep != "", "-sweep requires"},
+	}
+	for _, name := range shorthandAxes {
+		_, given := axisFlags[name]
+		all = append(all, rule{given, "-" + name + " requires"})
+	}
+	all = append(all, rule{kernelWorkers != 0, "-kernel-workers requires"})
+	for _, r := range all {
+		if r.given {
+			return fmt.Errorf("%s -scenario (see -list for scenario names)", r.text)
+		}
+	}
+	return nil
 }
 
 // countFlag registers an int flag (default 0, "pick for me") that refuses

@@ -137,3 +137,59 @@ func TestKernelWorkersReachEveryRunMode(t *testing.T) {
 		})
 	}
 }
+
+// TestNeedsScenario: a flag that acts on a -scenario sweep only is refused
+// without -scenario instead of parsing and reaching nothing — -kernel-workers
+// included, which `-run table3 -kernel-workers 4` used to accept and drop.
+func TestNeedsScenario(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		mode          runMode
+		sweep         string
+		axisFlags     map[string]string
+		kernelWorkers int
+		want          string // the flag the error must name; "" for no error
+	}{
+		{name: "paper experiments alone"},
+		{name: "-kernel-workers", kernelWorkers: 4, want: "-kernel-workers requires -scenario"},
+		{name: "-kernel", axisFlags: map[string]string{"kernel": "pevent"}, want: "-kernel requires -scenario"},
+		{name: "-sweep", sweep: "procs=2", want: "-sweep requires -scenario"},
+		{name: "-trace", mode: runMode{tracePath: "t.jsonl"}, want: "-trace requires -scenario"},
+		{name: "-resume", mode: runMode{resumePath: "s.ckpt"}, want: "-checkpoint/-resume require -scenario"},
+		{name: "-merge", mode: runMode{merge: true}, want: "-shard/-manifest/-merge require -scenario"},
+	} {
+		err := needsScenario(tc.mode, tc.sweep, tc.axisFlags, tc.kernelWorkers)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused with %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
+			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRetiredBufferModeRefused: a sweep that names buffers=unpooled fails
+// in every mode before it simulates anything (main exits non-zero on the
+// error), with the message that says the mode was retired.
+func TestRetiredBufferModeRefused(t *testing.T) {
+	sc, err := scenario.Get("hex32-fine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const sweep = "procs=2;iters=2;buffers=unpooled"
+	for name, mode := range map[string]runMode{
+		"sweep":  {},
+		"-trace": {tracePath: filepath.Join(dir, "trace.jsonl")},
+		"-shard": {shardSpec: "1/1", manifestPath: filepath.Join(dir, "manifest.json")},
+	} {
+		ax, err := resolveAxes(sweep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runScenario(sc, sweep, ax, mode, cellRunner(0))
+		if err == nil || !strings.Contains(err.Error(), `buffer mode "unpooled" was retired`) {
+			t.Errorf("%s: got error %v, want the retirement message", name, err)
+		}
+	}
+}

@@ -17,25 +17,7 @@ import (
 	"sort"
 
 	"ic2mpi/internal/mpi"
-	"ic2mpi/internal/netmodel"
 )
-
-// Options configures a BSP machine.
-type Options struct {
-	// Procs is the number of BSP processes.
-	Procs int
-	// Cost is the interconnect model pricing Put traffic in virtual
-	// clock mode; nil means free communication.
-	Cost netmodel.Model
-	// Mode selects virtual (default) or real clocks.
-	Mode mpi.ClockMode
-	// Kernel selects the mpi execution engine (goroutine-per-rank by
-	// default, or one of the event schedulers for large process counts).
-	Kernel mpi.Kernel
-	// Workers sets the worker count for mpi.KernelParallelEvent
-	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels.
-	Workers int
-}
 
 // Message is one delivered Put.
 type Message struct {
@@ -68,12 +50,14 @@ const (
 )
 
 // Run executes fn as a BSP program across opts.Procs processes and blocks
-// until every process returns.
-func Run(opts Options, fn func(p *Proc) error) error {
+// until every process returns. A BSP machine is the message-passing
+// runtime's: opts.Cost prices Put traffic in virtual clock mode (nil means
+// free communication).
+func Run(opts mpi.Options, fn func(p *Proc) error) error {
 	if opts.Procs < 1 {
 		return fmt.Errorf("bsp: Procs must be >= 1, got %d", opts.Procs)
 	}
-	return mpi.Run(mpi.Options{Procs: opts.Procs, Cost: opts.Cost, Mode: opts.Mode, Kernel: opts.Kernel, Workers: opts.Workers}, func(c *mpi.Comm) error {
+	return mpi.Run(opts, func(c *mpi.Comm) error {
 		p := &Proc{comm: c, outbox: make([][]outMsg, c.Size())}
 		if err := fn(p); err != nil {
 			return err

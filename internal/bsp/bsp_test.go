@@ -9,12 +9,12 @@ import (
 	"ic2mpi/internal/netmodel"
 )
 
-func free(procs int) Options {
-	return Options{Procs: procs, Cost: netmodel.Free()}
+func free(procs int) mpi.Options {
+	return mpi.Options{Procs: procs, Cost: netmodel.Free()}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := Run(Options{Procs: 0}, func(p *Proc) error { return nil }); err == nil {
+	if err := Run(mpi.Options{Procs: 0}, func(p *Proc) error { return nil }); err == nil {
 		t.Fatal("Procs=0 accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestBSPCostModel(t *testing.T) {
 	// participant compute time plus communication — the w_max + g·h + L
 	// shape of BSP.
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3})
-	opts := Options{Procs: 4, Cost: cost}
+	opts := mpi.Options{Procs: 4, Cost: cost}
 	times := make([]float64, 4)
 	err := Run(opts, func(p *Proc) error {
 		p.Charge(float64(p.Pid()+1) * 0.01) // heterogeneous w
@@ -241,7 +241,7 @@ func TestErrorPropagates(t *testing.T) {
 }
 
 func TestRealClockMode(t *testing.T) {
-	err := Run(Options{Procs: 2, Mode: mpi.RealClock}, func(p *Proc) error {
+	err := Run(mpi.Options{Procs: 2, Mode: mpi.RealClock}, func(p *Proc) error {
 		if err := p.Put(1-p.Pid(), 0, p.Pid(), 8); err != nil {
 			return err
 		}

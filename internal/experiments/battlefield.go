@@ -1,11 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-
-	"ic2mpi/internal/scenario"
-)
-
 // Tables 7-11 and Figure 20: the 32x32-hex battlefield management
 // simulation under five static partitioning schemes, varying simulation
 // steps and processor counts. The workload is the registered
@@ -27,25 +21,8 @@ var battlefieldPartitioners = []struct {
 
 func battlefieldTable(id, partName, title string) Runner {
 	return func() (Report, error) {
-		sc := mustScenario("battlefield")
-		t := &Table{
-			ID: id, Title: title,
-			RowHeader: "Sim. Steps",
-			Cols:      procLabels(),
-		}
-		for _, steps := range battlefieldSteps {
-			row := make([]float64, len(Procs))
-			for j, p := range Procs {
-				res, err := sc.Run(scenario.Params{Procs: p, Partitioner: partName, Iterations: steps})
-				if err != nil {
-					return nil, err
-				}
-				row[j] = res.Elapsed
-			}
-			t.Rows = append(t.Rows, fmt.Sprint(steps))
-			t.Values = append(t.Values, row)
-		}
-		return t, nil
+		return executionTimeTable(id, title, "Sim. Steps", mustScenario("battlefield"),
+			Axes{Iterations: battlefieldSteps, Partitioners: []string{partName}})
 	}
 }
 
@@ -64,11 +41,11 @@ func fig20() (Report, error) {
 		{"rectband", "Rectangular"},
 	}
 	for _, n := range names {
-		times, err := timesFor(sc, n.part, 25, "none")
+		rows, err := timesFor(sc, n.part, 25, "none")
 		if err != nil {
 			return nil, err
 		}
-		f.Series = append(f.Series, Series{Name: n.label, Y: speedups(times)})
+		f.Series = append(f.Series, speedupSeries(n.label, rows))
 	}
 	return f, nil
 }

@@ -382,8 +382,6 @@ func vtimeAblations() (string, error) {
 	variants := []variant{
 		{"exchange (hex64-fine, 8 procs)", "basic (Fig. 8)", "hex64-fine", withExchange(base, scenario.ExchangeBasic)},
 		{"exchange (hex64-fine, 8 procs)", "overlap (Fig. 8a)", "hex64-fine", withExchange(base, scenario.ExchangeOverlap)},
-		{"buffers (hex64-fine, 8 procs)", "unpooled", "hex64-fine", withBuffers(base, scenario.BuffersUnpooled)},
-		{"buffers (hex64-fine, 8 procs)", "pooled", "hex64-fine", withBuffers(base, scenario.BuffersPooled)},
 		{"balancer (imbalance, 8 procs)", "none", "imbalance", withBalancer(base, "none")},
 		{"balancer (imbalance, 8 procs)", "centralized", "imbalance", withBalancer(base, "centralized")},
 		{"balancer (imbalance, 8 procs)", "diffusion", "imbalance", withBalancer(base, "diffusion")},
@@ -415,11 +413,6 @@ func vtimeAblations() (string, error) {
 
 func withExchange(p scenario.Params, ex string) scenario.Params {
 	p.Exchange = ex
-	return p
-}
-
-func withBuffers(p scenario.Params, buf string) scenario.Params {
-	p.Buffers = buf
 	return p
 }
 

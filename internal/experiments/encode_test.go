@@ -117,7 +117,7 @@ func TestWriteReportUnknownFormat(t *testing.T) {
 // (deterministic virtual time end to end).
 func TestSweepJSONDeterministic(t *testing.T) {
 	sc := mustScenario("hex32-fine")
-	ax, err := ParseAxes("procs=1,2,4;iters=5;buffers=pooled,unpooled")
+	ax, err := ParseAxes("procs=1,2,4;iters=5;exchange=basic,overlap")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,28 +182,20 @@ func TestMustScenarioUnknownPanics(t *testing.T) {
 	mustScenario("bogus")
 }
 
-func TestSpeedupsHelper(t *testing.T) {
-	s := speedups([]float64{2, 1, 0.5})
-	if s[0] != 1 || s[1] != 2 || s[2] != 4 {
-		t.Fatalf("speedups = %v", s)
-	}
-	s = speedups([]float64{2, 0})
-	if s[1] != 0 {
-		t.Fatalf("zero time handled wrong: %v", s)
-	}
-}
-
 func TestTimesForDefaults(t *testing.T) {
-	times, err := timesFor(mustScenario("hex32-fine"), "", 2, "")
+	rows, err := timesFor(mustScenario("hex32-fine"), "", 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != len(Procs) {
-		t.Fatalf("timesFor returned %d entries", len(times))
+	if len(rows) != len(Procs) {
+		t.Fatalf("timesFor returned %d rows", len(rows))
 	}
-	for i, e := range times {
-		if e <= 0 {
-			t.Fatalf("no elapsed time at %d procs", Procs[i])
+	for i, row := range rows {
+		if row.Params.Procs != Procs[i] || row.Elapsed <= 0 {
+			t.Fatalf("row %d: %d procs, elapsed %v; want %d procs and a positive time", i, row.Params.Procs, row.Elapsed, Procs[i])
+		}
+		if want := rows[0].Elapsed / row.Elapsed; row.Speedup != want {
+			t.Errorf("at %d procs speedup %v, want %v over the sweep's own 1-processor run", Procs[i], row.Speedup, want)
 		}
 	}
 }

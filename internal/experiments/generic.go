@@ -20,7 +20,8 @@ var tableIters = []int{10, 15, 20}
 
 func scenarioTable(id, title, scenarioName string) Runner {
 	return func() (Report, error) {
-		return executionTimeTable(id, title, mustScenario(scenarioName), tableIters)
+		return executionTimeTable(id, title, "Iterations", mustScenario(scenarioName),
+			Axes{Iterations: tableIters, Balancers: []string{"none"}})
 	}
 }
 
@@ -31,11 +32,11 @@ func fig11() (Report, error) {
 		XLabel: "Processor", X: procLabels(), YLabel: "Speed-up",
 	}
 	for _, n := range []int{32, 64, 96} {
-		times, err := timesFor(mustScenario(fmt.Sprintf("hex%d-fine", n)), "metis", 20, "none")
+		rows, err := timesFor(mustScenario(fmt.Sprintf("hex%d-fine", n)), "metis", 20, "none")
 		if err != nil {
 			return nil, err
 		}
-		f.Series = append(f.Series, Series{Name: fmt.Sprintf("%d-node Hexagonal Grid", n), Y: speedups(times)})
+		f.Series = append(f.Series, speedupSeries(fmt.Sprintf("%d-node Hexagonal Grid", n), rows))
 	}
 	return f, nil
 }
@@ -59,11 +60,11 @@ func metisVsPaGrid(id, title, fineScenario, coarseScenario string) Runner {
 			{"Fine Grain (0.3ms) - PaGrid", fineScenario, "pagrid"},
 			{"Coarse Grain (3ms) - PaGrid", coarseScenario, "pagrid"},
 		} {
-			times, err := timesFor(mustScenario(v.scenario), v.part, 20, "none")
+			rows, err := timesFor(mustScenario(v.scenario), v.part, 20, "none")
 			if err != nil {
 				return nil, err
 			}
-			f.Series = append(f.Series, Series{Name: v.name, Y: speedups(times)})
+			f.Series = append(f.Series, speedupSeries(v.name, rows))
 		}
 		return f, nil
 	}
@@ -85,21 +86,22 @@ func staticVsDynamic(id, title string, mk func() (*graph.Graph, error)) Runner {
 			XLabel: "Processor", X: procLabels(), YLabel: "Speed-up",
 			Notes: "Fig. 23 imbalance schedule (100:1 grain ratio); balancer every 3 steps, multi-round migration (see EXPERIMENTS.md)",
 		}
-		dynTimes, err := timesFor(sc, "metis", 25, "")
+		dynRows, err := timesFor(sc, "metis", 25, "")
 		if err != nil {
 			return nil, err
 		}
-		statTimes, err := timesFor(sc, "metis", 25, "none")
+		statRows, err := timesFor(sc, "metis", 25, "none")
 		if err != nil {
 			return nil, err
 		}
-		// Both series share the static 1-proc baseline, as in the paper.
-		base := statTimes[0]
-		dyn := make([]float64, len(dynTimes))
-		stat := make([]float64, len(statTimes))
+		// Both series share the static 1-proc baseline, as in the paper, so
+		// the dynamic one is not its own sweep's SweepRow.Speedup.
+		base := statRows[0].Elapsed
+		dyn := make([]float64, len(Procs))
+		stat := make([]float64, len(Procs))
 		for i := range Procs {
-			dyn[i] = base / dynTimes[i]
-			stat[i] = base / statTimes[i]
+			dyn[i] = base / dynRows[i].Elapsed
+			stat[i] = base / statRows[i].Elapsed
 		}
 		f.Series = append(f.Series,
 			Series{Name: "Dynamic Load Balancing Utility", Y: dyn},
@@ -116,11 +118,11 @@ func fig16() (Report, error) {
 		XLabel: "Processor", X: procLabels(), YLabel: "Speed-up",
 	}
 	for _, n := range []int{32, 64} {
-		times, err := timesFor(mustScenario(fmt.Sprintf("random%d-fine", n)), "metis", 20, "none")
+		rows, err := timesFor(mustScenario(fmt.Sprintf("random%d-fine", n)), "metis", 20, "none")
 		if err != nil {
 			return nil, err
 		}
-		f.Series = append(f.Series, Series{Name: fmt.Sprintf("%d-node Random Graph", n), Y: speedups(times)})
+		f.Series = append(f.Series, speedupSeries(fmt.Sprintf("%d-node Random Graph", n), rows))
 	}
 	return f, nil
 }
@@ -145,13 +147,13 @@ func overheadFigure(id, title string, mk func() (*graph.Graph, error)) Runner {
 			series[ph].Name = platform.Phase(ph).String()
 			series[ph].Y = make([]float64, len(procs))
 		}
-		for i, p := range procs {
-			res, err := sc.Run(scenario.Params{Procs: p})
-			if err != nil {
-				return nil, err
-			}
+		rep, err := RunSweep(sc, Axes{Procs: procs})
+		if err != nil {
+			return nil, err
+		}
+		for i, row := range rep.Rows {
 			for ph := 0; ph < platform.NumPhases; ph++ {
-				series[ph].Y[i] = res.Phases[ph]
+				series[ph].Y[i] = row.Phases[ph]
 			}
 		}
 		f.Series = series

@@ -28,59 +28,56 @@ func mustScenario(name string) scenario.Scenario {
 	return sc
 }
 
-// executionTimeTable builds a Tables 2-6 style sweep of one scenario:
-// iterations x procs, Metis partitioning, scenario defaults elsewhere.
-func executionTimeTable(id, title string, sc scenario.Scenario, iters []int) (*Table, error) {
+// executionTimeTable builds a Tables 2-11 style report from one sweep of sc:
+// ax names the iteration (or simulation step) counts, one table row each,
+// and whatever else the table fixes; the processor axis stays at the
+// paper's sweep, one column each.
+func executionTimeTable(id, title, rowHeader string, sc scenario.Scenario, ax Axes) (*Table, error) {
+	rep, err := RunSweep(sc, ax)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:        id,
 		Title:     title,
-		RowHeader: "Iterations",
+		RowHeader: rowHeader,
 		Cols:      procLabels(),
 	}
-	for _, it := range iters {
-		row := make([]float64, len(Procs))
-		for j, p := range Procs {
-			res, err := sc.Run(scenario.Params{Procs: p, Iterations: it, Balancer: "none"})
-			if err != nil {
-				return nil, err
-			}
-			row[j] = res.Elapsed
+	for g := 0; g < len(rep.Rows); g += len(Procs) {
+		group := rep.Rows[g : g+len(Procs)]
+		row := make([]float64, len(group))
+		for j := range group {
+			row[j] = group[j].Elapsed
 		}
-		t.Rows = append(t.Rows, fmt.Sprint(it))
+		t.Rows = append(t.Rows, fmt.Sprint(group[0].Params.Iterations))
 		t.Values = append(t.Values, row)
 	}
 	return t, nil
 }
 
-// speedups converts an execution-time series (indexed like Procs) into
-// speedups relative to the 1-processor entry.
-func speedups(times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = times[0] / t
-		}
+// timesFor measures a scenario across the processor sweep: one sweep row
+// per entry of Procs, each carrying its elapsed time and its speedup over
+// the sweep's own 1-processor run. partitioner and balancer override the
+// scenario's defaults when non-empty ("none" explicitly disables balancing
+// — the static baseline of a scenario that defaults to a dynamic
+// balancer).
+func timesFor(sc scenario.Scenario, partitioner string, iters int, balancer string) ([]SweepRow, error) {
+	rep, err := RunSweep(sc, Axes{
+		Partitioners: []string{partitioner},
+		Iterations:   []int{iters},
+		Balancers:    []string{balancer},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return rep.Rows, nil
 }
 
-// timesFor measures a scenario's elapsed time across the processor sweep.
-// partitioner and balancer override the scenario's defaults when
-// non-empty ("none" explicitly disables balancing — the static baseline
-// of a scenario that defaults to a dynamic balancer).
-func timesFor(sc scenario.Scenario, partitioner string, iters int, balancer string) ([]float64, error) {
-	out := make([]float64, len(Procs))
-	for i, p := range Procs {
-		res, err := sc.Run(scenario.Params{
-			Procs:       p,
-			Partitioner: partitioner,
-			Iterations:  iters,
-			Balancer:    balancer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res.Elapsed
+// speedupSeries is the figure line of one timesFor sweep.
+func speedupSeries(name string, rows []SweepRow) Series {
+	y := make([]float64, len(rows))
+	for i := range rows {
+		y[i] = rows[i].Speedup
 	}
-	return out, nil
+	return Series{Name: name, Y: y}
 }

@@ -29,7 +29,9 @@ type Axes struct {
 	Partitioners []string `json:"partitioners"`
 	// Exchanges is the exchange-mode axis ("basic", "overlap").
 	Exchanges []string `json:"exchanges"`
-	// Buffers is the buffer-pooling axis ("pooled", "unpooled").
+	// Buffers is the buffer-pooling axis: "pooled" only, since the
+	// allocate-per-round mode was retired; kept so that axes documents,
+	// cell keys and report columns written before still read the same.
 	Buffers []string `json:"buffers"`
 	// Balancers is the dynamic-balancer axis (scenario.Balancers names the
 	// accepted values).

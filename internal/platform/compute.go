@@ -26,21 +26,21 @@ func (s *rankState) computeAndCommunicate(iter, sub int) error {
 // roundBasic is Fig. 8: internal nodes, then peripheral nodes (packing as
 // they complete), then MPI_Isend/MPI_Recv of the buffers.
 func (s *rankState) roundBasic(iter, sub int) error {
-	buffers := s.makeBuffers()
+	s.nextBuffers()
 	// Compute over nodes: internal first, then peripheral.
 	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub, nil); err != nil {
+		if err := s.computeNode(node, iter, sub); err != nil {
 			return err
 		}
 	}
 	for _, node := range s.peripheral {
-		if err := s.computeNode(node, iter, sub, buffers); err != nil {
+		if err := s.computeNode(node, iter, sub); err != nil {
 			return err
 		}
 	}
 	s.flipMostRecent()
 	// Communicate shadows.
-	if err := s.sendBuffers(buffers, sub); err != nil {
+	if err := s.sendBuffers(sub); err != nil {
 		return err
 	}
 	return s.recvShadows(sub, nil)
@@ -50,13 +50,13 @@ func (s *rankState) roundBasic(iter, sub int) error {
 // post receives, compute internal nodes while communication is in flight,
 // then wait and unpack.
 func (s *rankState) roundOverlapped(iter, sub int) error {
-	buffers := s.makeBuffers()
+	s.nextBuffers()
 	for _, node := range s.peripheral {
-		if err := s.computeNode(node, iter, sub, buffers); err != nil {
+		if err := s.computeNode(node, iter, sub); err != nil {
 			return err
 		}
 	}
-	if err := s.sendBuffers(buffers, sub); err != nil {
+	if err := s.sendBuffers(sub); err != nil {
 		return err
 	}
 	reqs := make([]*mpi.Request, len(s.peers))
@@ -69,7 +69,7 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 	}
 	// Remainder of the computation proceeds while communication continues.
 	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub, nil); err != nil {
+		if err := s.computeNode(node, iter, sub); err != nil {
 			return err
 		}
 	}
@@ -77,54 +77,36 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 	return s.recvShadows(sub, reqs)
 }
 
-// makeBuffers returns one send buffer per peer, indexed like s.peers and
-// sized from peer.send ("the data structure chosen for the communication
-// buffers gives optimum memory usage"). Without ReuseBuffers every exchange
-// gets fresh allocations, matching the C original's malloc-per-round; with
-// it the buffers come from this exchange's generation of peer.pool and are
-// allocation-free once capacities have warmed up (see the peer.pool comment
-// in state.go for why a two-generation gap is sufficient).
-func (s *rankState) makeBuffers() [][]shadowUpdate {
-	if !s.cfg.ReuseBuffers {
-		buffers := make([][]shadowUpdate, len(s.peers))
-		for i := range s.peers {
-			buffers[i] = make([]shadowUpdate, 0, s.peers[i].send)
-		}
-		return buffers
-	}
-	gen := s.exchanges % 2
-	s.exchanges++
-	if cap(s.bufScratch) < len(s.peers) {
-		s.bufScratch = make([][]shadowUpdate, len(s.peers))
-	}
-	buffers := s.bufScratch[:len(s.peers)]
+// nextBuffers starts an exchange: it moves s.gen to the other generation of
+// peer.pool and empties that generation of every peer's send buffer, sized
+// from peer.send ("the data structure chosen for the communication buffers
+// gives optimum memory usage"). Once capacities have warmed up an exchange
+// allocates nothing; the peer.pool comment in state.go says why a
+// two-generation gap is sufficient.
+func (s *rankState) nextBuffers() {
+	s.gen ^= 1
 	for i := range s.peers {
 		pe := &s.peers[i]
-		if cap(pe.pool[gen]) < pe.send {
-			pe.pool[gen] = make([]shadowUpdate, 0, pe.send)
+		if cap(pe.pool[s.gen]) < pe.send {
+			pe.pool[s.gen] = make([]shadowUpdate, 0, pe.send)
 		}
-		buffers[i] = pe.pool[gen][:0]
+		pe.pool[s.gen] = pe.pool[s.gen][:0]
 	}
-	return buffers
 }
 
 // computeNode forms the node+neighbors list, invokes the node function,
 // stores the new data in most_recent, and (for peripheral nodes) packs the
 // update into the outgoing buffers. Time is attributed to the compute and
 // overhead phases exactly as Figures 21-22 split them.
-func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadowUpdate) error {
+func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	e := node.self
-	// Computation overhead: form the list of the node and its neighbors.
+	// Computation overhead: form the list of the node and its neighbors, in
+	// the one list every call on this rank recycles.
 	t0 := s.comm.Wtime()
-	var neighbors []Neighbor
-	if s.cfg.ReuseBuffers {
-		if cap(s.nbrScratch) < len(node.neighbors) {
-			s.nbrScratch = make([]Neighbor, len(node.neighbors))
-		}
-		neighbors = s.nbrScratch[:len(node.neighbors)]
-	} else {
-		neighbors = make([]Neighbor, len(node.neighbors))
+	if cap(s.nbrScratch) < len(node.neighbors) {
+		s.nbrScratch = make([]Neighbor, len(node.neighbors))
 	}
+	neighbors := s.nbrScratch[:len(node.neighbors)]
 	for i, u := range node.neighbors {
 		neighbors[i] = Neighbor{ID: u, Data: node.nbr[i].data}
 	}
@@ -159,7 +141,7 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadow
 	s.phase[PhaseComputeOverhead] += t3 - t2
 
 	// Pack updated peripheral node data into communication buffers.
-	if node.peripheral && buffers != nil {
+	if node.peripheral {
 		// shadowFor and peers are both ascending, so one forward walk pairs
 		// each destination with its buffer.
 		i := 0
@@ -167,7 +149,8 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadow
 			for s.peers[i].proc != p {
 				i++
 			}
-			buffers[i] = append(buffers[i], shadowUpdate{id: node.id, data: newData})
+			buf := &s.peers[i].pool[s.gen]
+			*buf = append(*buf, shadowUpdate{id: node.id, data: newData})
 			s.comm.Charge(s.cfg.Overheads.PackPerNode)
 		}
 		s.phase[PhaseCommOverhead] += s.comm.Wtime() - t3
@@ -191,10 +174,10 @@ func (s *rankState) flipMostRecent() {
 
 // sendBuffers dispatches one nonblocking send per peer, in ascending
 // destination order.
-func (s *rankState) sendBuffers(buffers [][]shadowUpdate, sub int) error {
+func (s *rankState) sendBuffers(sub int) error {
 	t0 := s.comm.Wtime()
-	for i, pe := range s.peers {
-		buf := buffers[i]
+	for _, pe := range s.peers {
+		buf := pe.pool[s.gen]
 		if len(buf) != pe.send {
 			return fmt.Errorf("platform: rank %d packed %d updates for proc %d, expected %d",
 				s.me, len(buf), pe.proc, pe.send)

@@ -41,21 +41,6 @@ type entry struct {
 	mostRecent NodeData
 }
 
-// HashEntry is the exported name of a data-node entry, so external callers
-// (tools, benchmarks) can exercise the HashTable directly.
-type HashEntry = entry
-
-// NewHashEntry builds an entry holding data for node id.
-func NewHashEntry(id graph.NodeID, data NodeData) *HashEntry {
-	return &entry{id: id, data: data, mostRecent: data}
-}
-
-// ID returns the entry's global node ID.
-func (e *entry) ID() graph.NodeID { return e.id }
-
-// Data returns the entry's current node data.
-func (e *entry) Data() NodeData { return e.data }
-
 // NewHashTable returns a table with the given bucket count, fixed for the
 // table's life. The thesis uses HASH_TABLE_LENGTH = 10 regardless of graph
 // size; a rank here asks for one bucket per entry it starts with (own nodes

@@ -35,7 +35,6 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 		d, _ := mixing(0)(id, iter, sub, self, nbrs)
 		return d, map[graph.NodeID]float64{a: 3e-4, b: 2e-4}[id] + 1e-4
 	}
-	cfg.ReuseBuffers = true
 	cfg.Balancer = skewedBalancer{}
 	cfg.DisableMigrationGuard = true
 	c, err := cfg.normalize()

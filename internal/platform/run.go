@@ -234,23 +234,17 @@ func RunSequential(cfg Config) ([]NodeData, error) {
 			return nil, fmt.Errorf("platform: InitData returned nil for node %d", v)
 		}
 	}
-	// With ReuseBuffers the reference loop recycles the neighbor list the
-	// same way the platform does (the NodeFunc retention contract applies
-	// identically here).
+	// The reference loop recycles the neighbor list the way the platform
+	// does: the NodeFunc retention contract applies identically here.
 	var scratch []Neighbor
 	for iter := 1; iter <= c.Iterations; iter++ {
 		for sub := 0; sub < c.SubPhases; sub++ {
 			for v := 0; v < n; v++ {
 				id := graph.NodeID(v)
-				var nbrs []Neighbor
-				if c.ReuseBuffers {
-					if cap(scratch) < len(c.Graph.Adj[v]) {
-						scratch = make([]Neighbor, len(c.Graph.Adj[v]))
-					}
-					nbrs = scratch[:len(c.Graph.Adj[v])]
-				} else {
-					nbrs = make([]Neighbor, len(c.Graph.Adj[v]))
+				if cap(scratch) < len(c.Graph.Adj[v]) {
+					scratch = make([]Neighbor, len(c.Graph.Adj[v]))
 				}
+				nbrs := scratch[:len(c.Graph.Adj[v])]
 				for i, u := range c.Graph.Adj[v] {
 					nbrs[i] = Neighbor{ID: u, Data: data[u]}
 				}

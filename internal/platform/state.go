@@ -65,12 +65,10 @@ type rankState struct {
 	// sequence — and with it the virtual timeline.
 	peers []peer
 
-	// exchanges counts pooled exchanges; its parity selects the peer.pool
-	// generation. bufScratch and nbrScratch are the recycled per-exchange
-	// buffer table and the node+neighbors list handed to the node function.
-	// All of it stays zero unless Config.ReuseBuffers is on.
-	exchanges  int
-	bufScratch [][]shadowUpdate
+	// gen is the peer.pool generation the current exchange packs and sends;
+	// nextBuffers flips it as every exchange starts. nbrScratch is the
+	// recycled node+neighbors list handed to the node function.
+	gen        int
 	nbrScratch []Neighbor
 
 	phase [NumPhases]float64
@@ -101,14 +99,13 @@ type peer struct {
 	// exchange. Both are positive: either way the entry exists because one
 	// of my nodes is adjacent to one of proc's.
 	send, recv int
-	// pool holds two generations of send buffers for proc
-	// (Config.ReuseBuffers); successive exchanges alternate generations, so
-	// a buffer handed to Isend in exchange k is only truncated and repacked
-	// in exchange k+2. That gap is what makes reuse safe under the
-	// runtime's deliver-by-reference contract: I also receive from every
-	// peer I send to, so receiving proc's exchange-(k+1) buffer proves proc
-	// finished its exchange k and has already unpacked everything I sent it
-	// in exchange k.
+	// pool holds two generations of send buffers for proc; successive
+	// exchanges alternate generations (rankState.gen), so a buffer handed to
+	// Isend in exchange k is only truncated and repacked in exchange k+2.
+	// That gap is what makes reuse safe under the runtime's
+	// deliver-by-reference contract: I also receive from every peer I send
+	// to, so receiving proc's exchange-(k+1) buffer proves proc finished its
+	// exchange k and has already unpacked everything I sent it in exchange k.
 	pool [2][]shadowUpdate
 }
 

@@ -32,7 +32,8 @@ func (d IntData) SizeBytes() int { return 8 }
 // Neighbor pairs a neighbor's global node ID with that neighbor's data
 // from the previous iteration. The slice passed to NodeFunc plays the role
 // of the thesis' linked list "with the current node's data as the head
-// followed by the data of its neighbors".
+// followed by the data of its neighbors". The platform recycles the slice
+// between invocations, so a NodeFunc must not retain it beyond the call.
 type Neighbor struct {
 	ID   graph.NodeID
 	Data NodeData
@@ -51,9 +52,9 @@ type Neighbor struct {
 // 1, which the battlefield simulation uses because "the computation and
 // communication function sequence is called more than once").
 //
-// The neighbors slice is only valid for the duration of the call when
-// Config.ReuseBuffers is enabled (the platform recycles it between
-// invocations); implementations must copy it to retain it.
+// The neighbors slice is only valid for the duration of the call: the
+// platform (and RunSequential) recycles it between invocations, so an
+// implementation must not retain it and copies what it wants to keep.
 type NodeFunc func(id graph.NodeID, iter, sub int, self NodeData, neighbors []Neighbor) (NodeData, float64)
 
 // Pair is one busy/idle processor pair selected by the load balancer.
@@ -231,16 +232,6 @@ type Config struct {
 	// Overlap selects the Fig. 8a variant: peripheral nodes first, then
 	// internal-node computation overlapped with shadow communication.
 	Overlap bool
-	// ReuseBuffers enables the pooled exchange fast path: the send buffers
-	// (two generations per neighbouring processor, peer.pool) and the
-	// node+neighbors list handed to Node are recycled across iterations
-	// instead of freshly allocated, making the
-	// steady-state compute/communicate round allocation-free. Virtual-time
-	// results and final node data are bit-identical with the pool on or
-	// off (enforced by TestExchangeDeterminism). When enabled, Node
-	// implementations must not retain the neighbors slice beyond the call;
-	// copy it first if longer-lived access is needed.
-	ReuseBuffers bool
 	// Balancer enables dynamic load balancing when non-nil.
 	Balancer Balancer
 	// BalanceEvery is the load-balancing period in iterations (default 10,

@@ -153,16 +153,16 @@ func PageRankBSP(g *graph.Graph, procs, iters int, rec *trace.Recorder) ([]float
 // model). A non-nil rec records one trace sample per (superstep,
 // process): the scatter loop as compute, Sync as communicate.
 func PageRankBSPOn(g *graph.Graph, procs, iters int, model netmodel.Model, rec *trace.Recorder) ([]float64, float64, error) {
-	return pageRankBSPRun(g, iters, bsp.Options{Procs: procs, Cost: model}, rec)
+	return pageRankBSPRun(g, iters, mpi.Options{Procs: procs, Cost: model}, rec)
 }
 
 // bspOptions builds the superstep layer's options from normalized
 // parameters — the one place the pagerank-bsp runner's knobs (procs,
-// network, kernel, kernel workers) cross into bsp.Options. The empty
+// network, kernel, kernel workers) cross into mpi.Options. The empty
 // network keeps the scenario's built-in free-comm machine; a named one
 // prices the h-relations.
-func bspOptions(p Params) (bsp.Options, error) {
-	opts := bsp.Options{Procs: p.Procs, Workers: p.KernelWorkers}
+func bspOptions(p Params) (mpi.Options, error) {
+	opts := mpi.Options{Procs: p.Procs, Workers: p.KernelWorkers}
 	var err error
 	if p.Network != "" {
 		if opts.Cost, err = netmodel.New(p.Network, p.Procs); err != nil {
@@ -173,9 +173,9 @@ func bspOptions(p Params) (bsp.Options, error) {
 	return opts, err
 }
 
-// pageRankBSPRun is PageRankBSPOn at explicit bsp.Options, so the scenario
+// pageRankBSPRun is PageRankBSPOn at explicit mpi.Options, so the scenario
 // runner can put the BSP workload on the event kernels too.
-func pageRankBSPRun(g *graph.Graph, iters int, opts bsp.Options, rec *trace.Recorder) ([]float64, float64, error) {
+func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Recorder) ([]float64, float64, error) {
 	procs := opts.Procs
 	n := g.NumVertices()
 	ranks := make([]float64, n)

@@ -26,14 +26,12 @@ const (
 	ExchangeOverlap = "overlap"
 )
 
-// Buffer-pooling modes selectable through Params.Buffers.
-const (
-	// BuffersPooled enables the pooled exchange fast path
-	// (platform.Config.ReuseBuffers).
-	BuffersPooled = "pooled"
-	// BuffersUnpooled allocates exchange buffers freshly each round.
-	BuffersUnpooled = "unpooled"
-)
+// BuffersPooled is the one value of Params.Buffers: the platform owns and
+// recycles its exchange buffers. The field, the sweep axis and the CellKey
+// component outlive the allocate-per-round mode they used to select, so
+// that keys, reports and manifests written before it was retired still
+// read the same.
+const BuffersPooled = "pooled"
 
 // Params selects one point of a scenario's configuration space. The zero
 // value of every field means "use the scenario's default"; the sweep
@@ -46,7 +44,7 @@ type Params struct {
 	Partitioner string `json:"partitioner"`
 	// Exchange is ExchangeBasic or ExchangeOverlap.
 	Exchange string `json:"exchange"`
-	// Buffers is BuffersPooled or BuffersUnpooled.
+	// Buffers is BuffersPooled.
 	Buffers string `json:"buffers"`
 	// Balancer names the dynamic load balancer; see Balancers for the
 	// accepted names ("none" disables balancing).
@@ -188,6 +186,10 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 			p.Buffers = BuffersPooled
 		}
 	}
+	if p.Buffers == "unpooled" {
+		return p, fmt.Errorf("scenario %s: buffer mode \"unpooled\" was retired: its results were bit-identical to %q, which every run now uses; drop the value",
+			sc.Name, BuffersPooled)
+	}
 	if p.Balancer == "" {
 		if p.Balancer = def.Balancer; p.Balancer == "" {
 			p.Balancer = "none"
@@ -245,9 +247,8 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 			return p, fmt.Errorf("scenario %s: unknown exchange mode %q (want %s or %s)",
 				sc.Name, p.Exchange, ExchangeBasic, ExchangeOverlap)
 		}
-		if p.Buffers != BuffersPooled && p.Buffers != BuffersUnpooled {
-			return p, fmt.Errorf("scenario %s: unknown buffer mode %q (want %s or %s)",
-				sc.Name, p.Buffers, BuffersPooled, BuffersUnpooled)
+		if p.Buffers != BuffersPooled {
+			return p, fmt.Errorf("scenario %s: unknown buffer mode %q (want %s)", sc.Name, p.Buffers, BuffersPooled)
 		}
 		if !partition.Known(p.Partitioner) {
 			return p, fmt.Errorf("scenario %s: unknown partitioner %q (known: %v)", sc.Name, p.Partitioner, partition.Names())
@@ -319,11 +320,9 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 		Iterations:       p.Iterations,
 		SubPhases:        sc.SubPhases,
 		Overlap:          p.Exchange == ExchangeOverlap,
-		ReuseBuffers:     p.Buffers == BuffersPooled,
 		Balancer:         bal,
 		BalanceEvery:     p.BalanceEvery,
 		BalanceRounds:    p.BalanceRounds,
-		Overheads:        platform.DefaultOverheads(),
 		Network:          runNet,
 		Kernel:           kernel,
 		KernelWorkers:    p.KernelWorkers,
@@ -376,18 +375,13 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 	return out, nil
 }
 
-// Partition runs the named static partitioner on g for k processors.
-// PaGrid maps onto the Origin 2000's hypercube with the paper's
-// Rref = 0.45; the geometric partitioners require graph coordinates.
-func Partition(name string, g *graph.Graph, k int) ([]int, error) {
-	return PartitionOn(name, g, k, nil)
-}
-
-// PartitionOn is Partition with the run's interconnect model: the
-// network-aware PaGrid partitioner maps onto the model's processor
-// network graph, so a mesh2d run is partitioned for a mesh, not a
-// hypercube. A nil model (or one without an underlying graph, such as
-// the uniform crossbar) keeps the historical hypercube target.
+// PartitionOn runs the named static partitioner on g for k processors of
+// the run's interconnect model: the network-aware PaGrid partitioner maps
+// onto the model's processor network graph (with the paper's Rref = 0.45),
+// so a mesh2d run is partitioned for a mesh, not a hypercube. A nil model
+// (or one without an underlying graph, such as the uniform crossbar) keeps
+// the historical hypercube target. The geometric partitioners require
+// graph coordinates.
 func PartitionOn(name string, g *graph.Graph, k int, model netmodel.Model) ([]int, error) {
 	pt, err := partition.New(name)
 	if err != nil {
@@ -407,18 +401,11 @@ func Balancers() []string {
 	return []string{"none", "centralized", "centralized-strict", "diffusion", "worksteal", "hierarchical", "predictive"}
 }
 
-// NewBalancer resolves a Params.Balancer name to a platform balancer; the
-// name "none" (and "") resolves to nil, disabling dynamic balancing.
-// Topology-aware balancers get the topology-agnostic default shape; use
-// NewBalancerOn to derive their structure from the run's interconnect.
-func NewBalancer(name string) (platform.Balancer, error) {
-	return NewBalancerOn(name, "", 0)
-}
-
-// NewBalancerOn resolves a Params.Balancer name with the run's
-// interconnect in view: the hierarchical balancer's cluster map is
-// derived from the named network's topology (see ClustersFor). network ""
-// or procs <= 0 keep the topology-agnostic defaults.
+// NewBalancerOn resolves a Params.Balancer name to a platform balancer
+// with the run's interconnect in view; the name "none" (and "") resolves
+// to nil, disabling dynamic balancing. The hierarchical balancer's cluster
+// map is derived from the named network's topology (see ClustersFor);
+// network "" or procs <= 0 keep the topology-agnostic defaults.
 func NewBalancerOn(name, network string, procs int) (platform.Balancer, error) {
 	switch name {
 	case "", "none":

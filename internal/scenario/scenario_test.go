@@ -154,6 +154,16 @@ func TestNormalizeRejectsBadModes(t *testing.T) {
 	if _, err := sc.Run(Params{Procs: 2, Buffers: "leaky"}); err == nil {
 		t.Error("bad buffer mode accepted")
 	}
+	// The retired mode is refused by name, on every scenario, with an error
+	// that says what happened to it and what to do.
+	for _, name := range []string{"hex64-fine", "pagerank-bsp"} {
+		sc, _ := Lookup(name)
+		_, err := sc.Normalize(Params{Buffers: "unpooled"})
+		want := "scenario " + name + `: buffer mode "unpooled" was retired: its results were bit-identical to "pooled", which every run now uses; drop the value`
+		if err == nil || err.Error() != want {
+			t.Errorf("Normalize(buffers=unpooled) on %s: error %v, want %q", name, err, want)
+		}
+	}
 	if _, err := sc.Run(Params{Procs: 2, Balancer: "psychic"}); err == nil {
 		t.Error("bad balancer accepted")
 	}
@@ -210,16 +220,16 @@ func TestPartitionResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range partition.Names() {
-		part, err := Partition(name, g, 4)
+		part, err := PartitionOn(name, g, 4, nil)
 		if err != nil {
-			t.Errorf("Partition(%q) failed: %v", name, err)
+			t.Errorf("PartitionOn(%q) failed: %v", name, err)
 			continue
 		}
 		if len(part) != g.NumVertices() {
-			t.Errorf("Partition(%q) returned %d entries", name, len(part))
+			t.Errorf("PartitionOn(%q) returned %d entries", name, len(part))
 		}
 	}
-	if _, err := Partition("bogus", g, 4); err == nil {
+	if _, err := PartitionOn("bogus", g, 4, nil); err == nil {
 		t.Error("unknown partitioner accepted")
 	}
 }
@@ -269,14 +279,14 @@ func TestPaGridTieCellsRepeat(t *testing.T) {
 
 func TestBalancerResolver(t *testing.T) {
 	for _, name := range Balancers() {
-		if _, err := NewBalancer(name); err != nil {
-			t.Errorf("NewBalancer(%q) failed: %v", name, err)
+		if _, err := NewBalancerOn(name, "", 0); err != nil {
+			t.Errorf("NewBalancerOn(%q) failed: %v", name, err)
 		}
 	}
-	if b, err := NewBalancer("none"); err != nil || b != nil {
-		t.Errorf("NewBalancer(none) = %v, %v", b, err)
+	if b, err := NewBalancerOn("none", "", 0); err != nil || b != nil {
+		t.Errorf("NewBalancerOn(none) = %v, %v", b, err)
 	}
-	if _, err := NewBalancer("bogus"); err == nil {
+	if _, err := NewBalancerOn("bogus", "", 0); err == nil {
 		t.Error("unknown balancer accepted")
 	}
 }
@@ -391,7 +401,7 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 // sequential reference, the property its example advertises.
 // TestBSPOptionsCarryEveryKnob pins the custom runner's side of the knob
 // plumbing: every parameter the pagerank-bsp runner acts on — the pevent
-// worker count included, which it used to drop — arrives in bsp.Options.
+// worker count included, which it used to drop — arrives in mpi.Options.
 func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	sc, _ := Lookup("pagerank-bsp")
 	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", KernelWorkers: 3})

@@ -2,9 +2,8 @@ package trace_test
 
 // Golden trace determinism, mirroring TestExchangeDeterminism one level
 // up the stack: the JSONL encoding of a traced run is a pure function of
-// the configuration. The same scenario traced twice — and traced with the
-// pooled exchange fast path on or off — must produce byte-identical
-// output, pinned against a checked-in golden file.
+// the configuration. The same scenario traced twice must produce
+// byte-identical output, pinned against a checked-in golden file.
 
 import (
 	"bytes"
@@ -20,26 +19,26 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
-// heatTrace runs the heat scenario (4 procs, 12 iterations) with the
-// given buffer mode and interconnect model and returns its JSONL trace.
-func heatTrace(t *testing.T, buffers, network string) []byte {
-	return heatTracePerturbed(t, buffers, network, "")
+// heatTrace runs the heat scenario (4 procs, 12 iterations) on the given
+// interconnect model and returns its JSONL trace.
+func heatTrace(t *testing.T, network string) []byte {
+	return heatTracePerturbed(t, network, "")
 }
 
 // heatTracePerturbed is heatTrace with a fault-injection schedule.
-func heatTracePerturbed(t *testing.T, buffers, network, perturb string) []byte {
-	return heatTraceKernel(t, buffers, network, perturb, "")
+func heatTracePerturbed(t *testing.T, network, perturb string) []byte {
+	return heatTraceKernel(t, network, perturb, "")
 }
 
 // heatTraceKernel is heatTracePerturbed with an explicit execution kernel.
-func heatTraceKernel(t *testing.T, buffers, network, perturb, kernel string) []byte {
+func heatTraceKernel(t *testing.T, network, perturb, kernel string) []byte {
 	t.Helper()
 	sc, err := scenario.Get("heat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
-	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 12, Buffers: buffers, Network: network, Perturb: perturb, Kernel: kernel, Trace: rec}); err != nil {
+	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 12, Network: network, Perturb: perturb, Kernel: kernel, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -51,7 +50,7 @@ func heatTraceKernel(t *testing.T, buffers, network, perturb, kernel string) []b
 
 func TestGoldenHeatTrace(t *testing.T) {
 	golden := filepath.Join("testdata", "heat-4proc-12iter.jsonl")
-	got := heatTrace(t, scenario.BuffersPooled, "")
+	got := heatTrace(t, "")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -67,24 +66,19 @@ func TestGoldenHeatTrace(t *testing.T) {
 	}
 
 	// Byte-identical across repeated runs.
-	if again := heatTrace(t, scenario.BuffersPooled, ""); !bytes.Equal(got, again) {
+	if again := heatTrace(t, ""); !bytes.Equal(got, again) {
 		t.Error("trace differs between two identical runs")
-	}
-	// Byte-identical with the buffer pool off: tracing observes the
-	// virtual timeline, which pooling must not touch.
-	if unpooled := heatTrace(t, scenario.BuffersUnpooled, ""); !bytes.Equal(got, unpooled) {
-		t.Error("trace differs between pooled and unpooled runs")
 	}
 	// The scenario default machine IS the hypercube: naming it must
 	// change nothing. This pins the seed timeline across the netmodel
 	// refactor.
-	if hyper := heatTrace(t, scenario.BuffersPooled, "hypercube"); !bytes.Equal(got, hyper) {
+	if hyper := heatTrace(t, "hypercube"); !bytes.Equal(got, hyper) {
 		t.Error("explicit hypercube differs from the scenario default")
 	}
 	// The event kernel must reproduce the goroutine kernel's golden
 	// bytes: the trace observes the virtual timeline, and the timeline
 	// is a pure function of the simulated program, not the engine.
-	if event := heatTraceKernel(t, scenario.BuffersPooled, "", "", "event"); !bytes.Equal(got, event) {
+	if event := heatTraceKernel(t, "", "", "event"); !bytes.Equal(got, event) {
 		t.Error("event-kernel trace differs from the golden goroutine-kernel trace")
 	}
 }
@@ -92,13 +86,13 @@ func TestGoldenHeatTrace(t *testing.T) {
 // TestGoldenHeatTraceBrownout extends the golden-trace contract to a
 // perturbed machine: the canonical mid-run brownout (one seed-chosen
 // processor 3x slower for the middle third of the run) must produce a
-// byte-identical trace across repeats and with the buffer pool on or
-// off, pinned against a checked-in golden. The trace must visibly
-// differ from the unperturbed one (samples carry speed_factor and the
-// browned-out iterations stretch), or the fault layer did nothing.
+// byte-identical trace across repeats, pinned against a checked-in
+// golden. The trace must visibly differ from the unperturbed one (samples
+// carry speed_factor and the browned-out iterations stretch), or the fault
+// layer did nothing.
 func TestGoldenHeatTraceBrownout(t *testing.T) {
 	golden := filepath.Join("testdata", "heat-4proc-12iter-brownout.jsonl")
-	got := heatTracePerturbed(t, scenario.BuffersPooled, "", "brownout")
+	got := heatTracePerturbed(t, "", "brownout")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -112,13 +106,10 @@ func TestGoldenHeatTraceBrownout(t *testing.T) {
 		t.Errorf("trace diverged from %s (%d vs %d bytes); regenerate with -update if the change is intended",
 			golden, len(got), len(want))
 	}
-	if again := heatTracePerturbed(t, scenario.BuffersPooled, "", "brownout"); !bytes.Equal(got, again) {
+	if again := heatTracePerturbed(t, "", "brownout"); !bytes.Equal(got, again) {
 		t.Error("perturbed trace differs between two identical runs")
 	}
-	if unpooled := heatTracePerturbed(t, scenario.BuffersUnpooled, "", "brownout"); !bytes.Equal(got, unpooled) {
-		t.Error("perturbed trace differs between pooled and unpooled runs")
-	}
-	if static := heatTrace(t, scenario.BuffersPooled, ""); bytes.Equal(got, static) {
+	if static := heatTrace(t, ""); bytes.Equal(got, static) {
 		t.Error("brownout trace is identical to the unperturbed trace; fault injection had no effect")
 	}
 	if !bytes.Contains(got, []byte(`"speed_factor":`)) {
@@ -127,20 +118,20 @@ func TestGoldenHeatTraceBrownout(t *testing.T) {
 	// The event kernel must reproduce the perturbed golden byte for byte:
 	// epoch advancement and time-varying pricing behave identically under
 	// the discrete-event scheduler.
-	if event := heatTraceKernel(t, scenario.BuffersPooled, "", "brownout", "event"); !bytes.Equal(got, event) {
+	if event := heatTraceKernel(t, "", "brownout", "event"); !bytes.Equal(got, event) {
 		t.Error("event-kernel brownout trace differs from the golden goroutine-kernel trace")
 	}
 }
 
 // TestGoldenHeatTracePerNetwork pins one golden trace per interconnect
-// model: the determinism contract holds machine by machine (same run,
-// same bytes; pooling never matters), and the timelines are pinned
-// against checked-in files so a costing change cannot slip by unnoticed.
+// model: the determinism contract holds machine by machine, and the
+// timelines are pinned against checked-in files so a costing change
+// cannot slip by unnoticed.
 func TestGoldenHeatTracePerNetwork(t *testing.T) {
 	for _, network := range netmodel.Names() {
 		t.Run(network, func(t *testing.T) {
 			golden := filepath.Join("testdata", "heat-4proc-12iter-"+network+".jsonl")
-			got := heatTrace(t, scenario.BuffersPooled, network)
+			got := heatTrace(t, network)
 			if *update {
 				if err := os.WriteFile(golden, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -153,9 +144,6 @@ func TestGoldenHeatTracePerNetwork(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("trace diverged from %s (%d vs %d bytes); regenerate with -update if the change is intended",
 					golden, len(got), len(want))
-			}
-			if unpooled := heatTrace(t, scenario.BuffersUnpooled, network); !bytes.Equal(got, unpooled) {
-				t.Error("trace differs between pooled and unpooled runs")
 			}
 		})
 	}
