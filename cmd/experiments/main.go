@@ -50,11 +50,12 @@
 //
 // -checkpoint writes a versioned snapshot of one run's complete state to
 // a file at every fault-epoch boundary (every -checkpoint-every
-// iterations); -resume restores a run from such a snapshot and replays
-// only the remaining iterations, producing output byte-identical to the
-// uninterrupted run. Snapshots carry the run's cell key, and -resume
-// refuses a snapshot taken under different parameters. Both require
-// -scenario with at most one value per sweep axis.
+// iterations, a period that must be below the run's iteration count: no
+// snapshot follows the last iteration); -resume restores a run from such
+// a snapshot and replays only the remaining iterations, producing output
+// byte-identical to the uninterrupted run. Snapshots carry the run's cell
+// key, and -resume refuses a snapshot taken under different parameters.
+// Both require -scenario with at most one value per sweep axis.
 //
 // -shard i/n runs the i-th of n contiguous chunks of a sweep,
 // coordinated through the -manifest file: the manifest lists every cell
@@ -79,6 +80,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -103,20 +105,24 @@ func main() {
 		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
 			func(v string) error { axisFlags[name] = v; return nil })
 	}
-	kernelWorkers := countFlag(flag.CommandLine, "kernel-workers", "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
-	parallel := countFlag(flag.CommandLine, "parallel", "`count` of concurrent sweep runs; 0 means number of CPUs")
+	kernelWorkers := countFlag(flag.CommandLine, "kernel-workers", 0, "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
+	parallel := countFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent sweep runs; 0 means number of CPUs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken after the run completes, to this file")
 	format := flag.String("format", "text", "output format: text, json or csv")
 	var mode runMode
 	flag.StringVar(&mode.tracePath, "trace", "", `write a per-iteration trace of one -scenario run: JSONL, CSV when the path ends in .csv, or "-" for JSONL on stdout`)
 	flag.StringVar(&mode.checkpointPath, "checkpoint", "", "write an epoch-boundary snapshot of one -scenario run to this file (see -checkpoint-every)")
-	flag.IntVar(&mode.checkpointEvery, "checkpoint-every", 1, "iterations between snapshots written to -checkpoint")
+	checkpointEvery := countFlag(flag.CommandLine, "checkpoint-every", 1, "snapshot period of -checkpoint in `iterations` (default 1); must be below the run's iteration count")
 	flag.StringVar(&mode.resumePath, "resume", "", "restore one -scenario run from a -checkpoint snapshot file and replay the remaining iterations")
 	flag.StringVar(&mode.shardSpec, "shard", "", `run one contiguous chunk of the sweep: "i/n" (1-based shard i of n), coordinated through -manifest`)
 	flag.StringVar(&mode.manifestPath, "manifest", "", "sharded-sweep manifest file (-shard), or comma-separated completed manifests (-merge)")
 	flag.BoolVar(&mode.merge, "merge", false, "combine the completed -manifest file(s) into the sweep report an unsharded run would produce")
 	flag.Parse()
+	mode.checkpointEvery = *checkpointEvery
+	if err := checkFlags(*format, mode); err != nil {
+		log.Fatal(err)
+	}
 	experiments.Parallelism = *parallel
 
 	if *cpuprofile != "" {
@@ -245,14 +251,28 @@ func needsScenario(m runMode, sweep string, axisFlags map[string]string, kernelW
 	return nil
 }
 
-// countFlag registers an int flag (default 0, "pick for me") that refuses
-// a negative value when it is parsed, so the usage error names the flag
-// instead of the value silently meaning the default.
-func countFlag(fs *flag.FlagSet, name, usage string) *int {
+// checkFlags refuses, before anything runs, the flag values that parse
+// and would otherwise fail only after every cell has been simulated
+// (-format) or reach nothing (-checkpoint-every without -checkpoint).
+func checkFlags(format string, m runMode) error {
+	if format != "" && !slices.Contains(experiments.Formats(), format) {
+		return fmt.Errorf("-format: unknown format %q (known: %v)", format, experiments.Formats())
+	}
+	if m.checkpointEvery != 0 && m.checkpointPath == "" {
+		return errors.New("-checkpoint-every requires -checkpoint (the file the snapshots are written to)")
+	}
+	return nil
+}
+
+// countFlag registers an int flag (0 until it is given: "pick for me")
+// that refuses a value below least when it is parsed, so the usage error
+// names the flag instead of the value silently meaning the default or
+// switching the flag's effect off.
+func countFlag(fs *flag.FlagSet, name string, least int, usage string) *int {
 	n := new(int)
 	fs.Func(name, usage, func(v string) (err error) {
-		if *n, err = strconv.Atoi(v); err == nil && *n < 0 {
-			err = errors.New("must be >= 0")
+		if *n, err = strconv.Atoi(v); err == nil && *n < least {
+			err = fmt.Errorf("must be >= %d", least)
 		}
 		return err
 	})
@@ -287,7 +307,7 @@ func resolveAxes(sweep string, axisFlags map[string]string) (experiments.Axes, e
 type runMode struct {
 	tracePath       string
 	checkpointPath  string
-	checkpointEvery int
+	checkpointEvery int // 0: not given, every iteration
 	resumePath      string
 	shardSpec       string
 	manifestPath    string
@@ -357,7 +377,17 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 		log.Printf("resuming %s from %s at iteration %d of %d", sc.Name, m.resumePath, snap.Iter, snap.Iterations)
 	}
 	if m.checkpointPath != "" {
-		p.CheckpointEvery = m.checkpointEvery
+		p.CheckpointEvery = max(m.checkpointEvery, 1)
+		// A snapshot is taken after every CheckpointEvery-th iteration but
+		// the last, so a period that reaches the end would run to
+		// completion, exit 0 and leave no file.
+		np, err := sc.Normalize(p)
+		if err != nil {
+			return nil, err
+		}
+		if p.CheckpointEvery >= np.Iterations {
+			return nil, fmt.Errorf("-checkpoint-every %d writes no snapshot in a run of %d iterations: the period must be below the iteration count", p.CheckpointEvery, np.Iterations)
+		}
 		p.CheckpointSink = func(s *platform.RunSnapshot) error {
 			data, err := checkpoint.Encode(checkpoint.Meta{CellKey: key}, s)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -61,22 +62,26 @@ func TestResolveAxesFlagConflicts(t *testing.T) {
 }
 
 // TestCountFlagsRejectNegatives: -kernel-workers -3 and -parallel -2 used
-// to be accepted and mean "default"; each must now fail at parse time
-// with an error naming the flag, and still take 0 and positive counts.
+// to be accepted and mean "default", and -checkpoint-every 0 to switch
+// -checkpoint off; each must now fail at parse time with an error naming
+// the flag, and still take its least value and larger counts.
 func TestCountFlagsRejectNegatives(t *testing.T) {
 	for _, tc := range []struct {
 		flag, value string
-		want        int
+		least, want int
 		bad         bool
 	}{
 		{flag: "kernel-workers", value: "-3", bad: true},
 		{flag: "parallel", value: "-2", bad: true},
 		{flag: "kernel-workers", value: "0"},
 		{flag: "parallel", value: "4", want: 4},
+		{flag: "checkpoint-every", least: 1, value: "0", bad: true},
+		{flag: "checkpoint-every", least: 1, value: "-1", bad: true},
+		{flag: "checkpoint-every", least: 1, value: "1", want: 1},
 	} {
 		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		n := countFlag(fs, tc.flag, "a count")
+		n := countFlag(fs, tc.flag, tc.least, "a count")
 		err := fs.Parse([]string{"-" + tc.flag, tc.value})
 		switch {
 		case tc.bad && (err == nil || !strings.Contains(err.Error(), "-"+tc.flag)):
@@ -164,6 +169,70 @@ func TestNeedsScenario(t *testing.T) {
 			t.Errorf("%s: refused with %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
 			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckFlags: a value that parses and then fails only after every
+// cell has run (-format), or reaches nothing (-checkpoint-every without
+// -checkpoint), is refused by the check main makes right after flag.Parse.
+func TestCheckFlags(t *testing.T) {
+	for _, format := range append(experiments.Formats(), "") { // "" is text, as in WriteReport
+		if err := checkFlags(format, runMode{}); err != nil {
+			t.Errorf("-format %q: refused with %v", format, err)
+		}
+	}
+	for _, tc := range []struct {
+		name, format string
+		mode         runMode
+		want         string // what the error must start with; "" for no error
+	}{
+		{name: "-format bogus", format: "bogus", want: `-format: unknown format "bogus"`},
+		{name: "-checkpoint-every alone", format: "json", mode: runMode{checkpointEvery: 3}, want: "-checkpoint-every requires -checkpoint"},
+		{name: "-checkpoint-every with -checkpoint", format: "json", mode: runMode{checkpointEvery: 3, checkpointPath: "f.ckpt"}},
+		{name: "-checkpoint alone", format: "json", mode: runMode{checkpointPath: "f.ckpt"}},
+	} {
+		err := checkFlags(tc.format, tc.mode)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused with %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
+			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckpointPeriodMustLeaveABoundary: a snapshot follows every
+// period-th iteration except the last, so a period at or past the
+// iteration count used to run the cell, exit 0 and write nothing. It is
+// refused with both numbers named, nothing is written, and the largest
+// period that does leave a boundary still writes its snapshot.
+func TestCheckpointPeriodMustLeaveABoundary(t *testing.T) {
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweep = "procs=2;iters=4"
+	ax, err := resolveAxes(sweep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		every int
+		want  string // "" when the run must succeed and leave a snapshot
+	}{
+		{every: 3},
+		{every: 4, want: "-checkpoint-every 4 writes no snapshot in a run of 4 iterations"},
+		{every: 20, want: "-checkpoint-every 20 writes no snapshot in a run of 4 iterations"},
+	} {
+		path := filepath.Join(t.TempDir(), "f.ckpt")
+		_, err := runScenario(sc, sweep, ax, runMode{checkpointPath: path, checkpointEvery: tc.every}, cellRunner(0))
+		_, statErr := os.Stat(path)
+		switch {
+		case tc.want == "" && (err != nil || statErr != nil):
+			t.Errorf("period %d: run %v, snapshot %v; want both fine", tc.every, err, statErr)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want) || statErr == nil):
+			t.Errorf("period %d: got error %v (snapshot written: %v), want %q and no file", tc.every, err, statErr == nil, tc.want)
 		}
 	}
 }

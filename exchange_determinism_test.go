@@ -255,7 +255,7 @@ func TestExchangeDeterminismSubPhases(t *testing.T) {
 // kernel's run bit for bit — virtual time, message counters, phase
 // breakdown, migrations, and the per-iteration trace JSONL, byte for
 // byte. The two engines share no scheduling machinery (goroutines +
-// mailboxes vs priority queues over passive rank states, on one worker
+// mailboxes vs run queues over passive rank states, on one worker
 // or sharded across several), so agreement here is evidence the
 // virtual timeline is a pure function of the simulated program, not of
 // the engine executing it.

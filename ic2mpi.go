@@ -150,16 +150,16 @@ const (
 	// engine, and the one every pinned table and golden trace was
 	// measured on.
 	KernelGoroutine = mpi.KernelGoroutine
-	// KernelEvent runs ranks as passive states driven by a discrete-event
-	// scheduler on one worker: bit-identical virtual timelines with flat
-	// per-rank memory, built for worlds of thousands of simulated
+	// KernelEvent runs ranks as passive states that a scheduler on one
+	// worker resumes in wake order: bit-identical virtual timelines with
+	// flat per-rank memory, built for worlds of thousands of simulated
 	// processors. Virtual clock only.
 	KernelEvent = mpi.KernelEvent
 	// KernelParallelEvent runs the same scheduler sharded across
 	// min(GOMAXPROCS, procs) workers that synchronize only when every one
-	// has run out of events (Config.KernelWorkers overrides the worker
-	// count; at one worker it is KernelEvent). Bit-identical to the other
-	// kernels at any worker count. Virtual clock only.
+	// has run out of runnable ranks (Config.KernelWorkers overrides the
+	// worker count; at one worker it is KernelEvent). Bit-identical to the
+	// other kernels at any worker count. Virtual clock only.
 	KernelParallelEvent = mpi.KernelParallelEvent
 )
 

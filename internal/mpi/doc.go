@@ -5,9 +5,9 @@
 // stdlib-only code has no viable MPI bindings, so this package executes the
 // same single-program-multiple-data structure with one goroutine per rank
 // and mailboxes guarded by condition variables as the interconnect — or,
-// for large worlds, with ranks as passive states of a discrete-event
-// scheduler on one or several workers (Options.Kernel, see kernel.go; the
-// virtual timeline is the same either way). Point-to-point
+// for large worlds, with ranks as passive states that a scheduler on one
+// or several workers resumes in wake order (Options.Kernel, see kernel.go;
+// the virtual timeline is the same either way). Point-to-point
 // operations (Send, Isend, Recv, Irecv, Wait), collectives (Barrier, Bcast,
 // Gather, Allgather, Reduce, Allreduce) and Wtime mirror the MPI calls the
 // thesis' appendices use.

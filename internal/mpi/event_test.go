@@ -3,15 +3,12 @@ package mpi
 // Unit tests of the event-driven kernel under both of its names:
 // in-package equivalence smokes against the goroutine kernel, the
 // failure paths the big differential suite (TestKernelEquivalence at the
-// repo root) cannot reach, and the ordering contract of the event queue
-// itself.
+// repo root) cannot reach, and the run queue itself.
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -198,7 +195,7 @@ func TestEventKernelRejectsRealClock(t *testing.T) {
 }
 
 // TestEventKernelDetectsDeadlock: a receive that can never be satisfied
-// drains every event heap; the kernel must fail the world, whether the
+// empties every run queue; the kernel must fail the world, whether the
 // blocked rank shares a worker with its phantom sender or not (the
 // goroutine kernel would hang forever here, which is why it has no row).
 func TestEventKernelDetectsDeadlock(t *testing.T) {
@@ -293,111 +290,123 @@ func TestEventKernelFailUnblocks(t *testing.T) {
 	})
 }
 
-// TestEventQueueOrder drives the queue with a seeded random insertion
-// pattern and asserts pops come out in strict (time, rank, seq) order —
-// the determinism contract FuzzEventQueue explores adversarially.
-func TestEventQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260807))
-	var q eventQueue
-	var seq uint64
-	var want []event
-	for i := 0; i < 2000; i++ {
-		seq++
-		e := event{time: float64(rng.Intn(50)) * 0.125, rank: int32(rng.Intn(8)), seq: seq}
-		q.push(e)
-		want = append(want, e)
-		if rng.Intn(3) == 0 && q.Len() > 0 {
-			got := q.pop()
-			best := 0
-			for j := 1; j < len(want); j++ {
-				if eventLess(want[j], want[best]) {
-					best = j
-				}
+// TestEventRunQueue pins the run queue's whole contract: ranks come out
+// in the order they went in, through several trips round the ring, with
+// the ring full and with it empty, and Len counts what is queued.
+func TestEventRunQueue(t *testing.T) {
+	const size = 5
+	q := runQueue{ring: make([]int32, size)}
+	next, want := int32(0), int32(0) // next rank to push, next expected from pop
+	pop := func() {
+		t.Helper()
+		if got := q.pop(); got != want {
+			t.Fatalf("pop: got %d, want %d", got, want)
+		}
+		want++
+	}
+	// Depths 1..size (the full ring last), each pushed from wherever the
+	// previous round left head: 15 pushes through a ring of 5.
+	for depth := 1; depth <= size; depth++ {
+		for i := 0; i < depth; i++ {
+			q.push(next)
+			next++
+			if q.Len() != i+1 {
+				t.Fatalf("depth %d: Len %d after %d pushes", depth, q.Len(), i+1)
 			}
-			if got != want[best] {
-				t.Fatalf("pop %d: got %+v, want %+v", i, got, want[best])
-			}
-			want = append(want[:best], want[best+1:]...)
+		}
+		for q.Len() > 0 {
+			pop()
 		}
 	}
-	sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
-	for _, w := range want {
-		if got := q.pop(); got != w {
-			t.Fatalf("drain: got %+v, want %+v", got, w)
+	// Interleaved at a standing depth, so head and tail both wrap mid-run.
+	for i := 0; i < size-1; i++ {
+		q.push(next)
+		next++
+	}
+	for i := 0; i < 4*size; i++ {
+		pop()
+		q.push(next)
+		next++
+		if q.Len() != size-1 {
+			t.Fatalf("interleaved step %d: Len %d, want %d", i, q.Len(), size-1)
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
+	for q.Len() > 0 {
+		pop()
+	}
+	if want != next {
+		t.Fatalf("%d ranks pushed, %d popped", next, want)
 	}
 }
 
-// FuzzEventQueue feeds arbitrary interleaved push/pop traffic to the
-// event queue and asserts the pop order is exactly the (time, rank, seq)
-// total order — random insertions must pop deterministically.
-func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0, 0, 0, 0, 255, 255, 16, 32, 64, 128})
-	f.Add([]byte{9, 1, 9, 1, 9, 1, 77})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var q eventQueue
-		var seq uint64
-		var live []event
-		for i := 0; i+1 < len(data); i += 2 {
-			seq++
-			e := event{
-				// A coarse time grid forces plenty of ties so the
-				// (rank, seq) tie-break actually decides.
-				time: float64(data[i]>>4) * 0.25,
-				rank: int32(data[i] & 0x0f),
-				seq:  seq,
-			}
-			q.push(e)
-			live = append(live, e)
-			if data[i+1]%3 == 0 && q.Len() > 0 {
-				got := q.pop()
-				best := 0
-				for j := 1; j < len(live); j++ {
-					if eventLess(live[j], live[best]) {
-						best = j
+// TestEventRankQueuedOnce drives the two places a rank could be queued
+// twice, which in a ring of exactly block size would overwrite a slot and
+// lose a rank for good. First a fan-in: rank 0 receives from every other
+// rank in descending order while they all send at once, so each message
+// reaches a rank that is waiting for another source or is already queued;
+// the received values and the final clocks are pinned against the
+// goroutine kernel. Then the same fan-in with a Fail from the last sender
+// while rank 0 is queued for its message and the others are parked in the
+// barrier: wakeBlock runs over a rank that is already queued and over the
+// failing rank itself (at one worker that fills the ring to its last
+// slot), and every rank must still unwind with the pinned error.
+func TestEventRankQueuedOnce(t *testing.T) {
+	const procs = 9
+	fanIn := func(failing bool, sums []int) func(c *Comm) error {
+		return func(c *Comm) error {
+			for round := 0; round < 3; round++ {
+				if c.Rank() != 0 {
+					if err := c.Isend(0, round, c.Rank()*(round+1), 8); err != nil {
+						return err
+					}
+					if failing && round == 1 && c.Rank() == procs-1 {
+						c.Fail(errors.New("deliberate"))
+						return nil
+					}
+				} else {
+					for src := procs - 1; src > 0; src-- {
+						v, err := c.Recv(src, round)
+						if err != nil {
+							return err
+						}
+						sums[round] = sums[round]*10 + v.(int)%10
 					}
 				}
-				if got != live[best] {
-					t.Fatalf("pop: got %+v, want %+v", got, live[best])
+				if err := c.Barrier(); err != nil {
+					return err
 				}
-				live = append(live[:best], live[best+1:]...)
 			}
+			return nil
 		}
-		sort.Slice(live, func(i, j int) bool { return eventLess(live[i], live[j]) })
-		for _, w := range live {
-			if got := q.pop(); got != w {
-				t.Fatalf("drain: got %+v, want %+v", got, w)
-			}
+	}
+	// clean runs the fan-in to the end and returns what rank 0 received
+	// and every rank's final clock.
+	clean := func(t *testing.T, o Options) (sums [3]int, clocks [procs]float64) {
+		body := fanIn(false, sums[:])
+		if err := Run(o, func(c *Comm) error {
+			err := body(c)
+			clocks[c.Rank()] = c.Wtime()
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return sums, clocks
+	}
+	cost := netmodel.NewUniform(netmodel.Origin2000())
+	opts := freeOpts(procs)
+	opts.Cost = cost
+	ref, refClocks := clean(t, opts)
+	if want := [3]int{87654321, 64208642, 41852963}; ref != want {
+		t.Fatalf("goroutine kernel received %v, pinned %v", ref, want)
+	}
+	forEventKernels(t, procs, func(t *testing.T, o Options) {
+		o.Cost = cost
+		if got, clocks := clean(t, o); got != ref || clocks != refClocks {
+			t.Errorf("received %v with clocks %v, goroutine kernel %v with %v", got, clocks, ref, refClocks)
+		}
+		err := Run(o, fanIn(true, make([]int, 3)))
+		if want := "mpi: rank 8: deliberate"; err == nil || err.Error() != want {
+			t.Fatalf("got %v, want %q", err, want)
 		}
 	})
-}
-
-// BenchmarkEventQueue measures steady-state push/pop throughput at a
-// queue depth typical of a large world (one outstanding event per rank).
-func BenchmarkEventQueue(b *testing.B) {
-	const depth = 4096
-	var q eventQueue
-	rng := rand.New(rand.NewSource(1))
-	times := make([]float64, depth)
-	for i := range times {
-		times[i] = rng.Float64()
-	}
-	var seq uint64
-	for i := 0; i < depth; i++ {
-		seq++
-		q.push(event{time: times[i], rank: int32(i), seq: seq})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.pop()
-		seq++
-		e.time += times[i%depth]
-		e.seq = seq
-		q.push(e)
-	}
 }

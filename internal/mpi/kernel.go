@@ -20,18 +20,18 @@ const (
 	// concurrently. Best host-time at small worlds; memory and scheduler
 	// pressure grow with rank count.
 	KernelGoroutine Kernel = iota
-	// KernelEvent is the discrete-event engine (pevent.go) on one worker:
-	// ranks are passive states on runtime coroutines, driven by a scheduler
-	// popping wake events from a priority queue ordered on (virtual time,
-	// rank, seq), with slab-allocated message envelopes instead of
-	// per-rank mailbox locks.
+	// KernelEvent is the event-driven engine (pevent.go) on one worker:
+	// ranks are passive states on runtime coroutines, resumed by a
+	// scheduler in the order they were woken (a run queue of ranks — no
+	// virtual time takes part in scheduling), with slab-allocated message
+	// envelopes instead of per-rank mailbox locks.
 	// Exactly one rank runs at a time, and the simulation scales to tens
 	// of thousands of ranks with flat memory per rank. VirtualClock only.
 	KernelEvent
 	// KernelParallelEvent is the same engine run in parallel: ranks are
 	// partitioned across min(GOMAXPROCS, procs) workers (see
-	// Options.Workers), each owning a private event heap and message slab.
-	// Workers run concurrently until each is out of events, staging
+	// Options.Workers), each owning a private run queue and message slab.
+	// Workers run concurrently until each is out of runnable ranks, staging
 	// cross-worker sends into per-worker lanes merged at the window fold;
 	// none waits for another's virtual time (pevent.go says why none has
 	// to). At one worker it is KernelEvent. VirtualClock only.

@@ -3,17 +3,18 @@ package mpi
 // The event-driven kernel behind both event kernel names. Ranks are
 // passive states: a rank's program runs on a runtime coroutine
 // (iter.Pull) that exists only to carry its suspended stack. A worker
-// pops wake events from a priority queue ordered on (virtual time, rank,
-// seq) and switches to the rank (next); a blocking MPI call switches back
-// (yield). Both are runtime.coroswitch: the thread passes from worker to
-// rank and back without the run queue, a wake-up of an idle P or a futex.
-// Message envelopes live in slabs indexed by int32 and recycled through a
-// free list, so memory per rank is flat: a parked coroutine, one
-// pending-queue header and a wait record.
+// takes the next rank off its run queue — the ranks woken and not yet
+// run, in the order they were woken — and switches to it (next); a
+// blocking MPI call switches back (yield). Both are runtime.coroswitch:
+// the thread passes from worker to rank and back without the Go
+// scheduler, a wake-up of an idle P or a futex. Message envelopes live in
+// slabs indexed by int32 and recycled through a free list, so memory per
+// rank is flat: a parked coroutine, one pending-queue header, a wait
+// record and a run-queue slot.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
-// owning a private event heap, message slab and its ranks' carriers, and
-// running one rank at a time. A window runs every worker until its heap
+// owning a private run queue, message slab and its ranks' carriers, and
+// running one rank at a time. A window runs every worker until its queue
 // is empty — every rank it owns has finished or is parked on something
 // only another worker or the fold can supply — staging sends to other
 // workers' ranks into per-(src-worker, dst-worker) lanes. The fold then,
@@ -22,10 +23,13 @@ package mpi
 // worker: one window on the caller's goroutine, a sequential
 // discrete-event scheduler with no synchronization at all.
 //
-// No worker waits for another's virtual time. A conservative parallel
-// simulator bounds how far a worker may run ahead because a late message
-// could otherwise reach a rank in its past; here there is no such past
-// to protect, by four rules of the Comm API and this engine:
+// No worker waits for another's virtual time, and none orders its own
+// ranks by it: the run queue holds ranks, not timed events. A sequential
+// discrete-event simulator runs the earliest event first, and a
+// conservative parallel one bounds how far a worker may run ahead,
+// because a late message could otherwise reach a rank in its past; here
+// there is no such past to protect, by four rules of the Comm API and
+// this engine:
 //
 //  1. A Recv names its source: only the next matching message from src
 //     can complete it, so how far other ranks have run is invisible.
@@ -34,7 +38,8 @@ package mpi
 //     only queue order matching can observe survives any merge.
 //  3. A message's arrival time is a pure function of its content (sender
 //     clock at injection, size, epoch, endpoint pair), never of when the
-//     host delivered it; the wake time in the heap orders host work only.
+//     host delivered it or ran its receiver; it is priced once, by the
+//     receiver, when the Recv completes.
 //  4. A barrier releases every participant at the maximum contributed
 //     clock, which is order-independent, and only at the fold: one worker
 //     and the goroutine kernel guarantee that everything sent before a
@@ -61,11 +66,47 @@ type stagedMsg struct {
 	dst int32
 }
 
-// barWake is a deferred barrier release: rank leaves the barrier with
-// clock out at the next window fold.
-type barWake struct {
-	rank int32
-	out  float64
+// waitState records why a parked rank is blocked in Recv, so the sender
+// of a matching message can schedule a precise wake instead of the
+// goroutine kernel's broadcast-and-rescan.
+type waitState struct {
+	active   bool
+	src, tag int
+}
+
+// runQueue is one worker's scheduler: the ranks of its block that have
+// been woken and not yet run, first in, first out. A rank is queued at
+// most once (eventEngine.scheduled), so a ring with one slot per rank of
+// the block, allocated once, can never be full when push is called and
+// never grows — an appended slice would leak four bytes per activation
+// over the single window of a one-worker run.
+type runQueue struct {
+	ring    []int32
+	head, n int
+}
+
+// Len returns the number of queued ranks.
+func (q *runQueue) Len() int { return q.n }
+
+// push queues rank behind every rank already queued.
+func (q *runQueue) push(rank int32) {
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = rank
+	q.n++
+}
+
+// pop removes and returns the rank queued longest. The queue must be
+// non-empty.
+func (q *runQueue) pop() int32 {
+	rank := q.ring[q.head]
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return rank
 }
 
 // carrier is one rank's suspended program, an iter.Pull pair: next
@@ -83,13 +124,13 @@ type carrier struct {
 // model and the worker count only — they repeat exactly from run to run
 // — and never reach a clock, a Stats, a trace or a report.
 type KernelCounters struct {
-	Windows     int // every worker run until its heap was empty, then one fold
+	Windows     int // every worker run until its queue was empty, then one fold
 	Activations int // resumes of a rank's coroutine
 	Parks       int // suspensions of a rank in Recv or Barrier
 	StagedMsgs  int // cross-worker messages that waited in a lane for a fold
 }
 
-// peWorker is one worker's shard of the kernel: the event heap, slab and
+// peWorker is one worker's shard of the kernel: the run queue, slab and
 // staging lanes for its contiguous block of ranks [lo, hi). All fields
 // are touched only by whichever goroutine runs the worker's window (one
 // rank coroutine runs at a time per worker) and by the coordinator
@@ -98,8 +139,7 @@ type peWorker struct {
 	k      *eventEngine
 	id     int
 	lo, hi int
-	q      eventQueue
-	seq    uint64
+	q      runQueue
 	slab   []message
 	free   []int32
 	// lanes[d] stages this worker's sends to ranks of worker d this
@@ -128,9 +168,9 @@ type eventEngine struct {
 	// Sharded per-rank state (see struct comment). pending[r] is rank r's
 	// receive queue in injection order (indices into its worker's slab,
 	// which stay valid across slab growth where pointers would dangle);
-	// scheduled[r] guards the at-most-one-outstanding-event-per-rank
-	// invariant; done[r] lets a worker skip stale wakes; carriers[r] is
-	// rank r's coroutine.
+	// scheduled[r] is set while rank r sits in its worker's run queue, so
+	// it is never queued twice; done[r] lets a worker skip stale wakes;
+	// carriers[r] is rank r's coroutine.
 	pending   [][]int32
 	waiting   []waitState
 	scheduled []bool
@@ -143,23 +183,22 @@ type eventEngine struct {
 	barWaiting      []bool
 	barReleased     []bool
 	barOut          []float64
-	pendingBarWakes []barWake
+	pendingBarWakes []int32 // ranks released since the last fold, which wakes them
 
 	staged int // host-side tally for KernelCounters, kept by fold
 }
 
-// wake makes rank runnable at virtual time t on its owning worker's
-// heap. At most one event per rank is outstanding: the rank rescans its
-// wait condition on resume, so a single wake suffices no matter how many
-// new messages queued meanwhile.
-func (pw *peWorker) wake(rank int, t float64) {
+// wake makes rank runnable: it joins the back of its owning worker's run
+// queue unless it is already there. The rank rescans its wait condition
+// on resume, so a single wake suffices no matter how many new messages
+// queued meanwhile.
+func (pw *peWorker) wake(rank int) {
 	k := pw.k
 	if k.scheduled[rank] || k.done[rank] {
 		return
 	}
 	k.scheduled[rank] = true
-	pw.seq++
-	pw.q.push(event{time: t, rank: int32(rank), seq: pw.seq})
+	pw.q.push(int32(rank))
 }
 
 // park suspends the calling rank coroutine until its worker resumes it.
@@ -189,13 +228,14 @@ func (pw *peWorker) release(idx int32) {
 }
 
 // deliver queues m for rank dst (owned by this worker) and, when dst is
-// parked on a matching Recv, schedules its wake at the arrival time.
+// parked on a matching Recv, wakes it. The message is not priced here:
+// its arrival time is the receiver's business (completeRecv).
 func (pw *peWorker) deliver(m message, dst int) {
 	k := pw.k
 	idx := pw.alloc(m)
 	k.pending[dst] = append(k.pending[dst], idx)
 	if ws := k.waiting[dst]; ws.active && m.src == ws.src && (ws.tag == AnyTag || m.tag == ws.tag) {
-		pw.wake(dst, k.w.arrival(m, dst))
+		pw.wake(dst)
 	}
 }
 
@@ -214,9 +254,9 @@ func (k *eventEngine) send(dst int, m message) {
 
 // recv is the event-kernel half of Recv: consume the first queued
 // (src, tag) match, or park until a sender (or a window fold merging a
-// staged message) schedules a wake. The clock advance in completeRecv
-// depends only on the matched message, so the wake time itself never
-// leaks into the timeline.
+// staged message) wakes the rank. The clock advance in completeRecv
+// depends only on the matched message, so when the rank was woken and
+// resumed never leaks into the timeline.
 func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
 	pw := k.workers[k.owner[rank]]
@@ -260,7 +300,7 @@ func (k *eventEngine) probe(rank, src, tag int) bool {
 // barrier is the event-kernel Barrier. Arrival counting is the only
 // cross-worker rendezvous in the kernel, so it takes barMu. With one
 // worker the last arriver releases every parked participant directly,
-// in ascending rank order at the release time; with several, every
+// in ascending rank order; with several, every
 // participant — the last arriver included — parks and leaves at the
 // next window fold, after staged lanes merge, so post-barrier Probe sees
 // every pre-barrier message.
@@ -288,9 +328,9 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 			k.barReleased[r] = true
 			k.barOut[r] = out
 			if single {
-				pw.wake(r, out)
+				pw.wake(r)
 			} else {
-				k.pendingBarWakes = append(k.pendingBarWakes, barWake{rank: int32(r), out: out})
+				k.pendingBarWakes = append(k.pendingBarWakes, int32(r))
 			}
 		}
 		if single {
@@ -299,7 +339,7 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 		}
 		k.barReleased[rank] = true
 		k.barOut[rank] = out
-		k.pendingBarWakes = append(k.pendingBarWakes, barWake{rank: int32(rank), out: out})
+		k.pendingBarWakes = append(k.pendingBarWakes, int32(rank))
 	} else {
 		k.barWaiting[rank] = true
 	}
@@ -321,8 +361,8 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 }
 
 // failWake is the event-kernel half of World.failWake: a failing rank
-// wakes its own worker's parked ranks directly (its worker's heap is
-// safely accessible from the running coroutine); ranks of other workers
+// wakes its own worker's parked ranks directly (its worker's run queue
+// is safely accessible from the running coroutine); ranks of other workers
 // are woken by the coordinator at every fold while the fail flag is up.
 func (k *eventEngine) failWake(rank int) {
 	k.workers[k.owner[rank]].wakeBlock()
@@ -332,17 +372,18 @@ func (k *eventEngine) failWake(rank int) {
 func (pw *peWorker) wakeBlock() {
 	for r := pw.lo; r < pw.hi; r++ {
 		if !pw.k.done[r] {
-			pw.wake(r, 0)
+			pw.wake(r)
 		}
 	}
 }
 
-// runWindow executes this worker's events until its heap is empty, one
-// rank coroutine at a time, on the calling goroutine.
+// runWindow resumes this worker's queued ranks, in wake order, until its
+// run queue is empty, one rank coroutine at a time, on the calling
+// goroutine.
 func (pw *peWorker) runWindow() {
 	k := pw.k
 	for pw.q.Len() > 0 {
-		rank := int(pw.q.pop().rank)
+		rank := int(pw.q.pop())
 		if k.done[rank] {
 			continue
 		}
@@ -381,8 +422,8 @@ func (k *eventEngine) fold() {
 			src.lanes[dst.id] = lane[:0]
 		}
 	}
-	for _, bw := range k.pendingBarWakes {
-		k.workers[k.owner[bw.rank]].wake(int(bw.rank), bw.out)
+	for _, r := range k.pendingBarWakes {
+		k.workers[k.owner[r]].wake(int(r))
 	}
 	k.pendingBarWakes = k.pendingBarWakes[:0]
 	if k.w.failFlag.Load() {
@@ -403,7 +444,7 @@ func peWorkerCount(workers, procs int) int {
 
 // runPEvent drives fn across w.procs ranks under the event-driven kernel
 // and blocks until every rank returns. The calling goroutine is the
-// window coordinator and runs the first worker that has events itself;
+// window coordinator and runs the first worker that has queued ranks itself;
 // every other worker's windows run on a goroutine of its own, so one
 // worker needs none. Rank coroutines exist only to carry suspended
 // stacks, and none outlives the call.
@@ -433,11 +474,12 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 			hi:    (i + 1) * procs / nw,
 			lanes: make([][]stagedMsg, nw),
 		}
+		pw.q.ring = make([]int32, pw.hi-pw.lo)
 		k.workers[i] = pw
 		for r := pw.lo; r < pw.hi; r++ {
 			k.owner[r] = int32(i)
-			// Seed: every rank becomes runnable at time zero, in rank order.
-			pw.wake(r, 0)
+			// Seed: every rank starts runnable, in rank order.
+			pw.wake(r)
 		}
 		if i > 0 {
 			pw.start, pw.ready = make(chan struct{}), make(chan struct{})
@@ -449,7 +491,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 			}()
 		}
 	}
-	active := make([]*peWorker, 0, nw) // per-window scratch: workers with events
+	active := make([]*peWorker, 0, nw) // per-window scratch: workers with queued ranks
 	windows, deadlocked := 0, false
 	for {
 		total := 0
@@ -467,7 +509,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		}
 		if len(active) == 0 {
 			// Every undone rank is parked, no lane or release is pending
-			// (fold drained them), and no heap holds an event. The
+			// (fold drained them), and no run queue holds a rank. The
 			// goroutine kernel hangs here; this one can prove the deadlock
 			// and fail instead.
 			if deadlocked {

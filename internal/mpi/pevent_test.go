@@ -171,16 +171,17 @@ func TestParallelEventRunsAhead(t *testing.T) {
 // on a staged message, the next with everyone in the barrier — where a
 // window bounded by the network's smallest delay took hundreds. The
 // counts are a function of the program and the worker count only, so they
-// repeat exactly, and observing them changes nothing.
+// repeat exactly, and observing them changes nothing. The last rows are the
+// same program at one worker, under the event name.
 func TestWindowCountPinned(t *testing.T) {
 	const procs, iters = 256, 20
 	cost, err := netmodel.New(netmodel.NameHypercube, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(probe *KernelCounters) []kernelSnap {
+	run := func(kernel Kernel, probe *KernelCounters) []kernelSnap {
 		snaps := make([]kernelSnap, procs)
-		opts := Options{Procs: procs, Cost: cost, Kernel: KernelParallelEvent, Workers: 2, Probe: probe}
+		opts := Options{Procs: procs, Cost: cost, Kernel: kernel, Workers: 2, Probe: probe}
 		err := Run(opts, func(c *Comm) error {
 			next, prev := (c.Rank()+1)%procs, (c.Rank()+procs-1)%procs
 			for it := 0; it < iters; it++ {
@@ -208,8 +209,8 @@ func TestWindowCountPinned(t *testing.T) {
 		return snaps
 	}
 	var first, second KernelCounters
-	observed, plain := run(&first), run(nil)
-	run(&second)
+	observed, plain := run(KernelParallelEvent, &first), run(KernelParallelEvent, nil)
+	run(KernelParallelEvent, &second)
 	// Every rank parks twice an iteration (a Recv, the barrier) and is
 	// resumed once more than it parks; four messages an iteration cross
 	// the two worker boundaries.
@@ -223,6 +224,22 @@ func TestWindowCountPinned(t *testing.T) {
 	for r := range plain {
 		if observed[r] != plain[r] {
 			t.Errorf("rank %d: %+v with Probe set, %+v without", r, observed[r], plain[r])
+		}
+	}
+	// The same program under the event name (one worker whatever Workers
+	// says): one window and nothing staged. A rank parks a little less
+	// than twice an iteration — a barrier's last arriver releases the rest
+	// and goes on, and a rank that runs after both neighbours finds both
+	// messages queued — by a count that is the run queue's wake order and
+	// nothing else, so it is pinned from the run.
+	var one KernelCounters
+	single := run(KernelEvent, &one)
+	if want := (KernelCounters{Windows: 1, Activations: 10446, Parks: 10190}); one != want {
+		t.Errorf("event counters %+v, pinned %+v", one, want)
+	}
+	for r := range plain {
+		if single[r] != plain[r] {
+			t.Errorf("rank %d: %+v under event, %+v under pevent", r, single[r], plain[r])
 		}
 	}
 }

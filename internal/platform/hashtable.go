@@ -19,9 +19,16 @@ import (
 // table is visible to every list that references it, exactly as the C
 // original shares node_data pointers between the data node list, the own
 // node lists and the hash buckets.
+//
+// The table only grows: there is no removal. That is load-bearing — every
+// own node keeps the *entry pointers it resolved when it joined the rank
+// (ownNode.self, ownNode.nbr) and the compute loop follows them without a
+// look-up, which is sound only while no entry can leave the table or be
+// replaced in it (checkInvariants compares every resolved pointer with
+// Lookup). A node that migrates away leaves its entry behind: "the
+// migrating node now becomes a shadow node for the 'busy' processor".
 type HashTable struct {
 	buckets []*hashNode
-	size    int
 }
 
 // hashNode is one chain link (struct hash_node).
@@ -86,7 +93,6 @@ func (h *HashTable) Insert(e *entry) error {
 	} else {
 		prev.next = n
 	}
-	h.size++
 	return nil
 }
 
@@ -98,37 +104,4 @@ func (h *HashTable) Lookup(id graph.NodeID) *entry {
 		}
 	}
 	return nil
-}
-
-// Remove deletes the entry for id and reports whether it was present.
-func (h *HashTable) Remove(id graph.NodeID) bool {
-	s := h.slot(id)
-	var prev *hashNode
-	for cur := h.buckets[s]; cur != nil; prev, cur = cur, cur.next {
-		if cur.id == id {
-			if prev == nil {
-				h.buckets[s] = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			h.size--
-			return true
-		}
-		if cur.id > id {
-			return false
-		}
-	}
-	return false
-}
-
-// Len returns the number of stored entries.
-func (h *HashTable) Len() int { return h.size }
-
-// ForEach visits every entry in bucket order then chain (id) order.
-func (h *HashTable) ForEach(fn func(*entry)) {
-	for _, b := range h.buckets {
-		for cur := b; cur != nil; cur = cur.next {
-			fn(cur.data)
-		}
-	}
 }

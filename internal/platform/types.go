@@ -263,11 +263,12 @@ type Config struct {
 	Mode mpi.ClockMode
 	// Kernel selects the mpi execution engine: mpi.KernelGoroutine (the
 	// default — one goroutine per rank, the engine every pinned table and
-	// golden trace was measured on), mpi.KernelEvent (discrete-event
-	// scheduler on one worker, bit-identical in virtual time, built for
-	// worlds of thousands of ranks) or mpi.KernelParallelEvent (the same
-	// scheduler sharded across workers that synchronize only when all are
-	// out of events, bit-identical at any worker count). VirtualClock only
+	// golden trace was measured on), mpi.KernelEvent (ranks as passive
+	// states resumed in wake order by a scheduler on one worker,
+	// bit-identical in virtual time, built for worlds of thousands of
+	// ranks) or mpi.KernelParallelEvent (the same scheduler sharded across
+	// workers that synchronize only when all are out of runnable ranks,
+	// bit-identical at any worker count). VirtualClock only
 	// for the event kernels.
 	Kernel mpi.Kernel
 	// KernelWorkers sets the worker count for mpi.KernelParallelEvent

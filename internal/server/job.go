@@ -21,6 +21,9 @@ const (
 	StateCancelled = "cancelled"
 )
 
+// states lists every job state, in lifecycle order.
+var states = []string{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
+
 // JobSpec is the submit-request body: a scenario name plus the sweep
 // space, in exactly the shape cmd/experiments accepts — either an
 // experiments.Axes document or the CLI's "procs=1,2;network=..." sweep

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,6 +329,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("state")
+	if filter != "" && !slices.Contains(states, filter) {
+		// An empty list must mean "no job in that state", not "no such state".
+		writeError(w, http.StatusBadRequest, "bad_request", "unknown state %q (known: %s)", filter, strings.Join(states, ", "))
+		return
+	}
 	s.mu.Lock()
 	views := make([]jobView, 0, len(s.order))
 	for _, id := range s.order {
@@ -526,10 +532,13 @@ type Stats struct {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	st := Stats{
-		Jobs:     map[string]int{StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCancelled: 0},
+		Jobs:     make(map[string]int, len(states)),
 		Queued:   len(s.queued),
 		Workers:  s.cfg.Workers,
 		Draining: s.draining,
+	}
+	for _, state := range states {
+		st.Jobs[state] = 0 // every state is listed, also at zero
 	}
 	for _, j := range s.jobs {
 		st.Jobs[j.State]++

@@ -335,6 +335,24 @@ func TestSubmitErrors(t *testing.T) {
 		golden(t, filepath.Join("errors", "body_too_large.json"), r.body)
 	})
 
+	// The list filter is an input boundary too: a state that does not exist
+	// is a 400 naming the five that do, not an empty list — which is what
+	// every real state answers here, as no filter does.
+	t.Run("bad_state_filter", func(t *testing.T) {
+		r := do(t, ts, "GET", "/v1/jobs?state=bogus", "", nil)
+		if r.status != http.StatusBadRequest {
+			t.Fatalf("got %d, want 400\n%s", r.status, r.body)
+		}
+		golden(t, filepath.Join("errors", "bad_state_filter.json"), r.body)
+		for _, state := range append(states, "") {
+			r := do(t, ts, "GET", "/v1/jobs?state="+state, "", nil)
+			if r.status != http.StatusOK {
+				t.Errorf("?state=%s: got %d, want 200", state, r.status)
+			}
+			golden(t, "jobs_list_empty.json", r.body)
+		}
+	})
+
 	// Nothing above must have created a job.
 	if r := do(t, ts, "GET", "/v1/jobs", "", nil); !bytes.Contains(r.body, []byte(`"jobs": []`)) {
 		t.Errorf("rejected submits created jobs:\n%s", r.body)
