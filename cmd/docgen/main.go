@@ -37,7 +37,7 @@ func main() {
 
 	check := flag.Bool("check", false, "verify the docs match regenerated output; exit nonzero on drift")
 	docsDir := flag.String("docs", "docs", "documentation directory")
-	parallel := flag.Int("parallel", 0, "concurrent pinned scenario runs; 0 means number of CPUs")
+	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent pinned scenario runs; 0 means number of CPUs")
 	flag.Parse()
 	experiments.Parallelism = *parallel
 

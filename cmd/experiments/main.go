@@ -54,7 +54,9 @@
 // snapshot follows the last iteration); -resume restores a run from such
 // a snapshot and replays only the remaining iterations, producing output
 // byte-identical to the uninterrupted run. Snapshots carry the run's cell
-// key, and -resume refuses a snapshot taken under different parameters.
+// key, and -resume refuses a snapshot taken under different parameters —
+// except the kernel: a snapshot holds no engine state, so one taken under
+// any -kernel resumes under any other.
 // Both require -scenario with at most one value per sweep axis.
 //
 // -shard i/n runs the i-th of n contiguous chunks of a sweep,
@@ -78,14 +80,15 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 
 	"ic2mpi/internal/checkpoint"
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/shard"
@@ -105,22 +108,22 @@ func main() {
 		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
 			func(v string) error { axisFlags[name] = v; return nil })
 	}
-	kernelWorkers := countFlag(flag.CommandLine, "kernel-workers", 0, "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
-	parallel := countFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent sweep runs; 0 means number of CPUs")
+	kernelWorkers := experiments.CountFlag(flag.CommandLine, "kernel-workers", 0, "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
+	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent sweep runs; 0 means number of CPUs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken after the run completes, to this file")
 	format := flag.String("format", "text", "output format: text, json or csv")
 	var mode runMode
 	flag.StringVar(&mode.tracePath, "trace", "", `write a per-iteration trace of one -scenario run: JSONL, CSV when the path ends in .csv, or "-" for JSONL on stdout`)
 	flag.StringVar(&mode.checkpointPath, "checkpoint", "", "write an epoch-boundary snapshot of one -scenario run to this file (see -checkpoint-every)")
-	checkpointEvery := countFlag(flag.CommandLine, "checkpoint-every", 1, "snapshot period of -checkpoint in `iterations` (default 1); must be below the run's iteration count")
+	checkpointEvery := experiments.CountFlag(flag.CommandLine, "checkpoint-every", 1, "snapshot period of -checkpoint in `iterations` (default 1); must be below the run's iteration count")
 	flag.StringVar(&mode.resumePath, "resume", "", "restore one -scenario run from a -checkpoint snapshot file and replay the remaining iterations")
 	flag.StringVar(&mode.shardSpec, "shard", "", `run one contiguous chunk of the sweep: "i/n" (1-based shard i of n), coordinated through -manifest`)
 	flag.StringVar(&mode.manifestPath, "manifest", "", "sharded-sweep manifest file (-shard), or comma-separated completed manifests (-merge)")
 	flag.BoolVar(&mode.merge, "merge", false, "combine the completed -manifest file(s) into the sweep report an unsharded run would produce")
 	flag.Parse()
 	mode.checkpointEvery = *checkpointEvery
-	if err := checkFlags(*format, mode); err != nil {
+	if err := checkFlags(*format, *memprofile, mode); err != nil {
 		log.Fatal(err)
 	}
 	experiments.Parallelism = *parallel
@@ -253,30 +256,32 @@ func needsScenario(m runMode, sweep string, axisFlags map[string]string, kernelW
 
 // checkFlags refuses, before anything runs, the flag values that parse
 // and would otherwise fail only after every cell has been simulated
-// (-format) or reach nothing (-checkpoint-every without -checkpoint).
-func checkFlags(format string, m runMode) error {
+// (-format, an output file in a directory that does not exist) or reach
+// nothing (-checkpoint-every without -checkpoint).
+func checkFlags(format, memprofile string, m runMode) error {
 	if format != "" && !slices.Contains(experiments.Formats(), format) {
 		return fmt.Errorf("-format: unknown format %q (known: %v)", format, experiments.Formats())
 	}
 	if m.checkpointEvery != 0 && m.checkpointPath == "" {
 		return errors.New("-checkpoint-every requires -checkpoint (the file the snapshots are written to)")
 	}
-	return nil
-}
-
-// countFlag registers an int flag (0 until it is given: "pick for me")
-// that refuses a value below least when it is parsed, so the usage error
-// names the flag instead of the value silently meaning the default or
-// switching the flag's effect off.
-func countFlag(fs *flag.FlagSet, name string, least int, usage string) *int {
-	n := new(int)
-	fs.Func(name, usage, func(v string) (err error) {
-		if *n, err = strconv.Atoi(v); err == nil && *n < least {
-			err = fmt.Errorf("must be >= %d", least)
+	type output struct{ flag, path string }
+	outputs := []output{{"-memprofile", memprofile}, {"-trace", m.tracePath}, {"-checkpoint", m.checkpointPath}}
+	if m.shardSpec != "" { // under -merge the manifests are inputs
+		outputs = append(outputs, output{"-manifest", m.manifestPath})
+	}
+	for _, out := range outputs {
+		if out.path == "" || out.path == "-" {
+			continue
 		}
-		return err
-	})
-	return n
+		dir := filepath.Dir(out.path)
+		if fi, err := os.Stat(dir); err != nil {
+			return fmt.Errorf("%s %s: %w", out.flag, out.path, err)
+		} else if !fi.IsDir() {
+			return fmt.Errorf("%s %s: %s is not a directory", out.flag, out.path, dir)
+		}
+	}
+	return nil
 }
 
 // shorthandAxes are the sweep axes that also have a flag of their own name.
@@ -370,7 +375,7 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 		if err != nil {
 			return nil, err
 		}
-		if meta.CellKey != key {
+		if !sameRun(sc, p, meta.CellKey) {
 			return nil, fmt.Errorf("snapshot %s was taken for run\n  %s\nbut this invocation selects\n  %s\nrefusing to resume a different run", m.resumePath, meta.CellKey, key)
 		}
 		p.ResumeFrom = snap
@@ -414,6 +419,20 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 		}
 	}
 	return experiments.NewSweepReport(sc, res), nil
+}
+
+// sameRun reports whether snapKey, the cell key a snapshot carries, is the
+// key of the run p selects under some kernel name: a snapshot holds no
+// engine state and the kernels produce the same bytes, so one taken under
+// pevent resumes under event or goroutine. Every other difference refuses.
+func sameRun(sc scenario.Scenario, p scenario.Params, snapKey string) bool {
+	for _, kernel := range mpi.KernelNames() {
+		p.Kernel = kernel
+		if key, err := experiments.CellKey(sc, p); err == nil && key == snapKey {
+			return true
+		}
+	}
+	return false
 }
 
 // runShard executes one shard of the sweep, coordinated through the

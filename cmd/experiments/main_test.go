@@ -9,9 +9,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/scenario"
 )
 
@@ -81,7 +83,7 @@ func TestCountFlagsRejectNegatives(t *testing.T) {
 	} {
 		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		n := countFlag(fs, tc.flag, tc.least, "a count")
+		n := experiments.CountFlag(fs, tc.flag, tc.least, "a count")
 		err := fs.Parse([]string{"-" + tc.flag, tc.value})
 		switch {
 		case tc.bad && (err == nil || !strings.Contains(err.Error(), "-"+tc.flag)):
@@ -174,30 +176,62 @@ func TestNeedsScenario(t *testing.T) {
 }
 
 // TestCheckFlags: a value that parses and then fails only after every
-// cell has run (-format), or reaches nothing (-checkpoint-every without
-// -checkpoint), is refused by the check main makes right after flag.Parse.
+// cell has run (-format, an output file in a directory that is not there,
+// a bad value behind a good one on a sweep axis), or reaches nothing
+// (-checkpoint-every without -checkpoint), is refused before the first
+// cell. Each row goes the way main does — checkFlags, then runScenario —
+// through a runner that counts its calls, and a refused row must leave the
+// count at zero.
 func TestCheckFlags(t *testing.T) {
 	for _, format := range append(experiments.Formats(), "") { // "" is text, as in WriteReport
-		if err := checkFlags(format, runMode{}); err != nil {
+		if err := checkFlags(format, "", runMode{}); err != nil {
 			t.Errorf("-format %q: refused with %v", format, err)
 		}
 	}
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "out")
 	for _, tc := range []struct {
-		name, format string
-		mode         runMode
-		want         string // what the error must start with; "" for no error
+		name, format, memprofile string
+		mode                     runMode
+		sweep                    string // "" stops after checkFlags
+		want                     string // what the error must start with; "" for no error
 	}{
 		{name: "-format bogus", format: "bogus", want: `-format: unknown format "bogus"`},
 		{name: "-checkpoint-every alone", format: "json", mode: runMode{checkpointEvery: 3}, want: "-checkpoint-every requires -checkpoint"},
 		{name: "-checkpoint-every with -checkpoint", format: "json", mode: runMode{checkpointEvery: 3, checkpointPath: "f.ckpt"}},
 		{name: "-checkpoint alone", format: "json", mode: runMode{checkpointPath: "f.ckpt"}},
+		{name: "a bad kernel behind a good one", sweep: "procs=2;iters=2;kernel=event,bogus", want: `scenario heat: mpi: unknown kernel "bogus"`},
+		{name: "-memprofile into a missing directory", memprofile: missing, sweep: "procs=2;iters=2", want: "-memprofile " + missing},
+		{name: "-trace into a missing directory", mode: runMode{tracePath: missing}, sweep: "procs=2;iters=2", want: "-trace " + missing},
+		{name: "-trace to stdout", mode: runMode{tracePath: "-"}},
+		{name: "-checkpoint into a missing directory", mode: runMode{checkpointPath: missing}, sweep: "procs=2;iters=2", want: "-checkpoint " + missing},
+		{name: "-shard with its -manifest in a missing directory", mode: runMode{shardSpec: "1/1", manifestPath: missing}, sweep: "procs=2;iters=2", want: "-manifest " + missing},
+		{name: "-merge reads its manifests", mode: runMode{merge: true, manifestPath: missing}},
+		{name: "a sweep that runs", mode: runMode{tracePath: filepath.Join(dir, "t.jsonl")}, sweep: "procs=2;iters=2"},
 	} {
-		err := checkFlags(tc.format, tc.mode)
+		var calls atomic.Int32
+		err := checkFlags(tc.format, tc.memprofile, tc.mode)
+		if err == nil && tc.sweep != "" {
+			ax, axErr := resolveAxes(tc.sweep, nil)
+			if axErr != nil {
+				t.Fatal(axErr)
+			}
+			_, err = runScenario(sc, tc.sweep, ax, tc.mode, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+				calls.Add(1)
+				return sc.Run(p)
+			})
+		}
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused with %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
 			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+		case tc.want != "" && calls.Load() != 0:
+			t.Errorf("%s: refused after %d cells had run", tc.name, calls.Load())
 		}
 	}
 }
@@ -234,6 +268,56 @@ func TestCheckpointPeriodMustLeaveABoundary(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want) || statErr == nil):
 			t.Errorf("period %d: got error %v (snapshot written: %v), want %q and no file", tc.every, err, statErr == nil, tc.want)
 		}
+	}
+}
+
+// TestResumeAcrossKernels: a snapshot holds no engine state and the three
+// kernels produce the same bytes, so a snapshot taken under any kernel
+// name resumes under any other — nine pairs — to the report of the
+// uninterrupted run, the echoed kernel name aside. Any other difference in
+// the cell key still refuses.
+func TestResumeAcrossKernels(t *testing.T) {
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// report runs heat at procs processors for 8 iterations under kernel in
+	// mode m and returns the JSON report with the kernel name blanked.
+	report := func(procs, kernel string, m runMode) (string, error) {
+		sweep := "procs=" + procs + ";iters=8;kernel=" + kernel
+		ax, err := resolveAxes(sweep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := runScenario(sc, sweep, ax, m, cellRunner(0))
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		if err := experiments.WriteReport(&b, "json", rep); err != nil {
+			t.Fatal(err)
+		}
+		return strings.ReplaceAll(b.String(), `"kernel": "`+kernel+`"`, `"kernel": ""`), nil
+	}
+	want, err := report("4", mpi.KernelNameGoroutine, runMode{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, taken := range mpi.KernelNames() {
+		snap := filepath.Join(dir, taken+".ckpt")
+		if got, err := report("4", taken, runMode{checkpointPath: snap, checkpointEvery: 3}); err != nil || got != want {
+			t.Fatalf("snapshotting under %s: %v; report equal to the plain run's: %v", taken, err, got == want)
+		}
+		for _, resumed := range mpi.KernelNames() {
+			if got, err := report("4", resumed, runMode{resumePath: snap}); err != nil || got != want {
+				t.Errorf("snapshot under %s resumed under %s: %v; report equal to the uninterrupted run's: %v", taken, resumed, err, got == want)
+			}
+		}
+	}
+	_, err = report("8", mpi.KernelNameEvent, runMode{resumePath: filepath.Join(dir, mpi.KernelNameParallelEvent+".ckpt")})
+	if err == nil || !strings.Contains(err.Error(), "refusing to resume a different run") {
+		t.Errorf("snapshot of procs=4 resumed at procs=8: got error %v, want the refusal", err)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //	ic2mpid                          # serve on :8080
 //	ic2mpid -addr 127.0.0.1:0 -addr-file /tmp/addr   # random port, written to a file
-//	ic2mpid -workers 4 -queue 512 -cache 8192        # sizing
+//	ic2mpid -workers 4 -queue 512 -cache 8192        # sizing; a negative count is a usage error (-cache: disabled)
 //	ic2mpid -token secret            # require "Authorization: Bearer secret" on /v1/*
 //	ic2mpid -state /var/lib/ic2mpid  # persist cache + queued jobs across restarts
 //
@@ -52,11 +52,11 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-	workers := flag.Int("workers", 0, "concurrent jobs; 0 means number of CPUs")
-	queue := flag.Int("queue", 0, "queued-job capacity; 0 means 256")
+	workers := experiments.CountFlag(flag.CommandLine, "workers", 0, "`count` of concurrent jobs; 0 means number of CPUs")
+	queue := experiments.CountFlag(flag.CommandLine, "queue", 0, "`count` of jobs the queue holds; 0 means 256")
 	cache := flag.Int("cache", 0, "completed-cell LRU capacity; 0 means 4096, negative disables")
-	maxCells := flag.Int("max-cells", 0, "largest accepted sweep, in cells; 0 means 4096")
-	parallel := flag.Int("parallel", 0, "concurrent cells per job (the experiments worker pool); 0 means number of CPUs")
+	maxCells := experiments.CountFlag(flag.CommandLine, "max-cells", 0, "largest accepted sweep, in `cells`; 0 means 4096")
+	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent cells per job (the experiments worker pool); 0 means number of CPUs")
 	token := flag.String("token", "", "when set, /v1/* requires 'Authorization: Bearer <token>'")
 	stateDir := flag.String("state", "", "state directory; when set, the cell cache and queued jobs survive restarts")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs on shutdown")

@@ -11,12 +11,12 @@ import (
 	"strings"
 	"testing"
 
+	"ic2mpi/internal/balance"
 	"ic2mpi/internal/experiments"
 	"ic2mpi/internal/fault"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/partition"
-	"ic2mpi/internal/scenario"
 )
 
 // mdLink matches inline links [text](target); images share the syntax.
@@ -93,7 +93,7 @@ func TestScenarioAxisTableCoversRegistries(t *testing.T) {
 	}
 	values := map[string][]string{
 		"partitioner": partition.Names(),
-		"balancer":    scenario.Balancers(),
+		"balancer":    balance.Names(),
 		"network":     netmodel.Names(),
 		"perturb":     fault.Names(),
 		"kernel":      mpi.KernelNames(),

@@ -267,7 +267,7 @@ func TestKernelEquivalence(t *testing.T) {
 	// one per (procs, network, perturb) cell, deterministically — so the
 	// rank-0 planning of all of them (including the history-fed predictive
 	// balancer) is proven engine-independent without multiplying runtime.
-	balancers := scenario.Balancers()
+	balancers := balance.Names()
 	balancerFor := func(procs int, network, perturb string) string {
 		h := procs + 3*len(network) + 5*len(perturb)
 		return balancers[h%len(balancers)]

@@ -9,8 +9,7 @@ import (
 
 // CentralizedHeuristic is the thesis' dynamic load balancer. The zero
 // value uses the paper's 25% threshold with the relaxed busy rule (see
-// StrictAllNeighbors); use NewCentralized to set an explicit threshold
-// with validation.
+// StrictAllNeighbors).
 type CentralizedHeuristic struct {
 	// Threshold is the minimum relative overload for a processor to count
 	// as busy; 0.25 (the paper's "25% more work") for the zero value. An
@@ -30,37 +29,12 @@ type CentralizedHeuristic struct {
 	StrictAllNeighbors bool
 }
 
-// NewCentralized builds a CentralizedHeuristic with an explicit
-// threshold. Unlike the zero-value struct (which selects the paper's
-// default), an explicit zero, negative or non-finite threshold is
-// rejected here: the old behaviour of silently collapsing such values to
-// 0.25 hid misconfiguration until the balancer quietly migrated on the
-// wrong trigger.
-func NewCentralized(threshold float64, strict bool) (*CentralizedHeuristic, error) {
-	if threshold <= 0 || math.IsInf(threshold, 0) || math.IsNaN(threshold) {
-		return nil, fmt.Errorf("balance: centralized threshold must be a positive finite fraction, got %g", threshold)
-	}
-	return &CentralizedHeuristic{Threshold: threshold, StrictAllNeighbors: strict}, nil
-}
-
 // Name implements platform.Balancer.
 func (b *CentralizedHeuristic) Name() string { return "Centralized Heuristic" }
 
-// Validate implements platform.ValidatingBalancer: a negative or
-// non-finite threshold is a configuration error. Zero is the documented
-// zero-value default and stays valid.
+// Validate implements platform.ValidatingBalancer.
 func (b *CentralizedHeuristic) Validate() error {
-	if b.Threshold < 0 || math.IsInf(b.Threshold, 0) || math.IsNaN(b.Threshold) {
-		return fmt.Errorf("balance: centralized threshold must be a positive finite fraction (or 0 for the default), got %g", b.Threshold)
-	}
-	return nil
-}
-
-func (b *CentralizedHeuristic) threshold() float64 {
-	if b.Threshold <= 0 {
-		return 0.25
-	}
-	return b.Threshold
+	return checkFraction("centralized threshold", b.Threshold)
 }
 
 // Plan implements platform.Balancer. For every processor i that is
@@ -74,37 +48,33 @@ func (b *CentralizedHeuristic) Plan(pg platform.ProcGraph) []platform.Pair {
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	rel := RelativeLoads(pg)
-	thr := b.threshold() * 100
+	thr := orDefault(b.Threshold, 0.25) * 100
 	var pairs []platform.Pair
-	busySet := make(map[int]bool)
+	busy := make([]bool, p)
+next:
 	for i := 0; i < p; i++ {
-		neighbors := 0
-		allOver := true
 		idle, idleTime := -1, math.Inf(1)
 		for j := 0; j < p; j++ {
 			if i == j || pg.Comm[i][j] <= 0 {
 				continue
 			}
-			neighbors++
-			if b.StrictAllNeighbors && rel[i][j] < thr {
-				allOver = false
-				break
+			if b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[j]) < thr {
+				continue next
 			}
 			if pg.Times[j] < idleTime {
 				idle, idleTime = j, pg.Times[j]
 			}
 		}
-		if neighbors == 0 || !allOver || idle == -1 {
-			continue
+		if idle == -1 {
+			continue // no communicating neighbor
 		}
 		// Relaxed rule: overload measured against the least loaded
 		// communicating neighbor.
-		if !b.StrictAllNeighbors && rel[i][idle] < thr {
+		if !b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[idle]) < thr {
 			continue
 		}
 		pairs = append(pairs, platform.Pair{Busy: i, Idle: idle})
-		busySet[i] = true
+		busy[i] = true
 	}
 	// A busy processor can never be another pair's idle side: by the
 	// threshold rule its time exceeds all its neighbors', so it cannot be
@@ -112,7 +82,7 @@ func (b *CentralizedHeuristic) Plan(pg platform.ProcGraph) []platform.Pair {
 	// degenerate inputs (equal times with zero threshold).
 	out := pairs[:0]
 	for _, pr := range pairs {
-		if !busySet[pr.Idle] {
+		if !busy[pr.Idle] {
 			out = append(out, pr)
 		}
 	}
@@ -122,100 +92,79 @@ func (b *CentralizedHeuristic) Plan(pg platform.ProcGraph) []platform.Pair {
 	return out
 }
 
-// MaxRelativeLoad caps RelativeLoads entries (in percent). A zero-time
-// neighbor of a loaded processor used to produce +Inf — the C original's
+// MaxRelativeLoad caps RelativeLoad (in percent). A zero-time neighbor of
+// a loaded processor used to produce +Inf — the C original's
 // divide-by-zero — which `encoding/json` refuses to encode, so any report
-// or trace that serialized the matrix would fail mid-run. The cap keeps
-// the "arbitrarily large imbalance" semantics (it exceeds every sane
-// threshold) while guaranteeing the matrix stays finite end to end.
+// or trace that serialized the value would fail mid-run. The cap keeps the
+// "arbitrarily large imbalance" semantics (it exceeds every sane
+// threshold) while guaranteeing the value stays finite end to end.
 const MaxRelativeLoad = 1e9
 
-// RelativeLoads builds the thesis' relative_proc_load matrix in percent:
-// rel[i][j] = (t_i - t_j) / t_j * 100 when processors i and j communicate
-// and t_i > t_j, else 0. Entries are clamped to MaxRelativeLoad, so the
-// result is always finite (a zero-time neighbor of a loaded processor
-// hits the clamp).
-func RelativeLoads(pg platform.ProcGraph) [][]float64 {
-	p := len(pg.Times)
-	rel := make([][]float64, p)
-	for i := range rel {
-		rel[i] = make([]float64, p)
-		for j := 0; j < p; j++ {
-			if i == j || pg.Comm[i][j] <= 0 || pg.Times[i] <= pg.Times[j] {
-				continue
-			}
-			if pg.Times[j] <= 0 {
-				rel[i][j] = MaxRelativeLoad
-				continue
-			}
-			r := (pg.Times[i] - pg.Times[j]) / pg.Times[j] * 100
-			if r > MaxRelativeLoad {
-				r = MaxRelativeLoad
-			}
-			rel[i][j] = r
-		}
+// RelativeLoad is one entry of the thesis' relative_proc_load matrix in
+// percent, for a processor of time ti against a communicating neighbor of
+// time tj: (ti - tj) / tj * 100 when ti > tj, else 0, clamped to
+// MaxRelativeLoad so the result is always finite (a zero-time neighbor of
+// a loaded processor hits the clamp). The matrix itself is never built:
+// the heuristic reads the entries of communicating pairs only.
+func RelativeLoad(ti, tj float64) float64 {
+	if ti <= tj {
+		return 0
 	}
-	return rel
+	if tj <= 0 {
+		return MaxRelativeLoad
+	}
+	r := (ti - tj) / tj * 100
+	if r > MaxRelativeLoad {
+		r = MaxRelativeLoad
+	}
+	return r
 }
 
-// Never is a balancer that never migrates; plugging it in exercises the
-// dynamic-balancing code path with a guaranteed-empty plan.
-type Never struct{}
+// defaultTolerance is the relative distance from the mean load at which
+// the mean-based balancers (all but the centralized heuristic) act when
+// their Tolerance is left zero.
+const defaultTolerance = 0.10
 
-// Name implements platform.Balancer.
-func (Never) Name() string { return "Never" }
-
-// Plan implements platform.Balancer.
-func (Never) Plan(platform.ProcGraph) []platform.Pair { return nil }
-
-// Static is a scripted balancer for tests: it returns the queued plans in
-// order, one per invocation.
-type Static struct {
-	Plans [][]platform.Pair
-	call  int
+// orDefault returns v, or def for the zero value (and anything below it,
+// which Validate refuses before a run starts).
+func orDefault(v, def float64) float64 {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
-// Name implements platform.Balancer.
-func (s *Static) Name() string { return "Static Script" }
-
-// Plan implements platform.Balancer.
-func (s *Static) Plan(platform.ProcGraph) []platform.Pair {
-	if s.call >= len(s.Plans) {
-		return nil
-	}
-	p := s.Plans[s.call]
-	s.call++
-	return p
+// invalid is the package's one configuration error: what names the
+// balancer and its field, want the legal range.
+func invalid(what, want string, v float64) error {
+	return fmt.Errorf("balance: %s must be %s (or 0 for the default), got %g", what, want, v)
 }
 
-// Validate checks a processor graph for structural sanity; the platform
-// already guarantees these properties, so this is exported mainly for
-// third-party balancer authors' tests.
-func Validate(pg platform.ProcGraph) error {
-	p := len(pg.Times)
-	if len(pg.Comm) != p {
-		return fmt.Errorf("balance: Comm has %d rows for %d processors", len(pg.Comm), p)
-	}
-	for i := range pg.Comm {
-		if len(pg.Comm[i]) != p {
-			return fmt.Errorf("balance: Comm row %d has %d entries", i, len(pg.Comm[i]))
-		}
-		if pg.Comm[i][i] != 0 {
-			return fmt.Errorf("balance: Comm diagonal %d nonzero", i)
-		}
-		for j := range pg.Comm[i] {
-			if pg.Comm[i][j] != pg.Comm[j][i] {
-				return fmt.Errorf("balance: Comm asymmetric at (%d,%d)", i, j)
-			}
-			if pg.Comm[i][j] < 0 {
-				return fmt.Errorf("balance: Comm negative at (%d,%d)", i, j)
-			}
-		}
-	}
-	for i, t := range pg.Times {
-		if t < 0 || math.IsNaN(t) {
-			return fmt.Errorf("balance: time %d invalid: %g", i, t)
-		}
+// checkFraction is the rule every threshold and tolerance without an upper
+// bound shares: zero selects the default and stays valid, a negative or
+// non-finite value is a configuration error, never a silent fallback.
+func checkFraction(what string, v float64) error {
+	if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+		return invalid(what, "a positive finite fraction", v)
 	}
 	return nil
+}
+
+// meanLoad is the mean of loads over members, summed in members' order:
+// ascending everywhere, and the float sum's order is part of every plan.
+func meanLoad(loads []float64, members []int) float64 {
+	sum := 0.0
+	for _, r := range members {
+		sum += loads[r]
+	}
+	return sum / float64(len(members))
+}
+
+// ranks returns the ascending list of all p processors.
+func ranks(p int) []int {
+	all := make([]int, p)
+	for r := range all {
+		all[r] = r
+	}
+	return all
 }

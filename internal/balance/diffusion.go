@@ -1,8 +1,7 @@
 package balance
 
 import (
-	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"ic2mpi/internal/platform"
@@ -21,94 +20,61 @@ type Diffusion struct {
 	// non-finite tolerance is a configuration error (see Validate), never
 	// a silent fallback to the default.
 	Tolerance float64
-	// MaxPairs bounds the number of pairs per invocation (default: no
-	// bound beyond one per overloaded processor).
-	MaxPairs int
-}
-
-// NewDiffusion builds a Diffusion balancer with an explicit tolerance.
-// Unlike the zero-value struct (which selects the default), an explicit
-// zero, negative or non-finite tolerance is rejected here: the old
-// behaviour of silently collapsing such values to 0.10 hid
-// misconfiguration. maxPairs <= 0 means unbounded.
-func NewDiffusion(tolerance float64, maxPairs int) (*Diffusion, error) {
-	if tolerance <= 0 || math.IsInf(tolerance, 0) || math.IsNaN(tolerance) {
-		return nil, fmt.Errorf("balance: diffusion tolerance must be a positive finite fraction, got %g", tolerance)
-	}
-	if maxPairs < 0 {
-		maxPairs = 0
-	}
-	return &Diffusion{Tolerance: tolerance, MaxPairs: maxPairs}, nil
 }
 
 // Name implements platform.Balancer.
 func (d *Diffusion) Name() string { return "Diffusion" }
 
-// Validate implements platform.ValidatingBalancer: a negative or
-// non-finite tolerance is a configuration error. Zero is the documented
-// zero-value default and stays valid.
-func (d *Diffusion) Validate() error {
-	if d.Tolerance < 0 || math.IsInf(d.Tolerance, 0) || math.IsNaN(d.Tolerance) {
-		return fmt.Errorf("balance: diffusion tolerance must be a positive finite fraction (or 0 for the default), got %g", d.Tolerance)
-	}
-	return nil
-}
+// Validate implements platform.ValidatingBalancer.
+func (d *Diffusion) Validate() error { return checkFraction("diffusion tolerance", d.Tolerance) }
 
-func (d *Diffusion) tolerance() float64 {
-	if d.Tolerance <= 0 {
-		return 0.10
-	}
-	return d.Tolerance
-}
-
-// Plan implements platform.Balancer.
+// Plan implements platform.Balancer: one diffusion pass over all ranks on
+// the gathered times.
 func (d *Diffusion) Plan(pg platform.ProcGraph) []platform.Pair {
 	p := len(pg.Times)
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	mean := 0.0
-	for _, t := range pg.Times {
-		mean += t
+	return diffuse(pg.Times, pg.Comm, ranks(p), orDefault(d.Tolerance, defaultTolerance), make([]bool, p), nil)
+}
+
+// diffuse is the package's one diffusion pass, run by Diffusion over all
+// ranks, by Predictive on forecast loads and by Hierarchical once per
+// cluster. Among members (ascending ranks) it visits the processors whose
+// load exceeds the members' mean by tol, most loaded first and ties to the
+// lower rank, and pairs each with its least-loaded communicating member
+// below the mean (ties again to the lower rank). paired marks the
+// processors some pair of this invocation already holds, across passes; a
+// processor is in at most one pair. The pairs found are appended to pairs.
+func diffuse(loads []float64, comm [][]int, members []int, tol float64, paired []bool, pairs []platform.Pair) []platform.Pair {
+	if len(members) < 2 {
+		return pairs
 	}
-	mean /= float64(p)
+	mean := meanLoad(loads, members)
 	if mean <= 0 {
-		return nil
+		return pairs
 	}
-	// Consider processors in decreasing overload order so the most loaded
-	// get first pick of idle targets.
-	order := make([]int, p)
-	for i := range order {
-		order[i] = i
-	}
+	order := slices.Clone(members)
 	sort.Slice(order, func(a, b int) bool {
-		if pg.Times[order[a]] != pg.Times[order[b]] {
-			return pg.Times[order[a]] > pg.Times[order[b]]
+		if loads[order[a]] != loads[order[b]] {
+			return loads[order[a]] > loads[order[b]]
 		}
 		return order[a] < order[b]
 	})
-	threshold := mean * (1 + d.tolerance())
-	busySet := map[int]bool{}
-	idleSet := map[int]bool{}
-	var pairs []platform.Pair
+	threshold := mean * (1 + tol)
 	for _, i := range order {
-		if pg.Times[i] <= threshold {
+		if loads[i] <= threshold {
 			break // sorted: nobody further is overloaded
 		}
-		if idleSet[i] {
+		if paired[i] {
 			continue // already receiving this round
 		}
-		// Least-loaded communicating neighbor below the mean, not already
-		// busy or taken.
 		idle := -1
-		for j := 0; j < p; j++ {
-			if j == i || pg.Comm[i][j] <= 0 || busySet[j] || idleSet[j] {
+		for _, j := range members {
+			if j == i || comm[i][j] <= 0 || paired[j] || loads[j] >= mean {
 				continue
 			}
-			if pg.Times[j] >= mean {
-				continue
-			}
-			if idle == -1 || pg.Times[j] < pg.Times[idle] {
+			if idle == -1 || loads[j] < loads[idle] {
 				idle = j
 			}
 		}
@@ -116,11 +82,7 @@ func (d *Diffusion) Plan(pg platform.ProcGraph) []platform.Pair {
 			continue
 		}
 		pairs = append(pairs, platform.Pair{Busy: i, Idle: idle})
-		busySet[i] = true
-		idleSet[idle] = true
-		if d.MaxPairs > 0 && len(pairs) >= d.MaxPairs {
-			break
-		}
+		paired[i], paired[idle] = true, true
 	}
 	return pairs
 }

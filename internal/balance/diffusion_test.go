@@ -58,14 +58,6 @@ func TestDiffusionRespectsCommEdges(t *testing.T) {
 	}
 }
 
-func TestDiffusionMaxPairs(t *testing.T) {
-	d := &Diffusion{MaxPairs: 1}
-	pg := platform.ProcGraph{Times: []float64{4, 4, 4, 0.1, 0.1, 0.1}, Comm: fullComm(6)}
-	if pairs := d.Plan(pg); len(pairs) != 1 {
-		t.Fatalf("MaxPairs=1 produced %v", pairs)
-	}
-}
-
 func TestDiffusionDegenerate(t *testing.T) {
 	d := &Diffusion{}
 	if d.Plan(platform.ProcGraph{Times: []float64{1}, Comm: fullComm(1)}) != nil {

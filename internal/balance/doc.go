@@ -5,9 +5,16 @@
 // examines the weighted processor network graph, labels a processor
 // "busy" when it has done at least Threshold more work than every
 // neighbor, pairs it with its least-loaded neighbor, and hands the
-// busy/idle pairs to the platform's task migration routine. Diffusion is
-// the neighborhood-averaging alternative the paper's related work
-// surveys.
+// busy/idle pairs to the platform's task migration routine.
+//
+// The mean-based alternatives share one diffusion pass (diffuse): Diffusion
+// runs it over all ranks, Predictive on forecast loads, Hierarchical once
+// per cluster before its own cross-cluster pass. WorkStealing pulls instead
+// of pushing and keeps its own loop.
+//
+// The registry (New, Names, Known) is the one name → balancer table, behind
+// the scenario balancer axis; ClustersFor is what "hierarchical" derives
+// from the run's interconnect.
 //
 // A balancer only plans (busy, idle) pairs; the platform executes the
 // migrations — see the package map in docs/architecture.md for how the

@@ -15,8 +15,7 @@ import (
 // the machine mean (the expensive cross-cluster links carry at most one
 // task per overloaded cluster per invocation). The cluster map is plain
 // data, so plans stay a pure deterministic function of the processor
-// graph; scenario.ClustersFor derives maps from the active interconnect
-// topology.
+// graph; ClustersFor derives maps from the active interconnect topology.
 type Hierarchical struct {
 	// Clusters[p] is processor p's cluster id (non-negative; ids need not
 	// be dense). A nil or wrongly-sized map falls back to BlockClusters.
@@ -27,29 +26,13 @@ type Hierarchical struct {
 	Tolerance float64
 }
 
-// NewHierarchical builds a Hierarchical balancer with an explicit
-// tolerance and cluster map; zero, negative and non-finite tolerances
-// and negative cluster ids are rejected (the zero-value struct selects
-// the defaults instead).
-func NewHierarchical(clusters []int, tolerance float64) (*Hierarchical, error) {
-	if tolerance <= 0 || math.IsInf(tolerance, 0) || math.IsNaN(tolerance) {
-		return nil, fmt.Errorf("balance: hierarchical tolerance must be a positive finite fraction, got %g", tolerance)
-	}
-	for p, c := range clusters {
-		if c < 0 {
-			return nil, fmt.Errorf("balance: hierarchical cluster id for processor %d is negative (%d)", p, c)
-		}
-	}
-	return &Hierarchical{Clusters: append([]int(nil), clusters...), Tolerance: tolerance}, nil
-}
-
 // Name implements platform.Balancer.
 func (h *Hierarchical) Name() string { return "Hierarchical" }
 
 // Validate implements platform.ValidatingBalancer.
 func (h *Hierarchical) Validate() error {
-	if h.Tolerance < 0 || math.IsInf(h.Tolerance, 0) || math.IsNaN(h.Tolerance) {
-		return fmt.Errorf("balance: hierarchical tolerance must be a positive finite fraction (or 0 for the default), got %g", h.Tolerance)
+	if err := checkFraction("hierarchical tolerance", h.Tolerance); err != nil {
+		return err
 	}
 	for p, c := range h.Clusters {
 		if c < 0 {
@@ -57,13 +40,6 @@ func (h *Hierarchical) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (h *Hierarchical) tolerance() float64 {
-	if h.Tolerance <= 0 {
-		return 0.10
-	}
-	return h.Tolerance
 }
 
 // BlockClusters is the topology-agnostic default cluster map: contiguous
@@ -91,14 +67,8 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 	if len(clusters) != p {
 		clusters = BlockClusters(p)
 	}
-	for _, c := range clusters {
-		if c < 0 {
-			return nil // Validate rejects this before a run starts
-		}
-	}
-	tol := h.tolerance()
-	busySet := map[int]bool{}
-	idleSet := map[int]bool{}
+	tol := orDefault(h.Tolerance, defaultTolerance)
+	paired := make([]bool, p)
 	var pairs []platform.Pair
 
 	// Cluster membership in deterministic (ascending id) order.
@@ -114,72 +84,20 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 
 	// Pass 1: intra-cluster diffusion against each cluster's own mean.
 	for _, c := range ids {
-		m := members[c]
-		if len(m) < 2 {
-			continue
-		}
-		mean := 0.0
-		for _, r := range m {
-			mean += pg.Times[r]
-		}
-		mean /= float64(len(m))
-		if mean <= 0 {
-			continue
-		}
-		order := append([]int(nil), m...)
-		sort.Slice(order, func(a, b int) bool {
-			if pg.Times[order[a]] != pg.Times[order[b]] {
-				return pg.Times[order[a]] > pg.Times[order[b]]
-			}
-			return order[a] < order[b]
-		})
-		for _, i := range order {
-			if pg.Times[i] <= mean*(1+tol) {
-				break // sorted: nobody further is overloaded
-			}
-			if busySet[i] || idleSet[i] {
-				continue
-			}
-			idle := -1
-			for _, j := range m {
-				if j == i || pg.Comm[i][j] <= 0 || busySet[j] || idleSet[j] {
-					continue
-				}
-				if pg.Times[j] >= mean {
-					continue
-				}
-				if idle == -1 || pg.Times[j] < pg.Times[idle] {
-					idle = j
-				}
-			}
-			if idle == -1 {
-				continue
-			}
-			pairs = append(pairs, platform.Pair{Busy: i, Idle: idle})
-			busySet[i] = true
-			idleSet[idle] = true
-		}
+		pairs = diffuse(pg.Times, pg.Comm, members[c], tol, paired, pairs)
 	}
 
 	// Pass 2: one cross-cluster move per overloaded cluster. Clusters are
 	// visited in decreasing mean-load order; the donor is the cluster's
 	// most-loaded unpaired processor, the target its least-loaded
 	// communicating processor in an under-mean cluster.
-	globalMean := 0.0
-	for _, t := range pg.Times {
-		globalMean += t
-	}
-	globalMean /= float64(p)
+	globalMean := meanLoad(pg.Times, ranks(p))
 	if globalMean <= 0 {
 		return pairs
 	}
 	clusterMean := map[int]float64{}
 	for _, c := range ids {
-		sum := 0.0
-		for _, r := range members[c] {
-			sum += pg.Times[r]
-		}
-		clusterMean[c] = sum / float64(len(members[c]))
+		clusterMean[c] = meanLoad(pg.Times, members[c])
 	}
 	corder := append([]int(nil), ids...)
 	sort.Slice(corder, func(a, b int) bool {
@@ -194,7 +112,7 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 		}
 		donor := -1
 		for _, r := range members[c] {
-			if busySet[r] || idleSet[r] {
+			if paired[r] {
 				continue
 			}
 			if donor == -1 || pg.Times[r] > pg.Times[donor] {
@@ -206,7 +124,7 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 		}
 		idle := -1
 		for j := 0; j < p; j++ {
-			if clusters[j] == c || pg.Comm[donor][j] <= 0 || busySet[j] || idleSet[j] {
+			if clusters[j] == c || pg.Comm[donor][j] <= 0 || paired[j] {
 				continue
 			}
 			if clusterMean[clusters[j]] >= globalMean || pg.Times[j] >= globalMean {
@@ -220,8 +138,7 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 			continue
 		}
 		pairs = append(pairs, platform.Pair{Busy: donor, Idle: idle})
-		busySet[donor] = true
-		idleSet[idle] = true
+		paired[donor], paired[idle] = true, true
 	}
 	return pairs
 }

@@ -1,4 +1,4 @@
-package balance_test
+package balance
 
 import (
 	"crypto/sha256"
@@ -6,31 +6,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"ic2mpi/internal/balance"
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/platform"
-	"ic2mpi/internal/scenario"
 )
 
 // resolve is the name → balancer entry the pins are taken through.
 func resolve(t *testing.T, name, network string, procs int) platform.Balancer {
 	t.Helper()
-	b, err := scenario.NewBalancerOn(name, network, procs)
+	b, err := New(name, network, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// balancerNames are the registered names that build a balancer.
-func balancerNames() []string {
-	var names []string
-	for _, name := range scenario.Balancers() {
-		if name != "none" {
-			names = append(names, name)
-		}
-	}
-	return names
 }
 
 // planDigest is the SHA-256 of the plans b gives on draws seeded processor
@@ -44,8 +31,8 @@ func planDigest(b platform.Balancer, seed int64, draws, procs int, withHistory b
 		if p == 0 {
 			p = 2 + rng.Intn(15)
 		}
-		pg := balance.RandomProcGraph(rng, p)
-		hist := balance.RandomHistory(rng, p)
+		pg := randomProcGraph(rng, p)
+		hist := randomHistory(rng, p)
 		var pairs []platform.Pair
 		if withHistory {
 			pairs = b.(platform.HistoryBalancer).PlanWithHistory(pg, hist)
@@ -93,7 +80,10 @@ func TestPlansPinned(t *testing.T) {
 		"hierarchical/hetgrid/64":   "8be4f5a67cd795ccf8b382d4c0484a0c7f2e963a0d34bc56201d613fde09be8d",
 	}
 	got := map[string]string{}
-	for _, name := range balancerNames() {
+	for _, name := range Names() {
+		if name == "none" {
+			continue
+		}
 		got[name] = planDigest(resolve(t, name, "", 0), 21, 300, 0, false)
 	}
 	got["predictive+history"] = planDigest(resolve(t, "predictive", "", 0), 21, 300, 0, true)

@@ -1,9 +1,7 @@
 package balance
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"ic2mpi/internal/platform"
 )
@@ -30,45 +28,18 @@ type Predictive struct {
 	Alpha float64
 }
 
-// NewPredictive builds a Predictive balancer with explicit parameters;
-// out-of-range tolerances and alphas are rejected (the zero-value struct
-// selects the defaults instead).
-func NewPredictive(tolerance, alpha float64) (*Predictive, error) {
-	if tolerance <= 0 || math.IsInf(tolerance, 0) || math.IsNaN(tolerance) {
-		return nil, fmt.Errorf("balance: predictive tolerance must be a positive finite fraction, got %g", tolerance)
-	}
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("balance: predictive alpha must be in (0,1], got %g", alpha)
-	}
-	return &Predictive{Tolerance: tolerance, Alpha: alpha}, nil
-}
-
 // Name implements platform.Balancer.
 func (b *Predictive) Name() string { return "Predictive" }
 
 // Validate implements platform.ValidatingBalancer.
 func (b *Predictive) Validate() error {
-	if b.Tolerance < 0 || math.IsInf(b.Tolerance, 0) || math.IsNaN(b.Tolerance) {
-		return fmt.Errorf("balance: predictive tolerance must be a positive finite fraction (or 0 for the default), got %g", b.Tolerance)
+	if err := checkFraction("predictive tolerance", b.Tolerance); err != nil {
+		return err
 	}
 	if b.Alpha < 0 || b.Alpha > 1 || math.IsNaN(b.Alpha) {
-		return fmt.Errorf("balance: predictive alpha must be in (0,1] (or 0 for the default), got %g", b.Alpha)
+		return invalid("predictive alpha", "in (0,1]", b.Alpha)
 	}
 	return nil
-}
-
-func (b *Predictive) tolerance() float64 {
-	if b.Tolerance <= 0 {
-		return 0.10
-	}
-	return b.Tolerance
-}
-
-func (b *Predictive) alpha() float64 {
-	if b.Alpha <= 0 {
-		return 0.5
-	}
-	return b.Alpha
 }
 
 // Plan implements platform.Balancer: planning with an empty history, so
@@ -84,60 +55,10 @@ func (b *Predictive) PlanWithHistory(pg platform.ProcGraph, hist []platform.Load
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	loads := b.forecast(pg, hist)
-
-	// Diffusion-style pairing on the forecast loads: most overloaded
-	// first, each paired with its least-loaded communicating neighbor
-	// below the mean forecast.
-	mean := 0.0
-	for _, t := range loads {
-		mean += t
-	}
-	mean /= float64(p)
-	if mean <= 0 {
-		return nil
-	}
-	order := make([]int, p)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if loads[order[a]] != loads[order[b]] {
-			return loads[order[a]] > loads[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	threshold := mean * (1 + b.tolerance())
-	busySet := map[int]bool{}
-	idleSet := map[int]bool{}
-	var pairs []platform.Pair
-	for _, i := range order {
-		if loads[i] <= threshold {
-			break // sorted: nobody further is overloaded
-		}
-		if idleSet[i] {
-			continue
-		}
-		idle := -1
-		for j := 0; j < p; j++ {
-			if j == i || pg.Comm[i][j] <= 0 || busySet[j] || idleSet[j] {
-				continue
-			}
-			if loads[j] >= mean {
-				continue
-			}
-			if idle == -1 || loads[j] < loads[idle] {
-				idle = j
-			}
-		}
-		if idle == -1 {
-			continue
-		}
-		pairs = append(pairs, platform.Pair{Busy: i, Idle: idle})
-		busySet[i] = true
-		idleSet[idle] = true
-	}
-	return pairs
+	// One diffusion pass on the forecast loads: most overloaded first,
+	// each paired with its least-loaded communicating neighbor below the
+	// mean forecast.
+	return diffuse(b.forecast(pg, hist), pg.Comm, ranks(p), orDefault(b.Tolerance, defaultTolerance), make([]bool, p), nil)
 }
 
 // forecast extrapolates each processor's next-window compute time: the
@@ -148,7 +69,7 @@ func (b *Predictive) PlanWithHistory(pg platform.ProcGraph, hist []platform.Load
 // leave the current times unchanged. Forecasts are clamped at zero.
 func (b *Predictive) forecast(pg platform.ProcGraph, hist []platform.LoadSample) []float64 {
 	p := len(pg.Times)
-	a := b.alpha()
+	a := orDefault(b.Alpha, 0.5)
 	out := make([]float64, p)
 	for r := 0; r < p; r++ {
 		var level, trend, spLevel, spTrend float64

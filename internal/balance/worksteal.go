@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -25,38 +24,21 @@ type WorkStealing struct {
 	Tolerance float64
 }
 
-// NewWorkStealing builds a WorkStealing balancer with an explicit
-// tolerance; zero, negative, >= 1 and non-finite values are rejected
-// (the zero-value struct selects the default instead).
-func NewWorkStealing(tolerance float64) (*WorkStealing, error) {
-	if tolerance <= 0 || tolerance >= 1 || math.IsNaN(tolerance) {
-		return nil, fmt.Errorf("balance: work-stealing tolerance must be in (0,1), got %g", tolerance)
-	}
-	return &WorkStealing{Tolerance: tolerance}, nil
-}
-
 // Name implements platform.Balancer.
 func (w *WorkStealing) Name() string { return "Work Stealing" }
 
 // Validate implements platform.ValidatingBalancer.
 func (w *WorkStealing) Validate() error {
 	if w.Tolerance < 0 || w.Tolerance >= 1 || math.IsNaN(w.Tolerance) {
-		return fmt.Errorf("balance: work-stealing tolerance must be in (0,1) (or 0 for the default), got %g", w.Tolerance)
+		return invalid("work-stealing tolerance", "in (0,1)", w.Tolerance)
 	}
 	return nil
-}
-
-func (w *WorkStealing) tolerance() float64 {
-	if w.Tolerance <= 0 {
-		return 0.10
-	}
-	return w.Tolerance
 }
 
 // Plan implements platform.Balancer. Thieves are visited in increasing
 // load order (ties broken by lower rank) so the emptiest processor gets
 // first pick of victims; each steals from its most-loaded communicating
-// neighbor whose time exceeds the mean. The busy/idle sets guarantee the
+// neighbor whose time exceeds the mean. The paired set guarantees the
 // structural rules of Table 1: a victim is never robbed twice and a thief
 // never doubles as a victim.
 func (w *WorkStealing) Plan(pg platform.ProcGraph) []platform.Pair {
@@ -64,17 +46,10 @@ func (w *WorkStealing) Plan(pg platform.ProcGraph) []platform.Pair {
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	mean := 0.0
-	for _, t := range pg.Times {
-		mean += t
-	}
-	mean /= float64(p)
+	order := ranks(p)
+	mean := meanLoad(pg.Times, order)
 	if mean <= 0 {
 		return nil
-	}
-	order := make([]int, p)
-	for i := range order {
-		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if pg.Times[order[a]] != pg.Times[order[b]] {
@@ -82,25 +57,21 @@ func (w *WorkStealing) Plan(pg platform.ProcGraph) []platform.Pair {
 		}
 		return order[a] < order[b]
 	})
-	threshold := mean * (1 - w.tolerance())
-	busySet := map[int]bool{}
-	idleSet := map[int]bool{}
+	threshold := mean * (1 - orDefault(w.Tolerance, defaultTolerance))
+	paired := make([]bool, p)
 	var pairs []platform.Pair
 	for _, i := range order {
 		if pg.Times[i] >= threshold {
 			break // sorted: nobody further is underloaded
 		}
-		if busySet[i] || idleSet[i] {
+		if paired[i] {
 			continue
 		}
 		// Most-loaded communicating neighbor above the mean, not already
 		// part of a pair; ascending scan makes the lower rank win ties.
 		victim := -1
 		for j := 0; j < p; j++ {
-			if j == i || pg.Comm[i][j] <= 0 || busySet[j] || idleSet[j] {
-				continue
-			}
-			if pg.Times[j] <= mean {
+			if j == i || pg.Comm[i][j] <= 0 || paired[j] || pg.Times[j] <= mean {
 				continue
 			}
 			if victim == -1 || pg.Times[j] > pg.Times[victim] {
@@ -111,8 +82,7 @@ func (w *WorkStealing) Plan(pg platform.ProcGraph) []platform.Pair {
 			continue
 		}
 		pairs = append(pairs, platform.Pair{Busy: victim, Idle: i})
-		busySet[victim] = true
-		idleSet[i] = true
+		paired[victim], paired[i] = true, true
 	}
 	return pairs
 }

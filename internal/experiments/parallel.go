@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -17,6 +20,22 @@ import (
 // -parallel. Set it before starting sweeps; it is not synchronized with
 // in-flight ones.
 var Parallelism int
+
+// CountFlag registers an int flag (0 until it is given: "pick for me")
+// that refuses a value below least when it is parsed, so the usage error
+// names the flag instead of the value silently meaning the default or
+// switching the flag's effect off. It is the one definition behind the
+// count flags of cmd/experiments, cmd/docgen and cmd/ic2mpid.
+func CountFlag(fs *flag.FlagSet, name string, least int, usage string) *int {
+	n := new(int)
+	fs.Func(name, usage, func(v string) (err error) {
+		if *n, err = strconv.Atoi(v); err == nil && *n < least {
+			err = fmt.Errorf("must be >= %d", least)
+		}
+		return err
+	})
+	return n
+}
 
 // workers resolves Parallelism to a concrete pool size for n tasks.
 func workers(n int) int {

@@ -372,7 +372,15 @@ func RunSweep(sc scenario.Scenario, ax Axes) (*SweepReport, error) {
 // its normalized parameters, the assembled report is byte-identical
 // either way.
 func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, error) {
-	results, err := RunCells(sc, ax.Cells(), run)
+	cells := ax.Cells()
+	// A bad axis value is refused before the first cell runs, as the daemon
+	// refuses it at submit, not after every cell ahead of it has.
+	for _, p := range cells {
+		if _, err := sc.Normalize(p); err != nil {
+			return nil, err
+		}
+	}
+	results, err := RunCells(sc, cells, run)
 	if err != nil {
 		return nil, err
 	}

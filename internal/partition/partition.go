@@ -180,18 +180,3 @@ func (RoundRobin) Partition(g *graph.Graph, _ *topology.Network, k int) ([]int, 
 	}
 	return part, nil
 }
-
-// Single assigns everything to processor 0; the k=1 degenerate case made
-// explicit for tests.
-type Single struct{}
-
-// Name implements Partitioner.
-func (Single) Name() string { return "Single" }
-
-// Partition implements Partitioner.
-func (Single) Partition(g *graph.Graph, _ *topology.Network, k int) ([]int, error) {
-	if k != 1 {
-		return nil, fmt.Errorf("partition: Single only supports k=1, got %d", k)
-	}
-	return make([]int, g.NumVertices()), nil
-}

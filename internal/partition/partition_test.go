@@ -325,15 +325,15 @@ func TestBlockAndRoundRobinAndSingle(t *testing.T) {
 	if r[5] != 1 || r[6] != 2 {
 		t.Fatalf("round robin: %d %d", r[5], r[6])
 	}
-	s, err := Single{}.Partition(g, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(g, s, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Single{}).Partition(g, nil, 2); err == nil {
-		t.Fatal("Single accepted k=2")
+	// The single-processor case: both put every vertex on processor 0.
+	for _, pt := range []Partitioner{Block{}, RoundRobin{}} {
+		s, err := pt.Partition(g, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(g, s, 1); err != nil {
+			t.Fatalf("%s at k=1: %v", pt.Name(), err)
+		}
 	}
 	if _, err := (Block{}).Partition(g, nil, 0); err == nil {
 		t.Fatal("Block accepted k=0")

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"ic2mpi/internal/balance"
@@ -46,7 +45,7 @@ type Params struct {
 	Exchange string `json:"exchange"`
 	// Buffers is BuffersPooled.
 	Buffers string `json:"buffers"`
-	// Balancer names the dynamic load balancer; see Balancers for the
+	// Balancer names the dynamic load balancer; see balance.Names for the
 	// accepted names ("none" disables balancing).
 	Balancer string `json:"balancer"`
 	// Network names the interconnect model the run executes on; see
@@ -254,8 +253,8 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 		if !partition.Known(p.Partitioner) {
 			return p, fmt.Errorf("scenario %s: unknown partitioner %q (known: %v)", sc.Name, p.Partitioner, partition.Names())
 		}
-		if !slices.Contains(Balancers(), p.Balancer) {
-			return p, fmt.Errorf("scenario %s: unknown balancer %q (known: %v)", sc.Name, p.Balancer, Balancers())
+		if !balance.Known(p.Balancer) {
+			return p, fmt.Errorf("scenario %s: unknown balancer %q (known: %v)", sc.Name, p.Balancer, balance.Names())
 		}
 	}
 	return p, nil
@@ -397,82 +396,9 @@ func PartitionOn(name string, g *graph.Graph, k int, model netmodel.Model) ([]in
 	return pt.Partition(g, net, k)
 }
 
-// Balancers returns the accepted Params.Balancer names.
-func Balancers() []string {
-	return []string{"none", "centralized", "centralized-strict", "diffusion", "worksteal", "hierarchical", "predictive"}
-}
-
-// NewBalancerOn resolves a Params.Balancer name to a platform balancer
-// with the run's interconnect in view; the name "none" (and "") resolves
-// to nil, disabling dynamic balancing. The hierarchical balancer's cluster
-// map is derived from the named network's topology (see ClustersFor);
-// network "" or procs <= 0 keep the topology-agnostic defaults.
+// NewBalancerOn resolves a Params.Balancer name (balance.Names) to a
+// platform balancer with the run's interconnect in view; "none" resolves
+// to nil, disabling dynamic balancing.
 func NewBalancerOn(name, network string, procs int) (platform.Balancer, error) {
-	switch name {
-	case "", "none":
-		return nil, nil
-	case "centralized":
-		return &balance.CentralizedHeuristic{}, nil
-	case "centralized-strict":
-		return &balance.CentralizedHeuristic{StrictAllNeighbors: true}, nil
-	case "diffusion":
-		return &balance.Diffusion{}, nil
-	case "worksteal":
-		return &balance.WorkStealing{}, nil
-	case "hierarchical":
-		var clusters []int
-		if network != "" && procs > 0 {
-			clusters = ClustersFor(network, procs)
-		}
-		return &balance.Hierarchical{Clusters: clusters}, nil
-	case "predictive":
-		return &balance.Predictive{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown balancer %q (known: %v)", name, Balancers())
-	}
-}
-
-// ClustersFor derives the hierarchical balancer's cluster map from a
-// named interconnect: fat-tree leaves group into pods, the heterogeneous
-// grid splits into its fast and slow islands, the 2-D mesh into its four
-// quadrants, and the hypercube into half-dimension subcubes. Unknown or
-// structureless networks (uniform) fall back to contiguous rank blocks.
-// The map is pure data — a function of (network, procs) only — so runs
-// remain deterministic.
-func ClustersFor(network string, procs int) []int {
-	if procs < 1 {
-		return nil
-	}
-	out := make([]int, procs)
-	switch network {
-	case netmodel.NameFatTree:
-		for r := range out {
-			out[r] = r / netmodel.DefaultFatTreeArity
-		}
-	case netmodel.NameHetGrid:
-		half := procs / 2
-		for r := range out {
-			if half > 0 && r >= half {
-				out[r] = 1
-			}
-		}
-	case netmodel.NameMesh2D:
-		rows, cols, err := topology.Dims(procs)
-		if err != nil {
-			return balance.BlockClusters(procs)
-		}
-		halfR, halfC := (rows+1)/2, (cols+1)/2
-		for r := range out {
-			out[r] = (r/cols/halfR)*2 + (r%cols)/halfC
-		}
-	case netmodel.NameHypercube:
-		dims := bits.Len(uint(procs - 1))
-		low := (dims + 1) / 2
-		for r := range out {
-			out[r] = r >> low
-		}
-	default:
-		return balance.BlockClusters(procs)
-	}
-	return out
+	return balance.New(name, network, procs)
 }

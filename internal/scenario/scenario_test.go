@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"ic2mpi/internal/balance"
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
@@ -277,17 +280,20 @@ func TestPaGridTieCellsRepeat(t *testing.T) {
 	}
 }
 
+// TestBalancerResolver: the entry the platform configuration and bench/
+// resolve balancers through is the internal/balance registry — every
+// registered name resolves, "none" to no balancer, and an unknown name is
+// refused with the known ones listed.
 func TestBalancerResolver(t *testing.T) {
-	for _, name := range Balancers() {
-		if _, err := NewBalancerOn(name, "", 0); err != nil {
-			t.Errorf("NewBalancerOn(%q) failed: %v", name, err)
+	for _, name := range balance.Names() {
+		b, err := NewBalancerOn(name, netmodel.NameHypercube, 8)
+		if err != nil || (b == nil) != (name == "none") {
+			t.Errorf("NewBalancerOn(%q) = %v, %v", name, b, err)
 		}
 	}
-	if b, err := NewBalancerOn("none", "", 0); err != nil || b != nil {
-		t.Errorf("NewBalancerOn(none) = %v, %v", b, err)
-	}
-	if _, err := NewBalancerOn("bogus", "", 0); err == nil {
-		t.Error("unknown balancer accepted")
+	_, err := NewBalancerOn("bogus", "", 0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(balance.Names())) {
+		t.Errorf("unknown balancer: got error %v, want one listing %v", err, balance.Names())
 	}
 }
 

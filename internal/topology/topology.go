@@ -176,16 +176,6 @@ func HeterogeneousGrid(procs int, slowFactor, wanCost float64) (*Network, error)
 // GrayCode returns the i-th binary reflected Gray code value.
 func GrayCode(i int) int { return i ^ (i >> 1) }
 
-// GrayRank is the inverse of GrayCode: GrayRank(GrayCode(i)) == i.
-func GrayRank(g int) int {
-	r := 0
-	for g != 0 {
-		r ^= g
-		g >>= 1
-	}
-	return r
-}
-
 // MeshToHypercube embeds position (r, c) of an R x C mesh into a hypercube
 // of R*C processors using the classic gray-code row/column embedding: the
 // processor id is GrayCode(r) concatenated with GrayCode(c). Mesh-adjacent

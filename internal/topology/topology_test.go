@@ -3,7 +3,6 @@ package topology
 import (
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestHypercubeValid(t *testing.T) {
@@ -150,13 +149,6 @@ func TestGrayCodeAdjacency(t *testing.T) {
 		if bits.OnesCount(uint(d)) != 1 {
 			t.Fatalf("GrayCode(%d) and GrayCode(%d) differ in %d bits", i, i+1, bits.OnesCount(uint(d)))
 		}
-	}
-}
-
-func TestGrayRankInverse(t *testing.T) {
-	f := func(x uint16) bool { return GrayRank(GrayCode(int(x))) == int(x) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

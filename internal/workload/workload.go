@@ -62,23 +62,6 @@ func Averaging(g GrainFunc) platform.NodeFunc {
 	}
 }
 
-// Summing returns a node function that accumulates neighbor data without
-// averaging; its results grow deterministically, which makes divergence
-// between two executions (and therefore any platform data race or stale
-// shadow) highly visible in integration tests.
-func Summing(g GrainFunc) platform.NodeFunc {
-	return func(id graph.NodeID, iter, _ int, self platform.NodeData, neighbors []platform.Neighbor) (platform.NodeData, float64) {
-		sum := int64(self.(platform.IntData))
-		for _, nb := range neighbors {
-			sum += int64(nb.Data.(platform.IntData))
-		}
-		// Mix in position and iteration so symmetric graphs cannot hide
-		// misrouted updates behind identical values.
-		sum = sum*31 + int64(id)*7 + int64(iter)
-		return platform.IntData(sum), g(id, iter)
-	}
-}
-
 // InitID initializes node data to the 1-based global ID, matching the
 // thesis' InitializeGlobalDataList (globalID = i+1, data = i+1).
 func InitID(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id) + 1) }

@@ -84,20 +84,6 @@ func TestAveragingNoNeighbors(t *testing.T) {
 	}
 }
 
-func TestSummingSensitivity(t *testing.T) {
-	// Summing must produce different results when a neighbor value
-	// changes, when the node differs, and when the iteration differs.
-	fn := Summing(UniformGrain(0))
-	nbrs := []platform.Neighbor{{ID: 1, Data: platform.IntData(5)}}
-	a, _ := fn(0, 1, 0, platform.IntData(1), nbrs)
-	b, _ := fn(0, 1, 0, platform.IntData(1), []platform.Neighbor{{ID: 1, Data: platform.IntData(6)}})
-	c, _ := fn(1, 1, 0, platform.IntData(1), nbrs)
-	d, _ := fn(0, 2, 0, platform.IntData(1), nbrs)
-	if a == b || a == c || a == d {
-		t.Fatalf("summing not sensitive: %v %v %v %v", a, b, c, d)
-	}
-}
-
 func TestInitID(t *testing.T) {
 	if InitID(0) != platform.IntData(1) || InitID(41) != platform.IntData(42) {
 		t.Fatal("InitID must be the 1-based global ID")
