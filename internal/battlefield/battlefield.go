@@ -27,9 +27,10 @@
 package battlefield
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"ic2mpi/internal/graph"
@@ -283,13 +284,32 @@ func dirOf(r, c int, to graph.NodeID, cols int) int {
 	return -1
 }
 
-// intentPhase publishes fire allocations and movement decisions.
+// quiet reports whether h holds no unit and publishes nothing: Units nil,
+// Fire zero, every Out lane nil. Unless something arrives, both sub-phases
+// compute exactly that value again (Destroyed carried over), so they return
+// h itself — most of the terrain, on any step. An emptied roster, non-nil
+// with length 0, is not quiet: the next phase makes it nil, and a
+// checkpoint encodes the two apart.
+func (h *HexData) quiet() bool {
+	for d := range h.Out {
+		if h.Out[d] != nil {
+			return false
+		}
+	}
+	return h.Units == nil && h.Fire == [7][2]int32{}
+}
+
+// intentPhase publishes fire allocations and movement decisions. The new
+// value shares h.Units: data values are immutable once returned (see
+// platform.NodeFunc), and no phase writes a roster it did not allocate.
 func intentPhase(id graph.NodeID, iter int, h *HexData, neighbors []platform.Neighbor, rows, cols int, cost CostParams) (platform.NodeData, float64) {
+	if h.quiet() {
+		return h, cost.PerHex // no unit, no engagement
+	}
 	r, c := int(id)/cols, int(id)%cols
-	out := h.CloneData().(*HexData)
-	out.Fire = [7][2]int32{}
-	for d := range out.Out {
-		out.Out[d] = nil
+	out := &HexData{Destroyed: h.Destroyed}
+	if len(h.Units) > 0 {
+		out.Units = h.Units
 	}
 
 	// Enemy strength visible per direction, per my side.
@@ -297,10 +317,8 @@ func intentPhase(id graph.NodeID, iter int, h *HexData, neighbors []platform.Nei
 	for s := Side(0); s <= 1; s++ {
 		enemy[OwnHexDir][s] = h.TotalStrength(s.Enemy())
 	}
-	nbrDir := make([]int, len(neighbors))
-	for i, nb := range neighbors {
+	for _, nb := range neighbors {
 		d := dirOf(r, c, nb.ID, cols)
-		nbrDir[i] = d
 		nd := nb.Data.(*HexData)
 		for s := Side(0); s <= 1; s++ {
 			enemy[d][s] = nd.TotalStrength(s.Enemy())
@@ -393,80 +411,81 @@ func marchDirection(u Unit, r, c, iter, rows, cols int) int {
 // rosters.
 func resolvePhase(id graph.NodeID, h *HexData, neighbors []platform.Neighbor, rows, cols int, cost CostParams) (platform.NodeData, float64) {
 	r, c := int(id)/cols, int(id)%cols
-	out := &HexData{Destroyed: h.Destroyed}
 
-	// Units that stay: everything not listed in an Out lane.
-	departing := make(map[int32]bool)
-	for d := range h.Out {
-		for _, u := range h.Out[d] {
-			departing[u.ID] = true
-		}
-	}
-	for _, u := range h.Units {
-		if !departing[u.ID] {
-			out.Units = append(out.Units, u)
-		}
-	}
 	// Arrivals: every neighbor's Out lane whose direction points at us is
 	// the reciprocal (d+3)%6 of our direction toward the neighbor.
 	var incomingFire [2]int64 // fire aimed at this hex by side s
 	incomingFire[Red] = int64(h.Fire[OwnHexDir][Red])
 	incomingFire[Blue] = int64(h.Fire[OwnHexDir][Blue])
-	type arrival struct {
-		dir  int
-		unit Unit
-	}
-	var arrivals []arrival
+	var from [6]*HexData // the neighbor in each direction
+	arrivals := 0
 	for _, nb := range neighbors {
 		d := dirOf(r, c, nb.ID, cols)
 		nd := nb.Data.(*HexData)
 		recip := (d + 3) % 6
-		for _, u := range nd.Out[recip] {
-			arrivals = append(arrivals, arrival{dir: d, unit: u})
-		}
+		from[d] = nd
+		arrivals += len(nd.Out[recip])
 		incomingFire[Red] += int64(nd.Fire[recip][Red])
 		incomingFire[Blue] += int64(nd.Fire[recip][Blue])
 	}
-	sort.Slice(arrivals, func(a, b int) bool {
-		if arrivals[a].dir != arrivals[b].dir {
-			return arrivals[a].dir < arrivals[b].dir
+	// Fire into a hex with nobody in it hits nothing.
+	if arrivals == 0 && h.quiet() {
+		return h, cost.PerHex
+	}
+
+	// Units that stay: everything not listed in an Out lane.
+	stay := 0
+	for _, u := range h.Units {
+		if !h.departs(u.ID) {
+			stay++
 		}
-		return arrivals[a].unit.ID < arrivals[b].unit.ID
-	})
-	for _, a := range arrivals {
-		out.Units = append(out.Units, a.unit)
+	}
+	out := &HexData{Destroyed: h.Destroyed}
+	if stay+arrivals > 0 {
+		out.Units = make([]Unit, 0, stay+arrivals)
+	}
+	for _, u := range h.Units {
+		if !h.departs(u.ID) {
+			out.Units = append(out.Units, u)
+		}
+	}
+	// Arrivals join in (direction, ID) order: lanes in direction order, each
+	// sorted by ID as it is appended.
+	for d, nd := range from {
+		if nd == nil {
+			continue
+		}
+		lane := len(out.Units)
+		out.Units = append(out.Units, nd.Out[(d+3)%6]...)
+		slices.SortFunc(out.Units[lane:], func(a, b Unit) int { return cmp.Compare(a.ID, b.ID) })
 	}
 
 	// Apply damage: side s units absorb the enemy's fire aimed here, in
 	// deterministic (strength desc, ID asc) order — the strongest assets
-	// screen the rest, as in the original's target-priority tables.
+	// screen the rest, as in the original's target-priority tables. Every
+	// unit hit before the fire runs out is destroyed, so the next in that
+	// order is always the strongest one still standing.
 	for s := Side(0); s <= 1; s++ {
 		dmg := incomingFire[s.Enemy()]
 		if dmg <= 0 {
 			continue
 		}
-		idx := make([]int, 0, len(out.Units))
-		for i, u := range out.Units {
-			if u.Side == s {
-				idx = append(idx, i)
+		for dmg > 0 {
+			var next *Unit
+			for i := range out.Units {
+				u := &out.Units[i]
+				if u.Side != s || u.Strength <= 0 {
+					continue
+				}
+				if next == nil || u.Strength > next.Strength || u.Strength == next.Strength && u.ID < next.ID {
+					next = u
+				}
 			}
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			ua, ub := out.Units[idx[a]], out.Units[idx[b]]
-			if ua.Strength != ub.Strength {
-				return ua.Strength > ub.Strength
-			}
-			return ua.ID < ub.ID
-		})
-		for _, i := range idx {
-			if dmg <= 0 {
+			if next == nil {
 				break
 			}
-			hit := int64(out.Units[i].Strength)
-			if hit > dmg {
-				hit = dmg
-			}
-			out.Units[i].Strength -= int32(hit)
+			hit := min(int64(next.Strength), dmg)
+			next.Strength -= int32(hit)
 			dmg -= hit
 			out.Destroyed[s.Enemy()] += hit
 		}
@@ -478,8 +497,20 @@ func resolvePhase(id graph.NodeID, h *HexData, neighbors []platform.Neighbor, ro
 		}
 		out.Units = survivors
 	}
-	vcost := cost.PerHex + float64(len(out.Units)+len(arrivals))*cost.PerUnit
+	vcost := cost.PerHex + float64(len(out.Units)+arrivals)*cost.PerUnit
 	return out, vcost
+}
+
+// departs reports whether the unit with this ID is listed in an Out lane.
+func (h *HexData) departs(id int32) bool {
+	for d := range h.Out {
+		for _, u := range h.Out[d] {
+			if u.ID == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Summary aggregates a battlefield state for reports and invariants.

@@ -444,3 +444,81 @@ func TestQuickConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBattlefieldAllocsPinned holds the sub-phases to what they allocate per
+// hex: nothing for a quiet hex (most of the terrain on any step — both
+// phases return the value they were given), one HexData for a hex that
+// fires, plus its lanes for one that marches, and one HexData and one
+// exactly-sized roster for a hex that takes arrivals and damage.
+func TestBattlefieldAllocsPinned(t *testing.T) {
+	sc := DefaultScenario()
+	node := sc.NodeFunc(DefaultCost())
+	terrain, err := sc.Terrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hex 15*32+5 sits on red's holding row, away from the edges.
+	const id = graph.NodeID(15*32 + 5)
+	phase := func(sub int, self *HexData, others func(d int) *HexData) (allocs float64, out *HexData) {
+		nbrs := make([]platform.Neighbor, len(terrain.Adj[id]))
+		for i, u := range terrain.Adj[id] {
+			nbrs[i] = platform.Neighbor{ID: u, Data: others(dirOf(int(id)/32, int(id)%32, u, 32))}
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			d, _ := node(id, 11, sub, self, nbrs)
+			out = d.(*HexData)
+		})
+		return allocs, out
+	}
+	empty := func(int) *HexData { return &HexData{} }
+
+	quiet := &HexData{Destroyed: [2]int64{3, 4}}
+	for sub := 0; sub < 2; sub++ {
+		if allocs, out := phase(sub, quiet, empty); allocs != 0 || out != quiet {
+			t.Errorf("quiet hex, sub-phase %d: %v allocs, same value returned: %v; want 0, true", sub, allocs, out == quiet)
+		}
+	}
+
+	reds := &HexData{Units: []Unit{{ID: 1, Side: Red, Strength: 9}, {ID: 2, Side: Red, Strength: 7}, {ID: 3, Side: Red, Strength: 7}}}
+	blues := func(int) *HexData { return &HexData{Units: []Unit{{ID: 9, Side: Blue, Strength: 5}}} }
+	allocs, intent := phase(0, reds, blues)
+	if allocs != 1 || intent.Fire == [7][2]int32{} {
+		t.Errorf("firing hex, intent: %v allocs, fire %v; want 1 and some fire", allocs, intent.Fire)
+	}
+
+	// A step behind the holding row the same three units march: one lane
+	// per direction taken, grown as units join it.
+	const rear = graph.NodeID(10*32 + 5)
+	allocs = testing.AllocsPerRun(100, func() {
+		d, _ := node(rear, 11, 0, reds, nil)
+		intent = d.(*HexData)
+	})
+	moving := 0
+	for _, lane := range intent.Out {
+		moving += len(lane)
+	}
+	if moving != 3 || allocs > 4 {
+		t.Errorf("marching hex, intent: %d units moving, %v allocs; want 3 and at most 4", moving, allocs)
+	}
+
+	// Resolve: two units arrive from direction 0, out of ID order, and blue
+	// fire from direction 3 destroys the strongest unit and wounds the next.
+	arriving := func(d int) *HexData {
+		h := &HexData{}
+		switch d {
+		case 0:
+			h.Out[3] = []Unit{{ID: 8, Side: Red, Strength: 4}, {ID: 6, Side: Red, Strength: 4}}
+		case 3:
+			h.Fire[0][Blue] = 12
+		}
+		return h
+	}
+	allocs, after := phase(1, reds, arriving)
+	want := []Unit{{ID: 2, Side: Red, Strength: 4}, {ID: 3, Side: Red, Strength: 7}, {ID: 6, Side: Red, Strength: 4}, {ID: 8, Side: Red, Strength: 4}}
+	if allocs != 2 || !reflect.DeepEqual(after.Units, want) || after.Destroyed[Blue] != 12 {
+		t.Errorf("busy hex, resolve: %v allocs, units %v, destroyed %v; want 2, %v, 12 by blue", allocs, after.Units, after.Destroyed, want)
+	}
+	if reds.Units[0].Strength != 9 {
+		t.Error("resolve wrote the roster it was given")
+	}
+}

@@ -14,7 +14,6 @@ package bsp
 
 import (
 	"fmt"
-	"sort"
 
 	"ic2mpi/internal/mpi"
 )
@@ -116,7 +115,11 @@ func (p *Proc) Sync() ([]Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Send batches.
+	// Send batches. A batch's backing array is packed again in the next
+	// superstep: every receiver copies its batches out below, before it
+	// enters the barrier this call ends with, so once the barrier lets this
+	// process through nobody reads what it sent — one generation is enough
+	// here, where the platform's exchange (no barrier) needs two.
 	for dst := 0; dst < n; dst++ {
 		if len(p.outbox[dst]) == 0 {
 			continue
@@ -129,10 +132,18 @@ func (p *Proc) Sync() ([]Message, error) {
 		if err := p.comm.Isend(dst, tagBSPData, batch, bytes); err != nil {
 			return nil, err
 		}
-		p.outbox[dst] = nil
+		p.outbox[dst] = batch[:0]
 	}
-	// Receive batches from every process that posted to us.
+	// Receive batches from every process that posted to us, in ascending
+	// source order: the inbox is built sorted by (Src, posting order).
+	expect := 0
+	for src := 0; src < n; src++ {
+		expect += allCountsAny[src].([]int)[p.Pid()]
+	}
 	var inbox []Message
+	if expect > 0 {
+		inbox = make([]Message, 0, expect)
+	}
 	for src := 0; src < n; src++ {
 		srcCounts := allCountsAny[src].([]int)
 		if srcCounts[p.Pid()] == 0 {
@@ -146,7 +157,6 @@ func (p *Proc) Sync() ([]Message, error) {
 			inbox = append(inbox, Message{Src: src, Tag: m.tag, Payload: m.payload})
 		}
 	}
-	sort.SliceStable(inbox, func(a, b int) bool { return inbox[a].Src < inbox[b].Src })
 	if err := p.comm.Barrier(); err != nil {
 		return nil, err
 	}

@@ -182,7 +182,7 @@ func (s *rankState) sendBuffers(sub int) error {
 			return fmt.Errorf("platform: rank %d packed %d updates for proc %d, expected %d",
 				s.me, len(buf), pe.proc, pe.send)
 		}
-		if err := s.comm.Isend(pe.proc, tagShadow(sub), buf, updateBytes(buf)); err != nil {
+		if err := s.comm.Isend(pe.proc, tagShadow(sub), &pe.pool[s.gen], updateBytes(buf)); err != nil {
 			return err
 		}
 	}
@@ -210,10 +210,11 @@ func (s *rankState) recvShadows(sub int, reqs []*mpi.Request) error {
 		t1 := s.comm.Wtime()
 		s.phase[PhaseCommunicate] += t1 - t0
 
-		buf, ok := payload.([]shadowUpdate)
+		sent, ok := payload.(*[]shadowUpdate)
 		if !ok {
 			return fmt.Errorf("platform: rank %d: unexpected payload %T from proc %d", s.me, payload, pe.proc)
 		}
+		buf := *sent
 		if len(buf) != pe.recv {
 			return fmt.Errorf("platform: rank %d received %d updates from proc %d, expected %d",
 				s.me, len(buf), pe.proc, pe.recv)

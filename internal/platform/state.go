@@ -106,7 +106,12 @@ type peer struct {
 	// deliver-by-reference contract: I also receive from every peer I send
 	// to, so receiving proc's exchange-(k+1) buffer proves proc finished its
 	// exchange k and has already unpacked everything I sent it in exchange k.
-	pool [2][]shadowUpdate
+	// The array is allocated once, when the peer is (peerFor), and Isend
+	// carries &pool[gen]: a pointer in an interface allocates nothing where
+	// a slice header did on every send. The receiver reads the header
+	// through it when it unpacks, and the header is written only by that
+	// truncating and repacking, so the same argument covers it.
+	pool *[2][]shadowUpdate
 }
 
 // shadowUpdate is one packed buffer element (struct buffer_data_node):
@@ -320,7 +325,7 @@ func (s *rankState) peerFor(p int) *peer {
 		i++
 	}
 	if i == len(s.peers) || s.peers[i].proc != p {
-		s.peers = slices.Insert(s.peers, i, peer{proc: p})
+		s.peers = slices.Insert(s.peers, i, peer{proc: p, pool: new([2][]shadowUpdate)})
 	}
 	return &s.peers[i]
 }

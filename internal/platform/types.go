@@ -10,8 +10,12 @@ import (
 )
 
 // NodeData is the user-supplied per-node state (the thesis' node_data
-// plug-in). Implementations must be value-like: CloneData returns an
-// independent copy (used when data crosses processor boundaries), and
+// plug-in). A value is immutable once InitData or a NodeFunc has returned
+// it: the exchange, task migration and the final gather all deliver values
+// by reference, so one value is at once a node's data on its owner and a
+// shadow on every neighbouring rank, and nothing may write through it (see
+// NodeFunc). CloneData returns an independent copy and is the snapshot
+// boundary's: checkpoint capture and restore call it, nothing else does.
 // SizeBytes reports the serialized size charged to the communication cost
 // model.
 type NodeData interface {
@@ -55,6 +59,11 @@ type Neighbor struct {
 // The neighbors slice is only valid for the duration of the call: the
 // platform (and RunSequential) recycles it between invocations, so an
 // implementation must not retain it and copies what it wants to keep.
+//
+// self and every neighbor's Data are shared with other ranks and must not
+// be written. In return a NodeFunc may return self when the node's value
+// does not change, and a new value may share memory with self (a slice it
+// does not modify): the platform never writes a value either.
 type NodeFunc func(id graph.NodeID, iter, sub int, self NodeData, neighbors []Neighbor) (NodeData, float64)
 
 // Pair is one busy/idle processor pair selected by the load balancer.

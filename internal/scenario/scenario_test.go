@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"ic2mpi/internal/balance"
+	"ic2mpi/internal/battlefield"
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
@@ -120,6 +122,68 @@ func TestEveryScenarioRuns(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res, again) {
 				t.Errorf("scenario not deterministic:\n%+v\n%+v", res, again)
+			}
+		})
+	}
+}
+
+// snapshotData returns a copy of d that shares no memory with it and keeps
+// nil and empty slices apart (HexData.CloneData does not: it is the
+// checkpoint's copy, and turns an emptied roster into a nil one).
+func snapshotData(t *testing.T, d platform.NodeData) platform.NodeData {
+	switch v := d.(type) {
+	case *battlefield.HexData:
+		c := *v
+		c.Units = slices.Clone(v.Units)
+		for i := range c.Out {
+			c.Out[i] = slices.Clone(v.Out[i])
+		}
+		return &c
+	case platform.IntData, Temp:
+		return d
+	}
+	t.Fatalf("node data type %T: say here how to deep-copy it", d)
+	return nil
+}
+
+// TestNodeFuncsNeverWriteTheirInputs holds every registered platform
+// scenario's node function to the contract platform.NodeFunc states: a data
+// value is immutable once returned. The runtime delivers values by
+// reference — one value is a node's data on its owner and a shadow on every
+// neighbouring rank at once — so a node function may return self or share
+// its slices, and must never write through self or a neighbour. Each call
+// is bracketed by a deep copy and a deep comparison, on 8 ranks, over each
+// scenario's default run (25 time steps of the battlefield).
+func TestNodeFuncsNeverWriteTheirInputs(t *testing.T) {
+	for _, sc := range List() {
+		if sc.Runner != nil {
+			continue
+		}
+		t.Run(sc.Name, func(t *testing.T) {
+			cfg, err := sc.Config(Params{Procs: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := cfg.Node
+			cfg.Node = func(id graph.NodeID, iter, sub int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+				before := make([]platform.NodeData, 0, 1+len(nbrs))
+				before = append(before, snapshotData(t, self))
+				for _, nb := range nbrs {
+					before = append(before, snapshotData(t, nb.Data))
+				}
+				out, cost := node(id, iter, sub, self, nbrs)
+				if !reflect.DeepEqual(self, before[0]) {
+					t.Errorf("node %d, iteration %d, sub-phase %d: the node function wrote its own previous data", id, iter, sub)
+				}
+				for i, nb := range nbrs {
+					if !reflect.DeepEqual(nb.Data, before[1+i]) {
+						t.Errorf("node %d, iteration %d, sub-phase %d: the node function wrote neighbour %d's data", id, iter, sub, nb.ID)
+					}
+				}
+				return out, cost
+			}
+			if _, err := platform.Run(*cfg); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

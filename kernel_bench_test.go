@@ -129,14 +129,17 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // Config which sets nothing runs the recycled buffers. The tolerance
 // absorbs runtime scheduling jitter (a handful of allocs per run) while
 // still catching any real regression — an exchange that allocates per
-// round moves the rows by thousands.
+// round moves the rows by thousands. The rows read 3076 and 5894 while
+// every Isend boxed a slice header; what is left is start-up — rank state,
+// each buffer generation's first fill, the mailboxes growing — and moves
+// with none of the 50 iterations.
 var exchangeAllocPins = []struct {
 	name   string
 	procs  int
 	allocs float64
 }{
-	{"Pooled8", 8, 3076},
-	{"Pooled16", 16, 5894},
+	{"Pooled8", 8, 1699},
+	{"Pooled16", 16, 2455},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
