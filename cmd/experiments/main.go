@@ -79,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -196,7 +197,7 @@ func main() {
 		}
 		reports = append(reports, rep)
 	default:
-		if err := needsScenario(mode, *sweep, axisFlags, *kernelWorkers); err != nil {
+		if err := needsScenario(flag.CommandLine); err != nil {
 			log.Fatal(err)
 		}
 		ids := experiments.IDs()
@@ -227,31 +228,22 @@ func main() {
 	}
 }
 
-// needsScenario refuses, naming the first one given, the flags that act on
-// a -scenario sweep only: without -scenario such a flag would parse and
-// then reach nothing.
-func needsScenario(m runMode, sweep string, axisFlags map[string]string, kernelWorkers int) error {
-	type rule struct {
-		given bool
-		text  string
-	}
-	all := []rule{
-		{m.tracePath != "", "-trace requires"},
-		{m.checkpointPath != "" || m.resumePath != "", "-checkpoint/-resume require"},
-		{m.shardSpec != "" || m.manifestPath != "" || m.merge, "-shard/-manifest/-merge require"},
-		{sweep != "", "-sweep requires"},
-	}
-	for _, name := range shorthandAxes {
-		_, given := axisFlags[name]
-		all = append(all, rule{given, "-" + name + " requires"})
-	}
-	all = append(all, rule{kernelWorkers != 0, "-kernel-workers requires"})
-	for _, r := range all {
-		if r.given {
-			return fmt.Errorf("%s -scenario (see -list for scenario names)", r.text)
+// paperFlags are the flags that act on the paper experiments; every other
+// flag acts on a -scenario sweep only.
+var paperFlags = []string{"run", "list", "format", "parallel", "cpuprofile", "memprofile"}
+
+// needsScenario refuses, naming it, a flag that was set and acts on a
+// -scenario sweep only: without -scenario it would parse and then reach
+// nothing. What is refused is every flag not in paperFlags, so a new
+// scenario flag is refused without being listed anywhere.
+func needsScenario(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "scenario" && !slices.Contains(paperFlags, f.Name) {
+			err = fmt.Errorf("-%s requires -scenario (see -list for scenario names)", f.Name)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // checkFlags refuses, before anything runs, the flag values that parse
@@ -302,6 +294,9 @@ func resolveAxes(sweep string, axisFlags map[string]string) (experiments.Axes, e
 				return ax, fmt.Errorf("-%s: %w", name, err)
 			}
 		}
+	}
+	if ax.Size() == math.MaxInt {
+		return ax, errors.New("sweep has more cells than an int can count")
 	}
 	return ax, nil
 }

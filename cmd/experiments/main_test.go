@@ -63,6 +63,17 @@ func TestResolveAxesFlagConflicts(t *testing.T) {
 	}
 }
 
+// TestResolveAxesRefusesUncountableSweep: 65536 values on four axes are
+// 2^64 cells, a product that wraps an int to 0; the sweep must be refused
+// with an error before Cells tries to allocate it.
+func TestResolveAxesRefusesUncountableSweep(t *testing.T) {
+	axis := func(v string) string { return strings.Repeat(v+",", 1<<16-1) + v }
+	_, err := resolveAxes("procs="+axis("1")+";iters="+axis("2")+";partitioner="+axis("bf"), map[string]string{"balancer": axis("none")})
+	if err == nil || !strings.Contains(err.Error(), "more cells than") {
+		t.Fatalf("got %v, want the sweep refused as uncountable", err)
+	}
+}
+
 // TestCountFlagsRejectNegatives: -kernel-workers -3 and -parallel -2 used
 // to be accepted and mean "default", and -checkpoint-every 0 to switch
 // -checkpoint off; each must now fail at parse time with an error naming
@@ -147,30 +158,40 @@ func TestKernelWorkersReachEveryRunMode(t *testing.T) {
 
 // TestNeedsScenario: a flag that acts on a -scenario sweep only is refused
 // without -scenario instead of parsing and reaching nothing — -kernel-workers
-// included, which `-run table3 -kernel-workers 4` used to accept and drop.
+// included, which `-run table3 -kernel-workers 4` used to accept and drop —
+// and so is a flag nobody listed.
 func TestNeedsScenario(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		mode          runMode
-		sweep         string
-		axisFlags     map[string]string
-		kernelWorkers int
-		want          string // the flag the error must name; "" for no error
+		args []string
+		want string // the flag the error must name; "" for no error
 	}{
-		{name: "paper experiments alone"},
-		{name: "-kernel-workers", kernelWorkers: 4, want: "-kernel-workers requires -scenario"},
-		{name: "-kernel", axisFlags: map[string]string{"kernel": "pevent"}, want: "-kernel requires -scenario"},
-		{name: "-sweep", sweep: "procs=2", want: "-sweep requires -scenario"},
-		{name: "-trace", mode: runMode{tracePath: "t.jsonl"}, want: "-trace requires -scenario"},
-		{name: "-resume", mode: runMode{resumePath: "s.ckpt"}, want: "-checkpoint/-resume require -scenario"},
-		{name: "-merge", mode: runMode{merge: true}, want: "-shard/-manifest/-merge require -scenario"},
+		{args: nil},
+		{args: []string{"-run", "table3", "-format", "json", "-parallel", "2", "-cpuprofile", "c", "-memprofile", "m", "-list"}},
+		{args: []string{"-scenario", ""}},
+		{args: []string{"-kernel-workers", "4"}, want: "-kernel-workers"},
+		{args: []string{"-kernel", "pevent"}, want: "-kernel"},
+		{args: []string{"-sweep", "procs=2"}, want: "-sweep"},
+		{args: []string{"-trace", "t.jsonl"}, want: "-trace"},
+		{args: []string{"-resume", "s.ckpt"}, want: "-resume"},
+		{args: []string{"-merge"}, want: "-merge"},
+		{args: []string{"-run", "table3", "-a-flag-added-tomorrow", "x"}, want: "-a-flag-added-tomorrow"},
 	} {
-		err := needsScenario(tc.mode, tc.sweep, tc.axisFlags, tc.kernelWorkers)
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		for _, name := range []string{"run", "format", "parallel", "cpuprofile", "memprofile", "scenario",
+			"kernel-workers", "kernel", "sweep", "trace", "resume", "a-flag-added-tomorrow"} {
+			fs.String(name, "", "")
+		}
+		fs.Bool("list", false, "")
+		fs.Bool("merge", false, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := needsScenario(fs)
 		switch {
 		case tc.want == "" && err != nil:
-			t.Errorf("%s: refused with %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)):
-			t.Errorf("%s: got error %v, want %q", tc.name, err, tc.want)
+			t.Errorf("%v: refused with %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want+" requires -scenario")):
+			t.Errorf("%v: got error %v, want one naming %s", tc.args, err, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -61,6 +62,31 @@ func TestCellsOrderPinned(t *testing.T) {
 		}
 		if got := digest(ax); got != s.cells {
 			t.Errorf("%q: cells digest %s, want %s", s.spec, got, s.cells)
+		}
+	}
+}
+
+// TestSizeSaturates pins Size against the true product: exact while an int
+// can hold it, math.MaxInt once it cannot — never a wrapped value that a
+// cap on the cell count would read as small (65536 values on four axes
+// multiply to 2^64, which wraps to 0).
+func TestSizeSaturates(t *testing.T) {
+	ints := func(n int) []int { return make([]int, n) }
+	strs := func(n int) []string { return make([]string, n) }
+	for _, tc := range []struct {
+		name string
+		ax   Axes
+		want int
+	}{
+		{"one cell", Axes{Procs: ints(1)}, 1},
+		{"2^48", Axes{Procs: ints(1 << 16), Iterations: ints(1 << 16), Partitioners: strs(1 << 16)}, 1 << 48},
+		{"2^62", Axes{Procs: ints(1 << 16), Iterations: ints(1 << 16), Partitioners: strs(1 << 16), Balancers: strs(1 << 14)}, 1 << 62},
+		{"2^63 wraps negative", Axes{Procs: ints(1 << 16), Iterations: ints(1 << 16), Partitioners: strs(1 << 16), Balancers: strs(1 << 15)}, math.MaxInt},
+		{"2^64 wraps to zero", Axes{Procs: ints(1 << 16), Iterations: ints(1 << 16), Partitioners: strs(1 << 16), Balancers: strs(1 << 16)}, math.MaxInt},
+		{"2^80 wraps to zero twice", Axes{Procs: ints(1 << 16), Iterations: ints(1 << 16), Partitioners: strs(1 << 16), Balancers: strs(1 << 16), Networks: strs(1 << 16)}, math.MaxInt},
+	} {
+		if got := tc.ax.Size(); got != tc.want {
+			t.Errorf("%s: Size() = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

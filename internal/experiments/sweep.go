@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -199,11 +200,17 @@ func (ax Axes) Empty() bool {
 	return true
 }
 
-// Size returns the number of runs the sweep performs.
+// Size returns the number of runs the sweep performs, saturating at
+// math.MaxInt: a caller's cap on the count must refuse a product that
+// would wrap, never see it as small.
 func (ax Axes) Size() int {
 	size := 1
 	for i := range axes {
-		size *= axes[i].n(&ax)
+		n := axes[i].n(&ax)
+		if n > math.MaxInt/size {
+			return math.MaxInt
+		}
+		size *= n
 	}
 	return size
 }

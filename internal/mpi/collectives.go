@@ -14,14 +14,7 @@ const (
 	collectiveTagBase = 1 << 24
 	tagBcast          = collectiveTagBase + iota
 	tagGather
-	tagAllgather
-	tagReduce
-	tagScatter
 )
-
-// MaxUserTag is the largest tag user point-to-point traffic may use;
-// collectives use tags above it.
-const MaxUserTag = collectiveTagBase - 1
 
 // relRank maps rank into a tree rooted at root, and back.
 func relRank(rank, root, size int) int { return (rank - root + size) % size }
@@ -107,65 +100,6 @@ func (c *Comm) Allgather(payload any, bytes int) ([]any, error) {
 		return nil, err
 	}
 	return v.([]any), nil
-}
-
-// ReduceFloat64 reduces one float64 per rank at root with op applied along
-// a binomial tree. Non-root ranks receive 0.
-func (c *Comm) ReduceFloat64(root int, x float64, op func(a, b float64) float64) (float64, error) {
-	size := c.Size()
-	if err := validRoot(root, size); err != nil {
-		return 0, err
-	}
-	rel := relRank(c.rank, root, size)
-	acc := x
-	const width = 8
-	for mask := 1; mask < size; mask <<= 1 {
-		if rel&mask != 0 {
-			// Send accumulator to the partner that clears this bit, done.
-			return 0, c.Isend(absRank(rel&^mask, root, size), tagReduce, acc, width)
-		}
-		if rel|mask < size {
-			p, err := c.Recv(absRank(rel|mask, root, size), tagReduce)
-			if err != nil {
-				return 0, err
-			}
-			acc = op(acc, p.(float64))
-		}
-	}
-	return acc, nil
-}
-
-// AllreduceFloat64 reduces at rank 0 and broadcasts the result.
-func (c *Comm) AllreduceFloat64(x float64, op func(a, b float64) float64) (float64, error) {
-	v, err := c.ReduceFloat64(0, x, op)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.Bcast(0, v, 8)
-	if err != nil {
-		return 0, err
-	}
-	return out.(float64), nil
-}
-
-// AllreduceMaxFloat64 is Allreduce with max, the common case in the
-// platform's convergence and timing checks.
-func (c *Comm) AllreduceMaxFloat64(x float64) (float64, error) {
-	return c.AllreduceFloat64(x, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// AllreduceSumInt reduces an int by summation across all ranks.
-func (c *Comm) AllreduceSumInt(x int) (int, error) {
-	v, err := c.AllreduceFloat64(float64(x), func(a, b float64) float64 { return a + b })
-	if err != nil {
-		return 0, err
-	}
-	return int(v + 0.5), nil
 }
 
 // BcastInts broadcasts an []int from root; all ranks return an identical

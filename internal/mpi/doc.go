@@ -8,9 +8,12 @@
 // for large worlds, with ranks as passive states that a scheduler on one
 // or several workers resumes in wake order (Options.Kernel, see kernel.go;
 // the virtual timeline is the same either way). Point-to-point
-// operations (Send, Isend, Recv, Irecv, Wait), collectives (Barrier, Bcast,
-// Gather, Allgather, Reduce, Allreduce) and Wtime mirror the MPI calls the
-// thesis' appendices use.
+// operations (Isend, Recv, Irecv, Wait), collectives (Barrier, Bcast,
+// Gather, Allgather and the typed BcastInts, GatherFloat64, GatherInts)
+// and Wtime mirror the MPI calls the platform makes (Fig. 8, Fig. 8a and
+// the load balancer of Section 4.3). No call reports whether a message
+// has been queued yet, so nothing a program can observe depends on the
+// host schedule.
 //
 // The runtime supports two clock modes:
 //

@@ -60,13 +60,6 @@ type World struct {
 	procs int
 	cost  netmodel.Model
 	mode  ClockMode
-	// flat devirtualizes the uniform model: when the cost model is a
-	// netmodel.Uniform, message arrival is computed inline from the two
-	// cached wire parameters instead of through an interface call — the
-	// receive path is hot enough that BenchmarkExchange* notices.
-	flat         bool
-	flatLatency  float64
-	flatByteTime float64
 	// tv is non-nil when the cost model evolves over epochs
 	// (netmodel.TimeVarying): receives re-price arrival at the message's
 	// send epoch and SetEpoch refreshes cached per-rank overheads. nil
@@ -284,11 +277,6 @@ func Run(opts Options, fn func(c *Comm) error) error {
 		bar:   newBarrier(opts.Procs),
 		start: time.Now(),
 	}
-	if u, ok := cost.(netmodel.Uniform); ok {
-		w.flat = true
-		w.flatLatency = u.Base.Latency
-		w.flatByteTime = u.Base.ByteTime
-	}
 	if tv, ok := cost.(netmodel.TimeVarying); ok {
 		w.tv = tv
 	}
@@ -454,13 +442,6 @@ func (c *Comm) Isend(dst, tag int, payload any, bytes int) error {
 	return nil
 }
 
-// Send is Isend; with unbounded buffering a blocking standard-mode send
-// completes locally as soon as the message is buffered, exactly like a
-// buffered MPI_Send.
-func (c *Comm) Send(dst, tag int, payload any, bytes int) error {
-	return c.Isend(dst, tag, payload, bytes)
-}
-
 // Recv blocks until a message from src with the given tag (or AnyTag)
 // arrives, removes it from the queue and returns its payload. Matching is
 // FIFO per (src, tag) pair, as MPI guarantees. In VirtualClock mode the
@@ -512,20 +493,13 @@ func errAborted(rank int, op string) error {
 // message content — never of receiver progress or host scheduling —
 // which is what makes both kernels produce the same timeline.
 func (w *World) arrival(m message, dst int) float64 {
-	switch {
-	case w.flat:
-		// Sum the wire term first — same float association as
-		// netmodel.Uniform.ArrivalTime, which this path devirtualizes.
-		wire := w.flatLatency + float64(m.bytes)*w.flatByteTime
-		return m.sentAt + wire
-	case w.tv != nil:
+	if w.tv != nil {
 		// A time-varying machine prices the wire at the conditions of
 		// the sender's epoch when the message was injected, so pricing
 		// is a pure function of the message, not of receiver progress.
 		return w.tv.ArrivalTimeAt(m.epoch, m.src, dst, m.sentAt, m.bytes)
-	default:
-		return w.cost.ArrivalTime(m.src, dst, m.sentAt, m.bytes)
 	}
+	return w.cost.ArrivalTime(m.src, dst, m.sentAt, m.bytes)
 }
 
 func (c *Comm) completeRecv(m message) {
@@ -577,23 +551,6 @@ func (r *Request) Wait() (any, error) {
 	r.done = true
 	r.payload = p
 	return p, nil
-}
-
-// Probe reports whether a message from src with the given tag is already
-// queued, without receiving it.
-func (c *Comm) Probe(src, tag int) bool {
-	if eng := c.world.eng; eng != nil {
-		return eng.probe(c.rank, src, tag)
-	}
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for _, m := range box.pending {
-		if m.src == src && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
-	}
-	return false
 }
 
 // Barrier blocks until all ranks arrive. In VirtualClock mode all clocks

@@ -55,7 +55,7 @@ func TestRankAndSize(t *testing.T) {
 func TestSendRecvRoundTrip(t *testing.T) {
 	err := Run(freeOpts(2), func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 5, "hello", 5); err != nil {
+			if err := c.Isend(1, 5, "hello", 5); err != nil {
 				return err
 			}
 			p, err := c.Recv(1, 6)
@@ -74,7 +74,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 		if p.(string) != "hello" {
 			return fmt.Errorf("got %v", p)
 		}
-		return c.Send(0, 6, "world", 5)
+		return c.Isend(0, 6, "world", 5)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +87,11 @@ func TestRecvMatchesTagFIFO(t *testing.T) {
 	err := Run(freeOpts(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 3; i++ {
-				if err := c.Send(1, 1, fmt.Sprintf("a%d", i), 2); err != nil {
+				if err := c.Isend(1, 1, fmt.Sprintf("a%d", i), 2); err != nil {
 					return err
 				}
 			}
-			return c.Send(1, 2, "b", 1)
+			return c.Isend(1, 2, "b", 1)
 		}
 		// Claim tag 2 first even though it was sent last.
 		p, err := c.Recv(0, 2)
@@ -120,7 +120,7 @@ func TestRecvMatchesTagFIFO(t *testing.T) {
 func TestRecvAnyTag(t *testing.T) {
 	err := Run(freeOpts(2), func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 42, 99, 8)
+			return c.Isend(1, 42, 99, 8)
 		}
 		p, err := c.Recv(0, AnyTag)
 		if err != nil {
@@ -141,10 +141,10 @@ func TestSendInvalidRank(t *testing.T) {
 		if c.Rank() != 0 {
 			return nil
 		}
-		if err := c.Send(2, 0, nil, 0); err == nil {
+		if err := c.Isend(2, 0, nil, 0); err == nil {
 			return errors.New("expected error sending to rank 2 in a 2-rank world")
 		}
-		if err := c.Send(-1, 0, nil, 0); err == nil {
+		if err := c.Isend(-1, 0, nil, 0); err == nil {
 			return errors.New("expected error sending to rank -1")
 		}
 		if err := c.Isend(0, 0, nil, -1); err == nil {
@@ -175,7 +175,7 @@ func TestVirtualClockMessageTiming(t *testing.T) {
 	err := Run(opts, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Charge(0.5)
-			return c.Send(1, 0, "x", 1000)
+			return c.Isend(1, 0, "x", 1000)
 		}
 		if _, err := c.Recv(0, 0); err != nil {
 			return err
@@ -199,7 +199,7 @@ func TestVirtualClockLateReceiverNotDelayed(t *testing.T) {
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3, RecvOverhead: 1e-4})
 	err := Run(Options{Procs: 2, Cost: cost, Mode: VirtualClock}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 0, "x", 0)
+			return c.Isend(1, 0, "x", 0)
 		}
 		c.Charge(2.0)
 		if _, err := c.Recv(0, 0); err != nil {
@@ -341,42 +341,6 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestReduceAndAllreduce(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 6, 8, 16} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			err := Run(freeOpts(n), func(c *Comm) error {
-				sum, err := c.ReduceFloat64(0, float64(c.Rank()+1), func(a, b float64) float64 { return a + b })
-				if err != nil {
-					return err
-				}
-				want := float64(n*(n+1)) / 2
-				if c.Rank() == 0 && math.Abs(sum-want) > 1e-9 {
-					return fmt.Errorf("reduce sum = %v, want %v", sum, want)
-				}
-				all, err := c.AllreduceMaxFloat64(float64(c.Rank()))
-				if err != nil {
-					return err
-				}
-				if all != float64(n-1) {
-					return fmt.Errorf("allreduce max = %v, want %v", all, float64(n-1))
-				}
-				total, err := c.AllreduceSumInt(2)
-				if err != nil {
-					return err
-				}
-				if total != 2*n {
-					return fmt.Errorf("allreduce sum int = %d, want %d", total, 2*n)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestGatherFloat64AndInts(t *testing.T) {
 	const n = 4
 	err := Run(freeOpts(n), func(c *Comm) error {
@@ -434,7 +398,7 @@ func TestIrecvWaitOverlap(t *testing.T) {
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3})
 	err := Run(Options{Procs: 2, Cost: cost, Mode: VirtualClock}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 0, 1, 0)
+			return c.Isend(1, 0, 1, 0)
 		}
 		req, err := c.Irecv(0, 0)
 		if err != nil {
@@ -457,35 +421,10 @@ func TestIrecvWaitOverlap(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	err := Run(freeOpts(2), func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Send(1, 3, "x", 1); err != nil {
-				return err
-			}
-			return c.Barrier()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if !c.Probe(0, 3) {
-			return errors.New("Probe should see queued message")
-		}
-		if c.Probe(0, 4) {
-			return errors.New("Probe matched wrong tag")
-		}
-		_, err := c.Recv(0, 3)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	err := Run(freeOpts(2), func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 0, "abc", 3); err != nil {
+			if err := c.Isend(1, 0, "abc", 3); err != nil {
 				return err
 			}
 			s := c.Stats()
@@ -597,7 +536,7 @@ func TestRealClockMode(t *testing.T) {
 			return fmt.Errorf("RealClock Charge did not consume wall time")
 		}
 		if c.Rank() == 0 {
-			return c.Send(1, 0, "hi", 2)
+			return c.Isend(1, 0, "hi", 2)
 		}
 		_, err := c.Recv(0, 0)
 		return err

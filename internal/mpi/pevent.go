@@ -41,16 +41,17 @@ package mpi
 //     host delivered it or ran its receiver; it is priced once, by the
 //     receiver, when the Recv completes.
 //  4. A barrier releases every participant at the maximum contributed
-//     clock, which is order-independent, and only at the fold: one worker
-//     and the goroutine kernel guarantee that everything sent before a
-//     barrier is visible to Probe after it — the one seam where
-//     cross-worker timing could reach a program — so every participant,
-//     the last arriver included, leaves after the staged lanes merge.
+//     clock, which is order-independent. With several workers every
+//     participant, the last arriver included, leaves at the fold: a
+//     release wakes ranks of other workers, and the fold is the one place
+//     where another worker's run queue may be written.
 //
-// Any schedule that respects per-rank program order therefore yields
-// identical clocks, stats and traces: byte-identity with the goroutine
-// kernel, at any worker count and on a zero-latency network, is by
-// construction (TestKernelEquivalence pins it across every scenario).
+// No Comm call reports whether a message has been queued yet, so these
+// four cover everything a program can observe. Any schedule that respects
+// per-rank program order therefore yields identical clocks, stats and
+// traces: byte-identity with the goroutine kernel, at any worker count
+// and on a zero-latency network, is by construction
+// (TestKernelEquivalence pins it across every scenario).
 
 import (
 	"fmt"
@@ -280,30 +281,12 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	}
 }
 
-// probe is the event-kernel half of Probe. Staged cross-worker messages
-// are invisible until their fold — which is exactly the visibility the
-// goroutine kernel guarantees: Probe only promises to see messages whose
-// send is ordered before it (own sends, or sends from before a completed
-// barrier), and barriers under this kernel release only after lanes
-// merge.
-func (k *eventEngine) probe(rank, src, tag int) bool {
-	pw := k.workers[k.owner[rank]]
-	for _, idx := range k.pending[rank] {
-		m := &pw.slab[idx]
-		if m.src == src && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
-	}
-	return false
-}
-
 // barrier is the event-kernel Barrier. Arrival counting is the only
 // cross-worker rendezvous in the kernel, so it takes barMu. With one
 // worker the last arriver releases every parked participant directly,
-// in ascending rank order; with several, every
-// participant — the last arriver included — parks and leaves at the
-// next window fold, after staged lanes merge, so post-barrier Probe sees
-// every pre-barrier message.
+// in ascending rank order; with several, every participant — the last
+// arriver included — parks and leaves at the next window fold, the only
+// place that writes another worker's run queue.
 func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	rank := c.rank
 	if c.world.failFlag.Load() {

@@ -29,7 +29,7 @@ func TestTopologyModelMultipliesWireCost(t *testing.T) {
 	opts := Options{Procs: 2, Cost: model}
 	err = Run(opts, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 0, "x", 0)
+			return c.Isend(1, 0, "x", 0)
 		}
 		if _, err := c.Recv(0, 0); err != nil {
 			return err
@@ -53,7 +53,7 @@ func TestTopologyModelZeroCostLinkIgnored(t *testing.T) {
 	opts := Options{Procs: 2, Cost: model}
 	err = Run(opts, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 0, "x", 0)
+			return c.Isend(1, 0, "x", 0)
 		}
 		if _, err := c.Recv(0, 0); err != nil {
 			return err
@@ -84,10 +84,10 @@ func TestTopologyModelDistinctPairs(t *testing.T) {
 	err = Run(opts, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
-			if err := c.Send(1, 0, nil, 0); err != nil {
+			if err := c.Isend(1, 0, nil, 0); err != nil {
 				return err
 			}
-			return c.Send(2, 0, nil, 0)
+			return c.Isend(2, 0, nil, 0)
 		case 1:
 			if _, err := c.Recv(0, 0); err != nil {
 				return err
@@ -112,6 +112,48 @@ func TestTopologyModelDistinctPairs(t *testing.T) {
 	}
 }
 
+// TestUniformModelMatchesUnitTopology states the float-association promise
+// once at the runtime's level: the flat model and a fully connected
+// unit-cost topology are one machine, so the same two-rank exchange ends
+// on the same clocks and Stats, bit for bit, under every kernel name.
+func TestUniformModelMatchesUnitTopology(t *testing.T) {
+	base := netmodel.Origin2000()
+	net, err := topology.Uniform(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := netmodel.NewTopology(net, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange := func(c *Comm) error {
+		peer := 1 - c.Rank()
+		for round := 0; round < 16; round++ {
+			c.Charge(float64(3*round+c.Rank()+1) / 7e5)
+			if err := c.Isend(peer, round, nil, 1000*round+7); err != nil {
+				return err
+			}
+			if _, err := c.Recv(peer, round); err != nil {
+				return err
+			}
+		}
+		return c.Barrier()
+	}
+	flat := runAllKernels(t, Options{Procs: 2, Cost: netmodel.NewUniform(base)}, exchange)
+	checkKernelsAgree(t, "uniform", flat)
+	unit := runAllKernels(t, Options{Procs: 2, Cost: topo}, exchange)
+	for name, got := range unit {
+		for r, snap := range got {
+			if want := flat["goroutine"][r]; snap != want {
+				t.Errorf("%s rank %d: unit topology %+v, uniform %+v", name, r, snap, want)
+			}
+			if snap.Time == 0 || snap.Stats.IdleSeconds == 0 {
+				t.Errorf("%s rank %d: exchange priced nothing: %+v", name, r, snap)
+			}
+		}
+	}
+}
+
 // TestHypercubeModelMatchesHammingDistance drives the named hypercube
 // machine end to end through the runtime: a message between ranks three
 // bit-flips apart pays three times the wire latency.
@@ -126,7 +168,7 @@ func TestHypercubeModelMatchesHammingDistance(t *testing.T) {
 	}
 	err = Run(Options{Procs: 8, Cost: model}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(7, 0, nil, 0) // 0 -> 7 is Hamming distance 3
+			return c.Isend(7, 0, nil, 0) // 0 -> 7 is Hamming distance 3
 		}
 		if c.Rank() != 7 {
 			return nil
@@ -201,21 +243,14 @@ func TestStressCollectivesLargeWorld(t *testing.T) {
 			if v.(int) != root*7 {
 				return fmt.Errorf("bcast root %d: got %v", root, v)
 			}
-			sum, err := c.AllreduceSumInt(1)
+			all, err := c.Allgather(c.Rank(), 8)
 			if err != nil {
 				return err
 			}
-			if sum != procs {
-				return fmt.Errorf("allreduce sum = %d", sum)
-			}
-		}
-		all, err := c.Allgather(c.Rank(), 8)
-		if err != nil {
-			return err
-		}
-		for r, v := range all {
-			if v.(int) != r {
-				return fmt.Errorf("allgather slot %d = %v", r, v)
+			for r, v := range all {
+				if v.(int) != r {
+					return fmt.Errorf("allgather slot %d = %v", r, v)
+				}
 			}
 		}
 		return nil

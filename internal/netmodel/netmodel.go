@@ -124,9 +124,8 @@ type TimeVarying interface {
 }
 
 // Uniform is the flat crossbar model: every rank pair pays the same
-// LogGP cost, exactly the seed system's behavior. The mpi runtime
-// devirtualizes this model into a branch-free fast path, so a uniform
-// machine costs no interface dispatch per message.
+// LogGP cost, exactly the seed system's behavior. The mpi runtime prices
+// it through Model like every other machine.
 type Uniform struct {
 	// Base is the flat per-message cost.
 	Base LogGP

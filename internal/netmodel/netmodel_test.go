@@ -47,7 +47,7 @@ func TestUniformArrivalTime(t *testing.T) {
 	}
 }
 
-// TestUniformMatchesUnitTopology pins the devirtualization contract: the
+// TestUniformMatchesUnitTopology pins the float-association contract: the
 // flat model and a fully connected unit-cost topology are the same
 // machine, bit for bit.
 func TestUniformMatchesUnitTopology(t *testing.T) {
@@ -221,10 +221,10 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-// TestArrivalTimeNoAllocs pins the hot-path contract behind the
-// BenchmarkExchange* numbers: pricing a message is pure arithmetic on
-// every model, so the interface call the runtime makes per delivery can
-// never allocate.
+// TestArrivalTimeNoAllocs pins the hot-path contract behind bench/'s
+// netmodel.arrival_ns and platform.ns_per_msg.dense rows: pricing a
+// message is pure arithmetic on every model, so the interface call the
+// runtime makes per delivery can never allocate.
 func TestArrivalTimeNoAllocs(t *testing.T) {
 	for _, name := range Names() {
 		m, err := New(name, 8)
@@ -240,8 +240,8 @@ func TestArrivalTimeNoAllocs(t *testing.T) {
 }
 
 // Benchmarks for the per-message pricing call — the interface the mpi
-// runtime invokes on every delivery. BenchmarkExchange* at the repo root
-// measures the end-to-end effect.
+// runtime invokes on every delivery. bench/'s netmodel.arrival_ns row is
+// the recorded form; platform.ns_per_msg.dense is the end-to-end effect.
 
 func benchArrival(b *testing.B, m Model) {
 	b.Helper()

@@ -19,32 +19,18 @@ type Multilevel struct {
 	// Seed makes coarsening and seeding deterministic; the zero value is a
 	// valid seed.
 	Seed int64
-	// MaxImbalance is the allowed part-weight imbalance (default 1.10,
-	// i.e. 10% over perfect balance, close to Metis' ubfactor default).
-	MaxImbalance float64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices (default 8*k, at least 32).
-	CoarsenTo int
-	// RefinePasses bounds FM passes per level (default 8).
-	RefinePasses int
 }
+
+const (
+	// maxImbalance is the allowed part-weight imbalance: 10% over perfect
+	// balance, close to Metis' ubfactor default.
+	maxImbalance = 1.10
+	// fmPasses bounds FM passes per level.
+	fmPasses = 8
+)
 
 // Name implements Partitioner.
 func (m *Multilevel) Name() string { return "Metis" }
-
-func (m *Multilevel) maxImbalance() float64 {
-	if m.MaxImbalance <= 1 {
-		return 1.10
-	}
-	return m.MaxImbalance
-}
-
-func (m *Multilevel) refinePasses() int {
-	if m.RefinePasses <= 0 {
-		return 8
-	}
-	return m.RefinePasses
-}
 
 // level is one graph in the coarsening hierarchy plus its projection map.
 type level struct {
@@ -93,13 +79,8 @@ func (m *Multilevel) Partition(g *graph.Graph, _ *topology.Network, k int) ([]in
 	}
 	rng := rand.New(rand.NewSource(m.Seed + int64(k)*1000003))
 
-	coarsenTo := m.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 8 * k
-		if coarsenTo < 32 {
-			coarsenTo = 32
-		}
-	}
+	// Coarsening stops once the graph has at most this many vertices.
+	coarsenTo := max(8*k, 32)
 
 	// Coarsening phase.
 	levels := []level{{g: fromGraph(g)}}
@@ -119,7 +100,7 @@ func (m *Multilevel) Partition(g *graph.Graph, _ *topology.Network, k int) ([]in
 	coarsest := levels[len(levels)-1].g
 	part := greedyGrow(coarsest, k, rng)
 	rebalance(coarsest, part, k)
-	refineFM(coarsest, part, k, m.maxImbalance(), m.refinePasses(), rng)
+	refineFM(coarsest, part, k, rng)
 
 	// Uncoarsening with refinement.
 	for li := len(levels) - 1; li > 0; li-- {
@@ -131,7 +112,7 @@ func (m *Multilevel) Partition(g *graph.Graph, _ *topology.Network, k int) ([]in
 		}
 		part = finePart
 		rebalance(fine, part, k)
-		refineFM(fine, part, k, m.maxImbalance(), m.refinePasses(), rng)
+		refineFM(fine, part, k, rng)
 	}
 	if err := Validate(g, part, k); err != nil {
 		return nil, fmt.Errorf("partition: internal error: %w", err)
@@ -412,17 +393,17 @@ type partConn struct{ part, ext int }
 // boundary vertex with the highest edge-cut gain whose move keeps every
 // part within the balance bound. A pass with no improving move terminates
 // refinement early.
-func refineFM(g *wgraph, part []int, k int, maxImb float64, passes int, rng *rand.Rand) {
+func refineFM(g *wgraph, part []int, k int, rng *rand.Rand) {
 	weights := make([]int, k)
 	for v := 0; v < g.n; v++ {
 		weights[part[v]] += g.vw[v]
 	}
-	maxW := int(maxImb * float64(g.totw) / float64(k))
+	maxW := int(maxImbalance * float64(g.totw) / float64(k))
 	if maxW < 1 {
 		maxW = 1
 	}
 	var conn []partConn
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < fmPasses; pass++ {
 		improved := false
 		order := rng.Perm(g.n)
 		for _, v := range order {

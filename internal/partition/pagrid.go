@@ -29,9 +29,10 @@ type PaGrid struct {
 	Rref float64
 	// Seed makes the refinement deterministic.
 	Seed int64
-	// RefinePasses bounds estimated-time refinement (default 12).
-	RefinePasses int
 }
+
+// etPasses bounds estimated-time refinement.
+const etPasses = 12
 
 // Name implements Partitioner.
 func (p *PaGrid) Name() string { return "PaGrid" }
@@ -41,13 +42,6 @@ func (p *PaGrid) rref() float64 {
 		return 0.45
 	}
 	return p.Rref
-}
-
-func (p *PaGrid) passes() int {
-	if p.RefinePasses <= 0 {
-		return 12
-	}
-	return p.RefinePasses
 }
 
 // Partition implements Partitioner. net must be non-nil: PaGrid is defined
@@ -116,7 +110,7 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 		counts[q]++
 	}
 	var cands []int
-	for pass := 0; pass < p.passes(); pass++ {
+	for pass := 0; pass < etPasses; pass++ {
 		et := p.estTimes(g, part, net, k)
 		cur := maxOf(et)
 		improved := false

@@ -77,10 +77,10 @@ func TestNetworkCostlyLinksSlowCommunication(t *testing.T) {
 	}
 }
 
-// TestNetworkUniformModelMatchesUnitTopology pins the devirtualized
-// uniform fast path against the generic topology path: a fully connected
-// unit-cost network is the same machine as the flat model, so both runs
-// must produce bit-identical timelines.
+// TestNetworkUniformModelMatchesUnitTopology pins the uniform model
+// against the topology model: a fully connected unit-cost network is the
+// same machine as the flat model, so both runs must produce bit-identical
+// timelines.
 func TestNetworkUniformModelMatchesUnitTopology(t *testing.T) {
 	g := hexGrid(t, 4, 8)
 	cfg := baseConfig(g, 4)
@@ -96,7 +96,7 @@ func TestNetworkUniformModelMatchesUnitTopology(t *testing.T) {
 	viaTopology := assertMatchesSequential(t, cfg)
 
 	if flat.Elapsed != viaTopology.Elapsed {
-		t.Fatalf("uniform fast path %.9f != unit topology %.9f", flat.Elapsed, viaTopology.Elapsed)
+		t.Fatalf("uniform model %.9f != unit topology %.9f", flat.Elapsed, viaTopology.Elapsed)
 	}
 }
 

@@ -183,7 +183,8 @@ func (p Phase) String() string {
 
 // OverheadModel prices the platform's bookkeeping work for the virtual
 // clock; these costs are what Figures 21-22 measure. All values are in
-// seconds. Zero values are legal (free bookkeeping).
+// seconds. A zero field is a free operation; the all-zero model is not
+// free bookkeeping — Config.normalize replaces it with DefaultOverheads().
 type OverheadModel struct {
 	// InitPerEntry is charged during initialization per node-list, data
 	// node and hash-table entry created.

@@ -7,8 +7,31 @@ package server
 // trace, non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
 
 import (
+	"strings"
 	"testing"
 )
+
+// wrappedProductSpec is a job body under the 1 MiB cap whose sweep names
+// 65536 values on each of four axes: 2^64 cells, a product that wraps an
+// int to 0.
+func wrappedProductSpec() []byte {
+	axis := func(name, v string) string { return name + "=" + strings.Repeat(v+",", 1<<16-1) + v }
+	return []byte(`{"scenario":"heat","sweep":"` + axis("procs", "1") + ";" + axis("iters", "2") + ";" +
+		axis("partitioner", "bf") + ";" + axis("balancer", "none") + `"}`)
+}
+
+// TestDecodeJobSpecRefusesWrappedProduct: the cell cap must fire on a
+// product too large to count, not read it as an empty sweep.
+func TestDecodeJobSpecRefusesWrappedProduct(t *testing.T) {
+	body := wrappedProductSpec()
+	if len(body) > maxBodyBytes {
+		t.Fatalf("body is %d bytes, over the %d-byte cap it is meant to pass", len(body), maxBodyBytes)
+	}
+	_, _, err := DecodeJobSpec(body, 4096)
+	if err == nil || !strings.Contains(err.Error(), "daemon cap is 4096") {
+		t.Fatalf("got %v, want the daemon cap error", err)
+	}
+}
 
 func FuzzJobSpec(f *testing.F) {
 	seeds := []string{
@@ -33,6 +56,7 @@ func FuzzJobSpec(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	f.Add(wrappedProductSpec())
 	const maxCells = 64
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, sc, err := DecodeJobSpec(body, maxCells)
