@@ -393,7 +393,7 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 			if err != nil {
 				return err
 			}
-			return atomicWrite(m.checkpointPath, data)
+			return experiments.WriteFileAtomic(m.checkpointPath, data)
 		}
 	}
 	var rec *trace.Recorder
@@ -473,7 +473,7 @@ func runShard(sc scenario.Scenario, spec string, ax experiments.Axes, shardSpec,
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(manifestPath, data); err != nil {
+	if err := experiments.WriteFileAtomic(manifestPath, data); err != nil {
 		return err
 	}
 	log.Printf("shard %d/%d: ran %d cells; %s", index+1, shards, before, m.Summary())
@@ -506,20 +506,6 @@ func mergeManifests(sc scenario.Scenario, manifestPath string) (*experiments.Swe
 		return nil, err
 	}
 	return m.Merge(sc)
-}
-
-// atomicWrite writes data to path via a rename, so a reader never sees a
-// partially-written snapshot or manifest.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // writeTrace encodes rec to path: JSONL by default, CSV when the path

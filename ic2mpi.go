@@ -366,10 +366,3 @@ func NewHierarchicalBalancer(clusters []int, tolerance float64) Balancer {
 func NewPredictiveBalancer(tolerance, alpha float64) Balancer {
 	return &balance.Predictive{Tolerance: tolerance, Alpha: alpha}
 }
-
-// RealClock selects wall-clock execution for Config.Mode; the default is
-// deterministic virtual time.
-const RealClock = mpi.RealClock
-
-// VirtualClock is the default deterministic execution mode.
-const VirtualClock = mpi.VirtualClock

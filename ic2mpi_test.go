@@ -188,40 +188,3 @@ func TestPublicAPIHeterogeneousNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPublicAPIRealClock(t *testing.T) {
-	g, err := ic2mpi.HexGrid(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := make([]int, g.NumVertices())
-	for v := range part {
-		part[v] = v % 2
-	}
-	fast := func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.NodeData, nbrs []ic2mpi.Neighbor) (ic2mpi.NodeData, float64) {
-		out, _ := average(id, iter, sub, self, nbrs)
-		return out, 0
-	}
-	cfg := ic2mpi.Config{
-		Graph:            g,
-		Procs:            2,
-		InitialPartition: part,
-		InitData:         initID,
-		Node:             fast,
-		Iterations:       3,
-		Mode:             ic2mpi.RealClock,
-	}
-	res, err := ic2mpi.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ic2mpi.RunSequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if res.FinalData[v] != want[v] {
-			t.Fatalf("node %d mismatch in RealClock mode", v)
-		}
-	}
-}

@@ -239,22 +239,3 @@ func TestErrorPropagates(t *testing.T) {
 		t.Fatal("expected propagated error")
 	}
 }
-
-func TestRealClockMode(t *testing.T) {
-	err := Run(mpi.Options{Procs: 2, Mode: mpi.RealClock}, func(p *Proc) error {
-		if err := p.Put(1-p.Pid(), 0, p.Pid(), 8); err != nil {
-			return err
-		}
-		in, err := p.Sync()
-		if err != nil {
-			return err
-		}
-		if len(in) != 1 || in[0].Payload.(int) != 1-p.Pid() {
-			return fmt.Errorf("bad inbox %v", in)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -35,6 +37,39 @@ func CountFlag(fs *flag.FlagSet, name string, least int, usage string) *int {
 		return err
 	})
 	return n
+}
+
+// WriteFileAtomic replaces path with data so that a crash at any point
+// leaves the old file or the new one, never a torn one: a same-directory
+// temp file is written and synced, renamed over path, and the directory is
+// synced so the rename is durable. Any failure removes the temp file. It
+// is the one definition behind the snapshot and manifest writes of
+// cmd/experiments and the daemon's cell and job records.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // workers resolves Parallelism to a concrete pool size for n tasks.

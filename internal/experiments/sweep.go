@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"ic2mpi/internal/scenario"
-	"ic2mpi/internal/trace"
 )
 
 // The generic sweep engine: a cartesian sweep of one scenario over the
@@ -321,24 +320,6 @@ func (ax Axes) Single() (scenario.Params, error) {
 		}
 	}
 	return p[0], nil
-}
-
-// RunTraced executes the single parameter combination described by ax
-// (every axis at most one value; unset axes at the scenario's default)
-// with rec attached as the run's trace recorder, and returns a one-row
-// sweep report of the run's aggregate metrics. The per-iteration series
-// lives in rec afterwards.
-func RunTraced(sc scenario.Scenario, ax Axes, rec *trace.Recorder) (*SweepReport, error) {
-	p, err := ax.Single()
-	if err != nil {
-		return nil, err
-	}
-	p.Trace = rec
-	res, err := sc.Run(p)
-	if err != nil {
-		return nil, err
-	}
-	return NewSweepReport(sc, res), nil
 }
 
 // Cells enumerates the sweep's parameter combinations in the axes table's

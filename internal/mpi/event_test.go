@@ -83,11 +83,11 @@ func checkKernelsAgree(t *testing.T, label string, snaps map[string][]kernelSnap
 }
 
 // TestEventKernelEquivalenceSmoke drives a deliberately gnarly SPMD
-// program — ring traffic, self-sends, AnyTag receives, Irecv/Wait,
-// collectives and repeated barriers — under every kernel configuration on
-// a uniform and on a mesh topology machine, and asserts identical
-// virtual clocks and stats. The scenario-level differential suite pins
-// the same property on real workloads.
+// program — ring traffic, self-sends, AnyTag receives, a receive behind
+// local work, collectives and repeated barriers — under every kernel
+// configuration on a uniform and on a mesh topology machine, and asserts
+// identical virtual clocks and stats. The scenario-level differential
+// suite pins the same property on real workloads.
 func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	mesh, err := topology.Mesh2D(6)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 		"mesh2d":  netmodel.Topology{Base: netmodel.Origin2000(), Net: mesh},
 	}
 	for name, model := range models {
-		opts := Options{Procs: 6, Cost: model, Mode: VirtualClock}
+		opts := Options{Procs: 6, Cost: model}
 		snaps := runAllKernels(t, opts, func(c *Comm) error {
 			n, r := c.Size(), c.Rank()
 			for round := 0; round < 4; round++ {
@@ -115,12 +115,8 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 				if _, err := c.Recv(prev, 7); err != nil {
 					return err
 				}
-				req, err := c.Irecv(prev, 8)
-				if err != nil {
-					return err
-				}
 				c.Charge(2e-6)
-				if _, err := req.Wait(); err != nil {
+				if _, err := c.Recv(prev, 8); err != nil {
 					return err
 				}
 				// Self-send plus an AnyTag receive.
@@ -179,16 +175,6 @@ func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Optio
 			}
 		})
 	}
-}
-
-// TestEventKernelRejectsRealClock pins the mode restriction.
-func TestEventKernelRejectsRealClock(t *testing.T) {
-	forEventKernels(t, 2, func(t *testing.T, opts Options) {
-		opts.Mode = RealClock
-		if err := Run(opts, func(c *Comm) error { return nil }); err == nil {
-			t.Fatal("expected an error for RealClock under an event kernel")
-		}
-	})
 }
 
 // TestEventKernelDetectsDeadlock: a receive that can never be satisfied

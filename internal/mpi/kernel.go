@@ -26,7 +26,7 @@ const (
 	// virtual time takes part in scheduling), with slab-allocated message
 	// envelopes instead of per-rank mailbox locks.
 	// Exactly one rank runs at a time, and the simulation scales to tens
-	// of thousands of ranks with flat memory per rank. VirtualClock only.
+	// of thousands of ranks with flat memory per rank.
 	KernelEvent
 	// KernelParallelEvent is the same engine run in parallel: ranks are
 	// partitioned across min(GOMAXPROCS, procs) workers (see
@@ -34,7 +34,7 @@ const (
 	// Workers run concurrently until each is out of runnable ranks, staging
 	// cross-worker sends into per-worker lanes merged at the window fold;
 	// none waits for another's virtual time (pevent.go says why none has
-	// to). At one worker it is KernelEvent. VirtualClock only.
+	// to). At one worker it is KernelEvent.
 	KernelParallelEvent
 )
 

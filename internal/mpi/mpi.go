@@ -4,41 +4,28 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/vtime"
 )
 
-// AnyTag matches a message with any tag in Recv/Irecv.
+// AnyTag matches a message with any tag in Recv.
 const AnyTag = -1
-
-// ClockMode selects how the runtime accounts for time.
-type ClockMode int
-
-const (
-	// VirtualClock charges virtual costs; Wtime returns simulated seconds.
-	VirtualClock ClockMode = iota
-	// RealClock uses the wall clock; Charge busy-waits.
-	RealClock
-)
 
 // Options configures a World.
 type Options struct {
 	// Procs is the number of ranks (>= 1).
 	Procs int
-	// Cost is the interconnect model that prices messages in VirtualClock
-	// mode: per-pair arrival times plus per-rank send/receive overheads.
-	// nil means free communication (netmodel.Free()).
+	// Cost is the interconnect model that prices messages: per-pair
+	// arrival times plus per-rank send/receive overheads. nil means free
+	// communication (netmodel.Free()).
 	Cost netmodel.Model
-	// Mode selects virtual or real time accounting.
-	Mode ClockMode
 	// Kernel selects the execution engine: KernelGoroutine (default, one
 	// goroutine per rank), KernelEvent (the discrete-event scheduler on
 	// one worker, for large worlds) or KernelParallelEvent (the same
 	// scheduler sharded across workers that synchronize only when all are
-	// out of events). The event kernels are VirtualClock only. All are
-	// bit-identical in virtual time, stats and traces — see kernel.go.
+	// out of events). All are bit-identical in virtual time, stats and
+	// traces — see kernel.go.
 	Kernel Kernel
 	// Workers bounds the worker count of KernelParallelEvent: 0 (the
 	// default) resolves to min(GOMAXPROCS, Procs); explicit values are
@@ -54,12 +41,11 @@ type Options struct {
 	Probe *KernelCounters
 }
 
-// World owns the shared state of one SPMD execution: mailboxes, the barrier,
-// and the start time for RealClock mode.
+// World owns the shared state of one SPMD execution: the cost model, the
+// mailboxes and the barrier.
 type World struct {
 	procs int
 	cost  netmodel.Model
-	mode  ClockMode
 	// tv is non-nil when the cost model evolves over epochs
 	// (netmodel.TimeVarying): receives re-price arrival at the message's
 	// send epoch and SetEpoch refreshes cached per-rank overheads. nil
@@ -69,8 +55,7 @@ type World struct {
 	bar   *barrier
 	// eng is non-nil when the world runs under the event-driven kernel
 	// (pevent.go); Comm methods branch to it instead of the mailboxes.
-	eng   *eventEngine
-	start time.Time
+	eng *eventEngine
 	// failFlag is the lock-free fast path for "has any rank failed":
 	// receive loops poll it on every wakeup, so it must not require
 	// taking failMu (which would nest inside the mailbox lock).
@@ -214,7 +199,6 @@ type Stats struct {
 	// IdleSeconds is the total virtual time the rank spent waiting: the
 	// clock fast-forward applied when a receive completed after the rank's
 	// own time, or when a barrier released at a later sibling's time.
-	// Always 0 in RealClock mode.
 	IdleSeconds float64
 }
 
@@ -236,11 +220,7 @@ func (c *Comm) Stats() Stats {
 // restored run's clocks and Stats continue exactly where the snapshot
 // was cut. Like every Comm method it must be called from the goroutine
 // (or coroutine, under the event kernel) that owns the rank.
-// VirtualClock mode only: a wall clock cannot be rewound into the past.
 func (c *Comm) Restore(clock float64, st Stats) error {
-	if c.world.mode != VirtualClock {
-		return fmt.Errorf("mpi: Restore requires VirtualClock mode")
-	}
 	if c.sent != 0 || c.received != 0 {
 		return fmt.Errorf("mpi: rank %d Restore after communication started", c.rank)
 	}
@@ -273,18 +253,13 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	w := &World{
 		procs: opts.Procs,
 		cost:  cost,
-		mode:  opts.Mode,
 		bar:   newBarrier(opts.Procs),
-		start: time.Now(),
 	}
 	if tv, ok := cost.(netmodel.TimeVarying); ok {
 		w.tv = tv
 	}
 	switch opts.Kernel {
 	case KernelEvent, KernelParallelEvent:
-		if opts.Mode == RealClock {
-			return fmt.Errorf("mpi: the %s kernel simulates virtual time only; RealClock requires the goroutine kernel", opts.Kernel)
-		}
 		workers := opts.Workers
 		if opts.Kernel == KernelEvent {
 			workers = 1
@@ -368,15 +343,9 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.procs }
 
-// Wtime returns elapsed time in seconds: virtual time in VirtualClock mode,
-// wall time since World start in RealClock mode. It mirrors MPI_Wtime,
+// Wtime returns this rank's virtual time in seconds. It mirrors MPI_Wtime,
 // which the thesis uses for all its measurements.
-func (c *Comm) Wtime() float64 {
-	if c.world.mode == RealClock {
-		return time.Since(c.world.start).Seconds()
-	}
-	return c.clock.Now()
-}
+func (c *Comm) Wtime() float64 { return c.clock.Now() }
 
 // SetEpoch advances this rank's epoch: outgoing messages are stamped
 // with it, and when the world's cost model is time-varying
@@ -393,21 +362,10 @@ func (c *Comm) SetEpoch(epoch int) {
 	}
 }
 
-// Charge accounts d seconds of local computation to this rank. In
-// VirtualClock mode the rank's clock advances; in RealClock mode the call
-// busy-waits for d to elapse, mimicking the thesis' dummy grain loops.
-func (c *Comm) Charge(d float64) {
-	if d <= 0 {
-		return
-	}
-	if c.world.mode == RealClock {
-		deadline := time.Now().Add(time.Duration(d * float64(time.Second)))
-		for time.Now().Before(deadline) {
-		}
-		return
-	}
-	c.clock.Advance(d)
-}
+// Charge accounts d seconds of local computation to this rank: its clock
+// advances by d (a d that is not positive is ignored), standing in for the
+// thesis' dummy grain loops.
+func (c *Comm) Charge(d float64) { c.clock.Advance(d) }
 
 // Isend enqueues a message for rank dst without blocking (MPI_Isend with an
 // unbounded system buffer). bytes is the payload size used by the cost
@@ -444,9 +402,10 @@ func (c *Comm) Isend(dst, tag int, payload any, bytes int) error {
 
 // Recv blocks until a message from src with the given tag (or AnyTag)
 // arrives, removes it from the queue and returns its payload. Matching is
-// FIFO per (src, tag) pair, as MPI guarantees. In VirtualClock mode the
-// receiver's clock advances to the message arrival time plus the receive
-// overhead.
+// FIFO per (src, tag) pair, as MPI guarantees. The receiver's clock
+// advances to the later of its own time and the message arrival time, plus
+// the receive overhead, wherever in the program the receive is issued
+// (doc.go: why there is no MPI_Irecv/MPI_Wait pair).
 func (c *Comm) Recv(src, tag int) (any, error) {
 	if src < 0 || src >= c.world.procs {
 		return nil, fmt.Errorf("mpi: Recv on rank %d from invalid rank %d (size %d)", c.rank, src, c.world.procs)
@@ -503,59 +462,19 @@ func (w *World) arrival(m message, dst int) float64 {
 }
 
 func (c *Comm) completeRecv(m message) {
-	if c.world.mode == VirtualClock {
-		arrival := c.world.arrival(m, c.rank)
-		if now := c.clock.Now(); arrival > now {
-			c.idleSeconds += arrival - now
-		}
-		c.clock.AdvanceTo(arrival)
-		c.clock.Advance(c.recvOverhead)
+	arrival := c.world.arrival(m, c.rank)
+	if now := c.clock.Now(); arrival > now {
+		c.idleSeconds += arrival - now
 	}
+	c.clock.AdvanceTo(arrival)
+	c.clock.Advance(c.recvOverhead)
 	c.received++
 	c.bytesReceived += m.bytes
 }
 
-// Request is a pending nonblocking receive started with Irecv and completed
-// with Wait, mirroring MPI_Irecv/MPI_Wait from the thesis' overlapped
-// communication variant (Fig. 8a).
-type Request struct {
-	comm     *Comm
-	src, tag int
-	done     bool
-	payload  any
-}
-
-// Irecv posts a nonblocking receive. The matching message is claimed at
-// Wait time; because matching is per (src, tag) FIFO this is equivalent to
-// posting the receive eagerly.
-func (c *Comm) Irecv(src, tag int) (*Request, error) {
-	if src < 0 || src >= c.world.procs {
-		return nil, fmt.Errorf("mpi: Irecv on rank %d from invalid rank %d (size %d)", c.rank, src, c.world.procs)
-	}
-	return &Request{comm: c, src: src, tag: tag}, nil
-}
-
-// Wait blocks until the request's message is available and returns its
-// payload. In VirtualClock mode the waiting rank's clock advances to the
-// later of its own time and the message arrival time — which is exactly
-// what makes overlapping computation with communication profitable in the
-// simulated timeline, as in the real system.
-func (r *Request) Wait() (any, error) {
-	if r.done {
-		return r.payload, fmt.Errorf("mpi: Wait called twice on the same Request")
-	}
-	p, err := r.comm.Recv(r.src, r.tag)
-	if err != nil {
-		return nil, err
-	}
-	r.done = true
-	r.payload = p
-	return p, nil
-}
-
-// Barrier blocks until all ranks arrive. In VirtualClock mode all clocks
-// leave the barrier at the maximum participant time, like a synchronizing
-// MPI_Barrier on dedicated hardware.
+// Barrier blocks until all ranks arrive. All clocks leave the barrier at
+// the maximum participant time, like a synchronizing MPI_Barrier on
+// dedicated hardware.
 func (c *Comm) Barrier() error {
 	var t float64
 	if eng := c.world.eng; eng != nil {
@@ -569,12 +488,10 @@ func (c *Comm) Barrier() error {
 			return errAborted(c.rank, "Barrier")
 		}
 	}
-	if c.world.mode == VirtualClock {
-		if now := c.clock.Now(); t > now {
-			c.idleSeconds += t - now
-		}
-		c.clock.AdvanceTo(t)
+	if now := c.clock.Now(); t > now {
+		c.idleSeconds += t - now
 	}
+	c.clock.AdvanceTo(t)
 	return nil
 }
 

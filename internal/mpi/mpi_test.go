@@ -11,11 +11,11 @@ import (
 )
 
 func virtualOpts(procs int) Options {
-	return Options{Procs: procs, Cost: netmodel.NewUniform(netmodel.Origin2000()), Mode: VirtualClock}
+	return Options{Procs: procs, Cost: netmodel.NewUniform(netmodel.Origin2000())}
 }
 
 func freeOpts(procs int) Options {
-	return Options{Procs: procs, Cost: netmodel.Free(), Mode: VirtualClock}
+	return Options{Procs: procs, Cost: netmodel.Free()}
 }
 
 func TestRunRejectsZeroProcs(t *testing.T) {
@@ -171,7 +171,7 @@ func TestRecvInvalidRank(t *testing.T) {
 
 func TestVirtualClockMessageTiming(t *testing.T) {
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3, ByteTime: 1e-6, SendOverhead: 1e-4, RecvOverhead: 1e-4})
-	opts := Options{Procs: 2, Cost: cost, Mode: VirtualClock}
+	opts := Options{Procs: 2, Cost: cost}
 	err := Run(opts, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Charge(0.5)
@@ -197,7 +197,7 @@ func TestVirtualClockLateReceiverNotDelayed(t *testing.T) {
 	// If the receiver is already past the arrival time, Recv must not move
 	// its clock backwards and only charges the receive overhead.
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3, RecvOverhead: 1e-4})
-	err := Run(Options{Procs: 2, Cost: cost, Mode: VirtualClock}, func(c *Comm) error {
+	err := Run(Options{Procs: 2, Cost: cost}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Isend(1, 0, "x", 0)
 		}
@@ -396,23 +396,16 @@ func TestBcastInts(t *testing.T) {
 
 func TestIrecvWaitOverlap(t *testing.T) {
 	cost := netmodel.NewUniform(netmodel.LogGP{Latency: 1e-3})
-	err := Run(Options{Procs: 2, Cost: cost, Mode: VirtualClock}, func(c *Comm) error {
+	err := Run(Options{Procs: 2, Cost: cost}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Isend(1, 0, 1, 0)
 		}
-		req, err := c.Irecv(0, 0)
-		if err != nil {
-			return err
-		}
 		c.Charge(0.5) // overlapped computation hides the latency
-		if _, err := req.Wait(); err != nil {
+		if _, err := c.Recv(0, 0); err != nil {
 			return err
 		}
 		if got := c.Wtime(); math.Abs(got-0.5) > 1e-12 {
 			return fmt.Errorf("overlapped Wtime = %v, want 0.5", got)
-		}
-		if _, err := req.Wait(); err == nil {
-			return errors.New("second Wait should fail")
 		}
 		return nil
 	})
@@ -525,24 +518,6 @@ func TestDeterministicVirtualTimeline(t *testing.T) {
 				t.Fatalf("trial %d rank %d: %v != %v (nondeterministic timeline)", trial, r, b[r], a[r])
 			}
 		}
-	}
-}
-
-func TestRealClockMode(t *testing.T) {
-	err := Run(Options{Procs: 2, Mode: RealClock}, func(c *Comm) error {
-		t0 := c.Wtime()
-		c.Charge(1e-3)
-		if c.Wtime()-t0 < 0.5e-3 {
-			return fmt.Errorf("RealClock Charge did not consume wall time")
-		}
-		if c.Rank() == 0 {
-			return c.Isend(1, 0, "hi", 2)
-		}
-		_, err := c.Recv(0, 0)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -199,13 +199,3 @@ func cloneSnapshot(s *RunSnapshot) *RunSnapshot {
 	out.TraceEdgeCuts = append([]int(nil), s.TraceEdgeCuts...)
 	return &out
 }
-
-func TestCheckpointRequiresVirtualClock(t *testing.T) {
-	cfg := baseConfig(hexGrid(t, 4, 8), 2)
-	cfg.Mode = mpi.RealClock
-	cfg.Network = nil
-	cfg.CheckpointEvery = 1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("RealClock checkpoint accepted, want error")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ic2mpi/internal/graph"
-	"ic2mpi/internal/mpi"
 )
 
 // tagShadow carries shadow-node updates; one message per neighboring
@@ -43,12 +42,15 @@ func (s *rankState) roundBasic(iter, sub int) error {
 	if err := s.sendBuffers(sub); err != nil {
 		return err
 	}
-	return s.recvShadows(sub, nil)
+	return s.recvShadows(sub)
 }
 
 // roundOverlapped is Fig. 8a: peripheral nodes first, dispatch shadows,
-// post receives, compute internal nodes while communication is in flight,
-// then wait and unpack.
+// compute internal nodes while communication is in flight, then receive
+// and unpack. The thesis posts MPI_Irecv before the internal nodes and
+// MPI_Waits after them; here a receive completes at max(now, arrival)
+// wherever it was posted, so posting late costs nothing and the blocking
+// receive of Fig. 8 serves both variants.
 func (s *rankState) roundOverlapped(iter, sub int) error {
 	s.nextBuffers()
 	for _, node := range s.peripheral {
@@ -59,14 +61,6 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 	if err := s.sendBuffers(sub); err != nil {
 		return err
 	}
-	reqs := make([]*mpi.Request, len(s.peers))
-	for i := range s.peers {
-		r, err := s.comm.Irecv(s.peers[i].proc, tagShadow(sub))
-		if err != nil {
-			return err
-		}
-		reqs[i] = r
-	}
 	// Remainder of the computation proceeds while communication continues.
 	for _, node := range s.internal {
 		if err := s.computeNode(node, iter, sub); err != nil {
@@ -74,15 +68,15 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 		}
 	}
 	s.flipMostRecent()
-	return s.recvShadows(sub, reqs)
+	return s.recvShadows(sub)
 }
 
 // nextBuffers starts an exchange: it moves s.gen to the other generation of
 // peer.pool and empties that generation of every peer's send buffer, sized
 // from peer.send ("the data structure chosen for the communication buffers
 // gives optimum memory usage"). Once capacities have warmed up an exchange
-// allocates nothing; the peer.pool comment in state.go says why a
-// two-generation gap is sufficient.
+// allocates nothing, under Fig. 8 and Fig. 8a alike; the peer.pool comment
+// in state.go says why a two-generation gap is sufficient.
 func (s *rankState) nextBuffers() {
 	s.gen ^= 1
 	for i := range s.peers {
@@ -191,19 +185,11 @@ func (s *rankState) sendBuffers(sub int) error {
 }
 
 // recvShadows receives one buffer from every peer, in ascending source
-// order, and applies the updates to the data store. When reqs is non-nil
-// (overlapped variant, indexed like s.peers) the already-posted requests
-// are completed instead of issuing fresh receives.
-func (s *rankState) recvShadows(sub int, reqs []*mpi.Request) error {
-	for i, pe := range s.peers {
+// order, and applies the updates to the data store.
+func (s *rankState) recvShadows(sub int) error {
+	for _, pe := range s.peers {
 		t0 := s.comm.Wtime()
-		var payload any
-		var err error
-		if reqs != nil {
-			payload, err = reqs[i].Wait()
-		} else {
-			payload, err = s.comm.Recv(pe.proc, tagShadow(sub))
-		}
+		payload, err := s.comm.Recv(pe.proc, tagShadow(sub))
 		if err != nil {
 			return err
 		}

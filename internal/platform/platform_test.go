@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ic2mpi/internal/graph"
-	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
 )
 
@@ -334,14 +333,6 @@ func TestMoreProcsThanNodes(t *testing.T) {
 	g := hexGrid(t, 2, 2) // 4 nodes
 	cfg := baseConfig(g, 6)
 	cfg.InitialPartition = []int{0, 1, 2, 3} // procs 4,5 idle
-	assertMatchesSequential(t, cfg)
-}
-
-func TestRealClockModeSmoke(t *testing.T) {
-	cfg := baseConfig(hexGrid(t, 2, 4), 2)
-	cfg.Mode = mpi.RealClock
-	cfg.Node = mixing(0) // no busy-wait grain
-	cfg.Iterations = 3
 	assertMatchesSequential(t, cfg)
 }
 

@@ -61,7 +61,7 @@ func Run(cfg Config) (*Result, error) {
 	// iteration.
 	tv, _ := c.Network.(netmodel.TimeVarying)
 
-	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Mode: c.Mode, Kernel: c.Kernel, Workers: c.KernelWorkers}
+	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
 		var start float64
 		var st *rankState

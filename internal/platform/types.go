@@ -49,7 +49,7 @@ type Neighbor struct {
 // and its neighbors' previous-iteration data and returns the node's new
 // data plus the virtual compute cost in seconds (the thesis injects grain
 // with dummy loops; here the grain is returned so the virtual clock can
-// charge it — in RealClock mode the platform burns the time instead).
+// charge it).
 //
 // iter counts iterations from 1 as in the thesis' main loop; sub is the
 // sub-phase index within an iteration (always 0 unless Config.SubPhases >
@@ -263,14 +263,11 @@ type Config struct {
 	// processor network graph for the topology-backed models — and node
 	// computation scales with the owning processor's relative Speed. This
 	// is the paper's processor-network-graph plug-in point. nil selects a
-	// uniform machine with the Origin 2000 base costs in VirtualClock
-	// mode (netmodel.NewUniform(netmodel.Origin2000())) and free
-	// communication in RealClock mode.
+	// uniform machine with the Origin 2000 base costs
+	// (netmodel.NewUniform(netmodel.Origin2000())).
 	Network netmodel.Model
 	// Overheads prices platform bookkeeping (default DefaultOverheads()).
 	Overheads OverheadModel
-	// Mode selects virtual (default) or real clocks.
-	Mode mpi.ClockMode
 	// Kernel selects the mpi execution engine: mpi.KernelGoroutine (the
 	// default — one goroutine per rank, the engine every pinned table and
 	// golden trace was measured on), mpi.KernelEvent (ranks as passive
@@ -278,8 +275,7 @@ type Config struct {
 	// bit-identical in virtual time, built for worlds of thousands of
 	// ranks) or mpi.KernelParallelEvent (the same scheduler sharded across
 	// workers that synchronize only when all are out of runnable ranks,
-	// bit-identical at any worker count). VirtualClock only
-	// for the event kernels.
+	// bit-identical at any worker count).
 	Kernel mpi.Kernel
 	// KernelWorkers sets the worker count for mpi.KernelParallelEvent
 	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels
@@ -301,7 +297,6 @@ type Config struct {
 	// is host-side only: iteration boundaries are message-quiescent, so
 	// each rank contributes its state as it passes the boundary and the
 	// virtual timeline is identical with checkpointing on or off.
-	// VirtualClock mode only.
 	CheckpointEvery int
 	// CheckpointSink receives each completed snapshot. It runs on the
 	// last contributing rank's host goroutine; returning an error aborts
@@ -355,9 +350,6 @@ func (c *Config) normalize() (*Config, error) {
 	if c.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("platform: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
-	if (c.CheckpointEvery > 0 || c.ResumeFrom != nil) && c.Mode != mpi.VirtualClock {
-		return nil, fmt.Errorf("platform: checkpoint/resume requires VirtualClock mode (a wall clock cannot be restored)")
-	}
 	out := *c
 	if out.SubPhases <= 0 {
 		out.SubPhases = 1
@@ -369,11 +361,7 @@ func (c *Config) normalize() (*Config, error) {
 		out.Overheads = DefaultOverheads()
 	}
 	if out.Network == nil {
-		if out.Mode == mpi.VirtualClock {
-			out.Network = netmodel.NewUniform(netmodel.Origin2000())
-		} else {
-			out.Network = netmodel.Free()
-		}
+		out.Network = netmodel.NewUniform(netmodel.Origin2000())
 	}
 	if err := out.Network.Validate(out.Procs); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
@@ -389,7 +377,7 @@ func (c *Config) normalize() (*Config, error) {
 // Result reports one platform run.
 type Result struct {
 	// Elapsed is the end-to-end time: the maximum virtual completion time
-	// across processors (or wall time in RealClock mode).
+	// across processors.
 	Elapsed float64
 	// PhaseTimes[phase][proc] breaks Elapsed into the six platform phases
 	// per processor.

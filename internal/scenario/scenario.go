@@ -271,10 +271,16 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 	if sc.Runner != nil {
 		return nil, fmt.Errorf("scenario %s: custom runner, no platform config", sc.Name)
 	}
-	p, err := sc.Normalize(p)
+	np, err := sc.Normalize(p)
 	if err != nil {
 		return nil, err
 	}
+	return sc.config(np)
+}
+
+// config is Config for parameters Normalize has already returned, so Run
+// normalizes once.
+func (sc Scenario) config(p Params) (*platform.Config, error) {
 	g, err := sc.Graph()
 	if err != nil {
 		return nil, err
@@ -344,7 +350,7 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 	if sc.Runner != nil {
 		return sc.Runner(sc, p)
 	}
-	cfg, err := sc.Config(p)
+	cfg, err := sc.config(p)
 	if err != nil {
 		return nil, err
 	}

@@ -43,6 +43,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"scenario":"nope"}`,
 		`{"scenario":"heat","sweep":"procs=0"}`,
 		`{"scenario":"heat","sweep":"procs=2000000"}`,
+		`{"scenario":"heat","sweep":"procs=65536;iters=2000000000"}`,
 		`{"scenario":"heat","format":"xml"}`,
 		`{"scenario":"heat","axes":{"iterations":[-1]}}`,
 		`{"scenario":"heat","sweep":"procs=1,2","trace":true}`,
@@ -84,6 +85,9 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			if np.Procs > maxProcs {
 				t.Fatalf("accepted spec with a %d-processor cell (cap %d)", np.Procs, maxProcs)
+			}
+			if np.Iterations > maxCellWork/np.Procs {
+				t.Fatalf("accepted spec with a %d x %d rank-iteration cell (cap %d)", np.Procs, np.Iterations, maxCellWork)
 			}
 		}
 	})

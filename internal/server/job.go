@@ -52,13 +52,19 @@ type JobSpec struct {
 // rather than discovered as an out-of-memory kill.
 const maxProcs = 1 << 16
 
+// maxCellWork caps one cell's processors x iterations, for the same reason
+// in time: a cell owns its worker until it ends. About 300 times the
+// largest cell any doc or CI step runs (16384 x 200).
+const maxCellWork = 1 << 30
+
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
 // (unknown fields rejected), a registered scenario, a well-formed sweep
-// space no larger than maxCells cells of at most maxProcs processors,
-// every cell normalizable, and a single-cell space when a trace is
-// requested. It returns the spec with Format defaulted and the resolved
-// scenario; any error is safe to echo to the client. This is the daemon's
-// input boundary — FuzzJobSpec pins that it never panics.
+// space no larger than maxCells cells of at most maxProcs processors and
+// maxCellWork rank-iterations, every cell normalizable, and a single-cell
+// space when a trace is requested. It returns the spec with Format
+// defaulted and the resolved scenario; any error is safe to echo to the
+// client. This is the daemon's input boundary — FuzzJobSpec pins that it
+// never panics.
 func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -108,8 +114,12 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 	// exchange, balancer, network, perturb spec, kernel, bounds) without
 	// running anything.
 	for _, p := range spec.Axes.Cells() {
-		if _, err := sc.Normalize(p); err != nil {
+		np, err := sc.Normalize(p)
+		if err != nil {
 			return spec, scenario.Scenario{}, err
+		}
+		if np.Iterations > maxCellWork/np.Procs {
+			return spec, scenario.Scenario{}, fmt.Errorf("procs=%d x iters=%d exceeds the daemon cap of %d rank-iterations per cell", np.Procs, np.Iterations, maxCellWork)
 		}
 	}
 	return spec, sc, nil
@@ -138,6 +148,26 @@ type Job struct {
 	traceJSONL []byte
 
 	cancel atomic.Bool
+}
+
+// newJob builds a queued job. A traced job is one cell by construction:
+// Single accepts empty axes as "scenario default", which Size would expand
+// to the default processor sweep.
+func newJob(id, client string, spec JobSpec, sc scenario.Scenario, queuedAt time.Time) *Job {
+	cells := spec.Axes.Size()
+	if spec.Trace {
+		cells = 1
+	}
+	return &Job{
+		ID:       id,
+		Client:   client,
+		Spec:     spec,
+		sc:       sc,
+		stream:   newStream(),
+		State:    StateQueued,
+		Cells:    cells,
+		QueuedAt: queuedAt,
+	}
 }
 
 // errCancelled aborts the remaining cells of a cancelled running job.

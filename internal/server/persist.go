@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"ic2mpi/internal/experiments"
 	"ic2mpi/internal/scenario"
 )
 
@@ -29,8 +30,8 @@ import (
 //     their already-completed cells come from the persisted cache, so
 //     only the remaining cells recompute.
 //
-// Both stores hold plain JSON files, one record per file, written via
-// rename so a crash never leaves a torn record.
+// Both stores hold plain JSON files, one record per file, written through
+// experiments.WriteFileAtomic so a crash never leaves a torn record.
 
 const (
 	cellsDirName = "cells"
@@ -61,19 +62,6 @@ type PersistStats struct {
 	JobsRestored int    `json:"jobs_restored"`
 }
 
-// atomicWriteFile writes data to path via a same-directory rename.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // cellPath returns the content-addressed file of one cell key.
 func cellPath(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -87,7 +75,7 @@ func persistCell(dir, key string, res *scenario.Result) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(cellPath(dir, key), append(data, '\n'))
+	return experiments.WriteFileAtomic(cellPath(dir, key), append(data, '\n'))
 }
 
 // jobPath returns the spec file of one job ID.
@@ -105,7 +93,7 @@ func (s *Server) persistJobLocked(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(jobPath(s.cfg.StateDir, j.ID), append(data, '\n'))
+	return experiments.WriteFileAtomic(jobPath(s.cfg.StateDir, j.ID), append(data, '\n'))
 }
 
 // removeJobRecordLocked deletes j's spec record after a terminal state
@@ -182,20 +170,7 @@ func (s *Server) restore() error {
 		if err != nil {
 			return fmt.Errorf("job record %s no longer validates: %w", path, err)
 		}
-		cells := spec.Axes.Size()
-		if spec.Trace {
-			cells = 1
-		}
-		j := &Job{
-			ID:       pj.ID,
-			Client:   pj.Client,
-			Spec:     spec,
-			sc:       sc,
-			stream:   newStream(),
-			State:    StateQueued,
-			Cells:    cells,
-			QueuedAt: pj.QueuedAt,
-		}
+		j := newJob(pj.ID, pj.Client, spec, sc, pj.QueuedAt)
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 		s.usageOf(j.Client).Submitted++

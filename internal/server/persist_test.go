@@ -166,6 +166,10 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			rec := `{"id":"job-000001","client":"c","queued_at":"2026-01-02T03:04:05Z","spec":{"scenario":"no-such-scenario","axes":{"procs":[1]}}}`
 			return os.WriteFile(jobPath(dir, "job-000001"), []byte(rec), 0o644)
 		},
+		"job record above the rank-iteration cap": func(dir string) error {
+			rec := `{"id":"job-000001","client":"c","queued_at":"2026-01-02T03:04:05Z","spec":{"scenario":"heat","axes":{"procs":[65536],"iterations":[2000000000]}}}`
+			return os.WriteFile(jobPath(dir, "job-000001"), []byte(rec), 0o644)
+		},
 		"cell record with a foreign key": func(dir string) error {
 			return os.WriteFile(cellPath(dir, "some-key"), []byte(`{"key":"other-key","result":{}}`), 0o644)
 		},

@@ -289,23 +289,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	cells := spec.Axes.Size()
-	if spec.Trace {
-		// A traced job is one cell by construction (Single accepts empty
-		// axes as "scenario default", which Size would expand to the
-		// default processor sweep).
-		cells = 1
-	}
-	j := &Job{
-		ID:       fmt.Sprintf("job-%06d", s.nextID),
-		Client:   client,
-		Spec:     spec,
-		sc:       sc,
-		stream:   newStream(),
-		State:    StateQueued,
-		Cells:    cells,
-		QueuedAt: s.cfg.Now(),
-	}
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), client, spec, sc, s.cfg.Now())
 	if s.cfg.StateDir != "" {
 		// Persist before the job becomes visible: once accepted, a job
 		// survives a daemon restart, so a spec that cannot be persisted
@@ -694,7 +678,8 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 		rec := &trace.Recorder{}
 		sink := newTraceSink(j.stream, np.Procs, np.Iterations)
 		rec.SetSink(sink)
-		rep, err := experiments.RunTraced(j.sc, j.Spec.Axes, rec)
+		p.Trace = rec
+		res, err := j.sc.Run(p)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -706,7 +691,7 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 		if err := trace.WriteJSONL(&tbuf, rec); err != nil {
 			return nil, nil, err
 		}
-		return rep, tbuf.Bytes(), nil
+		return experiments.NewSweepReport(j.sc, res), tbuf.Bytes(), nil
 	}
 
 	tracker := newCellTracker(j.stream, j.Cells)

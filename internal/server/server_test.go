@@ -315,6 +315,7 @@ func TestSubmitErrors(t *testing.T) {
 		{"trace_multi_cell", `{"scenario":"heat","sweep":"procs=1,2","trace":true}`},
 		{"too_many_cells", `{"scenario":"heat","sweep":"procs=1,2;iters=1,2,3,4,5,6,7,8,9"}`},
 		{"too_many_procs", `{"scenario":"heat","sweep":"procs=2000000"}`},
+		{"too_much_cell_work", `{"scenario":"heat","sweep":"procs=65536;iters=2000000000"}`},
 		{"retired_buffers", `{"scenario":"heat","sweep":"procs=2;buffers=unpooled"}`},
 	}
 	for _, tc := range cases {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"testing"
 
-	"ic2mpi/internal/experiments"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 )
@@ -171,12 +170,8 @@ func TestTraceJobByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ax, err := experiments.ParseAxes("procs=4;iters=8")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &trace.Recorder{}
-	if _, err := experiments.RunTraced(sc, ax, rec); err != nil {
+	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 8, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer

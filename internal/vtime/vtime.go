@@ -18,7 +18,12 @@ func (c *Clock) Now() float64 { return c.now }
 // backwards.
 func (c *Clock) Advance(d float64) {
 	if d > 0 {
-		c.now += d
+		// The conversion rounds d to a float64 before the add. Advance
+		// inlines into callers that pass a product (Charge(a*b)), and the
+		// Go spec lets a compiler fuse x*y + z across statements unless an
+		// explicit conversion intervenes; arm64 would, amd64 would not,
+		// and the clock's bits are the same on every host.
+		c.now += float64(d)
 	}
 }
 

@@ -72,3 +72,21 @@ func TestQuickClockMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Advance of a product adds the rounded product. Advance inlines,
+// so without its explicit float64 conversion a fusing architecture could
+// compute now + a*b with a single rounding and move clock bits per host.
+func TestQuickAdvanceRoundsItsOperand(t *testing.T) {
+	f := func(start, a, b float64) bool {
+		var fused, split Clock
+		fused.AdvanceTo(start)
+		split.AdvanceTo(start)
+		fused.Advance(a * b)
+		p := float64(a * b)
+		split.Advance(p)
+		return fused.Now() == split.Now()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -132,14 +132,20 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // round moves the rows by thousands. The rows read 3076 and 5894 while
 // every Isend boxed a slice header; what is left is start-up — rank state,
 // each buffer generation's first fill, the mailboxes growing — and moves
-// with none of the 50 iterations.
+// with none of the 50 iterations. The overlap rows run the same Config
+// under Fig. 8a; they read 3500 and 6753 while every round built a request
+// per peer, and sit level with the basic rows now that both variants
+// receive through one path.
 var exchangeAllocPins = []struct {
-	name   string
-	procs  int
-	allocs float64
+	name    string
+	procs   int
+	overlap bool
+	allocs  float64
 }{
-	{"Pooled8", 8, 1699},
-	{"Pooled16", 16, 2455},
+	{"Pooled8", 8, false, 1699},
+	{"Pooled16", 16, false, 2455},
+	{"PooledOverlap8", 8, true, 1700},
+	{"PooledOverlap16", 16, true, 2453},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
@@ -153,6 +159,7 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		pin := pin
 		t.Run(pin.name, func(t *testing.T) {
 			cfg := exchangeConfig(t, pin.procs)
+			cfg.Overlap = pin.overlap
 			got := testing.AllocsPerRun(5, func() {
 				if _, err := ic2mpi.Run(cfg); err != nil {
 					t.Fatal(err)
