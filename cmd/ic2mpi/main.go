@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -23,26 +24,70 @@ import (
 	"ic2mpi/internal/workload"
 )
 
+// options are the command's flag values.
+type options struct {
+	np, iters, every         int
+	graph, partitioner       string
+	grain                    float64
+	dynamic, overlap, verify bool
+}
+
+// parseFlags defines the command's flags on fs, parses args and checks
+// the values with checkFlags.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.IntVar(&o.np, "np", 4, "number of virtual processors")
+	fs.StringVar(&o.graph, "graph", "", "application program graph in Chaco format (required)")
+	fs.StringVar(&o.partitioner, "partitioner", "metis", "static partitioner: "+strings.Join(partition.Names(), ", ")+", block, roundrobin")
+	fs.IntVar(&o.iters, "iters", 20, "iterations")
+	fs.Float64Var(&o.grain, "grain", 0.3e-3, "per-node grain size in seconds (paper: 0.0003 fine, 0.003 coarse)")
+	fs.BoolVar(&o.dynamic, "dynamic", false, "enable the dynamic load balancer")
+	fs.IntVar(&o.every, "every", 10, "load balancing period in iterations (with -dynamic)")
+	fs.BoolVar(&o.overlap, "overlap", false, "overlap computation with communication (Fig. 8a variant)")
+	fs.BoolVar(&o.verify, "verify", false, "verify the distributed result against a sequential reference run")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, checkFlags(fs, o)
+}
+
+// checkFlags refuses, before the graph is read, the values that would
+// fail only after partitioning or once the run has started (-np below 1,
+// -iters or -grain below 0) and those that reach nothing: -every without
+// -dynamic, and an -every below 1, which the platform would replace by
+// its default of 10.
+func checkFlags(fs *flag.FlagSet, o options) error {
+	everySet := false
+	fs.Visit(func(f *flag.Flag) { everySet = everySet || f.Name == "every" })
+	switch {
+	case o.np < 1:
+		return fmt.Errorf("-np must be >= 1, got %d", o.np)
+	case o.iters < 0:
+		return fmt.Errorf("-iters must be >= 0, got %d", o.iters)
+	case !(o.grain >= 0): // NaN too
+		return fmt.Errorf("-grain must be >= 0, got %g", o.grain)
+	case everySet && !o.dynamic:
+		return errors.New("-every requires -dynamic (it is the load-balancing period)")
+	case o.every < 1:
+		return fmt.Errorf("-every must be >= 1, got %d", o.every)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ic2mpi: ")
 
-	np := flag.Int("np", 4, "number of virtual processors")
-	graphPath := flag.String("graph", "", "application program graph in Chaco format (required)")
-	partName := flag.String("partitioner", "metis", "static partitioner: "+strings.Join(partition.Names(), ", ")+", block, roundrobin")
-	iters := flag.Int("iters", 20, "iterations")
-	grain := flag.Float64("grain", 0.3e-3, "per-node grain size in seconds (paper: 0.0003 fine, 0.003 coarse)")
-	dynamic := flag.Bool("dynamic", false, "enable the dynamic load balancer")
-	every := flag.Int("every", 10, "load balancing period in iterations")
-	overlap := flag.Bool("overlap", false, "overlap computation with communication (Fig. 8a variant)")
-	verify := flag.Bool("verify", false, "verify the distributed result against a sequential reference run")
-	flag.Parse()
-
-	if *graphPath == "" {
-		flag.Usage()
+	fs := flag.NewFlagSet("ic2mpi", flag.ExitOnError)
+	o, err := parseFlags(fs, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if o.graph == "" {
+		fs.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*graphPath)
+	f, err := os.Open(o.graph)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,15 +98,15 @@ func main() {
 	}
 	fmt.Printf("graph: %d nodes, %d edges, max degree %d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
-	pt, net, err := pickPartitioner(*partName, *np)
+	pt, net, err := pickPartitioner(o.partitioner, o.np)
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, err := pt.Partition(g, net, *np)
+	part, err := pt.Partition(g, net, o.np)
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := ic2mpi.EvaluatePartition(g, part, *np)
+	q, err := ic2mpi.EvaluatePartition(g, part, o.np)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,16 +115,18 @@ func main() {
 
 	cfg := ic2mpi.Config{
 		Graph:            g,
-		Procs:            *np,
+		Procs:            o.np,
 		InitialPartition: part,
 		InitData:         workload.InitID,
-		Node:             workload.Averaging(workload.UniformGrain(*grain)),
-		Iterations:       *iters,
-		Overlap:          *overlap,
-		BalanceEvery:     *every,
+		Node:             workload.Averaging(workload.UniformGrain(o.grain)),
+		Iterations:       o.iters,
+		Overlap:          o.overlap,
+		BalanceEvery:     o.every,
 	}
-	if *dynamic {
-		cfg.Balancer = ic2mpi.NewCentralizedBalancer(0, false)
+	if o.dynamic {
+		if cfg.Balancer, err = ic2mpi.NewBalancer("centralized", "", o.np); err != nil {
+			log.Fatal(err)
+		}
 	}
 	res, err := ic2mpi.Run(cfg)
 	if err != nil {
@@ -90,10 +137,10 @@ func main() {
 	for ph := 0; ph < ic2mpi.NumPhases; ph++ {
 		fmt.Printf("%-34s %.6f\n", ic2mpi.Phase(ph), res.MaxPhase(ic2mpi.Phase(ph)))
 	}
-	if *dynamic {
+	if o.dynamic {
 		fmt.Printf("\ntask migrations: %d\n", res.Migrations)
 	}
-	if *verify {
+	if o.verify {
 		want, err := ic2mpi.RunSequential(cfg)
 		if err != nil {
 			log.Fatal(err)

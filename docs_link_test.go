@@ -5,6 +5,7 @@ package ic2mpi_test
 // must match a heading there. CI runs this as its link-check step.
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -66,6 +67,45 @@ func TestMarkdownLinks(t *testing.T) {
 				checkAnchor(t, file, resolved, fragment)
 			}
 		}
+	}
+}
+
+// mdMention matches a Markdown file named in Go source, bare or under a
+// directory.
+var mdMention = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestGoSourceDocReferences: every Markdown file a .go file names, in a
+// comment or a string and in test files too, must exist at the repo root
+// or under docs/. Comments and a report note once cited two documents
+// that were never written.
+func TestGoSourceDocReferences(t *testing.T) {
+	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .github, build caches
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range mdMention.FindAllString(string(body), -1) {
+			if !exists(name) && !exists(filepath.Join("docs", name)) {
+				t.Errorf("%s: names %s, which is neither at the repo root nor under docs/", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

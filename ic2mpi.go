@@ -24,8 +24,8 @@
 //
 // Execution runs on an in-process SPMD message-passing runtime with
 // deterministic virtual time, so 16-processor speedup experiments
-// reproduce bit-for-bit on any host; see DESIGN.md for the substitution
-// rationale.
+// reproduce bit-for-bit on any host; see docs/architecture.md for the
+// substitution rationale.
 //
 // Quick start:
 //
@@ -83,8 +83,6 @@ type (
 	Result = platform.Result
 	// Phase identifies one of the six instrumented platform phases.
 	Phase = platform.Phase
-	// OverheadModel prices the platform's bookkeeping for virtual time.
-	OverheadModel = platform.OverheadModel
 	// Balancer is the dynamic load balancer plug-in interface.
 	Balancer = platform.Balancer
 	// Pair is one busy/idle processor pair chosen by a balancer.
@@ -181,10 +179,6 @@ func RunSequential(cfg Config) ([]NodeData, error) { return platform.RunSequenti
 func WriteTrace(w io.Writer, format string, rec *TraceRecorder) error {
 	return trace.Write(w, format, rec)
 }
-
-// DefaultOverheads returns the bookkeeping cost model calibrated against
-// the paper's overhead measurements (Figures 21-22).
-func DefaultOverheads() OverheadModel { return platform.DefaultOverheads() }
 
 // Origin2000 returns the base communication cost parameters calibrated
 // against the paper's SGI Origin 2000 testbed.
@@ -329,40 +323,15 @@ func PerturbNetworkSchedule(model NetworkModel, s *FaultSchedule, procs, iters i
 
 // Dynamic load balancing.
 
-// NewCentralizedBalancer returns the thesis' centralized heuristic with
-// the given busy threshold (0 means the paper's 25%). strict selects the
-// literal all-neighbors rule of the thesis' C code; the default relaxed
-// rule compares against the least-loaded neighbor, which behaves better
-// under deterministic clocks (see the balance package documentation).
-func NewCentralizedBalancer(threshold float64, strict bool) Balancer {
-	return &balance.CentralizedHeuristic{Threshold: threshold, StrictAllNeighbors: strict}
-}
+// Balancers returns the balancer names NewBalancer accepts, the values of
+// the scenario balancer axis.
+func Balancers() []string { return balance.Names() }
 
-// NewDiffusionBalancer returns the nearest-neighbor diffusion balancer
-// with the given imbalance tolerance (0 means the default 10%).
-func NewDiffusionBalancer(tolerance float64) Balancer {
-	return &balance.Diffusion{Tolerance: tolerance}
-}
-
-// NewWorkStealingBalancer returns the pull-based work-stealing balancer:
-// underloaded processors initiate, each stealing from its most-loaded
-// communicating neighbor (0 means the default 10% tolerance).
-func NewWorkStealingBalancer(tolerance float64) Balancer {
-	return &balance.WorkStealing{Tolerance: tolerance}
-}
-
-// NewHierarchicalBalancer returns the two-level balancer: diffusion
-// within each cluster of the rank space first, then at most one
-// cross-cluster move per overloaded cluster. clusters[rank] is the
-// cluster id of each rank; nil derives contiguous blocks of ceil(sqrt p).
-func NewHierarchicalBalancer(clusters []int, tolerance float64) Balancer {
-	return &balance.Hierarchical{Clusters: clusters, Tolerance: tolerance}
-}
-
-// NewPredictiveBalancer returns the history-fed predictive balancer:
-// diffusion on exponentially-weighted (Holt) forecasts of each
-// processor's load rather than on current loads. Zero tolerance or
-// alpha select the defaults (10%, 0.5).
-func NewPredictiveBalancer(tolerance, alpha float64) Balancer {
-	return &balance.Predictive{Tolerance: tolerance, Alpha: alpha}
+// NewBalancer resolves a balancer name to a balancer for Config.Balancer,
+// for a run on the named interconnect at procs processors; "none" resolves
+// to nil (static run). Only "hierarchical" reads network and procs, to
+// derive its cluster map; "" or procs < 1 leave it on contiguous rank
+// blocks. "centralized" is the thesis' 25%-threshold heuristic.
+func NewBalancer(name, network string, procs int) (Balancer, error) {
+	return balance.New(name, network, procs)
 }

@@ -122,6 +122,10 @@ func TestPublicAPIDynamicBalancer(t *testing.T) {
 		}
 		return out, cost
 	}
+	b, err := ic2mpi.NewBalancer("centralized", "", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := ic2mpi.Config{
 		Graph:            g,
 		Procs:            4,
@@ -129,7 +133,7 @@ func TestPublicAPIDynamicBalancer(t *testing.T) {
 		InitData:         initID,
 		Node:             hotspot,
 		Iterations:       30,
-		Balancer:         ic2mpi.NewCentralizedBalancer(0, false),
+		Balancer:         b,
 		BalanceEvery:     3,
 		BalanceRounds:    4,
 	}
@@ -158,6 +162,27 @@ func TestPublicAPIDynamicBalancer(t *testing.T) {
 		if res.FinalData[v] != want[v] {
 			t.Fatalf("node %d: %v != %v", v, res.FinalData[v], want[v])
 		}
+	}
+}
+
+// TestPublicAPIBalancers resolves every name Balancers reports through
+// NewBalancer and refuses one it does not.
+func TestPublicAPIBalancers(t *testing.T) {
+	names := ic2mpi.Balancers()
+	if len(names) == 0 || names[0] != "none" {
+		t.Fatalf("Balancers() = %v, want \"none\" first", names)
+	}
+	for _, name := range names {
+		b, err := ic2mpi.NewBalancer(name, "hypercube", 8)
+		if err != nil {
+			t.Fatalf("NewBalancer(%q): %v", name, err)
+		}
+		if (b == nil) != (name == "none") {
+			t.Errorf("NewBalancer(%q) = %v", name, b)
+		}
+	}
+	if _, err := ic2mpi.NewBalancer("greedy", "", 4); err == nil {
+		t.Error("NewBalancer accepted an unknown name")
 	}
 }
 

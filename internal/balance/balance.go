@@ -1,21 +1,18 @@
 package balance
 
 import (
-	"fmt"
 	"math"
 
 	"ic2mpi/internal/platform"
 )
 
+// busyThreshold is the minimum relative overload, in percent, for a
+// processor to count as busy: the paper's "25% more work".
+const busyThreshold = 25
+
 // CentralizedHeuristic is the thesis' dynamic load balancer. The zero
-// value uses the paper's 25% threshold with the relaxed busy rule (see
-// StrictAllNeighbors).
+// value uses the relaxed busy rule (see StrictAllNeighbors).
 type CentralizedHeuristic struct {
-	// Threshold is the minimum relative overload for a processor to count
-	// as busy; 0.25 (the paper's "25% more work") for the zero value. An
-	// explicitly negative or non-finite threshold is a configuration error
-	// (see Validate), never a silent fallback to the default.
-	Threshold float64
 	// StrictAllNeighbors selects the literal rule of the thesis' C code: a
 	// processor is busy only when it exceeds EVERY communicating neighbor
 	// by the threshold. Under this simulator's noise-free virtual clocks
@@ -32,14 +29,9 @@ type CentralizedHeuristic struct {
 // Name implements platform.Balancer.
 func (b *CentralizedHeuristic) Name() string { return "Centralized Heuristic" }
 
-// Validate implements platform.ValidatingBalancer.
-func (b *CentralizedHeuristic) Validate() error {
-	return checkFraction("centralized threshold", b.Threshold)
-}
-
 // Plan implements platform.Balancer. For every processor i that is
 // connected to at least one other processor and whose computation time
-// exceeds every connected neighbor's by the threshold, it emits the pair
+// exceeds every connected neighbor's by busyThreshold, it emits the pair
 // (i, argmin-time neighbor). Pairs are sanitized so no processor is busy
 // twice and no busy processor doubles as another pair's idle target, the
 // structural rules of Table 1.
@@ -48,7 +40,6 @@ func (b *CentralizedHeuristic) Plan(pg platform.ProcGraph) []platform.Pair {
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	thr := orDefault(b.Threshold, 0.25) * 100
 	var pairs []platform.Pair
 	busy := make([]bool, p)
 next:
@@ -58,7 +49,7 @@ next:
 			if i == j || pg.Comm[i][j] <= 0 {
 				continue
 			}
-			if b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[j]) < thr {
+			if b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[j]) < busyThreshold {
 				continue next
 			}
 			if pg.Times[j] < idleTime {
@@ -70,16 +61,16 @@ next:
 		}
 		// Relaxed rule: overload measured against the least loaded
 		// communicating neighbor.
-		if !b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[idle]) < thr {
+		if !b.StrictAllNeighbors && RelativeLoad(pg.Times[i], pg.Times[idle]) < busyThreshold {
 			continue
 		}
 		pairs = append(pairs, platform.Pair{Busy: i, Idle: idle})
 		busy[i] = true
 	}
-	// A busy processor can never be another pair's idle side: by the
-	// threshold rule its time exceeds all its neighbors', so it cannot be
-	// the minimum-time neighbor of a busy neighbor — but guard anyway for
-	// degenerate inputs (equal times with zero threshold).
+	// A busy processor can never be another pair's idle side. Under the
+	// strict rule its time exceeds all its neighbors', so it cannot be the
+	// minimum-time neighbor of a busy neighbor; under the relaxed rule it
+	// can, and that pair is dropped.
 	out := pairs[:0]
 	for _, pr := range pairs {
 		if !busy[pr.Idle] {
@@ -121,34 +112,8 @@ func RelativeLoad(ti, tj float64) float64 {
 }
 
 // defaultTolerance is the relative distance from the mean load at which
-// the mean-based balancers (all but the centralized heuristic) act when
-// their Tolerance is left zero.
+// the mean-based balancers (all but the centralized heuristic) act.
 const defaultTolerance = 0.10
-
-// orDefault returns v, or def for the zero value (and anything below it,
-// which Validate refuses before a run starts).
-func orDefault(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
-// invalid is the package's one configuration error: what names the
-// balancer and its field, want the legal range.
-func invalid(what, want string, v float64) error {
-	return fmt.Errorf("balance: %s must be %s (or 0 for the default), got %g", what, want, v)
-}
-
-// checkFraction is the rule every threshold and tolerance without an upper
-// bound shares: zero selects the default and stays valid, a negative or
-// non-finite value is a configuration error, never a silent fallback.
-func checkFraction(what string, v float64) error {
-	if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return invalid(what, "a positive finite fraction", v)
-	}
-	return nil
-}
 
 // meanLoad is the mean of loads over members, summed in members' order:
 // ascending everywhere, and the float sum's order is part of every plan.

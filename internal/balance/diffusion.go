@@ -13,20 +13,12 @@ import (
 // centralized heuristic's busy/idle classification against neighbors, it
 // compares every processor against the global mean load and pairs the most
 // overloaded processors with their least-loaded communicating neighbors —
-// load diffuses along the processor graph's edges.
-type Diffusion struct {
-	// Tolerance is the relative overload versus the mean that triggers
-	// migration; 0.10 for the zero value. An explicitly negative or
-	// non-finite tolerance is a configuration error (see Validate), never
-	// a silent fallback to the default.
-	Tolerance float64
-}
+// load diffuses along the processor graph's edges. A processor is
+// overloaded when its load exceeds the mean by defaultTolerance.
+type Diffusion struct{}
 
 // Name implements platform.Balancer.
 func (d *Diffusion) Name() string { return "Diffusion" }
-
-// Validate implements platform.ValidatingBalancer.
-func (d *Diffusion) Validate() error { return checkFraction("diffusion tolerance", d.Tolerance) }
 
 // Plan implements platform.Balancer: one diffusion pass over all ranks on
 // the gathered times.
@@ -35,18 +27,19 @@ func (d *Diffusion) Plan(pg platform.ProcGraph) []platform.Pair {
 	if p < 2 || len(pg.Comm) != p {
 		return nil
 	}
-	return diffuse(pg.Times, pg.Comm, ranks(p), orDefault(d.Tolerance, defaultTolerance), make([]bool, p), nil)
+	return diffuse(pg.Times, pg.Comm, ranks(p), make([]bool, p), nil)
 }
 
 // diffuse is the package's one diffusion pass, run by Diffusion over all
 // ranks, by Predictive on forecast loads and by Hierarchical once per
 // cluster. Among members (ascending ranks) it visits the processors whose
-// load exceeds the members' mean by tol, most loaded first and ties to the
-// lower rank, and pairs each with its least-loaded communicating member
-// below the mean (ties again to the lower rank). paired marks the
-// processors some pair of this invocation already holds, across passes; a
-// processor is in at most one pair. The pairs found are appended to pairs.
-func diffuse(loads []float64, comm [][]int, members []int, tol float64, paired []bool, pairs []platform.Pair) []platform.Pair {
+// load exceeds the members' mean by defaultTolerance, most loaded first and
+// ties to the lower rank, and pairs each with its least-loaded
+// communicating member below the mean (ties again to the lower rank).
+// paired marks the processors some pair of this invocation already holds,
+// across passes; a processor is in at most one pair. The pairs found are
+// appended to pairs.
+func diffuse(loads []float64, comm [][]int, members []int, paired []bool, pairs []platform.Pair) []platform.Pair {
 	if len(members) < 2 {
 		return pairs
 	}
@@ -61,7 +54,7 @@ func diffuse(loads []float64, comm [][]int, members []int, tol float64, paired [
 		}
 		return order[a] < order[b]
 	})
-	threshold := mean * (1 + tol)
+	threshold := mean * (1 + defaultTolerance)
 	for _, i := range order {
 		if loads[i] <= threshold {
 			break // sorted: nobody further is overloaded

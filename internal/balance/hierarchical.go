@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -16,31 +15,16 @@ import (
 // task per overloaded cluster per invocation). The cluster map is plain
 // data, so plans stay a pure deterministic function of the processor
 // graph; ClustersFor derives maps from the active interconnect topology.
+// Both passes act on a load above the (cluster or global) mean by
+// defaultTolerance.
 type Hierarchical struct {
-	// Clusters[p] is processor p's cluster id (non-negative; ids need not
-	// be dense). A nil or wrongly-sized map falls back to BlockClusters.
+	// Clusters[p] is processor p's cluster id (ids need not be dense). A
+	// nil or wrongly-sized map falls back to BlockClusters.
 	Clusters []int
-	// Tolerance is the relative overload versus the (cluster or global)
-	// mean that triggers migration; 0.10 for the zero value. An explicitly
-	// negative or non-finite tolerance is a configuration error.
-	Tolerance float64
 }
 
 // Name implements platform.Balancer.
 func (h *Hierarchical) Name() string { return "Hierarchical" }
-
-// Validate implements platform.ValidatingBalancer.
-func (h *Hierarchical) Validate() error {
-	if err := checkFraction("hierarchical tolerance", h.Tolerance); err != nil {
-		return err
-	}
-	for p, c := range h.Clusters {
-		if c < 0 {
-			return fmt.Errorf("balance: hierarchical cluster id for processor %d is negative (%d)", p, c)
-		}
-	}
-	return nil
-}
 
 // BlockClusters is the topology-agnostic default cluster map: contiguous
 // rank blocks of ~sqrt(procs) processors, the shape that keeps both the
@@ -67,7 +51,6 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 	if len(clusters) != p {
 		clusters = BlockClusters(p)
 	}
-	tol := orDefault(h.Tolerance, defaultTolerance)
 	paired := make([]bool, p)
 	var pairs []platform.Pair
 
@@ -84,7 +67,7 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 
 	// Pass 1: intra-cluster diffusion against each cluster's own mean.
 	for _, c := range ids {
-		pairs = diffuse(pg.Times, pg.Comm, members[c], tol, paired, pairs)
+		pairs = diffuse(pg.Times, pg.Comm, members[c], paired, pairs)
 	}
 
 	// Pass 2: one cross-cluster move per overloaded cluster. Clusters are
@@ -107,7 +90,7 @@ func (h *Hierarchical) Plan(pg platform.ProcGraph) []platform.Pair {
 		return corder[a] < corder[b]
 	})
 	for _, c := range corder {
-		if clusterMean[c] <= globalMean*(1+tol) {
+		if clusterMean[c] <= globalMean*(1+defaultTolerance) {
 			break // sorted: nobody further is overloaded
 		}
 		donor := -1

@@ -1,10 +1,6 @@
 package balance
 
-import (
-	"math"
-
-	"ic2mpi/internal/platform"
-)
+import "ic2mpi/internal/platform"
 
 // Predictive is a forecasting balancer: instead of reacting to the load
 // the processors just reported, it extrapolates each processor's compute
@@ -18,29 +14,14 @@ import (
 // it. With no history (the first balancing invocations, or plain Plan
 // calls) the forecast degenerates to the current times and the balancer
 // behaves exactly like Diffusion.
-type Predictive struct {
-	// Tolerance is the relative overload versus the mean forecast that
-	// triggers migration; 0.10 for the zero value. An explicitly negative
-	// or non-finite tolerance is a configuration error.
-	Tolerance float64
-	// Alpha is the exponential smoothing weight for both the level and the
-	// trend; 0.5 for the zero value. Must be in (0,1].
-	Alpha float64
-}
+type Predictive struct{}
+
+// alpha is Predictive's exponential smoothing weight for both the level
+// and the trend.
+const alpha = 0.5
 
 // Name implements platform.Balancer.
 func (b *Predictive) Name() string { return "Predictive" }
-
-// Validate implements platform.ValidatingBalancer.
-func (b *Predictive) Validate() error {
-	if err := checkFraction("predictive tolerance", b.Tolerance); err != nil {
-		return err
-	}
-	if b.Alpha < 0 || b.Alpha > 1 || math.IsNaN(b.Alpha) {
-		return invalid("predictive alpha", "in (0,1]", b.Alpha)
-	}
-	return nil
-}
 
 // Plan implements platform.Balancer: planning with an empty history, so
 // direct callers (and the property harness) see pure diffusion on the
@@ -58,7 +39,7 @@ func (b *Predictive) PlanWithHistory(pg platform.ProcGraph, hist []platform.Load
 	// One diffusion pass on the forecast loads: most overloaded first,
 	// each paired with its least-loaded communicating neighbor below the
 	// mean forecast.
-	return diffuse(b.forecast(pg, hist), pg.Comm, ranks(p), orDefault(b.Tolerance, defaultTolerance), make([]bool, p), nil)
+	return diffuse(b.forecast(pg, hist), pg.Comm, ranks(p), make([]bool, p), nil)
 }
 
 // forecast extrapolates each processor's next-window compute time: the
@@ -69,7 +50,6 @@ func (b *Predictive) PlanWithHistory(pg platform.ProcGraph, hist []platform.Load
 // leave the current times unchanged. Forecasts are clamped at zero.
 func (b *Predictive) forecast(pg platform.ProcGraph, hist []platform.LoadSample) []float64 {
 	p := len(pg.Times)
-	a := orDefault(b.Alpha, 0.5)
 	out := make([]float64, p)
 	for r := 0; r < p; r++ {
 		var level, trend, spLevel, spTrend float64
@@ -82,11 +62,11 @@ func (b *Predictive) forecast(pg platform.ProcGraph, hist []platform.LoadSample)
 				level, spLevel = s.Times[r], s.Speeds[r]
 			} else {
 				prev := level
-				level = a*s.Times[r] + (1-a)*(level+trend)
-				trend = a*(level-prev) + (1-a)*trend
+				level = alpha*s.Times[r] + (1-alpha)*(level+trend)
+				trend = alpha*(level-prev) + (1-alpha)*trend
 				prevSp := spLevel
-				spLevel = a*s.Speeds[r] + (1-a)*(spLevel+spTrend)
-				spTrend = a*(spLevel-prevSp) + (1-a)*spTrend
+				spLevel = alpha*s.Speeds[r] + (1-alpha)*(spLevel+spTrend)
+				spTrend = alpha*(spLevel-prevSp) + (1-alpha)*spTrend
 			}
 			seen++
 		}

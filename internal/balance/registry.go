@@ -10,10 +10,9 @@ import (
 )
 
 // registry is the name → constructor table behind the scenario balancer
-// axis, at the settings every pinned result was measured with: zero-value
-// thresholds and tolerances. Its order is the order Names reports and
-// error messages list. A constructor sees the run's interconnect name and
-// processor count; only the hierarchical balancer reads them.
+// axis. Its order is the order Names reports and error messages list. A
+// constructor sees the run's interconnect name and processor count; only
+// the hierarchical balancer reads them.
 var registry = []struct {
 	name string
 	new  func(network string, procs int) platform.Balancer

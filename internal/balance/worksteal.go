@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"math"
 	"sort"
 
 	"ic2mpi/internal/platform"
@@ -15,25 +14,12 @@ import (
 // its neighbors slowed down) initiates recovery itself instead of waiting
 // for a neighbor to cross a push threshold. Plans are a pure function of
 // the processor graph — deterministic with rank-order tie-breaks — so the
-// kernel-equivalence and checkpoint-resume properties hold unchanged.
-type WorkStealing struct {
-	// Tolerance is the relative underload versus the mean that makes a
-	// processor steal (a thief's time must be below mean*(1-Tolerance));
-	// 0.10 for the zero value. An explicitly negative, >= 1, or
-	// non-finite tolerance is a configuration error (see Validate).
-	Tolerance float64
-}
+// kernel-equivalence and checkpoint-resume properties hold unchanged. A
+// processor steals when its time is below mean*(1-defaultTolerance).
+type WorkStealing struct{}
 
 // Name implements platform.Balancer.
 func (w *WorkStealing) Name() string { return "Work Stealing" }
-
-// Validate implements platform.ValidatingBalancer.
-func (w *WorkStealing) Validate() error {
-	if w.Tolerance < 0 || w.Tolerance >= 1 || math.IsNaN(w.Tolerance) {
-		return invalid("work-stealing tolerance", "in (0,1)", w.Tolerance)
-	}
-	return nil
-}
 
 // Plan implements platform.Balancer. Thieves are visited in increasing
 // load order (ties broken by lower rank) so the emptiest processor gets
@@ -57,7 +43,7 @@ func (w *WorkStealing) Plan(pg platform.ProcGraph) []platform.Pair {
 		}
 		return order[a] < order[b]
 	})
-	threshold := mean * (1 - orDefault(w.Tolerance, defaultTolerance))
+	threshold := mean * (1 - defaultTolerance)
 	paired := make([]bool, p)
 	var pairs []platform.Pair
 	for _, i := range order {

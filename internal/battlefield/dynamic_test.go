@@ -75,7 +75,7 @@ func TestBattlefieldCombatZoneTriggersMigration(t *testing.T) {
 	}
 	// And the dynamic run should not be slower than static by more than
 	// the balancing overhead budget (sanity bound, not a win guarantee —
-	// see EXPERIMENTS.md on migration granularity).
+	// see docs/scenarios.md, imbalance, on migration granularity).
 	static := cfg
 	static.Balancer = nil
 	sres, err := platform.Run(static)

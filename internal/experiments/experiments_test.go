@@ -203,8 +203,8 @@ func TestTimesForDefaults(t *testing.T) {
 // TestFig18DynamicShape guards the headline load-balancing result: under
 // the Fig. 23 imbalance, the dynamic load balancing utility beats the
 // static partition at 4 and 8 processors (the regime where migration
-// granularity allows a win — see EXPERIMENTS.md for the 16-processor
-// deviation).
+// granularity allows a win — see docs/scenarios.md, imbalance, for the
+// 16-processor deviation).
 func TestFig18DynamicShape(t *testing.T) {
 	rep, err := Run("fig18")
 	if err != nil {

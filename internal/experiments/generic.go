@@ -84,7 +84,7 @@ func staticVsDynamic(id, title string, mk func() (*graph.Graph, error)) Runner {
 		f := &Figure{
 			ID: id, Title: title,
 			XLabel: "Processor", X: procLabels(), YLabel: "Speed-up",
-			Notes: "Fig. 23 imbalance schedule (100:1 grain ratio); balancer every 3 steps, multi-round migration (see EXPERIMENTS.md)",
+			Notes: "Fig. 23 imbalance schedule (100:1 grain ratio); balancer every 3 steps, multi-round migration (see docs/scenarios.md, imbalance)",
 		}
 		dynRows, err := timesFor(sc, "metis", 25, "")
 		if err != nil {

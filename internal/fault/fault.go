@@ -25,12 +25,14 @@
 // Schedules are named by compact specs ("brownout", "links", "ramp",
 // "chaos", each optionally suffixed "@<seed>") so they can ride through
 // scenario parameters, sweep axes and CLI flags; Parse resolves them and
-// Wrap binds a schedule to a concrete run shape (procs, iterations).
+// Wrap binds a schedule to a concrete run shape (procs, iterations). A
+// schedule sets factors, probabilities, the ramp bound and the seed; the
+// windows and the browned-out rank follow from the run shape and the
+// seed, and nothing else sets them.
 package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -41,46 +43,31 @@ import (
 // processor's computation and message overheads take Factor times longer
 // while a window is active. Two modes exist:
 //
-//   - Windowed (Prob == 0): Ranks seed-chosen processors run slow for the
-//     explicit iteration window [From, Until). A zero window defaults to
-//     the middle third of the run — the canonical "mid-run brownout".
+//   - Windowed (Prob == 0): one seed-chosen processor runs slow for the
+//     middle third of the run — the canonical "mid-run brownout".
 //   - Probabilistic (Prob > 0): the iteration axis is divided into
-//     windows of Len iterations and every (processor, window) browns out
-//     independently with probability Prob.
+//     windows of iters/8 iterations (at least 1) and every (processor,
+//     window) browns out independently with probability Prob.
 type Brownout struct {
-	// From and Until bound the windowed brownout to iterations
-	// [From, Until). Both zero selects the middle third of the run;
-	// From set with Until zero runs to the end of the run. An explicit
-	// empty window (Until <= From) is rejected by Wrap.
-	From, Until int
-	// Ranks is the number of seed-chosen processors affected in windowed
-	// mode (default 1; capped at the processor count).
-	Ranks int
 	// Factor is the execution-time multiplier while browned out
 	// (> 1 means slower; must be positive).
 	Factor float64
 	// Prob, when positive, selects probabilistic mode: the chance each
 	// (processor, window) browns out.
 	Prob float64
-	// Len is the probabilistic window length in iterations
-	// (default iters/8, minimum 1).
-	Len int
 }
 
 // LinkFault describes per-link degradation: an affected link's wire time
 // (latency + bytes/bandwidth) is multiplied by Factor. The iteration
-// axis is divided into windows of Len iterations and every (link,
-// window) degrades independently with probability Prob. Links are
-// unordered processor pairs, so degradation is symmetric.
+// axis is divided into windows of iters/6 iterations (at least 1) and
+// every (link, window) degrades independently with probability Prob.
+// Links are unordered processor pairs, so degradation is symmetric.
 type LinkFault struct {
 	// Prob is the chance each (link, window) degrades.
 	Prob float64
 	// Factor is the wire-time multiplier while degraded (must be
 	// positive).
 	Factor float64
-	// Len is the window length in iterations (default iters/6,
-	// minimum 1).
-	Len int
 }
 
 // Ramp describes a background-load ramp: every processor's effective
@@ -154,7 +141,7 @@ func Parse(spec string) (*Schedule, error) {
 		}
 		return nil, nil
 	case NameBrownout:
-		s = &Schedule{Brownout: &Brownout{Factor: 3, Ranks: 1}}
+		s = &Schedule{Brownout: &Brownout{Factor: 3}}
 	case NameLinks:
 		s = &Schedule{Links: &LinkFault{Prob: 0.2, Factor: 4}}
 	case NameRamp:
@@ -184,14 +171,20 @@ type Model struct {
 	base         netmodel.Model
 	sched        Schedule
 	procs, iters int
-	// brown[rank] marks the processors a windowed brownout affects,
-	// selected once from the seed.
-	brown []bool
+	// from and until bound the windowed brownout to iterations
+	// [from, until): the middle third of the run, at least one iteration.
+	from, until int
+	// brownLen and linkLen are the probabilistic brownout and link-fault
+	// window lengths in iterations: iters/8 and iters/6, at least 1.
+	brownLen, linkLen int
+	// brownRank is the one processor a windowed brownout slows: the rank
+	// with the smallest seed hash, ties to the lower rank.
+	brownRank int
 }
 
 // Wrap binds schedule s to a run of iters iterations over procs
-// processors on the base model, filling schedule defaults (windows,
-// lengths, rank counts) from the run shape. A nil schedule is an error —
+// processors on the base model, deriving the windows and the browned-out
+// rank from the run shape and the seed. A nil schedule is an error —
 // callers express "no perturbation" by not wrapping.
 func Wrap(base netmodel.Model, s *Schedule, procs, iters int) (*Model, error) {
 	if base == nil {
@@ -215,33 +208,6 @@ func Wrap(base netmodel.Model, s *Schedule, procs, iters int) (*Model, error) {
 		if bb.Prob < 0 || bb.Prob > 1 {
 			return nil, fmt.Errorf("fault: brownout probability %g outside [0,1]", bb.Prob)
 		}
-		if bb.Prob > 0 {
-			if bb.Len <= 0 {
-				bb.Len = maxInt(1, iters/8)
-			}
-		} else {
-			if bb.From == 0 && bb.Until == 0 {
-				// The canonical mid-run window; on runs too short for a
-				// middle third, at least one iteration browns out.
-				bb.From = iters/3 + 1
-				bb.Until = maxInt(bb.From+1, 2*iters/3+1)
-			}
-			if bb.Until == 0 {
-				bb.Until = iters + 1 // explicit From, open-ended
-			}
-			if bb.From < 1 {
-				bb.From = 1
-			}
-			if bb.Until <= bb.From {
-				return nil, fmt.Errorf("fault: empty brownout window [%d, %d)", bb.From, bb.Until)
-			}
-			if bb.Ranks <= 0 {
-				bb.Ranks = 1
-			}
-			if bb.Ranks > procs {
-				bb.Ranks = procs
-			}
-		}
 		sched.Brownout = &bb
 	}
 	if l := sched.Links; l != nil {
@@ -252,9 +218,6 @@ func Wrap(base netmodel.Model, s *Schedule, procs, iters int) (*Model, error) {
 		if ll.Prob < 0 || ll.Prob > 1 {
 			return nil, fmt.Errorf("fault: link probability %g outside [0,1]", ll.Prob)
 		}
-		if ll.Len <= 0 {
-			ll.Len = maxInt(1, iters/6)
-		}
 		sched.Links = &ll
 	}
 	if r := sched.Ramp; r != nil {
@@ -264,64 +227,21 @@ func Wrap(base netmodel.Model, s *Schedule, procs, iters int) (*Model, error) {
 		rr := *r
 		sched.Ramp = &rr
 	}
-	m := &Model{base: base, sched: sched, procs: procs, iters: iters}
-	if b := sched.Brownout; b != nil && b.Prob == 0 {
-		m.brown = chooseRanks(sched.Seed, procs, b.Ranks)
+	// On runs too short for a middle third, at least one iteration browns
+	// out.
+	from := iters/3 + 1
+	m := &Model{
+		base: base, sched: sched, procs: procs, iters: iters,
+		from: from, until: max(from+1, 2*iters/3+1),
+		brownLen: max(1, iters/8), linkLen: max(1, iters/6),
+	}
+	best := hash3(sched.Seed, saltBrownRank, 0, 0)
+	for r := 1; r < procs; r++ {
+		if h := hash3(sched.Seed, saltBrownRank, r, 0); h < best {
+			best, m.brownRank = h, r
+		}
 	}
 	return m, nil
-}
-
-// chooseRanks deterministically selects n of procs ranks from the seed:
-// every rank is scored by a hash and the n smallest scores win (ties
-// broken by rank), so the choice is uniform-ish yet reproducible.
-func chooseRanks(seed int64, procs, n int) []bool {
-	type scored struct {
-		rank  int
-		score uint64
-	}
-	s := make([]scored, procs)
-	for r := range s {
-		s[r] = scored{rank: r, score: hash3(seed, saltBrownRank, r, 0)}
-	}
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].score != s[b].score {
-			return s[a].score < s[b].score
-		}
-		return s[a].rank < s[b].rank
-	})
-	out := make([]bool, procs)
-	for i := 0; i < n; i++ {
-		out[s[i].rank] = true
-	}
-	return out
-}
-
-// Base returns the wrapped model.
-func (m *Model) Base() netmodel.Model { return m.base }
-
-// Schedule returns the normalized schedule the model runs (windows and
-// lengths filled from the run shape). The members are deep-copied, so
-// mutating the result can never touch the model's live pricing.
-func (m *Model) Schedule() Schedule {
-	out := m.sched
-	if out.Brownout != nil {
-		b := *out.Brownout
-		out.Brownout = &b
-	}
-	if out.Links != nil {
-		l := *out.Links
-		out.Links = &l
-	}
-	if out.Ramp != nil {
-		r := *out.Ramp
-		out.Ramp = &r
-	}
-	return out
-}
-
-// BrownedOut reports whether a windowed brownout affects rank.
-func (m *Model) BrownedOut(rank int) bool {
-	return m.brown != nil && rank >= 0 && rank < len(m.brown) && m.brown[rank]
 }
 
 // Hash salts keep the three perturbation families' pseudo-random draws
@@ -366,10 +286,10 @@ func (m *Model) cpuFactor(epoch, rank int) float64 {
 	if b := m.sched.Brownout; b != nil {
 		switch {
 		case b.Prob > 0:
-			if unit(hash3(m.sched.Seed, saltBrownWin, rank, (epoch-1)/b.Len)) < b.Prob {
+			if unit(hash3(m.sched.Seed, saltBrownWin, rank, (epoch-1)/m.brownLen)) < b.Prob {
 				f *= b.Factor
 			}
-		case m.brown[rank] && epoch >= b.From && epoch < b.Until:
+		case rank == m.brownRank && epoch >= m.from && epoch < m.until:
 			f *= b.Factor
 		}
 	}
@@ -391,7 +311,7 @@ func (m *Model) linkFactor(epoch, src, dst int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	if unit(hash3(m.sched.Seed, saltLink, a*m.procs+b, (epoch-1)/l.Len)) < l.Prob {
+	if unit(hash3(m.sched.Seed, saltLink, a*m.procs+b, (epoch-1)/m.linkLen)) < l.Prob {
 		return l.Factor
 	}
 	return 1
@@ -462,11 +382,4 @@ func (m *Model) String() string {
 		name = "fault"
 	}
 	return name + "(" + m.base.String() + ")"
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

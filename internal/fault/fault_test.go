@@ -70,8 +70,6 @@ func TestWrapValidation(t *testing.T) {
 	for _, bad := range []*Schedule{
 		{Brownout: &Brownout{Factor: 0}},
 		{Brownout: &Brownout{Factor: 2, Prob: 1.5}},
-		{Brownout: &Brownout{Factor: 2, From: 5, Until: 5}},
-		{Brownout: &Brownout{Factor: 2, From: 5, Until: 3}},
 		{Links: &LinkFault{Prob: 0.5, Factor: -1}},
 		{Links: &LinkFault{Prob: -0.1, Factor: 2}},
 		{Ramp: &Ramp{Max: -1}},
@@ -79,30 +77,6 @@ func TestWrapValidation(t *testing.T) {
 		if _, err := Wrap(base, bad, 4, 10); err == nil {
 			t.Errorf("invalid schedule %+v accepted", bad)
 		}
-	}
-	// From without Until runs to the end of the run.
-	open, err := Wrap(base, &Schedule{Brownout: &Brownout{Factor: 2, From: 5}}, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := open.Schedule().Brownout; b.From != 5 || b.Until != 11 {
-		t.Errorf("open-ended window normalized to [%d, %d), want [5, 11)", b.From, b.Until)
-	}
-	// A one-iteration run still browns out somewhere under the default
-	// (mid-third) window.
-	tiny, err := Wrap(base, &Schedule{Brownout: &Brownout{Factor: 2}}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := tiny.Schedule().Brownout; b.Until <= b.From {
-		t.Errorf("iters=1 default window [%d, %d) is empty", b.From, b.Until)
-	}
-	// Schedule() must hand back copies: mutating the result cannot reach
-	// the model's live pricing.
-	got := open.Schedule()
-	got.Brownout.Factor = 99
-	if f := open.Schedule().Brownout.Factor; f != 2 {
-		t.Errorf("Schedule() aliases live schedule: factor became %g", f)
 	}
 	m, err := Wrap(base, s, 4, 10)
 	if err != nil {
@@ -122,7 +96,7 @@ func TestWrapValidation(t *testing.T) {
 func TestEpochZeroIsUnperturbed(t *testing.T) {
 	for _, spec := range []string{"brownout", "links", "ramp", "chaos"} {
 		m := wrap(t, spec, 8, 12)
-		base := m.Base()
+		base := m.base
 		for rank := 0; rank < 8; rank++ {
 			if got, want := m.SpeedAt(0, rank), base.Speed(rank); got != want {
 				t.Errorf("%s: SpeedAt(0, %d) = %g, want %g", spec, rank, got, want)
@@ -140,30 +114,28 @@ func TestEpochZeroIsUnperturbed(t *testing.T) {
 	}
 }
 
-// TestBrownoutWindow pins the canonical mid-run brownout: exactly Ranks
-// processors slow down by Factor, exactly during [From, Until), and the
-// default window is the middle third of the run.
+// TestBrownoutWindow pins the canonical mid-run brownout: exactly one
+// processor slows down by Factor, exactly during the middle third of the
+// run, and a run too short for a middle third still browns out one
+// iteration.
 func TestBrownoutWindow(t *testing.T) {
 	const procs, iters = 8, 30
 	m := wrap(t, "brownout", procs, iters)
-	b := m.Schedule().Brownout
-	if b.From != iters/3+1 || b.Until != 2*iters/3+1 {
-		t.Fatalf("default window [%d, %d), want [%d, %d)", b.From, b.Until, iters/3+1, 2*iters/3+1)
+	if m.from != iters/3+1 || m.until != 2*iters/3+1 {
+		t.Fatalf("window [%d, %d), want [%d, %d)", m.from, m.until, iters/3+1, 2*iters/3+1)
 	}
-	affected := 0
-	for rank := 0; rank < procs; rank++ {
-		if m.BrownedOut(rank) {
-			affected++
-		}
+	if m.brownRank < 0 || m.brownRank >= procs {
+		t.Fatalf("browned-out rank %d outside [0, %d)", m.brownRank, procs)
 	}
-	if affected != 1 {
-		t.Fatalf("%d ranks browned out, want 1", affected)
+	if tiny := wrap(t, "brownout", 4, 1); tiny.until <= tiny.from {
+		t.Errorf("iters=1 window [%d, %d) is empty", tiny.from, tiny.until)
 	}
+	factor := m.sched.Brownout.Factor
 	for epoch := 0; epoch <= iters; epoch++ {
 		for rank := 0; rank < procs; rank++ {
 			want := 1.0
-			if m.BrownedOut(rank) && epoch >= b.From && epoch < b.Until {
-				want = b.Factor
+			if rank == m.brownRank && epoch >= m.from && epoch < m.until {
+				want = factor
 			}
 			if got := m.SpeedAt(epoch, rank); got != want {
 				t.Fatalf("SpeedAt(%d, %d) = %g, want %g", epoch, rank, got, want)
@@ -219,7 +191,7 @@ func TestDeterminism(t *testing.T) {
 // the base model's.
 func TestLinkFaultSymmetry(t *testing.T) {
 	m := wrap(t, "links", 8, 24)
-	base := m.Base()
+	base := m.base
 	degraded := 0
 	for epoch := 1; epoch <= 24; epoch++ {
 		for src := 0; src < 8; src++ {
@@ -246,7 +218,7 @@ func TestLinkFaultSymmetry(t *testing.T) {
 // decrease with the epoch and stay within [1, 1+Max].
 func TestRampMonotone(t *testing.T) {
 	m := wrap(t, "ramp", 8, 40)
-	max := m.Schedule().Ramp.Max
+	max := m.sched.Ramp.Max
 	varied := false
 	for rank := 0; rank < 8; rank++ {
 		prev := 1.0

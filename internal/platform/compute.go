@@ -104,7 +104,7 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	for i, u := range node.neighbors {
 		neighbors[i] = Neighbor{ID: u, Data: node.nbr[i].data}
 	}
-	s.comm.Charge(float64(len(neighbors)+1) * s.cfg.Overheads.ListPerNeighbor)
+	s.comm.Charge(float64(len(neighbors)+1) * listPerNeighbor)
 	t1 := s.comm.Wtime()
 	s.phase[PhaseComputeOverhead] += t1 - t0
 
@@ -130,7 +130,7 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 
 	// Update the data node list (most_recent_data).
 	e.mostRecent = newData
-	s.comm.Charge(s.cfg.Overheads.UpdatePerNode)
+	s.comm.Charge(updatePerNode)
 	t3 := s.comm.Wtime()
 	s.phase[PhaseComputeOverhead] += t3 - t2
 
@@ -145,7 +145,7 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 			}
 			buf := &s.peers[i].pool[s.gen]
 			*buf = append(*buf, shadowUpdate{id: node.id, data: newData})
-			s.comm.Charge(s.cfg.Overheads.PackPerNode)
+			s.comm.Charge(packPerNode)
 		}
 		s.phase[PhaseCommOverhead] += s.comm.Wtime() - t3
 	}
@@ -162,7 +162,7 @@ func (s *rankState) flipMostRecent() {
 	for _, node := range s.peripheral {
 		node.self.data = node.self.mostRecent
 	}
-	s.comm.Charge(float64(s.numOwned()) * s.cfg.Overheads.UpdatePerNode)
+	s.comm.Charge(float64(s.numOwned()) * updatePerNode)
 	s.phase[PhaseComputeOverhead] += s.comm.Wtime() - t0
 }
 
@@ -216,7 +216,7 @@ func (s *rankState) recvShadows(sub int) error {
 			}
 			e.data = u.data
 			e.mostRecent = u.data
-			s.comm.Charge(s.cfg.Overheads.UnpackPerNode)
+			s.comm.Charge(unpackPerNode)
 		}
 		s.phase[PhaseCommOverhead] += s.comm.Wtime() - t1
 	}

@@ -226,7 +226,6 @@ func TestRunFineGrainScalesWorseThanCoarse(t *testing.T) {
 
 func TestPhaseTimesAccounted(t *testing.T) {
 	cfg := baseConfig(hexGrid(t, 8, 8), 4)
-	cfg.Overheads = DefaultOverheads()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

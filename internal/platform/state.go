@@ -223,7 +223,7 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 	}
 	s.resolveAll()
 	// One node-list and one data entry per owned node, one entry per shadow.
-	comm.Charge(float64(2*len(mine)+shadows) * cfg.Overheads.InitPerEntry)
+	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
 	return s, nil
 }

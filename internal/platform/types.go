@@ -126,15 +126,6 @@ type HistoryBalancer interface {
 	PlanWithHistory(pg ProcGraph, hist []LoadSample) []Pair
 }
 
-// ValidatingBalancer is an optional Balancer extension: Validate reports
-// a configuration error (an explicitly invalid threshold or tolerance)
-// before the run starts. Config.normalize calls it so a misconfigured
-// balancer fails loudly at construction instead of silently falling back
-// to package defaults mid-run.
-type ValidatingBalancer interface {
-	Validate() error
-}
-
 // Phase identifies one of the six platform phases whose overheads Figures
 // 21 and 22 break down.
 type Phase int
@@ -181,43 +172,30 @@ func (p Phase) String() string {
 	}
 }
 
-// OverheadModel prices the platform's bookkeeping work for the virtual
-// clock; these costs are what Figures 21-22 measure. All values are in
-// seconds. A zero field is a free operation; the all-zero model is not
-// free bookkeeping — Config.normalize replaces it with DefaultOverheads().
-type OverheadModel struct {
-	// InitPerEntry is charged during initialization per node-list, data
+// The platform's bookkeeping work is priced on the virtual clock by five
+// costs in seconds; they are what Figures 21-22 measure. They are
+// calibrated so the phase breakdown of a fine-grained 64-node run matches
+// the shape of Figures 21-22: communication overhead (packing and, above
+// all, the linear data-node-list scans the thesis performs per received
+// shadow update) is the dominant platform overhead, and compute/computation
+// overhead shrink with the processor count.
+const (
+	// initPerEntry is charged during initialization per node-list, data
 	// node and hash-table entry created.
-	InitPerEntry float64
-	// ListPerNeighbor is charged per element when forming the node +
+	initPerEntry = 4e-6
+	// listPerNeighbor is charged per element when forming the node +
 	// neighbors list handed to the node function.
-	ListPerNeighbor float64
-	// UpdatePerNode is charged per own node when writing back
+	listPerNeighbor = 1.5e-6
+	// updatePerNode is charged per own node when writing back
 	// most_recent_data after computation.
-	UpdatePerNode float64
-	// PackPerNode is charged per (node, destination) pair when packing
+	updatePerNode = 1e-6
+	// packPerNode is charged per (node, destination) pair when packing
 	// updated peripheral data into communication buffers.
-	PackPerNode float64
-	// UnpackPerNode is charged per received shadow node when updating the
+	packPerNode = 45e-6
+	// unpackPerNode is charged per received shadow node when updating the
 	// data lists after communication.
-	UnpackPerNode float64
-}
-
-// DefaultOverheads returns bookkeeping costs calibrated so the phase
-// breakdown of a fine-grained 64-node run matches the shape of Figures
-// 21-22: communication overhead (packing and, above all, the linear
-// data-node-list scans the thesis performs per received shadow update) is
-// the dominant platform overhead, and compute/computation overhead shrink
-// with the processor count.
-func DefaultOverheads() OverheadModel {
-	return OverheadModel{
-		InitPerEntry:    4e-6,
-		ListPerNeighbor: 1.5e-6,
-		UpdatePerNode:   1e-6,
-		PackPerNode:     45e-6,
-		UnpackPerNode:   55e-6,
-	}
-}
+	unpackPerNode = 55e-6
+)
 
 // Config describes one platform run. Graph, InitialPartition, InitData and
 // Node are the user plug-ins; everything else tunes the platform.
@@ -266,8 +244,6 @@ type Config struct {
 	// uniform machine with the Origin 2000 base costs
 	// (netmodel.NewUniform(netmodel.Origin2000())).
 	Network netmodel.Model
-	// Overheads prices platform bookkeeping (default DefaultOverheads()).
-	Overheads OverheadModel
 	// Kernel selects the mpi execution engine: mpi.KernelGoroutine (the
 	// default — one goroutine per rank, the engine every pinned table and
 	// golden trace was measured on), mpi.KernelEvent (ranks as passive
@@ -357,19 +333,11 @@ func (c *Config) normalize() (*Config, error) {
 	if out.BalanceEvery <= 0 {
 		out.BalanceEvery = 10
 	}
-	if out.Overheads == (OverheadModel{}) {
-		out.Overheads = DefaultOverheads()
-	}
 	if out.Network == nil {
 		out.Network = netmodel.NewUniform(netmodel.Origin2000())
 	}
 	if err := out.Network.Validate(out.Procs); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
-	}
-	if v, ok := out.Balancer.(ValidatingBalancer); ok {
-		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("platform: invalid balancer %q: %w", out.Balancer.Name(), err)
-		}
 	}
 	return &out, nil
 }
