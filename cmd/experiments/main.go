@@ -27,10 +27,10 @@
 // each accepts. Unspecified axes stay at the scenario's default, and an
 // axis takes its values once. -balancer, -network, -perturb and -kernel
 // are shorthand for the sweep clauses of the same names.
-// -kernel-workers sets the pevent kernel's worker count (0 means
-// min(GOMAXPROCS, procs)); it is a host-side tuning knob — output bytes
-// are identical at any value — and, like -kernel, needs -scenario: the
-// paper experiments run the default kernel.
+// -kernel-workers sets the goroutine and pevent kernels' worker count (0
+// means min(GOMAXPROCS, procs); event always runs one); it is a host-side
+// tuning knob — output bytes are identical at any value — and, like
+// -kernel, needs -scenario: the paper experiments run the default kernel.
 //
 // Sweep runs — those of -scenario and those behind the paper's tables and
 // figures alike — execute concurrently on -parallel workers (default:
@@ -109,7 +109,7 @@ func main() {
 		flag.Func(name, fmt.Sprintf(`values of the %s sweep axis, comma-separated (shorthand for a "%s=" -sweep clause)`, name, name),
 			func(v string) error { axisFlags[name] = v; return nil })
 	}
-	kernelWorkers := experiments.CountFlag(flag.CommandLine, "kernel-workers", 0, "worker `count` for the pevent kernel; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
+	kernelWorkers := experiments.CountFlag(flag.CommandLine, "kernel-workers", 0, "worker `count` for the goroutine and pevent kernels; 0 means min(GOMAXPROCS, procs); output bytes are identical at any value")
 	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent sweep runs; 0 means number of CPUs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile, taken after the run completes, to this file")

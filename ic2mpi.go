@@ -142,27 +142,26 @@ const (
 	NumPhases = platform.NumPhases
 )
 
-// Execution kernels (Config.Kernel).
+// Execution kernels (Config.Kernel). There is one engine: ranks are
+// passive states with flat per-rank memory that a scheduler resumes in
+// wake order, on workers that synchronize only when every one has run out
+// of runnable ranks. The names pick its worker count, and every name and
+// count gives the same bytes.
 const (
-	// KernelGoroutine runs one goroutine per simulated rank — the default
-	// engine, and the one every pinned table and golden trace was
-	// measured on.
+	// KernelGoroutine is the default: min(GOMAXPROCS, procs) workers, or
+	// Config.KernelWorkers. The name once meant one goroutine per rank,
+	// the engine every pinned table and golden trace was recorded on.
 	KernelGoroutine = mpi.KernelGoroutine
-	// KernelEvent runs ranks as passive states that a scheduler on one
-	// worker resumes in wake order: bit-identical virtual timelines with
-	// flat per-rank memory, built for worlds of thousands of simulated
-	// processors. Virtual clock only.
+	// KernelEvent runs one worker, whatever Config.KernelWorkers says.
 	KernelEvent = mpi.KernelEvent
-	// KernelParallelEvent runs the same scheduler sharded across
-	// min(GOMAXPROCS, procs) workers that synchronize only when every one
-	// has run out of runnable ranks (Config.KernelWorkers overrides the
-	// worker count; at one worker it is KernelEvent). Bit-identical to the
-	// other kernels at any worker count. Virtual clock only.
+	// KernelParallelEvent runs min(GOMAXPROCS, procs) workers, or
+	// Config.KernelWorkers, like KernelGoroutine; at one worker it is
+	// KernelEvent.
 	KernelParallelEvent = mpi.KernelParallelEvent
 )
 
 // ParseKernel resolves a kernel name (see mpi.KernelNames; "" selects the
-// default goroutine kernel) to a Kernel.
+// default, KernelGoroutine) to a Kernel.
 func ParseKernel(name string) (Kernel, error) { return mpi.ParseKernel(name) }
 
 // Run executes the platform on cfg and blocks until every virtual

@@ -3,15 +3,15 @@
 //
 // The original system ran as MPI processes on an SGI Origin 2000. Pure-Go,
 // stdlib-only code has no viable MPI bindings, so this package executes the
-// same single-program-multiple-data structure with one goroutine per rank
-// and mailboxes guarded by condition variables as the interconnect — or,
-// for large worlds, with ranks as passive states that a scheduler on one
-// or several workers resumes in wake order (Options.Kernel, see kernel.go;
-// the virtual timeline is the same either way). Point-to-point
-// operations (Isend, Recv), collectives (Barrier, Bcast, Gather, Allgather
-// and the typed BcastInts, GatherFloat64, GatherInts) and Wtime mirror the
-// MPI calls the platform makes (Fig. 8, Fig. 8a and the load balancer of
-// Section 4.3). No call reports whether a message has been queued yet, so
+// same single-program-multiple-data structure with ranks as passive states
+// on runtime coroutines, which a scheduler on one or several host workers
+// resumes in wake order (pevent.go; Options.Kernel and Options.Workers
+// pick the worker count, see kernel.go, and the virtual timeline is the
+// same at every count). Point-to-point operations (Isend, Recv),
+// collectives (Barrier, Bcast, Gather, Allgather and the typed BcastInts,
+// GatherFloat64, GatherInts) and Wtime mirror the MPI calls the platform
+// makes (Fig. 8, Fig. 8a and the load balancer of Section 4.3). No call
+// reports whether a message has been queued yet, so
 // nothing a program can observe depends on the host schedule. Fig. 8a's
 // MPI_Irecv/MPI_Wait pair has no counterpart: a receive completes at the
 // later of the receiver's time and the message's arrival wherever it is

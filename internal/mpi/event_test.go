@@ -1,9 +1,9 @@
 package mpi
 
-// Unit tests of the event-driven kernel under both of its names:
-// in-package equivalence smokes against the goroutine kernel, the
-// failure paths the big differential suite (TestKernelEquivalence at the
-// repo root) cannot reach, and the run queue itself.
+// Unit tests of the engine under every kernel name: in-package
+// equivalence smokes against its one-worker run (event), the failure
+// paths the big differential suite (TestKernelEquivalence at the repo
+// root) cannot reach, and the run queue itself.
 
 import (
 	"errors"
@@ -24,10 +24,11 @@ type kernelSnap struct {
 }
 
 // kernelMatrix enumerates every engine configuration the in-package
-// equivalence smokes cross-check: the three kernel names, with pevent
-// also pinned at explicit worker counts so worker partitioning
-// (including a block size of one) is exercised regardless of GOMAXPROCS.
-// One worker is the event row.
+// equivalence smokes cross-check: the three kernel names (goroutine and
+// pevent at the automatic worker count), with pevent also pinned at
+// explicit worker counts so worker partitioning (including a block size
+// of one) is exercised regardless of GOMAXPROCS. One worker is the event
+// row, the reference.
 func kernelMatrix(procs int) map[string]Options {
 	m := map[string]Options{
 		"goroutine": {Kernel: KernelGoroutine},
@@ -69,14 +70,14 @@ func runAllKernels(t *testing.T, opts Options, fn func(c *Comm) error) map[strin
 }
 
 // checkKernelsAgree asserts every configuration's snapshot is identical,
-// bit for bit, to the goroutine kernel's.
+// bit for bit, to the one-worker run's (event).
 func checkKernelsAgree(t *testing.T, label string, snaps map[string][]kernelSnap) {
 	t.Helper()
-	base := snaps["goroutine"]
+	base := snaps["event"]
 	for name, got := range snaps {
 		for r := range base {
 			if base[r] != got[r] {
-				t.Errorf("%s: rank %d diverges:\n  goroutine %+v\n  %-9s %+v", label, r, base[r], name, got[r])
+				t.Errorf("%s: rank %d diverges:\n  event     %+v\n  %-9s %+v", label, r, base[r], name, got[r])
 			}
 		}
 	}
@@ -140,15 +141,17 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	}
 }
 
-// eventConfigs is the table the failure-path tests run over: the
-// one-worker kernel under its own name, and pevent with the ranks split
-// over two and three workers, so the failing rank, the blocked ranks and
-// a phantom sender land both together and apart.
+// eventConfigs is the table the failure-path tests run over: the default
+// name at the automatic worker count, the one-worker kernel under its own
+// name, and pevent with the ranks split over two and three workers, so
+// the failing rank, the blocked ranks and a phantom sender land both
+// together and apart.
 var eventConfigs = []struct {
 	name    string
 	kernel  Kernel
 	workers int
 }{
+	{"goroutine", KernelGoroutine, 0},
 	{"event", KernelEvent, 0},
 	{"pevent-w2", KernelParallelEvent, 2},
 	{"pevent-w3", KernelParallelEvent, 3},
@@ -178,9 +181,9 @@ func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Optio
 }
 
 // TestEventKernelDetectsDeadlock: a receive that can never be satisfied
-// empties every run queue; the kernel must fail the world, whether the
-// blocked rank shares a worker with its phantom sender or not (the
-// goroutine kernel would hang forever here, which is why it has no row).
+// empties every run queue; the engine must fail the world under every
+// name, whether the blocked rank shares a worker with its phantom sender
+// or not.
 func TestEventKernelDetectsDeadlock(t *testing.T) {
 	forEventKernels(t, 3, func(t *testing.T, opts Options) {
 		err := Run(opts, func(c *Comm) error {
@@ -196,10 +199,10 @@ func TestEventKernelDetectsDeadlock(t *testing.T) {
 	})
 }
 
-// TestEventKernelErrorAndPanicPropagate mirrors TestRankErrorPropagates
-// and TestPanicConvertedToError on the event path: the failure must
-// unblock ranks parked in Recv and in Barrier, including on workers the
-// failing rank does not own. The failing rank is the last one and first
+// TestEventKernelErrorAndPanicPropagate: an error a rank returns and a
+// panic it raises both become Run's error, and the failure must unblock
+// ranks parked in Recv and in Barrier, including on workers the failing
+// rank does not own. The failing rank is the last one and first
 // collects a token from every sibling, so each sibling is parked when it
 // fails: one on its own worker ran before it, and a token from another
 // worker crosses only at the fold that follows its sender's park. The
@@ -255,9 +258,8 @@ func TestEventKernelErrorAndPanicPropagate(t *testing.T) {
 	})
 }
 
-// TestEventKernelFailUnblocks mirrors TestFailUnblocksBarrier: Comm.Fail
-// from a running rank must wake barrier waiters, on its own worker and
-// on others.
+// TestEventKernelFailUnblocks: Comm.Fail from a running rank must wake
+// barrier waiters, on its own worker and on others.
 func TestEventKernelFailUnblocks(t *testing.T) {
 	forEventKernels(t, 3, func(t *testing.T, opts Options) {
 		err := Run(opts, func(c *Comm) error {
@@ -328,7 +330,7 @@ func TestEventRunQueue(t *testing.T) {
 // rank in descending order while they all send at once, so each message
 // reaches a rank that is waiting for another source or is already queued;
 // the received values and the final clocks are pinned against the
-// goroutine kernel. Then the same fan-in with a Fail from the last sender
+// one-worker run. Then the same fan-in with a Fail from the last sender
 // while rank 0 is queued for its message and the others are parked in the
 // barrier: wakeBlock runs over a rank that is already queued and over the
 // failing rank itself (at one worker that fills the ring to its last
@@ -377,15 +379,15 @@ func TestEventRankQueuedOnce(t *testing.T) {
 	}
 	cost := netmodel.NewUniform(netmodel.Origin2000())
 	opts := freeOpts(procs)
-	opts.Cost = cost
+	opts.Cost, opts.Kernel = cost, KernelEvent
 	ref, refClocks := clean(t, opts)
 	if want := [3]int{87654321, 64208642, 41852963}; ref != want {
-		t.Fatalf("goroutine kernel received %v, pinned %v", ref, want)
+		t.Fatalf("one worker received %v, pinned %v", ref, want)
 	}
 	forEventKernels(t, procs, func(t *testing.T, o Options) {
 		o.Cost = cost
 		if got, clocks := clean(t, o); got != ref || clocks != refClocks {
-			t.Errorf("received %v with clocks %v, goroutine kernel %v with %v", got, clocks, ref, refClocks)
+			t.Errorf("received %v with clocks %v, one worker %v with %v", got, clocks, ref, refClocks)
 		}
 		err := Run(o, fanIn(true, make([]int, 3)))
 		if want := "mpi: rank 8: deliberate"; err == nil || err.Error() != want {

@@ -5,33 +5,30 @@ import (
 	"strings"
 )
 
-// Kernel selects the execution engine that drives the ranks of a World.
-// All kernels implement the same Comm API and — by construction — the
-// same virtual timeline: every clock advance is a pure function of
-// message content and per-rank program order, never of host scheduling,
-// so the kernels are bit-identical and differ only in host-side cost.
-// There are three names over two engines: event and pevent share one
-// scheduler and differ in worker count.
+// Kernel names a worker count for the one engine that drives the ranks of
+// a World (pevent.go): ranks are passive states on runtime coroutines,
+// resumed in the order they were woken (a run queue of ranks — no virtual
+// time takes part in scheduling), with slab-allocated message envelopes,
+// so a simulation scales to tens of thousands of ranks with flat memory
+// per rank. Every clock advance is a pure function of message content and
+// per-rank program order, never of host scheduling, so every name and
+// worker count is bit-identical and differs only in host-side cost. The
+// three names are kept, accepted and echoed for good: they are part of
+// every persisted CellKey, report, snapshot and manifest.
 type Kernel int
 
 const (
-	// KernelGoroutine is the original engine: one goroutine per rank,
-	// channel-free mailboxes guarded by mutex+cond, all ranks runnable
-	// concurrently. Best host-time at small worlds; memory and scheduler
-	// pressure grow with rank count.
+	// KernelGoroutine is the default: the engine at Options.Workers
+	// workers, min(GOMAXPROCS, procs) when that is 0. The name is older
+	// than the engine; it once meant one goroutine per rank.
 	KernelGoroutine Kernel = iota
-	// KernelEvent is the event-driven engine (pevent.go) on one worker:
-	// ranks are passive states on runtime coroutines, resumed by a
-	// scheduler in the order they were woken (a run queue of ranks — no
-	// virtual time takes part in scheduling), with slab-allocated message
-	// envelopes instead of per-rank mailbox locks.
-	// Exactly one rank runs at a time, and the simulation scales to tens
-	// of thousands of ranks with flat memory per rank.
+	// KernelEvent is the engine on one worker, whatever Options.Workers
+	// says: exactly one rank runs at a time, on the caller's goroutine.
 	KernelEvent
-	// KernelParallelEvent is the same engine run in parallel: ranks are
-	// partitioned across min(GOMAXPROCS, procs) workers (see
-	// Options.Workers), each owning a private run queue and message slab.
-	// Workers run concurrently until each is out of runnable ranks, staging
+	// KernelParallelEvent is the engine at Options.Workers workers, like
+	// KernelGoroutine: ranks are partitioned across the workers, each
+	// owning a private run queue and message slab. Workers run
+	// concurrently until each is out of runnable ranks, staging
 	// cross-worker sends into per-worker lanes merged at the window fold;
 	// none waits for another's virtual time (pevent.go says why none has
 	// to). At one worker it is KernelEvent.
@@ -64,8 +61,8 @@ func (k Kernel) String() string {
 	return fmt.Sprintf("Kernel(%d)", int(k))
 }
 
-// ParseKernel resolves a kernel name ("" means the default goroutine
-// kernel, preserving every pre-kernel configuration unchanged).
+// ParseKernel resolves a kernel name ("" means KernelGoroutine, the
+// default, preserving every pre-kernel configuration unchanged).
 func ParseKernel(name string) (Kernel, error) {
 	if name == "" {
 		return KernelGoroutine, nil

@@ -20,29 +20,27 @@ type Options struct {
 	// arrival times plus per-rank send/receive overheads. nil means free
 	// communication (netmodel.Free()).
 	Cost netmodel.Model
-	// Kernel selects the execution engine: KernelGoroutine (default, one
-	// goroutine per rank), KernelEvent (the discrete-event scheduler on
-	// one worker, for large worlds) or KernelParallelEvent (the same
-	// scheduler sharded across workers that synchronize only when all are
-	// out of events). All are bit-identical in virtual time, stats and
-	// traces — see kernel.go.
+	// Kernel names the worker count of the one engine (pevent.go):
+	// KernelGoroutine (the default) and KernelParallelEvent run Workers
+	// workers, KernelEvent runs one. Every name and worker count is
+	// bit-identical in virtual time, stats and traces — see kernel.go.
 	Kernel Kernel
-	// Workers bounds the worker count of KernelParallelEvent: 0 (the
-	// default) resolves to min(GOMAXPROCS, Procs); explicit values are
-	// clamped to Procs. Any worker count produces the same bytes — the
-	// knob trades host parallelism against messages that wait a window in
-	// a cross-worker lane. Ignored by the other kernels (KernelEvent is
-	// always one worker).
+	// Workers bounds the worker count of KernelGoroutine and
+	// KernelParallelEvent: 0 (the default) resolves to min(GOMAXPROCS,
+	// Procs); explicit values are clamped to Procs. Any worker count
+	// produces the same bytes — the knob trades host parallelism against
+	// messages that wait a window in a cross-worker lane. Ignored by
+	// KernelEvent, which is always one worker.
 	Workers int
 	// Probe, when non-nil, is overwritten as Run returns with what the
-	// event engine did on the host (windows, activations, parks, staged
-	// messages). It is an observer, not a setting: a run with Probe set is
-	// byte-identical to one without. Left untouched by KernelGoroutine.
+	// engine did on the host (windows, activations, parks, staged
+	// messages), under every kernel name. It is an observer, not a
+	// setting: a run with Probe set is byte-identical to one without.
 	Probe *KernelCounters
 }
 
 // World owns the shared state of one SPMD execution: the cost model, the
-// mailboxes and the barrier.
+// engine that schedules the ranks and the failure state.
 type World struct {
 	procs int
 	cost  netmodel.Model
@@ -50,15 +48,13 @@ type World struct {
 	// (netmodel.TimeVarying): receives re-price arrival at the message's
 	// send epoch and SetEpoch refreshes cached per-rank overheads. nil
 	// for static models, keeping their receive path untouched.
-	tv    netmodel.TimeVarying
-	boxes []*mailbox
-	bar   *barrier
-	// eng is non-nil when the world runs under the event-driven kernel
-	// (pevent.go); Comm methods branch to it instead of the mailboxes.
+	tv netmodel.TimeVarying
+	// eng runs the ranks (pevent.go); set by runPEvent before any rank
+	// starts, so Comm methods call it unconditionally.
 	eng *eventEngine
 	// failFlag is the lock-free fast path for "has any rank failed":
-	// receive loops poll it on every wakeup, so it must not require
-	// taking failMu (which would nest inside the mailbox lock).
+	// receive loops poll it on every resume, so it must not require
+	// taking failMu.
 	failFlag atomic.Bool
 	failMu   sync.Mutex
 	fail     error
@@ -76,98 +72,8 @@ type message struct {
 	epoch int
 }
 
-// mailbox is the per-rank receive queue. Senders append under mu; the
-// owning rank (the only receiver) scans for the first (src, tag) match.
-// Delivered envelopes return to free, so steady-state traffic recycles a
-// small fixed set of envelopes instead of allocating one per message.
-type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*message
-	free    []*message
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// get returns a recycled envelope (or a fresh one) filled with m. Callers
-// must hold mu.
-func (b *mailbox) get(m message) *message {
-	if n := len(b.free); n > 0 {
-		env := b.free[n-1]
-		b.free = b.free[:n-1]
-		*env = m
-		return env
-	}
-	env := new(message)
-	*env = m
-	return env
-}
-
-// put zeroes env (dropping the payload reference) and returns it to the
-// free list. Callers must hold mu.
-func (b *mailbox) put(env *message) {
-	*env = message{}
-	b.free = append(b.free, env)
-}
-
-// barrier is a generation-counting barrier that also synchronizes virtual
-// clocks: every participant contributes its clock, and all leave with the
-// maximum.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	procs   int
-	arrived int
-	gen     uint64
-	maxTime float64
-	// outTime holds the released max for the finishing generation.
-	outTime float64
-}
-
-func newBarrier(procs int) *barrier {
-	b := &barrier{procs: procs}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all procs arrive and returns the maximum clock value
-// contributed by any participant. abort is re-checked whenever the waiter
-// is woken so that a failing sibling rank (which broadcasts on the barrier
-// via failWake) unblocks everyone instead of leaving them asleep.
-func (b *barrier) wait(clock float64, abort func() bool) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if clock > b.maxTime {
-		b.maxTime = clock
-	}
-	b.arrived++
-	if b.arrived == b.procs {
-		b.outTime = b.maxTime
-		b.maxTime = 0
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return b.outTime
-	}
-	gen := b.gen
-	for gen == b.gen {
-		if abort != nil && abort() {
-			// Withdraw from the barrier so a later re-entry (there will
-			// not be one — the world is failing) cannot miscount.
-			b.arrived--
-			return clock
-		}
-		b.cond.Wait()
-	}
-	return b.outTime
-}
-
 // Comm is one rank's handle on the world. All methods must be called only
-// from the goroutine that owns the rank.
+// from the rank's own program.
 type Comm struct {
 	world *World
 	rank  int
@@ -218,8 +124,8 @@ func (c *Comm) Stats() Stats {
 // counters reload from st. It exists for checkpoint/resume — the
 // platform calls it once per rank, before any communication, so a
 // restored run's clocks and Stats continue exactly where the snapshot
-// was cut. Like every Comm method it must be called from the goroutine
-// (or coroutine, under the event kernel) that owns the rank.
+// was cut. Like every Comm method it must be called from the rank's own
+// program.
 func (c *Comm) Restore(clock float64, st Stats) error {
 	if c.sent != 0 || c.received != 0 {
 		return fmt.Errorf("mpi: rank %d Restore after communication started", c.rank)
@@ -238,7 +144,8 @@ func (c *Comm) Restore(clock float64, st Stats) error {
 
 // Run executes fn as an SPMD program across opts.Procs ranks and blocks
 // until every rank returns. It returns the first error raised by any rank
-// via Comm.Fail, or a panic converted to an error.
+// via Comm.Fail, a panic converted to an error, or "mpi: deadlock: …"
+// once every unfinished rank is blocked on something no rank can supply.
 func Run(opts Options, fn func(c *Comm) error) error {
 	if opts.Procs < 1 {
 		return fmt.Errorf("mpi: Procs must be >= 1, got %d", opts.Procs)
@@ -250,41 +157,20 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	if err := cost.Validate(opts.Procs); err != nil {
 		return err
 	}
-	w := &World{
-		procs: opts.Procs,
-		cost:  cost,
-		bar:   newBarrier(opts.Procs),
-	}
+	w := &World{procs: opts.Procs, cost: cost}
 	if tv, ok := cost.(netmodel.TimeVarying); ok {
 		w.tv = tv
 	}
-	switch opts.Kernel {
-	case KernelEvent, KernelParallelEvent:
-		workers := opts.Workers
-		if opts.Kernel == KernelEvent {
-			workers = 1
-		}
-		return runPEvent(w, fn, workers, opts.Probe)
+	workers := opts.Workers
+	if opts.Kernel == KernelEvent {
+		workers = 1
 	}
-	w.boxes = make([]*mailbox, opts.Procs)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	var wg sync.WaitGroup
-	wg.Add(opts.Procs)
-	for r := 0; r < opts.Procs; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			w.runRank(rank, fn)
-		}(r)
-	}
-	wg.Wait()
-	return w.failed()
+	return runPEvent(w, fn, workers, opts.Probe)
 }
 
-// runRank executes fn as rank's program under either kernel. An error
-// or a panic fails the world and wakes blocked siblings, so a failed
-// collective does not hang them forever.
+// runRank executes fn as rank's program. An error or a panic fails the
+// world and wakes blocked siblings, so a failed collective does not hang
+// them forever.
 func (w *World) runRank(rank int, fn func(c *Comm) error) {
 	c := &Comm{
 		world:        w,
@@ -295,12 +181,12 @@ func (w *World) runRank(rank int, fn func(c *Comm) error) {
 	defer func() {
 		if p := recover(); p != nil {
 			w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
-			w.failWake(rank)
+			w.eng.failWake(rank)
 		}
 	}()
 	if err := fn(c); err != nil {
 		w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
-		w.failWake(rank)
+		w.eng.failWake(rank)
 	}
 }
 
@@ -317,24 +203,6 @@ func (w *World) failed() error {
 	w.failMu.Lock()
 	defer w.failMu.Unlock()
 	return w.fail
-}
-
-// failWake wakes blocked ranks after rank failed the world, so they
-// observe the failure and unwind: the event kernel reschedules parked
-// ranks, the goroutine kernel broadcasts on every mailbox and the barrier.
-func (w *World) failWake(rank int) {
-	if w.eng != nil {
-		w.eng.failWake(rank)
-		return
-	}
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
-	w.bar.mu.Lock()
-	w.bar.cond.Broadcast()
-	w.bar.mu.Unlock()
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -384,17 +252,7 @@ func (c *Comm) Isend(dst, tag int, payload any, bytes int) error {
 		return fmt.Errorf("mpi: Isend negative byte count %d", bytes)
 	}
 	c.clock.Advance(c.sendOverhead)
-	m := message{src: c.rank, tag: tag, payload: payload, bytes: bytes, sentAt: c.clock.Now(), epoch: c.epoch}
-	if eng := c.world.eng; eng != nil {
-		eng.send(dst, m)
-	} else {
-		box := c.world.boxes[dst]
-		box.mu.Lock()
-		box.pending = append(box.pending, box.get(m))
-		// The owning rank is the only receiver, so one wakeup suffices.
-		box.cond.Signal()
-		box.mu.Unlock()
-	}
+	c.world.eng.send(dst, message{src: c.rank, tag: tag, payload: payload, bytes: bytes, sentAt: c.clock.Now(), epoch: c.epoch})
 	c.sent++
 	c.bytesSent += bytes
 	return nil
@@ -410,36 +268,13 @@ func (c *Comm) Recv(src, tag int) (any, error) {
 	if src < 0 || src >= c.world.procs {
 		return nil, fmt.Errorf("mpi: Recv on rank %d from invalid rank %d (size %d)", c.rank, src, c.world.procs)
 	}
-	if eng := c.world.eng; eng != nil {
-		return eng.recv(c, src, tag)
-	}
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	for {
-		// Lock-free failure check: taking failMu here would nest inside
-		// box.mu on every wakeup of every blocked receiver.
-		if c.world.failFlag.Load() {
-			box.mu.Unlock()
-			return nil, errAborted(c.rank, "Recv")
-		}
-		for i, env := range box.pending {
-			if env.src == src && (tag == AnyTag || env.tag == tag) {
-				box.pending = append(box.pending[:i], box.pending[i+1:]...)
-				m := *env
-				box.put(env)
-				box.mu.Unlock()
-				c.completeRecv(m)
-				return m.payload, nil
-			}
-		}
-		box.cond.Wait()
-	}
+	return c.world.eng.recv(c, src, tag)
 }
 
 // errAborted is what a blocking call returns once a sibling rank has
-// failed the world. It is built out of line: under the event kernel a
-// rank parks inside Recv and Barrier, and fmt.Errorf's argument
-// temporaries would otherwise be part of every parked stack.
+// failed the world. It is built out of line: a rank parks inside Recv
+// and Barrier, and fmt.Errorf's argument temporaries would otherwise be
+// part of every parked stack.
 //
 //go:noinline
 func errAborted(rank int, op string) error {
@@ -450,7 +285,7 @@ func errAborted(rank int, op string) error {
 // includes the sender's SendOverhead charge; the model prices the wire
 // portion per (src, dst) pair. The result is a pure function of the
 // message content — never of receiver progress or host scheduling —
-// which is what makes both kernels produce the same timeline.
+// which is what makes every worker count produce the same timeline.
 func (w *World) arrival(m message, dst int) float64 {
 	if w.tv != nil {
 		// A time-varying machine prices the wire at the conditions of
@@ -476,17 +311,9 @@ func (c *Comm) completeRecv(m message) {
 // the maximum participant time, like a synchronizing MPI_Barrier on
 // dedicated hardware.
 func (c *Comm) Barrier() error {
-	var t float64
-	if eng := c.world.eng; eng != nil {
-		var err error
-		if t, err = eng.barrier(c); err != nil {
-			return err
-		}
-	} else {
-		t = c.world.bar.wait(c.clock.Now(), func() bool { return c.world.failed() != nil })
-		if err := c.world.failed(); err != nil {
-			return errAborted(c.rank, "Barrier")
-		}
+	t, err := c.world.eng.barrier(c)
+	if err != nil {
+		return err
 	}
 	if now := c.clock.Now(); t > now {
 		c.idleSeconds += t - now
@@ -499,5 +326,5 @@ func (c *Comm) Barrier() error {
 // observe the failure and unwind.
 func (c *Comm) Fail(err error) {
 	c.world.setFail(fmt.Errorf("mpi: rank %d: %w", c.rank, err))
-	c.world.failWake(c.rank)
+	c.world.eng.failWake(c.rank)
 }

@@ -440,47 +440,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestRankErrorPropagates(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := Run(freeOpts(3), func(c *Comm) error {
-		if c.Rank() == 1 {
-			return sentinel
-		}
-		// Other ranks block in Recv; the failure must unwind them.
-		_, err := c.Recv((c.Rank()+1)%3, 9)
-		return err
-	})
-	if err == nil {
-		t.Fatal("expected error from failing rank")
-	}
-}
-
-func TestPanicConvertedToError(t *testing.T) {
-	err := Run(freeOpts(2), func(c *Comm) error {
-		if c.Rank() == 0 {
-			panic("deliberate")
-		}
-		_, err := c.Recv(0, 0)
-		return err
-	})
-	if err == nil {
-		t.Fatal("expected panic to surface as error")
-	}
-}
-
-func TestFailUnblocksBarrier(t *testing.T) {
-	err := Run(freeOpts(2), func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Fail(errors.New("abort"))
-			return nil
-		}
-		return c.Barrier()
-	})
-	if err == nil {
-		t.Fatal("expected failure to propagate through barrier")
-	}
-}
-
 func TestDeterministicVirtualTimeline(t *testing.T) {
 	// The same SPMD program must produce bit-identical virtual end times
 	// across repeated executions, regardless of goroutine scheduling.

@@ -1,16 +1,15 @@
 package mpi
 
-// The event-driven kernel behind both event kernel names. Ranks are
-// passive states: a rank's program runs on a runtime coroutine
-// (iter.Pull) that exists only to carry its suspended stack. A worker
-// takes the next rank off its run queue — the ranks woken and not yet
-// run, in the order they were woken — and switches to it (next); a
-// blocking MPI call switches back (yield). Both are runtime.coroswitch:
-// the thread passes from worker to rank and back without the Go
-// scheduler, a wake-up of an idle P or a futex. Message envelopes live in
-// slabs indexed by int32 and recycled through a free list, so memory per
-// rank is flat: a parked coroutine, one pending-queue header, a wait
-// record and a run-queue slot.
+// The engine behind every kernel name. Ranks are passive states: a
+// rank's program runs on a runtime coroutine (iter.Pull) that exists
+// only to carry its suspended stack. A worker takes the next rank off its
+// run queue — the ranks woken and not yet run, in the order they were
+// woken — and switches to it (next); a blocking MPI call switches back
+// (yield). Both are runtime.coroswitch: the thread passes from worker to
+// rank and back without the Go scheduler, a wake-up of an idle P or a
+// futex. Message envelopes live in slabs indexed by int32 and recycled
+// through a free list, so memory per rank is flat: a parked coroutine,
+// one pending-queue header, a wait record and a run-queue slot.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
 // owning a private run queue, message slab and its ranks' carriers, and
@@ -22,6 +21,7 @@ package mpi
 // delivers barrier releases and propagates a failure. KernelEvent is one
 // worker: one window on the caller's goroutine, a sequential
 // discrete-event scheduler with no synchronization at all.
+// KernelGoroutine and KernelParallelEvent run Options.Workers workers.
 //
 // No worker waits for another's virtual time, and none orders its own
 // ranks by it: the run queue holds ranks, not timed events. A sequential
@@ -49,9 +49,11 @@ package mpi
 // No Comm call reports whether a message has been queued yet, so these
 // four cover everything a program can observe. Any schedule that respects
 // per-rank program order therefore yields identical clocks, stats and
-// traces: byte-identity with the goroutine kernel, at any worker count
-// and on a zero-latency network, is by construction
-// (TestKernelEquivalence pins it across every scenario).
+// traces: byte-identity across kernel names and worker counts, on a
+// zero-latency network too, is by construction. TestKernelEquivalence pins
+// it across every scenario against the one-worker run, and the goldens and
+// digests recorded under the goroutine-per-rank engine this one replaced
+// still pass unedited.
 
 import (
 	"fmt"
@@ -67,9 +69,8 @@ type stagedMsg struct {
 	dst int32
 }
 
-// waitState records why a parked rank is blocked in Recv, so the sender
-// of a matching message can schedule a precise wake instead of the
-// goroutine kernel's broadcast-and-rescan.
+// waitState records why a parked rank is blocked in Recv, so only the
+// sender of a matching message wakes it.
 type waitState struct {
 	active   bool
 	src, tag int
@@ -120,7 +121,7 @@ type carrier struct {
 	yield func(struct{}) bool
 }
 
-// KernelCounters is what the event engine did on the host during one Run
+// KernelCounters is what the engine did on the host during one Run
 // (Options.Probe). The counts are a function of the program, the cost
 // model and the worker count only — they repeat exactly from run to run
 // — and never reach a clock, a Stats, a trace or a report.
@@ -156,11 +157,11 @@ type peWorker struct {
 	ready chan struct{}
 }
 
-// eventEngine is the per-World state of the event-driven kernel. The
-// per-rank slices are sharded by ownership: entry r is touched only by
-// the worker owning rank r (or by the coordinator between windows). The
-// barrier state is the one genuinely shared region — ranks of different
-// workers arrive concurrently — and is guarded by barMu.
+// eventEngine is the per-World state of the engine. The per-rank slices
+// are sharded by ownership: entry r is touched only by the worker owning
+// rank r (or by the coordinator between windows). The barrier state is
+// the one genuinely shared region — ranks of different workers arrive
+// concurrently — and is guarded by barMu.
 type eventEngine struct {
 	w       *World
 	fn      func(c *Comm) error // the rank program
@@ -240,9 +241,9 @@ func (pw *peWorker) deliver(m message, dst int) {
 	}
 }
 
-// send is the event-kernel half of Isend: same-worker messages deliver
-// immediately; cross-worker messages park in the staging lane for the
-// destination's worker until the window fold.
+// send is Isend's delivery: same-worker messages deliver immediately;
+// cross-worker messages park in the staging lane for the destination's
+// worker until the window fold.
 func (k *eventEngine) send(dst int, m message) {
 	sw := k.workers[k.owner[m.src]]
 	dw := int(k.owner[dst])
@@ -253,7 +254,7 @@ func (k *eventEngine) send(dst int, m message) {
 	sw.lanes[dw] = append(sw.lanes[dw], stagedMsg{m: m, dst: int32(dst)})
 }
 
-// recv is the event-kernel half of Recv: consume the first queued
+// recv is Recv's matching and waiting: consume the first queued
 // (src, tag) match, or park until a sender (or a window fold merging a
 // staged message) wakes the rank. The clock advance in completeRecv
 // depends only on the matched message, so when the rank was woken and
@@ -281,12 +282,13 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	}
 }
 
-// barrier is the event-kernel Barrier. Arrival counting is the only
-// cross-worker rendezvous in the kernel, so it takes barMu. With one
-// worker the last arriver releases every parked participant directly,
-// in ascending rank order; with several, every participant — the last
-// arriver included — parks and leaves at the next window fold, the only
-// place that writes another worker's run queue.
+// barrier is Barrier's rendezvous: every participant leaves with the
+// maximum clock contributed. Arrival counting is the only cross-worker
+// rendezvous in the engine, so it takes barMu. With one worker the last
+// arriver releases every parked participant directly, in ascending rank
+// order; with several, every participant — the last arriver included —
+// parks and leaves at the next window fold, the only place that writes
+// another worker's run queue.
 func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	rank := c.rank
 	if c.world.failFlag.Load() {
@@ -336,17 +338,18 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 		return out, nil
 	}
 	// Woken without a release: the world is failing. Withdraw so the
-	// count cannot go stale, mirroring the goroutine barrier's abort.
+	// count cannot go stale.
 	k.barWaiting[rank] = false
 	k.barArrived--
 	k.barMu.Unlock()
 	return 0, errAborted(rank, "Barrier")
 }
 
-// failWake is the event-kernel half of World.failWake: a failing rank
-// wakes its own worker's parked ranks directly (its worker's run queue
-// is safely accessible from the running coroutine); ranks of other workers
-// are woken by the coordinator at every fold while the fail flag is up.
+// failWake wakes blocked ranks after rank failed the world, so they
+// observe the failure and unwind: a failing rank wakes its own worker's
+// parked ranks directly (its worker's run queue is safely accessible from
+// the running coroutine); ranks of other workers are woken by the
+// coordinator at every fold while the fail flag is up.
 func (k *eventEngine) failWake(rank int) {
 	k.workers[k.owner[rank]].wakeBlock()
 }
@@ -425,12 +428,12 @@ func peWorkerCount(workers, procs int) int {
 	return min(workers, procs)
 }
 
-// runPEvent drives fn across w.procs ranks under the event-driven kernel
-// and blocks until every rank returns. The calling goroutine is the
-// window coordinator and runs the first worker that has queued ranks itself;
-// every other worker's windows run on a goroutine of its own, so one
-// worker needs none. Rank coroutines exist only to carry suspended
-// stacks, and none outlives the call.
+// runPEvent drives fn across w.procs ranks on workers workers (resolved
+// by peWorkerCount) and blocks until every rank returns. The calling
+// goroutine is the window coordinator and runs the first worker that has
+// queued ranks itself; every other worker's windows run on a goroutine of
+// its own, so one worker needs none. Rank coroutines exist only to carry
+// suspended stacks, and none outlives the call.
 func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
@@ -492,9 +495,8 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		}
 		if len(active) == 0 {
 			// Every undone rank is parked, no lane or release is pending
-			// (fold drained them), and no run queue holds a rank. The
-			// goroutine kernel hangs here; this one can prove the deadlock
-			// and fail instead.
+			// (fold drained them), and no run queue holds a rank: that
+			// is a proof of deadlock, so fail instead of hanging.
 			if deadlocked {
 				break
 			}

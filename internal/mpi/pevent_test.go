@@ -3,11 +3,12 @@ package mpi
 // Unit tests of the event-driven kernel's multi-worker seams: per-source
 // FIFO across a staging lane, a worker running a whole superstep ahead of
 // its sibling, the window count, and the worker-count resolution rules.
-// The failure paths are in event_test.go, one table over both kernel
-// names.
+// The failure paths are in event_test.go, one table over every kernel
+// name.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ic2mpi/internal/netmodel"
@@ -39,17 +40,32 @@ func TestParallelEventWorkerCount(t *testing.T) {
 			t.Errorf("peWorkerCount(%d, %d) = %d, want in [%d, %d]", tc.workers, tc.procs, got, tc.min, tc.max)
 		}
 	}
-	// Options.Workers is ignored under the event name: always one worker.
-	opts := freeOpts(8)
-	opts.Kernel, opts.Workers = KernelEvent, 8
-	err := Run(opts, func(c *Comm) error {
-		if n := len(c.world.eng.workers); n != 1 {
-			return fmt.Errorf("KernelEvent with Workers=8 ran on %d workers, want 1", n)
+	// Run resolves the count per name: Options.Workers is ignored under
+	// the event name (always one worker), and the default name runs the
+	// automatic count. Every name fills Probe: eight ranks that return at
+	// once are one window of eight activations.
+	for _, tc := range []struct {
+		kernel        Kernel
+		workers, want int
+	}{
+		{KernelEvent, 8, 1},
+		{KernelGoroutine, 0, min(runtime.GOMAXPROCS(0), 8)},
+	} {
+		var probe KernelCounters
+		opts := freeOpts(8)
+		opts.Kernel, opts.Workers, opts.Probe = tc.kernel, tc.workers, &probe
+		err := Run(opts, func(c *Comm) error {
+			if n := len(c.world.eng.workers); n != tc.want {
+				return fmt.Errorf("%v with Workers=%d ran on %d workers, want %d", tc.kernel, tc.workers, n, tc.want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
+		if want := (KernelCounters{Windows: 1, Activations: 8}); probe != want {
+			t.Errorf("%v with Workers=%d: Probe %+v, want %+v", tc.kernel, tc.workers, probe, want)
+		}
 	}
 }
 
@@ -94,8 +110,8 @@ func TestParallelEventCrossWorkerFIFO(t *testing.T) {
 // per step than the rest, so a light worker finishes each superstep
 // before a heavy one's first fold. Every rank exchanges with a partner on
 // another worker each step and receives the partner's pre-barrier
-// message after the barrier. Clocks and Stats must equal the goroutine
-// kernel's and event's bit for bit.
+// message after the barrier. Clocks and Stats must equal event's bit for
+// bit under every name and worker count.
 func TestParallelEventRunsAhead(t *testing.T) {
 	const procs, steps = 6, 5
 	snaps := runAllKernels(t, freeOpts(procs), func(c *Comm) error {

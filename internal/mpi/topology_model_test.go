@@ -144,7 +144,7 @@ func TestUniformModelMatchesUnitTopology(t *testing.T) {
 	unit := runAllKernels(t, Options{Procs: 2, Cost: topo}, exchange)
 	for name, got := range unit {
 		for r, snap := range got {
-			if want := flat["goroutine"][r]; snap != want {
+			if want := flat["event"][r]; snap != want {
 				t.Errorf("%s rank %d: unit topology %+v, uniform %+v", name, r, snap, want)
 			}
 			if snap.Time == 0 || snap.Stats.IdleSeconds == 0 {

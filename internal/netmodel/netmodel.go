@@ -79,7 +79,7 @@ func Origin2000() LogGP {
 // be deterministic, safe for concurrent calls, and hop-monotone: more
 // hops between a pair never produces an earlier arrival. Every price is a
 // pure function of the call's arguments — that, not any bound on how
-// small a delay can be, is what lets the event kernels run ranks in any
+// small a delay can be, is what lets the mpi engine run ranks in any
 // order and on any number of workers without changing a clock.
 type Model interface {
 	// ArrivalTime returns the virtual time at which a message of nbytes

@@ -244,18 +244,15 @@ type Config struct {
 	// uniform machine with the Origin 2000 base costs
 	// (netmodel.NewUniform(netmodel.Origin2000())).
 	Network netmodel.Model
-	// Kernel selects the mpi execution engine: mpi.KernelGoroutine (the
-	// default — one goroutine per rank, the engine every pinned table and
-	// golden trace was measured on), mpi.KernelEvent (ranks as passive
-	// states resumed in wake order by a scheduler on one worker,
-	// bit-identical in virtual time, built for worlds of thousands of
-	// ranks) or mpi.KernelParallelEvent (the same scheduler sharded across
-	// workers that synchronize only when all are out of runnable ranks,
-	// bit-identical at any worker count).
+	// Kernel names the worker count of the mpi engine, which runs ranks as
+	// passive states resumed in wake order by a scheduler on one or
+	// several host workers: mpi.KernelGoroutine (the default) and
+	// mpi.KernelParallelEvent run KernelWorkers workers, mpi.KernelEvent
+	// runs one. Every name is bit-identical in virtual time.
 	Kernel mpi.Kernel
-	// KernelWorkers sets the worker count for mpi.KernelParallelEvent
-	// (0 means min(GOMAXPROCS, Procs)); ignored by the other kernels
-	// (mpi.KernelEvent is always one worker).
+	// KernelWorkers sets the worker count for mpi.KernelGoroutine and
+	// mpi.KernelParallelEvent (0 means min(GOMAXPROCS, Procs)); ignored by
+	// mpi.KernelEvent, which is always one worker.
 	// A host-side tuning knob only: results are identical at any value.
 	KernelWorkers int
 	// SkipFinalGather disables gathering final node data into

@@ -174,7 +174,7 @@ func bspOptions(p Params) (mpi.Options, error) {
 }
 
 // pageRankBSPRun is PageRankBSPOn at explicit mpi.Options, so the scenario
-// runner can put the BSP workload on the event kernels too.
+// runner can put the BSP workload under any kernel name and worker count.
 func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Recorder) ([]float64, float64, error) {
 	procs := opts.Procs
 	n := g.NumVertices()

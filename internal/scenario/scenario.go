@@ -65,18 +65,18 @@ type Params struct {
 	Perturb string `json:"perturb"`
 	// Iterations is the number of outer iterations (time steps).
 	Iterations int `json:"iterations"`
-	// Kernel names the mpi execution engine: "goroutine" (the default —
-	// one goroutine per rank, the engine every pinned docgen table and
-	// golden trace was measured on), "event" (ranks as passive states a
-	// scheduler resumes in wake order, bit-identical virtual timeline,
-	// built for thousands of simulated processors) or "pevent" (the same
-	// scheduler sharded across host workers, bit-identical at any worker
-	// count). See mpi.KernelNames.
+	// Kernel names the worker count of the mpi engine, whose scheduler
+	// resumes ranks in wake order on one or several host workers:
+	// "goroutine" (the default) and "pevent" run KernelWorkers workers,
+	// "event" runs one. Every name gives the same bytes; all three stay
+	// accepted and echoed because they are part of persisted CellKeys.
+	// See mpi.KernelNames.
 	Kernel string `json:"kernel"`
-	// KernelWorkers sets the "pevent" kernel's worker count (0 means
-	// min(GOMAXPROCS, procs)); ignored by the other kernels. A host-side
-	// tuning knob, not a simulation parameter — results are identical at
-	// any value — so it is excluded from serialized reports and CellKey.
+	// KernelWorkers sets the "goroutine" and "pevent" kernels' worker
+	// count (0 means min(GOMAXPROCS, procs)); ignored by "event". A
+	// host-side tuning knob, not a simulation parameter — results are
+	// identical at any value — so it is excluded from serialized reports
+	// and CellKey.
 	KernelWorkers int `json:"-"`
 	// BalanceEvery is the balancing period in iterations.
 	BalanceEvery int `json:"-"`

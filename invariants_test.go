@@ -114,13 +114,14 @@ func TestInvariantRandomizedSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every drawn configuration runs under all three kernel names
-		// (pevent at a trial-dependent worker count of two to four; one
-		// worker is the event row): the invariants must hold on each, and every per-iteration trace must
-		// be byte-identical to the goroutine kernel's (the event kernels'
-		// equivalence property, here exercised on randomized points instead
-		// of the fixed grid of TestKernelEquivalence).
+		// (goroutine at the automatic worker count, pevent at a
+		// trial-dependent count of two to four, event at one): the
+		// invariants must hold on each, and every per-iteration trace must
+		// be byte-identical to the one-worker run's (the equivalence
+		// property, here exercised on randomized points instead of the
+		// fixed grid of TestKernelEquivalence).
 		traces := make(map[string][]byte)
-		kernels := []string{"goroutine", "event", "pevent"}
+		kernels := []string{"event", "goroutine", "pevent"}
 		for _, kernel := range kernels {
 			kp := p
 			kp.Kernel = kernel
@@ -140,9 +141,9 @@ func TestInvariantRandomizedSweep(t *testing.T) {
 			traces[kernel] = buf.Bytes()
 		}
 		for _, kernel := range kernels[1:] {
-			if !bytes.Equal(traces["goroutine"], traces[kernel]) {
-				t.Fatalf("%s: kernel %s diverges from goroutine (%d vs %d bytes)",
-					label, kernel, len(traces[kernel]), len(traces["goroutine"]))
+			if !bytes.Equal(traces["event"], traces[kernel]) {
+				t.Fatalf("%s: kernel %s diverges from event (%d vs %d bytes)",
+					label, kernel, len(traces[kernel]), len(traces["event"]))
 			}
 		}
 	}
@@ -314,8 +315,8 @@ func TestInvariantMigrationConservation(t *testing.T) {
 	for _, procs := range []int{4, 8} {
 		for _, spec := range []string{"none", "brownout", "chaos"} {
 			for seed := int64(1); seed <= 3; seed++ {
-				// Rotate kernels across seeds so the adversarial
-				// migration property is exercised on all three engines.
+				// Rotate kernel names across seeds so the adversarial
+				// migration property is exercised under all three.
 				kernel := ic2mpi.KernelGoroutine
 				switch seed % 3 {
 				case 0:

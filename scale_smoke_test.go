@@ -1,7 +1,7 @@
 package ic2mpi_test
 
-// Scale smoke: the event kernels' reason to exist is worlds of thousands
-// of simulated processors on one host. These tests run the paper's
+// Scale smoke: the engine parks ranks as passive states so that one host
+// can run worlds of thousands of simulated processors. These tests run the paper's
 // hex64-fine scenario at 4096 and 16384 simulated procs under the event
 // and parallel event kernels — and at 16384 on the fattree and hetgrid
 // machines — and assert both completion and a per-rank memory ceiling,
