@@ -440,6 +440,34 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+func TestRankErrorPropagates(t *testing.T) {
+	sentinel := errors.New("boom")
+	err := Run(freeOpts(3), func(c *Comm) error {
+		if c.Rank() == 1 {
+			return sentinel
+		}
+		// Other ranks block in Recv; the failure must unwind them.
+		_, err := c.Recv((c.Rank()+1)%3, 9)
+		return err
+	})
+	if !errors.Is(err, sentinel) || err.Error() != "mpi: rank 1: boom" {
+		t.Fatalf("got error %v, want the failing rank's error", err)
+	}
+}
+
+func TestPanicConvertedToError(t *testing.T) {
+	err := Run(freeOpts(2), func(c *Comm) error {
+		if c.Rank() == 0 {
+			panic("deliberate")
+		}
+		_, err := c.Recv(0, 0)
+		return err
+	})
+	if err == nil || err.Error() != "mpi: rank 0 panicked: deliberate" {
+		t.Fatalf("got error %v, want the panic surfaced as an error", err)
+	}
+}
+
 func TestDeterministicVirtualTimeline(t *testing.T) {
 	// The same SPMD program must produce bit-identical virtual end times
 	// across repeated executions, regardless of goroutine scheduling.
