@@ -167,52 +167,58 @@ func TestDistributedRunsPinned(t *testing.T) {
 }
 
 // TestCheckpointResumeMatchesUninterrupted cuts a balanced 25-step battle at
-// step 12 — mid-combat, after migrations — sends the snapshot through the
-// file encoding, and requires the resumed run to report what the
-// uninterrupted one does.
+// every step 1-24, sends each snapshot through the file encoding, and
+// requires the run resumed from each cut to report what the uninterrupted
+// one does. The step-12 cut must fall mid-combat, after migrations.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	params := pinnedRuns[len(pinnedRuns)-1].params
-	var cut []byte
-	params.CheckpointEvery = 12
+	cuts := make([][]byte, 0, 24)
+	params.CheckpointEvery = 1
 	params.CheckpointSink = func(s *platform.RunSnapshot) error {
-		if s.Iter != 12 {
-			return nil
-		}
-		var err error
-		cut, err = checkpoint.Encode(checkpoint.Meta{}, s)
+		raw, err := checkpoint.Encode(checkpoint.Meta{}, s)
+		cuts = append(cuts, raw)
 		return err
 	}
 	whole, err := platform.Run(*battleConfig(t, params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut == nil {
-		t.Fatal("no snapshot at step 12")
+	if len(cuts) != 24 {
+		t.Fatalf("%d snapshots, want one after each of steps 1-24", len(cuts))
 	}
-	_, snap, err := checkpoint.Decode(cut)
-	if err != nil {
-		t.Fatal(err)
+	want := resultDigest(t, whole)
+	if pinned := pinnedRuns[len(pinnedRuns)-1].want; want != pinned {
+		t.Errorf("checkpointing moved the uninterrupted run: digest %s, pinned %s", want, pinned)
 	}
-	destroyed, migrations := int64(0), 0
-	for _, rs := range snap.Ranks {
-		migrations += rs.Migrations
-		for _, ns := range rs.Nodes {
-			h := ns.Data.(*battlefield.HexData)
-			destroyed += h.Destroyed[battlefield.Red] + h.Destroyed[battlefield.Blue]
+	params.CheckpointEvery, params.CheckpointSink = 0, nil
+	for k, cut := range cuts {
+		_, snap, err := checkpoint.Decode(cut)
+		if err != nil {
+			t.Fatalf("cut at step %d: %v", k+1, err)
 		}
-	}
-	if destroyed == 0 || migrations == 0 {
-		t.Fatalf("the cut is not mid-battle: %d strength destroyed, %d migrations before it", destroyed, migrations)
-	}
-	params.CheckpointEvery, params.CheckpointSink, params.ResumeFrom = 0, nil, snap
-	resumed, err := platform.Run(*battleConfig(t, params))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resultDigest(t, resumed), resultDigest(t, whole); got != want {
-		t.Errorf("resumed run digest %s, uninterrupted %s", got, want)
-	}
-	if want := pinnedRuns[len(pinnedRuns)-1].want; resultDigest(t, whole) != want {
-		t.Errorf("checkpointing moved the uninterrupted run: digest %s, pinned %s", resultDigest(t, whole), want)
+		if snap.Iter != k+1 {
+			t.Fatalf("cut %d holds step %d", k+1, snap.Iter)
+		}
+		if snap.Iter == 12 {
+			destroyed, migrations := int64(0), 0
+			for _, rs := range snap.Ranks {
+				migrations += rs.Migrations
+				for _, ns := range rs.Nodes {
+					h := ns.Data.(*battlefield.HexData)
+					destroyed += h.Destroyed[battlefield.Red] + h.Destroyed[battlefield.Blue]
+				}
+			}
+			if destroyed == 0 || migrations == 0 {
+				t.Fatalf("the step-12 cut is not mid-battle: %d strength destroyed, %d migrations before it", destroyed, migrations)
+			}
+		}
+		params.ResumeFrom = snap
+		resumed, err := platform.Run(*battleConfig(t, params))
+		if err != nil {
+			t.Fatalf("resume from step %d: %v", k+1, err)
+		}
+		if got := resultDigest(t, resumed); got != want {
+			t.Errorf("run resumed from step %d: digest %s, uninterrupted %s", k+1, got, want)
+		}
 	}
 }
