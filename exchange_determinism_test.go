@@ -25,9 +25,6 @@ import (
 // temp mirrors the heat example's fixed-point temperature NodeData.
 type temp int64
 
-// CloneData implements ic2mpi.NodeData.
-func (t temp) CloneData() ic2mpi.NodeData { return t }
-
 // SizeBytes implements ic2mpi.NodeData.
 func (t temp) SizeBytes() int { return 8 }
 

@@ -87,16 +87,6 @@ type HexData struct {
 	Destroyed [2]int64
 }
 
-// CloneData implements platform.NodeData with a deep copy.
-func (h *HexData) CloneData() platform.NodeData {
-	out := &HexData{Fire: h.Fire, Destroyed: h.Destroyed}
-	out.Units = append([]Unit(nil), h.Units...)
-	for d := range h.Out {
-		out.Out[d] = append([]Unit(nil), h.Out[d]...)
-	}
-	return out
-}
-
 // SizeBytes implements platform.NodeData; used by the communication cost
 // model. Matches the dominant terms of the original's derived MPI type:
 // the unit roster plus the fixed-size fire/intent arrays.

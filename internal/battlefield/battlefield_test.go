@@ -188,15 +188,9 @@ func TestInitDataMatchesPerHexSeeding(t *testing.T) {
 	}
 }
 
-func TestHexDataCloneDeep(t *testing.T) {
+func TestHexDataSizeBytes(t *testing.T) {
 	h := &HexData{Units: []Unit{{ID: 1, Side: Red, Strength: 5}}}
 	h.Out[2] = []Unit{{ID: 2, Side: Blue, Strength: 3}}
-	c := h.CloneData().(*HexData)
-	c.Units[0].Strength = 99
-	c.Out[2][0].Strength = 99
-	if h.Units[0].Strength == 99 || h.Out[2][0].Strength == 99 {
-		t.Fatal("CloneData shares memory")
-	}
 	if h.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes not positive")
 	}

@@ -1,6 +1,7 @@
 package battlefield_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -169,7 +170,9 @@ func TestDistributedRunsPinned(t *testing.T) {
 // TestCheckpointResumeMatchesUninterrupted cuts a balanced 25-step battle at
 // every step 1-24, sends each snapshot through the file encoding, and
 // requires the run resumed from each cut to report what the uninterrupted
-// one does. The step-12 cut must fall mid-combat, after migrations.
+// one does. The step-12 cut must fall mid-combat, after migrations, and
+// some cut must hold a roster emptied that step as "Units":[]: a snapshot
+// carries the live value, not a normalized copy.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	params := pinnedRuns[len(pinnedRuns)-1].params
 	cuts := make([][]byte, 0, 24)
@@ -191,7 +194,11 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Errorf("checkpointing moved the uninterrupted run: digest %s, pinned %s", want, pinned)
 	}
 	params.CheckpointEvery, params.CheckpointSink = 0, nil
+	emptied := 0
 	for k, cut := range cuts {
+		if bytes.Contains(cut, []byte(`"Units":[]`)) {
+			emptied++
+		}
 		_, snap, err := checkpoint.Decode(cut)
 		if err != nil {
 			t.Fatalf("cut at step %d: %v", k+1, err)
@@ -220,5 +227,8 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		if got := resultDigest(t, resumed); got != want {
 			t.Errorf("run resumed from step %d: digest %s, uninterrupted %s", k+1, got, want)
 		}
+	}
+	if emptied == 0 {
+		t.Error(`no cut holds "Units":[]: the snapshot normalized the rosters emptied at a cut`)
 	}
 }

@@ -6,25 +6,24 @@
 // the in-memory snapshot, which in turn is byte-identical to the
 // uninterrupted run.
 //
-// Node data is application-defined (platform.NodeData), so payloads are
-// serialized through a registry of named codecs: the platform's IntData
-// codec is built in, and scenario packages register their own types at
-// init (see internal/scenario). Decoding is strict — wrong version,
-// unknown fields, unknown data types, truncated or structurally
-// inconsistent input all error, never panic and never silently resume a
-// wrong run.
+// The node data types a snapshot can carry are a closed set this package
+// owns: the platform's IntData, the heat scenario's Temp and the
+// battlefield's HexData, each under a stable tag (see encodeData). Decoding
+// is strict — wrong version, unknown fields, unknown data types, impossible
+// values, truncated or structurally inconsistent input all error, never
+// panic and never silently resume a wrong run.
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"sync"
 
+	"ic2mpi/internal/battlefield"
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/platform"
+	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 )
 
@@ -38,79 +37,6 @@ const Version = "ic2mpi.snapshot.v1"
 // so a snapshot can never be replayed into a different configuration.
 type Meta struct {
 	CellKey string `json:"cell_key"`
-}
-
-// DataCodec serializes one registered NodeData implementation.
-type DataCodec struct {
-	// Name tags encoded values; it must be unique and stable across
-	// versions of the binary.
-	Name string
-	// Encode and Decode convert between the NodeData value and its JSON
-	// payload.
-	Encode func(platform.NodeData) (json.RawMessage, error)
-	Decode func(json.RawMessage) (platform.NodeData, error)
-}
-
-var (
-	codecMu     sync.RWMutex
-	codecByType = make(map[reflect.Type]DataCodec)
-	codecByName = make(map[string]DataCodec)
-)
-
-// RegisterData registers the codec for prototype's concrete type. It is
-// meant to be called from package init functions; registering a duplicate
-// type or name is a programming error and panics.
-func RegisterData(prototype platform.NodeData, c DataCodec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	t := reflect.TypeOf(prototype)
-	if _, dup := codecByType[t]; dup {
-		panic(fmt.Sprintf("checkpoint: duplicate codec for type %v", t))
-	}
-	if _, dup := codecByName[c.Name]; dup {
-		panic(fmt.Sprintf("checkpoint: duplicate codec name %q", c.Name))
-	}
-	if c.Name == "" || c.Encode == nil || c.Decode == nil {
-		panic("checkpoint: incomplete DataCodec")
-	}
-	codecByType[t] = c
-	codecByName[c.Name] = c
-}
-
-func init() {
-	RegisterData(platform.IntData(0), DataCodec{
-		Name: "int",
-		Encode: func(d platform.NodeData) (json.RawMessage, error) {
-			return json.Marshal(int64(d.(platform.IntData)))
-		},
-		Decode: func(raw json.RawMessage) (platform.NodeData, error) {
-			var v int64
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return nil, err
-			}
-			return platform.IntData(v), nil
-		},
-	})
-}
-
-func lookupByType(d platform.NodeData) (DataCodec, error) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByType[reflect.TypeOf(d)]
-	if !ok {
-		return DataCodec{}, fmt.Errorf("checkpoint: no codec registered for node data type %T", d)
-	}
-	return c, nil
-}
-
-func lookupByName(name string) (DataCodec, error) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByName[name]
-	if !ok {
-		return DataCodec{}, fmt.Errorf("checkpoint: no codec registered for node data type name %q", name)
-	}
-	return c, nil
 }
 
 // The wire format. Field order is fixed by these structs, so Encode is
@@ -208,15 +134,11 @@ func Encode(meta Meta, snap *platform.RunSnapshot) ([]byte, error) {
 			if ns.Data == nil {
 				return nil, fmt.Errorf("checkpoint: rank %d node %d has nil data", rs.Rank, ns.ID)
 			}
-			codec, err := lookupByType(ns.Data)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := codec.Encode(ns.Data)
+			tag, raw, err := encodeData(ns.Data)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint: encoding node %d: %w", ns.ID, err)
 			}
-			rj.Nodes[j] = nodeJSON{ID: int(ns.ID), Owned: ns.Owned, LastCost: ns.LastCost, Type: codec.Name, Value: raw}
+			rj.Nodes[j] = nodeJSON{ID: int(ns.ID), Owned: ns.Owned, LastCost: ns.LastCost, Type: tag, Value: raw}
 		}
 		if len(rs.History) > 0 {
 			rj.History = make([]histJSON, len(rs.History))
@@ -295,16 +217,9 @@ func Decode(data []byte) (Meta, *platform.RunSnapshot, error) {
 				return Meta{}, nil, fmt.Errorf("checkpoint: rank %d node list not strictly ascending at %d", i, nj.ID)
 			}
 			prev = nj.ID
-			codec, err := lookupByName(nj.Type)
-			if err != nil {
-				return Meta{}, nil, err
-			}
-			d, err := codec.Decode(nj.Value)
+			d, err := decodeData(nj.Type, nj.Value)
 			if err != nil {
 				return Meta{}, nil, fmt.Errorf("checkpoint: decoding node %d (%s): %w", nj.ID, nj.Type, err)
-			}
-			if d == nil {
-				return Meta{}, nil, fmt.Errorf("checkpoint: codec %q decoded node %d to nil", nj.Type, nj.ID)
 			}
 			rs.Nodes[j] = platform.NodeSnap{ID: graph.NodeID(nj.ID), Owned: nj.Owned, LastCost: nj.LastCost, Data: d}
 		}
@@ -344,6 +259,55 @@ func Decode(data []byte) (Meta, *platform.RunSnapshot, error) {
 		return Meta{}, nil, fmt.Errorf("checkpoint: trace data present but has_trace unset")
 	}
 	return f.Meta, snap, nil
+}
+
+// encodeData returns d's tag and JSON value. A snapshot encodes the live
+// value: a battlefield roster emptied this step stays "Units":[], the
+// bytes the battlefield's pinned digests hash.
+func encodeData(d platform.NodeData) (string, json.RawMessage, error) {
+	var tag string
+	var v any
+	switch d := d.(type) {
+	case platform.IntData:
+		tag, v = "int", int64(d)
+	case scenario.Temp:
+		tag, v = "temp", int64(d)
+	case *battlefield.HexData:
+		tag, v = "hex", d
+	default:
+		return "", nil, fmt.Errorf("no codec for node data type %T", d)
+	}
+	raw, err := json.Marshal(v)
+	return tag, raw, err
+}
+
+// decodeData is encodeData's inverse. A hex may only hold units a live
+// battle can: a side that exists and a positive strength.
+func decodeData(tag string, raw json.RawMessage) (platform.NodeData, error) {
+	switch tag {
+	case "int":
+		var v int64
+		err := json.Unmarshal(raw, &v)
+		return platform.IntData(v), err
+	case "temp":
+		var v int64
+		err := json.Unmarshal(raw, &v)
+		return scenario.Temp(v), err
+	case "hex":
+		h := &battlefield.HexData{}
+		if err := json.Unmarshal(raw, h); err != nil {
+			return nil, err
+		}
+		for _, units := range append([][]battlefield.Unit{h.Units}, h.Out[:]...) {
+			for _, u := range units {
+				if u.Side > battlefield.Blue || u.Strength < 1 {
+					return nil, fmt.Errorf("impossible unit %+v", u)
+				}
+			}
+		}
+		return h, nil
+	}
+	return nil, fmt.Errorf("no codec for node data type name %q", tag)
 }
 
 func mpiStats(s statsJSON) mpi.Stats {

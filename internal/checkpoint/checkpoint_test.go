@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ic2mpi/internal/balance"
+	"ic2mpi/internal/battlefield"
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/platform"
@@ -309,9 +310,24 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mutate := func(f func(m map[string]any)) []byte {
+	// A one-rank snapshot of one hex holding a unit and sending one on,
+	// the shape the battlefield's pinned digests encode.
+	hex := &battlefield.HexData{Units: []battlefield.Unit{{ID: 1, Side: battlefield.Red, Strength: 5}}}
+	hex.Out[2] = []battlefield.Unit{{ID: 2, Side: battlefield.Blue, Strength: 3}}
+	validHex, err := Encode(Meta{}, &platform.RunSnapshot{
+		Iter:       1,
+		Procs:      1,
+		Iterations: 2,
+		Owner:      []int{0},
+		Ranks:      []platform.RankSnap{{Nodes: []platform.NodeSnap{{Owned: true, Data: hex}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mutateBytes := func(src []byte, f func(m map[string]any)) []byte {
 		var m map[string]any
-		if err := json.Unmarshal(valid, &m); err != nil {
+		if err := json.Unmarshal(src, &m); err != nil {
 			t.Fatal(err)
 		}
 		f(m)
@@ -321,6 +337,15 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		}
 		return out
 	}
+	mutate := func(f func(m map[string]any)) []byte { return mutateBytes(valid, f) }
+	// hexUnit sets one field of the first unit in a lane of the hex.
+	hexUnit := func(field string, v any, lane func(h map[string]any) []any) []byte {
+		return mutateBytes(validHex, func(m map[string]any) {
+			lane(firstNode(t, m)["v"].(map[string]any))[0].(map[string]any)[field] = v
+		})
+	}
+	units := func(h map[string]any) []any { return h["Units"].([]any) }
+	out2 := func(h map[string]any) []any { return h["Out"].([]any)[2].([]any) }
 
 	cases := map[string][]byte{
 		"empty":           nil,
@@ -339,6 +364,10 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		"short phase":     mutate(func(m map[string]any) { m["ranks"].([]any)[0].(map[string]any)["phase_s"] = []any{1.0} }),
 		"trace mismatch":  mutate(func(m map[string]any) { m["trace_samples"] = m["trace_samples"].([]any)[:1] }),
 		"orphan trace":    mutate(func(m map[string]any) { m["has_trace"] = false }),
+		"hex side":        hexUnit("Side", 9, units),
+		"hex strength":    hexUnit("Strength", -4, units),
+		"hex out side":    hexUnit("Side", 2, out2),
+		"hex out dead":    hexUnit("Strength", 0, out2),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -350,8 +379,10 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 
 	// And the unmutated bytes still decode, so the cases above failed for
 	// the right reason.
-	if _, _, err := Decode(valid); err != nil {
-		t.Fatalf("valid input rejected: %v", err)
+	for _, ok := range [][]byte{valid, validHex} {
+		if _, _, err := Decode(ok); err != nil {
+			t.Fatalf("valid input rejected: %v", err)
+		}
 	}
 }
 
@@ -368,19 +399,18 @@ func firstNode(t *testing.T, m map[string]any) map[string]any {
 	return nodes[0].(map[string]any)
 }
 
-func TestEncodeRejectsUnregisteredData(t *testing.T) {
+func TestEncodeRejectsUnknownDataType(t *testing.T) {
 	_, _, _, snaps := captureSnapshots(t)
 	snap := snaps[1]
-	snap.Ranks[0].Nodes[0].Data = unregisteredData{}
+	snap.Ranks[0].Nodes[0].Data = unknownData{}
 	if _, err := Encode(Meta{}, snap); err == nil {
-		t.Fatal("Encode accepted unregistered node data type")
+		t.Fatal("Encode accepted an unknown node data type")
 	}
 }
 
-type unregisteredData struct{}
+type unknownData struct{}
 
-func (unregisteredData) CloneData() platform.NodeData { return unregisteredData{} }
-func (unregisteredData) SizeBytes() int               { return 0 }
+func (unknownData) SizeBytes() int { return 0 }
 
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed with a real encoding plus the interesting edges: truncations,

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -150,8 +151,11 @@ func (col *snapCollector) contribute(s *rankState, iter int, start float64) erro
 	return nil
 }
 
-// captureRankSnap clones one rank's live state. Data values are cloned so
-// the snapshot stays valid while the run races ahead.
+// captureRankSnap copies one rank's live state. Data values are shared,
+// not copied: they are immutable once returned (see NodeData), so the
+// snapshot stays valid while the run races ahead. The history window is
+// copied because recordLoadSample trims it in place; the Times and Speeds
+// inside are shared, since nothing writes them after they are recorded.
 func captureRankSnap(s *rankState, start float64) RankSnap {
 	rs := RankSnap{
 		Rank:       s.me,
@@ -182,22 +186,12 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 			}
 		}
 	}
-	if len(s.balHist) > 0 {
-		rs.History = make([]LoadSample, len(s.balHist))
-		for i, h := range s.balHist {
-			rs.History[i] = LoadSample{
-				Iter:      h.Iter,
-				Times:     append([]float64(nil), h.Times...),
-				Speeds:    append([]float64(nil), h.Speeds...),
-				Imbalance: h.Imbalance,
-			}
-		}
-	}
+	rs.History = slices.Clone(s.balHist)
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	rs.Nodes = make([]NodeSnap, len(ids))
 	for i, id := range ids {
 		e := s.table.Lookup(id)
-		ns := NodeSnap{ID: id, Data: e.data.CloneData()}
+		ns := NodeSnap{ID: id, Data: e.data}
 		if node := s.byID[id]; node != nil {
 			ns.Owned = true
 			ns.LastCost = node.lastCost
@@ -299,8 +293,7 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 		return nil, err
 	}
 	for _, ns := range rs.Nodes {
-		d := ns.Data.CloneData()
-		if err := s.table.Insert(&entry{id: ns.ID, data: d, mostRecent: d}); err != nil {
+		if err := s.table.Insert(&entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}); err != nil {
 			return nil, err
 		}
 		if !ns.Owned {
@@ -316,14 +309,7 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	s.phase = rs.Phase
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations
-	for _, h := range rs.History {
-		s.balHist = append(s.balHist, LoadSample{
-			Iter:      h.Iter,
-			Times:     append([]float64(nil), h.Times...),
-			Speeds:    append([]float64(nil), h.Speeds...),
-			Imbalance: h.Imbalance,
-		})
-	}
+	s.balHist = slices.Clone(rs.History)
 	if err := s.checkInvariants(); err != nil {
 		return nil, fmt.Errorf("platform: resume snapshot failed invariants: %w", err)
 	}

@@ -14,21 +14,16 @@ import (
 // it: the exchange, task migration and the final gather all deliver values
 // by reference, so one value is at once a node's data on its owner and a
 // shadow on every neighbouring rank, and nothing may write through it (see
-// NodeFunc). CloneData returns an independent copy and is the snapshot
-// boundary's: checkpoint capture and restore call it, nothing else does.
-// SizeBytes reports the serialized size charged to the communication cost
-// model.
+// NodeFunc). A checkpoint snapshot holds the live values too, and a
+// restored run starts from the decoded ones. SizeBytes reports the
+// serialized size charged to the communication cost model.
 type NodeData interface {
-	CloneData() NodeData
 	SizeBytes() int
 }
 
 // IntData is the simple integer node data used by the thesis' generic
 // graph topologies (struct node_data { int data; ... }).
 type IntData int64
-
-// CloneData implements NodeData.
-func (d IntData) CloneData() NodeData { return d }
 
 // SizeBytes implements NodeData.
 func (d IntData) SizeBytes() int { return 8 }

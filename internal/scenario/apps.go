@@ -17,9 +17,6 @@ import (
 // micro-kelvins, so distributed and sequential runs compare bitwise.
 type Temp int64
 
-// CloneData implements platform.NodeData.
-func (t Temp) CloneData() platform.NodeData { return t }
-
 // SizeBytes implements platform.NodeData.
 func (t Temp) SizeBytes() int { return 8 }
 

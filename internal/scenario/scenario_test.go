@@ -128,8 +128,8 @@ func TestEveryScenarioRuns(t *testing.T) {
 }
 
 // snapshotData returns a copy of d that shares no memory with it and keeps
-// nil and empty slices apart (HexData.CloneData does not: it is the
-// checkpoint's copy, and turns an emptied roster into a nil one).
+// nil and empty slices apart, so the comparison after the call sees any
+// write through self or a neighbour, an emptied roster included.
 func snapshotData(t *testing.T, d platform.NodeData) platform.NodeData {
 	switch v := d.(type) {
 	case *battlefield.HexData:
