@@ -3,7 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/topology"
@@ -40,42 +40,66 @@ type level struct {
 	coarseOf []int
 }
 
-// wgraph is the internal weighted-graph form used during partitioning.
+// wgraph is the internal weighted-graph form used during partitioning, in
+// Metis' compressed sparse row layout: the neighbours of v are
+// adjncy[xadj[v]:xadj[v+1]], and adjw holds their edge weights at the same
+// positions.
 type wgraph struct {
-	n    int
-	adj  [][]int
-	ew   [][]int
-	vw   []int
-	totw int
+	n      int
+	xadj   []int
+	adjncy []int
+	adjw   []int
+	vw     []int
+	totw   int
 }
 
+// nbrs returns the neighbours of v.
+func (g *wgraph) nbrs(v int) []int { return g.adjncy[g.xadj[v]:g.xadj[v+1]] }
+
 func fromGraph(g *graph.Graph) *wgraph {
-	n := g.NumVertices()
-	w := &wgraph{n: n, adj: make([][]int, n), ew: make([][]int, n), vw: make([]int, n)}
+	n, arcs := g.NumVertices(), 2*g.NumEdges()
+	w := &wgraph{n: n, xadj: make([]int, n+1), adjncy: make([]int, 0, arcs), adjw: make([]int, 0, arcs), vw: make([]int, n)}
 	for v := 0; v < n; v++ {
 		w.vw[v] = g.WeightOf(graph.NodeID(v))
 		w.totw += w.vw[v]
-		w.adj[v] = make([]int, len(g.Adj[v]))
-		w.ew[v] = make([]int, len(g.Adj[v]))
 		for i, u := range g.Adj[v] {
-			w.adj[v][i] = int(u)
-			w.ew[v][i] = g.EdgeWeightAt(graph.NodeID(v), i)
+			w.adjncy = append(w.adjncy, int(u))
+			w.adjw = append(w.adjw, g.EdgeWeightAt(graph.NodeID(v), i))
 		}
+		w.xadj[v+1] = len(w.adjncy)
 	}
 	return w
 }
 
+// fillPerm fills m with the permutation rng.Perm(len(m)) returns, drawing
+// the same numbers, so one buffer serves every pass and the stream is the
+// one rand.Perm leaves.
+func fillPerm(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i], m[j] = m[j], i
+	}
+}
+
 // Partition implements Partitioner.
 func (m *Multilevel) Partition(g *graph.Graph, _ *topology.Network, k int) ([]int, error) {
+	_, part, err := m.partitionCSR(g, k)
+	return part, err
+}
+
+// partitionCSR is Partition that also returns the CSR form of g it
+// partitioned (nil when k is 1), so PaGrid refines on it without building
+// another.
+func (m *Multilevel) partitionCSR(g *graph.Graph, k int) (*wgraph, []int, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("partition: Multilevel needs k >= 1, got %d", k)
+		return nil, nil, fmt.Errorf("partition: Multilevel needs k >= 1, got %d", k)
 	}
 	n := g.NumVertices()
 	if n == 0 {
-		return nil, fmt.Errorf("partition: empty graph")
+		return nil, nil, fmt.Errorf("partition: empty graph")
 	}
 	if k == 1 {
-		return make([]int, n), nil
+		return nil, make([]int, n), nil
 	}
 	rng := rand.New(rand.NewSource(m.Seed + int64(k)*1000003))
 
@@ -115,9 +139,9 @@ func (m *Multilevel) Partition(g *graph.Graph, _ *topology.Network, k int) ([]in
 		refineFM(fine, part, k, rng)
 	}
 	if err := Validate(g, part, k); err != nil {
-		return nil, fmt.Errorf("partition: internal error: %w", err)
+		return nil, nil, fmt.Errorf("partition: internal error: %w", err)
 	}
-	return part, nil
+	return levels[0].g, part, nil
 }
 
 // coarsen performs one round of heavy-edge matching and returns the coarse
@@ -133,9 +157,9 @@ func coarsen(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 			continue
 		}
 		bestU, bestW := -1, -1
-		for i, u := range g.adj[v] {
-			if match[u] == -1 && g.ew[v][i] > bestW {
-				bestU, bestW = u, g.ew[v][i]
+		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+			if u := g.adjncy[j]; match[u] == -1 && g.adjw[j] > bestW {
+				bestU, bestW = u, g.adjw[j]
 			}
 		}
 		if bestU == -1 {
@@ -145,56 +169,55 @@ func coarsen(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 			match[bestU] = v
 		}
 	}
-	// Assign coarse ids.
+	// Assign coarse ids. rep[cv] is the smaller fine vertex of cv, the
+	// other is match[rep[cv]]; it reuses order, which is spent.
 	mapTo := make([]int, g.n)
 	for i := range mapTo {
 		mapTo[i] = -1
 	}
-	cn := 0
+	rep := order[:0]
 	for v := 0; v < g.n; v++ {
 		if mapTo[v] != -1 {
 			continue
 		}
-		mapTo[v] = cn
+		mapTo[v] = len(rep)
+		mapTo[match[v]] = len(rep)
+		rep = append(rep, v)
+	}
+	cn := len(rep)
+	coarse := &wgraph{n: cn, xadj: make([]int, cn+1), adjncy: make([]int, 0, len(g.adjncy)),
+		adjw: make([]int, 0, len(g.adjncy)), vw: make([]int, cn), totw: g.totw}
+	// acc[cu] sums the edge weight from the coarse vertex being built to cu,
+	// and seen[cu] is 1 + the last coarse vertex that listed cu.
+	acc := make([]int, cn)
+	seen := make([]int, cn)
+	for cv, v := range rep {
+		pair := [2]int{v, match[v]}
+		members := pair[:1]
 		if match[v] != v {
-			mapTo[match[v]] = cn
+			members = pair[:]
 		}
-		cn++
-	}
-	coarse := &wgraph{n: cn, adj: make([][]int, cn), ew: make([][]int, cn), vw: make([]int, cn), totw: g.totw}
-	// Accumulate edges via a temporary map per coarse vertex.
-	acc := make(map[int]int)
-	for cv := 0; cv < cn; cv++ {
-		coarse.adj[cv] = nil
-	}
-	members := make([][]int, cn)
-	for v := 0; v < g.n; v++ {
-		members[mapTo[v]] = append(members[mapTo[v]], v)
-	}
-	for cv := 0; cv < cn; cv++ {
-		for k := range acc {
-			delete(acc, k)
-		}
-		for _, v := range members[cv] {
-			coarse.vw[cv] += g.vw[v]
-			for i, u := range g.adj[v] {
-				cu := mapTo[u]
-				if cu != cv {
-					acc[cu] += g.ew[v][i]
+		for _, f := range members {
+			coarse.vw[cv] += g.vw[f]
+			for j := g.xadj[f]; j < g.xadj[f+1]; j++ {
+				cu := mapTo[g.adjncy[j]]
+				if cu == cv {
+					continue
 				}
+				if seen[cu] != cv+1 {
+					seen[cu] = cv + 1
+					coarse.adjncy = append(coarse.adjncy, cu)
+				}
+				acc[cu] += g.adjw[j]
 			}
 		}
-		nbrs := make([]int, 0, len(acc))
-		for cu := range acc {
-			nbrs = append(nbrs, cu)
+		nbrs := coarse.adjncy[coarse.xadj[cv]:]
+		slices.Sort(nbrs)
+		for _, cu := range nbrs {
+			coarse.adjw = append(coarse.adjw, acc[cu])
+			acc[cu] = 0
 		}
-		sort.Ints(nbrs)
-		coarse.adj[cv] = nbrs
-		ws := make([]int, len(nbrs))
-		for i, cu := range nbrs {
-			ws[i] = acc[cu]
-		}
-		coarse.ew[cv] = ws
+		coarse.xadj[cv+1] = len(coarse.adjncy)
 	}
 	return coarse, mapTo
 }
@@ -212,26 +235,23 @@ func greedyGrow(g *wgraph, k int, rng *rand.Rand) []int {
 	weights := make([]int, k)
 	assigned := 0
 
-	// One distance array and one queue serve every seed search and every
-	// region's growth, so a many-part call allocates them once, not per part.
-	dist := make([]int, g.n)
+	seeds := newSeedSearch(g)
 	queue := make([]int, 0, g.n)
 	seed := rng.Intn(g.n)
 	for p := 0; p < k && assigned < g.n; p++ {
-		// Pick the unassigned vertex farthest (BFS hops) from all assigned
-		// vertices as the next seed; the first seed is random.
+		// The first seed is random; each later one is the unassigned vertex
+		// farthest (BFS hops) from all assigned vertices. queue still holds
+		// region p-1.
 		if p > 0 {
-			seed = farthestUnassigned(g, part, dist, queue)
-			if seed == -1 {
-				break
-			}
+			seeds.assign(queue)
+			seed = seeds.farthest()
 		}
 		queue = append(queue[:0], seed)
 		part[seed] = p
 		weights[p] += g.vw[seed]
 		assigned++
 		for head := 0; head < len(queue) && weights[p] < target; head++ {
-			for _, u := range g.adj[queue[head]] {
+			for _, u := range g.nbrs(queue[head]) {
 				if part[u] != -1 || weights[p] >= target {
 					continue
 				}
@@ -248,34 +268,25 @@ func greedyGrow(g *wgraph, k int, rng *rand.Rand) []int {
 			continue
 		}
 		best := -1
-		for _, u := range g.adj[v] {
+		for _, u := range g.nbrs(v) {
 			if part[u] != -1 && (best == -1 || weights[part[u]] < weights[best]) {
 				best = part[u]
 			}
 		}
 		if best == -1 {
-			best = 0
-			for p := 1; p < k; p++ {
-				if weights[p] < weights[best] {
-					best = p
-				}
-			}
+			best = slices.Index(weights, slices.Min(weights))
 		}
 		part[v] = best
 		weights[best] += g.vw[v]
 	}
-	// Guarantee no empty part when n >= k: steal the heaviest part's
-	// lightest boundary vertex for each empty part.
+	// Guarantee no empty part when n >= k: each empty part takes the
+	// heaviest part's first vertex, in id order, that weighs less than that
+	// part.
 	for p := 0; p < k; p++ {
 		if weights[p] > 0 || g.n < k {
 			continue
 		}
-		donor := 0
-		for q := 1; q < k; q++ {
-			if weights[q] > weights[donor] {
-				donor = q
-			}
-		}
+		donor := slices.Index(weights, slices.Max(weights))
 		for v := 0; v < g.n; v++ {
 			if part[v] == donor && weights[donor] > g.vw[v] {
 				part[v] = p
@@ -288,41 +299,100 @@ func greedyGrow(g *wgraph, k int, rng *rand.Rand) []int {
 	return part
 }
 
-// farthestUnassigned returns the unassigned vertex at maximum BFS distance
-// from the set of assigned vertices (-1 if none). dist (one entry per
-// vertex) and queue (capacity for every vertex) are the caller's scratch
-// space; their contents on entry do not matter.
-func farthestUnassigned(g *wgraph, part, dist, queue []int) int {
-	queue = queue[:0]
-	for v := 0; v < g.n; v++ {
-		if part[v] != -1 {
-			dist[v] = 0
-			queue = append(queue, v)
-		} else {
-			dist[v] = -1
-		}
+// seedSearch picks greedyGrow's seeds. dist[v] is v's BFS distance to the
+// nearest assigned vertex (n when none reaches v); it is kept across seeds
+// and only lowered, so an assigned vertex is walked once, when its region
+// is added.
+type seedSearch struct {
+	g      *wgraph
+	dist   []int
+	cone   []int // scratch: assign's queue, then farthest's cone
+	onCone []bool
+}
+
+func newSeedSearch(g *wgraph) *seedSearch {
+	s := &seedSearch{g: g, dist: make([]int, g.n), cone: make([]int, 0, g.n), onCone: make([]bool, g.n)}
+	for v := range s.dist {
+		s.dist[v] = g.n
 	}
-	best, bestD := -1, -1
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.adj[v] {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-				if part[u] == -1 && dist[u] > bestD {
-					best, bestD = u, dist[u]
-				}
+	return s
+}
+
+// assign records that region's vertices were just assigned: a BFS from
+// them visits only the vertices whose distance drops.
+func (s *seedSearch) assign(region []int) {
+	q := append(s.cone[:0], region...)
+	for _, v := range region {
+		s.dist[v] = 0
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		for _, u := range s.g.nbrs(v) {
+			if s.dist[u] > s.dist[v]+1 {
+				s.dist[u] = s.dist[v] + 1
+				q = append(q, u)
 			}
 		}
 	}
-	if best == -1 {
-		for v := 0; v < g.n; v++ {
-			if part[v] == -1 {
-				return v
+}
+
+// farthest returns the unassigned vertex that a BFS seeded with every
+// assigned vertex, in ascending id, discovers first at the largest
+// distance D; the smallest unassigned id when no assigned vertex reaches
+// one. That BFS discovers a level in the order of each vertex's
+// lexicographically smallest shortest path, keyed by (source id, adjacency
+// index at each step), so the answer is the end of the smallest such path
+// of length D. farthest marks the cone of shortest paths that end at
+// level D, backward from there, and walks it forward from its smallest
+// source, taking the first marked neighbour in adjacency order each step.
+func (s *seedSearch) farthest() int {
+	g, dist := s.g, s.dist
+	// The assigned vertices are those at distance 0. One pass finds the
+	// first unassigned vertex, D and the vertices at level D.
+	maxD, first, cone := 0, -1, s.cone[:0]
+	for v, d := range dist {
+		if d > 0 && first == -1 {
+			first = v
+		}
+		if d == 0 || d == g.n || d < maxD {
+			continue
+		}
+		if d > maxD {
+			maxD, cone = d, cone[:0]
+		}
+		cone = append(cone, v)
+	}
+	if maxD == 0 {
+		return first
+	}
+	src := g.n
+	for i := 0; i < len(cone); i++ {
+		x := cone[i]
+		s.onCone[x] = true // level D's mark; lower levels are marked when queued
+		if dist[x] == 0 {
+			src = min(src, x)
+			continue
+		}
+		for _, y := range g.nbrs(x) {
+			if dist[y] == dist[x]-1 && !s.onCone[y] {
+				s.onCone[y] = true
+				cone = append(cone, y)
 			}
 		}
 	}
-	return best
+	v := src
+	for dist[v] < maxD {
+		for _, u := range g.nbrs(v) {
+			if s.onCone[u] && dist[u] == dist[v]+1 {
+				v = u
+				break
+			}
+		}
+	}
+	for _, x := range cone {
+		s.onCone[x] = false
+	}
+	return v
 }
 
 // rebalance explicitly evens out part weights before cut refinement:
@@ -332,16 +402,20 @@ func farthestUnassigned(g *wgraph, part, dist, queue []int) int {
 // lightest part). FM alone only takes positive-gain moves and cannot
 // repair a lopsided initial partition.
 func rebalance(g *wgraph, part []int, k int) {
+	// Each part's members form a list in ascending id: head[p] is the first,
+	// next[v] follows v (-1 ends a list). A step reads the heaviest part's
+	// members only.
 	weights := make([]int, k)
-	for v := 0; v < g.n; v++ {
+	head := make([]int, k)
+	next := make([]int, g.n)
+	for p := range head {
+		head[p] = -1
+	}
+	for v := g.n - 1; v >= 0; v-- {
 		weights[part[v]] += g.vw[v]
+		next[v], head[part[v]] = head[part[v]], v
 	}
-	maxVW := 1
-	for _, w := range g.vw {
-		if w > maxVW {
-			maxVW = w
-		}
-	}
+	maxVW := max(1, slices.Max(g.vw))
 	for step := 0; step < 4*g.n; step++ {
 		h, l := 0, 0
 		for p := 1; p < k; p++ {
@@ -355,31 +429,38 @@ func rebalance(g *wgraph, part []int, k int) {
 		if weights[h]-weights[l] <= maxVW {
 			return
 		}
-		best, bestScore := -1, 0
-		for v := 0; v < g.n; v++ {
-			if part[v] != h {
-				continue
-			}
+		best, bestPrev, bestScore := -1, -1, 0
+		for prev, v := -1, head[h]; v != -1; prev, v = v, next[v] {
 			// Moving v must strictly shrink the gap.
 			if 2*g.vw[v] >= 2*(weights[h]-weights[l]) {
 				continue
 			}
 			score := 0
-			for i, u := range g.adj[v] {
-				switch part[u] {
+			for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+				switch part[g.adjncy[j]] {
 				case l:
-					score += g.ew[v][i]
+					score += g.adjw[j]
 				case h:
-					score -= g.ew[v][i]
+					score -= g.adjw[j]
 				}
 			}
 			if best == -1 || score > bestScore {
-				best, bestScore = v, score
+				best, bestPrev, bestScore = v, prev, score
 			}
 		}
 		if best == -1 {
 			return
 		}
+		if bestPrev == -1 {
+			head[h] = next[best]
+		} else {
+			next[bestPrev] = next[best]
+		}
+		at := &head[l]
+		for *at != -1 && *at < best {
+			at = &next[*at]
+		}
+		next[best], *at = *at, best
 		part[best] = l
 		weights[h] -= g.vw[best]
 		weights[l] += g.vw[best]
@@ -394,40 +475,52 @@ type partConn struct{ part, ext int }
 // part within the balance bound. A pass with no improving move terminates
 // refinement early.
 func refineFM(g *wgraph, part []int, k int, rng *rand.Rand) {
+	// slack[v] is the positive part of v's external edge weight minus its
+	// internal edge weight. A move gains only if one part's external weight
+	// exceeds the internal weight, so v is skipped without reading its
+	// adjacency while slack[v] <= 0: with non-negative weights, every
+	// interior vertex and most boundary ones.
 	weights := make([]int, k)
+	slack := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
 		weights[part[v]] += g.vw[v]
+		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+			if part[g.adjncy[j]] == part[v] {
+				slack[v] -= g.adjw[j]
+			} else {
+				slack[v] += max(g.adjw[j], 0)
+			}
+		}
 	}
-	maxW := int(maxImbalance * float64(g.totw) / float64(k))
-	if maxW < 1 {
-		maxW = 1
-	}
-	var conn []partConn
+	maxW := max(1, int(maxImbalance*float64(g.totw)/float64(k)))
+	order := make([]int, g.n)
+	conn := make([]partConn, 0, 8)
 	for pass := 0; pass < fmPasses; pass++ {
 		improved := false
-		order := rng.Perm(g.n)
+		fillPerm(rng, order)
 		for _, v := range order {
+			if slack[v] <= 0 {
+				continue
+			}
 			from := part[v]
 			// External degree per part. A vertex touches a handful of
 			// parts, so a short list searched linearly stands in for a map.
 			conn = conn[:0]
 			internal := 0
-			for i, u := range g.adj[v] {
-				if part[u] == from {
-					internal += g.ew[v][i]
+			for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+				pu := part[g.adjncy[j]]
+				if pu == from {
+					internal += g.adjw[j]
 					continue
 				}
-				j := 0
-				for j < len(conn) && conn[j].part != part[u] {
-					j++
+				i := 0
+				for i < len(conn) && conn[i].part != pu {
+					i++
 				}
-				if j == len(conn) {
-					conn = append(conn, partConn{part: part[u]})
+				if i == len(conn) {
+					conn = append(conn, partConn{part: pu})
 				}
-				conn[j].ext += g.ew[v][i]
-			}
-			if len(conn) == 0 {
-				continue // not a boundary vertex
+				conn[i].ext += g.adjw[j]
 			}
 			// Highest gain wins and equal gains go to the smallest part id,
 			// so the choice does not depend on the order conn lists the
@@ -448,11 +541,27 @@ func refineFM(g *wgraph, part []int, k int, rng *rand.Rand) {
 				}
 				bestTo, bestGain = to, gain
 			}
-			if bestTo != -1 {
-				part[v] = bestTo
-				weights[from] -= g.vw[v]
-				weights[bestTo] += g.vw[v]
-				improved = true
+			if bestTo == -1 {
+				continue
+			}
+			part[v] = bestTo
+			weights[from] -= g.vw[v]
+			weights[bestTo] += g.vw[v]
+			improved = true
+			// (v, u) turns internal for a neighbour in bestTo and external
+			// for one in from.
+			slack[v] = 0
+			for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+				u, w := g.adjncy[j], g.adjw[j]
+				if part[u] == bestTo {
+					slack[u] -= max(w, 0) + w
+					slack[v] -= w
+					continue
+				}
+				if part[u] == from {
+					slack[u] += max(w, 0) + w
+				}
+				slack[v] += max(w, 0)
 			}
 		}
 		if !improved {

@@ -149,10 +149,35 @@ func TestPaGridPartitionPinned(t *testing.T) {
 	}
 }
 
+// TestMultilevelAllocsPinned holds the dense machine cell's partitioner
+// call to at most 100 allocations. Every level is three flat CSR arrays and
+// every pass works in scratch allocated once per call; one allocation per
+// vertex, per coarse neighbour list or per pass (21 285 with the
+// slice-per-vertex graph) fails it.
+func TestMultilevelAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	g, err := hex64x64()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := (&Multilevel{Seed: 1}).Partition(g, nil, 256); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 100 {
+		t.Errorf("Multilevel.Partition(hex64x64, k=256) allocates %.0f times, at most 100 pinned", got)
+	}
+}
+
 // BenchmarkMultilevelK256 is the partitioner call of the benchmark's dense
-// machine cell: a 4096-node hex grid cut into 256 parts. B/op and allocs/op
-// are the rows to watch: seeding and refinement work out of reused scratch
-// space, so neither may grow with the part count.
+// machine cell: a 4096-node hex grid cut into 256 parts. Its 255 seed
+// searches lower one distance array region by region instead of searching
+// from every assigned vertex. allocs/op (54) grows with the number of
+// levels, not with vertices, neighbour lists or passes, and
+// TestMultilevelAllocsPinned gates it; B/op is the CSR levels and scratch.
 func BenchmarkMultilevelK256(b *testing.B) {
 	g, err := hex64x64()
 	if err != nil {

@@ -3,7 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/topology"
@@ -56,15 +56,10 @@ func (p *PaGrid) Partition(g *graph.Graph, net *topology.Network, k int) ([]int,
 	if net.Procs() < k {
 		return nil, fmt.Errorf("partition: network has %d processors, need %d", net.Procs(), k)
 	}
-	ml := &Multilevel{Seed: p.Seed}
-	part, err := ml.Partition(g, nil, k)
-	if err != nil {
-		return nil, err
+	w, part, err := (&Multilevel{Seed: p.Seed}).partitionCSR(g, k)
+	if err != nil || k == 1 {
+		return part, err
 	}
-	if k == 1 {
-		return part, nil
-	}
-	w := fromGraph(g)
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x5a5a5a5a))
 	p.refineEstimatedTime(w, part, net, k, rng)
 	if err := Validate(g, part, k); err != nil {
@@ -81,24 +76,13 @@ func (p *PaGrid) estTimes(g *wgraph, part []int, net *topology.Network, k int) [
 	for v := 0; v < g.n; v++ {
 		pv := part[v]
 		et[pv] += net.Speed[pv] * float64(g.vw[v])
-		for i, u := range g.adj[v] {
-			pu := part[u]
-			if pu != pv {
-				et[pv] += rref * float64(g.ew[v][i]) * net.Cost(pv, pu)
+		for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+			if pu := part[g.adjncy[j]]; pu != pv {
+				et[pv] += rref * float64(g.adjw[j]) * net.Cost(pv, pu)
 			}
 		}
 	}
 	return et
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // refineEstimatedTime greedily moves boundary vertices off the
@@ -110,11 +94,12 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 		counts[q]++
 	}
 	var cands []int
+	order := make([]int, g.n)
 	for pass := 0; pass < etPasses; pass++ {
 		et := p.estTimes(g, part, net, k)
-		cur := maxOf(et)
+		cur := slices.Max(et)
 		improved := false
-		order := rng.Perm(g.n)
+		fillPerm(rng, order)
 		for _, v := range order {
 			from := part[v]
 			// Only vertices on the critical processor (within 1%) are
@@ -134,12 +119,12 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 				}
 			}
 			cands = append(cands[:0], light)
-			for _, u := range g.adj[v] {
+			for _, u := range g.nbrs(v) {
 				if part[u] != from {
 					cands = append(cands, part[u])
 				}
 			}
-			sort.Ints(cands)
+			slices.Sort(cands)
 			bestTo := -1
 			bestMax := cur
 			for i, to := range cands {
@@ -166,9 +151,9 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 			counts[old]--
 			counts[bestTo]++
 			newEt := p.estTimes(g, part, net, k)
-			if maxOf(newEt) < cur-1e-12 {
+			if slices.Max(newEt) < cur-1e-12 {
 				et = newEt
-				cur = maxOf(et)
+				cur = slices.Max(et)
 				improved = true
 			} else {
 				part[v] = old // revert: global makespan did not improve
@@ -187,9 +172,9 @@ func (p *PaGrid) refineEstimatedTime(g *wgraph, part []int, net *topology.Networ
 func (p *PaGrid) moveDelta(g *wgraph, part []int, net *topology.Network, v, from, to int, rref float64, et []float64) (newFrom, newTo float64) {
 	newFrom = et[from] - net.Speed[from]*float64(g.vw[v])
 	newTo = et[to] + net.Speed[to]*float64(g.vw[v])
-	for i, u := range g.adj[v] {
-		pu := part[u]
-		w := float64(g.ew[v][i])
+	for j := g.xadj[v]; j < g.xadj[v+1]; j++ {
+		pu := part[g.adjncy[j]]
+		w := float64(g.adjw[j])
 		if pu != from {
 			newFrom -= rref * w * net.Cost(from, pu)
 		}
@@ -210,5 +195,5 @@ func (p *PaGrid) EstimatedMakespan(g *graph.Graph, part []int, net *topology.Net
 	if err := net.Validate(); err != nil {
 		return 0, err
 	}
-	return maxOf(p.estTimes(fromGraph(g), part, net, k)), nil
+	return slices.Max(p.estTimes(fromGraph(g), part, net, k)), nil
 }
