@@ -20,7 +20,7 @@ func HexGrid(rows, cols int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: HexGrid dimensions must be positive, got %dx%d", rows, cols)
 	}
 	n := rows * cols
-	g := New(n)
+	g := newWithSlots(n, 6)
 	g.Name = fmt.Sprintf("%d-node Hexagonal Grid (%dx%d)", n, rows, cols)
 	g.Coords = make([]Coord, n)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
@@ -46,6 +46,18 @@ func HexGrid(rows, cols int) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// newWithSlots returns an empty graph whose adjacency lists are carved out
+// of one backing array, slots entries each, so AddEdge grows no list of
+// degree <= slots; an append past slots reallocates that list alone.
+func newWithSlots(n, slots int) *Graph {
+	g := New(n)
+	backing := make([]NodeID, n*slots)
+	for v := range g.Adj {
+		g.Adj[v] = backing[v*slots : v*slots : (v+1)*slots]
+	}
+	return g
 }
 
 // HexNeighborOffsets returns the six (dRow, dCol) neighbor offsets of a hex
@@ -125,11 +137,11 @@ func Grid(rows, cols int, moore bool) (*Graph, error) {
 		return nil, fmt.Errorf("graph: Grid dimensions must be positive, got %dx%d", rows, cols)
 	}
 	n := rows * cols
-	g := New(n)
-	kind := "von Neumann"
+	kind, slots := "von Neumann", 4
 	if moore {
-		kind = "Moore"
+		kind, slots = "Moore", 8
 	}
+	g := newWithSlots(n, slots)
 	g.Name = fmt.Sprintf("%d-node Grid (%dx%d, %s)", n, rows, cols, kind)
 	g.Coords = make([]Coord, n)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }

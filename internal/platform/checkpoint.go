@@ -1,9 +1,9 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"ic2mpi/internal/graph"
@@ -166,35 +166,29 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 		WorkTime:   s.workTime,
 		Migrations: s.migrations,
 	}
-	// Live entries are the owned nodes plus the distinct non-owned
-	// neighbors of peripheral nodes; anything else in the hash table is a
-	// stale shadow that is always overwritten before its next read, so it
-	// is dropped rather than serialized.
-	ids := make([]graph.NodeID, 0, s.numOwned())
+	// Live entries are the owned nodes plus the shadows the receive plans
+	// refresh (the distinct non-owned neighbors of peripheral nodes);
+	// anything else in the hash table is a stale shadow that is always
+	// overwritten before its next read, so it is dropped rather than
+	// serialized.
+	live := make([]*entry, 0, s.numOwned())
 	for _, node := range s.internal {
-		ids = append(ids, node.id)
+		live = append(live, node.self)
 	}
 	for _, node := range s.peripheral {
-		ids = append(ids, node.id)
+		live = append(live, node.self)
 	}
-	seen := make(map[graph.NodeID]bool)
-	for _, node := range s.peripheral {
-		for _, u := range node.neighbors {
-			if s.owner[u] != s.me && !seen[u] {
-				seen[u] = true
-				ids = append(ids, u)
-			}
-		}
+	for _, pe := range s.peers {
+		live = append(live, pe.in...)
 	}
 	rs.History = slices.Clone(s.balHist)
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	rs.Nodes = make([]NodeSnap, len(ids))
-	for i, id := range ids {
-		e := s.table.Lookup(id)
-		ns := NodeSnap{ID: id, Data: e.data}
-		if node := s.byID[id]; node != nil {
+	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
+	rs.Nodes = make([]NodeSnap, len(live))
+	for i, e := range live {
+		ns := NodeSnap{ID: e.id, Data: e.data}
+		if e.own != nil {
 			ns.Owned = true
-			ns.LastCost = node.lastCost
+			ns.LastCost = e.own.lastCost
 		}
 		rs.Nodes[i] = ns
 	}
@@ -292,20 +286,32 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	if s.table, err = NewHashTable(len(rs.Nodes) + 1); err != nil {
 		return nil, err
 	}
-	for _, ns := range rs.Nodes {
-		if err := s.table.Insert(&entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}); err != nil {
+	mine := make([]graph.NodeID, 0, len(rs.Nodes))
+	entries := make([]entry, len(rs.Nodes))
+	for i, ns := range rs.Nodes {
+		entries[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
+		if err := s.table.Insert(&entries[i]); err != nil {
 			return nil, err
 		}
-		if !ns.Owned {
-			continue
+		if ns.Owned {
+			mine = append(mine, ns.ID)
 		}
-		node := &ownNode{id: ns.ID, neighbors: cfg.Graph.Adj[ns.ID], lastCost: ns.LastCost}
-		s.place(node)
-		s.byID[ns.ID] = node
 	}
-	// rs.Nodes is ascending, so the per-kind lists are already sorted.
+	// rs.Nodes is ascending, so the per-kind lists come out sorted.
+	s.placeAll(mine)
 	s.rebuildCounts()
 	s.resolveAll()
+	for _, node := range s.peripheral {
+		if slices.Contains(node.nbr, nil) {
+			return nil, fmt.Errorf("platform: resume snapshot rank %d lacks a shadow next to node %d", s.me, node.id)
+		}
+	}
+	s.planExchange()
+	for i, ns := range rs.Nodes {
+		if ns.Owned {
+			entries[i].own.lastCost = ns.LastCost
+		}
+	}
 	s.phase = rs.Phase
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations

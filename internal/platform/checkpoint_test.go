@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ic2mpi/internal/fault"
@@ -168,6 +170,11 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 		{"ownership disagreement", func(c *Config, s *RunSnapshot) {
 			s.Ranks[0].Nodes[0].Owned = !s.Ranks[0].Nodes[0].Owned
 		}},
+		{"missing shadow", func(c *Config, s *RunSnapshot) {
+			nodes := s.Ranks[0].Nodes
+			i := slices.IndexFunc(nodes, func(ns NodeSnap) bool { return !ns.Owned })
+			s.Ranks[0].Nodes = slices.Delete(nodes, i, i+1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,8 +184,12 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 			s := cloneSnapshot(snap)
 			tc.mutate(&c, s)
 			c.ResumeFrom = s
-			if _, err := Run(c); err == nil {
+			_, err := Run(c)
+			if err == nil {
 				t.Fatalf("resume with %s succeeded, want error", tc.name)
+			}
+			if strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("resume with %s: %v; want a refusal, not a recovered panic", tc.name, err)
 			}
 		})
 	}

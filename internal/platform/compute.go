@@ -97,12 +97,12 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	// Computation overhead: form the list of the node and its neighbors, in
 	// the one list every call on this rank recycles.
 	t0 := s.comm.Wtime()
-	if cap(s.nbrScratch) < len(node.neighbors) {
-		s.nbrScratch = make([]Neighbor, len(node.neighbors))
+	if cap(s.nbrScratch) < len(node.nbr) {
+		s.nbrScratch = make([]Neighbor, len(node.nbr))
 	}
-	neighbors := s.nbrScratch[:len(node.neighbors)]
-	for i, u := range node.neighbors {
-		neighbors[i] = Neighbor{ID: u, Data: node.nbr[i].data}
+	neighbors := s.nbrScratch[:len(node.nbr)]
+	for i, nb := range node.nbr {
+		neighbors[i] = Neighbor{ID: nb.id, Data: nb.data}
 	}
 	s.comm.Charge(float64(len(neighbors)+1) * listPerNeighbor)
 	t1 := s.comm.Wtime()
@@ -134,16 +134,11 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	t3 := s.comm.Wtime()
 	s.phase[PhaseComputeOverhead] += t3 - t2
 
-	// Pack updated peripheral node data into communication buffers.
+	// Pack updated peripheral node data into communication buffers, one
+	// per destination of the node's send plan.
 	if node.peripheral {
-		// shadowFor and peers are both ascending, so one forward walk pairs
-		// each destination with its buffer.
-		i := 0
-		for _, p := range node.shadowFor {
-			for s.peers[i].proc != p {
-				i++
-			}
-			buf := &s.peers[i].pool[s.gen]
+		for _, pool := range node.out {
+			buf := &pool[s.gen]
 			*buf = append(*buf, shadowUpdate{id: node.id, data: newData})
 			s.comm.Charge(packPerNode)
 		}
@@ -167,16 +162,12 @@ func (s *rankState) flipMostRecent() {
 }
 
 // sendBuffers dispatches one nonblocking send per peer, in ascending
-// destination order.
+// destination order. The receiver checks each buffer against its receive
+// plan.
 func (s *rankState) sendBuffers(sub int) error {
 	t0 := s.comm.Wtime()
 	for _, pe := range s.peers {
-		buf := pe.pool[s.gen]
-		if len(buf) != pe.send {
-			return fmt.Errorf("platform: rank %d packed %d updates for proc %d, expected %d",
-				s.me, len(buf), pe.proc, pe.send)
-		}
-		if err := s.comm.Isend(pe.proc, tagShadow(sub), &pe.pool[s.gen], updateBytes(buf)); err != nil {
+		if err := s.comm.Isend(pe.proc, tagShadow(sub), &pe.pool[s.gen], updateBytes(pe.pool[s.gen])); err != nil {
 			return err
 		}
 	}
@@ -185,7 +176,9 @@ func (s *rankState) sendBuffers(sub int) error {
 }
 
 // recvShadows receives one buffer from every peer, in ascending source
-// order, and applies the updates to the data store.
+// order, and stores the k-th update in the k-th entry of the peer's
+// receive plan. Checking the length and each id against the plan refuses
+// an update out of order and one for a node the peer does not own.
 func (s *rankState) recvShadows(sub int) error {
 	for _, pe := range s.peers {
 		t0 := s.comm.Wtime()
@@ -201,18 +194,15 @@ func (s *rankState) recvShadows(sub int) error {
 			return fmt.Errorf("platform: rank %d: unexpected payload %T from proc %d", s.me, payload, pe.proc)
 		}
 		buf := *sent
-		if len(buf) != pe.recv {
+		if len(buf) != len(pe.in) {
 			return fmt.Errorf("platform: rank %d received %d updates from proc %d, expected %d",
-				s.me, len(buf), pe.proc, pe.recv)
+				s.me, len(buf), pe.proc, len(pe.in))
 		}
-		for _, u := range buf {
-			if s.owner[u.id] != pe.proc {
-				return fmt.Errorf("platform: rank %d: proc %d sent update for node %d it does not own",
-					s.me, pe.proc, u.id)
-			}
-			e := s.table.Lookup(u.id)
-			if e == nil {
-				return fmt.Errorf("platform: rank %d: received shadow %d it does not hold", s.me, u.id)
+		for k, u := range buf {
+			e := pe.in[k]
+			if e.id != u.id {
+				return fmt.Errorf("platform: rank %d: update %d from proc %d is for node %d, expected node %d",
+					s.me, k, pe.proc, u.id, e.id)
 			}
 			e.data = u.data
 			e.mostRecent = u.data

@@ -11,9 +11,11 @@ import (
 // lists which contain the locations for node data. A modulo hash function
 // is applied on the node global ID (key) to obtain the location for node
 // data." It provides amortized O(1) access by global ID to a rank's own and
-// shadow node data: shadow updates after communication, migration and
-// checkpoint capture go through it, while the compute loop follows the entry
-// pointers each own node resolved from it when it joined the rank.
+// shadow node data when a node joins the rank (start-up, resume, migration).
+// Nothing on the exchange path looks an id up: the compute loop follows the
+// entry pointers each own node resolved from the table, and shadow updates
+// are stored through the receive plans built from those pointers once per
+// partition epoch (rankState.planExchange).
 //
 // The table stores *entry pointers so that updating an entry through the
 // table is visible to every list that references it, exactly as the C
@@ -22,13 +24,14 @@ import (
 //
 // The table only grows: there is no removal. That is load-bearing — every
 // own node keeps the *entry pointers it resolved when it joined the rank
-// (ownNode.self, ownNode.nbr) and the compute loop follows them without a
-// look-up, which is sound only while no entry can leave the table or be
-// replaced in it (checkInvariants compares every resolved pointer with
+// (ownNode.self, ownNode.nbr), and the plans hold them too, which is sound
+// only while no entry can leave the table or be replaced in it
+// (checkInvariants compares every resolved and planned pointer with
 // Lookup). A node that migrates away leaves its entry behind: "the
 // migrating node now becomes a shadow node for the 'busy' processor".
 type HashTable struct {
 	buckets []*hashNode
+	slab    []hashNode // the first len(buckets) chain links; a link never moves
 }
 
 // hashNode is one chain link (struct hash_node).
@@ -46,6 +49,7 @@ type entry struct {
 	id         graph.NodeID
 	data       NodeData
 	mostRecent NodeData
+	own        *ownNode // the node's record while this rank owns it; nil for a shadow
 }
 
 // NewHashTable returns a table with the given bucket count, fixed for the
@@ -58,7 +62,7 @@ func NewHashTable(buckets int) (*HashTable, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("platform: hash table needs >= 1 bucket, got %d", buckets)
 	}
-	return &HashTable{buckets: make([]*hashNode, buckets)}, nil
+	return &HashTable{buckets: make([]*hashNode, buckets), slab: make([]hashNode, 0, buckets)}, nil
 }
 
 // slot is the modulo hash function. The thesis computes pow(3, globalID)
@@ -87,7 +91,11 @@ func (h *HashTable) Insert(e *entry) error {
 	if cur != nil && cur.id == e.id {
 		return fmt.Errorf("platform: node %d already in hash table", e.id)
 	}
-	n := &hashNode{id: e.id, data: e, next: cur}
+	if len(h.slab) == cap(h.slab) {
+		h.slab = make([]hashNode, 0, 1) // the full slab's links stay put
+	}
+	h.slab = append(h.slab, hashNode{id: e.id, data: e, next: cur})
+	n := &h.slab[len(h.slab)-1]
 	if prev == nil {
 		h.buckets[s] = n
 	} else {

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/netmodel"
@@ -365,12 +364,12 @@ func (s *rankState) chooseMigratingNode(idle int) (graph.NodeID, int64) {
 	bestScore := 0
 	bestCost := 0.0
 	for _, node := range s.peripheral {
-		if !slices.Contains(node.shadowFor, idle) {
+		if !slices.Contains(node.shadowFor, int32(idle)) {
 			continue
 		}
 		score := 0
-		for _, u := range node.neighbors {
-			switch s.owner[u] {
+		for _, nb := range node.nbr {
+			switch s.owner[nb.id] {
 			case s.me:
 				score++
 			case idle:
@@ -418,10 +417,11 @@ func (s *rankState) executeMigration(m migration) error {
 
 // migrateOut is the busy processor's side.
 func (s *rankState) migrateOut(m migration) error {
-	node := s.byID[m.node]
-	if node == nil {
+	e := s.table.Lookup(m.node)
+	if e == nil || e.own == nil {
 		return fmt.Errorf("platform: rank %d asked to migrate node %d it does not own", s.me, m.node)
 	}
+	node := e.own
 	if !node.peripheral {
 		return fmt.Errorf("platform: rank %d: migrating node %d is not peripheral", s.me, m.node)
 	}
@@ -429,10 +429,10 @@ func (s *rankState) migrateOut(m migration) error {
 	// since the neighbors of the migrating node now become shadow nodes
 	// for the 'idle' processor". The node's own current data rides along
 	// so the destination does not depend on having held the shadow.
-	buf := make([]shadowUpdate, 0, len(node.neighbors)+1)
+	buf := make([]shadowUpdate, 0, len(node.nbr)+1)
 	buf = append(buf, shadowUpdate{id: m.node, data: node.self.data})
-	for i, u := range node.neighbors {
-		buf = append(buf, shadowUpdate{id: u, data: node.nbr[i].data})
+	for _, nb := range node.nbr {
+		buf = append(buf, shadowUpdate{id: nb.id, data: nb.data})
 	}
 	if err := s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf)); err != nil {
 		return err
@@ -440,8 +440,8 @@ func (s *rankState) migrateOut(m migration) error {
 	// Remove the node from the own-node lists; its data entry stays in the
 	// hash table and data list because "the migrating node now becomes a
 	// shadow node for the 'busy' processor".
-	delete(s.byID, m.node)
-	s.peripheral = removeNode(s.peripheral, m.node)
+	e.own = nil
+	s.peripheral = slices.DeleteFunc(s.peripheral, func(n *ownNode) bool { return n == node })
 	return nil
 }
 
@@ -475,19 +475,11 @@ func (s *rankState) migrateIn(m migration) error {
 	// "The node information of the migrating node is added in the
 	// peripheral node list" — reclassifyAll will demote it to internal if
 	// it has no remote neighbors after the ownership flip.
-	node := &ownNode{id: m.node, neighbors: s.cfg.Graph.Adj[m.node]}
+	n := len(s.cfg.Graph.Adj[m.node])
+	node := &ownNode{id: m.node, shadowFor: make([]int32, 0, n)}
 	// Every neighbor's entry is in the table now, received or already held.
-	node.nbr = make([]*entry, len(node.neighbors))
+	node.nbr = make([]*entry, n)
 	s.resolve(node)
-	s.byID[m.node] = node
 	s.peripheral = append(s.peripheral, node)
 	return nil
-}
-
-func removeNode(nodes []*ownNode, id graph.NodeID) []*ownNode {
-	i := sort.Search(len(nodes), func(i int) bool { return nodes[i].id >= id })
-	if i < len(nodes) && nodes[i].id == id {
-		return append(nodes[:i], nodes[i+1:]...)
-	}
-	return nodes
 }

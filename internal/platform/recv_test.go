@@ -82,3 +82,28 @@ func TestRecvShadowsRefusesWrongPayloadType(t *testing.T) {
 		t.Errorf("got %v, want the unexpected-payload error", err)
 	}
 }
+
+// TestRecvShadowsRefusesSwappedUpdates hands rank 1 the right updates with
+// the first two swapped: each is for a node rank 1 holds a shadow of, but
+// not the one due at its position.
+func TestRecvShadowsRefusesSwappedUpdates(t *testing.T) {
+	err := recvForged(t, func(buf []shadowUpdate) any {
+		buf[0], buf[1] = buf[1], buf[0]
+		return &buf
+	})
+	if !strings.Contains(err.Error(), "update 0 from proc 0 is for node 1, expected node 0") {
+		t.Errorf("got %v, want the out-of-order error", err)
+	}
+}
+
+// TestRecvShadowsRefusesUnownedNode hands rank 1 an update for node 4,
+// which rank 1 owns itself, in the first slot.
+func TestRecvShadowsRefusesUnownedNode(t *testing.T) {
+	err := recvForged(t, func(buf []shadowUpdate) any {
+		buf[0].id = 4
+		return &buf
+	})
+	if !strings.Contains(err.Error(), "update 0 from proc 0 is for node 4, expected node 0") {
+		t.Errorf("got %v, want the out-of-order error", err)
+	}
+}

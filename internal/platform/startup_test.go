@@ -83,4 +83,12 @@ func TestRankStartupAllocBytes(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks allocated %d bytes, ceiling %d: something per-rank is sized by the whole graph again", got, ceiling)
 	}
+	// The run makes about 28 100 allocations: some 10 000 are the test's
+	// InitData and node function boxing their values, and a rank's own
+	// state is a few flat arrays. Per-node records, entries and chain links
+	// made about 68 700; one more allocation per node adds 4 096.
+	const objects = 30000
+	if got := after.Mallocs - before.Mallocs; got > objects {
+		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks made %d allocations, ceiling %d: something is allocated per node again", got, objects)
+	}
 }

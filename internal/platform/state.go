@@ -1,9 +1,9 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
@@ -17,14 +17,17 @@ import (
 type ownNode struct {
 	id         graph.NodeID
 	peripheral bool
-	neighbors  []graph.NodeID // sorted, from the application graph
-	shadowFor  []int          // sorted processor ids; empty for internal nodes
-	// self is the node's own data entry and nbr[i] the entry of
-	// neighbors[i], looked up once when the node joins the rank (resolve).
+	shadowFor  []int32 // sorted processor ids; empty for internal nodes; cap = degree
+	// self is the node's own data entry and nbr[i] the entry of its i-th
+	// neighbor in the application graph (so the neighbor list is the ids
+	// nbr[i].id), looked up once when the node joins the rank (resolve).
 	// A rank never removes an entry from its table, so the pointers stay
 	// equal to what a look-up would return, and the compute loop does none.
 	self *entry
 	nbr  []*entry
+	// out is the send plan (planExchange): the pool of each processor in
+	// shadowFor, in that order. Nil for internal nodes.
+	out []*[2][]shadowUpdate
 	// lastCost is the node's observed compute cost in the most recent
 	// iteration (summed over sub-phases). The migration-node selection
 	// uses it to prefer shedding hot nodes.
@@ -51,9 +54,8 @@ type rankState struct {
 	owner       []int
 	ownerShared bool
 
-	internal   []*ownNode
-	peripheral []*ownNode
-	byID       map[graph.NodeID]*ownNode // index over internal+peripheral
+	internal   []*ownNode // ascending by id between migration rounds
+	peripheral []*ownNode // the same; entry.own points back at a record
 
 	table *HashTable // own + shadow data entries
 
@@ -94,11 +96,13 @@ type rankState struct {
 type peer struct {
 	proc int
 	// send is the number of my peripheral nodes that are shadows on proc
-	// (buffer_size_for_communication); recv is the number of shadow nodes I
-	// hold that proc owns — I expect exactly one update per such node per
-	// exchange. Both are positive: either way the entry exists because one
-	// of my nodes is adjacent to one of proc's.
-	send, recv int
+	// (buffer_size_for_communication). in is the receive plan: the entries
+	// of the shadows proc owns, in the order proc packs them — its
+	// peripheral list, ascending by id — so the k-th update of an exchange
+	// is stored in in[k]. Both are non-empty: either way the entry exists
+	// because one of my nodes is adjacent to one of proc's.
+	send int
+	in   []*entry
 	// pool holds two generations of send buffers for proc; successive
 	// exchanges alternate generations (rankState.gen), so a buffer handed to
 	// Isend in exchange k is only truncated and repacked in exchange k+2.
@@ -139,7 +143,6 @@ func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 		speed:       cfg.Network.Speed(comm.Rank()),
 		owner:       owner,
 		ownerShared: true,
-		byID:        make(map[graph.NodeID]*ownNode),
 	}
 }
 
@@ -182,50 +185,68 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 	t0 := comm.Wtime()
 	s := emptyRankState(cfg, comm, cfg.InitialPartition)
 
-	// Node lists first: they need only the owner map, and the peer counts
-	// that fall out of them say how many shadows the data index will hold.
-	for _, id := range mine {
-		node := &ownNode{id: id, neighbors: cfg.Graph.Adj[id]}
-		s.place(node)
-		s.byID[id] = node
-	}
+	// Node lists first: they need only the owner map, and the non-local
+	// neighbors of the peripheral nodes are the shadows the data index will
+	// hold, in the order their data has always been initialized.
+	ids := append(make([]graph.NodeID, 0, len(mine)+s.placeAll(mine)), mine...)
 	s.rebuildCounts()
-	shadows := 0
-	for _, pe := range s.peers {
-		shadows += pe.recv
+	for _, node := range s.peripheral {
+		for _, u := range cfg.Graph.Adj[node.id] {
+			if s.owner[u] != s.me {
+				ids = append(ids, u)
+			}
+		}
 	}
+	distinct := slices.Clone(ids[len(mine):])
+	slices.Sort(distinct)
+	shadows := len(slices.Compact(distinct))
 	var err error
 	if s.table, err = NewHashTable(len(mine) + shadows + 1); err != nil {
 		return nil, err
 	}
-	insert := func(id graph.NodeID) error {
+	entries := make([]entry, 0, len(mine)+shadows) // never grows: the table points into it
+	for _, id := range ids {
+		if s.table.Lookup(id) != nil {
+			continue
+		}
 		d := cfg.InitData(id)
 		if d == nil {
-			return fmt.Errorf("platform: InitData returned nil for node %d", id)
+			return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
 		}
-		return s.table.Insert(&entry{id: id, data: d, mostRecent: d})
-	}
-	for _, id := range mine {
-		if err := insert(id); err != nil {
+		entries = append(entries, entry{id: id, data: d, mostRecent: d})
+		if err := s.table.Insert(&entries[len(entries)-1]); err != nil {
 			return nil, err
 		}
 	}
-	// Shadow entries: non-local neighbors of peripheral nodes.
-	for _, node := range s.peripheral {
-		for _, u := range node.neighbors {
-			if s.owner[u] == s.me || s.table.Lookup(u) != nil {
-				continue
-			}
-			if err := insert(u); err != nil {
-				return nil, err
-			}
-		}
-	}
 	s.resolveAll()
+	s.planExchange()
 	// One node-list and one data entry per owned node, one entry per shadow.
 	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
 	return s, nil
+}
+
+// placeAll makes the records of the owned nodes ids (ascending) in one
+// array, carves their shadowFor sets out of one more, and places each. It
+// returns their total degree. newRankState and restoreRankState call it on
+// an empty rank.
+func (s *rankState) placeAll(ids []graph.NodeID) int {
+	degree := 0
+	for _, id := range ids {
+		degree += len(s.cfg.Graph.Adj[id])
+	}
+	nodes := make([]ownNode, len(ids))
+	procs := make([]int32, degree)
+	s.internal = make([]*ownNode, 0, len(ids))
+	s.peripheral = make([]*ownNode, 0, len(ids))
+	for i, id := range ids {
+		node := &nodes[i]
+		node.id = id
+		n := len(s.cfg.Graph.Adj[id])
+		node.shadowFor, procs = procs[:0:n], procs[n:]
+		s.place(node)
+	}
+	return degree
 }
 
 // resolveAll resolves every owned node's entry pointers, carving the nbr
@@ -236,24 +257,25 @@ func (s *rankState) resolveAll() {
 	total := 0
 	for _, list := range lists {
 		for _, node := range list {
-			total += len(node.neighbors)
+			total += len(s.cfg.Graph.Adj[node.id])
 		}
 	}
 	backing := make([]*entry, total)
 	for _, list := range lists {
 		for _, node := range list {
-			n := len(node.neighbors)
+			n := len(s.cfg.Graph.Adj[node.id])
 			node.nbr, backing = backing[:n:n], backing[n:]
 			s.resolve(node)
 		}
 	}
 }
 
-// resolve looks up node's own entry and its neighbors' entries; node.nbr
-// must already have one slot per neighbor.
+// resolve looks up node's own entry, which it links back to the node, and
+// its neighbors' entries; node.nbr must already have one slot per neighbor.
 func (s *rankState) resolve(node *ownNode) {
 	node.self = s.table.Lookup(node.id)
-	for i, u := range node.neighbors {
+	node.self.own = node
+	for i, u := range s.cfg.Graph.Adj[node.id] {
 		node.nbr[i] = s.table.Lookup(u)
 	}
 }
@@ -270,50 +292,81 @@ func (s *rankState) place(node *ownNode) {
 }
 
 // classify recomputes a node's peripheral flag and shadowFor set from the
-// current owner map.
+// current owner map. The send plan derived from the old set is dropped;
+// planExchange builds the new one.
 func (s *rankState) classify(node *ownNode) {
 	node.shadowFor = node.shadowFor[:0]
 	node.peripheral = false
-	for _, u := range node.neighbors {
+	node.out = nil
+	for _, u := range s.cfg.Graph.Adj[node.id] {
 		p := s.owner[u]
 		if p == s.me {
 			continue
 		}
 		node.peripheral = true
-		if !slices.Contains(node.shadowFor, p) {
-			node.shadowFor = append(node.shadowFor, p)
+		if !slices.Contains(node.shadowFor, int32(p)) {
+			node.shadowFor = append(node.shadowFor, int32(p))
 		}
 	}
-	sort.Ints(node.shadowFor)
+	slices.Sort(node.shadowFor)
 }
 
-// rebuildCounts recomputes the peer list from the node lists and the owner
-// map: send falls out of the peripheral shadowFor sets, recv counts the
-// distinct shadow nodes per owning processor. Entries are edited in place,
-// so a peer that survives a migration keeps its pooled buffers, and one
-// left without a shared edge is dropped.
+// rebuildCounts recomputes the peer list from the peripheral shadowFor
+// sets: one peer per processor they name (by symmetry, the owners of my
+// shadows), with send counting the nodes that name it. Entries are edited
+// in place, so a peer that survives a migration keeps its pooled buffers,
+// and one left without a shared edge is dropped.
 func (s *rankState) rebuildCounts() {
 	for i := range s.peers {
-		s.peers[i].send, s.peers[i].recv = 0, 0
+		s.peers[i].send = 0
 	}
 	for _, node := range s.peripheral {
 		for _, p := range node.shadowFor {
-			s.peerFor(p).send++
-		}
-	}
-	seen := make(map[graph.NodeID]bool)
-	for _, node := range s.peripheral {
-		for _, u := range node.neighbors {
-			p := s.owner[u]
-			if p != s.me && !seen[u] {
-				seen[u] = true
-				s.peerFor(p).recv++
-			}
+			s.peerFor(int(p)).send++
 		}
 	}
 	// DeleteFunc zeroes the vacated tail, releasing the dropped peers'
 	// pooled buffers.
 	s.peers = slices.DeleteFunc(s.peers, func(pe peer) bool { return pe.send == 0 })
+}
+
+// planExchange builds the receive and send plans of the current partition
+// epoch from the resolved pointers, with no look-up; rounds only execute
+// them until the next ownership change. A peer packs its peripheral nodes
+// in ascending id order, so its receive plan is the shadows it owns, sorted
+// and each once. Gathered in node order they arrive nearly sorted.
+func (s *rankState) planExchange() {
+	arcs, sends := 0, 0
+	for _, node := range s.peripheral {
+		arcs += len(node.nbr)
+		sends += len(node.shadowFor)
+	}
+	in := make([]*entry, 0, arcs)
+	out := make([]*[2][]shadowUpdate, sends)
+	for _, node := range s.peripheral {
+		node.out, out = out[:len(node.shadowFor):len(node.shadowFor)], out[len(node.shadowFor):]
+		for j, p := range node.shadowFor {
+			node.out[j] = s.peerFor(int(p)).pool
+		}
+	}
+	for i := range s.peers {
+		start, p := len(in), s.peers[i].proc
+		for _, node := range s.peripheral {
+			for _, e := range node.nbr {
+				if s.owner[e.id] == p {
+					in = append(in, e)
+				}
+			}
+		}
+		slices.SortFunc(in[start:], func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
+		in = in[:start+len(slices.Compact(in[start:]))]
+		s.peers[i].in = in[start:]
+	}
+	in = slices.Clone(in) // holds each shadow once, not once per arc
+	for i := range s.peers {
+		n := len(s.peers[i].in)
+		s.peers[i].in, in = in[:n:n], in[n:]
+	}
 }
 
 // peerFor returns the entry for processor p, inserting an empty one at its
@@ -347,23 +400,17 @@ func (s *rankState) sendRow() []int {
 // changes: internal nodes that gained a remote neighbor move to the
 // peripheral list and vice versa, and every peripheral node's shadowFor
 // set is recomputed (the thesis' post-migration "Updating the
-// shadow_for_procs[] array for the peripheral nodes" loop).
+// shadow_for_procs[] array for the peripheral nodes" loop). Placing the
+// nodes in id order keeps both lists ascending.
 func (s *rankState) reclassifyAll() {
-	all := make([]*ownNode, 0, len(s.internal)+len(s.peripheral))
-	all = append(all, s.internal...)
-	all = append(all, s.peripheral...)
-	s.internal = s.internal[:0]
-	s.peripheral = s.peripheral[:0]
+	all := slices.Concat(s.internal, s.peripheral)
+	slices.SortFunc(all, func(a, b *ownNode) int { return cmp.Compare(a.id, b.id) })
+	s.internal, s.peripheral = s.internal[:0], s.peripheral[:0]
 	for _, node := range all {
 		s.place(node)
 	}
-	sortNodes(s.internal)
-	sortNodes(s.peripheral)
 	s.rebuildCounts()
-}
-
-func sortNodes(nodes []*ownNode) {
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a].id < nodes[b].id })
+	s.planExchange()
 }
 
 // numOwned returns the number of nodes this rank owns.
@@ -380,7 +427,7 @@ func (s *rankState) checkInvariants() error {
 		if len(node.shadowFor) != 0 {
 			return fmt.Errorf("rank %d: internal node %d has shadowFor %v", s.me, node.id, node.shadowFor)
 		}
-		for _, u := range node.neighbors {
+		for _, u := range s.cfg.Graph.Adj[node.id] {
 			if s.owner[u] != s.me {
 				return fmt.Errorf("rank %d: internal node %d has remote neighbor %d", s.me, node.id, u)
 			}
@@ -391,10 +438,10 @@ func (s *rankState) checkInvariants() error {
 			return fmt.Errorf("rank %d: node %d in peripheral list not flagged", s.me, node.id)
 		}
 		remote := false
-		for _, u := range node.neighbors {
+		for _, u := range s.cfg.Graph.Adj[node.id] {
 			if s.owner[u] != s.me {
 				remote = true
-				if !slices.Contains(node.shadowFor, s.owner[u]) {
+				if !slices.Contains(node.shadowFor, int32(s.owner[u])) {
 					return fmt.Errorf("rank %d: peripheral node %d missing shadowFor %d", s.me, node.id, s.owner[u])
 				}
 			}
@@ -403,47 +450,50 @@ func (s *rankState) checkInvariants() error {
 			return fmt.Errorf("rank %d: peripheral node %d has no remote neighbor", s.me, node.id)
 		}
 	}
-	for id, node := range s.byID {
-		if id != node.id {
-			return fmt.Errorf("rank %d: byID key %d points at node %d", s.me, id, node.id)
-		}
-		if s.owner[id] != s.me {
-			return fmt.Errorf("rank %d: byID holds non-owned node %d", s.me, id)
-		}
-		e := s.table.Lookup(id)
-		if e == nil {
-			return fmt.Errorf("rank %d: owned node %d missing from hash table", s.me, id)
-		}
-		// The resolved pointers must be exactly what a look-up returns.
-		if node.self != e {
-			return fmt.Errorf("rank %d: node %d's resolved entry is not the table's", s.me, id)
-		}
-		if len(node.nbr) != len(node.neighbors) {
-			return fmt.Errorf("rank %d: node %d has %d resolved neighbors of %d", s.me, id, len(node.nbr), len(node.neighbors))
-		}
-		for i, u := range node.neighbors {
-			if node.nbr[i] != s.table.Lookup(u) {
-				return fmt.Errorf("rank %d: node %d's resolved entry for neighbor %d is not the table's", s.me, id, u)
+	for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
+		for i, node := range list {
+			// A peer's receive plan follows this rank's packing order.
+			if i > 0 && list[i-1].id >= node.id {
+				return fmt.Errorf("rank %d: node list not strictly ascending at %d (node %d after %d)", s.me, i, node.id, list[i-1].id)
+			}
+			if s.owner[node.id] != s.me {
+				return fmt.Errorf("rank %d: node lists hold non-owned node %d", s.me, node.id)
+			}
+			// The resolved pointers must be exactly what a look-up returns,
+			// and every neighbor's entry present.
+			if e := s.table.Lookup(node.id); e == nil || node.self != e || e.own != node {
+				return fmt.Errorf("rank %d: owned node %d's entry is missing, not the resolved one, or does not point back at it", s.me, node.id)
+			}
+			adj := s.cfg.Graph.Adj[node.id]
+			if len(node.nbr) != len(adj) {
+				return fmt.Errorf("rank %d: node %d has %d resolved neighbors of %d", s.me, node.id, len(node.nbr), len(adj))
+			}
+			for i, u := range adj {
+				if node.nbr[i] == nil || node.nbr[i] != s.table.Lookup(u) {
+					return fmt.Errorf("rank %d: node %d's resolved entry for neighbor %d is missing or not the table's", s.me, node.id, u)
+				}
 			}
 		}
 	}
-	if len(s.byID) != s.numOwned() {
-		return fmt.Errorf("rank %d: byID has %d entries for %d owned nodes", s.me, len(s.byID), s.numOwned())
-	}
-	// Every shadow needed for computation must be present in the table.
-	for _, node := range s.peripheral {
-		for _, u := range node.neighbors {
-			if s.table.Lookup(u) == nil {
-				return fmt.Errorf("rank %d: shadow %d of peripheral %d missing", s.me, u, node.id)
+	owned := 0
+	for _, link := range s.table.buckets {
+		for ; link != nil; link = link.next {
+			if link.data.own != nil {
+				owned++
 			}
 		}
+	}
+	if owned != s.numOwned() {
+		return fmt.Errorf("rank %d: %d entries point at a node record for %d owned nodes", s.me, owned, s.numOwned())
 	}
 	return s.checkPeers()
 }
 
-// checkPeers validates the peer list: strictly ascending, never this rank
-// itself, both counts positive on every entry, and equal to a from-scratch
-// recount over the owner map and the application graph.
+// checkPeers validates the peer list and the plans: peers strictly
+// ascending, never this rank itself, send and receive plan non-empty on
+// every entry and equal to a from-scratch recount over the owner map and
+// the application graph; each receive plan strictly ascending, owned by its
+// peer and the table's; each send plan the pools of shadowFor.
 func (s *rankState) checkPeers() error {
 	send := make(map[int]int)
 	recv := make(map[int]int)
@@ -478,12 +528,30 @@ func (s *rankState) checkPeers() error {
 		if pe.proc == s.me {
 			return fmt.Errorf("rank %d: peer list contains the rank itself", s.me)
 		}
-		if pe.send <= 0 || pe.recv <= 0 {
-			return fmt.Errorf("rank %d: peer %d has send %d, recv %d; both must be positive", s.me, pe.proc, pe.send, pe.recv)
+		if pe.send <= 0 || len(pe.in) <= 0 {
+			return fmt.Errorf("rank %d: peer %d has send %d, recv %d; both must be positive", s.me, pe.proc, pe.send, len(pe.in))
 		}
-		if pe.send != send[pe.proc] || pe.recv != recv[pe.proc] {
+		if pe.send != send[pe.proc] || len(pe.in) != recv[pe.proc] {
 			return fmt.Errorf("rank %d: peer %d has send %d, recv %d; owner map gives %d, %d",
-				s.me, pe.proc, pe.send, pe.recv, send[pe.proc], recv[pe.proc])
+				s.me, pe.proc, pe.send, len(pe.in), send[pe.proc], recv[pe.proc])
+		}
+		for k, e := range pe.in {
+			if k > 0 && pe.in[k-1].id >= e.id {
+				return fmt.Errorf("rank %d: receive plan from %d not strictly ascending at %d", s.me, pe.proc, k)
+			}
+			if s.owner[e.id] != pe.proc || e != s.table.Lookup(e.id) {
+				return fmt.Errorf("rank %d: receive plan from %d holds node %d, owned by %d, or not the table's entry", s.me, pe.proc, e.id, s.owner[e.id])
+			}
+		}
+	}
+	for _, node := range s.peripheral {
+		if len(node.out) != len(node.shadowFor) {
+			return fmt.Errorf("rank %d: node %d sends to %d pools for %d processors", s.me, node.id, len(node.out), len(node.shadowFor))
+		}
+		for j, p := range node.shadowFor {
+			if i := slices.IndexFunc(s.peers, func(pe peer) bool { return pe.proc == int(p) }); i < 0 || node.out[j] != s.peers[i].pool {
+				return fmt.Errorf("rank %d: node %d's send plan for proc %d is not that peer's pool", s.me, node.id, p)
+			}
 		}
 	}
 	return nil

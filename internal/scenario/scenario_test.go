@@ -189,6 +189,34 @@ func TestNodeFuncsNeverWriteTheirInputs(t *testing.T) {
 	}
 }
 
+// TestMigrationRunsKeepInvariants runs the two scenarios whose load moves —
+// the battlefield and the Fig. 23 imbalance — under a balancer with the
+// platform's invariant checks on, so every rank's node lists, entries and
+// exchange plans are checked against a from-scratch recount after every
+// iteration and every migration round.
+func TestMigrationRunsKeepInvariants(t *testing.T) {
+	for _, name := range []string{"battlefield", "imbalance"} {
+		t.Run(name, func(t *testing.T) {
+			sc, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("no scenario %q", name)
+			}
+			cfg, err := sc.Config(Params{Procs: 8, Balancer: "centralized"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.CheckInvariants = true
+			res, err := platform.Run(*cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Migrations == 0 {
+				t.Fatal("no node migrated; the run does not exercise the plans' rebuild")
+			}
+		})
+	}
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	sc, _ := Lookup("imbalance")
 	p, err := sc.Normalize(Params{Procs: 4})

@@ -138,17 +138,19 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // now that both variants receive through one path. AllocsPerRun holds
 // GOMAXPROCS at 1, so the default name runs one worker here on any host.
 // With one goroutine and one mutex+cond mailbox per rank the rows read
-// 1699, 2455, 1700 and 2453.
+// 1699, 2455, 1700 and 2453. While each rank was built from per-node
+// records, entries and chain links, with a map over its nodes, they read
+// 1700, 2405, 1701 and 2404.
 var exchangeAllocPins = []struct {
 	name    string
 	procs   int
 	overlap bool
 	allocs  float64
 }{
-	{"Pooled8", 8, false, 1700},
-	{"Pooled16", 16, false, 2405},
-	{"PooledOverlap8", 8, true, 1701},
-	{"PooledOverlap16", 16, true, 2404},
+	{"Pooled8", 8, false, 416},
+	{"Pooled16", 16, false, 837},
+	{"PooledOverlap8", 8, true, 417},
+	{"PooledOverlap16", 16, true, 836},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
