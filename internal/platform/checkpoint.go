@@ -275,49 +275,3 @@ func validateResume(c *Config, snap *RunSnapshot) error {
 	}
 	return nil
 }
-
-// restoreRankState rebuilds one rank's live state from a snapshot. It is
-// the resume-side twin of newRankState: no InitData calls, no init-phase
-// charges — the restored phase vector already accounts for them.
-func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankState, error) {
-	s := emptyRankState(cfg, comm, snap.Owner)
-	rs := snap.Ranks[s.me]
-	var err error
-	if s.table, err = NewHashTable(len(rs.Nodes) + 1); err != nil {
-		return nil, err
-	}
-	mine := make([]graph.NodeID, 0, len(rs.Nodes))
-	entries := make([]entry, len(rs.Nodes))
-	for i, ns := range rs.Nodes {
-		entries[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
-		if err := s.table.Insert(&entries[i]); err != nil {
-			return nil, err
-		}
-		if ns.Owned {
-			mine = append(mine, ns.ID)
-		}
-	}
-	// rs.Nodes is ascending, so the per-kind lists come out sorted.
-	s.placeAll(mine)
-	s.rebuildCounts()
-	s.resolveAll()
-	for _, node := range s.peripheral {
-		if slices.Contains(node.nbr, nil) {
-			return nil, fmt.Errorf("platform: resume snapshot rank %d lacks a shadow next to node %d", s.me, node.id)
-		}
-	}
-	s.planExchange()
-	for i, ns := range rs.Nodes {
-		if ns.Owned {
-			entries[i].own.lastCost = ns.LastCost
-		}
-	}
-	s.phase = rs.Phase
-	s.workTime = rs.WorkTime
-	s.migrations = rs.Migrations
-	s.balHist = slices.Clone(rs.History)
-	if err := s.checkInvariants(); err != nil {
-		return nil, fmt.Errorf("platform: resume snapshot failed invariants: %w", err)
-	}
-	return s, nil
-}

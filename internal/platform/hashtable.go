@@ -10,12 +10,12 @@ import (
 // "Hash tables are implemented as an array of pointers to sorted linked
 // lists which contain the locations for node data. A modulo hash function
 // is applied on the node global ID (key) to obtain the location for node
-// data." It provides amortized O(1) access by global ID to a rank's own and
-// shadow node data when a node joins the rank (start-up, resume, migration).
-// Nothing on the exchange path looks an id up: the compute loop follows the
-// entry pointers each own node resolved from the table, and shadow updates
-// are stored through the receive plans built from those pointers once per
-// partition epoch (rankState.planExchange).
+// data." buildRanks fills every rank's table before the ranks launch, from
+// machine-wide arrays of buckets and chain links; task migration and
+// checkpoint capture look ids up in it, in amortized O(1). Nothing on the
+// exchange path does: the compute loop follows each own node's entry
+// pointers, and shadow updates are stored through the receive plans
+// (rankState.planExchange).
 //
 // The table stores *entry pointers so that updating an entry through the
 // table is visible to every list that references it, exactly as the C

@@ -48,12 +48,13 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 	var procs [][]int
 	var held []pools
 	const iterations = 7
-	own := nodesByOwner(c.InitialPartition, c.Procs)
+	ranks, err := buildRanks(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = mpi.Run(mpi.Options{Procs: c.Procs, Cost: c.Network}, func(comm *mpi.Comm) error {
-		st, err := newRankState(c, comm, own[comm.Rank()])
-		if err != nil {
-			return err
-		}
+		st := &ranks[comm.Rank()]
+		st.comm = comm
 		for iter := 1; iter <= iterations; iter++ {
 			before := st.phase[PhaseCompute]
 			if err := st.computeAndCommunicate(iter, 0); err != nil {

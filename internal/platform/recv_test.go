@@ -25,13 +25,14 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := nodesByOwner(c.InitialPartition, c.Procs)
+	ranks, err := buildRanks(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var written []graph.NodeID
 	runErr := mpi.Run(mpi.Options{Procs: c.Procs, Cost: c.Network}, func(comm *mpi.Comm) error {
-		st, err := newRankState(c, comm, own[comm.Rank()])
-		if err != nil {
-			return err
-		}
+		st := &ranks[comm.Rank()]
+		st.comm = comm
 		if st.me == 0 {
 			var buf []shadowUpdate
 			for _, node := range st.peripheral {
@@ -46,7 +47,7 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 			}
 			return comm.Isend(1, tagShadow(0), forge(buf), updateBytes(buf))
 		}
-		err = st.recvShadows(0)
+		err := st.recvShadows(0)
 		for v := range c.Graph.Adj {
 			if e := st.table.Lookup(graph.NodeID(v)); e != nil && (e.data == forged || e.mostRecent == forged) {
 				written = append(written, e.id)

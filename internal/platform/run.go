@@ -30,6 +30,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	ranks, err := buildRanks(c)
+	if err != nil {
+		return nil, err
+	}
 	if c.Trace != nil {
 		c.Trace.Start(c.Procs, c.Iterations)
 		if snap := c.ResumeFrom; snap != nil {
@@ -44,13 +48,6 @@ func Run(cfg Config) (*Result, error) {
 	if c.CheckpointEvery > 0 {
 		col = newSnapCollector(c)
 	}
-	// The partition index: which nodes each rank starts with, worked out
-	// once here instead of by every rank scanning the whole owner map. A
-	// resumed rank reads the same from its RankSnap.
-	var own [][]graph.NodeID
-	if c.ResumeFrom == nil {
-		own = nodesByOwner(c.InitialPartition, c.Procs)
-	}
 	var mu sync.Mutex
 	elapsed := make([]float64, c.Procs)
 
@@ -64,23 +61,21 @@ func Run(cfg Config) (*Result, error) {
 	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
 		var start float64
-		var st *rankState
+		st := &ranks[comm.Rank()]
+		st.comm = comm
 		var err error
 		migrated := 0
 		firstIter := 1
 		if snap := c.ResumeFrom; snap != nil {
 			// Resuming: no initial barrier — it would fast-forward every
 			// restored clock to the max. Comm.Restore reloads this rank's
-			// clock and counters before any communication, then the state
-			// rebuild is pure host work.
+			// clock and counters before any communication; the state was
+			// restored before launch.
 			rs := snap.Ranks[comm.Rank()]
 			if err := comm.Restore(rs.Clock, rs.Stats); err != nil {
 				return err
 			}
 			start = rs.Start
-			if st, err = restoreRankState(c, comm, snap); err != nil {
-				return err
-			}
 			migrated = rs.Migrations
 			firstIter = snap.Iter + 1
 		} else {
@@ -88,9 +83,10 @@ func Run(cfg Config) (*Result, error) {
 				return err
 			}
 			start = comm.Wtime()
-			if st, err = newRankState(c, comm, own[comm.Rank()]); err != nil {
-				return err
-			}
+			// buildRanks built the state; the rank is charged for it here.
+			t0 := comm.Wtime()
+			comm.Charge(float64(st.initEntries()) * initPerEntry)
+			st.phase[PhaseInit] += comm.Wtime() - t0
 		}
 		// Trace bookkeeping: phase and message-counter snapshots at the
 		// previous iteration boundary, so each sample carries deltas. On

@@ -62,14 +62,10 @@ func TestRunDoesNotMutateInitialPartition(t *testing.T) {
 	}
 }
 
-// TestRankStartupAllocBytes bounds what a run allocates up to the end of its
-// first iteration: 4096 nodes on 256 ranks, where anything a rank sizes by
-// the whole graph costs P·N and dwarfs the rank-sized state. With the owner
-// map shared and the hash index sized by the rank's own entries the run
-// allocates about 4 MB; one int per node per rank — a private owner map, a
-// bucket array — would add 8 MB. The ceiling is twice the first figure.
-func TestRankStartupAllocBytes(t *testing.T) {
-	cfg := baseConfig(hexGrid(t, 64, 64), 256)
+// startupAllocs runs cfg for one iteration and returns the bytes and the
+// number of objects it allocated.
+func startupAllocs(t *testing.T, cfg Config) (bytes, objects uint64) {
+	t.Helper()
 	cfg.Iterations = 1
 	cfg.SkipFinalGather = true
 	cfg.CheckInvariants = false
@@ -79,16 +75,51 @@ func TestRankStartupAllocBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestRankStartupAllocBytes bounds what a run allocates up to the end of its
+// first iteration: 4096 nodes on 256 ranks, where anything a rank sizes by
+// the whole graph costs P·N and dwarfs the rank-sized state. With the owner
+// map shared and the hash index sized by the rank's own entries the run
+// allocates about 4 MB; one int per node per rank — a private owner map, a
+// bucket array — would add 8 MB. The ceiling is twice the first figure.
+func TestRankStartupAllocBytes(t *testing.T) {
+	bytes, objects := startupAllocs(t, baseConfig(hexGrid(t, 64, 64), 256))
 	const ceiling = 8 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks allocated %d bytes, ceiling %d: something per-rank is sized by the whole graph again", got, ceiling)
+	if bytes > ceiling {
+		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks allocated %d bytes, ceiling %d: something per-rank is sized by the whole graph again", bytes, ceiling)
 	}
-	// The run makes about 28 100 allocations: some 10 000 are the test's
-	// InitData and node function boxing their values, and a rank's own
-	// state is a few flat arrays. Per-node records, entries and chain links
-	// made about 68 700; one more allocation per node adds 4 096.
-	const objects = 30000
-	if got := after.Mallocs - before.Mallocs; got > objects {
-		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks made %d allocations, ceiling %d: something is allocated per node again", got, objects)
+	// The run makes about 20 400 allocations, nearly all of them the test's
+	// InitData and node function boxing their values: the ranks are built
+	// in machine-wide arrays before they launch. Built by each rank for
+	// itself they made about 28 100, and per-node records, entries and
+	// chain links made about 68 700; one more allocation per node adds
+	// 4 096.
+	const ceilingObjects = 21400
+	if objects > ceilingObjects {
+		t.Errorf("a 1-iteration run of 4096 nodes on 256 ranks made %d allocations, ceiling %d: something is allocated per node again", objects, ceilingObjects)
 	}
+	t.Logf("256 ranks: %d bytes, %d allocations", bytes, objects)
+}
+
+// TestRankStartupAllocsPerRank runs 4096 nodes on 4096 ranks, one node
+// each, so that one allocation per rank at start-up adds 4 096. Each rank
+// building its own state made about 226 000; the machine-wide build makes about
+// 96 000, nearly all of them InitData's, the node function's and the
+// engine's.
+func TestRankStartupAllocsPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("4096 ranks under the race detector")
+	}
+	cfg := baseConfig(hexGrid(t, 64, 64), 4096)
+	for v := range cfg.InitialPartition {
+		cfg.InitialPartition[v] = v
+	}
+	_, objects := startupAllocs(t, cfg)
+	const ceiling = 100000
+	if objects > ceiling {
+		t.Errorf("a 1-iteration run of 4096 one-node ranks made %d allocations, ceiling %d: a rank allocates at start-up again", objects, ceiling)
+	}
+	t.Logf("4096 ranks: %d allocations", objects)
 }

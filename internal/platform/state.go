@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
@@ -20,7 +21,8 @@ type ownNode struct {
 	shadowFor  []int32 // sorted processor ids; empty for internal nodes; cap = degree
 	// self is the node's own data entry and nbr[i] the entry of its i-th
 	// neighbor in the application graph (so the neighbor list is the ids
-	// nbr[i].id), looked up once when the node joins the rank (resolve).
+	// nbr[i].id), found once when the node joins the rank (buildRanks at
+	// start-up and on resume, resolve on migration).
 	// A rank never removes an entry from its table, so the pointers stay
 	// equal to what a look-up would return, and the compute loop does none.
 	self *entry
@@ -57,7 +59,11 @@ type rankState struct {
 	internal   []*ownNode // ascending by id between migration rounds
 	peripheral []*ownNode // the same; entry.own points back at a record
 
-	table *HashTable // own + shadow data entries
+	table HashTable // own + shadow data entries
+
+	// planIn and planOut back the receive and send plans (planExchange).
+	planIn  []*entry
+	planOut []*[2][]shadowUpdate
 
 	// peers is the exchange bookkeeping: one entry per processor this rank
 	// shares a graph edge with, in strictly ascending proc order. A rank in
@@ -110,7 +116,8 @@ type peer struct {
 	// deliver-by-reference contract: I also receive from every peer I send
 	// to, so receiving proc's exchange-(k+1) buffer proves proc finished its
 	// exchange k and has already unpacked everything I sent it in exchange k.
-	// The array is allocated once, when the peer is (peerFor), and Isend
+	// The array is made once, with the peer (buildRanks, or the first plan
+	// that names a peer a migration added), and Isend
 	// carries &pool[gen]: a pointer in an interface allocates nothing where
 	// a slice header did on every send. The receiver reads the header
 	// through it when it unpacks, and the header is written only by that
@@ -131,19 +138,6 @@ func updateBytes(us []shadowUpdate) int {
 		total += 4 + u.data.SizeBytes()
 	}
 	return total
-}
-
-// emptyRankState is the start newRankState and restoreRankState share: the
-// rank's identity and the run's shared node-to-owner map.
-func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
-	return &rankState{
-		cfg:         cfg,
-		comm:        comm,
-		me:          comm.Rank(),
-		speed:       cfg.Network.Speed(comm.Rank()),
-		owner:       owner,
-		ownerShared: true,
-	}
 }
 
 // ownOwner gives the rank a private copy of the owner map if it is still
@@ -177,101 +171,19 @@ func nodesByOwner(owner []int, procs int) [][]graph.NodeID {
 	return lists
 }
 
-// newRankState runs the initialization phase on one processor: it expands
-// mine, the nodes the initial partition gives this rank (ascending), into
-// node lists, the data node list and the hash table, charging the per-entry
-// initialization overhead.
-func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState, error) {
-	t0 := comm.Wtime()
-	s := emptyRankState(cfg, comm, cfg.InitialPartition)
-
-	// Node lists first: they need only the owner map, and the non-local
-	// neighbors of the peripheral nodes are the shadows the data index will
-	// hold, in the order their data has always been initialized.
-	ids := append(make([]graph.NodeID, 0, len(mine)+s.placeAll(mine)), mine...)
-	s.rebuildCounts()
-	for _, node := range s.peripheral {
-		for _, u := range cfg.Graph.Adj[node.id] {
-			if s.owner[u] != s.me {
-				ids = append(ids, u)
-			}
-		}
+// initEntries counts a node-list and a data entry per owned node and an
+// entry per shadow; at start-up each shadow is in one receive plan.
+func (s *rankState) initEntries() int {
+	n := 2 * s.numOwned()
+	for i := range s.peers {
+		n += len(s.peers[i].in)
 	}
-	distinct := slices.Clone(ids[len(mine):])
-	slices.Sort(distinct)
-	shadows := len(slices.Compact(distinct))
-	var err error
-	if s.table, err = NewHashTable(len(mine) + shadows + 1); err != nil {
-		return nil, err
-	}
-	entries := make([]entry, 0, len(mine)+shadows) // never grows: the table points into it
-	for _, id := range ids {
-		if s.table.Lookup(id) != nil {
-			continue
-		}
-		d := cfg.InitData(id)
-		if d == nil {
-			return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
-		}
-		entries = append(entries, entry{id: id, data: d, mostRecent: d})
-		if err := s.table.Insert(&entries[len(entries)-1]); err != nil {
-			return nil, err
-		}
-	}
-	s.resolveAll()
-	s.planExchange()
-	// One node-list and one data entry per owned node, one entry per shadow.
-	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
-	s.phase[PhaseInit] += comm.Wtime() - t0
-	return s, nil
-}
-
-// placeAll makes the records of the owned nodes ids (ascending) in one
-// array, carves their shadowFor sets out of one more, and places each. It
-// returns their total degree. newRankState and restoreRankState call it on
-// an empty rank.
-func (s *rankState) placeAll(ids []graph.NodeID) int {
-	degree := 0
-	for _, id := range ids {
-		degree += len(s.cfg.Graph.Adj[id])
-	}
-	nodes := make([]ownNode, len(ids))
-	procs := make([]int32, degree)
-	s.internal = make([]*ownNode, 0, len(ids))
-	s.peripheral = make([]*ownNode, 0, len(ids))
-	for i, id := range ids {
-		node := &nodes[i]
-		node.id = id
-		n := len(s.cfg.Graph.Adj[id])
-		node.shadowFor, procs = procs[:0:n], procs[n:]
-		s.place(node)
-	}
-	return degree
-}
-
-// resolveAll resolves every owned node's entry pointers, carving the nbr
-// lists out of one backing array. newRankState and restoreRankState call it
-// once the table holds every own and shadow entry.
-func (s *rankState) resolveAll() {
-	lists := [2][]*ownNode{s.internal, s.peripheral}
-	total := 0
-	for _, list := range lists {
-		for _, node := range list {
-			total += len(s.cfg.Graph.Adj[node.id])
-		}
-	}
-	backing := make([]*entry, total)
-	for _, list := range lists {
-		for _, node := range list {
-			n := len(s.cfg.Graph.Adj[node.id])
-			node.nbr, backing = backing[:n:n], backing[n:]
-			s.resolve(node)
-		}
-	}
+	return n
 }
 
 // resolve looks up node's own entry, which it links back to the node, and
 // its neighbors' entries; node.nbr must already have one slot per neighbor.
+// A node that arrives by migration is resolved this way.
 func (s *rankState) resolve(node *ownNode) {
 	node.self = s.table.Lookup(node.id)
 	node.self.own = node
@@ -331,54 +243,87 @@ func (s *rankState) rebuildCounts() {
 }
 
 // planExchange builds the receive and send plans of the current partition
-// epoch from the resolved pointers, with no look-up; rounds only execute
-// them until the next ownership change. A peer packs its peripheral nodes
-// in ascending id order, so its receive plan is the shadows it owns, sorted
-// and each once. Gathered in node order they arrive nearly sorted.
-func (s *rankState) planExchange() {
-	arcs, sends := 0, 0
+// epoch from the resolved pointers, with no look-up, at start-up, on resume
+// and in reclassifyAll; rounds only execute them until the next ownership
+// change. The plans fill planIn and planOut where they fit and new arrays
+// where they do not. count is scratch with one slot per peer.
+//
+// A peer packs its peripheral nodes in ascending id order, so its receive
+// plan is the shadows it owns, sorted and each once. A counting pass by
+// peer gives each peer a segment of planIn with a slot per arc to one of
+// its nodes; filled in node order, a segment arrives nearly sorted, and is
+// sorted, compacted and moved down against the segment before it.
+func (s *rankState) planExchange(count []int32) {
+	clear(count)
+	sends := 0
 	for _, node := range s.peripheral {
-		arcs += len(node.nbr)
 		sends += len(node.shadowFor)
-	}
-	in := make([]*entry, 0, arcs)
-	out := make([]*[2][]shadowUpdate, sends)
-	for _, node := range s.peripheral {
-		node.out, out = out[:len(node.shadowFor):len(node.shadowFor)], out[len(node.shadowFor):]
-		for j, p := range node.shadowFor {
-			node.out[j] = s.peerFor(int(p)).pool
-		}
-	}
-	for i := range s.peers {
-		start, p := len(in), s.peers[i].proc
-		for _, node := range s.peripheral {
-			for _, e := range node.nbr {
-				if s.owner[e.id] == p {
-					in = append(in, e)
-				}
+		for _, e := range node.nbr {
+			if p := s.owner[e.id]; p != s.me {
+				count[s.peerIndex(p)]++
 			}
 		}
-		slices.SortFunc(in[start:], func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
-		in = in[:start+len(slices.Compact(in[start:]))]
-		s.peers[i].in = in[start:]
 	}
-	in = slices.Clone(in) // holds each shadow once, not once per arc
-	for i := range s.peers {
-		n := len(s.peers[i].in)
-		s.peers[i].in, in = in[:n:n], in[n:]
+	if cap(s.planOut) < sends {
+		s.planOut = make([]*[2][]shadowUpdate, sends)
+	}
+	s.planOut = s.planOut[:sends]
+	out := s.planOut
+	for _, node := range s.peripheral {
+		n := len(node.shadowFor)
+		node.out, out = out[:n:n], out[n:]
+		for j, p := range node.shadowFor {
+			pe := &s.peers[s.peerIndex(int(p))]
+			if pe.pool == nil { // a peer new to this epoch
+				pe.pool = new([2][]shadowUpdate)
+			}
+			node.out[j] = pe.pool
+		}
+	}
+
+	start := int32(0)
+	for k, n := range count {
+		count[k], start = start, start+n
+	}
+	if cap(s.planIn) < int(start) {
+		s.planIn = make([]*entry, start)
+	}
+	s.planIn = s.planIn[:start]
+	in := s.planIn
+	for _, node := range s.peripheral {
+		for _, e := range node.nbr {
+			if p := s.owner[e.id]; p != s.me {
+				k := s.peerIndex(p)
+				in[count[k]] = e
+				count[k]++
+			}
+		}
+	}
+	// count[k] is now the end of peer k's segment.
+	lo, n := 0, 0
+	for k := range s.peers {
+		seg := in[lo:count[k]]
+		lo = int(count[k])
+		slices.SortFunc(seg, func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
+		m := copy(in[n:], slices.Compact(seg))
+		s.peers[k].in = in[n : n+m : n+m]
+		n += m
 	}
 }
 
+// peerIndex returns the position of processor p in the peer list, or the
+// position it would be inserted at.
+func (s *rankState) peerIndex(p int) int {
+	return sort.Search(len(s.peers), func(i int) bool { return s.peers[i].proc >= p })
+}
+
 // peerFor returns the entry for processor p, inserting an empty one at its
-// place in the ascending order if there is none. The pointer is valid
-// until the next insertion.
+// place in the ascending order if there is none (planExchange gives it a
+// pool). The pointer is valid until the next insertion.
 func (s *rankState) peerFor(p int) *peer {
-	i := 0
-	for i < len(s.peers) && s.peers[i].proc < p {
-		i++
-	}
+	i := s.peerIndex(p)
 	if i == len(s.peers) || s.peers[i].proc != p {
-		s.peers = slices.Insert(s.peers, i, peer{proc: p, pool: new([2][]shadowUpdate)})
+		s.peers = slices.Insert(s.peers, i, peer{proc: p})
 	}
 	return &s.peers[i]
 }
@@ -410,7 +355,7 @@ func (s *rankState) reclassifyAll() {
 		s.place(node)
 	}
 	s.rebuildCounts()
-	s.planExchange()
+	s.planExchange(make([]int32, len(s.peers)))
 }
 
 // numOwned returns the number of nodes this rank owns.

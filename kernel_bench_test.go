@@ -140,17 +140,20 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // With one goroutine and one mutex+cond mailbox per rank the rows read
 // 1699, 2455, 1700 and 2453. While each rank was built from per-node
 // records, entries and chain links, with a map over its nodes, they read
-// 1700, 2405, 1701 and 2404.
+// 1700, 2405, 1701 and 2404. While each rank built its own state from a
+// few flat arrays after the initial barrier, and made its send buffers
+// and neighbour list on first use, they read 416, 837, 417 and 836; the
+// ranks are now built in machine-wide arrays before they launch.
 var exchangeAllocPins = []struct {
 	name    string
 	procs   int
 	overlap bool
 	allocs  float64
 }{
-	{"Pooled8", 8, false, 416},
-	{"Pooled16", 16, false, 837},
-	{"PooledOverlap8", 8, true, 417},
-	{"PooledOverlap16", 16, true, 836},
+	{"Pooled8", 8, false, 191},
+	{"Pooled16", 16, false, 326},
+	{"PooledOverlap8", 8, true, 191},
+	{"PooledOverlap16", 16, true, 327},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
