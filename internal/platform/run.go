@@ -66,11 +66,13 @@ func Run(cfg Config) (*Result, error) {
 		var err error
 		migrated := 0
 		firstIter := 1
+		// No initial barrier, fresh or resumed. buildRanks built every
+		// rank's state before launch, so on a fresh run every clock is 0
+		// and a barrier would synchronize nothing; on resume it would
+		// fast-forward every restored clock to the max.
 		if snap := c.ResumeFrom; snap != nil {
-			// Resuming: no initial barrier — it would fast-forward every
-			// restored clock to the max. Comm.Restore reloads this rank's
-			// clock and counters before any communication; the state was
-			// restored before launch.
+			// Comm.Restore reloads this rank's clock and counters before
+			// any communication.
 			rs := snap.Ranks[comm.Rank()]
 			if err := comm.Restore(rs.Clock, rs.Stats); err != nil {
 				return err
@@ -79,9 +81,6 @@ func Run(cfg Config) (*Result, error) {
 			migrated = rs.Migrations
 			firstIter = snap.Iter + 1
 		} else {
-			if err := comm.Barrier(); err != nil {
-				return err
-			}
 			start = comm.Wtime()
 			// buildRanks built the state; the rank is charged for it here.
 			t0 := comm.Wtime()
