@@ -159,22 +159,25 @@ var eventConfigs = []struct {
 
 // forEventKernels runs body once per eventConfigs row, as a
 // subtest, with free-network options at the given rank count, and then
-// checks the carrier lifecycle: however the runs inside body ended, no
-// rank coroutine and no worker goroutine outlives them.
+// checks the carrier lifecycle: however the runs inside body ended, once
+// the pool is drained no rank coroutine and no worker goroutine outlives
+// them. The pool is drained before the body too, so the count does not
+// depend on what earlier tests left in it.
 func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Options)) {
 	for _, cfg := range eventConfigs {
 		opts := freeOpts(procs)
 		opts.Kernel, opts.Workers = cfg.kernel, cfg.workers
 		t.Run(cfg.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := quietGoroutines()
 			body(t, opts)
-			// Carriers are gone when Run returns; a worker goroutine may
-			// still be on its way out of its closed start channel.
-			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			// A worker goroutine may still be on its way out of its
+			// closed start channel.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != before && time.Now().Before(deadline); {
+				drainCarriers()
 				time.Sleep(time.Millisecond)
 			}
-			if after := runtime.NumGoroutine(); after > before {
-				t.Errorf("%d goroutines before the runs, %d after: a carrier or a worker leaked", before, after)
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("%d goroutines before the runs, %d after draining the pool: a carrier or a worker leaked", before, after)
 			}
 		})
 	}

@@ -1,15 +1,16 @@
 package mpi
 
-// The engine behind every kernel name. Ranks are passive states: a
-// rank's program runs on a runtime coroutine (iter.Pull) that exists
-// only to carry its suspended stack. A worker takes the next rank off its
-// run queue — the ranks woken and not yet run, in the order they were
-// woken — and switches to it (next); a blocking MPI call switches back
-// (yield). Both are runtime.coroswitch: the thread passes from worker to
-// rank and back without the Go scheduler, a wake-up of an idle P or a
-// futex. Message envelopes live in slabs indexed by int32 and recycled
-// through a free list, so memory per rank is flat: a parked coroutine,
-// one pending-queue header, a wait record and a run-queue slot.
+// The engine behind every kernel name. Ranks are passive states: a rank's
+// program runs on a carrier, a runtime coroutine (iter.Pull) that carries
+// its suspended stack and, pooled with it, outlives the run. A worker
+// takes the next rank off its run queue — the ranks woken and not yet run,
+// in the order they were woken — and switches to it (next); a blocking MPI
+// call switches back (yield). Both are runtime.coroswitch: the thread
+// passes from worker to rank and back without the Go scheduler, a wake-up
+// of an idle P or a futex. Message envelopes live in slabs indexed by
+// int32 and recycled through a free list, so memory per rank is flat: a
+// parked coroutine, one pending-queue header, a wait record and a
+// run-queue slot.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
 // owning a private run queue, message slab and its ranks' carriers, and
@@ -59,6 +60,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -111,14 +113,78 @@ func (q *runQueue) pop() int32 {
 	return rank
 }
 
-// carrier is one rank's suspended program, an iter.Pull pair: next
-// switches to the rank until it parks or returns (false once it has
-// returned), stop unwinds a rank that will never be resumed. yield is the
-// rank's side of the same switch, recorded when the rank first runs.
+// carrier is a coroutine that runs one assigned rank after another, an
+// iter.Pull pair: next switches to it until its rank parks (false) or
+// returns (true: idle again), stop unwinds it for good; yield is its side
+// of the switch. k and rank assign the next rank, and k is dropped as that
+// rank starts, so an idle carrier holds no World, engine or rank program.
 type carrier struct {
-	next  func() (struct{}, bool)
+	next  func() (bool, bool)
 	stop  func()
-	yield func(struct{}) bool
+	yield func(bool) bool
+	k     *eventEngine
+	rank  int
+}
+
+func newCarrier(k *eventEngine, rank int) *carrier {
+	c := &carrier{k: k, rank: rank}
+	c.next, c.stop = iter.Pull(func(yield func(bool) bool) {
+		c.yield = yield
+		for {
+			k := c.k
+			c.k = nil
+			k.w.runRank(c.rank, k.fn)
+			if !yield(true) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// idle is the process-wide pool of idle carriers, the last returned last,
+// bounded like sync.Pool's victim cache: each GC cycle's sweep stops the
+// carriers already idle at the previous one, so none stays two cycles.
+var idle struct {
+	mu   sync.Mutex
+	free []*carrier
+	old  int // free[:old] were idle at the last sweep
+}
+
+func init() { armSweep() }
+
+// armSweep has the next GC cycle, which finds a new sentinel unreachable,
+// run a cleanup that arms the sweep after it and sweeps the pool.
+func armSweep() {
+	runtime.AddCleanup(new(*carrier), func(struct{}) { armSweep(); sweepCarriers() }, struct{}{})
+}
+
+// sweepCarriers stops the carriers idle since the last sweep and marks the
+// rest; two calls drain the pool.
+func sweepCarriers() {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	for _, c := range idle.free[:idle.old] {
+		c.stop()
+	}
+	idle.free = slices.Delete(idle.free, 0, idle.old)
+	idle.old = len(idle.free)
+}
+
+// takeCarriers assigns idle carriers to k's ranks, as many as the pool
+// holds; runWindow makes the rest on a rank's first activation.
+func takeCarriers(k *eventEngine) {
+	idle.mu.Lock()
+	n := len(idle.free) - min(len(idle.free), len(k.carriers))
+	copy(k.carriers, idle.free[n:])
+	clear(idle.free[n:])
+	idle.free, idle.old = idle.free[:n], min(idle.old, n)
+	idle.mu.Unlock()
+	for r, c := range k.carriers {
+		if c != nil {
+			c.k, c.rank = k, r
+		}
+	}
 }
 
 // KernelCounters is what the engine did on the host during one Run
@@ -172,12 +238,12 @@ type eventEngine struct {
 	// which stay valid across slab growth where pointers would dangle);
 	// scheduled[r] is set while rank r sits in its worker's run queue, so
 	// it is never queued twice; done[r] lets a worker skip stale wakes;
-	// carriers[r] is rank r's coroutine.
+	// carriers[r] is rank r's carrier.
 	pending   [][]int32
 	waiting   []waitState
 	scheduled []bool
 	done      []bool
-	carriers  []carrier
+	carriers  []*carrier
 
 	barMu           sync.Mutex
 	barArrived      int
@@ -208,7 +274,7 @@ func (pw *peWorker) wake(rank int) {
 // with the fail flag up: the caller's next failure check sends it home.
 func (pw *peWorker) park(rank int) {
 	pw.parks++
-	pw.k.carriers[rank].yield(struct{}{})
+	pw.k.carriers[rank].yield(false)
 }
 
 // alloc stores m in the worker's slab and returns its index.
@@ -375,17 +441,14 @@ func (pw *peWorker) runWindow() {
 		}
 		k.scheduled[rank] = false
 		pw.activations++
-		c := &k.carriers[rank]
-		if c.next == nil {
-			// The one closure a carrier enters. Created on first use, not
-			// up front: a rank's first stack is then the one the previous
-			// rank's growth just freed, instead of every rank's held at once.
-			c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-				c.yield = yield
-				k.w.runRank(rank, k.fn)
-			})
+		c := k.carriers[rank]
+		if c == nil {
+			// The pool ran short. Made on first use, so a rank's first stack
+			// is the one the previous rank's growth just freed.
+			c = newCarrier(k, rank)
+			k.carriers[rank] = c
 		}
-		if _, parked := c.next(); !parked {
+		if fin, _ := c.next(); fin {
 			k.done[rank] = true
 			pw.ndone++
 		}
@@ -432,8 +495,9 @@ func peWorkerCount(workers, procs int) int {
 // by peWorkerCount) and blocks until every rank returns. The calling
 // goroutine is the window coordinator and runs the first worker that has
 // queued ranks itself; every other worker's windows run on a goroutine of
-// its own, so one worker needs none. Rank coroutines exist only to carry
-// suspended stacks, and none outlives the call.
+// its own, so one worker needs none. A finished rank's carrier goes back
+// to the pool; a deadlocked one's is stopped. A rank that calls
+// runtime.Goexit ends its carrier and unwinds the worker that resumed it.
 func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
@@ -446,12 +510,13 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		waiting:     make([]waitState, procs),
 		scheduled:   make([]bool, procs),
 		done:        make([]bool, procs),
-		carriers:    make([]carrier, procs),
+		carriers:    make([]*carrier, procs),
 		barWaiting:  make([]bool, procs),
 		barReleased: make([]bool, procs),
 		barOut:      make([]float64, procs),
 	}
 	w.eng = k
+	takeCarriers(k)
 	for i := range k.workers {
 		pw := &peWorker{
 			k:     k,
@@ -478,7 +543,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		}
 	}
 	active := make([]*peWorker, 0, nw) // per-window scratch: workers with queued ranks
-	windows, deadlocked := 0, false
+	windows := 0
 	for {
 		total := 0
 		for _, pw := range k.workers {
@@ -495,17 +560,10 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		}
 		if len(active) == 0 {
 			// Every undone rank is parked, no lane or release is pending
-			// (fold drained them), and no run queue holds a rank: that
-			// is a proof of deadlock, so fail instead of hanging.
-			if deadlocked {
-				break
-			}
-			deadlocked = true
+			// (fold drained them), and no run queue holds a rank: that is
+			// a proof of deadlock, so fail, and stop their carriers below.
 			w.setFail(fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-total, procs))
-			for _, pw := range k.workers {
-				pw.wakeBlock()
-			}
-			continue
+			break
 		}
 		windows++
 		for _, pw := range active[1:] {
@@ -520,11 +578,18 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	for _, pw := range k.workers[1:] {
 		close(pw.start)
 	}
-	for r := range k.carriers {
-		if stop := k.carriers[r].stop; stop != nil && !k.done[r] {
-			stop()
+	n := 0
+	for r, c := range k.carriers {
+		if k.done[r] {
+			k.carriers[n] = c
+			n++
+		} else if c != nil {
+			c.stop()
 		}
 	}
+	idle.mu.Lock()
+	idle.free = append(idle.free, k.carriers[:n]...)
+	idle.mu.Unlock()
 	if probe != nil {
 		*probe = KernelCounters{Windows: windows, StagedMsgs: k.staged}
 		for _, pw := range k.workers {

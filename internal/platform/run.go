@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
@@ -48,7 +47,6 @@ func Run(cfg Config) (*Result, error) {
 	if c.CheckpointEvery > 0 {
 		col = newSnapCollector(c)
 	}
-	var mu sync.Mutex
 	elapsed := make([]float64, c.Procs)
 
 	// A time-varying machine (fault injection) evolves per iteration: each
@@ -66,13 +64,11 @@ func Run(cfg Config) (*Result, error) {
 		var err error
 		migrated := 0
 		firstIter := 1
-		// No initial barrier, fresh or resumed. buildRanks built every
-		// rank's state before launch, so on a fresh run every clock is 0
-		// and a barrier would synchronize nothing; on resume it would
-		// fast-forward every restored clock to the max.
+		// No initial barrier. Fresh, every clock is 0 and buildRanks built
+		// the state before launch, so it would synchronize nothing; resumed,
+		// it would fast-forward every restored clock to the max.
 		if snap := c.ResumeFrom; snap != nil {
-			// Comm.Restore reloads this rank's clock and counters before
-			// any communication.
+			// Reload this rank's clock and counters before it communicates.
 			rs := snap.Ranks[comm.Rank()]
 			if err := comm.Restore(rs.Clock, rs.Stats); err != nil {
 				return err
@@ -171,8 +167,8 @@ func Run(cfg Config) (*Result, error) {
 				return err
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		// No lock: each rank writes only its own index and rank 0 alone
+		// the run-wide fields, and mpi.Run returns after every rank has.
 		elapsed[st.me] = end - start
 		for ph := 0; ph < NumPhases; ph++ {
 			res.PhaseTimes[ph][st.me] = st.phase[ph]
