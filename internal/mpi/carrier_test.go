@@ -7,6 +7,7 @@ package mpi
 import (
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -14,16 +15,10 @@ import (
 	"weak"
 )
 
-// drainCarriers empties the pool the way two GC cycles do.
-func drainCarriers() {
-	sweepCarriers()
-	sweepCarriers()
-}
-
 // quietGoroutines drains the pool and returns the goroutine count once
 // the goroutines of earlier runs have finished exiting.
 func quietGoroutines() int {
-	drainCarriers()
+	DrainCarriers()
 	n := runtime.NumGoroutine()
 	for range 100 {
 		time.Sleep(time.Millisecond)
@@ -34,6 +29,17 @@ func quietGoroutines() int {
 		n = m
 	}
 	return n
+}
+
+// noAutoGC turns the collector's own cycles off for the rest of the test,
+// so that only the test's runtime.GC calls sweep the pool. The cycle that
+// turning them off may leave behind is run, and its sweep given time to
+// finish, first.
+func noAutoGC(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	runtime.GC()
+	quietGoroutines()
 }
 
 // pooledCarriers returns the carriers the pool holds.
@@ -100,7 +106,7 @@ func TestCarrierReusableAfterPanic(t *testing.T) {
 				t.Fatal("the second run did not run on the carriers the first returned")
 			}
 		}
-		drainCarriers()
+		DrainCarriers()
 		if fresh := runRing(t, opts); !slices.Equal(reused, fresh) {
 			t.Errorf("on reused carriers %+v, on new ones %+v", reused, fresh)
 		}
@@ -133,7 +139,7 @@ func TestCarriersOfDeadlockStopped(t *testing.T) {
 // its carrier and unwinds the Run that resumed it; the dead carrier must
 // not reach the pool, where the next run would take it.
 func TestCarrierOfGoexitNeverPooled(t *testing.T) {
-	drainCarriers()
+	DrainCarriers()
 	returned := false
 	done := make(chan struct{})
 	go func() {
@@ -158,8 +164,9 @@ func TestCarrierOfGoexitNeverPooled(t *testing.T) {
 
 // TestCarrierRetainsNothing: a pooled carrier drops every reference to
 // its run, so an object only the rank program captured is collected by
-// the first GC cycle after the run, with the carriers still pooled.
+// the first GC cycle after the run, which finds the carriers pooled.
 func TestCarrierRetainsNothing(t *testing.T) {
+	noAutoGC(t)
 	forEventKernels(t, 4, func(t *testing.T, opts Options) {
 		base := runtime.NumGoroutine()
 		wp := runCapturing(t, opts)
@@ -167,12 +174,13 @@ func TestCarrierRetainsNothing(t *testing.T) {
 		if !waitFor(func() bool { return runtime.NumGoroutine() == base+opts.Procs }) {
 			t.Fatalf("%d goroutines, want %d plus %d pooled carriers", runtime.NumGoroutine(), base, opts.Procs)
 		}
+		// Only a cycle's sweep, after it, stops a pooled carrier.
+		if n := len(pooledCarriers()); n != opts.Procs {
+			t.Fatalf("%d carriers pooled before the GC cycle, want %d", n, opts.Procs)
+		}
 		runtime.GC()
 		if wp.Value() != nil {
 			t.Error("an object the rank program captured outlived the run in a pooled carrier")
-		}
-		if n := len(pooledCarriers()); n != opts.Procs {
-			t.Fatalf("%d carriers pooled after one GC cycle, want %d", n, opts.Procs)
 		}
 	})
 }
@@ -224,34 +232,55 @@ func TestCarrierPoolConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestCarrierPoolEmptiesAfterTwoGCs: the carriers of a 4096-rank run stay
-// pooled through one GC cycle and are stopped by the second, which brings
+// TestCarrierPoolEmptiesAfterTwoGCs: the carriers of a 4096-rank run
+// (256 under the race detector, which limits live goroutines) stay pooled
+// through one GC cycle's sweep and are stopped by the next, which brings
 // the goroutine count back to what it was before the run.
 func TestCarrierPoolEmptiesAfterTwoGCs(t *testing.T) {
+	procs := 4096
+	if raceEnabled {
+		procs = 256
+	}
+	noAutoGC(t)
 	before := quietGoroutines()
-	if err := Run(Options{Procs: 4096}, func(c *Comm) error { return c.Barrier() }); err != nil {
+	if err := Run(Options{Procs: procs}, func(c *Comm) error { return c.Barrier() }); err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	if !waitFor(func() bool {
+	marked := func() bool {
 		idle.mu.Lock()
 		defer idle.mu.Unlock()
 		return idle.old > 0
-	}) {
-		t.Fatal("the first GC cycle ran no sweep")
 	}
-	if n := len(pooledCarriers()); n != 4096 {
-		t.Fatalf("one GC cycle left %d of 4096 carriers pooled, want all of them", n)
+	if !gcUntil(marked) {
+		t.Fatal("GC cycles ran no sweep")
 	}
-	runtime.GC()
-	if !waitFor(func() bool { return runtime.NumGoroutine() == before }) {
-		t.Fatalf("two GC cycles left %d goroutines, %d before the run", runtime.NumGoroutine(), before)
+	if n := len(pooledCarriers()); n != procs {
+		t.Fatalf("one sweep left %d of %d carriers pooled, want all of them", n, procs)
+	}
+	if !gcUntil(func() bool { return runtime.NumGoroutine() == before }) {
+		t.Fatalf("two sweeps left %d goroutines, %d before the run", runtime.NumGoroutine(), before)
 	}
 }
 
-// waitFor polls cond for up to five seconds and reports whether it held:
-// a sweep runs on the runtime's cleanup goroutine, after the GC cycle
-// that triggered it.
+// gcUntil runs GC cycles, one at a time and each time waiting for cond,
+// until cond holds, and reports whether it did. A sweep runs on the
+// runtime's cleanup goroutine after the cycle that triggers it, and a
+// cycle that starts before the previous sweep has re-armed triggers none,
+// so the first cycle does not always sweep.
+func gcUntil(cond func() bool) bool {
+	for range 5 {
+		if cond() {
+			return true
+		}
+		runtime.GC()
+		if waitFor(cond) {
+			return true
+		}
+	}
+	return false
+}
+
+// waitFor polls cond for up to five seconds and reports whether it held.
 func waitFor(cond func() bool) bool {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if cond() {

@@ -173,7 +173,7 @@ func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Optio
 			// A worker goroutine may still be on its way out of its
 			// closed start channel.
 			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != before && time.Now().Before(deadline); {
-				drainCarriers()
+				DrainCarriers()
 				time.Sleep(time.Millisecond)
 			}
 			if after := runtime.NumGoroutine(); after != before {

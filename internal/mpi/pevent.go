@@ -114,37 +114,26 @@ func (q *runQueue) pop() int32 {
 }
 
 // carrier is a coroutine that runs one assigned rank after another, an
-// iter.Pull pair: next switches to it until its rank parks (false) or
-// returns (true: idle again), stop unwinds it for good; yield is its side
-// of the switch. k and rank assign the next rank, and k is dropped as that
-// rank starts, so an idle carrier holds no World, engine or rank program.
+// iter.Pull pair: next switches to it until its rank parks or returns
+// (fin: idle again), stop unwinds it for good; yield is its side of the
+// switch. k and rank assign the next rank, and k is dropped as that rank
+// starts, so an idle carrier holds no World, engine or rank program. The
+// switch carries no value: a zero-size one costs iter.Pull no allocation.
 type carrier struct {
-	next  func() (bool, bool)
+	next  func() (struct{}, bool)
 	stop  func()
-	yield func(bool) bool
+	yield func(struct{}) bool
 	k     *eventEngine
 	rank  int
-}
-
-func newCarrier(k *eventEngine, rank int) *carrier {
-	c := &carrier{k: k, rank: rank}
-	c.next, c.stop = iter.Pull(func(yield func(bool) bool) {
-		c.yield = yield
-		for {
-			k := c.k
-			c.k = nil
-			k.w.runRank(c.rank, k.fn)
-			if !yield(true) {
-				return
-			}
-		}
-	})
-	return c
+	fin   bool
 }
 
 // idle is the process-wide pool of idle carriers, the last returned last,
 // bounded like sync.Pool's victim cache: each GC cycle's sweep stops the
 // carriers already idle at the previous one, so none stays two cycles.
+// sync.Pool itself would need a handle and a cleanup registered per
+// carrier returned, allocations per rank per run; and a run could not take
+// all its carriers in one step, nor a test drain the pool at once.
 var idle struct {
 	mu   sync.Mutex
 	free []*carrier
@@ -171,19 +160,28 @@ func sweepCarriers() {
 	idle.old = len(idle.free)
 }
 
-// takeCarriers assigns idle carriers to k's ranks, as many as the pool
-// holds; runWindow makes the rest on a rank's first activation.
+// DrainCarriers stops every idle carrier, as two GC cycles do, so the
+// next run starts from an empty pool, the way a process's first run does.
+func DrainCarriers() {
+	sweepCarriers()
+	sweepCarriers()
+}
+
+// takeCarriers assigns k's ranks idle carriers, as many as the pool holds,
+// and the rest new ones from one slab (which a pooled carrier keeps alive).
 func takeCarriers(k *eventEngine) {
 	idle.mu.Lock()
 	n := len(idle.free) - min(len(idle.free), len(k.carriers))
-	copy(k.carriers, idle.free[n:])
+	taken := copy(k.carriers, idle.free[n:])
 	clear(idle.free[n:])
 	idle.free, idle.old = idle.free[:n], min(idle.old, n)
 	idle.mu.Unlock()
+	slab := make([]carrier, len(k.carriers)-taken)
+	for i := range slab {
+		k.carriers[taken+i] = &slab[i]
+	}
 	for r, c := range k.carriers {
-		if c != nil {
-			c.k, c.rank = k, r
-		}
+		c.k, c.rank = k, r
 	}
 }
 
@@ -274,7 +272,7 @@ func (pw *peWorker) wake(rank int) {
 // with the fail flag up: the caller's next failure check sends it home.
 func (pw *peWorker) park(rank int) {
 	pw.parks++
-	pw.k.carriers[rank].yield(false)
+	pw.k.carriers[rank].yield(struct{}{})
 }
 
 // alloc stores m in the worker's slab and returns its index.
@@ -442,13 +440,23 @@ func (pw *peWorker) runWindow() {
 		k.scheduled[rank] = false
 		pw.activations++
 		c := k.carriers[rank]
-		if c == nil {
-			// The pool ran short. Made on first use, so a rank's first stack
-			// is the one the previous rank's growth just freed.
-			c = newCarrier(k, rank)
-			k.carriers[rank] = c
+		if c.next == nil {
+			// Started on first use, so a rank's first stack is the one the
+			// previous rank's growth just freed.
+			c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+				c.yield = yield
+				for {
+					k := c.k
+					c.k, c.fin = nil, false
+					k.w.runRank(c.rank, k.fn)
+					c.fin = true
+					if !yield(struct{}{}) {
+						return
+					}
+				}
+			})
 		}
-		if fin, _ := c.next(); fin {
+		if c.next(); c.fin {
 			k.done[rank] = true
 			pw.ndone++
 		}
@@ -578,17 +586,19 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	for _, pw := range k.workers[1:] {
 		close(pw.start)
 	}
-	n := 0
+	// Stopping a carrier unwinds its rank, which may park through
+	// k.carriers, so every stop comes before the pool takes the rest.
 	for r, c := range k.carriers {
-		if k.done[r] {
-			k.carriers[n] = c
-			n++
-		} else if c != nil {
+		if !k.done[r] && c.next != nil {
 			c.stop()
 		}
 	}
 	idle.mu.Lock()
-	idle.free = append(idle.free, k.carriers[:n]...)
+	for r, c := range k.carriers {
+		if k.done[r] {
+			idle.free = append(idle.free, c)
+		}
+	}
 	idle.mu.Unlock()
 	if probe != nil {
 		*probe = KernelCounters{Windows: windows, StagedMsgs: k.staged}
