@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +107,61 @@ func TestGoSourceDocReferences(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goTestPattern matches one -run, -fuzz or -bench pattern on a go test
+// command line, single-quoted, double-quoted or bare; testFunc matches a
+// Test, Fuzz or Benchmark declaration.
+var (
+	goTestPattern = regexp.MustCompile("\\s-(?:run|fuzz|bench)[ =](?:'([^']*)'|\"([^\"]*)\"|([^\\s'\"`]+))")
+	testFunc      = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestGoTestPatternsMatch fences silent patterns: `go test -run X`
+// passes with "[no tests to run]" when X matches nothing, so a renamed
+// test would quietly drop out of a check. Every |-alternative of every
+// pattern on a go test line of the CI workflow and of the verify skill
+// must match a Test, Fuzz or Benchmark function in the module (its first
+// /-separated level, the function name); `^$` runs nothing on purpose.
+func TestGoTestPatternsMatch(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, .github, build caches
+		case strings.HasSuffix(path, "_test.go"):
+			body, err := os.ReadFile(path)
+			for _, m := range testFunc.FindAllStringSubmatch(string(body), -1) {
+				funcs = append(funcs, m[1])
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(body), "\n") {
+			if !strings.Contains(line, "go test") {
+				continue
+			}
+			for _, m := range goTestPattern.FindAllStringSubmatch(line, -1) {
+				for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+					top, _, _ := strings.Cut(alt, "/")
+					if re, err := regexp.Compile(top); alt != "^$" && (err != nil || !slices.ContainsFunc(funcs, re.MatchString)) {
+						t.Errorf("%s:%d: pattern %q matches no Test, Fuzz or Benchmark function", file, n+1, alt)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -9,16 +9,11 @@ package ic2mpi_test
 // never change what is computed or when.
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"ic2mpi"
 	"ic2mpi/internal/balance"
-	"ic2mpi/internal/fault"
-	"ic2mpi/internal/scenario"
-	"ic2mpi/internal/trace"
 	"ic2mpi/internal/workload"
 )
 
@@ -240,112 +235,6 @@ func TestExchangeDeterminismSubPhases(t *testing.T) {
 			cfg := quickstartConfig(t, procs)
 			cfg.SubPhases = 2
 			checkExchange(t, cfg)
-		})
-	}
-}
-
-// TestKernelEquivalence is the differential harness for the kernel names
-// and worker counts: for every registered scenario, across processor
-// counts, interconnect models and fault injection, the default kernel (at
-// the automatic worker count) and the parallel event kernel (at worker
-// layouts that split the rank space) must reproduce the one-worker run
-// (event) bit for bit — virtual time, message counters, phase breakdown,
-// migrations, and the per-iteration trace JSONL, byte for byte. All of
-// them are one engine, so this shows the timeline does not depend on how
-// ranks are spread over workers. That it does not depend on the engine
-// either is evidenced by the goldens and digests recorded under the
-// goroutine-per-rank engine this one replaced, which pass unedited.
-func TestKernelEquivalence(t *testing.T) {
-	const iterations = 6
-	networks := []string{"uniform", "hypercube", "mesh2d"}
-	perturbs := []string{"none", "brownout"}
-	// Every registered balancing strategy is rotated through the grid —
-	// one per (procs, network, perturb) cell, deterministically — so the
-	// rank-0 planning of all of them (including the history-fed predictive
-	// balancer) is proven engine-independent without multiplying runtime.
-	balancers := balance.Names()
-	balancerFor := func(procs int, network, perturb string) string {
-		h := procs + 3*len(network) + 5*len(perturb)
-		return balancers[h%len(balancers)]
-	}
-	type kernelCfg struct {
-		name    string
-		kernel  string
-		workers int
-	}
-	kernels := []kernelCfg{
-		{"goroutine", "goroutine", 0}, // min(GOMAXPROCS, procs) workers
-		{"pevent-w2", "pevent", 2},
-		{"pevent-w8", "pevent", 8},
-	}
-	for _, sc := range scenario.List() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, procs := range []int{2, 4, 8, 16} {
-				for _, network := range networks {
-					for _, perturb := range perturbs {
-						if sc.Runner != nil && perturb != fault.NameNone {
-							continue // custom runners do not support perturbation
-						}
-						base := scenario.Params{
-							Procs:      procs,
-							Network:    network,
-							Perturb:    perturb,
-							Iterations: iterations,
-						}
-						if sc.Runner == nil {
-							// Custom runners drive the platform directly and
-							// ignore the balancer axis; everything else gets a
-							// rotated balancer and a period short enough to
-							// actually plan within the iteration budget.
-							base.Balancer = balancerFor(procs, network, perturb)
-							base.BalanceEvery = 2
-						}
-						label := fmt.Sprintf("procs=%d network=%s perturb=%s balancer=%s", procs, network, perturb, base.Balancer)
-
-						run := func(kernel string, workers int) (*scenario.Result, []byte) {
-							p := base
-							p.Kernel = kernel
-							p.KernelWorkers = workers
-							p.Trace = &trace.Recorder{}
-							res, err := sc.Run(p)
-							if err != nil {
-								t.Fatalf("%s kernel=%s workers=%d: %v", label, kernel, workers, err)
-							}
-							var buf bytes.Buffer
-							if err := trace.WriteJSONL(&buf, p.Trace); err != nil {
-								t.Fatalf("%s kernel=%s workers=%d: encode trace: %v", label, kernel, workers, err)
-							}
-							return res, buf.Bytes()
-						}
-						bRes, bTrace := run("event", 0)
-						for _, kc := range kernels {
-							eRes, eTrace := run(kc.kernel, kc.workers)
-
-							if bRes.Elapsed != eRes.Elapsed {
-								t.Errorf("%s: Elapsed event %v != %s %v", label, bRes.Elapsed, kc.name, eRes.Elapsed)
-							}
-							if bRes.EdgeCut != eRes.EdgeCut || bRes.Imbalance != eRes.Imbalance {
-								t.Errorf("%s %s: partition quality diverged", label, kc.name)
-							}
-							if bRes.Migrations != eRes.Migrations {
-								t.Errorf("%s: Migrations event %d != %s %d", label, bRes.Migrations, kc.name, eRes.Migrations)
-							}
-							if bRes.MessagesSent != eRes.MessagesSent || bRes.BytesSent != eRes.BytesSent {
-								t.Errorf("%s: message counters diverged: event %d msgs/%d bytes, %s %d msgs/%d bytes",
-									label, bRes.MessagesSent, bRes.BytesSent, kc.name, eRes.MessagesSent, eRes.BytesSent)
-							}
-							if !reflect.DeepEqual(bRes.Phases, eRes.Phases) {
-								t.Errorf("%s: phase breakdown diverged:\nevent     %v\n%-9s %v", label, bRes.Phases, kc.name, eRes.Phases)
-							}
-							if !bytes.Equal(bTrace, eTrace) {
-								t.Errorf("%s: trace JSONL diverged vs %s (%d vs %d bytes)", label, kc.name, len(bTrace), len(eTrace))
-							}
-						}
-					}
-				}
-			}
 		})
 	}
 }

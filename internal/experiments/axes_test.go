@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/scenario"
 )
 
@@ -192,6 +193,20 @@ func BenchmarkParseAndEnumerate(b *testing.B) {
 				b.Fatal("empty sweep")
 			}
 			enumerated = ax.Cells()
+		}
+	}
+}
+
+// TestCellKeyEchoesKernelName: every kernel name selects the same bytes,
+// but each is still accepted, echoed by Normalize and carried in the cell
+// key, because persisted keys, reports and snapshots name it.
+func TestCellKeyEchoesKernelName(t *testing.T) {
+	sc := mustScenario("heat")
+	for _, name := range mpi.KernelNames() {
+		p, err := sc.Normalize(scenario.Params{Kernel: name})
+		key, kerr := CellKey(sc, scenario.Params{Kernel: name})
+		if err != nil || kerr != nil || p.Kernel != name || !strings.Contains(key, "|kernel="+name+"|") {
+			t.Errorf("kernel %s: Normalize echoes %q (%v), CellKey %s (%v)", name, p.Kernel, err, key, kerr)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func TestCarrierOfGoexitNeverPooled(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Run(Options{Procs: 2, Kernel: KernelEvent}, func(c *Comm) error {
+		Run(Options{Procs: 2, Workers: 1}, func(c *Comm) error {
 			if c.Rank() == 0 {
 				runtime.Goexit()
 			}
@@ -205,7 +205,7 @@ func TestCarrierPoolConcurrentRuns(t *testing.T) {
 	const runners, runs = 4, 5
 	want := map[int][]kernelSnap{}
 	for _, procs := range []int{8, 13} {
-		want[procs] = runRing(t, Options{Procs: procs, Kernel: KernelEvent})
+		want[procs] = runRing(t, Options{Procs: procs, Workers: 1})
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, runners*runs)
@@ -216,7 +216,7 @@ func TestCarrierPoolConcurrentRuns(t *testing.T) {
 			for i := 0; i < runs; i++ {
 				procs := []int{8, 13}[(g+i)%2]
 				snaps := make([]kernelSnap, procs)
-				opts := Options{Procs: procs, Kernel: KernelParallelEvent, Workers: 2 + 2*(g%2)}
+				opts := Options{Procs: procs, Workers: 2 + 2*(g%2)}
 				if err := Run(opts, ringProgram(3, snaps)); err != nil {
 					errs <- err
 				} else if !slices.Equal(snaps, want[procs]) {

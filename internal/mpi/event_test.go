@@ -1,13 +1,13 @@
 package mpi
 
-// Unit tests of the engine under every kernel name: in-package
-// equivalence smokes against its one-worker run (event), the failure
-// paths the big differential suite (TestKernelEquivalence at the repo
-// root) cannot reach, and the run queue itself.
+// Unit tests of the engine over worker counts: in-package equivalence
+// smokes against its one-worker run, the failure paths the scenario-level
+// differential harness (TestEquivalence at the repo root) cannot reach,
+// and the run queue itself. The kernel names are tested once, in
+// TestParallelEventWorkerCount.
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -23,37 +23,28 @@ type kernelSnap struct {
 	Stats Stats
 }
 
-// kernelMatrix enumerates every engine configuration the in-package
-// equivalence smokes cross-check: the three kernel names (goroutine and
-// pevent at the automatic worker count), with pevent also pinned at
-// explicit worker counts so worker partitioning (including a block size
-// of one) is exercised regardless of GOMAXPROCS. One worker is the event
-// row, the reference.
-func kernelMatrix(procs int) map[string]Options {
-	m := map[string]Options{
-		"goroutine": {Kernel: KernelGoroutine},
-		"event":     {Kernel: KernelEvent},
-		"pevent":    {Kernel: KernelParallelEvent},
-	}
-	for _, w := range []int{2, 3} {
-		if w <= procs {
-			m[fmt.Sprintf("pevent-w%d", w)] = Options{Kernel: KernelParallelEvent, Workers: w}
-		}
-	}
-	return m
-}
+// workerRows is the one table of worker counts the in-package tests run
+// the engine at, under the default kernel name: the automatic count,
+// min(GOMAXPROCS, procs); one worker, the reference; and the ranks split
+// over two and over three workers (a block of one rank at three), so a
+// failing rank, the blocked ranks and a phantom sender land both together
+// and apart. Each row keeps as its label the name that selected its count
+// when the names still differed, so subtest names are stable.
+var workerRows = []struct {
+	name    string
+	workers int
+}{{"goroutine", 0}, {"event", 1}, {"pevent-w2", 2}, {"pevent-w3", 3}}
 
-// runAllKernels executes fn under every kernel configuration and returns
-// per-rank (Wtime, Stats) snapshots taken after fn returns, keyed by
-// configuration label.
+// runAllKernels executes fn at every worker count of workerRows and
+// returns per-rank (Wtime, Stats) snapshots taken after fn returns, keyed
+// by row label.
 func runAllKernels(t *testing.T, opts Options, fn func(c *Comm) error) map[string][]kernelSnap {
 	t.Helper()
 	out := make(map[string][]kernelSnap)
-	for label, cfg := range kernelMatrix(opts.Procs) {
+	for _, row := range workerRows {
 		snaps := make([]kernelSnap, opts.Procs)
 		o := opts
-		o.Kernel = cfg.Kernel
-		o.Workers = cfg.Workers
+		o.Workers = row.workers
 		err := Run(o, func(c *Comm) error {
 			if err := fn(c); err != nil {
 				return err
@@ -62,22 +53,22 @@ func runAllKernels(t *testing.T, opts Options, fn func(c *Comm) error) map[strin
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("kernel %s: %v", label, err)
+			t.Fatalf("%s: %v", row.name, err)
 		}
-		out[label] = snaps
+		out[row.name] = snaps
 	}
 	return out
 }
 
-// checkKernelsAgree asserts every configuration's snapshot is identical,
-// bit for bit, to the one-worker run's (event).
+// checkKernelsAgree asserts every row's snapshot is identical, bit for
+// bit, to the one-worker run's.
 func checkKernelsAgree(t *testing.T, label string, snaps map[string][]kernelSnap) {
 	t.Helper()
-	base := snaps["event"]
+	base := snaps["event"] // the one-worker row
 	for name, got := range snaps {
 		for r := range base {
 			if base[r] != got[r] {
-				t.Errorf("%s: rank %d diverges:\n  event     %+v\n  %-9s %+v", label, r, base[r], name, got[r])
+				t.Errorf("%s: rank %d diverges:\n  one worker %+v\n  %-10s %+v", label, r, base[r], name, got[r])
 			}
 		}
 	}
@@ -85,10 +76,10 @@ func checkKernelsAgree(t *testing.T, label string, snaps map[string][]kernelSnap
 
 // TestEventKernelEquivalenceSmoke drives a deliberately gnarly SPMD
 // program — ring traffic, self-sends, AnyTag receives, a receive behind
-// local work, collectives and repeated barriers — under every kernel
-// configuration on a uniform and on a mesh topology machine, and asserts
-// identical virtual clocks and stats. The scenario-level differential
-// suite pins the same property on real workloads.
+// local work, collectives and repeated barriers — at every worker count
+// on a uniform and on a mesh topology machine, and asserts identical
+// virtual clocks and stats. The scenario-level differential harness pins
+// the same property on real workloads.
 func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	mesh, err := topology.Mesh2D(6)
 	if err != nil {
@@ -141,33 +132,17 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	}
 }
 
-// eventConfigs is the table the failure-path tests run over: the default
-// name at the automatic worker count, the one-worker kernel under its own
-// name, and pevent with the ranks split over two and three workers, so
-// the failing rank, the blocked ranks and a phantom sender land both
-// together and apart.
-var eventConfigs = []struct {
-	name    string
-	kernel  Kernel
-	workers int
-}{
-	{"goroutine", KernelGoroutine, 0},
-	{"event", KernelEvent, 0},
-	{"pevent-w2", KernelParallelEvent, 2},
-	{"pevent-w3", KernelParallelEvent, 3},
-}
-
-// forEventKernels runs body once per eventConfigs row, as a
-// subtest, with free-network options at the given rank count, and then
-// checks the carrier lifecycle: however the runs inside body ended, once
-// the pool is drained no rank coroutine and no worker goroutine outlives
-// them. The pool is drained before the body too, so the count does not
-// depend on what earlier tests left in it.
+// forEventKernels runs body once per workerRows row, as a subtest, with
+// free-network options at the given rank count, and then checks the
+// carrier lifecycle: however the runs inside body ended, once the pool is
+// drained no rank coroutine and no worker goroutine outlives them. The
+// pool is drained before the body too, so the count does not depend on
+// what earlier tests left in it.
 func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Options)) {
-	for _, cfg := range eventConfigs {
+	for _, row := range workerRows {
 		opts := freeOpts(procs)
-		opts.Kernel, opts.Workers = cfg.kernel, cfg.workers
-		t.Run(cfg.name, func(t *testing.T) {
+		opts.Workers = row.workers
+		t.Run(row.name, func(t *testing.T) {
 			before := quietGoroutines()
 			body(t, opts)
 			// A worker goroutine may still be on its way out of its
@@ -184,9 +159,9 @@ func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Optio
 }
 
 // TestEventKernelDetectsDeadlock: a receive that can never be satisfied
-// empties every run queue; the engine must fail the world under every
-// name, whether the blocked rank shares a worker with its phantom sender
-// or not.
+// empties every run queue; the engine must fail the world at every
+// worker count, whether the blocked rank shares a worker with its phantom
+// sender or not.
 func TestEventKernelDetectsDeadlock(t *testing.T) {
 	forEventKernels(t, 3, func(t *testing.T, opts Options) {
 		err := Run(opts, func(c *Comm) error {
@@ -382,7 +357,7 @@ func TestEventRankQueuedOnce(t *testing.T) {
 	}
 	cost := netmodel.NewUniform(netmodel.Origin2000())
 	opts := freeOpts(procs)
-	opts.Cost, opts.Kernel = cost, KernelEvent
+	opts.Cost, opts.Workers = cost, 1
 	ref, refClocks := clean(t, opts)
 	if want := [3]int{87654321, 64208642, 41852963}; ref != want {
 		t.Fatalf("one worker received %v, pinned %v", ref, want)

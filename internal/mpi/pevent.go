@@ -51,10 +51,10 @@ package mpi
 // four cover everything a program can observe. Any schedule that respects
 // per-rank program order therefore yields identical clocks, stats and
 // traces: byte-identity across kernel names and worker counts, on a
-// zero-latency network too, is by construction. TestKernelEquivalence pins
-// it across every scenario against the one-worker run, and the goldens and
-// digests recorded under the goroutine-per-rank engine this one replaced
-// still pass unedited.
+// zero-latency network too, is by construction. The differential harness
+// (TestEquivalence at the repo root) pins it across every scenario against
+// the one-worker run, and the goldens and digests recorded under the
+// goroutine-per-rank engine this one replaced still pass unedited.
 
 import (
 	"fmt"

@@ -3,8 +3,7 @@ package mpi
 // Unit tests of the event-driven kernel's multi-worker seams: per-source
 // FIFO across a staging lane, a worker running a whole superstep ahead of
 // its sibling, the window count, and the worker-count resolution rules.
-// The failure paths are in event_test.go, one table over every kernel
-// name.
+// The failure paths are in event_test.go, one table over worker counts.
 
 import (
 	"fmt"
@@ -14,17 +13,10 @@ import (
 	"ic2mpi/internal/netmodel"
 )
 
-// peventOpts returns free-network options running the parallel event
-// kernel at an explicit worker count.
-func peventOpts(procs, workers int) Options {
-	o := freeOpts(procs)
-	o.Kernel = KernelParallelEvent
-	o.Workers = workers
-	return o
-}
-
 // TestParallelEventWorkerCount pins the Options.Workers resolution:
-// zero/negative auto-sizes, explicit counts clamp to procs.
+// zero/negative auto-sizes, explicit counts clamp to procs. It is also
+// where the kernel names are tested, once: every other test sets a worker
+// count under the default name.
 func TestParallelEventWorkerCount(t *testing.T) {
 	for _, tc := range []struct {
 		workers, procs, min, max int
@@ -40,16 +32,21 @@ func TestParallelEventWorkerCount(t *testing.T) {
 			t.Errorf("peWorkerCount(%d, %d) = %d, want in [%d, %d]", tc.workers, tc.procs, got, tc.min, tc.max)
 		}
 	}
-	// Run resolves the count per name: Options.Workers is ignored under
-	// the event name (always one worker), and the default name runs the
-	// automatic count. Every name fills Probe: eight ranks that return at
-	// once are one window of eight activations.
+	// Run resolves the count per name: the event name runs one worker
+	// whatever Options.Workers says, the other two run Options.Workers,
+	// the automatic count when it is 0. Every name fills Probe: eight
+	// ranks that return at once are one window of eight activations.
+	auto := min(runtime.GOMAXPROCS(0), 8)
 	for _, tc := range []struct {
 		kernel        Kernel
 		workers, want int
 	}{
-		{KernelEvent, 8, 1},
-		{KernelGoroutine, 0, min(runtime.GOMAXPROCS(0), 8)},
+		{KernelGoroutine, 0, auto},
+		{KernelGoroutine, 3, 3},
+		{KernelEvent, 0, 1},
+		{KernelEvent, 3, 1},
+		{KernelParallelEvent, 0, auto},
+		{KernelParallelEvent, 3, 3},
 	} {
 		var probe KernelCounters
 		opts := freeOpts(8)
@@ -75,7 +72,9 @@ func TestParallelEventWorkerCount(t *testing.T) {
 func TestParallelEventCrossWorkerFIFO(t *testing.T) {
 	const n = 32
 	for _, workers := range []int{1, 2, 4} {
-		err := Run(peventOpts(4, workers), func(c *Comm) error {
+		opts := freeOpts(4)
+		opts.Workers = workers
+		err := Run(opts, func(c *Comm) error {
 			last := c.Size() - 1
 			switch c.Rank() {
 			case 0:
@@ -110,8 +109,8 @@ func TestParallelEventCrossWorkerFIFO(t *testing.T) {
 // per step than the rest, so a light worker finishes each superstep
 // before a heavy one's first fold. Every rank exchanges with a partner on
 // another worker each step and receives the partner's pre-barrier
-// message after the barrier. Clocks and Stats must equal event's bit for
-// bit under every name and worker count.
+// message after the barrier. Clocks and Stats must equal the one-worker
+// run's bit for bit at every worker count.
 func TestParallelEventRunsAhead(t *testing.T) {
 	const procs, steps = 6, 5
 	snaps := runAllKernels(t, freeOpts(procs), func(c *Comm) error {
@@ -149,16 +148,16 @@ func TestParallelEventRunsAhead(t *testing.T) {
 // window bounded by the network's smallest delay took hundreds. The
 // counts are a function of the program and the worker count only, so they
 // repeat exactly, and observing them changes nothing. The last rows are the
-// same program at one worker, under the event name.
+// same program at one worker.
 func TestWindowCountPinned(t *testing.T) {
 	const procs, iters = 256, 20
 	cost, err := netmodel.New(netmodel.NameHypercube, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(kernel Kernel, probe *KernelCounters) []kernelSnap {
+	run := func(workers int, probe *KernelCounters) []kernelSnap {
 		snaps := make([]kernelSnap, procs)
-		opts := Options{Procs: procs, Cost: cost, Kernel: kernel, Workers: 2, Probe: probe}
+		opts := Options{Procs: procs, Cost: cost, Workers: workers, Probe: probe}
 		err := Run(opts, func(c *Comm) error {
 			next, prev := (c.Rank()+1)%procs, (c.Rank()+procs-1)%procs
 			for it := 0; it < iters; it++ {
@@ -186,8 +185,8 @@ func TestWindowCountPinned(t *testing.T) {
 		return snaps
 	}
 	var first, second KernelCounters
-	observed, plain := run(KernelParallelEvent, &first), run(KernelParallelEvent, nil)
-	run(KernelParallelEvent, &second)
+	observed, plain := run(2, &first), run(2, nil)
+	run(2, &second)
 	// Every rank parks twice an iteration (a Recv, the barrier) and is
 	// resumed once more than it parks; four messages an iteration cross
 	// the two worker boundaries.
@@ -203,20 +202,19 @@ func TestWindowCountPinned(t *testing.T) {
 			t.Errorf("rank %d: %+v with Probe set, %+v without", r, observed[r], plain[r])
 		}
 	}
-	// The same program under the event name (one worker whatever Workers
-	// says): one window and nothing staged. A rank parks a little less
-	// than twice an iteration — a barrier's last arriver releases the rest
-	// and goes on, and a rank that runs after both neighbours finds both
-	// messages queued — by a count that is the run queue's wake order and
-	// nothing else, so it is pinned from the run.
+	// The same program at one worker: one window and nothing staged. A
+	// rank parks a little less than twice an iteration — a barrier's last
+	// arriver releases the rest and goes on, and a rank that runs after
+	// both neighbours finds both messages queued — by a count that is the
+	// run queue's wake order and nothing else, so it is pinned from the run.
 	var one KernelCounters
-	single := run(KernelEvent, &one)
+	single := run(1, &one)
 	if want := (KernelCounters{Windows: 1, Activations: 10446, Parks: 10190}); one != want {
-		t.Errorf("event counters %+v, pinned %+v", one, want)
+		t.Errorf("one-worker counters %+v, pinned %+v", one, want)
 	}
 	for r := range plain {
 		if single[r] != plain[r] {
-			t.Errorf("rank %d: %+v under event, %+v under pevent", r, single[r], plain[r])
+			t.Errorf("rank %d: %+v at one worker, %+v at two", r, single[r], plain[r])
 		}
 	}
 }

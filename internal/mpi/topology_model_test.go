@@ -115,7 +115,7 @@ func TestTopologyModelDistinctPairs(t *testing.T) {
 // TestUniformModelMatchesUnitTopology states the float-association promise
 // once at the runtime's level: the flat model and a fully connected
 // unit-cost topology are one machine, so the same two-rank exchange ends
-// on the same clocks and Stats, bit for bit, under every kernel name.
+// on the same clocks and Stats, bit for bit, at every worker count.
 func TestUniformModelMatchesUnitTopology(t *testing.T) {
 	base := netmodel.Origin2000()
 	net, err := topology.Uniform(2)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ic2mpi/internal/fault"
-	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/trace"
 )
@@ -86,12 +85,20 @@ func checkpointConfig(t *testing.T, procs int) Config {
 	return cfg
 }
 
+// resumeWorkers are the worker counts the resume tests run at, the
+// automatic count and one, each labelled by the kernel name that selected
+// it before every name ran one engine, so the subtest names are stable.
+var resumeWorkers = []struct {
+	label   string
+	workers int
+}{{"kernel=goroutine", 0}, {"kernel=event", 1}}
+
 func TestResumeEquivalenceEveryEpoch(t *testing.T) {
-	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent} {
+	for _, w := range resumeWorkers {
 		for _, procs := range []int{1, 3, 4} {
-			t.Run(fmt.Sprintf("kernel=%v procs=%d", kernel, procs), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s procs=%d", w.label, procs), func(t *testing.T) {
 				cfg := checkpointConfig(t, procs)
-				cfg.Kernel = kernel
+				cfg.KernelWorkers = w.workers
 				assertResumeEquivalence(t, cfg)
 			})
 		}
@@ -115,10 +122,10 @@ func TestResumeEquivalencePerturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Network = net
-	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent} {
-		t.Run(fmt.Sprintf("kernel=%v", kernel), func(t *testing.T) {
+	for _, w := range resumeWorkers {
+		t.Run(w.label, func(t *testing.T) {
 			c := cfg
-			c.Kernel = kernel
+			c.KernelWorkers = w.workers
 			assertResumeEquivalence(t, c)
 		})
 	}

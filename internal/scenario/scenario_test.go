@@ -495,8 +495,6 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestHeatConfigGathersBitIdentical pins the heat scenario to the
-// sequential reference, the property its example advertises.
 // TestBSPOptionsCarryEveryKnob pins the custom runner's side of the knob
 // plumbing: every parameter the pagerank-bsp runner acts on — the pevent
 // worker count included, which it used to drop — arrives in mpi.Options.
@@ -521,6 +519,8 @@ func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	}
 }
 
+// TestHeatConfigBitIdentical pins the heat scenario to the sequential
+// reference, the property its example advertises.
 func TestHeatConfigBitIdentical(t *testing.T) {
 	sc, _ := Lookup("heat")
 	cfg, err := sc.Config(Params{Procs: 8, Iterations: 50})
