@@ -5,6 +5,7 @@ package mpi
 // concurrent runs share the pool, and that GC cycles empty it.
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"runtime/debug"
@@ -15,31 +16,60 @@ import (
 	"weak"
 )
 
-// quietGoroutines drains the pool and returns the goroutine count once
-// the goroutines of earlier runs have finished exiting.
-func quietGoroutines() int {
-	DrainCarriers()
-	n := runtime.NumGoroutine()
-	for range 100 {
-		time.Sleep(time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
+// engineGoroutines counts the engine's goroutines alive in the process:
+// the worker goroutines of runPEvent and the carriers, running, parked or
+// pooled, found by their functions in a dump of every goroutine's stack.
+// The process's goroutine count would also count the testing package's
+// goroutines and the runtime's cleanup goroutine, which come and go on
+// their own schedule.
+func engineGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
 			break
 		}
-		n = m
+		buf = make([]byte, 2*len(buf))
 	}
-	return n
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("mpi.runPEvent.func")) || bytes.Contains(g, []byte("mpi.(*peWorker).runWindow.func")) {
+			count++
+		}
+	}
+	return count
+}
+
+// quietGoroutines drains the pool and returns engineGoroutines. Run has
+// waited for its worker goroutines to exit, and stopping a carrier ends
+// its coroutine, so the count is final at once.
+func quietGoroutines() int {
+	DrainCarriers()
+	return engineGoroutines()
 }
 
 // noAutoGC turns the collector's own cycles off for the rest of the test,
-// so that only the test's runtime.GC calls sweep the pool. The cycle that
-// turning them off may leave behind is run, and its sweep given time to
-// finish, first.
+// so that only the test's runtime.GC calls sweep the pool. A cycle that
+// ran before may still have its sweep to come, on the runtime's cleanup
+// goroutine; so one carrier is pooled, and cycles are run until sweeps
+// have marked it and then stopped it, which leaves no sweep pending.
 func noAutoGC(t *testing.T) {
 	old := debug.SetGCPercent(-1)
 	t.Cleanup(func() { debug.SetGCPercent(old) })
-	runtime.GC()
-	quietGoroutines()
+	DrainCarriers()
+	if err := Run(freeOpts(1), func(*Comm) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !gcUntil(marked) || !gcUntil(func() bool { return len(pooledCarriers()) == 0 }) {
+		t.Fatal("GC cycles ran no sweep")
+	}
+}
+
+// marked reports whether a sweep has marked a pooled carrier.
+func marked() bool {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	return idle.old > 0
 }
 
 // pooledCarriers returns the carriers the pool holds.
@@ -168,11 +198,10 @@ func TestCarrierOfGoexitNeverPooled(t *testing.T) {
 func TestCarrierRetainsNothing(t *testing.T) {
 	noAutoGC(t)
 	forEventKernels(t, 4, func(t *testing.T, opts Options) {
-		base := runtime.NumGoroutine()
 		wp := runCapturing(t, opts)
-		// A worker goroutine refers to the run until it has exited.
-		if !waitFor(func() bool { return runtime.NumGoroutine() == base+opts.Procs }) {
-			t.Fatalf("%d goroutines, want %d plus %d pooled carriers", runtime.NumGoroutine(), base, opts.Procs)
+		// No worker goroutine, which would refer to the run, is left.
+		if n := engineGoroutines(); n != opts.Procs {
+			t.Fatalf("%d engine goroutines, want the %d pooled carriers", n, opts.Procs)
 		}
 		// Only a cycle's sweep, after it, stops a pooled carrier.
 		if n := len(pooledCarriers()); n != opts.Procs {
@@ -246,19 +275,14 @@ func TestCarrierPoolEmptiesAfterTwoGCs(t *testing.T) {
 	if err := Run(Options{Procs: procs}, func(c *Comm) error { return c.Barrier() }); err != nil {
 		t.Fatal(err)
 	}
-	marked := func() bool {
-		idle.mu.Lock()
-		defer idle.mu.Unlock()
-		return idle.old > 0
-	}
 	if !gcUntil(marked) {
 		t.Fatal("GC cycles ran no sweep")
 	}
 	if n := len(pooledCarriers()); n != procs {
 		t.Fatalf("one sweep left %d of %d carriers pooled, want all of them", n, procs)
 	}
-	if !gcUntil(func() bool { return runtime.NumGoroutine() == before }) {
-		t.Fatalf("two sweeps left %d goroutines, %d before the run", runtime.NumGoroutine(), before)
+	if !gcUntil(func() bool { return engineGoroutines() == before }) {
+		t.Fatalf("two sweeps left %d engine goroutines, %d before the run", engineGoroutines(), before)
 	}
 }
 

@@ -8,9 +8,7 @@ package mpi
 
 import (
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/topology"
@@ -145,14 +143,8 @@ func forEventKernels(t *testing.T, procs int, body func(t *testing.T, opts Optio
 		t.Run(row.name, func(t *testing.T) {
 			before := quietGoroutines()
 			body(t, opts)
-			// A worker goroutine may still be on its way out of its
-			// closed start channel.
-			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != before && time.Now().Before(deadline); {
-				DrainCarriers()
-				time.Sleep(time.Millisecond)
-			}
-			if after := runtime.NumGoroutine(); after != before {
-				t.Errorf("%d goroutines before the runs, %d after draining the pool: a carrier or a worker leaked", before, after)
+			if after := quietGoroutines(); after != before {
+				t.Errorf("%d engine goroutines before the runs, %d after draining the pool: a carrier or a worker leaked", before, after)
 			}
 		})
 	}

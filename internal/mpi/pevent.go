@@ -503,9 +503,10 @@ func peWorkerCount(workers, procs int) int {
 // by peWorkerCount) and blocks until every rank returns. The calling
 // goroutine is the window coordinator and runs the first worker that has
 // queued ranks itself; every other worker's windows run on a goroutine of
-// its own, so one worker needs none. A finished rank's carrier goes back
-// to the pool; a deadlocked one's is stopped. A rank that calls
-// runtime.Goexit ends its carrier and unwinds the worker that resumed it.
+// its own, so one worker needs none, and each has exited when runPEvent
+// returns. A finished rank's carrier goes back to the pool; a deadlocked
+// one's is stopped. A rank that calls runtime.Goexit ends its carrier and
+// unwinds the worker that resumed it.
 func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
@@ -547,6 +548,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 					pw.runWindow()
 					pw.ready <- struct{}{}
 				}
+				close(pw.ready)
 			}()
 		}
 	}
@@ -583,8 +585,12 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		}
 		k.fold()
 	}
+	// Each worker closes ready on its way out.
 	for _, pw := range k.workers[1:] {
 		close(pw.start)
+	}
+	for _, pw := range k.workers[1:] {
+		<-pw.ready
 	}
 	// Stopping a carrier unwinds its rank, which may park through
 	// k.carriers, so every stop comes before the pool takes the rest.
