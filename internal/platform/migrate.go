@@ -266,13 +266,20 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 				})
 			}
 		}
-		// Commit ownership changes and rebuild bookkeeping everywhere. The
-		// first commit of a run is where a rank stops sharing the owner map.
+		// Commit ownership changes everywhere; the first commit of a run is
+		// where a rank stops sharing the owner map. Only a rank the round
+		// touched rebuilds its bookkeeping: one that neither sent nor took a
+		// node and holds no entry for a moved one keeps the same
+		// classification, peers and plans.
 		s.ownOwner()
+		touched := false
 		for _, m := range round {
 			s.owner[m.node] = m.to
+			touched = touched || m.from == s.me || m.to == s.me || s.table.Lookup(m.node) != nil
 		}
-		s.reclassifyAll()
+		if touched {
+			s.reclassifyAll()
+		}
 		if err := s.comm.Barrier(); err != nil {
 			return executed, err
 		}
