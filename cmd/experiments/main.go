@@ -188,7 +188,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := runScenario(sc, *sweep, ax, mode, cellRunner(*kernelWorkers))
+		rep, err := runScenario(sc, *sweep, ax, mode, cellRunner(sc, *kernelWorkers))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -314,12 +314,14 @@ type runMode struct {
 	merge           bool
 }
 
-// cellRunner returns the runner every simulating mode executes its cells
-// through, so a host-side knob applied here reaches all of them.
-func cellRunner(kernelWorkers int) experiments.CellRunner {
-	return func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+// cellRunner returns the runner every simulating mode executes sc's cells
+// through, so a host-side knob applied here reaches all of them. The cells
+// share one memo of their inputs (scenario.Inputs).
+func cellRunner(sc scenario.Scenario, kernelWorkers int) experiments.CellRunner {
+	in := scenario.NewInputs(sc)
+	return func(_ scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
 		p.KernelWorkers = kernelWorkers
-		return sc.Run(p)
+		return in.Run(p)
 	}
 }
 

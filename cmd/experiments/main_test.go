@@ -141,7 +141,7 @@ func TestKernelWorkersReachEveryRunMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := runScenario(sc, tc.sweep, ax, tc.mode, cellRunner(workers)); err != nil {
+			if _, err := runScenario(sc, tc.sweep, ax, tc.mode, cellRunner(sc, workers)); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != tc.cells {
@@ -281,7 +281,7 @@ func TestCheckpointPeriodMustLeaveABoundary(t *testing.T) {
 		{every: 20, want: "-checkpoint-every 20 writes no snapshot in a run of 4 iterations"},
 	} {
 		path := filepath.Join(t.TempDir(), "f.ckpt")
-		_, err := runScenario(sc, sweep, ax, runMode{checkpointPath: path, checkpointEvery: tc.every}, cellRunner(0))
+		_, err := runScenario(sc, sweep, ax, runMode{checkpointPath: path, checkpointEvery: tc.every}, cellRunner(sc, 0))
 		_, statErr := os.Stat(path)
 		switch {
 		case tc.want == "" && (err != nil || statErr != nil):
@@ -311,7 +311,7 @@ func TestResumeAcrossKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := runScenario(sc, sweep, ax, m, cellRunner(0))
+		rep, err := runScenario(sc, sweep, ax, m, cellRunner(sc, 0))
 		if err != nil {
 			return "", err
 		}
@@ -361,7 +361,7 @@ func TestRetiredBufferModeRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = runScenario(sc, sweep, ax, mode, cellRunner(0))
+		_, err = runScenario(sc, sweep, ax, mode, cellRunner(sc, 0))
 		if err == nil || !strings.Contains(err.Error(), `buffer mode "unpooled" was retired`) {
 			t.Errorf("%s: got error %v, want the retirement message", name, err)
 		}

@@ -91,15 +91,16 @@ func (want runBytes) diff(got runBytes) string {
 }
 
 // checkCell is the oracle. It runs the cell at one worker, traced and
-// checkpointed at every epoch. The runs at 2 and 8 workers, checkpointed
-// too, must give the same bytes, snapshots included; so must the run at
-// the automatic count, which has checkpointing off. Each of these traces
-// must keep the accounting invariants. Each snapshot at one of cuts
-// (every epoch boundary when cuts is empty) must re-encode to its own
-// bytes, and resuming from it at a worker count rotated by the cut must
-// reproduce the result, phases and trace. Custom-runner scenarios cannot
-// checkpoint, and their traces carry no wall clock: they skip the
-// snapshot steps and the invariants.
+// checkpointed at every epoch, on inputs built for that run alone; every
+// other run takes its inputs from one shared memo (scenario.Inputs). The
+// runs at 2 and 8 workers, checkpointed too, must give the same bytes,
+// snapshots included; so must the run at the automatic count, which has
+// checkpointing off. Each of these traces must keep the accounting
+// invariants. Each snapshot at one of cuts (every epoch boundary when cuts
+// is empty) must re-encode to its own bytes, and resuming from it at a
+// worker count rotated by the cut must reproduce the result, phases and
+// trace. Custom-runner scenarios cannot checkpoint, and their traces carry
+// no wall clock: they skip the snapshot steps and the invariants.
 func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...int) {
 	t.Helper()
 	p, err := sc.Normalize(p)
@@ -117,6 +118,9 @@ func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...in
 			cuts = append(cuts, k)
 		}
 	}
+	// The reference runs through Scenario.Run; the rest share a memo, so
+	// each row also compares shared inputs with fresh ones.
+	runCell := sc.Run
 	// run runs the cell, traced, at workers from resume (nil: from the
 	// start). With snapAt non-nil it also checkpoints every epoch, in order
 	// and each once, and keeps the snapshots at snapAt, encoded under key.
@@ -138,7 +142,7 @@ func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...in
 				return err
 			}
 		}
-		res, err := sc.Run(rp)
+		res, err := runCell(rp)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -160,6 +164,7 @@ func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...in
 		return out
 	}
 	ref := run(1, nil, cuts)
+	runCell = scenario.NewInputs(sc).Run
 	for _, w := range workerCounts[1:] {
 		snapAt := cuts
 		if w == 0 {

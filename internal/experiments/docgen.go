@@ -294,10 +294,11 @@ func faultSweep(name string, balancers, networks, perturbs []string) (rep *Sweep
 	}
 	ax := Axes{Procs: []int{8}, Iterations: []int{45}, Balancers: balancers, Networks: networks, Perturbs: perturbs}
 	recs = make([]*trace.Recorder, ax.Size())
-	rep, err = RunSweepWith(sc, ax, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
+	in := scenario.NewInputs(sc)
+	rep, err = RunSweepWith(sc, ax, func(_ scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
 		recs[i] = &trace.Recorder{}
 		p.BalanceEvery, p.BalanceRounds, p.Trace = 3, 3, recs[i]
-		return sc.Run(p)
+		return in.Run(p)
 	})
 	return rep, recs, err
 }

@@ -347,10 +347,12 @@ type CellRunner func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.
 // RunSweep executes the cartesian sweep of sc over ax. Runs execute
 // concurrently on the bounded worker pool (see Parallelism), but rows are
 // assembled in deterministic axis order, so the report — and any encoding
-// of it — is byte-identical at any parallelism.
+// of it — is byte-identical at any parallelism. The cells share one memo
+// of their inputs (scenario.Inputs).
 func RunSweep(sc scenario.Scenario, ax Axes) (*SweepReport, error) {
-	return RunSweepWith(sc, ax, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
-		return sc.Run(p)
+	in := scenario.NewInputs(sc)
+	return RunSweepWith(sc, ax, func(_ scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+		return in.Run(p)
 	})
 }
 

@@ -193,7 +193,9 @@ const (
 )
 
 // Config describes one platform run. Graph, InitialPartition, InitData and
-// Node are the user plug-ins; everything else tunes the platform.
+// Node are the user plug-ins; everything else tunes the platform. A run
+// only reads Graph, InitialPartition and the values InitData returns, so
+// callers may share them across concurrent runs (scenario.Inputs does).
 type Config struct {
 	// Graph is the application program graph.
 	Graph *graph.Graph

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"ic2mpi/internal/balance"
 	"ic2mpi/internal/fault"
@@ -275,74 +276,68 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sc.config(np)
-}
-
-// config is Config for parameters Normalize has already returned, so Run
-// normalizes once.
-func (sc Scenario) config(p Params) (*platform.Config, error) {
-	g, err := sc.Graph()
-	if err != nil {
-		return nil, err
-	}
-	net, err := netmodel.New(p.Network, p.Procs)
-	if err != nil {
-		return nil, err
-	}
-	part, err := PartitionOn(p.Partitioner, g, p.Procs, net)
-	if err != nil {
-		return nil, err
-	}
-	// Fault injection wraps the machine only after partitioning: the
-	// static partitioner targets the undegraded machine (it cannot know
-	// the future), which is also what keeps PaGrid's network-graph
-	// unwrapping working.
-	runNet := net
-	if sched, err := fault.Parse(p.Perturb); err != nil {
-		return nil, err
-	} else if sched != nil {
-		runNet, err = fault.Wrap(net, sched, p.Procs, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-	}
-	bal, err := NewBalancerOn(p.Balancer, p.Network, p.Procs)
-	if err != nil {
-		return nil, err
-	}
-	if p.Procs == 1 {
-		bal = nil // one processor has nothing to balance
-	}
-	kernel, err := mpi.ParseKernel(p.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	return &platform.Config{
-		Graph:            g,
-		Procs:            p.Procs,
-		InitialPartition: part,
-		InitData:         sc.InitData,
-		Node:             sc.Node(g),
-		Iterations:       p.Iterations,
-		SubPhases:        sc.SubPhases,
-		Overlap:          p.Exchange == ExchangeOverlap,
-		Balancer:         bal,
-		BalanceEvery:     p.BalanceEvery,
-		BalanceRounds:    p.BalanceRounds,
-		Network:          runNet,
-		Kernel:           kernel,
-		KernelWorkers:    p.KernelWorkers,
-		SkipFinalGather:  true,
-		Trace:            p.Trace,
-		CheckpointEvery:  p.CheckpointEvery,
-		CheckpointSink:   p.CheckpointSink,
-		ResumeFrom:       p.ResumeFrom,
-	}, nil
+	cfg, _, err := NewInputs(sc).config(np)
+	return cfg, err
 }
 
 // Run executes the scenario at the given parameters and reports the
-// machine-readable metrics.
+// machine-readable metrics. Its inputs are built for this run alone.
 func (sc Scenario) Run(p Params) (*Result, error) {
+	return NewInputs(sc).Run(p)
+}
+
+// Inputs is a memo of what the runs of one sweep of a scenario build
+// before they simulate: the application graph; each initial partition
+// and its quality, once per (partitioner, procs, network); and the
+// initial node data, built by the first run that asks for it, so a
+// resumed run never calls InitData. Every run that needs a value gets the
+// same one, which it only reads (see platform.Config). The values are
+// pure functions of their keys, so sharing them changes no byte of any
+// result, and an Inputs never reaches a CellKey, a report, a trace or a
+// snapshot. It holds at most one value per distinct key its runs asked
+// for and lives as long as its holder: experiments.RunSweep, a daemon job
+// and a shard run each make one; Scenario.Run makes one per run. It is
+// safe for concurrent use.
+type Inputs struct {
+	sc    Scenario
+	graph lazy[*graph.Graph]
+	data  lazy[[]platform.NodeData]
+	mu    sync.Mutex
+	parts map[partKey]*partInputs
+}
+
+type partKey struct {
+	partitioner, network string
+	procs                int
+}
+
+// partInputs is one initial partition and, once a run asks, its quality.
+type partInputs struct {
+	part    lazy[[]int]
+	quality lazy[partition.Quality]
+}
+
+// lazy is a value that the first get computes, with its error, while
+// concurrent gets wait for it.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (l *lazy[T]) get(f func() (T, error)) (T, error) {
+	l.once.Do(func() { l.v, l.err = f() })
+	return l.v, l.err
+}
+
+// NewInputs returns an empty memo of sc's run inputs.
+func NewInputs(sc Scenario) *Inputs {
+	return &Inputs{sc: sc, parts: map[partKey]*partInputs{}}
+}
+
+// Run is Scenario.Run with the inputs taken from the memo.
+func (in *Inputs) Run(p Params) (*Result, error) {
+	sc := in.sc
 	p, err := sc.Normalize(p)
 	if err != nil {
 		return nil, err
@@ -350,11 +345,13 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 	if sc.Runner != nil {
 		return sc.Runner(sc, p)
 	}
-	cfg, err := sc.config(p)
+	cfg, pi, err := in.config(p)
 	if err != nil {
 		return nil, err
 	}
-	q, err := partition.Evaluate(cfg.Graph, cfg.InitialPartition, p.Procs)
+	q, err := pi.quality.get(func() (partition.Quality, error) {
+		return partition.Evaluate(cfg.Graph, cfg.InitialPartition, p.Procs)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -379,6 +376,95 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 		out.BytesSent += s.BytesSent
 	}
 	return out, nil
+}
+
+// config is Config for parameters Normalize has already returned, so Run
+// normalizes once. It also returns the memo entry of the run's partition.
+func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
+	sc := in.sc
+	g, err := in.graph.get(sc.Graph)
+	if err != nil {
+		return nil, nil, err
+	}
+	net, err := netmodel.New(p.Network, p.Procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	key := partKey{p.Partitioner, p.Network, p.Procs}
+	in.mu.Lock()
+	pi := in.parts[key]
+	if pi == nil {
+		pi = new(partInputs)
+		in.parts[key] = pi
+	}
+	in.mu.Unlock()
+	part, err := pi.part.get(func() ([]int, error) { return PartitionOn(p.Partitioner, g, p.Procs, net) })
+	if err != nil {
+		return nil, nil, err
+	}
+	// Fault injection wraps the machine only after partitioning: the
+	// static partitioner targets the undegraded machine (it cannot know
+	// the future), which is also what keeps PaGrid's network-graph
+	// unwrapping working.
+	runNet := net
+	if sched, err := fault.Parse(p.Perturb); err != nil {
+		return nil, nil, err
+	} else if sched != nil {
+		runNet, err = fault.Wrap(net, sched, p.Procs, p.Iterations)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	bal, err := NewBalancerOn(p.Balancer, p.Network, p.Procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.Procs == 1 {
+		bal = nil // one processor has nothing to balance
+	}
+	kernel, err := mpi.ParseKernel(p.Kernel)
+	if err != nil {
+		return nil, nil, err
+	}
+	initData := sc.InitData
+	if initData != nil {
+		initData = in.initData
+	}
+	return &platform.Config{
+		Graph:            g,
+		Procs:            p.Procs,
+		InitialPartition: part,
+		InitData:         initData,
+		Node:             sc.Node(g),
+		Iterations:       p.Iterations,
+		SubPhases:        sc.SubPhases,
+		Overlap:          p.Exchange == ExchangeOverlap,
+		Balancer:         bal,
+		BalanceEvery:     p.BalanceEvery,
+		BalanceRounds:    p.BalanceRounds,
+		Network:          runNet,
+		Kernel:           kernel,
+		KernelWorkers:    p.KernelWorkers,
+		SkipFinalGather:  true,
+		Trace:            p.Trace,
+		CheckpointEvery:  p.CheckpointEvery,
+		CheckpointSink:   p.CheckpointSink,
+		ResumeFrom:       p.ResumeFrom,
+	}, pi, nil
+}
+
+// initData is the InitData of every run configured from the memo: the
+// scenario's values for the whole graph, built by the first call.
+func (in *Inputs) initData(id graph.NodeID) platform.NodeData {
+	data, _ := in.data.get(func() ([]platform.NodeData, error) {
+		g, _ := in.graph.get(in.sc.Graph)
+		data := make([]platform.NodeData, g.NumVertices())
+		for v := range data {
+			data[v] = in.sc.InitData(graph.NodeID(v))
+		}
+		return data, nil
+	})
+	return data[id]
 }
 
 // PartitionOn runs the named static partitioner on g for k processors of

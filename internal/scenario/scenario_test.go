@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ic2mpi/internal/balance"
@@ -574,5 +576,82 @@ func TestGridGeneratorDegrees(t *testing.T) {
 	}
 	if err := vn.Validate(); err != nil {
 		t.Errorf("grid graph invalid: %v", err)
+	}
+}
+
+// TestInputsBuildOncePerKey: one memo, whatever the order and concurrency
+// of its runs, generates the graph once, builds one partition per
+// (partitioner, procs, network) and the initial node data once, and hands
+// every run the same values. A resumed run calls no InitData.
+func TestInputsBuildOncePerKey(t *testing.T) {
+	base, _ := Lookup("hex32-fine")
+	var graphs, inits atomic.Int64
+	sc := base
+	sc.Graph = func() (*graph.Graph, error) {
+		graphs.Add(1)
+		return base.Graph()
+	}
+	sc.InitData = func(id graph.NodeID) platform.NodeData {
+		inits.Add(1)
+		return base.InitData(id)
+	}
+	var params []Params
+	for _, part := range []string{"metis", "pagrid"} {
+		for _, procs := range []int{2, 4} {
+			for _, network := range []string{"hypercube", "mesh2d"} {
+				for _, bal := range []string{"none", "diffusion", "centralized"} {
+					params = append(params, Params{Partitioner: part, Procs: procs, Network: network, Balancer: bal, Iterations: 4})
+				}
+			}
+		}
+	}
+	in := NewInputs(sc)
+	cfgs := make([]*platform.Config, len(params))
+	var wg sync.WaitGroup
+	for i := range params {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := sc.Normalize(params[i])
+			if err == nil {
+				cfgs[i], _, err = in.config(p)
+			}
+			if err == nil {
+				_, err = in.Run(params[i])
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if graphs.Load() != 1 || len(in.parts) != len(params)/3 || inits.Load() != int64(cfgs[0].Graph.NumVertices()) {
+		t.Fatalf("%d graph generations, %d partitions and %d InitData calls for %d runs; want 1, %d and %d",
+			graphs.Load(), len(in.parts), inits.Load(), len(params), len(params)/3, cfgs[0].Graph.NumVertices())
+	}
+	for i, cfg := range cfgs {
+		first := cfgs[i-i%3] // the run of the same partition key with no balancer
+		if cfg.Graph != first.Graph || &cfg.InitialPartition[0] != &first.InitialPartition[0] {
+			t.Errorf("%+v: the graph or the partition is not the one its key's first run got", params[i])
+		}
+	}
+
+	// A run cut after iteration 2 and resumed from its snapshot.
+	p := params[1]
+	p.CheckpointEvery = 2
+	p.CheckpointSink = func(s *platform.RunSnapshot) error { p.ResumeFrom = s; return nil }
+	if _, err := sc.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	p.CheckpointEvery, p.CheckpointSink = 0, nil
+	inits.Store(0)
+	if _, err := NewInputs(sc).Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if n := inits.Load(); n != 0 {
+		t.Errorf("a resumed run called InitData %d times", n)
 	}
 }

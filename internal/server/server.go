@@ -695,6 +695,7 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 	}
 
 	tracker := newCellTracker(j.stream, j.Cells)
+	in := scenario.NewInputs(j.sc) // the inputs the job's simulated cells share
 	rep, err := experiments.RunSweepWith(j.sc, j.Spec.Axes, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
 		if testCellGate != nil {
 			testCellGate(j, i)
@@ -708,7 +709,7 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 		}
 		res, hit := s.cache.get(key)
 		if !hit {
-			if res, err = sc.Run(p); err != nil {
+			if res, err = in.Run(p); err != nil {
 				return nil, err
 			}
 			s.cache.put(key, res)

@@ -258,10 +258,12 @@ func (m *Manifest) checkScenario(sc scenario.Scenario) error {
 // RunShard executes the remaining cells of shard i (0-based) on the
 // experiments worker pool and stores their serialized results in the
 // manifest. Already-done cells are skipped, so an interrupted shard can
-// be re-run to completion from its persisted manifest.
+// be re-run to completion from its persisted manifest. The shard's cells
+// share one memo of their inputs (scenario.Inputs).
 func (m *Manifest) RunShard(sc scenario.Scenario, i int) error {
-	return m.RunShardWith(sc, i, func(sc scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
-		return sc.Run(p)
+	in := scenario.NewInputs(sc)
+	return m.RunShardWith(sc, i, func(_ scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+		return in.Run(p)
 	})
 }
 
