@@ -161,7 +161,8 @@ func (r *Recorder) Start(procs, iters int) {
 
 // Restore reloads rows recorded up to iteration boundary iter from a
 // checkpoint: the per-(iteration, processor) samples for iterations
-// 1..iter, the executed migrations, and the per-iteration edge cuts.
+// 1..iter, the executed migrations in iteration order, and the
+// per-iteration edge cuts.
 // Like Start it must be called outside the run (the platform calls it
 // after Start, before ranks launch), and the restored rows are written
 // directly — they are not replayed to an attached Sink, which only
@@ -183,9 +184,9 @@ func (r *Recorder) Restore(iter int, samples []Sample, migrations []Migration, e
 				i, s.Iter, s.Proc, want, i%r.procs)
 		}
 	}
-	for _, m := range migrations {
-		if m.Iter < 1 || m.Iter > iter {
-			return fmt.Errorf("trace: Restore migration at iteration %d outside 1..%d", m.Iter, iter)
+	for i, m := range migrations {
+		if m.Iter < 1 || m.Iter > iter || i > 0 && m.Iter < migrations[i-1].Iter {
+			return fmt.Errorf("trace: Restore migration %d at iteration %d is outside 1..%d or out of iteration order", i, m.Iter, iter)
 		}
 	}
 	copy(r.samples, samples)

@@ -108,3 +108,18 @@ func TestWriteUnknownFormat(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 }
+
+// TestRestoreRefusesMigrationsOutOfOrder: the encoders walk migrations in
+// iteration order, so a snapshot whose migrations run backwards would
+// silently lose the lines after the first step back.
+func TestRestoreRefusesMigrationsOutOfOrder(t *testing.T) {
+	var r Recorder
+	r.Start(1, 2)
+	samples := []Sample{{Iter: 1}, {Iter: 2}}
+	if err := r.Restore(2, samples, []Migration{{Iter: 2}, {Iter: 1}}, []int{0, 0}); err == nil {
+		t.Fatal("Restore accepted migrations out of iteration order")
+	}
+	if err := r.Restore(2, samples, []Migration{{Iter: 1}, {Iter: 2}, {Iter: 2}}, []int{0, 0}); err != nil {
+		t.Fatalf("Restore refused migrations in order: %v", err)
+	}
+}
