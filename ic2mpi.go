@@ -111,6 +111,8 @@ type (
 	// TraceRecorder collects per-iteration run telemetry when attached via
 	// Config.Trace: per-processor compute/communicate/idle time, message
 	// counters, task migrations, load imbalance and live edge-cut.
+	// Follow streams each iteration's canonical JSONL lines while the
+	// run executes.
 	TraceRecorder = trace.Recorder
 	// TraceSample is one (iteration, processor) telemetry record.
 	TraceSample = trace.Sample

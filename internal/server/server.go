@@ -665,33 +665,29 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		np, err := j.sc.Normalize(p)
-		if err != nil {
-			return nil, nil, err
-		}
 		if testCellGate != nil {
 			testCellGate(j, 0)
 		}
 		if j.cancel.Load() {
 			return nil, nil, errCancelled
 		}
-		rec := &trace.Recorder{}
-		sink := newTraceSink(j.stream, np.Procs, np.Iterations)
-		rec.SetSink(sink)
-		p.Trace = rec
+		// The recorder streams each iteration's canonical lines as soon as
+		// it is final; the /trace document is those same lines.
+		var doc bytes.Buffer
+		p.Trace = &trace.Recorder{}
+		p.Trace.Follow(func(kind string, line []byte) {
+			j.stream.append(kind, line)
+			doc.Write(line)
+			doc.WriteByte('\n')
+		})
 		res, err := j.sc.Run(p)
 		if err != nil {
 			return nil, nil, err
 		}
-		sink.finish()
 		s.mu.Lock()
 		j.CellsDone = 1
 		s.mu.Unlock()
-		var tbuf bytes.Buffer
-		if err := trace.WriteJSONL(&tbuf, rec); err != nil {
-			return nil, nil, err
-		}
-		return experiments.NewSweepReport(j.sc, res), tbuf.Bytes(), nil
+		return experiments.NewSweepReport(j.sc, res), doc.Bytes(), nil
 	}
 
 	tracker := newCellTracker(j.stream, j.Cells)

@@ -3,8 +3,6 @@ package server
 import (
 	"encoding/json"
 	"sync"
-
-	"ic2mpi/internal/trace"
 )
 
 // streamLine is one event of a job's live stream: a kind tag plus one
@@ -73,121 +71,6 @@ func (s *stream) snapshot(from int) (lines []streamLine, closed bool, wait <-cha
 		lines = s.lines[from:]
 	}
 	return lines, s.closed, s.changed
-}
-
-// traceSink bridges a run's trace.Recorder to a stream, releasing
-// iterations in canonical order while the run is still executing. Ranks
-// record samples concurrently and at their own pace, so the sink buffers
-// records and releases iteration i only once (a) every rank's sample for
-// i has arrived and (b) rank 0 has moved past i — rank 0 records its
-// sample after balancing and its edge-cut right after the sample (see
-// trace.Sink), so at that point iteration i's migrations and edge-cut
-// are final. The released lines are the exact trace.WriteJSONL bytes:
-// sample lines rank-ascending, migration lines, then the series line.
-type traceSink struct {
-	st    *stream
-	mu    sync.Mutex
-	procs int
-	iters int
-
-	samples  []trace.Sample
-	filled   []bool
-	migs     [][]trace.Migration
-	cuts     []int
-	released int // iterations fully streamed
-}
-
-func newTraceSink(st *stream, procs, iters int) *traceSink {
-	k := &traceSink{
-		st:      st,
-		procs:   procs,
-		iters:   iters,
-		samples: make([]trace.Sample, procs*iters),
-		filled:  make([]bool, procs*iters),
-		migs:    make([][]trace.Migration, iters),
-		cuts:    make([]int, iters),
-	}
-	for i := range k.cuts {
-		k.cuts[i] = -1 // matches the recorder's "not recorded" default
-	}
-	return k
-}
-
-func (k *traceSink) OnSample(s trace.Sample) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if s.Iter < 1 || s.Iter > k.iters || s.Proc < 0 || s.Proc >= k.procs {
-		return // recorder panics on these before the sink ever sees them
-	}
-	i := (s.Iter-1)*k.procs + s.Proc
-	k.samples[i] = s
-	k.filled[i] = true
-	k.advance(false)
-}
-
-func (k *traceSink) OnMigration(m trace.Migration) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if m.Iter >= 1 && m.Iter <= k.iters {
-		k.migs[m.Iter-1] = append(k.migs[m.Iter-1], m)
-	}
-}
-
-func (k *traceSink) OnEdgeCut(iter, cut int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if iter >= 1 && iter <= k.iters {
-		k.cuts[iter-1] = cut
-	}
-}
-
-// finish releases everything still buffered; the job runner calls it
-// after the run returns, when all records are final.
-func (k *traceSink) finish() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.advance(true)
-}
-
-// advance releases consecutive complete iterations. Callers hold k.mu.
-func (k *traceSink) advance(final bool) {
-	for k.released < k.iters {
-		it := k.released + 1
-		row := k.samples[(it-1)*k.procs : it*k.procs]
-		complete := true
-		for _, f := range k.filled[(it-1)*k.procs : it*k.procs] {
-			if !f {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			return
-		}
-		if !final {
-			// Iteration it is only final once rank 0 has recorded its
-			// sample for it+1 (its edge-cut for it precedes that); the
-			// last iteration waits for finish().
-			if it == k.iters || !k.filled[it*k.procs] {
-				return
-			}
-		}
-		for _, s := range row {
-			if b, err := trace.SampleLine(s); err == nil {
-				k.st.append("sample", b[:len(b)-1]) // canonical line, newline stripped
-			}
-		}
-		for _, m := range k.migs[it-1] {
-			if b, err := trace.MigrationLine(m); err == nil {
-				k.st.append("migration", b[:len(b)-1])
-			}
-		}
-		d := trace.Derived{Iter: it, Imbalance: trace.ImbalanceOf(row), EdgeCut: k.cuts[it-1]}
-		if b, err := trace.SeriesLine(d); err == nil {
-			k.st.append("series", b[:len(b)-1])
-		}
-		k.released++
-	}
 }
 
 // cellTracker releases "cell" progress events in deterministic cell

@@ -3,8 +3,9 @@ package server
 // Streaming conformance: the live trace feed must carry the exact bytes
 // of the canonical post-run trace encoding, released in canonical order
 // while ranks are still recording concurrently. The HTTP test pins the
-// end-to-end property; the unit tests pin the watermark and cell-order
-// release rules against adversarial arrival orders.
+// end-to-end property; the unit test pins the cell-order release rule
+// against an adversarial arrival order (internal/trace pins the trace
+// watermark).
 
 import (
 	"bytes"
@@ -20,81 +21,6 @@ import (
 func collectStream(st *stream) []streamLine {
 	lines, _, _ := st.snapshot(0)
 	return lines
-}
-
-// TestTraceSinkWatermark feeds a 2-proc, 3-iter run's records in an
-// adversarial order — rank 1 races ahead, rank 0 lags — and asserts the
-// sink still releases iterations in canonical order with exactly the
-// WriteJSONL bytes, holding each iteration until rank 0 has provably
-// moved past it.
-func TestTraceSinkWatermark(t *testing.T) {
-	st := newStream()
-	k := newTraceSink(st, 2, 3)
-	sample := func(iter, proc int) trace.Sample {
-		return trace.Sample{Iter: iter, Proc: proc, ComputeS: float64(iter*10 + proc)}
-	}
-
-	k.OnSample(sample(1, 1))
-	k.OnSample(sample(2, 1)) // rank 1 two iterations ahead
-	if n := len(collectStream(st)); n != 0 {
-		t.Fatalf("released %d lines before iteration 1 was complete", n)
-	}
-	k.OnMigration(trace.Migration{Iter: 2, Node: 7, From: 1, To: 0, BenefitS: 0.5})
-	k.OnSample(sample(1, 0))
-	// Iteration 1's row is complete, but rank 0 hasn't recorded iteration
-	// 2 yet — its edge-cut for 1 may still be pending.
-	if n := len(collectStream(st)); n != 0 {
-		t.Fatalf("released %d lines before rank 0 passed iteration 1", n)
-	}
-	k.OnEdgeCut(1, 11)
-	k.OnSample(sample(2, 0)) // rank 0 past iteration 1: release it
-	lines := collectStream(st)
-	if len(lines) != 3 { // 2 samples + series
-		t.Fatalf("after rank 0 passed iter 1: %d lines, want 3", len(lines))
-	}
-	k.OnEdgeCut(2, 12)
-	k.OnSample(sample(3, 0))
-	k.OnSample(sample(3, 1))
-	// Iteration 2 released (rank 0 is on 3); iteration 3 waits for finish.
-	if n := len(collectStream(st)); n != 7 { // + 2 samples, 1 migration, 1 series
-		t.Fatalf("before finish: %d lines, want 7", n)
-	}
-	k.OnEdgeCut(3, 13)
-	k.finish()
-	lines = collectStream(st)
-	if len(lines) != 10 {
-		t.Fatalf("after finish: %d lines, want 10", len(lines))
-	}
-
-	// The released bytes must be exactly WriteJSONL of an equivalent
-	// recorder-shaped trace, in order.
-	var want bytes.Buffer
-	rows := [][]trace.Sample{
-		{sample(1, 0), sample(1, 1)},
-		{sample(2, 0), sample(2, 1)},
-		{sample(3, 0), sample(3, 1)},
-	}
-	cuts := []int{11, 12, 13}
-	for it := 1; it <= 3; it++ {
-		for _, s := range rows[it-1] {
-			b, _ := trace.SampleLine(s)
-			want.Write(b)
-		}
-		if it == 2 {
-			b, _ := trace.MigrationLine(trace.Migration{Iter: 2, Node: 7, From: 1, To: 0, BenefitS: 0.5})
-			want.Write(b)
-		}
-		b, _ := trace.SeriesLine(trace.Derived{Iter: it, Imbalance: trace.ImbalanceOf(rows[it-1]), EdgeCut: cuts[it-1]})
-		want.Write(b)
-	}
-	var got bytes.Buffer
-	for _, ln := range lines {
-		got.Write(ln.data)
-		got.WriteByte('\n')
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("released lines differ from canonical encoding\ngot:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
-	}
 }
 
 // TestCellTrackerOrder completes cells out of order and asserts events

@@ -45,32 +45,32 @@ type seriesLine struct {
 	Derived
 }
 
-// marshalLine encodes one JSONL line: compact JSON plus the trailing
-// newline, exactly what json.Encoder.Encode emits.
-func marshalLine(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
+// writeIteration hands emit iteration it's canonical JSONL lines, each
+// compact JSON with no trailing newline, tagged with its kind: one
+// "sample" line per processor (rank ascending), the "migration" lines
+// executed by that iteration's balancing invocation (read from
+// r.migrations[*next:], advancing *next past them), then the "series"
+// line for d. WriteJSONL and the live release (Follow) both encode
+// through it.
+func (r *Recorder) writeIteration(it int, d Derived, next *int, emit func(kind string, line []byte) error) error {
+	line := func(kind string, v any) error {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		return emit(kind, b)
 	}
-	return append(b, '\n'), nil
-}
-
-// SampleLine encodes the canonical "sample" JSONL line for s — the exact
-// bytes WriteJSONL emits for that record, newline included. Live
-// streamers use these per-line encoders so a streamed trace is
-// byte-identical to the post-run file.
-func SampleLine(s Sample) ([]byte, error) {
-	return marshalLine(sampleLine{Kind: "sample", Sample: s})
-}
-
-// MigrationLine encodes the canonical "migration" JSONL line for m.
-func MigrationLine(m Migration) ([]byte, error) {
-	return marshalLine(migrationLine{Kind: "migration", Migration: m})
-}
-
-// SeriesLine encodes the canonical "series" JSONL line for d.
-func SeriesLine(d Derived) ([]byte, error) {
-	return marshalLine(seriesLine{Kind: "series", Derived: d})
+	for _, s := range r.samples[(it-1)*r.procs : it*r.procs] {
+		if err := line("sample", sampleLine{Kind: "sample", Sample: s}); err != nil {
+			return err
+		}
+	}
+	for ; *next < len(r.migrations) && r.migrations[*next].Iter == it; *next++ {
+		if err := line("migration", migrationLine{Kind: "migration", Migration: r.migrations[*next]}); err != nil {
+			return err
+		}
+	}
+	return line("series", seriesLine{Kind: "series", Derived: d})
 }
 
 // WriteJSONL writes the trace as JSON Lines, interleaved in iteration
@@ -78,27 +78,12 @@ func SeriesLine(d Derived) ([]byte, error) {
 // ascending), then any "migration" lines executed by that iteration's
 // balancing invocation, then one "series" line with the derived metrics.
 func WriteJSONL(w io.Writer, r *Recorder) error {
-	migs := r.Migrations()
-	write := func(line []byte, err error) error {
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(line)
-		return err
-	}
+	next := 0
 	for it := 1; it <= r.iters; it++ {
-		for p := 0; p < r.procs; p++ {
-			if err := write(SampleLine(r.samples[(it-1)*r.procs+p])); err != nil {
-				return err
-			}
-		}
-		for len(migs) > 0 && migs[0].Iter == it {
-			if err := write(MigrationLine(migs[0])); err != nil {
-				return err
-			}
-			migs = migs[1:]
-		}
-		if err := write(SeriesLine(r.series[it-1])); err != nil {
+		if err := r.writeIteration(it, r.series[it-1], &next, func(_ string, line []byte) error {
+			_, err := w.Write(append(line, '\n'))
+			return err
+		}); err != nil {
 			return err
 		}
 	}

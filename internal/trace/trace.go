@@ -14,14 +14,18 @@
 // byte-identical encoding (WriteJSONL, WriteCSV), which golden-file tests
 // pin. The recorder is allocation-conscious — Start preallocates every
 // per-iteration slot, and the per-rank record path writes into disjoint
-// preallocated slots without locks — so tracing never perturbs the
-// simulated timeline and adds little host-side cost.
+// preallocated slots, taking a lock only while the recorder is followed
+// live (Follow) — so tracing never perturbs the simulated timeline and
+// adds little host-side cost.
 //
 // See the "Telemetry & docgen" section of docs/architecture.md for where
 // in the run loop each event is emitted.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Sample is one (iteration, processor) telemetry record. All times are
 // virtual seconds accumulated during that iteration (summed over
@@ -95,26 +99,6 @@ type Derived struct {
 	EdgeCut int `json:"edge_cut"`
 }
 
-// Sink observes trace records the moment they are recorded, before the
-// run finishes — the live-streaming seam the daemon's SSE/NDJSON trace
-// endpoint builds on. A Sink must not block for long (it runs on the
-// simulated ranks' host goroutines) and must tolerate the recording
-// concurrency: OnSample may be called concurrently from different ranks,
-// while OnMigration and OnEdgeCut are only called from rank 0.
-//
-// Ordering guarantee (from the platform's emission points): by the time
-// rank 0's OnSample for iteration i+1 arrives, every migration and the
-// edge-cut of iteration i have been delivered — rank 0 records its sample
-// after balancing and its edge-cut immediately after the sample. A
-// streamer that releases iteration i only once all of iteration i's
-// samples AND rank 0's sample for i+1 (or the end of the run) have
-// arrived therefore sees final, complete iterations.
-type Sink interface {
-	OnSample(Sample)
-	OnMigration(Migration)
-	OnEdgeCut(iter, cut int)
-}
-
 // Recorder collects one run's trace. The zero value is ready: Start sizes
 // it for a run, Record* fill it, Finish computes the derived series.
 //
@@ -128,13 +112,27 @@ type Recorder struct {
 	samples      []Sample
 	series       []Derived
 	migrations   []Migration
-	sink         Sink
+
+	// The live release (Follow). mu is taken only while live is set; it
+	// guards the fields below and the migrations and edge cuts a release reads.
+	live     func(kind string, line []byte)
+	mu       sync.Mutex
+	counts   []int // samples recorded per iteration
+	rank0    int   // iterations rank 0 has sampled
+	released int   // iterations handed to live
+	nextMig  int   // migrations handed to live
 }
 
-// SetSink attaches a live observer to the recorder; nil detaches. Set it
-// before the run starts — it is not synchronized with in-flight Record*
-// calls. A nil sink costs one predictable branch per record.
-func (r *Recorder) SetSink(s Sink) { r.sink = s }
+// Follow hands live each iteration's canonical JSONL lines — the exact
+// WriteJSONL bytes, newline stripped, tagged with their kind — as soon
+// as the iteration is final, while the run is still executing. Iteration
+// i is final once every rank's sample for it is in and rank 0 has sampled
+// i+1: rank 0 records its sample after balancing and its edge cut right
+// after the sample, so i's migrations and edge cut are settled by then.
+// Finish releases the last iteration. live is called under the
+// recorder's lock, one iteration at a time, in iteration order. Set it
+// before the run; nil stops following.
+func (r *Recorder) Follow(live func(kind string, line []byte)) { r.live = live }
 
 // Start sizes the recorder for a run of procs processors over iters
 // iterations, discarding any previous run's data. The platform calls it
@@ -150,24 +148,24 @@ func (r *Recorder) Start(procs, iters int) {
 		r.series = make([]Derived, iters)
 	}
 	r.series = r.series[:iters]
-	for i := range r.samples {
-		r.samples[i] = Sample{}
-	}
+	r.counts = append(r.counts[:0], make([]int, iters)...) // zeroed, reusing capacity
+	clear(r.samples)
 	for i := range r.series {
 		r.series[i] = Derived{Iter: i + 1, EdgeCut: -1}
 	}
 	r.migrations = r.migrations[:0]
+	r.rank0, r.released, r.nextMig = 0, 0, 0
 }
 
 // Restore reloads rows recorded up to iteration boundary iter from a
 // checkpoint: the per-(iteration, processor) samples for iterations
 // 1..iter, the executed migrations in iteration order, and the
-// per-iteration edge cuts.
-// Like Start it must be called outside the run (the platform calls it
-// after Start, before ranks launch), and the restored rows are written
-// directly — they are not replayed to an attached Sink, which only
-// observes records produced live. A subsequent Finish derives the full
-// series exactly as an uninterrupted run would.
+// per-iteration edge cuts. Like Start it must be called outside the run
+// (the platform calls it after Start, before ranks launch). The restored
+// iterations count as recorded, so a followed resumed run releases them
+// with its first live iteration and streams exactly the uninterrupted
+// run's lines. A subsequent Finish derives the full series exactly as an
+// uninterrupted run would.
 func (r *Recorder) Restore(iter int, samples []Sample, migrations []Migration, edgeCuts []int) error {
 	if iter < 0 || iter > r.iters {
 		return fmt.Errorf("trace: Restore(iter=%d) outside Start(%d, %d)", iter, r.procs, r.iters)
@@ -192,7 +190,9 @@ func (r *Recorder) Restore(iter int, samples []Sample, migrations []Migration, e
 	copy(r.samples, samples)
 	for i, cut := range edgeCuts {
 		r.series[i].EdgeCut = cut
+		r.counts[i] = r.procs
 	}
+	r.rank0 = iter
 	r.migrations = append(r.migrations[:0], migrations...)
 	return nil
 }
@@ -210,18 +210,27 @@ func (r *Recorder) RecordSample(s Sample) {
 		panic(fmt.Sprintf("trace: RecordSample(iter=%d, proc=%d) outside Start(%d, %d)",
 			s.Iter, s.Proc, r.procs, r.iters))
 	}
+	// The slot is written before the lock, so a release that sees the
+	// iteration's count complete also sees the slot.
 	r.samples[(s.Iter-1)*r.procs+s.Proc] = s
-	if r.sink != nil {
-		r.sink.OnSample(s)
+	if r.live != nil {
+		r.mu.Lock()
+		r.counts[s.Iter-1]++
+		if s.Proc == 0 {
+			r.rank0 = s.Iter
+		}
+		r.release(false)
+		r.mu.Unlock()
 	}
 }
 
 // RecordMigration appends one executed migration. Rank 0 only.
 func (r *Recorder) RecordMigration(m Migration) {
-	r.migrations = append(r.migrations, m)
-	if r.sink != nil {
-		r.sink.OnMigration(m)
+	if r.live != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 	}
+	r.migrations = append(r.migrations, m)
 }
 
 // RecordEdgeCut stores the live edge-cut at the end of iter. Rank 0 only.
@@ -229,18 +238,17 @@ func (r *Recorder) RecordEdgeCut(iter, cut int) {
 	if iter < 1 || iter > r.iters {
 		panic(fmt.Sprintf("trace: RecordEdgeCut(iter=%d) outside Start(%d, %d)", iter, r.procs, r.iters))
 	}
-	r.series[iter-1].EdgeCut = cut
-	if r.sink != nil {
-		r.sink.OnEdgeCut(iter, cut)
+	if r.live != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 	}
+	r.series[iter-1].EdgeCut = cut
 }
 
-// ImbalanceOf returns the load-imbalance ratio of one iteration's sample
+// imbalance returns the load-imbalance ratio of one iteration's sample
 // row: max over mean per-processor compute time (1.0 = perfectly
-// balanced; 0 when the row recorded no compute time). Finish derives the
-// per-iteration series with it, and live streamers reuse it so streamed
-// series lines match the post-run encoding exactly.
-func ImbalanceOf(row []Sample) float64 {
+// balanced; 0 when the row recorded no compute time).
+func imbalance(row []Sample) float64 {
 	max, sum := 0.0, 0.0
 	for _, s := range row {
 		if s.ComputeS > max {
@@ -254,13 +262,37 @@ func ImbalanceOf(row []Sample) float64 {
 	return max * float64(len(row)) / sum
 }
 
-// Finish computes the derived per-iteration imbalance ratio from the
-// recorded samples. The platform calls it after every rank has finished.
-func (r *Recorder) Finish() {
-	for it := 0; it < r.iters; it++ {
-		if v := ImbalanceOf(r.samples[it*r.procs : (it+1)*r.procs]); v > 0 {
-			r.series[it].Imbalance = v
+// release hands live every consecutive iteration that is final; final
+// releases the last one too. Callers hold r.mu. The series line is
+// derived into a copy: the checkpoint collector reads r.series without
+// the lock while ranks run.
+func (r *Recorder) release(final bool) {
+	for r.released < r.iters {
+		it := r.released + 1
+		if r.counts[it-1] < r.procs || (!final && r.rank0 <= it) {
+			return
 		}
+		d := r.series[it-1]
+		d.Imbalance = imbalance(r.samples[(it-1)*r.procs : it*r.procs])
+		r.writeIteration(it, d, &r.nextMig, func(kind string, line []byte) error {
+			r.live(kind, line)
+			return nil
+		})
+		r.released++
+	}
+}
+
+// Finish computes the derived per-iteration imbalance ratio from the
+// recorded samples and, while following, releases what is left. The
+// platform calls it after every rank has finished.
+func (r *Recorder) Finish() {
+	for it := range r.iters {
+		r.series[it].Imbalance = imbalance(r.samples[it*r.procs : (it+1)*r.procs])
+	}
+	if r.live != nil {
+		r.mu.Lock()
+		r.release(true)
+		r.mu.Unlock()
 	}
 }
 
