@@ -8,10 +8,10 @@
 //
 // The node data types a snapshot can carry are a closed set this package
 // owns: the platform's IntData, the heat scenario's Temp and the
-// battlefield's HexData, each under a stable tag (see encodeData). Decoding
-// is strict — wrong version, unknown fields, unknown data types, impossible
-// values, truncated or structurally inconsistent input all error, never
-// panic and never silently resume a wrong run.
+// battlefield's HexData, each under a stable tag (see encodeData). Decode
+// checks the wire: wrong version, unknown fields, unknown data types,
+// impossible values or truncated input error, never panic. platform.Run
+// checks the state against the run before any rank runs.
 package checkpoint
 
 import (
@@ -79,16 +79,18 @@ type histJSON struct {
 	Imbalance float64   `json:"imbalance"`
 }
 
+// statsJSON and histJSON carry mpi.Stats' and platform.LoadSample's
+// field names, so each converts to and from its type directly.
 type statsJSON struct {
-	MsgsSent  int     `json:"msgs_sent"`
-	MsgsRecv  int     `json:"msgs_recv"`
-	BytesSent int     `json:"bytes_sent"`
-	BytesRecv int     `json:"bytes_recv"`
-	IdleS     float64 `json:"idle_s"`
+	MessagesSent     int     `json:"msgs_sent"`
+	MessagesReceived int     `json:"msgs_recv"`
+	BytesSent        int     `json:"bytes_sent"`
+	BytesReceived    int     `json:"bytes_recv"`
+	IdleSeconds      float64 `json:"idle_s"`
 }
 
 type nodeJSON struct {
-	ID       int             `json:"id"`
+	ID       graph.NodeID    `json:"id"`
 	Owned    bool            `json:"owned,omitempty"`
 	LastCost float64         `json:"last_cost,omitempty"`
 	Type     string          `json:"t"`
@@ -124,7 +126,7 @@ func Encode(meta Meta, snap *platform.RunSnapshot) ([]byte, error) {
 			Rank:       rs.Rank,
 			Clock:      rs.Clock,
 			Start:      rs.Start,
-			Stats:      statsJSON{rs.Stats.MessagesSent, rs.Stats.MessagesReceived, rs.Stats.BytesSent, rs.Stats.BytesReceived, rs.Stats.IdleSeconds},
+			Stats:      statsJSON(rs.Stats),
 			Phase:      append([]float64(nil), rs.Phase[:]...),
 			WorkTime:   rs.WorkTime,
 			Migrations: rs.Migrations,
@@ -138,12 +140,12 @@ func Encode(meta Meta, snap *platform.RunSnapshot) ([]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint: encoding node %d: %w", ns.ID, err)
 			}
-			rj.Nodes[j] = nodeJSON{ID: int(ns.ID), Owned: ns.Owned, LastCost: ns.LastCost, Type: tag, Value: raw}
+			rj.Nodes[j] = nodeJSON{ID: ns.ID, Owned: ns.Owned, LastCost: ns.LastCost, Type: tag, Value: raw}
 		}
 		if len(rs.History) > 0 {
 			rj.History = make([]histJSON, len(rs.History))
 			for j, h := range rs.History {
-				rj.History[j] = histJSON{Iter: h.Iter, Times: h.Times, Speeds: h.Speeds, Imbalance: h.Imbalance}
+				rj.History[j] = histJSON(h)
 			}
 		}
 		f.Ranks[i] = rj
@@ -159,11 +161,10 @@ func Encode(meta Meta, snap *platform.RunSnapshot) ([]byte, error) {
 	return json.Marshal(f)
 }
 
-// Decode parses data, verifies the format version, and reconstructs the
-// snapshot. It is strict: unknown fields, unknown node data types, or any
-// structural inconsistency (lengths, labels, ordering) is an error.
-// Deeper semantic validation against the run configuration happens in
-// platform.Run when the snapshot is used.
+// Decode parses data and checks the wire: the version, strict JSON (node
+// ids fit graph.NodeID), the phase-vector width, the node data codec and
+// trace fields only under has_trace. Whether the parts fit each other and
+// a run is platform.Run's check, made on the state before any rank runs.
 func Decode(data []byte) (Meta, *platform.RunSnapshot, error) {
 	var probe struct {
 		Version string `json:"version"`
@@ -180,24 +181,21 @@ func Decode(data []byte) (Meta, *platform.RunSnapshot, error) {
 	if err := dec.Decode(&f); err != nil {
 		return Meta{}, nil, fmt.Errorf("checkpoint: malformed snapshot: %w", err)
 	}
-	if f.Iter < 1 || f.Procs < 1 || f.Iterations <= f.Iter {
-		return Meta{}, nil, fmt.Errorf("checkpoint: inconsistent snapshot header (iter %d, procs %d, iterations %d)", f.Iter, f.Procs, f.Iterations)
+	if !f.HasTrace && (len(f.TraceSamples) != 0 || len(f.TraceMigrations) != 0 || len(f.TraceEdgeCuts) != 0) {
+		return Meta{}, nil, fmt.Errorf("checkpoint: trace data present but has_trace unset")
 	}
-	if len(f.Ranks) != f.Procs {
-		return Meta{}, nil, fmt.Errorf("checkpoint: %d rank records for %d procs", len(f.Ranks), f.Procs)
-	}
+	// Empty trace series decode to nil, as a capture makes them.
 	snap := &platform.RunSnapshot{
-		Iter:       f.Iter,
-		Procs:      f.Procs,
-		Iterations: f.Iterations,
-		Owner:      f.Owner,
-		Ranks:      make([]platform.RankSnap, f.Procs),
-		HasTrace:   f.HasTrace,
+		Iter:            f.Iter,
+		Procs:           f.Procs,
+		Iterations:      f.Iterations,
+		Owner:           f.Owner,
+		Ranks:           make([]platform.RankSnap, len(f.Ranks)),
+		HasTrace:        f.HasTrace,
+		TraceMigrations: append([]trace.Migration(nil), f.TraceMigrations...),
+		TraceEdgeCuts:   append([]int(nil), f.TraceEdgeCuts...),
 	}
 	for i, rj := range f.Ranks {
-		if rj.Rank != i {
-			return Meta{}, nil, fmt.Errorf("checkpoint: rank record %d labeled rank %d", i, rj.Rank)
-		}
 		if len(rj.Phase) != platform.NumPhases {
 			return Meta{}, nil, fmt.Errorf("checkpoint: rank %d has %d phase entries, want %d", i, len(rj.Phase), platform.NumPhases)
 		}
@@ -205,58 +203,34 @@ func Decode(data []byte) (Meta, *platform.RunSnapshot, error) {
 			Rank:       rj.Rank,
 			Clock:      rj.Clock,
 			Start:      rj.Start,
-			Stats:      mpiStats(rj.Stats),
+			Stats:      mpi.Stats(rj.Stats),
 			WorkTime:   rj.WorkTime,
 			Migrations: rj.Migrations,
 			Nodes:      make([]platform.NodeSnap, len(rj.Nodes)),
 		}
 		copy(rs.Phase[:], rj.Phase)
-		prev := -1
 		for j, nj := range rj.Nodes {
-			if nj.ID <= prev {
-				return Meta{}, nil, fmt.Errorf("checkpoint: rank %d node list not strictly ascending at %d", i, nj.ID)
-			}
-			prev = nj.ID
 			d, err := decodeData(nj.Type, nj.Value)
 			if err != nil {
 				return Meta{}, nil, fmt.Errorf("checkpoint: decoding node %d (%s): %w", nj.ID, nj.Type, err)
 			}
-			rs.Nodes[j] = platform.NodeSnap{ID: graph.NodeID(nj.ID), Owned: nj.Owned, LastCost: nj.LastCost, Data: d}
+			rs.Nodes[j] = platform.NodeSnap{ID: nj.ID, Owned: nj.Owned, LastCost: nj.LastCost, Data: d}
 		}
 		if len(rj.History) > 0 {
 			rs.History = make([]platform.LoadSample, len(rj.History))
-			prevIter := 0
 			for j, h := range rj.History {
-				if h.Iter <= prevIter || h.Iter > f.Iter {
-					return Meta{}, nil, fmt.Errorf("checkpoint: rank %d history not ascending within (0,%d]", i, f.Iter)
-				}
-				prevIter = h.Iter
-				if len(h.Times) != f.Procs || len(h.Speeds) != f.Procs {
-					return Meta{}, nil, fmt.Errorf("checkpoint: rank %d history sample at iteration %d has %d times and %d speeds for %d procs",
-						i, h.Iter, len(h.Times), len(h.Speeds), f.Procs)
-				}
-				rs.History[j] = platform.LoadSample{Iter: h.Iter, Times: h.Times, Speeds: h.Speeds, Imbalance: h.Imbalance}
+				rs.History[j] = platform.LoadSample(h)
 			}
 		}
 		snap.Ranks[i] = rs
 	}
 	if f.HasTrace {
-		if len(f.TraceSamples) != f.Iter*f.Procs {
-			return Meta{}, nil, fmt.Errorf("checkpoint: %d trace samples for iter %d x %d procs", len(f.TraceSamples), f.Iter, f.Procs)
-		}
-		if len(f.TraceEdgeCuts) != f.Iter {
-			return Meta{}, nil, fmt.Errorf("checkpoint: %d edge cuts for %d iterations", len(f.TraceEdgeCuts), f.Iter)
-		}
 		snap.TraceSamples = make([]trace.Sample, len(f.TraceSamples))
 		for i, sj := range f.TraceSamples {
 			s := sj.Sample
 			s.WallS = sj.WallS
 			snap.TraceSamples[i] = s
 		}
-		snap.TraceMigrations = f.TraceMigrations
-		snap.TraceEdgeCuts = f.TraceEdgeCuts
-	} else if len(f.TraceSamples) != 0 || len(f.TraceMigrations) != 0 || len(f.TraceEdgeCuts) != 0 {
-		return Meta{}, nil, fmt.Errorf("checkpoint: trace data present but has_trace unset")
 	}
 	return f.Meta, snap, nil
 }
@@ -308,14 +282,4 @@ func decodeData(tag string, raw json.RawMessage) (platform.NodeData, error) {
 		return h, nil
 	}
 	return nil, fmt.Errorf("no codec for node data type name %q", tag)
-}
-
-func mpiStats(s statsJSON) mpi.Stats {
-	return mpi.Stats{
-		MessagesSent:     s.MsgsSent,
-		MessagesReceived: s.MsgsRecv,
-		BytesSent:        s.BytesSent,
-		BytesReceived:    s.BytesRecv,
-		IdleSeconds:      s.IdleS,
-	}
 }

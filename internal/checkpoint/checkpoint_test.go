@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ic2mpi/internal/balance"
@@ -228,9 +229,10 @@ func TestHistoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMalformedHistory drives the history-specific
-// validation: out-of-order iterations, iterations beyond the snapshot
-// cut, and per-sample vectors of the wrong width must all be rejected.
+// TestDecodeRejectsMalformedHistory drives the history checks on the path
+// a snapshot file takes: out-of-order iterations, iterations beyond the
+// snapshot cut, and per-sample vectors of the wrong width all decode, and
+// platform.Run refuses each before any rank runs.
 func TestDecodeRejectsMalformedHistory(t *testing.T) {
 	g, err := graph.HexGrid(4, 6)
 	if err != nil {
@@ -293,18 +295,21 @@ func TestDecodeRejectsMalformedHistory(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := Decode(data); err == nil {
-				t.Fatalf("Decode accepted a snapshot with %s history", name)
-			}
+			refused(t, cfg, data, "history")
 		})
 	}
-	if _, _, err := Decode(valid); err != nil {
-		t.Fatalf("valid input rejected: %v", err)
+	if err := resume(t, cfg, valid); err != nil {
+		t.Fatalf("valid input refused: %v", err)
 	}
 }
 
+// TestDecodeRejectsMalformedInput feeds each malformed snapshot down the
+// path a file takes, Decode and then platform.Run: the wire cases are
+// refused by Decode, the structural ones by the run's checks before any
+// rank runs, each with a named error and none with a recovered panic.
 func TestDecodeRejectsMalformedInput(t *testing.T) {
-	_, _, _, snaps := captureSnapshots(t)
+	cfg, _, _, snaps := captureSnapshots(t)
+	cfg.Trace = &trace.Recorder{}
 	valid, err := Encode(Meta{CellKey: "k"}, snaps[2])
 	if err != nil {
 		t.Fatal(err)
@@ -345,44 +350,90 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		})
 	}
 	units := func(h map[string]any) []any { return h["Units"].([]any) }
+	rank0Nodes := func(m map[string]any) []any { return m["ranks"].([]any)[0].(map[string]any)["nodes"].([]any) }
 	out2 := func(h map[string]any) []any { return h["Out"].([]any)[2].([]any) }
 
-	cases := map[string][]byte{
-		"empty":           nil,
-		"not json":        []byte("ceci n'est pas un snapshot"),
-		"truncated":       valid[:len(valid)/2],
-		"version skew":    mutate(func(m map[string]any) { m["version"] = "ic2mpi.snapshot.v999" }),
-		"missing version": mutate(func(m map[string]any) { delete(m, "version") }),
-		"unknown field":   mutate(func(m map[string]any) { m["extra"] = true }),
-		"zero procs":      mutate(func(m map[string]any) { m["procs"] = 0 }),
-		"iter past run":   mutate(func(m map[string]any) { m["iter"] = m["iterations"] }),
-		"ranks truncated": mutate(func(m map[string]any) { m["ranks"] = m["ranks"].([]any)[:1] }),
-		"rank mislabeled": mutate(func(m map[string]any) { m["ranks"].([]any)[0].(map[string]any)["rank"] = 3 }),
-		"unknown codec":   mutate(func(m map[string]any) { firstNode(t, m)["t"] = "mystery" }),
-		"corrupt payload": mutate(func(m map[string]any) { firstNode(t, m)["v"] = "not-a-number" }),
-		"unsorted nodes":  mutate(func(m map[string]any) { firstNode(t, m)["id"] = 1 << 30 }),
-		"short phase":     mutate(func(m map[string]any) { m["ranks"].([]any)[0].(map[string]any)["phase_s"] = []any{1.0} }),
-		"trace mismatch":  mutate(func(m map[string]any) { m["trace_samples"] = m["trace_samples"].([]any)[:1] }),
-		"orphan trace":    mutate(func(m map[string]any) { m["has_trace"] = false }),
-		"hex side":        hexUnit("Side", 9, units),
-		"hex strength":    hexUnit("Strength", -4, units),
-		"hex out side":    hexUnit("Side", 2, out2),
-		"hex out dead":    hexUnit("Strength", 0, out2),
+	// want is a fragment of the refusal: "checkpoint:" for Decode's wire
+	// checks, the broken rule for the run's structural checks.
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"empty":           {nil, "checkpoint:"},
+		"not json":        {[]byte("ceci n'est pas un snapshot"), "checkpoint:"},
+		"truncated":       {valid[:len(valid)/2], "checkpoint:"},
+		"version skew":    {mutate(func(m map[string]any) { m["version"] = "ic2mpi.snapshot.v999" }), "checkpoint:"},
+		"missing version": {mutate(func(m map[string]any) { delete(m, "version") }), "checkpoint:"},
+		"unknown field":   {mutate(func(m map[string]any) { m["extra"] = true }), "checkpoint:"},
+		"unknown codec":   {mutate(func(m map[string]any) { firstNode(t, m)["t"] = "mystery" }), "checkpoint:"},
+		"corrupt payload": {mutate(func(m map[string]any) { firstNode(t, m)["v"] = "not-a-number" }), "checkpoint:"},
+		// A node id is 32 bits: the last node's id plus 1<<32 once wrapped
+		// back to that id and resumed.
+		"node id overflow": {mutate(func(m map[string]any) {
+			nodes := rank0Nodes(m)
+			last := nodes[len(nodes)-1].(map[string]any)
+			last["id"] = last["id"].(float64) + 1<<32
+		}), "checkpoint:"},
+		"short phase":     {mutate(func(m map[string]any) { m["ranks"].([]any)[0].(map[string]any)["phase_s"] = []any{1.0} }), "checkpoint:"},
+		"orphan trace":    {mutate(func(m map[string]any) { m["has_trace"] = false }), "checkpoint:"},
+		"hex side":        {hexUnit("Side", 9, units), "checkpoint:"},
+		"hex strength":    {hexUnit("Strength", -4, units), "checkpoint:"},
+		"hex out side":    {hexUnit("Side", 2, out2), "checkpoint:"},
+		"hex out dead":    {hexUnit("Strength", 0, out2), "checkpoint:"},
+		"zero procs":      {mutate(func(m map[string]any) { m["procs"] = 0 }), "has 0 procs"},
+		"iter past run":   {mutate(func(m map[string]any) { m["iter"] = m["iterations"] }), "cut at iteration"},
+		"ranks truncated": {mutate(func(m map[string]any) { m["ranks"] = m["ranks"].([]any)[:1] }), "rank records"},
+		"rank mislabeled": {mutate(func(m map[string]any) { m["ranks"].([]any)[0].(map[string]any)["rank"] = 3 }), "labeled rank"},
+		"unsorted nodes": {mutate(func(m map[string]any) {
+			nodes := rank0Nodes(m)
+			nodes[0], nodes[1] = nodes[1], nodes[0]
+		}), "not strictly ascending"},
+		"node out of range": {mutate(func(m map[string]any) {
+			nodes := rank0Nodes(m)
+			nodes[len(nodes)-1].(map[string]any)["id"] = 1 << 30
+		}), "out-of-range node"},
+		"trace mismatch": {mutate(func(m map[string]any) { m["trace_samples"] = m["trace_samples"].([]any)[:1] }), "samples"},
 	}
-	for name, data := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := Decode(data); err == nil {
-				t.Fatalf("Decode accepted %s input", name)
-			}
+			refused(t, cfg, tc.data, tc.want)
 		})
 	}
 
-	// And the unmutated bytes still decode, so the cases above failed for
-	// the right reason.
-	for _, ok := range [][]byte{valid, validHex} {
-		if _, _, err := Decode(ok); err != nil {
-			t.Fatalf("valid input rejected: %v", err)
-		}
+	// And the unmutated bytes still decode, and the fixture's snapshot
+	// resumes, so the cases above failed for the right reason.
+	if _, _, err := Decode(validHex); err != nil {
+		t.Fatalf("valid input rejected: %v", err)
+	}
+	if err := resume(t, cfg, valid); err != nil {
+		t.Fatalf("valid input refused: %v", err)
+	}
+}
+
+// resume takes data down the path a snapshot file takes: Decode, then
+// platform.Run resuming cfg. It returns the refusal, if any, and fails
+// the test on a recovered panic.
+func resume(t *testing.T, cfg platform.Config, data []byte) error {
+	t.Helper()
+	_, snap, err := Decode(data)
+	if err != nil {
+		return err
+	}
+	cfg.CheckpointEvery, cfg.CheckpointSink, cfg.ResumeFrom = 0, nil, snap
+	_, err = platform.Run(cfg)
+	if err != nil && strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("resume recovered a panic: %v", err)
+	}
+	return err
+}
+
+// refused asserts that resuming data into cfg is refused with an error
+// naming want.
+func refused(t *testing.T, cfg platform.Config, data []byte, want string) {
+	t.Helper()
+	err := resume(t, cfg, data)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume got %v, want a refusal naming %q", err, want)
 	}
 }
 
@@ -415,7 +466,11 @@ func (unknownData) SizeBytes() int { return 0 }
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed with a real encoding plus the interesting edges: truncations,
 	// version skew, and structural corruption. The property under test is
-	// total robustness — Decode errors on bad input, it never panics.
+	// total robustness on the path a file takes: Decode errors on bad
+	// input, and a snapshot it accepts resumes into the fixture's run or
+	// is refused; neither ever panics. The fixture is traced and balanced
+	// by a history-fed balancer every iteration, so the seed carries trace
+	// rows, migrations and a history window.
 	g, err := graph.HexGrid(2, 4)
 	if err != nil {
 		f.Fatal(err)
@@ -432,10 +487,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 		InitialPartition: part,
 		InitData:         func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id)) },
 		Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+			if int(id) < n/2 {
+				return self, 4e-5
+			}
 			return self, 1e-5
 		},
 		Iterations:      3,
 		Network:         netmodel.NewUniform(netmodel.Origin2000()),
+		Balancer:        &balance.Predictive{},
+		BalanceEvery:    1,
+		CheckInvariants: true,
+		Trace:           &trace.Recorder{},
 		CheckpointEvery: 1,
 		CheckpointSink: func(s *platform.RunSnapshot) error {
 			snaps[s.Iter] = s
@@ -445,7 +507,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if _, err := platform.Run(cfg); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := Encode(Meta{CellKey: "fuzz"}, snaps[1])
+	if s := snaps[2]; len(s.Ranks[0].History) == 0 || len(s.TraceSamples) == 0 || len(s.TraceMigrations) == 0 {
+		f.Fatal("fixture snapshot lacks a history window, trace rows or a migration")
+	}
+	valid, err := Encode(Meta{CellKey: "fuzz"}, snaps[2])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -455,6 +520,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`{"version":"ic2mpi.snapshot.v1"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
+	// The first cut is the smallest real snapshot, so it leaves the
+	// fewest bytes between a mutation and a node id.
+	first, err := Encode(Meta{CellKey: "fuzz"}, snaps[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(first)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, snap, err := Decode(data)
@@ -474,19 +546,22 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if meta2 != meta || !reflect.DeepEqual(snap2, snap) {
 			t.Fatal("Encode/Decode is not a fixed point")
 		}
+		resume(t, cfg, data)
 	})
 }
 
 // TestFuzzCorpusPinned keeps the checked-in corpus honest: every seed
-// must exercise Decode without panicking, and the known-bad ones error.
+// takes the path a file takes without panicking, and each is refused,
+// by Decode or by the resumed run.
 func TestFuzzCorpusPinned(t *testing.T) {
+	cfg, _, _, _ := captureSnapshots(t)
 	for i, data := range [][]byte{
 		[]byte(`{"version":"ic2mpi.snapshot.v999"}`),
 		[]byte(`{"version":"ic2mpi.snapshot.v1","meta":{"cell_key":""},"iter":1,"procs":1,"iterations":2,"owner":[0],"ranks":[],"has_trace":false}`),
 		[]byte(`{"version":"ic2mpi.snapshot.v1","iter":-1}`),
 	} {
-		if _, _, err := Decode(data); err == nil {
-			t.Fatalf("corpus seed %d decoded without error", i)
+		if err := resume(t, cfg, data); err == nil {
+			t.Fatalf("corpus seed %d resumed without error", i)
 		}
 	}
 }

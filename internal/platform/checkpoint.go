@@ -8,6 +8,7 @@ import (
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
+	"ic2mpi/internal/partition"
 	"ic2mpi/internal/trace"
 )
 
@@ -195,9 +196,10 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 	return rs
 }
 
-// validateResume checks a snapshot against the run configuration before
-// any rank launches: a snapshot from a different spec must fail loudly
-// here, never silently resume the wrong run.
+// validateResume is the one check of a snapshot's structure against the
+// run configuration (checkpoint.Decode checks only the wire, and
+// trace.Recorder.Restore the trace rows), made before any rank state is
+// built: a snapshot that does not fit fails here, never resuming wrongly.
 func validateResume(c *Config, snap *RunSnapshot) error {
 	if snap.Procs != c.Procs {
 		return fmt.Errorf("platform: resume snapshot has %d procs, config has %d", snap.Procs, c.Procs)
@@ -209,13 +211,8 @@ func validateResume(c *Config, snap *RunSnapshot) error {
 		return fmt.Errorf("platform: resume snapshot cut at iteration %d outside [1,%d)", snap.Iter, c.Iterations)
 	}
 	n := c.Graph.NumVertices()
-	if len(snap.Owner) != n {
-		return fmt.Errorf("platform: resume snapshot owner map has %d entries for %d nodes", len(snap.Owner), n)
-	}
-	for v, p := range snap.Owner {
-		if p < 0 || p >= c.Procs {
-			return fmt.Errorf("platform: resume snapshot assigns node %d to processor %d outside [0,%d)", v, p, c.Procs)
-		}
+	if err := partition.Validate(c.Graph, snap.Owner, c.Procs); err != nil {
+		return fmt.Errorf("platform: resume snapshot owner map: %w", err)
 	}
 	if len(snap.Ranks) != c.Procs {
 		return fmt.Errorf("platform: resume snapshot has %d rank records for %d procs", len(snap.Ranks), c.Procs)
@@ -262,16 +259,8 @@ func validateResume(c *Config, snap *RunSnapshot) error {
 	if ownedTotal != n {
 		return fmt.Errorf("platform: resume snapshot covers %d owned nodes of %d", ownedTotal, n)
 	}
-	if c.Trace != nil {
-		if !snap.HasTrace {
-			return fmt.Errorf("platform: resume snapshot was captured without tracing; cannot resume a traced run")
-		}
-		if len(snap.TraceSamples) != snap.Iter*c.Procs {
-			return fmt.Errorf("platform: resume snapshot has %d trace rows, want %d", len(snap.TraceSamples), snap.Iter*c.Procs)
-		}
-		if len(snap.TraceEdgeCuts) != snap.Iter {
-			return fmt.Errorf("platform: resume snapshot has %d edge-cut entries, want %d", len(snap.TraceEdgeCuts), snap.Iter)
-		}
+	if c.Trace != nil && !snap.HasTrace {
+		return fmt.Errorf("platform: resume snapshot was captured without tracing; cannot resume a traced run")
 	}
 	return nil
 }

@@ -29,19 +29,19 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	ranks, err := buildRanks(c)
-	if err != nil {
-		return nil, err
-	}
 	if c.Trace != nil {
 		c.Trace.Start(c.Procs, c.Iterations)
 		if snap := c.ResumeFrom; snap != nil {
-			// Reload the rows recorded before the cut, single-threaded,
-			// before any rank launches.
+			// Reload the rows recorded before the cut. Restore checks
+			// them, so it runs before any rank state is built.
 			if err := c.Trace.Restore(snap.Iter, snap.TraceSamples, snap.TraceMigrations, snap.TraceEdgeCuts); err != nil {
 				return nil, err
 			}
 		}
+	}
+	ranks, err := buildRanks(c)
+	if err != nil {
+		return nil, err
 	}
 	var col *snapCollector
 	if c.CheckpointEvery > 0 {

@@ -6,6 +6,7 @@ import (
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
+	"ic2mpi/internal/partition"
 	"ic2mpi/internal/trace"
 )
 
@@ -308,14 +309,8 @@ func (c *Config) normalize() (*Config, error) {
 	if c.Iterations < 0 {
 		return nil, fmt.Errorf("platform: Iterations must be >= 0, got %d", c.Iterations)
 	}
-	if len(c.InitialPartition) != c.Graph.NumVertices() {
-		return nil, fmt.Errorf("platform: InitialPartition has %d entries for %d nodes",
-			len(c.InitialPartition), c.Graph.NumVertices())
-	}
-	for v, p := range c.InitialPartition {
-		if p < 0 || p >= c.Procs {
-			return nil, fmt.Errorf("platform: node %d assigned to processor %d outside [0,%d)", v, p, c.Procs)
-		}
+	if err := partition.Validate(c.Graph, c.InitialPartition, c.Procs); err != nil {
+		return nil, fmt.Errorf("platform: InitialPartition: %w", err)
 	}
 	if c.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("platform: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)

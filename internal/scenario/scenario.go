@@ -215,9 +215,6 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 	if sc.Runner != nil && p.Perturb != fault.NameNone {
 		return p, fmt.Errorf("scenario %s: custom runner does not support perturbation %q", sc.Name, p.Perturb)
 	}
-	if p.CheckpointEvery < 0 {
-		return p, fmt.Errorf("scenario %s: checkpoint period must be >= 0, got %d", sc.Name, p.CheckpointEvery)
-	}
 	if sc.Runner != nil && (p.CheckpointEvery > 0 || p.ResumeFrom != nil) {
 		return p, fmt.Errorf("scenario %s: custom runner does not support checkpoint/resume", sc.Name)
 	}

@@ -160,8 +160,9 @@ func (r *Recorder) Start(procs, iters int) {
 // Restore reloads rows recorded up to iteration boundary iter from a
 // checkpoint: the per-(iteration, processor) samples for iterations
 // 1..iter, the executed migrations in iteration order, and the
-// per-iteration edge cuts. Like Start it must be called outside the run
-// (the platform calls it after Start, before ranks launch). The restored
+// per-iteration edge cuts; it is the one check of a snapshot's trace rows.
+// Like Start it must be called outside the run (the platform calls it
+// after Start, before it builds any rank). The restored
 // iterations count as recorded, so a followed resumed run releases them
 // with its first live iteration and streams exactly the uninterrupted
 // run's lines. A subsequent Finish derives the full series exactly as an
