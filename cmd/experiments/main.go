@@ -350,15 +350,17 @@ func runScenario(sc scenario.Scenario, sweep string, ax experiments.Axes, m runM
 	}
 }
 
-// runSingle executes the single parameter combination described by ax
-// with any of tracing, checkpointing and snapshot-resume attached, and
-// returns the one-row report, or nil when the trace went to stdout and no
+// runSingle runs the one-cell sweep of ax (Axes.One) through
+// RunSweepWith, its cell with any of tracing, checkpointing and
+// snapshot-resume attached, and returns the one-row report — the bytes
+// the plain sweep reports — or nil when the trace went to stdout and no
 // report should be printed.
 func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experiments.CellRunner) (*experiments.SweepReport, error) {
-	p, err := ax.Single()
+	one, err := ax.One()
 	if err != nil {
 		return nil, err
 	}
+	p := one.Cells()[0]
 	key, err := experiments.CellKey(sc, p)
 	if err != nil {
 		return nil, err
@@ -403,7 +405,10 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 		rec = &trace.Recorder{}
 		p.Trace = rec
 	}
-	res, err := run(sc, 0, p)
+	// p is the sweep's one cell with its attachments.
+	rep, err := experiments.RunSweepWith(sc, one, func(sc scenario.Scenario, i int, _ scenario.Params) (*scenario.Result, error) {
+		return run(sc, i, p)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +420,7 @@ func runSingle(sc scenario.Scenario, ax experiments.Axes, m runMode, run experim
 			return nil, nil
 		}
 	}
-	return experiments.NewSweepReport(sc, res), nil
+	return rep, nil
 }
 
 // sameRun reports whether snapKey, the cell key a snapshot carries, is the
@@ -453,16 +458,11 @@ func runShard(sc scenario.Scenario, spec string, ax experiments.Axes, shardSpec,
 		if m, err = shard.Parse(data); err != nil {
 			return fmt.Errorf("%s: %w", manifestPath, err)
 		}
-		// The manifest must describe exactly the sweep this invocation
-		// names — same scenario, shard count and cell keys — so a stale
-		// or foreign manifest cannot silently absorb this shard's work.
-		if m.Scenario != fresh.Scenario || m.Shards != fresh.Shards || len(m.Cells) != len(fresh.Cells) {
-			return fmt.Errorf("%s tracks a different sweep than this invocation (scenario %s, %d shards, %d cells)", manifestPath, m.Scenario, m.Shards, len(m.Cells))
-		}
-		for i := range m.Cells {
-			if m.Cells[i].Key != fresh.Cells[i].Key {
-				return fmt.Errorf("%s cell %d is %q, this invocation's sweep has %q", manifestPath, i, m.Cells[i].Key, fresh.Cells[i].Key)
-			}
+		// The manifest must track the cells this invocation names, so a
+		// stale or foreign manifest cannot silently absorb this shard's
+		// work; how the sweep was spelled does not matter.
+		if err := m.SameSweep(fresh); err != nil {
+			return fmt.Errorf("%s tracks a different sweep than this invocation: %w", manifestPath, err)
 		}
 	} else if !os.IsNotExist(err) {
 		return err

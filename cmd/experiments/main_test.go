@@ -367,3 +367,86 @@ func TestRetiredBufferModeRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleRunReportsLikeTheSweep: a one-cell sweep reports the same
+// bytes however it runs — plain, traced, checkpointed or resumed — at
+// procs=1, where the cell is its own speedup baseline, and at procs=4.
+func TestSingleRunReportsLikeTheSweep(t *testing.T) {
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []string{"1", "4"} {
+		t.Run("procs="+procs, func(t *testing.T) {
+			dir := t.TempDir()
+			sweep := "procs=" + procs + ";iters=8"
+			report := func(m runMode) string {
+				ax, err := resolveAxes(sweep, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := runScenario(sc, sweep, ax, m, cellRunner(sc, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				if err := experiments.WriteReport(&b, "json", rep); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
+			}
+			want := report(runMode{})
+			snap := filepath.Join(dir, "heat.ckpt")
+			for _, tc := range []struct {
+				name string
+				mode runMode
+			}{
+				{"-trace", runMode{tracePath: filepath.Join(dir, "heat.jsonl")}},
+				{"-checkpoint", runMode{checkpointPath: snap, checkpointEvery: 3}},
+				{"-resume", runMode{resumePath: snap}}, // the snapshot the row above wrote
+			} {
+				if got := report(tc.mode); got != want {
+					t.Errorf("%s report differs from the plain sweep's\n--- got ---\n%s--- want ---\n%s", tc.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestShardSpellingsMerge: the cell keys are a sweep's identity, so shards
+// run under two spellings of one sweep — its clauses reordered, and a
+// -network flag for the network= clause — combine and merge to the
+// unsharded sweep's bytes.
+func TestShardSpellingsMerge(t *testing.T) {
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(sweep string, flags map[string]string, m runMode) *experiments.SweepReport {
+		t.Helper()
+		ax, err := resolveAxes(sweep, flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := runScenario(sc, sweep, ax, m, cellRunner(sc, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	encode := func(rep *experiments.SweepReport) string {
+		var b strings.Builder
+		if err := experiments.WriteReport(&b, "json", rep); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := encode(run("procs=1,2;iters=3;network=mesh2d", nil, runMode{}))
+	m1, m2 := filepath.Join(dir, "m1.json"), filepath.Join(dir, "m2.json")
+	run("procs=1,2;iters=3;network=mesh2d", nil, runMode{shardSpec: "1/2", manifestPath: m1})
+	run("iters=3;procs=1,2", map[string]string{"network": "mesh2d"}, runMode{shardSpec: "2/2", manifestPath: m2})
+	if got := encode(run("", nil, runMode{merge: true, manifestPath: m1 + "," + m2})); got != want {
+		t.Errorf("merge of two spellings differs from the unsharded sweep\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}

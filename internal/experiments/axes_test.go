@@ -171,6 +171,9 @@ func TestAxisTableContract(t *testing.T) {
 			if got := onlyOwn(key, p); got != "3" {
 				t.Errorf("key %q: Single() put %q in Params.%s, want 3", key, got, pt.Field(own).Name)
 			}
+			if o, err := one.One(); err != nil || o.Size() != 1 || !reflect.DeepEqual(o.Cells()[0], p) {
+				t.Errorf("key %q: One() = %+v, %v; want the one-cell sweep of Single's cell", key, o, err)
+			}
 		}
 	}
 }

@@ -370,59 +370,40 @@ func balancerTournament() (string, error) {
 }
 
 // vtimeAblations renders the deterministic virtual-time ablation table
-// for docs/benchmarks.md: each row is one scenario.Run at pinned
-// parameters, so the simulated seconds — unlike ns/op — are exact,
-// host-independent values a doc can pin.
+// for docs/benchmarks.md: each block is one sweep at pinned parameters, so
+// the simulated seconds — unlike ns/op — are exact, host-independent
+// values a doc can pin.
 func vtimeAblations() (string, error) {
-	type variant struct {
-		ablation, label string
-		scenario        string
-		p               scenario.Params
+	blocks := []struct {
+		ablation, scenario string
+		ax                 Axes
+		labels             []string
+	}{
+		{"exchange (hex64-fine, 8 procs)", "hex64-fine",
+			Axes{Exchanges: []string{scenario.ExchangeBasic, scenario.ExchangeOverlap}},
+			[]string{"basic (Fig. 8)", "overlap (Fig. 8a)"}},
+		{"balancer (imbalance, 8 procs)", "imbalance",
+			Axes{Balancers: []string{"none", "centralized", "diffusion"}},
+			[]string{"none", "centralized", "diffusion"}},
+		{"network (imbalance+centralized, 8 procs)", "imbalance",
+			Axes{Balancers: []string{"centralized"}, Networks: []string{"uniform", "hypercube", "mesh2d", "fattree"}},
+			[]string{"uniform", "hypercube", "mesh2d", "fattree"}},
 	}
-	base := scenario.Params{Procs: 8, Iterations: 20}
-	variants := []variant{
-		{"exchange (hex64-fine, 8 procs)", "basic (Fig. 8)", "hex64-fine", withExchange(base, scenario.ExchangeBasic)},
-		{"exchange (hex64-fine, 8 procs)", "overlap (Fig. 8a)", "hex64-fine", withExchange(base, scenario.ExchangeOverlap)},
-		{"balancer (imbalance, 8 procs)", "none", "imbalance", withBalancer(base, "none")},
-		{"balancer (imbalance, 8 procs)", "centralized", "imbalance", withBalancer(base, "centralized")},
-		{"balancer (imbalance, 8 procs)", "diffusion", "imbalance", withBalancer(base, "diffusion")},
-		{"network (imbalance+centralized, 8 procs)", "uniform", "imbalance", withNetwork(withBalancer(base, "centralized"), "uniform")},
-		{"network (imbalance+centralized, 8 procs)", "hypercube", "imbalance", withNetwork(withBalancer(base, "centralized"), "hypercube")},
-		{"network (imbalance+centralized, 8 procs)", "mesh2d", "imbalance", withNetwork(withBalancer(base, "centralized"), "mesh2d")},
-		{"network (imbalance+centralized, 8 procs)", "fattree", "imbalance", withNetwork(withBalancer(base, "centralized"), "fattree")},
-	}
-	results := make([]*scenario.Result, len(variants))
-	errs := make([]error, len(variants))
-	forEachParallel(len(variants), func(i int) {
-		sc, err := scenario.Get(variants[i].scenario)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i], errs[i] = sc.Run(variants[i].p)
-	})
 	var b strings.Builder
 	b.WriteString("| ablation | variant | virtual time (s) |\n|---|---|---:|")
-	for i, v := range variants {
-		if errs[i] != nil {
-			return "", errs[i]
+	for _, blk := range blocks {
+		sc, err := scenario.Get(blk.scenario)
+		if err != nil {
+			return "", err
 		}
-		fmt.Fprintf(&b, "\n| %s | %s | %.4f |", v.ablation, v.label, results[i].Elapsed)
+		blk.ax.Procs, blk.ax.Iterations = []int{8}, []int{20}
+		rep, err := RunSweep(sc, blk.ax)
+		if err != nil {
+			return "", err
+		}
+		for i, row := range rep.Rows {
+			fmt.Fprintf(&b, "\n| %s | %s | %.4f |", blk.ablation, blk.labels[i], row.Elapsed)
+		}
 	}
 	return b.String(), nil
-}
-
-func withExchange(p scenario.Params, ex string) scenario.Params {
-	p.Exchange = ex
-	return p
-}
-
-func withBalancer(p scenario.Params, bal string) scenario.Params {
-	p.Balancer = bal
-	return p
-}
-
-func withNetwork(p scenario.Params, netw string) scenario.Params {
-	p.Network = netw
-	return p
 }

@@ -291,35 +291,30 @@ type SweepReport struct {
 	Notes string `json:"notes,omitempty"`
 }
 
-// NewSweepReport returns the report of sc's sweep with one row per result,
-// in the order given and with no speedups.
-func NewSweepReport(sc scenario.Scenario, results ...*scenario.Result) *SweepReport {
-	rep := &SweepReport{
-		ID:       "sweep-" + sc.Name,
-		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
-		Scenario: sc.Name,
-		Rows:     make([]SweepRow, len(results)),
+// One returns the one-cell sweep of a specification with at most one
+// value per axis, and errors on more. An unset processor axis becomes the
+// single value 0, the scenario's default, as every other unset axis is.
+// Run through RunSweepWith, One's sweep gives a single run the row its
+// cell has in any sweep, speedup included.
+func (ax Axes) One() (Axes, error) {
+	if len(ax.Procs) == 0 {
+		ax.Procs = []int{0}
 	}
-	for i, res := range results {
-		rep.Rows[i].Result = *res
+	if n := ax.Size(); n > 1 {
+		return Axes{}, fmt.Errorf("experiments: expected a single parameter combination, got a %d-run sweep", n)
 	}
-	return rep
+	return ax, nil
 }
 
-// Single converts a sweep specification in which every axis has at most
-// one value into the parameters of that single run (unset axes stay at
-// the scenario's default). It errors when any axis holds multiple values.
+// Single returns the parameters of One's cell: the single run of a
+// specification in which every axis has at most one value (unset axes
+// stay at the scenario's default). It errors when any axis holds more.
 func (ax Axes) Single() (scenario.Params, error) {
-	var p [1]scenario.Params
-	for i := range axes {
-		switch n := axes[i].len(&ax); {
-		case n > 1:
-			return scenario.Params{}, fmt.Errorf("experiments: expected a single parameter combination, got a %d-run sweep", ax.Size())
-		case n == 1:
-			axes[i].spread(&ax, p[:], 1)
-		}
+	one, err := ax.One()
+	if err != nil {
+		return scenario.Params{}, err
 	}
-	return p[0], nil
+	return one.Cells()[0], nil
 }
 
 // Cells enumerates the sweep's parameter combinations in the axes table's
@@ -356,11 +351,11 @@ func RunSweep(sc scenario.Scenario, ax Axes) (*SweepReport, error) {
 	})
 }
 
-// RunSweepWith is RunSweep with a custom per-cell runner — the seam the
-// daemon's cell cache plugs into: a runner may serve a cell from a cache
-// instead of simulating it, and because every run is a pure function of
-// its normalized parameters, the assembled report is byte-identical
-// either way.
+// RunSweepWith is RunSweep with a custom per-cell runner, and the one
+// place a report is assembled. A runner may serve a cell from a cache or
+// a manifest, or run it traced, checkpointed or resumed; because every run
+// is a pure function of its normalized parameters, the report is
+// byte-identical either way.
 func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, error) {
 	cells := ax.Cells()
 	// A bad axis value is refused before the first cell runs, as the daemon
@@ -374,7 +369,15 @@ func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, 
 	if err != nil {
 		return nil, err
 	}
-	rep := NewSweepReport(sc, results...)
+	rep := &SweepReport{
+		ID:       "sweep-" + sc.Name,
+		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
+		Scenario: sc.Name,
+		Rows:     make([]SweepRow, len(results)),
+	}
+	for i, res := range results {
+		rep.Rows[i].Result = *res
+	}
 	// One run of the innermost axis, the processor counts, is one speedup
 	// group.
 	procs := axes[len(axes)-1].n(&ax)

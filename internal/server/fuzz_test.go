@@ -7,8 +7,11 @@ package server
 // trace, non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"ic2mpi/internal/scenario"
 )
 
 // wrappedProductSpec is a job body under the 1 MiB cap whose sweep names
@@ -30,6 +33,28 @@ func TestDecodeJobSpecRefusesWrappedProduct(t *testing.T) {
 	_, _, err := DecodeJobSpec(body, 4096)
 	if err == nil || !strings.Contains(err.Error(), "daemon cap is 4096") {
 		t.Fatalf("got %v, want the daemon cap error", err)
+	}
+}
+
+// TestDecodeJobSpecCapsTheTracedCell: a traced spec that names no
+// processor count runs one cell at the scenario's default, so that cell is
+// the one the rank-iteration cap is checked on, not the 16-processor cell
+// of the default processor sweep, which the job never runs.
+func TestDecodeJobSpecCapsTheTracedCell(t *testing.T) {
+	sc, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := maxCellWork/16 + 1 // over the cap at 16 processors
+	if np, err := sc.Normalize(scenario.Params{Iterations: iters}); err != nil || np.Procs*iters > maxCellWork {
+		t.Fatalf("heat's default cell (%+v, %v) is over the cap too; the test needs one under it", np, err)
+	}
+	sweep := fmt.Sprintf(`"sweep":"iters=%d"`, iters)
+	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep+`}`), 4096); err == nil || !strings.Contains(err.Error(), "rank-iterations") {
+		t.Errorf("untraced: got %v, want the processor sweep's 16-processor cell refused", err)
+	}
+	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep+`,"trace":true}`), 4096); err != nil {
+		t.Errorf("traced: refused with %v, want its one default-processor cell accepted", err)
 	}
 }
 
@@ -70,15 +95,18 @@ func FuzzJobSpec(f *testing.F) {
 		default:
 			t.Fatalf("accepted spec with format %q", spec.Format)
 		}
-		if n := spec.Axes.Size(); n < 1 || n > maxCells {
+		if n := spec.Axes.Size(); !spec.Trace && (n < 1 || n > maxCells) {
 			t.Fatalf("accepted spec with %d cells (cap %d)", n, maxCells)
 		}
+		cells := spec.Axes.Cells()
 		if spec.Trace {
-			if _, err := spec.Axes.Single(); err != nil {
+			p, err := spec.Axes.Single()
+			if err != nil {
 				t.Fatalf("accepted multi-cell trace spec: %v", err)
 			}
+			cells = []scenario.Params{p} // the one cell a traced job runs
 		}
-		for _, p := range spec.Axes.Cells() {
+		for _, p := range cells {
 			np, err := sc.Normalize(p)
 			if err != nil {
 				t.Fatalf("accepted spec with non-normalizable cell %+v: %v", p, err)

@@ -40,9 +40,9 @@ type JobSpec struct {
 	// Format selects the result encoding: "json" (default), "csv" or
 	// "text" — the experiments.WriteReport formats.
 	Format string `json:"format,omitempty"`
-	// Trace requests a per-iteration trace: the axes must describe a
-	// single cell, the job streams canonical trace lines live, and the
-	// full JSONL is served from /v1/jobs/{id}/trace afterwards.
+	// Trace requests a per-iteration trace: the job runs the axes'
+	// one-cell sweep (Axes.One), streams its canonical trace lines live,
+	// and serves those lines from /v1/jobs/{id}/trace afterwards.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -59,12 +59,12 @@ const maxCellWork = 1 << 30
 
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
 // (unknown fields rejected), a registered scenario, a well-formed sweep
-// space no larger than maxCells cells of at most maxProcs processors and
-// maxCellWork rank-iterations, every cell normalizable, and a single-cell
-// space when a trace is requested. It returns the spec with Format
-// defaulted and the resolved scenario; any error is safe to echo to the
-// client. This is the daemon's input boundary — FuzzJobSpec pins that it
-// never panics.
+// space with a one-cell sweep when a trace is requested, and the cells the
+// job will run (JobSpec.cells): at most maxCells of them, each
+// normalizable and of at most maxProcs processors and maxCellWork
+// rank-iterations. It returns the spec with Format defaulted and the
+// resolved scenario; any error is safe to echo to the client. This is the
+// daemon's input boundary — FuzzJobSpec pins that it never panics.
 func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -97,23 +97,22 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 	default:
 		return spec, scenario.Scenario{}, fmt.Errorf("unknown format %q (known: json, csv, text)", spec.Format)
 	}
-	if n := spec.Axes.Size(); n > maxCells {
+	ax, err := spec.cells()
+	if err != nil { // only a traced spec has no one-cell sweep
+		return spec, scenario.Scenario{}, fmt.Errorf("trace jobs need a single-cell sweep: %w", err)
+	}
+	if n := ax.Size(); n > maxCells {
 		return spec, scenario.Scenario{}, fmt.Errorf("sweep has %d cells, daemon cap is %d", n, maxCells)
 	}
-	for _, procs := range spec.Axes.Procs {
+	for _, procs := range ax.Procs {
 		if procs > maxProcs {
 			return spec, scenario.Scenario{}, fmt.Errorf("procs=%d exceeds the daemon cap of %d processors per cell", procs, maxProcs)
 		}
 	}
-	if spec.Trace {
-		if _, err := spec.Axes.Single(); err != nil {
-			return spec, scenario.Scenario{}, fmt.Errorf("trace jobs need a single-cell sweep: %w", err)
-		}
-	}
-	// Normalizing every cell validates the axis values (partitioner,
-	// exchange, balancer, network, perturb spec, kernel, bounds) without
-	// running anything.
-	for _, p := range spec.Axes.Cells() {
+	// Normalizing every cell the job will run validates the axis values
+	// (partitioner, exchange, balancer, network, perturb spec, kernel,
+	// bounds) without running anything.
+	for _, p := range ax.Cells() {
 		np, err := sc.Normalize(p)
 		if err != nil {
 			return spec, scenario.Scenario{}, err
@@ -125,6 +124,15 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 	return spec, sc, nil
 }
 
+// cells returns the sweep the job runs: its axes, or a traced job's
+// one-cell sweep (Axes.One).
+func (spec JobSpec) cells() (experiments.Axes, error) {
+	if spec.Trace {
+		return spec.Axes.One()
+	}
+	return spec.Axes, nil
+}
+
 // Job is one submitted unit of work. Identity fields are immutable after
 // submit; mutable progress fields are guarded by the server mutex, and
 // the cancel flag is the only cross-cutting signal the runner polls.
@@ -133,6 +141,7 @@ type Job struct {
 	Client string
 	Spec   JobSpec
 	sc     scenario.Scenario
+	axes   experiments.Axes // the sweep the job runs (JobSpec.cells)
 	stream *stream
 
 	// Guarded by Server.mu.
@@ -145,27 +154,22 @@ type Job struct {
 	StartedAt  time.Time
 	FinishedAt time.Time
 	result     []byte
-	traceJSONL []byte
 
 	cancel atomic.Bool
 }
 
-// newJob builds a queued job. A traced job is one cell by construction:
-// Single accepts empty axes as "scenario default", which Size would expand
-// to the default processor sweep.
+// newJob builds a queued job from a spec DecodeJobSpec accepted.
 func newJob(id, client string, spec JobSpec, sc scenario.Scenario, queuedAt time.Time) *Job {
-	cells := spec.Axes.Size()
-	if spec.Trace {
-		cells = 1
-	}
+	ax, _ := spec.cells() // DecodeJobSpec refused every spec that has none
 	return &Job{
 		ID:       id,
 		Client:   client,
 		Spec:     spec,
 		sc:       sc,
+		axes:     ax,
 		stream:   newStream(),
 		State:    StateQueued,
-		Cells:    cells,
+		Cells:    ax.Size(),
 		QueuedAt: queuedAt,
 	}
 }

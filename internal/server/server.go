@@ -414,7 +414,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state, traced, lines := j.State, j.Spec.Trace, j.traceJSONL
+	state, traced := j.State, j.Spec.Trace
 	s.mu.Unlock()
 	if !traced {
 		writeError(w, http.StatusConflict, "not_traced", "job %s was not submitted with trace=true", j.ID)
@@ -424,8 +424,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "not_done", "job %s is %s", j.ID, state)
 		return
 	}
+	// A done job's stream is closed, and every line of it but the state
+	// lines is the trace, as the run streamed it live.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(lines)
+	lines, _, _ := j.stream.snapshot(0)
+	for _, ln := range lines {
+		if ln.kind != "state" {
+			w.Write(ln.data)
+			io.WriteString(w, "\n")
+		}
+	}
 }
 
 // handleStream serves the live event feed: NDJSON by default, SSE when
@@ -632,7 +640,7 @@ func (s *Server) worker() {
 
 // run executes one job to its terminal state.
 func (s *Server) run(j *Job) {
-	rep, traceBytes, err := s.execute(j)
+	rep, err := s.execute(j)
 	if err != nil {
 		s.mu.Lock()
 		if err == errCancelled {
@@ -652,63 +660,26 @@ func (s *Server) run(j *Job) {
 	}
 	s.mu.Lock()
 	j.result = buf.Bytes()
-	j.traceJSONL = traceBytes
 	s.finalizeLocked(j, StateDone, "")
 	s.mu.Unlock()
 }
 
-// execute runs the job's sweep (through the cell cache) or its traced
-// single cell (bypassing the cache: a cached result has no trace).
-func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
-	if j.Spec.Trace {
-		p, err := j.Spec.Axes.Single()
-		if err != nil {
-			return nil, nil, err
-		}
-		if testCellGate != nil {
-			testCellGate(j, 0)
-		}
-		if j.cancel.Load() {
-			return nil, nil, errCancelled
-		}
-		// The recorder streams each iteration's canonical lines as soon as
-		// it is final; the /trace document is those same lines.
-		var doc bytes.Buffer
-		p.Trace = &trace.Recorder{}
-		p.Trace.Follow(func(kind string, line []byte) {
-			j.stream.append(kind, line)
-			doc.Write(line)
-			doc.WriteByte('\n')
-		})
-		res, err := j.sc.Run(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.mu.Lock()
-		j.CellsDone = 1
-		s.mu.Unlock()
-		return experiments.NewSweepReport(j.sc, res), doc.Bytes(), nil
-	}
-
+// execute runs the job's cells through RunSweepWith. An untraced job's
+// cells stream a "cell" event each. A traced job's one cell streams its
+// trace lines instead, so the job's non-state lines are exactly its trace.
+func (s *Server) execute(j *Job) (*experiments.SweepReport, error) {
 	tracker := newCellTracker(j.stream, j.Cells)
 	in := scenario.NewInputs(j.sc) // the inputs the job's simulated cells share
-	rep, err := experiments.RunSweepWith(j.sc, j.Spec.Axes, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
+	return experiments.RunSweepWith(j.sc, j.axes, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
 		if testCellGate != nil {
 			testCellGate(j, i)
 		}
 		if j.cancel.Load() {
 			return nil, errCancelled
 		}
-		key, err := experiments.CellKey(sc, p)
+		res, hit, err := s.cell(j, in, p)
 		if err != nil {
 			return nil, err
-		}
-		res, hit := s.cache.get(key)
-		if !hit {
-			if res, err = in.Run(p); err != nil {
-				return nil, err
-			}
-			s.cache.put(key, res)
 		}
 		s.mu.Lock()
 		j.CellsDone++
@@ -716,8 +687,32 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, []byte, error) {
 			j.CacheHits++
 		}
 		s.mu.Unlock()
-		tracker.cellDone(i, cellEvent{Kind: "cell", Index: i, Of: j.Cells, Cached: hit, ElapsedS: res.Elapsed})
+		if !j.Spec.Trace {
+			tracker.cellDone(i, cellEvent{Kind: "cell", Index: i, Of: j.Cells, Cached: hit, ElapsedS: res.Elapsed})
+		}
 		return res, nil
 	})
-	return rep, nil, err
+}
+
+// cell runs one of j's cells through the cell cache and reports whether
+// the cache served it. A traced job's cell runs with a recorder that
+// streams its lines to the job, and bypasses the cache: a cached result
+// has no trace.
+func (s *Server) cell(j *Job, in *scenario.Inputs, p scenario.Params) (res *scenario.Result, hit bool, err error) {
+	if j.Spec.Trace {
+		p.Trace = &trace.Recorder{}
+		p.Trace.Follow(j.stream.append)
+		res, err = in.Run(p)
+		return res, false, err
+	}
+	key, err := experiments.CellKey(j.sc, p)
+	if err != nil {
+		return nil, false, err
+	}
+	if res, hit = s.cache.get(key); !hit {
+		if res, err = in.Run(p); err == nil {
+			s.cache.put(key, res)
+		}
+	}
+	return res, hit, err
 }

@@ -137,3 +137,25 @@ func TestTraceEndpointConflicts(t *testing.T) {
 	}
 	golden(t, "result_traced_heat.json", res.body)
 }
+
+// TestTracedResultEqualsUntraced: a traced job's result is its one-cell
+// sweep's report, byte for byte the untraced job's — also at procs=1,
+// where the cell is its own speedup baseline.
+func TestTracedResultEqualsUntraced(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	result := func(spec string) []byte {
+		t.Helper()
+		id, _ := submit(t, ts, spec, nil)
+		waitFinal(t, ts, id)
+		r := do(t, ts, "GET", "/v1/jobs/"+id+"/result", "", nil)
+		if r.status != http.StatusOK {
+			t.Fatalf("%s: result got %d\n%s", spec, r.status, r.body)
+		}
+		return r.body
+	}
+	plain := result(`{"scenario":"heat","sweep":"procs=1;iters=3"}`)
+	traced := result(`{"scenario":"heat","sweep":"procs=1;iters=3","trace":true}`)
+	if !bytes.Equal(traced, plain) {
+		t.Errorf("traced result differs from the untraced one\n--- traced ---\n%s--- untraced ---\n%s", traced, plain)
+	}
+}

@@ -58,7 +58,8 @@ type Manifest struct {
 	// Scenario is the swept scenario's name.
 	Scenario string `json:"scenario"`
 	// Spec is the original -sweep axis specification, kept for the
-	// verification commands (informational; Axes is authoritative).
+	// verification commands. It is informational: Axes is authoritative,
+	// and the cell keys identify the sweep (SameSweep).
 	Spec string `json:"spec,omitempty"`
 	// Axes is the normalized swept parameter space.
 	Axes experiments.Axes `json:"axes"`
@@ -230,29 +231,36 @@ func (m *Manifest) Summary() string {
 		m.Scenario, len(m.Cells), m.DoneCount(), len(m.Cells)-m.DoneCount(), strings.Join(parts, "/"))
 }
 
-// checkScenario verifies the manifest matches sc: same scenario name and
-// the same cell keys the manifest's axes enumerate under sc today — a
-// key mismatch means the scenario registry or run semantics changed
-// since the manifest was written, and resuming would mix incompatible
-// results.
-func (m *Manifest) checkScenario(sc scenario.Scenario) error {
-	if m.Scenario != sc.Name {
-		return fmt.Errorf("shard: manifest is for scenario %q, running %q", m.Scenario, sc.Name)
+// SameSweep is the one test of a manifest's identity: nil when m and o
+// track the same sweep — the same scenario, shard count, and key and
+// owning shard for every cell — else an error naming the first
+// difference. Spec is not compared: two spellings of one sweep
+// (reordered clauses, a shorthand flag for a clause) track the same cells.
+func (m *Manifest) SameSweep(o *Manifest) error {
+	if m.Scenario != o.Scenario {
+		return fmt.Errorf("shard: manifest is for scenario %q, not %q", m.Scenario, o.Scenario)
 	}
-	cells := m.Axes.Cells()
-	if len(cells) != len(m.Cells) {
-		return fmt.Errorf("shard: axes enumerate %d cells, manifest has %d", len(cells), len(m.Cells))
+	if m.Shards != o.Shards || len(m.Cells) != len(o.Cells) {
+		return fmt.Errorf("shard: manifest splits %d cells %d ways, not %d cells %d ways", len(m.Cells), m.Shards, len(o.Cells), o.Shards)
 	}
-	for i, p := range cells {
-		key, err := experiments.CellKey(sc, p)
-		if err != nil {
-			return fmt.Errorf("shard: cell %d: %w", i, err)
-		}
-		if key != m.Cells[i].Key {
-			return fmt.Errorf("shard: cell %d key mismatch: manifest %q, scenario now yields %q", i, m.Cells[i].Key, key)
+	for i, c := range m.Cells {
+		if c.Key != o.Cells[i].Key || c.Shard != o.Cells[i].Shard {
+			return fmt.Errorf("shard: cell %d is %q on shard %d, not %q on shard %d", i, c.Key, c.Shard, o.Cells[i].Key, o.Cells[i].Shard)
 		}
 	}
 	return nil
+}
+
+// checkScenario verifies the manifest matches sc: it must track the sweep
+// its own axes enumerate under sc today. A key mismatch means the scenario
+// registry or run semantics changed since the manifest was written, and
+// resuming would mix incompatible results.
+func (m *Manifest) checkScenario(sc scenario.Scenario) error {
+	now, err := New(sc, m.Spec, m.Axes, m.Shards)
+	if err != nil {
+		return err
+	}
+	return m.SameSweep(now)
 }
 
 // RunShard executes the remaining cells of shard i (0-based) on the
@@ -337,10 +345,11 @@ func (m *Manifest) Merge(sc scenario.Scenario) (*experiments.SweepReport, error)
 
 // Combine folds several copies of one manifest — typically one per
 // shard worker, each having completed its own cells — into a single
-// manifest holding every completed cell. All copies must describe the
-// same sweep (version, scenario, axes, shard count, cell keys), and two
-// copies that both completed a cell must have stored byte-identical
-// results; any disagreement is an error, never a silent pick.
+// manifest holding every completed cell, with the first copy's Spec and
+// Axes. All copies must track the same sweep (SameSweep), however each
+// spelled it, and two copies that both completed a cell must have stored
+// byte-identical results; any disagreement is an error, never a silent
+// pick.
 func Combine(ms ...*Manifest) (*Manifest, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("shard: Combine of no manifests")
@@ -356,14 +365,10 @@ func Combine(ms ...*Manifest) (*Manifest, error) {
 		Cells:    append([]Cell(nil), base.Cells...),
 	}
 	for k, m := range ms[1:] {
-		if m.Scenario != base.Scenario || m.Shards != base.Shards ||
-			m.Spec != base.Spec || len(m.Cells) != len(base.Cells) {
-			return nil, fmt.Errorf("shard: manifest %d describes a different sweep than manifest 0", k+1)
+		if err := m.SameSweep(base); err != nil {
+			return nil, fmt.Errorf("%w (manifest %d against manifest 0)", err, k+1)
 		}
 		for i, c := range m.Cells {
-			if c.Key != base.Cells[i].Key || c.Shard != base.Cells[i].Shard {
-				return nil, fmt.Errorf("shard: manifest %d cell %d does not match manifest 0", k+1, i)
-			}
 			if !c.Done {
 				continue
 			}
