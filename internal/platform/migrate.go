@@ -256,31 +256,7 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 			reserved[m.to] = true
 			round = append(round, m)
 		}
-		for _, m := range round {
-			if err := s.executeMigration(m); err != nil {
-				return executed, err
-			}
-			if s.cfg.Trace != nil && s.me == 0 {
-				s.cfg.Trace.RecordMigration(trace.Migration{
-					Iter: iter, Node: int(m.node), From: m.from, To: m.to, BenefitS: m.cost,
-				})
-			}
-		}
-		// Commit ownership changes everywhere; the first commit of a run is
-		// where a rank stops sharing the owner map. Only a rank the round
-		// touched rebuilds its bookkeeping: one that neither sent nor took a
-		// node and holds no entry for a moved one keeps the same
-		// classification, peers and plans.
-		s.ownOwner()
-		touched := false
-		for _, m := range round {
-			s.owner[m.node] = m.to
-			touched = touched || m.from == s.me || m.to == s.me || s.table.Lookup(m.node) != nil
-		}
-		if touched {
-			s.reclassifyAll()
-		}
-		if err := s.comm.Barrier(); err != nil {
+		if err := s.migrateRound(iter, round); err != nil {
 			return executed, err
 		}
 		executed += len(round)
@@ -313,6 +289,36 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 		}
 	}
 	return executed, nil
+}
+
+// migrateRound executes one round of migrations, no two to the same
+// destination, and commits them on every rank.
+func (s *rankState) migrateRound(iter int, round []migration) error {
+	for _, m := range round {
+		if err := s.executeMigration(m); err != nil {
+			return err
+		}
+		if s.cfg.Trace != nil && s.me == 0 {
+			s.cfg.Trace.RecordMigration(trace.Migration{
+				Iter: iter, Node: int(m.node), From: m.from, To: m.to, BenefitS: m.cost,
+			})
+		}
+	}
+	// Commit ownership changes everywhere; the first commit of a run is
+	// where a rank stops sharing the owner map. Only a rank the round
+	// touched rebuilds its bookkeeping: one that neither sent nor took a
+	// node and holds no entry for a moved one keeps the same
+	// classification, peers and plans.
+	s.ownOwner()
+	touched := false
+	for _, m := range round {
+		s.owner[m.node] = m.to
+		touched = touched || m.from == s.me || m.to == s.me || s.table.Lookup(m.node) != nil
+	}
+	if touched {
+		s.reclassifyAll()
+	}
+	return s.comm.Barrier()
 }
 
 // migration is one planned task movement. cost is the node's observed
