@@ -11,6 +11,8 @@ import (
 // run by Run before any rank launches: a rank program only adopts its state
 // and charges for it. A counting pass sizes one array per kind for the
 // whole machine, and a second pass fills each rank's window of every array.
+// Only a rank that holds nodes gets a nodeState and windows: one that owns
+// a node, or, resumed, one whose snapshot lists an entry.
 // A window is cut with a full slice expression, so a migration that
 // appends past one reallocates instead of writing into the next rank's.
 // A fresh run calls InitData once per owned node and once per distinct
@@ -22,16 +24,20 @@ func buildRanks(c *Config) ([]rankState, error) {
 		owner = snap.Owner
 	}
 	adj := c.Graph.Adj
-	own := nodesByOwner(owner, c.Procs)
+	start, byOwner := nodesByOwner(owner, c.Procs)
+	holds := func(r int) bool { return start[r] < start[r+1] || snap != nil && len(snap.Ranks[r].Nodes) > 0 }
 
 	// mark stamps a node with 1 + the last rank that counted it as a shadow,
 	// peerMark and sendMark a processor with 1 + the last rank that counted
 	// it as a peer and 1 + the last node that counted it as a destination.
 	mark := make([]int32, len(adj))
 	peerMark, sendMark := make([]int32, c.Procs), make([]int32, c.Procs)
-	arcs, remote, shadows, peers, sends, widest := 0, 0, 0, 0, 0, 0
-	for r, mine := range own {
-		maxDegree := 0
+	arcs, remote, shadows, peers, sends, widest, holders := 0, 0, 0, 0, 0, 0, 0
+	for r := range c.Procs {
+		if holds(r) {
+			holders++
+		}
+		mine, maxDegree := byOwner[start[r]:start[r+1]], 0
 		for _, v := range mine {
 			arcs += len(adj[v])
 			maxDegree = max(maxDegree, len(adj[v]))
@@ -68,14 +74,15 @@ func buildRanks(c *Config) ([]rankState, error) {
 	// One array per kind. A table has a bucket and a chain link per entry
 	// it starts with, and one spare link.
 	ranks := make([]rankState, c.Procs)
+	states := make([]nodeState, holders)
 	nodes := make([]ownNode, len(adj))
 	internals := make([]*ownNode, len(adj))
 	peripherals := make([]*ownNode, len(adj))
 	procs := make([]int32, arcs)
 	nbrs := make([]*entry, arcs)
 	ents := make([]entry, entries)
-	buckets := make([]*hashNode, entries+c.Procs)
-	links := make([]hashNode, entries+c.Procs)
+	buckets := make([]*hashNode, entries+holders)
+	links := make([]hashNode, entries+holders)
 	peerArr := make([]peer, peers)
 	pools := make([][2][]shadowUpdate, peers)
 	bufs := make([]shadowUpdate, 2*sends)
@@ -87,7 +94,7 @@ func buildRanks(c *Config) ([]rankState, error) {
 	// above that rank's first index. count is planExchange's scratch.
 	at, count := mark, peerMark
 	clear(at)
-	var nodeAt, arcAt, entAt, linkAt, peerAt, bufAt, inAt, outAt, scratchAt int
+	var heldAt, nodeAt, arcAt, entAt, linkAt, peerAt, bufAt, inAt, outAt, scratchAt int
 	add := func(id graph.NodeID, d NodeData) {
 		ents[entAt] = entry{id: id, data: d, mostRecent: d}
 		entAt++
@@ -101,9 +108,22 @@ func buildRanks(c *Config) ([]rankState, error) {
 		add(id, d)
 		return nil
 	}
-	for r, mine := range own {
+	for r := range ranks {
 		s := &ranks[r]
 		*s = rankState{cfg: c, me: r, speed: c.Network.Speed(r), owner: owner, ownerShared: true}
+		if snap != nil {
+			rs := &snap.Ranks[r]
+			s.phase = rs.Phase
+			s.workTime = rs.WorkTime
+			s.migrations = rs.Migrations
+			s.balHist = slices.Clone(rs.History)
+		}
+		if !holds(r) {
+			continue
+		}
+		s.nodeState = &states[heldAt]
+		heldAt++
+		mine := byOwner[start[r]:start[r+1]]
 
 		// Node records, placed by the owner map.
 		end := nodeAt + len(mine)
@@ -187,16 +207,11 @@ func buildRanks(c *Config) ([]rankState, error) {
 		outAt += len(s.planOut)
 
 		if snap != nil {
-			rs := &snap.Ranks[r]
-			for i, ns := range rs.Nodes {
+			for i, ns := range snap.Ranks[r].Nodes {
 				if ns.Owned {
 					ents[first+i].own.lastCost = ns.LastCost
 				}
 			}
-			s.phase = rs.Phase
-			s.workTime = rs.WorkTime
-			s.migrations = rs.Migrations
-			s.balHist = slices.Clone(rs.History)
 		}
 	}
 	return ranks, nil

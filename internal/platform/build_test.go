@@ -19,6 +19,7 @@ import (
 type rankShape struct {
 	Me         int
 	Speed      float64
+	Holds      bool // whether the rank has a nodeState
 	Internal   []graph.NodeID
 	Peripheral []graph.NodeID
 	ShadowFor  [][]int32        // per node, internal ones first
@@ -52,9 +53,12 @@ func shape(s *rankState) rankShape {
 		Internal: []graph.NodeID{}, Peripheral: []graph.NodeID{},
 		ShadowFor: [][]int32{}, Nbr: [][]graph.NodeID{}, Out: [][]int{},
 		Peers: []peerShape{}, Buckets: [][]tableRow{},
-		SpareLinks: cap(s.table.slab) - len(s.table.slab),
-		Phase:      s.phase, WorkTime: s.workTime, Migrations: s.migrations, History: s.balHist,
+		Phase: s.phase, WorkTime: s.workTime, Migrations: s.migrations, History: s.balHist,
 	}
+	if s.nodeState == nil {
+		return sh
+	}
+	sh.Holds, sh.SpareLinks = true, cap(s.table.slab)-len(s.table.slab)
 	for _, node := range s.internal {
 		sh.Internal = append(sh.Internal, node.id)
 	}
@@ -133,9 +137,10 @@ func assertBuildMatchesReference(t *testing.T, cfg Config) {
 		t.Fatal(err)
 	}
 	want := make([]rankShape, c.Procs)
-	var own [][]graph.NodeID
+	var start []int32
+	var nodes []graph.NodeID
 	if c.ResumeFrom == nil {
-		own = nodesByOwner(c.InitialPartition, c.Procs)
+		start, nodes = nodesByOwner(c.InitialPartition, c.Procs)
 	}
 	err = mpi.Run(mpi.Options{Procs: c.Procs, Cost: c.Network}, func(comm *mpi.Comm) error {
 		if ref.ResumeFrom != nil {
@@ -146,7 +151,8 @@ func assertBuildMatchesReference(t *testing.T, cfg Config) {
 			want[s.me] = shape(s)
 			return nil
 		}
-		s, err := newRankState(&ref, comm, own[comm.Rank()])
+		r := comm.Rank()
+		s, err := newRankState(&ref, comm, nodes[start[r]:start[r+1]])
 		if err != nil {
 			return err
 		}
@@ -263,6 +269,10 @@ func TestBuildMatchesReference(t *testing.T) {
 func FuzzBuildRanks(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 0, 0, 1, 1, 1, 2, 2, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0})
 	f.Add([]byte{3, 6, 0, 2, 4, 6, 0, 1, 1, 2, 2, 3})
+	// procs = 2n: at least half the ranks hold no node and get no node state.
+	f.Add([]byte{7, 15, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0})
+	f.Add([]byte{5, 11, 1, 3, 5, 7, 9, 11, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 3})
+	f.Add([]byte{11, 23, 23, 22, 0, 12, 12, 12, 5, 6, 7, 23, 1, 2, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 0, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -173,14 +173,16 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 	// overwritten before its next read, so it is dropped rather than
 	// serialized.
 	live := make([]*entry, 0, s.numOwned())
-	for _, node := range s.internal {
-		live = append(live, node.self)
-	}
-	for _, node := range s.peripheral {
-		live = append(live, node.self)
-	}
-	for _, pe := range s.peers {
-		live = append(live, pe.in...)
+	if s.nodeState != nil {
+		for _, node := range s.internal {
+			live = append(live, node.self)
+		}
+		for _, node := range s.peripheral {
+			live = append(live, node.self)
+		}
+		for _, pe := range s.peers {
+			live = append(live, pe.in...)
+		}
 	}
 	rs.History = slices.Clone(s.balHist)
 	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.id, b.id) })

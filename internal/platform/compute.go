@@ -14,9 +14,13 @@ func tagShadow(sub int) int { return 100 + sub }
 // computeAndCommunicate runs one compute+communicate round (Figures 8 and
 // 8a). It updates every owned node with the user's node function, packs
 // updated peripheral data into per-destination buffers, exchanges shadow
-// updates with neighboring processors, and applies received updates.
+// updates with neighboring processors, and applies received updates. A
+// rank with no node skips it all: its one Charge would be of zero nodes.
 func (s *rankState) computeAndCommunicate(iter, sub int) error {
-	if s.cfg.Overlap {
+	switch {
+	case s.nodeState == nil:
+		return nil
+	case s.cfg.Overlap:
 		return s.roundOverlapped(iter, sub)
 	}
 	return s.roundBasic(iter, sub)
@@ -217,11 +221,13 @@ func (s *rankState) recvShadows(sub int) error {
 // sends (id, data) pairs for the nodes it owns.
 func (s *rankState) gatherFinalData() ([]NodeData, error) {
 	own := make([]shadowUpdate, 0, s.numOwned())
-	for _, node := range s.internal {
-		own = append(own, shadowUpdate{id: node.id, data: node.self.data})
-	}
-	for _, node := range s.peripheral {
-		own = append(own, shadowUpdate{id: node.id, data: node.self.data})
+	if s.nodeState != nil {
+		for _, node := range s.internal {
+			own = append(own, shadowUpdate{id: node.id, data: node.self.data})
+		}
+		for _, node := range s.peripheral {
+			own = append(own, shadowUpdate{id: node.id, data: node.self.data})
+		}
 	}
 	all, err := s.comm.Gather(0, own, updateBytes(own))
 	if err != nil {

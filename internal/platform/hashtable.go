@@ -29,6 +29,11 @@ import (
 // (checkInvariants compares every resolved and planned pointer with
 // Lookup). A node that migrates away leaves its entry behind: "the
 // migrating node now becomes a shadow node for the 'busy' processor".
+//
+// A table has a bucket per entry it starts with (the thesis uses
+// HASH_TABLE_LENGTH = 10 whatever the graph size), so chains stay short;
+// entries that arrive by migration lengthen them. The zero HashTable is
+// empty, and its first Insert gives it one bucket.
 type HashTable struct {
 	buckets []*hashNode
 	slab    []hashNode // the first len(buckets) chain links; a link never moves
@@ -52,19 +57,6 @@ type entry struct {
 	own        *ownNode // the node's record while this rank owns it; nil for a shadow
 }
 
-// NewHashTable returns a table with the given bucket count, fixed for the
-// table's life. The thesis uses HASH_TABLE_LENGTH = 10 regardless of graph
-// size; a rank here asks for one bucket per entry it starts with (own nodes
-// plus shadows, not a share of the whole graph), so chains stay short, and
-// entries that arrive by migration lengthen them — the chaining behaviour is
-// the thesis'.
-func NewHashTable(buckets int) (*HashTable, error) {
-	if buckets < 1 {
-		return nil, fmt.Errorf("platform: hash table needs >= 1 bucket, got %d", buckets)
-	}
-	return &HashTable{buckets: make([]*hashNode, buckets), slab: make([]hashNode, 0, buckets)}, nil
-}
-
 // slot is the modulo hash function. The thesis computes pow(3, globalID)
 // mod HASH_TABLE_LENGTH; a multiplicative mix keeps the same modulo-chain
 // structure without the float64 overflow the C code suffers for large IDs.
@@ -80,6 +72,9 @@ func (h *HashTable) slot(id graph.NodeID) int {
 func (h *HashTable) Insert(e *entry) error {
 	if e == nil {
 		return fmt.Errorf("platform: inserting nil entry")
+	}
+	if len(h.buckets) == 0 {
+		h.buckets = make([]*hashNode, 1)
 	}
 	s := h.slot(e.id)
 	// Keep chains sorted by id ("sorted linked lists"), insert in place.
@@ -106,6 +101,9 @@ func (h *HashTable) Insert(e *entry) error {
 
 // Lookup returns the entry for id, or nil when absent.
 func (h *HashTable) Lookup(id graph.NodeID) *entry {
+	if len(h.buckets) == 0 {
+		return nil
+	}
 	for cur := h.buckets[h.slot(id)]; cur != nil && cur.id <= id; cur = cur.next {
 		if cur.id == id {
 			return cur.data

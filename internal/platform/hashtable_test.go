@@ -1,12 +1,23 @@
 package platform
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ic2mpi/internal/graph"
 )
+
+// NewHashTable returns a table with the given bucket count, fixed for the
+// table's life, as the per-rank reference constructors size theirs.
+func NewHashTable(buckets int) (*HashTable, error) {
+	if buckets < 1 {
+		return nil, fmt.Errorf("platform: hash table needs >= 1 bucket, got %d", buckets)
+	}
+	return &HashTable{buckets: make([]*hashNode, buckets), slab: make([]hashNode, 0, buckets)}, nil
+}
 
 func TestHashTableBasics(t *testing.T) {
 	h, err := NewHashTable(10)
@@ -134,5 +145,36 @@ func TestQuickHashTableMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHashTableZeroValue holds what a rank without nodes pays for its
+// table, nothing, and what its first insert builds: the table
+// NewHashTable(1) builds.
+func TestHashTableZeroValue(t *testing.T) {
+	var h HashTable
+	if h.Lookup(3) != nil || h.buckets != nil || h.slab != nil {
+		t.Fatal("the zero table holds something")
+	}
+	want, err := NewHashTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []graph.NodeID{5, 2, 9} {
+		for _, table := range []*HashTable{&h, want} {
+			if err := table.Insert(&entry{id: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chain := func(h *HashTable) (ids []graph.NodeID) {
+		for link := h.buckets[0]; link != nil; link = link.next {
+			ids = append(ids, link.id)
+		}
+		return ids
+	}
+	if len(h.buckets) != 1 || !slices.Equal(chain(&h), chain(want)) || cap(h.slab) != cap(want.slab) {
+		t.Fatalf("the zero table grew to %d buckets, chain %v, %d links; NewHashTable(1) to chain %v, %d links",
+			len(h.buckets), chain(&h), cap(h.slab), chain(want), cap(want.slab))
 	}
 }

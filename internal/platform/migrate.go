@@ -313,7 +313,7 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 	touched := false
 	for _, m := range round {
 		s.owner[m.node] = m.to
-		touched = touched || m.from == s.me || m.to == s.me || s.table.Lookup(m.node) != nil
+		touched = touched || m.from == s.me || m.to == s.me || s.nodeState != nil && s.table.Lookup(m.node) != nil
 	}
 	if touched {
 		s.reclassifyAll()
@@ -470,6 +470,9 @@ func (s *rankState) migrateIn(m migration) error {
 	}
 	if len(buf) == 0 || buf[0].id != m.node {
 		return fmt.Errorf("platform: rank %d: migration payload does not start with node %d", s.me, m.node)
+	}
+	if s.nodeState == nil { // the rank's first node
+		s.nodeState = new(nodeState)
 	}
 	for _, u := range buf {
 		if s.owner[u.id] == s.me && u.id != m.node {

@@ -16,7 +16,8 @@ import (
 // with one scan of its peripheral arcs per peer.
 
 // emptyRankState is the start newRankState and restoreRankState share: the
-// rank's identity and the run's shared node-to-owner map.
+// rank's identity, the run's shared node-to-owner map and an empty node
+// state, which each drops again if the rank's table ends up empty.
 func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 	return &rankState{
 		cfg:         cfg,
@@ -25,6 +26,7 @@ func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 		speed:       cfg.Network.Speed(comm.Rank()),
 		owner:       owner,
 		ownerShared: true,
+		nodeState:   new(nodeState),
 	}
 }
 
@@ -75,6 +77,9 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 	// One node-list and one data entry per owned node, one entry per shadow.
 	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
+	if len(entries) == 0 {
+		s.nodeState = nil
+	}
 	return s, nil
 }
 
@@ -119,6 +124,9 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations
 	s.balHist = slices.Clone(rs.History)
+	if len(entries) == 0 {
+		s.nodeState = nil
+	}
 	if err := s.checkInvariants(); err != nil {
 		return nil, fmt.Errorf("platform: resume snapshot failed invariants: %w", err)
 	}

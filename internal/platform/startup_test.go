@@ -142,3 +142,27 @@ func TestRankStartupAllocsPerRank(t *testing.T) {
 		t.Logf("4096 ranks, %s: %d allocations", name, objects[i])
 	}
 }
+
+// TestIdleRankStartupBytes runs the sparse shape, 64 nodes on 4096 ranks,
+// where all but 64 ranks hold no node, so that what such a rank allocates
+// is most of what a run allocates. When every rank got the whole record, a
+// hash-table bucket, a spare link and a slice header for its node list, a
+// warm run allocated about 3 054 000 bytes, 745 per rank. Now a rank that
+// holds no node gets only the per-rank record (rankState, no nodeState)
+// and a warm run allocates about 2 052 000, 501 per rank; the rest per
+// rank is the engine's, the Result's and the run's per-rank vectors. The
+// ceiling is 1.2 times that. The cold run adds the carriers.
+func TestIdleRankStartupBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("4096 ranks under the race detector")
+	}
+	const procs = 4096
+	bytes, objects := startupAllocs(t, baseConfig(hexGrid(t, 8, 8), procs))
+	for i, name := range runNames {
+		t.Logf("64 nodes on %d ranks, %s: %d bytes, %d per rank, %d allocations", procs, name, bytes[i], bytes[i]/procs, objects[i])
+	}
+	const ceiling = 2_462_000
+	if bytes[1] > ceiling {
+		t.Errorf("a warm 1-iteration run of 64 nodes on %d ranks allocated %d bytes, ceiling %d: ranks that hold no node allocate node state again", procs, bytes[1], ceiling)
+	}
+}

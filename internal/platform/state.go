@@ -36,10 +36,10 @@ type ownNode struct {
 	lastCost float64
 }
 
-// rankState is everything one processor keeps in local memory: the
-// internal and peripheral node lists, the data store with its hash index
-// (own + shadow entries), the node-to-owner map (the thesis' output_arr),
-// and the communication buffer sizes.
+// rankState is what every processor keeps in local memory, whether or not
+// it holds a node: its identity, the node-to-owner map (the thesis'
+// output_arr), its clocks and counters. What is sized by the nodes a rank
+// holds is in nodeState.
 type rankState struct {
 	cfg  *Config
 	comm *mpi.Comm
@@ -56,28 +56,14 @@ type rankState struct {
 	owner       []int
 	ownerShared bool
 
-	internal   []*ownNode // ascending by id between migration rounds
-	peripheral []*ownNode // the same; entry.own points back at a record
-
-	table HashTable // own + shadow data entries
-
-	// planIn and planOut back the receive and send plans (planExchange).
-	planIn  []*entry
-	planOut []*[2][]shadowUpdate
-
-	// peers is the exchange bookkeeping: one entry per processor this rank
-	// shares a graph edge with, in strictly ascending proc order. A rank in
-	// a P-processor world talks to O(degree) neighbours, so this is the
-	// whole per-rank exchange state at every P. Every exchange loop ranges
-	// over it, and the ascending order is what pins the send/receive
-	// sequence — and with it the virtual timeline.
-	peers []peer
+	// nodeState is nil while the rank holds no node, which reads as empty
+	// lists. buildRanks gives it to a rank that starts with a node, and
+	// migrateIn to a rank that takes its first.
+	*nodeState
 
 	// gen is the peer.pool generation the current exchange packs and sends;
-	// nextBuffers flips it as every exchange starts. nbrScratch is the
-	// recycled node+neighbors list handed to the node function.
-	gen        int
-	nbrScratch []Neighbor
+	// nextBuffers flips it as every exchange starts.
+	gen int
 
 	phase [NumPhases]float64
 	// workTime is the compute time of the most recent full iteration — the
@@ -96,6 +82,31 @@ type rankState struct {
 	balHist []LoadSample
 
 	migrations int
+}
+
+// nodeState is what a processor that holds nodes keeps besides: the
+// internal and peripheral node lists, the data store with its hash index
+// (own + shadow entries), and the communication buffers and plans.
+type nodeState struct {
+	internal   []*ownNode // ascending by id between migration rounds
+	peripheral []*ownNode // the same; entry.own points back at a record
+
+	table HashTable // own + shadow data entries
+
+	// planIn and planOut back the receive and send plans (planExchange).
+	planIn  []*entry
+	planOut []*[2][]shadowUpdate
+
+	// peers is the exchange bookkeeping: one entry per processor this rank
+	// shares a graph edge with, in strictly ascending proc order. A rank in
+	// a P-processor world talks to O(degree) neighbours, so this is the
+	// whole per-rank exchange state at every P. Every exchange loop ranges
+	// over it, and the ascending order is what pins the send/receive
+	// sequence — and with it the virtual timeline.
+	peers []peer
+
+	// nbrScratch is the recycled node+neighbors list for the node function.
+	nbrScratch []Neighbor
 }
 
 // peer is what a rank keeps per neighbouring processor.
@@ -149,36 +160,39 @@ func (s *rankState) ownOwner() {
 	}
 }
 
-// nodesByOwner inverts a node-to-owner map: the result lists each
-// processor's nodes in ascending order, all in one backing array. Run builds
+// nodesByOwner inverts a node-to-owner map into a compressed index:
+// processor p's nodes are nodes[start[p]:start[p+1]], ascending. Run builds
 // it once so that no rank has to scan the whole map for its own nodes.
-func nodesByOwner(owner []int, procs int) [][]graph.NodeID {
-	start := make([]int, procs+1)
+func nodesByOwner(owner []int, procs int) (start []int32, nodes []graph.NodeID) {
+	start = make([]int32, procs+1)
 	for _, p := range owner {
 		start[p+1]++
 	}
 	for p := 0; p < procs; p++ {
 		start[p+1] += start[p]
 	}
-	nodes := make([]graph.NodeID, len(owner))
-	lists := make([][]graph.NodeID, procs)
-	for p := range lists {
-		lists[p] = nodes[start[p]:start[p]:start[p+1]]
-	}
+	nodes = make([]graph.NodeID, len(owner))
 	for v, p := range owner {
-		lists[p] = append(lists[p], graph.NodeID(v))
+		nodes[start[p]] = graph.NodeID(v)
+		start[p]++
 	}
-	return lists
+	// start[p] is now where p+1's nodes begin.
+	copy(start[1:], start)
+	start[0] = 0
+	return start, nodes
 }
 
 // initEntries counts a node-list and a data entry per owned node and an
 // entry per shadow; at start-up each shadow is in one receive plan.
-func (s *rankState) initEntries() int {
-	n := 2 * s.numOwned()
-	for i := range s.peers {
-		n += len(s.peers[i].in)
+func (n *nodeState) initEntries() int {
+	if n == nil {
+		return 0
 	}
-	return n
+	k := 2 * n.numOwned()
+	for i := range n.peers {
+		k += len(n.peers[i].in)
+	}
+	return k
 }
 
 // resolve looks up node's own entry, which it links back to the node, and
@@ -334,8 +348,10 @@ func (s *rankState) peerFor(p int) *peer {
 // paid only inside balancing rounds, never per exchange.
 func (s *rankState) sendRow() []int {
 	row := make([]int, s.cfg.Procs+1)
-	for _, pe := range s.peers {
-		row[pe.proc] = pe.send
+	if s.nodeState != nil {
+		for _, pe := range s.peers {
+			row[pe.proc] = pe.send
+		}
 	}
 	row[s.cfg.Procs] = s.numOwned()
 	return row
@@ -359,12 +375,23 @@ func (s *rankState) reclassifyAll() {
 }
 
 // numOwned returns the number of nodes this rank owns.
-func (s *rankState) numOwned() int { return len(s.internal) + len(s.peripheral) }
+func (n *nodeState) numOwned() int {
+	if n == nil {
+		return 0
+	}
+	return len(n.internal) + len(n.peripheral)
+}
 
 // checkInvariants validates the state's internal consistency; runs with
 // Config.CheckInvariants set call it after every iteration and after
 // every migration round.
 func (s *rankState) checkInvariants() error {
+	if s.nodeState == nil {
+		if v := slices.Index(s.owner, s.me); v >= 0 {
+			return fmt.Errorf("rank %d: holds no node state but owns node %d", s.me, v)
+		}
+		return nil
+	}
 	for _, node := range s.internal {
 		if node.peripheral {
 			return fmt.Errorf("rank %d: node %d in internal list flagged peripheral", s.me, node.id)
