@@ -443,3 +443,25 @@ func TestWindowsStayApart(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildResumesRankHoldingOnlyShadows resumes a snapshot in which rank
+// 5, which owns no node, lists a shadow. validateResume accepts that, and
+// the builder must give the rank node state for its entry, as the
+// reference does: on resume a rank holds nodes when its snapshot lists an
+// entry, not only when it owns one.
+func TestBuildResumesRankHoldingOnlyShadows(t *testing.T) {
+	cfg := baseConfig(hexGrid(t, 4, 6), 6)
+	cfg.InitialPartition = blockPart(24, 4)
+	_, _, snaps := runWithSnapshots(t, cfg)
+	snap := cloneSnapshot(snaps[3])
+	snap.Ranks[5].Nodes = []NodeSnap{{ID: 7, Data: snaps[3].Ranks[1].Nodes[0].Data}}
+	cfg.ResumeFrom = snap
+	c, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateResume(c, snap); err != nil {
+		t.Fatalf("the snapshot is refused, so the case is not reachable: %v", err)
+	}
+	assertBuildMatchesReference(t, cfg)
+}
