@@ -168,16 +168,12 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	return runPEvent(w, fn, workers, opts.Probe)
 }
 
-// runRank executes fn as rank's program. An error or a panic fails the
-// world and wakes blocked siblings, so a failed collective does not hang
-// them forever.
-func (w *World) runRank(rank int, fn func(c *Comm) error) {
-	c := &Comm{
-		world:        w,
-		rank:         rank,
-		sendOverhead: w.cost.SendOverhead(rank),
-		recvOverhead: w.cost.RecvOverhead(rank),
-	}
+// runRank executes fn as the program of c's rank, on the Comm its carrier
+// holds. An error or a panic fails the world and wakes blocked siblings,
+// so a failed collective does not hang them forever.
+func (w *World) runRank(c *Comm, fn func(c *Comm) error) {
+	rank := c.rank
+	c.sendOverhead, c.recvOverhead = w.cost.SendOverhead(rank), w.cost.RecvOverhead(rank)
 	defer func() {
 		if p := recover(); p != nil {
 			w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))

@@ -9,8 +9,8 @@ package mpi
 // passes from worker to rank and back without the Go scheduler, a wake-up
 // of an idle P or a futex. Message envelopes live in slabs indexed by
 // int32 and recycled through a free list, so memory per rank is flat: a
-// parked coroutine, one pending-queue header, a wait record and a
-// run-queue slot.
+// carrier, which holds the rank's Comm and engine state and is recycled
+// with its parked coroutine, and a run-queue slot.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
 // owning a private run queue, message slab and its ranks' carriers, and
@@ -116,17 +116,42 @@ func (q *runQueue) pop() int32 {
 // carrier is a coroutine that runs one assigned rank after another, an
 // iter.Pull pair: next switches to it until its rank parks or returns
 // (fin: idle again), stop unwinds it for good; yield is its side of the
-// switch. k and rank assign the next rank, and k is dropped as that rank
-// starts, so an idle carrier holds no World, engine or rank program. The
-// switch carries no value: a zero-size one costs iter.Pull no allocation.
+// switch. The switch carries no value: a zero-size one costs iter.Pull no
+// allocation. k assigns the next rank and is dropped as that rank starts;
+// the rank's state rides along and reset clears it as the run ends, so an
+// idle carrier holds no World, engine or rank program, and a run allocates
+// no per-rank state of its own.
 type carrier struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 	k     *eventEngine
-	rank  int
 	fin   bool
+	rankRun
 }
+
+// rankRun is a rank's state for one run. Only the worker owning the rank
+// touches it, or the coordinator between windows; the barrier fields are
+// guarded by barMu. pending is the receive queue in injection order
+// (indices into the worker's slab, which stay valid across slab growth
+// where pointers would dangle); scheduled is set while the rank sits in
+// its worker's run queue, so it is never queued twice; done lets a worker
+// skip stale wakes.
+type rankRun struct {
+	comm      Comm
+	pending   []int32
+	waiting   waitState
+	worker    int32 // index of the owning worker
+	scheduled bool
+	done      bool
+
+	barWaiting, barReleased bool
+	barOut                  float64
+}
+
+// reset clears the rank's state for the carrier's next run, dropping the
+// World its Comm points at and keeping its receive queue's array.
+func (c *carrier) reset() { c.rankRun = rankRun{pending: c.pending[:0]} }
 
 // idle is the process-wide pool of idle carriers, the last returned last,
 // bounded like sync.Pool's victim cache: each GC cycle's sweep stops the
@@ -168,7 +193,8 @@ func DrainCarriers() {
 }
 
 // takeCarriers assigns k's ranks idle carriers, as many as the pool holds,
-// and the rest new ones from one slab (which a pooled carrier keeps alive).
+// and the rest new ones from one slab (which a pooled carrier keeps alive),
+// and points each carrier's Comm at its rank.
 func takeCarriers(k *eventEngine) {
 	idle.mu.Lock()
 	n := len(idle.free) - min(len(idle.free), len(k.carriers))
@@ -181,7 +207,7 @@ func takeCarriers(k *eventEngine) {
 		k.carriers[taken+i] = &slab[i]
 	}
 	for r, c := range k.carriers {
-		c.k, c.rank = k, r
+		c.k, c.comm.world, c.comm.rank = k, k.w, r
 	}
 }
 
@@ -221,34 +247,19 @@ type peWorker struct {
 	ready chan struct{}
 }
 
-// eventEngine is the per-World state of the engine. The per-rank slices
-// are sharded by ownership: entry r is touched only by the worker owning
-// rank r (or by the coordinator between windows). The barrier state is
-// the one genuinely shared region — ranks of different workers arrive
+// eventEngine is the per-World state of the engine. carriers[r] is rank
+// r's carrier, which holds the rank's state (rankRun). The barrier count
+// is the one genuinely shared region — ranks of different workers arrive
 // concurrently — and is guarded by barMu.
 type eventEngine struct {
-	w       *World
-	fn      func(c *Comm) error // the rank program
-	workers []*peWorker
-	owner   []int32 // rank -> owning worker
-	// Sharded per-rank state (see struct comment). pending[r] is rank r's
-	// receive queue in injection order (indices into its worker's slab,
-	// which stay valid across slab growth where pointers would dangle);
-	// scheduled[r] is set while rank r sits in its worker's run queue, so
-	// it is never queued twice; done[r] lets a worker skip stale wakes;
-	// carriers[r] is rank r's carrier.
-	pending   [][]int32
-	waiting   []waitState
-	scheduled []bool
-	done      []bool
-	carriers  []*carrier
+	w        *World
+	fn       func(c *Comm) error // the rank program
+	workers  []*peWorker
+	carriers []*carrier
 
 	barMu           sync.Mutex
 	barArrived      int
 	barMax          float64
-	barWaiting      []bool
-	barReleased     []bool
-	barOut          []float64
 	pendingBarWakes []int32 // ranks released since the last fold, which wakes them
 
 	staged int // host-side tally for KernelCounters, kept by fold
@@ -259,11 +270,11 @@ type eventEngine struct {
 // on resume, so a single wake suffices no matter how many new messages
 // queued meanwhile.
 func (pw *peWorker) wake(rank int) {
-	k := pw.k
-	if k.scheduled[rank] || k.done[rank] {
+	c := pw.k.carriers[rank]
+	if c.scheduled || c.done {
 		return
 	}
-	k.scheduled[rank] = true
+	c.scheduled = true
 	pw.q.push(int32(rank))
 }
 
@@ -297,10 +308,9 @@ func (pw *peWorker) release(idx int32) {
 // parked on a matching Recv, wakes it. The message is not priced here:
 // its arrival time is the receiver's business (completeRecv).
 func (pw *peWorker) deliver(m message, dst int) {
-	k := pw.k
-	idx := pw.alloc(m)
-	k.pending[dst] = append(k.pending[dst], idx)
-	if ws := k.waiting[dst]; ws.active && m.src == ws.src && (ws.tag == AnyTag || m.tag == ws.tag) {
+	c := pw.k.carriers[dst]
+	c.pending = append(c.pending, pw.alloc(m))
+	if ws := c.waiting; ws.active && m.src == ws.src && (ws.tag == AnyTag || m.tag == ws.tag) {
 		pw.wake(dst)
 	}
 }
@@ -309,8 +319,8 @@ func (pw *peWorker) deliver(m message, dst int) {
 // cross-worker messages park in the staging lane for the destination's
 // worker until the window fold.
 func (k *eventEngine) send(dst int, m message) {
-	sw := k.workers[k.owner[m.src]]
-	dw := int(k.owner[dst])
+	sw := k.workers[k.carriers[m.src].worker]
+	dw := int(k.carriers[dst].worker)
 	if dw == sw.id {
 		sw.deliver(m, dst)
 		return
@@ -325,24 +335,25 @@ func (k *eventEngine) send(dst int, m message) {
 // resumed never leaks into the timeline.
 func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
-	pw := k.workers[k.owner[rank]]
+	cr := k.carriers[rank]
+	pw := k.workers[cr.worker]
 	for {
 		if c.world.failFlag.Load() {
 			return nil, errAborted(rank, "Recv")
 		}
-		q := k.pending[rank]
+		q := cr.pending
 		for i, idx := range q {
 			m := pw.slab[idx]
 			if m.src == src && (tag == AnyTag || m.tag == tag) {
-				k.pending[rank] = append(q[:i], q[i+1:]...)
+				cr.pending = append(q[:i], q[i+1:]...)
 				pw.release(idx)
 				c.completeRecv(m)
 				return m.payload, nil
 			}
 		}
-		k.waiting[rank] = waitState{active: true, src: src, tag: tag}
+		cr.waiting = waitState{active: true, src: src, tag: tag}
 		pw.park(rank)
-		k.waiting[rank].active = false
+		cr.waiting.active = false
 	}
 }
 
@@ -358,7 +369,8 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 	if c.world.failFlag.Load() {
 		return 0, errAborted(rank, "Barrier")
 	}
-	pw := k.workers[k.owner[rank]]
+	me := k.carriers[rank]
+	pw := k.workers[me.worker]
 	k.barMu.Lock()
 	if t := c.clock.Now(); t > k.barMax {
 		k.barMax = t
@@ -369,13 +381,13 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 		k.barArrived = 0
 		k.barMax = 0
 		single := len(k.workers) == 1
-		for r := 0; r < c.world.procs; r++ {
-			if !k.barWaiting[r] {
+		for r, cr := range k.carriers {
+			if !cr.barWaiting {
 				continue
 			}
-			k.barWaiting[r] = false
-			k.barReleased[r] = true
-			k.barOut[r] = out
+			cr.barWaiting = false
+			cr.barReleased = true
+			cr.barOut = out
 			if single {
 				pw.wake(r)
 			} else {
@@ -386,24 +398,24 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 			k.barMu.Unlock()
 			return out, nil
 		}
-		k.barReleased[rank] = true
-		k.barOut[rank] = out
+		me.barReleased = true
+		me.barOut = out
 		k.pendingBarWakes = append(k.pendingBarWakes, int32(rank))
 	} else {
-		k.barWaiting[rank] = true
+		me.barWaiting = true
 	}
 	k.barMu.Unlock()
 	pw.park(rank)
 	k.barMu.Lock()
-	if k.barReleased[rank] {
-		k.barReleased[rank] = false
-		out := k.barOut[rank]
+	if me.barReleased {
+		me.barReleased = false
+		out := me.barOut
 		k.barMu.Unlock()
 		return out, nil
 	}
 	// Woken without a release: the world is failing. Withdraw so the
 	// count cannot go stale.
-	k.barWaiting[rank] = false
+	me.barWaiting = false
 	k.barArrived--
 	k.barMu.Unlock()
 	return 0, errAborted(rank, "Barrier")
@@ -415,13 +427,13 @@ func (k *eventEngine) barrier(c *Comm) (float64, error) {
 // the running coroutine); ranks of other workers are woken by the
 // coordinator at every fold while the fail flag is up.
 func (k *eventEngine) failWake(rank int) {
-	k.workers[k.owner[rank]].wakeBlock()
+	k.workers[k.carriers[rank].worker].wakeBlock()
 }
 
 // wakeBlock schedules every undone rank of this worker's block.
 func (pw *peWorker) wakeBlock() {
 	for r := pw.lo; r < pw.hi; r++ {
-		if !pw.k.done[r] {
+		if !pw.k.carriers[r].done {
 			pw.wake(r)
 		}
 	}
@@ -433,13 +445,12 @@ func (pw *peWorker) wakeBlock() {
 func (pw *peWorker) runWindow() {
 	k := pw.k
 	for pw.q.Len() > 0 {
-		rank := int(pw.q.pop())
-		if k.done[rank] {
+		c := k.carriers[pw.q.pop()]
+		if c.done {
 			continue
 		}
-		k.scheduled[rank] = false
+		c.scheduled = false
 		pw.activations++
-		c := k.carriers[rank]
 		if c.next == nil {
 			// Started on first use, so a rank's first stack is the one the
 			// previous rank's growth just freed.
@@ -448,7 +459,7 @@ func (pw *peWorker) runWindow() {
 				for {
 					k := c.k
 					c.k, c.fin = nil, false
-					k.w.runRank(c.rank, k.fn)
+					k.w.runRank(&c.comm, k.fn)
 					c.fin = true
 					if !yield(struct{}{}) {
 						return
@@ -457,7 +468,7 @@ func (pw *peWorker) runWindow() {
 			})
 		}
 		if c.next(); c.fin {
-			k.done[rank] = true
+			c.done = true
 			pw.ndone++
 		}
 	}
@@ -480,7 +491,7 @@ func (k *eventEngine) fold() {
 		}
 	}
 	for _, r := range k.pendingBarWakes {
-		k.workers[k.owner[r]].wake(int(r))
+		k.workers[k.carriers[r].worker].wake(int(r))
 	}
 	k.pendingBarWakes = k.pendingBarWakes[:0]
 	if k.w.failFlag.Load() {
@@ -505,24 +516,17 @@ func peWorkerCount(workers, procs int) int {
 // queued ranks itself; every other worker's windows run on a goroutine of
 // its own, so one worker needs none, and each has exited when runPEvent
 // returns. A finished rank's carrier goes back to the pool; a deadlocked
-// one's is stopped. A rank that calls runtime.Goexit ends its carrier and
-// unwinds the worker that resumed it.
+// one's is stopped. Either way its rank's state is reset. A rank that
+// calls runtime.Goexit ends its carrier and unwinds the worker that
+// resumed it.
 func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
 	k := &eventEngine{
-		w:           w,
-		fn:          fn,
-		workers:     make([]*peWorker, nw),
-		owner:       make([]int32, procs),
-		pending:     make([][]int32, procs),
-		waiting:     make([]waitState, procs),
-		scheduled:   make([]bool, procs),
-		done:        make([]bool, procs),
-		carriers:    make([]*carrier, procs),
-		barWaiting:  make([]bool, procs),
-		barReleased: make([]bool, procs),
-		barOut:      make([]float64, procs),
+		w:        w,
+		fn:       fn,
+		workers:  make([]*peWorker, nw),
+		carriers: make([]*carrier, procs),
 	}
 	w.eng = k
 	takeCarriers(k)
@@ -537,7 +541,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		pw.q.ring = make([]int32, pw.hi-pw.lo)
 		k.workers[i] = pw
 		for r := pw.lo; r < pw.hi; r++ {
-			k.owner[r] = int32(i)
+			k.carriers[r].worker = int32(i)
 			// Seed: every rank starts runnable, in rank order.
 			pw.wake(r)
 		}
@@ -592,19 +596,24 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	for _, pw := range k.workers[1:] {
 		<-pw.ready
 	}
-	// Stopping a carrier unwinds its rank, which may park through
-	// k.carriers, so every stop comes before the pool takes the rest.
-	for r, c := range k.carriers {
-		if !k.done[r] && c.next != nil {
+	// Stopping a carrier unwinds its rank, which may wake others through
+	// k.carriers, so every stop comes before any reset. A stopped carrier
+	// is reset too: its slab may stay alive in a pooled one.
+	for _, c := range k.carriers {
+		if !c.done && c.next != nil {
 			c.stop()
 		}
 	}
-	idle.mu.Lock()
-	for r, c := range k.carriers {
-		if k.done[r] {
-			idle.free = append(idle.free, c)
+	n := 0
+	for _, c := range k.carriers {
+		if c.done {
+			k.carriers[n] = c
+			n++
 		}
+		c.reset()
 	}
+	idle.mu.Lock()
+	idle.free = append(idle.free, k.carriers[:n]...)
 	idle.mu.Unlock()
 	if probe != nil {
 		*probe = KernelCounters{Windows: windows, StagedMsgs: k.staged}

@@ -47,7 +47,6 @@ func Run(cfg Config) (*Result, error) {
 	if c.CheckpointEvery > 0 {
 		col = newSnapCollector(c)
 	}
-	elapsed := make([]float64, c.Procs)
 
 	// A time-varying machine (fault injection) evolves per iteration: each
 	// rank advances its epoch at the iteration boundary so the runtime
@@ -169,7 +168,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// No lock: each rank writes only its own index and rank 0 alone
 		// the run-wide fields, and mpi.Run returns after every rank has.
-		elapsed[st.me] = end - start
+		st.elapsed = end - start
 		for ph := 0; ph < NumPhases; ph++ {
 			res.PhaseTimes[ph][st.me] = st.phase[ph]
 		}
@@ -183,16 +182,17 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return nil
 	})
+	for i := range ranks {
+		if t := ranks[i].elapsed; t > res.Elapsed {
+			res.Elapsed = t
+		}
+	}
+	putRanks(ranks)
 	if runErr != nil {
 		return nil, runErr
 	}
 	if c.Trace != nil {
 		c.Trace.Finish()
-	}
-	for _, t := range elapsed {
-		if t > res.Elapsed {
-			res.Elapsed = t
-		}
 	}
 	return res, nil
 }

@@ -64,17 +64,22 @@ func TestRunDoesNotMutateInitialPartition(t *testing.T) {
 }
 
 // startupAllocs runs cfg for one iteration twice and returns the bytes
-// and the number of objects each run allocated: the first, cold, on an
-// empty carrier pool, like a process's first run; the second, warm, on the
-// carriers the first returned to the pool.
+// and the number of objects each run allocated: the first, cold, on empty
+// pools of carriers and rank records, like a process's first run; the
+// second, warm, on what the first returned to them.
 func startupAllocs(t *testing.T, cfg Config) (bytes, objects [2]uint64) {
 	t.Helper()
 	cfg.Iterations = 1
 	cfg.SkipFinalGather = true
 	cfg.CheckInvariants = false
-	// No GC cycle may sweep the pool between the two runs: the warm run
+	// No GC cycle may sweep the pools between the two runs: the warm run
 	// builds its ranks, megabytes of them, before it takes its carriers.
+	// Two cycles before the first run empty the rank records' sync.Pool;
+	// a carrier sweep they leave pending can only mark carriers, not stop
+	// them.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
 	mpi.DrainCarriers()
 	var before, after runtime.MemStats
 	for i := range 2 {
@@ -99,8 +104,8 @@ var runNames = [2]string{"cold", "warm"}
 // bucket array — would add 8 MB. The ceiling is twice the first figure.
 func TestRankStartupAllocBytes(t *testing.T) {
 	bytes, objects := startupAllocs(t, baseConfig(hexGrid(t, 64, 64), 256))
-	// The cold run makes about 20 400 allocations and the warm one about
-	// 17 100, nearly all of them the test's InitData and node function
+	// The cold run makes about 20 000 allocations and the warm one about
+	// 16 400, nearly all of them the test's InitData and node function
 	// boxing their values: the ranks are built in machine-wide arrays
 	// before they launch, and the difference is the carriers the cold run
 	// makes. Built by each rank for itself the ranks made about 28 100, and
@@ -122,9 +127,10 @@ func TestRankStartupAllocBytes(t *testing.T) {
 // TestRankStartupAllocsPerRank runs 4096 nodes on 4096 ranks, one node
 // each, so that one allocation per rank at start-up adds 4 096. Each rank
 // building its own state made about 226 000; the machine-wide build makes
-// about 96 000 on an empty carrier pool, where the engine makes a carrier
-// per rank, and about 43 050 on pooled carriers, nearly all of them
-// InitData's and the node function's.
+// about 90 000 on empty pools, where the engine makes a carrier per rank,
+// and about 30 760 on pooled carriers and rank records, nearly all of them
+// InitData's and the node function's. While every run made each rank's
+// Comm the warm run made about 43 050.
 func TestRankStartupAllocsPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("4096 ranks under the race detector")
@@ -134,7 +140,7 @@ func TestRankStartupAllocsPerRank(t *testing.T) {
 		cfg.InitialPartition[v] = v
 	}
 	_, objects := startupAllocs(t, cfg)
-	ceiling := [2]uint64{100000, 47000}
+	ceiling := [2]uint64{100000, 34000}
 	for i, name := range runNames {
 		if objects[i] > ceiling[i] {
 			t.Errorf("a %s 1-iteration run of 4096 one-node ranks made %d allocations, ceiling %d: a rank allocates at start-up again", name, objects[i], ceiling[i])
@@ -148,10 +154,16 @@ func TestRankStartupAllocsPerRank(t *testing.T) {
 // is most of what a run allocates. When every rank got the whole record, a
 // hash-table bucket, a spare link and a slice header for its node list, a
 // warm run allocated about 3 054 000 bytes, 745 per rank. Now a rank that
-// holds no node gets only the per-rank record (rankState, no nodeState)
-// and a warm run allocates about 2 052 000, 501 per rank; the rest per
-// rank is the engine's, the Result's and the run's per-rank vectors. The
-// ceiling is 1.2 times that. The cold run adds the carriers.
+// holds no node gets only the per-rank record (rankState, no nodeState),
+// and a warm run allocated about 2 052 000, 501 per rank, while it made
+// each rank's record, Comm and engine state. Now those are recycled, and a
+// warm run allocates about 674 000, 164 per rank: the Result's and the
+// engine's per-rank vectors. The ceiling is 1.2 times that. The cold run
+// adds the carriers and the records.
+//
+// It also logs GC cycles per warm 10-iteration run, without gating them:
+// the count depends on GOGC and the Go release. Every cycle scans each
+// pooled carrier's stack, so on this shape a run's GC time follows it.
 func TestIdleRankStartupBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("4096 ranks under the race detector")
@@ -161,8 +173,22 @@ func TestIdleRankStartupBytes(t *testing.T) {
 	for i, name := range runNames {
 		t.Logf("64 nodes on %d ranks, %s: %d bytes, %d per rank, %d allocations", procs, name, bytes[i], bytes[i]/procs, objects[i])
 	}
-	const ceiling = 2_462_000
+	const ceiling = 809_000
 	if bytes[1] > ceiling {
 		t.Errorf("a warm 1-iteration run of 64 nodes on %d ranks allocated %d bytes, ceiling %d: ranks that hold no node allocate node state again", procs, bytes[1], ceiling)
 	}
+
+	const runs = 100
+	cfg := baseConfig(hexGrid(t, 8, 8), procs)
+	cfg.Iterations, cfg.CheckInvariants = 10, false
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("64 nodes on %d ranks, %d warm 10-iteration runs: %d bytes and %.2f GC cycles per run", procs, runs,
+		(after.TotalAlloc-before.TotalAlloc)/runs, float64(after.NumGC-before.NumGC)/runs)
 }

@@ -82,6 +82,9 @@ type rankState struct {
 	balHist []LoadSample
 
 	migrations int
+	// elapsed is the rank's time from start to the final barrier, which
+	// Run folds into Result.Elapsed.
+	elapsed float64
 }
 
 // nodeState is what a processor that holds nodes keeps besides: the

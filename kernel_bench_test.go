@@ -140,7 +140,10 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // With one goroutine and one mutex+cond mailbox per rank the rows read
 // 1699, 2455, 1700 and 2453. While each rank was built from per-node
 // records, entries and chain links, with a map over its nodes, they read
-// 1700, 2405, 1701 and 2404. While each rank built its own state from a
+// 1700, 2405, 1701 and 2404. While every run made each rank's Comm, the
+// engine's per-rank arrays and the rank records, they read 95, 134, 95 and
+// 134; the Comm and engine state now ride on the rank's pooled carrier and
+// the records come from a sync.Pool. While each rank built its own state from a
 // few flat arrays after the initial barrier, and made its send buffers
 // and neighbour list on first use, they read 416, 837, 417 and 836; the
 // ranks are now built in machine-wide arrays before they launch. While
@@ -157,10 +160,10 @@ var exchangeAllocPins = []struct {
 	overlap bool
 	allocs  float64
 }{
-	{"Pooled8", 8, false, 95},
-	{"Pooled16", 16, false, 134},
-	{"PooledOverlap8", 8, true, 95},
-	{"PooledOverlap16", 16, true, 134},
+	{"Pooled8", 8, false, 53},
+	{"Pooled16", 16, false, 56},
+	{"PooledOverlap8", 8, true, 53},
+	{"PooledOverlap16", 16, true, 56},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
