@@ -73,7 +73,8 @@ type message struct {
 }
 
 // Comm is one rank's handle on the world. All methods must be called only
-// from the rank's own program.
+// from the rank's own program, which must not keep the Comm past its
+// return: it lives in the rank's carrier and serves the next run.
 type Comm struct {
 	world *World
 	rank  int
