@@ -157,8 +157,8 @@ func TestRankStartupAllocsPerRank(t *testing.T) {
 // holds no node gets only the per-rank record (rankState, no nodeState),
 // and a warm run allocated about 2 052 000, 501 per rank, while it made
 // each rank's record, Comm and engine state. Now those are recycled, and a
-// warm run allocates about 674 000, 164 per rank: the Result's and the
-// engine's per-rank vectors. The ceiling is 1.2 times that. The cold run
+// warm run allocates about 674 000, 164 per rank: the Result's, the
+// builder's and the engine's per-rank vectors. The ceiling is 1.2 times that. The cold run
 // adds the carriers and the records.
 //
 // It also logs GC cycles per warm 10-iteration run, without gating them:
