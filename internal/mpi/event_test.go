@@ -228,19 +228,42 @@ func TestEventKernelErrorAndPanicPropagate(t *testing.T) {
 	})
 }
 
-// TestEventKernelFailUnblocks: Comm.Fail from a running rank must wake
+// TestEventKernelFailUnblocks: a rank that returns an error must wake
 // barrier waiters, on its own worker and on others.
 func TestEventKernelFailUnblocks(t *testing.T) {
 	forEventKernels(t, 3, func(t *testing.T, opts Options) {
 		err := Run(opts, func(c *Comm) error {
 			if c.Rank() == 2 {
-				c.Fail(errors.New("deliberate"))
-				return nil
+				return errors.New("deliberate")
 			}
 			return c.Barrier()
 		})
 		if want := "mpi: rank 2: deliberate"; err == nil || err.Error() != want {
 			t.Fatalf("got %v, want %q", err, want)
+		}
+	})
+}
+
+// TestEventConcurrentFailuresReportLowestRank: rank 1 returns an error and
+// rank 6 panics in the first window while the rest wait in Barrier. Each
+// worker records its lowest failing rank and the fold publishes the lowest
+// of those, so every run at every worker count reports rank 1, however the
+// host interleaves the workers.
+func TestEventConcurrentFailuresReportLowestRank(t *testing.T) {
+	forEventKernels(t, 8, func(t *testing.T, opts Options) {
+		for i := 0; i < 200; i++ {
+			err := Run(opts, func(c *Comm) error {
+				switch c.Rank() {
+				case 1:
+					return errors.New("deliberate")
+				case 6:
+					panic("kaboom")
+				}
+				return c.Barrier()
+			})
+			if want := "mpi: rank 1: deliberate"; err == nil || err.Error() != want {
+				t.Fatalf("run %d: got %v, want %q", i, err, want)
+			}
 		}
 	})
 }
@@ -300,11 +323,12 @@ func TestEventRunQueue(t *testing.T) {
 // rank in descending order while they all send at once, so each message
 // reaches a rank that is waiting for another source or is already queued;
 // the received values and the final clocks are pinned against the
-// one-worker run. Then the same fan-in with a Fail from the last sender
-// while rank 0 is queued for its message and the others are parked in the
-// barrier: wakeBlock runs over a rank that is already queued and over the
-// failing rank itself (at one worker that fills the ring to its last
-// slot), and every rank must still unwind with the pinned error.
+// one-worker run. Then the same fan-in with the last sender failing
+// right after its send, while rank 0 waits for that message and the
+// others are parked in the barrier: the fold publishes the failure and
+// runs wakeBlock over every block, which at several workers finds rank 0
+// already queued by the lane that carried the message, and every rank
+// must still unwind with the pinned error.
 func TestEventRankQueuedOnce(t *testing.T) {
 	const procs = 9
 	fanIn := func(failing bool, sums []int) func(c *Comm) error {
@@ -315,8 +339,7 @@ func TestEventRankQueuedOnce(t *testing.T) {
 						return err
 					}
 					if failing && round == 1 && c.Rank() == procs-1 {
-						c.Fail(errors.New("deliberate"))
-						return nil
+						return errors.New("deliberate")
 					}
 				} else {
 					for src := procs - 1; src > 0; src-- {

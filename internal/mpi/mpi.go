@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/vtime"
@@ -40,7 +38,8 @@ type Options struct {
 }
 
 // World owns the shared state of one SPMD execution: the cost model, the
-// engine that schedules the ranks and the failure state.
+// engine that schedules the ranks and the failure state. Ranks only read
+// it; the engine's coordinator writes fail between windows.
 type World struct {
 	procs int
 	cost  netmodel.Model
@@ -52,12 +51,10 @@ type World struct {
 	// eng runs the ranks (pevent.go); set by runPEvent before any rank
 	// starts, so Comm methods call it unconditionally.
 	eng *eventEngine
-	// failFlag is the lock-free fast path for "has any rank failed":
-	// receive loops poll it on every resume, so it must not require
-	// taking failMu.
-	failFlag atomic.Bool
-	failMu   sync.Mutex
-	fail     error
+	// fail is the run's error: the lowest failing rank's of the first
+	// window with one, published by the fold, or the deadlock the
+	// coordinator found. Recv and Barrier abort once it is set.
+	fail error
 }
 
 // message is one in-flight point-to-point message.
@@ -74,7 +71,9 @@ type message struct {
 
 // Comm is one rank's handle on the world. All methods must be called only
 // from the rank's own program, which must not keep the Comm past its
-// return: it lives in the rank's carrier and serves the next run.
+// return: it lives in the rank's carrier and serves the next run. A rank
+// fails the world by returning an error or panicking; there is no call for
+// it.
 type Comm struct {
 	world *World
 	rank  int
@@ -144,9 +143,10 @@ func (c *Comm) Restore(clock float64, st Stats) error {
 }
 
 // Run executes fn as an SPMD program across opts.Procs ranks and blocks
-// until every rank returns. It returns the first error raised by any rank
-// via Comm.Fail, a panic converted to an error, or "mpi: deadlock: …"
-// once every unfinished rank is blocked on something no rank can supply.
+// until every rank returns. It returns the error of the lowest rank that
+// failed — returned an error or panicked — in the first window any rank
+// failed in, or "mpi: deadlock: …" once every unfinished rank is blocked
+// on something no rank can supply.
 func Run(opts Options, fn func(c *Comm) error) error {
 	if opts.Procs < 1 {
 		return fmt.Errorf("mpi: Procs must be >= 1, got %d", opts.Procs)
@@ -170,36 +170,22 @@ func Run(opts Options, fn func(c *Comm) error) error {
 }
 
 // runRank executes fn as the program of c's rank, on the Comm its carrier
-// holds. An error or a panic fails the world and wakes blocked siblings,
-// so a failed collective does not hang them forever.
-func (w *World) runRank(c *Comm, fn func(c *Comm) error) {
+// holds, and returns its error, or its panic converted to one, named by
+// rank. The rank's worker records it, and the next fold fails the world
+// and wakes blocked siblings, so a failed collective does not hang them
+// forever.
+func (w *World) runRank(c *Comm, fn func(c *Comm) error) (err error) {
 	rank := c.rank
 	c.sendOverhead, c.recvOverhead = w.cost.SendOverhead(rank), w.cost.RecvOverhead(rank)
 	defer func() {
 		if p := recover(); p != nil {
-			w.setFail(fmt.Errorf("mpi: rank %d panicked: %v", rank, p))
-			w.eng.failWake(rank)
+			err = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 		}
 	}()
 	if err := fn(c); err != nil {
-		w.setFail(fmt.Errorf("mpi: rank %d: %w", rank, err))
-		w.eng.failWake(rank)
+		return fmt.Errorf("mpi: rank %d: %w", rank, err)
 	}
-}
-
-func (w *World) setFail(err error) {
-	w.failMu.Lock()
-	if w.fail == nil {
-		w.fail = err
-	}
-	w.failMu.Unlock()
-	w.failFlag.Store(true)
-}
-
-func (w *World) failed() error {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.fail
+	return nil
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -317,11 +303,4 @@ func (c *Comm) Barrier() error {
 	}
 	c.clock.AdvanceTo(t)
 	return nil
-}
-
-// Fail aborts the world with err; other ranks blocked in Recv/Barrier
-// observe the failure and unwind.
-func (c *Comm) Fail(err error) {
-	c.world.setFail(fmt.Errorf("mpi: rank %d: %w", c.rank, err))
-	c.world.eng.failWake(c.rank)
 }

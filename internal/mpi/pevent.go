@@ -17,12 +17,16 @@ package mpi
 // running one rank at a time. A window runs every worker until its queue
 // is empty — every rank it owns has finished or is parked on something
 // only another worker or the fold can supply — staging sends to other
-// workers' ranks into per-(src-worker, dst-worker) lanes. The fold then,
-// single-threaded, merges the lanes in (src-worker, injection) order,
-// delivers barrier releases and propagates a failure. KernelEvent is one
-// worker: one window on the caller's goroutine, a sequential
-// discrete-event scheduler with no synchronization at all.
-// KernelGoroutine and KernelParallelEvent run Options.Workers workers.
+// workers' ranks into per-(src-worker, dst-worker) lanes and counting its
+// own ranks' barrier arrivals and failures. The fold then, single-threaded,
+// merges the lanes in (src-worker, injection) order, releases a barrier
+// every rank has reached and publishes the lowest failing rank's error. The fold is the only place where workers meet:
+// during a window no engine field is written by more than one worker, so
+// a window's work on each worker depends only on that worker's state at
+// the window's start, and a run at a given worker count reports the same
+// failure every time. KernelEvent is one worker, whose windows run on the
+// caller's goroutine; KernelGoroutine and KernelParallelEvent run
+// Options.Workers workers.
 //
 // No worker waits for another's virtual time, and none orders its own
 // ranks by it: the run queue holds ranks, not timed events. A sequential
@@ -42,10 +46,10 @@ package mpi
 //     host delivered it or ran its receiver; it is priced once, by the
 //     receiver, when the Recv completes.
 //  4. A barrier releases every participant at the maximum contributed
-//     clock, which is order-independent. With several workers every
-//     participant, the last arriver included, leaves at the fold: a
-//     release wakes ranks of other workers, and the fold is the one place
-//     where another worker's run queue may be written.
+//     clock, which is order-independent. Every participant, the last
+//     arriver included, leaves at the fold, at every worker count: the
+//     fold adds the workers' counts, and it is the one place where another
+//     worker's run queue may be written.
 //
 // No Comm call reports whether a message has been queued yet, so these
 // four cover everything a program can observe. Any schedule that respects
@@ -83,7 +87,8 @@ type waitState struct {
 // most once (eventEngine.scheduled), so a ring with one slot per rank of
 // the block, allocated once, can never be full when push is called and
 // never grows — an appended slice would leak four bytes per activation
-// over the single window of a one-worker run.
+// over a window, and a one-worker run of a program without barriers is
+// one window.
 type runQueue struct {
 	ring    []int32
 	head, n int
@@ -131,12 +136,11 @@ type carrier struct {
 }
 
 // rankRun is a rank's state for one run. Only the worker owning the rank
-// touches it, or the coordinator between windows; the barrier fields are
-// guarded by barMu. pending is the receive queue in injection order
-// (indices into the worker's slab, which stay valid across slab growth
-// where pointers would dangle); scheduled is set while the rank sits in
-// its worker's run queue, so it is never queued twice; done lets a worker
-// skip stale wakes.
+// touches it, or the coordinator between windows. pending is the receive
+// queue in injection order (indices into the worker's slab, which stay
+// valid across slab growth where pointers would dangle); scheduled is set
+// while the rank sits in its worker's run queue, so it is never queued
+// twice; done lets a worker skip stale wakes.
 type rankRun struct {
 	comm      Comm
 	pending   []int32
@@ -144,9 +148,6 @@ type rankRun struct {
 	worker    int32 // index of the owning worker
 	scheduled bool
 	done      bool
-
-	barWaiting, barReleased bool
-	barOut                  float64
 }
 
 // reset clears the rank's state for the carrier's next run, dropping the
@@ -238,6 +239,14 @@ type peWorker struct {
 	// window, in injection order.
 	lanes [][]stagedMsg
 	ndone int
+	// barArrived counts this worker's ranks parked in the barrier and
+	// barMax is the latest clock among them, until the fold releases it.
+	barArrived int
+	barMax     float64
+	// failErr is the error of this worker's lowest-numbered failing rank,
+	// failRank; the fold publishes the lowest of the workers'.
+	failRank int
+	failErr  error
 	// Host-side tallies for KernelCounters, summed when Run returns.
 	activations, parks int
 	// start/ready frame one window between the coordinator and this
@@ -248,19 +257,14 @@ type peWorker struct {
 }
 
 // eventEngine is the per-World state of the engine. carriers[r] is rank
-// r's carrier, which holds the rank's state (rankRun). The barrier count
-// is the one genuinely shared region — ranks of different workers arrive
-// concurrently — and is guarded by barMu.
+// r's carrier, which holds the rank's state (rankRun). Only the fold
+// writes its own fields.
 type eventEngine struct {
 	w        *World
 	fn       func(c *Comm) error // the rank program
 	workers  []*peWorker
 	carriers []*carrier
-
-	barMu           sync.Mutex
-	barArrived      int
-	barMax          float64
-	pendingBarWakes []int32 // ranks released since the last fold, which wakes them
+	barOut   float64 // the clock the last barrier released its ranks at
 
 	staged int // host-side tally for KernelCounters, kept by fold
 }
@@ -280,7 +284,7 @@ func (pw *peWorker) wake(rank int) {
 
 // park suspends the calling rank coroutine until its worker resumes it.
 // yield reports false only to a rank being unwound by stop, which happens
-// with the fail flag up: the caller's next failure check sends it home.
+// with World.fail set: the caller's next failure check sends it home.
 func (pw *peWorker) park(rank int) {
 	pw.parks++
 	pw.k.carriers[rank].yield(struct{}{})
@@ -338,7 +342,7 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	cr := k.carriers[rank]
 	pw := k.workers[cr.worker]
 	for {
-		if c.world.failFlag.Load() {
+		if c.world.fail != nil {
 			return nil, errAborted(rank, "Recv")
 		}
 		q := cr.pending
@@ -357,77 +361,31 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	}
 }
 
-// barrier is Barrier's rendezvous: every participant leaves with the
-// maximum clock contributed. Arrival counting is the only cross-worker
-// rendezvous in the engine, so it takes barMu. With one worker the last
-// arriver releases every parked participant directly, in ascending rank
-// order; with several, every participant — the last arriver included —
-// parks and leaves at the next window fold, the only place that writes
-// another worker's run queue.
+// barrier is Barrier's rendezvous: the rank counts itself and its clock
+// on its own worker and parks, and the fold that finds every rank counted
+// wakes them all to leave with the maximum clock (barOut). Only a release
+// or a failure wakes a rank parked here, and the fold publishes a failure
+// only in a window no barrier can complete in, so a rank woken with
+// World.fail unset was released.
 func (k *eventEngine) barrier(c *Comm) (float64, error) {
-	rank := c.rank
-	if c.world.failFlag.Load() {
-		return 0, errAborted(rank, "Barrier")
-	}
-	me := k.carriers[rank]
-	pw := k.workers[me.worker]
-	k.barMu.Lock()
-	if t := c.clock.Now(); t > k.barMax {
-		k.barMax = t
-	}
-	k.barArrived++
-	if k.barArrived == c.world.procs {
-		out := k.barMax
-		k.barArrived = 0
-		k.barMax = 0
-		single := len(k.workers) == 1
-		for r, cr := range k.carriers {
-			if !cr.barWaiting {
-				continue
-			}
-			cr.barWaiting = false
-			cr.barReleased = true
-			cr.barOut = out
-			if single {
-				pw.wake(r)
-			} else {
-				k.pendingBarWakes = append(k.pendingBarWakes, int32(r))
-			}
+	if c.world.fail == nil {
+		pw := k.workers[k.carriers[c.rank].worker]
+		pw.barArrived++
+		pw.barMax = max(pw.barMax, c.clock.Now())
+		pw.park(c.rank)
+		if c.world.fail == nil {
+			return k.barOut, nil
 		}
-		if single {
-			k.barMu.Unlock()
-			return out, nil
-		}
-		me.barReleased = true
-		me.barOut = out
-		k.pendingBarWakes = append(k.pendingBarWakes, int32(rank))
-	} else {
-		me.barWaiting = true
 	}
-	k.barMu.Unlock()
-	pw.park(rank)
-	k.barMu.Lock()
-	if me.barReleased {
-		me.barReleased = false
-		out := me.barOut
-		k.barMu.Unlock()
-		return out, nil
-	}
-	// Woken without a release: the world is failing. Withdraw so the
-	// count cannot go stale.
-	me.barWaiting = false
-	k.barArrived--
-	k.barMu.Unlock()
-	return 0, errAborted(rank, "Barrier")
+	return 0, errAborted(c.rank, "Barrier")
 }
 
-// failWake wakes blocked ranks after rank failed the world, so they
-// observe the failure and unwind: a failing rank wakes its own worker's
-// parked ranks directly (its worker's run queue is safely accessible from
-// the running coroutine); ranks of other workers are woken by the
-// coordinator at every fold while the fail flag is up.
-func (k *eventEngine) failWake(rank int) {
-	k.workers[k.carriers[rank].worker].wakeBlock()
+// fail records rank's error unless a lower rank of this worker failed
+// first.
+func (pw *peWorker) fail(rank int, err error) {
+	if pw.failErr == nil || rank < pw.failRank {
+		pw.failRank, pw.failErr = rank, err
+	}
 }
 
 // wakeBlock schedules every undone rank of this worker's block.
@@ -459,7 +417,9 @@ func (pw *peWorker) runWindow() {
 				for {
 					k := c.k
 					c.k, c.fin = nil, false
-					k.w.runRank(&c.comm, k.fn)
+					if err := k.w.runRank(&c.comm, k.fn); err != nil {
+						k.workers[c.worker].fail(c.comm.rank, err)
+					}
 					c.fin = true
 					if !yield(struct{}{}) {
 						return
@@ -477,8 +437,10 @@ func (pw *peWorker) runWindow() {
 // fold is the single-threaded window barrier: merge staged cross-worker
 // messages (src-worker order, lane order within — deterministic, and
 // per-src FIFO because each source's messages share one lane), then
-// deliver deferred barrier releases, then propagate a failure to every
-// worker's parked ranks.
+// release the barrier if every rank has reached it, then publish the
+// lowest failing rank's error — the first worker's that has one, as
+// workers own ascending blocks — and wake every worker's parked ranks to
+// unwind.
 func (k *eventEngine) fold() {
 	for _, dst := range k.workers {
 		for _, src := range k.workers {
@@ -490,11 +452,24 @@ func (k *eventEngine) fold() {
 			src.lanes[dst.id] = lane[:0]
 		}
 	}
-	for _, r := range k.pendingBarWakes {
-		k.workers[k.carriers[r].worker].wake(int(r))
+	arrived := 0
+	for _, pw := range k.workers {
+		arrived += pw.barArrived
 	}
-	k.pendingBarWakes = k.pendingBarWakes[:0]
-	if k.w.failFlag.Load() {
+	release := arrived == k.w.procs
+	if release {
+		k.barOut = 0
+		for _, pw := range k.workers {
+			k.barOut = max(k.barOut, pw.barMax)
+			pw.barArrived, pw.barMax = 0, 0
+		}
+	}
+	for _, pw := range k.workers {
+		if k.w.fail == nil {
+			k.w.fail = pw.failErr
+		}
+	}
+	if release || k.w.fail != nil {
 		for _, pw := range k.workers {
 			pw.wakeBlock()
 		}
@@ -576,7 +551,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 			// Every undone rank is parked, no lane or release is pending
 			// (fold drained them), and no run queue holds a rank: that is
 			// a proof of deadlock, so fail, and stop their carriers below.
-			w.setFail(fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-total, procs))
+			w.fail = fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-total, procs)
 			break
 		}
 		windows++
@@ -622,5 +597,5 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 			probe.Parks += pw.parks
 		}
 	}
-	return w.failed()
+	return w.fail
 }

@@ -202,14 +202,15 @@ func TestWindowCountPinned(t *testing.T) {
 			t.Errorf("rank %d: %+v with Probe set, %+v without", r, observed[r], plain[r])
 		}
 	}
-	// The same program at one worker: one window and nothing staged. A
-	// rank parks a little less than twice an iteration — a barrier's last
-	// arriver releases the rest and goes on, and a rank that runs after
-	// both neighbours finds both messages queued — by a count that is the
-	// run queue's wake order and nothing else, so it is pinned from the run.
+	// The same program at one worker: nothing staged, and a window per
+	// iteration, each ended by the barrier, which every rank leaves at the
+	// fold, plus the last. A rank parks a little less than twice an
+	// iteration — one that runs after both neighbours finds both messages
+	// queued — by a count that is the run queue's wake order and nothing
+	// else, so it is pinned from the run.
 	var one KernelCounters
 	single := run(1, &one)
-	if want := (KernelCounters{Windows: 1, Activations: 10446, Parks: 10190}); one != want {
+	if want := (KernelCounters{Windows: iters + 1, Activations: 10476, Parks: 10220}); one != want {
 		t.Errorf("one-worker counters %+v, pinned %+v", one, want)
 	}
 	for r := range plain {
