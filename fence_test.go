@@ -1,10 +1,13 @@
 package ic2mpi_test
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,4 +44,228 @@ func TestSimulationNeverImportsTime(t *testing.T) {
 			}
 		}
 	}
+}
+
+// deletedNames lists, one row per mechanism, names a change deleted on
+// purpose, and what stays deleted with them and why (reason). pattern is
+// a regular expression matched against each line of the files that paths,
+// include, exclude and excludeDir select, as grep would: a directory is
+// searched recursively and the three globs match base names. lines is how
+// many lines may match: none, except where a row holds a mechanism to its
+// one call site.
+var deletedNames = []struct {
+	name, reason, pattern        string
+	paths                        []string
+	include, exclude, excludeDir string
+	lines                        int
+}{
+	{
+		name:    "one link-cost form",
+		reason:  "the P×P matrices and the switch between forms stay deleted",
+		pattern: `LinkCost|CostFn|MatrixFreeThreshold`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:       "one exchange path",
+		reason:     "the allocate-per-round exchange and the knob that selected it stay deleted; bench/bench_test.go bans the same words for the benchmark",
+		pattern:    `ReuseBuffers|BuffersUnpooled`,
+		paths:      []string{"."},
+		include:    "*.go",
+		excludeDir: "bench",
+	},
+	{
+		name:    "no bound on running ahead",
+		reason:  "the event engine's window limit and the model method that fed it stay deleted",
+		pattern: `MinDelay|lookahead`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "no clock in the scheduler",
+		reason:  "the event engine runs ranks in wake order; the (time, rank, seq) heap and its ordering stay deleted",
+		pattern: `eventQueue|eventLess`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one diffusion pass, one balancer registry",
+		reason:  "the relative-load matrix, the per-balancer constructors and the pair cap nothing could set stay deleted",
+		pattern: `RelativeLoads\(pg|NewWorkStealing\(|NewCentralized\(|NewDiffusion\(|NewHierarchical\(|NewPredictive\(|MaxPairs`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "no Comm call that can see the host",
+		reason:  "Probe, the Send alias, Fail, the reductions nothing called and the uniform-model pricing fork stay deleted",
+		pattern: `func \(c \*Comm\) (Probe|Send|Fail|ReduceFloat64|AllreduceFloat64|AllreduceMaxFloat64|AllreduceSumInt)\(|flatLatency|flatByteTime|MaxUserTag`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one clock, one receive",
+		reason:  "the wall-clock mode, the request type that only recorded (src, tag) and the single-cell runner that re-derived its cell stay deleted; a comment may still say MPI_Irecv",
+		pattern: `RealClock|\bVirtualClock\b|ClockMode|\.Irecv\(|RunTraced`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "calibration constants are constants",
+		reason:  "the overhead model, the balancer thresholds and tolerances, the brownout windows and the code that defaulted, validated and exposed them stay deleted",
+		pattern: `OverheadModel|DefaultOverheads|ValidatingBalancer|checkFraction|orDefault\(|chooseRanks|BrownedOut|New(Centralized|Diffusion|WorkStealing|Hierarchical|Predictive)Balancer`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one engine",
+		reason:  "every kernel name runs the run-queue scheduler; the goroutine-per-rank engine's mailboxes and cond barrier stay deleted",
+		pattern: `type mailbox|type barrier struct|newMailbox|newBarrier|\.boxes\b`,
+		paths:   []string{"internal/mpi/*.go"},
+	},
+	{
+		name:    "the engine shares nothing inside a window",
+		reason:  "barrier arrivals and rank failures settle at the fold; the barrier mutex, the deferred-wake list, the mid-window fail wake and the atomic fail flag stay deleted",
+		pattern: `barMu|pendingBarWakes|failWake|failFlag|setFail`,
+		paths:   []string{"internal/mpi/*.go"},
+	},
+	{
+		name:    "node data is immutable, one closed codec",
+		reason:  "the snapshot-boundary deep copy and the reflect-keyed codec registry stay deleted; internal/checkpoint's type switch decides what a snapshot carries",
+		pattern: `CloneData|RegisterData|DataCodec|codecByType|codecByName`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one seed search",
+		reason:  "Multilevel's full BFS from every assigned vertex per seed stays deleted; the old search lives on only as the differential test's reference",
+		pattern: `farthestUnassigned`,
+		paths:   []string{"."},
+		include: "*.go",
+		exclude: "*_test.go",
+	},
+	{
+		name:    "no node map on a rank",
+		reason:  "an entry points back at its own-node record; the map over a rank's nodes stays deleted",
+		pattern: `byID`,
+		paths:   []string{"internal/platform"},
+		include: "*.go",
+	},
+	{
+		name:    "no hash look-up on the exchange path",
+		reason:  "rounds execute the receive and send plans planExchange builds once per partition epoch",
+		pattern: `Lookup`,
+		paths:   []string{"internal/platform/compute.go"},
+	},
+	{
+		name:    "one start-up path",
+		reason:  "Run builds every rank, fresh or resumed, before the ranks launch; the per-rank constructors live on only as the builder's test reference",
+		pattern: `newRankState|emptyRankState|restoreRankState`,
+		paths:   []string{"."},
+		include: "*.go",
+		exclude: "*_test.go",
+	},
+	{
+		name:    "one carrier factory",
+		reason:  "rank coroutines outlive their run in the carrier pool; runWindow starts the carriers the pool cannot supply at the one iter.Pull call site, so a coroutine per rank per run cannot come back",
+		pattern: `iter\.Pull2?[[(]`,
+		paths:   []string{"internal/mpi"},
+		include: "*.go",
+		exclude: "*_test.go",
+		lines:   1,
+	},
+	{
+		name:    "one copy of a traced run",
+		reason:  "the recorder releases its own canonical lines; the Sink interface, the daemon's second trace buffer and the per-line encoders only it used stay deleted",
+		pattern: `trace\.Sink|SetSink|newTraceSink|ImbalanceOf|SampleLine\(|MigrationLine\(|SeriesLine\(`,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one check per resume rule",
+		reason:  "checkpoint.Decode checks only the wire; platform.Run checks a snapshot's structure, so the structural checks and the stats copy stay out of the codec",
+		pattern: `strictly ascending|history not ascending|rank records for|labeled rank|func mpiStats`,
+		paths:   []string{"internal/checkpoint/checkpoint.go"},
+	},
+	{
+		name:    "one report assembly, one sweep identity",
+		reason:  "every single-cell run reports through RunSweepWith, a traced daemon job holds its trace once, in its stream, and manifests match by cell keys, never by their spec string",
+		pattern: `NewSweepReport|traceJSONL|m\.Spec != `,
+		paths:   []string{"."},
+		include: "*.go",
+	},
+	{
+		name:    "one store per message",
+		reason:  "a message waits only in its receiver's queue, or a window in its sender's worker's outbox; the per-worker message slab, its free list and its alloc/release, the worker-pair lanes and the send clock the receiver priced from stay deleted",
+		pattern: `pw\.(slab|free)\b|\.lanes\b|\bsentAt\b|func \(pw \*peWorker\) (alloc|release)\(`,
+		paths:   []string{"internal/mpi"},
+		include: "*.go",
+		exclude: "*_test.go",
+	},
+}
+
+// TestDeletedNamesStayDeleted enforces deletedNames. This file, which
+// spells every pattern, and hidden directories (.git, the benchmark's
+// build cache) are not searched.
+func TestDeletedNamesStayDeleted(t *testing.T) {
+	for _, row := range deletedNames {
+		t.Run(row.name, func(t *testing.T) {
+			re := regexp.MustCompile(row.pattern)
+			var hits []string
+			for _, path := range fencedFiles(t, row.paths, row.include, row.exclude, row.excludeDir) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, line := range strings.Split(string(data), "\n") {
+					if re.MatchString(line) {
+						hits = append(hits, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+					}
+				}
+			}
+			if len(hits) != row.lines {
+				t.Errorf("%q: %d lines match, want %d (%s):\n%s", row.name, len(hits), row.lines, row.reason, strings.Join(hits, "\n"))
+			}
+		})
+	}
+}
+
+// fencedFiles returns the regular files under paths (each a file, a
+// directory or a glob of either) whose base names match include, if set,
+// and not exclude, outside directories named excludeDir.
+func fencedFiles(t *testing.T, paths []string, include, exclude, excludeDir string) []string {
+	t.Helper()
+	glob := func(pattern, name string) bool {
+		ok, err := filepath.Match(pattern, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	var files []string
+	for _, p := range paths {
+		roots, err := filepath.Glob(p)
+		if err != nil || len(roots) == 0 {
+			t.Fatalf("%s names no file (%v)", p, err)
+		}
+		for _, root := range roots {
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				switch name := d.Name(); {
+				case err != nil:
+					return err
+				case d.IsDir():
+					if path != root && (strings.HasPrefix(name, ".") || name == excludeDir) {
+						return filepath.SkipDir
+					}
+				case d.Type().IsRegular() && path != "fence_test.go" &&
+					(include == "" || glob(include, name)) && (exclude == "" || !glob(exclude, name)):
+					files = append(files, path)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return files
 }

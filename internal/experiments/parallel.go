@@ -41,27 +41,31 @@ func CountFlag(fs *flag.FlagSet, name string, least int, usage string) *int {
 
 // WriteFileAtomic replaces path with data so that a crash at any point
 // leaves the old file or the new one, never a torn one: a same-directory
-// temp file is written and synced, renamed over path, and the directory is
-// synced so the rename is durable. Any failure removes the temp file. It
-// is the one definition behind the snapshot and manifest writes of
-// cmd/experiments and the daemon's cell and job records.
+// temp file of its own is written and synced, renamed over path (the
+// last of concurrent writers wins), and the directory is synced so the
+// rename is durable. Any failure removes the temp file. It is the one
+// definition behind the snapshot and manifest writes of cmd/experiments
+// and the daemon's cell and job records.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(data); err == nil {
+	// CreateTemp makes the file 0600; records are readable by all.
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return err
 	}
 	dir, err := os.Open(filepath.Dir(path))

@@ -193,12 +193,15 @@ func TestCarrierOfGoexitNeverPooled(t *testing.T) {
 }
 
 // TestCarrierRetainsNothing: a pooled carrier drops every reference to
-// its run, so an object only the rank program captured is collected by
-// the first GC cycle after the run, which finds the carriers pooled.
+// its run, so an object only the rank program captured, a payload its
+// receiver took and one nobody received are collected by the first GC
+// cycle after the run, which finds the carriers pooled (the receive
+// queues ride on them).
 func TestCarrierRetainsNothing(t *testing.T) {
 	noAutoGC(t)
 	forEventKernels(t, 4, func(t *testing.T, opts Options) {
 		wp := runCapturing(t, opts)
+		received, unreceived := runLeavingPayload(t, opts)
 		// No worker goroutine, which would refer to the run, is left.
 		if n := engineGoroutines(); n != opts.Procs {
 			t.Fatalf("%d engine goroutines, want the %d pooled carriers", n, opts.Procs)
@@ -211,7 +214,37 @@ func TestCarrierRetainsNothing(t *testing.T) {
 		if wp.Value() != nil {
 			t.Error("an object the rank program captured outlived the run in a pooled carrier")
 		}
+		if received.Value() != nil {
+			t.Error("a received payload outlived the run in its receiver's pooled queue")
+		}
+		if unreceived.Value() != nil {
+			t.Error("a payload nobody received outlived the run in its receiver's pooled queue")
+		}
 	})
+}
+
+// runLeavingPayload runs a program in which rank 0 sends rank 3 two
+// payloads, big enough that the allocator does not batch them, and rank 3
+// receives only the first; it returns weak pointers to both.
+func runLeavingPayload(t *testing.T, opts Options) (received, unreceived weak.Pointer[[64]byte]) {
+	if err := Run(opts, func(c *Comm) error {
+		switch c.Rank() {
+		case 0:
+			a, b := new([64]byte), new([64]byte)
+			received, unreceived = weak.Make(a), weak.Make(b)
+			if err := c.Isend(3, 1, a, len(a)); err != nil {
+				return err
+			}
+			return c.Isend(3, 2, b, len(b))
+		case 3:
+			_, err := c.Recv(0, 1)
+			return err
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return received, unreceived
 }
 
 // runCapturing runs a program that captures a fresh object and returns

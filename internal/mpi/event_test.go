@@ -327,7 +327,7 @@ func TestEventRunQueue(t *testing.T) {
 // right after its send, while rank 0 waits for that message and the
 // others are parked in the barrier: the fold publishes the failure and
 // runs wakeBlock over every block, which at several workers finds rank 0
-// already queued by the lane that carried the message, and every rank
+// already queued by the fold that delivered the message, and every rank
 // must still unwind with the pinned error.
 func TestEventRankQueuedOnce(t *testing.T) {
 	const procs = 9

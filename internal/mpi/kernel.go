@@ -8,9 +8,9 @@ import (
 // Kernel names a worker count for the one engine that drives the ranks of
 // a World (pevent.go): ranks are passive states on runtime coroutines,
 // resumed in the order they were woken (a run queue of ranks — no virtual
-// time takes part in scheduling), with slab-allocated message envelopes,
-// so a simulation scales to tens of thousands of ranks with flat memory
-// per rank. Every clock advance is a pure function of message content and
+// time takes part in scheduling), each message stored once, in its
+// receiver's queue, so a simulation scales to tens of thousands of ranks
+// with flat memory per rank. Every clock advance is a pure function of message content and
 // per-rank program order, never of host scheduling, so every name and
 // worker count is bit-identical and differs only in host-side cost. The
 // three names are kept, accepted and echoed for good: they are part of
@@ -27,11 +27,11 @@ const (
 	KernelEvent
 	// KernelParallelEvent is the engine at Options.Workers workers, like
 	// KernelGoroutine: ranks are partitioned across the workers, each
-	// owning a private run queue and message slab. Workers run
-	// concurrently until each is out of runnable ranks, staging
-	// cross-worker sends into per-worker lanes merged at the window fold;
-	// none waits for another's virtual time (pevent.go says why none has
-	// to). At one worker it is KernelEvent.
+	// owning a private run queue and outbox. Workers run concurrently
+	// until each is out of runnable ranks, staging cross-worker sends in
+	// their outboxes, which the window fold delivers; none waits for
+	// another's virtual time (pevent.go says why none has to). At one
+	// worker it is KernelEvent.
 	KernelParallelEvent
 )
 

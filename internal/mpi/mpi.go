@@ -27,7 +27,7 @@ type Options struct {
 	// KernelParallelEvent: 0 (the default) resolves to min(GOMAXPROCS,
 	// Procs); explicit values are clamped to Procs. Any worker count
 	// produces the same bytes — the knob trades host parallelism against
-	// messages that wait a window in a cross-worker lane. Ignored by
+	// messages that wait a window in a cross-worker outbox. Ignored by
 	// KernelEvent, which is always one worker.
 	Workers int
 	// Probe, when non-nil, is overwritten as Run returns with what the
@@ -44,9 +44,9 @@ type World struct {
 	procs int
 	cost  netmodel.Model
 	// tv is non-nil when the cost model evolves over epochs
-	// (netmodel.TimeVarying): receives re-price arrival at the message's
-	// send epoch and SetEpoch refreshes cached per-rank overheads. nil
-	// for static models, keeping their receive path untouched.
+	// (netmodel.TimeVarying): Isend prices arrival at the sender's epoch
+	// and SetEpoch refreshes cached per-rank overheads. nil for static
+	// models, keeping their send path untouched.
 	tv netmodel.TimeVarying
 	// eng runs the ranks (pevent.go); set by runPEvent before any rank
 	// starts, so Comm methods call it unconditionally.
@@ -57,16 +57,13 @@ type World struct {
 	fail error
 }
 
-// message is one in-flight point-to-point message.
+// message is one in-flight point-to-point message, priced by Isend:
+// arrival is the virtual time it reaches its receiver.
 type message struct {
 	src, tag int
 	payload  any
 	bytes    int
-	sentAt   float64 // sender virtual clock when Isend returned
-	// epoch is the sender's epoch when the message was injected; a
-	// time-varying cost model prices the wire at these conditions. Always
-	// 0 for static models.
-	epoch int
+	arrival  float64
 }
 
 // Comm is one rank's handle on the world. All methods must be called only
@@ -84,7 +81,7 @@ type Comm struct {
 	sendOverhead float64
 	recvOverhead float64
 	// epoch is this rank's current epoch (0 until SetEpoch is called);
-	// outgoing messages are stamped with it.
+	// a time-varying cost model prices outgoing messages at it.
 	epoch int
 	// sent/received count operations, exposed in Stats for tests.
 	sent, received int
@@ -198,13 +195,13 @@ func (c *Comm) Size() int { return c.world.procs }
 // which the thesis uses for all its measurements.
 func (c *Comm) Wtime() float64 { return c.clock.Now() }
 
-// SetEpoch advances this rank's epoch: outgoing messages are stamped
-// with it, and when the world's cost model is time-varying
-// (netmodel.TimeVarying) the cached per-rank send/receive overheads are
-// refreshed to the epoch's conditions. The platform calls it at
-// iteration boundaries; for static cost models only the stamp changes,
-// which nothing reads. Must be called from the owning rank's goroutine,
-// like every Comm method.
+// SetEpoch advances this rank's epoch: when the world's cost model is
+// time-varying (netmodel.TimeVarying), outgoing messages are priced at
+// the epoch's conditions and the cached per-rank send/receive overheads
+// are refreshed to them. The platform calls it at iteration boundaries;
+// for static cost models only the number changes, which nothing reads.
+// Must be called from the owning rank's goroutine, like every Comm
+// method.
 func (c *Comm) SetEpoch(epoch int) {
 	c.epoch = epoch
 	if tv := c.world.tv; tv != nil {
@@ -235,7 +232,7 @@ func (c *Comm) Isend(dst, tag int, payload any, bytes int) error {
 		return fmt.Errorf("mpi: Isend negative byte count %d", bytes)
 	}
 	c.clock.Advance(c.sendOverhead)
-	c.world.eng.send(dst, message{src: c.rank, tag: tag, payload: payload, bytes: bytes, sentAt: c.clock.Now(), epoch: c.epoch})
+	c.world.eng.send(dst, message{src: c.rank, tag: tag, payload: payload, bytes: bytes, arrival: c.arrival(dst, bytes)})
 	c.sent++
 	c.bytesSent += bytes
 	return nil
@@ -264,27 +261,25 @@ func errAborted(rank int, op string) error {
 	return fmt.Errorf("mpi: rank %d %s aborted: sibling rank failed", rank, op)
 }
 
-// arrival prices message m's delivery at rank dst. sentAt already
-// includes the sender's SendOverhead charge; the model prices the wire
-// portion per (src, dst) pair. The result is a pure function of the
-// message content — never of receiver progress or host scheduling —
-// which is what makes every worker count produce the same timeline.
-func (w *World) arrival(m message, dst int) float64 {
-	if w.tv != nil {
-		// A time-varying machine prices the wire at the conditions of
-		// the sender's epoch when the message was injected, so pricing
-		// is a pure function of the message, not of receiver progress.
-		return w.tv.ArrivalTimeAt(m.epoch, m.src, dst, m.sentAt, m.bytes)
+// arrival prices a message of the given size that this rank injects now,
+// its SendOverhead charged, for rank dst: the model prices the wire per
+// (src, dst) pair, a time-varying one at the sender's epoch. The result is
+// a pure function of the message content — never of receiver progress or
+// host scheduling — which is what makes every worker count produce the
+// same timeline.
+func (c *Comm) arrival(dst, bytes int) float64 {
+	if tv := c.world.tv; tv != nil {
+		return tv.ArrivalTimeAt(c.epoch, c.rank, dst, c.clock.Now(), bytes)
 	}
-	return w.cost.ArrivalTime(m.src, dst, m.sentAt, m.bytes)
+	return c.world.cost.ArrivalTime(c.rank, dst, c.clock.Now(), bytes)
 }
 
+// completeRecv advances the clock to m's arrival and counts m.
 func (c *Comm) completeRecv(m message) {
-	arrival := c.world.arrival(m, c.rank)
-	if now := c.clock.Now(); arrival > now {
-		c.idleSeconds += arrival - now
+	if now := c.clock.Now(); m.arrival > now {
+		c.idleSeconds += m.arrival - now
 	}
-	c.clock.AdvanceTo(arrival)
+	c.clock.AdvanceTo(m.arrival)
 	c.clock.Advance(c.recvOverhead)
 	c.received++
 	c.bytesReceived += m.bytes

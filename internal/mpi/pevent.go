@@ -7,24 +7,24 @@ package mpi
 // in the order they were woken — and switches to it (next); a blocking MPI
 // call switches back (yield). Both are runtime.coroswitch: the thread
 // passes from worker to rank and back without the Go scheduler, a wake-up
-// of an idle P or a futex. Message envelopes live in slabs indexed by
-// int32 and recycled through a free list, so memory per rank is flat: a
-// carrier, which holds the rank's Comm and engine state and is recycled
-// with its parked coroutine, and a run-queue slot.
+// of an idle P or a futex. A message is stored once, in its receiver's
+// queue, until a Recv takes it, so memory per rank is flat: a carrier,
+// which holds the rank's Comm, engine state and receive queue and is
+// recycled with its parked coroutine, and a run-queue slot.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
-// owning a private run queue, message slab and its ranks' carriers, and
+// owning a private run queue, an outbox and its ranks' carriers, and
 // running one rank at a time. A window runs every worker until its queue
 // is empty — every rank it owns has finished or is parked on something
 // only another worker or the fold can supply — staging sends to other
-// workers' ranks into per-(src-worker, dst-worker) lanes and counting its
-// own ranks' barrier arrivals and failures. The fold then, single-threaded,
-// merges the lanes in (src-worker, injection) order, releases a barrier
-// every rank has reached and publishes the lowest failing rank's error. The fold is the only place where workers meet:
-// during a window no engine field is written by more than one worker, so
-// a window's work on each worker depends only on that worker's state at
-// the window's start, and a run at a given worker count reports the same
-// failure every time. KernelEvent is one worker, whose windows run on the
+// workers' ranks in its outbox and counting its own ranks' barrier
+// arrivals and failures. The fold then, single-threaded, delivers the
+// outboxes in (source worker, injection) order, releases a barrier every
+// rank has reached and publishes the lowest failing rank's error. The
+// fold is the only place where workers meet: during a window no engine
+// field is written by more than one worker, so a window's work on each
+// worker depends only on that worker's state at the window's start, and a
+// run at a given worker count reports the same failure every time. KernelEvent is one worker, whose windows run on the
 // caller's goroutine; KernelGoroutine and KernelParallelEvent run
 // Options.Workers workers.
 //
@@ -38,13 +38,13 @@ package mpi
 //
 //  1. A Recv names its source: only the next matching message from src
 //     can complete it, so how far other ranks have run is invisible.
-//  2. Matching is FIFO per (src, tag), and all of a source rank's
-//     messages to one destination ride one lane in program order, so the
-//     only queue order matching can observe survives any merge.
+//  2. Matching is FIFO per (src, tag), and a source rank's messages to
+//     one destination keep program order through its worker's outbox, so
+//     the only queue order matching can observe survives any merge.
 //  3. A message's arrival time is a pure function of its content (sender
 //     clock at injection, size, epoch, endpoint pair), never of when the
-//     host delivered it or ran its receiver; it is priced once, by the
-//     receiver, when the Recv completes.
+//     host delivered it or ran its receiver; Isend prices it once, and the
+//     receiver's clock advances to it when the Recv completes.
 //  4. A barrier releases every participant at the maximum contributed
 //     clock, which is order-independent. Every participant, the last
 //     arriver included, leaves at the fold, at every worker count: the
@@ -68,8 +68,8 @@ import (
 	"sync"
 )
 
-// stagedMsg is one cross-worker message parked in a staging lane until
-// the window fold merges it into the destination worker's state.
+// stagedMsg is one cross-worker message waiting in its sender's worker's
+// outbox until the window fold delivers it to rank dst.
 type stagedMsg struct {
 	m   message
 	dst int32
@@ -136,14 +136,15 @@ type carrier struct {
 }
 
 // rankRun is a rank's state for one run. Only the worker owning the rank
-// touches it, or the coordinator between windows. pending is the receive
-// queue in injection order (indices into the worker's slab, which stay
-// valid across slab growth where pointers would dangle); scheduled is set
-// while the rank sits in its worker's run queue, so it is never queued
-// twice; done lets a worker skip stale wakes.
+// touches it, or the coordinator between windows. pending[head:] is the
+// receive queue in delivery order, the only place a delivered message is
+// stored, and pending[:head] the zeroed slots its front vacated; scheduled
+// is set while the rank sits in its worker's run queue, so it is never
+// queued twice; done lets a worker skip stale wakes.
 type rankRun struct {
 	comm      Comm
-	pending   []int32
+	pending   []message
+	head      int
 	waiting   waitState
 	worker    int32 // index of the owning worker
 	scheduled bool
@@ -151,8 +152,12 @@ type rankRun struct {
 }
 
 // reset clears the rank's state for the carrier's next run, dropping the
-// World its Comm points at and keeping its receive queue's array.
-func (c *carrier) reset() { c.rankRun = rankRun{pending: c.pending[:0]} }
+// World its Comm points at and every payload still queued (recv zeroes the
+// slots past the queue), and keeping its receive queue's array.
+func (c *carrier) reset() {
+	clear(c.pending)
+	c.rankRun = rankRun{pending: c.pending[:0]}
+}
 
 // idle is the process-wide pool of idle carriers, the last returned last,
 // bounded like sync.Pool's victim cache: each GC cycle's sweep stops the
@@ -220,25 +225,21 @@ type KernelCounters struct {
 	Windows     int // every worker run until its queue was empty, then one fold
 	Activations int // resumes of a rank's coroutine
 	Parks       int // suspensions of a rank in Recv or Barrier
-	StagedMsgs  int // cross-worker messages that waited in a lane for a fold
+	StagedMsgs  int // cross-worker messages that waited in an outbox for a fold
 }
 
-// peWorker is one worker's shard of the kernel: the run queue, slab and
-// staging lanes for its contiguous block of ranks [lo, hi). All fields
-// are touched only by whichever goroutine runs the worker's window (one
-// rank coroutine runs at a time per worker) and by the coordinator
-// between windows; the start/ready channel handoffs order the two.
+// peWorker is one worker's shard of the kernel: the run queue and outbox
+// for its contiguous block of ranks [lo, hi). All fields are touched only
+// by whichever goroutine runs the worker's window (one rank coroutine
+// runs at a time per worker) and by the coordinator between windows; the
+// start/ready channel handoffs order the two.
 type peWorker struct {
 	k      *eventEngine
 	id     int
 	lo, hi int
 	q      runQueue
-	slab   []message
-	free   []int32
-	// lanes[d] stages this worker's sends to ranks of worker d this
-	// window, in injection order.
-	lanes [][]stagedMsg
-	ndone int
+	outbox []stagedMsg // sends to other workers' ranks, in injection order
+	ndone  int
 	// barArrived counts this worker's ranks parked in the barrier and
 	// barMax is the latest clock among them, until the fold releases it.
 	barArrived int
@@ -290,73 +291,60 @@ func (pw *peWorker) park(rank int) {
 	pw.k.carriers[rank].yield(struct{}{})
 }
 
-// alloc stores m in the worker's slab and returns its index.
-func (pw *peWorker) alloc(m message) int32 {
-	if n := len(pw.free); n > 0 {
-		idx := pw.free[n-1]
-		pw.free = pw.free[:n-1]
-		pw.slab[idx] = m
-		return idx
-	}
-	pw.slab = append(pw.slab, m)
-	return int32(len(pw.slab) - 1)
-}
-
-// release zeroes the slot (dropping the payload reference) and recycles it.
-func (pw *peWorker) release(idx int32) {
-	pw.slab[idx] = message{}
-	pw.free = append(pw.free, idx)
-}
-
-// deliver queues m for rank dst (owned by this worker) and, when dst is
-// parked on a matching Recv, wakes it. The message is not priced here:
-// its arrival time is the receiver's business (completeRecv).
+// deliver appends m, which Isend priced, to the receive queue of rank dst
+// (owned by this worker) and, when dst is parked on a matching Recv, wakes
+// it.
 func (pw *peWorker) deliver(m message, dst int) {
 	c := pw.k.carriers[dst]
-	c.pending = append(c.pending, pw.alloc(m))
+	c.pending = append(c.pending, m)
 	if ws := c.waiting; ws.active && m.src == ws.src && (ws.tag == AnyTag || m.tag == ws.tag) {
 		pw.wake(dst)
 	}
 }
 
 // send is Isend's delivery: same-worker messages deliver immediately;
-// cross-worker messages park in the staging lane for the destination's
-// worker until the window fold.
+// cross-worker messages wait in the sender's worker's outbox until the
+// window fold.
 func (k *eventEngine) send(dst int, m message) {
 	sw := k.workers[k.carriers[m.src].worker]
-	dw := int(k.carriers[dst].worker)
-	if dw == sw.id {
+	if int(k.carriers[dst].worker) == sw.id {
 		sw.deliver(m, dst)
 		return
 	}
-	sw.lanes[dw] = append(sw.lanes[dw], stagedMsg{m: m, dst: int32(dst)})
+	sw.outbox = append(sw.outbox, stagedMsg{m: m, dst: int32(dst)})
 }
 
-// recv is Recv's matching and waiting: consume the first queued
-// (src, tag) match, or park until a sender (or a window fold merging a
-// staged message) wakes the rank. The clock advance in completeRecv
-// depends only on the matched message, so when the rank was woken and
-// resumed never leaks into the timeline.
+// recv is Recv's matching and waiting: take the first queued (src, tag)
+// match out of the queue, or park until a sender (or a window fold
+// delivering a staged message) wakes the rank. The messages ahead of the
+// match move back a slot, the front one is zeroed, and the queue moves to
+// the array's start once half of it is vacated: a FIFO take moves O(1)
+// messages on average. The clock advance in completeRecv depends only on
+// the matched message, so when the rank was woken and resumed never leaks
+// into the timeline.
 func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
 	cr := k.carriers[rank]
-	pw := k.workers[cr.worker]
 	for {
 		if c.world.fail != nil {
 			return nil, errAborted(rank, "Recv")
 		}
-		q := cr.pending
-		for i, idx := range q {
-			m := pw.slab[idx]
-			if m.src == src && (tag == AnyTag || m.tag == tag) {
-				cr.pending = append(q[:i], q[i+1:]...)
-				pw.release(idx)
+		q, h := cr.pending, cr.head
+		for i := h; i < len(q); i++ {
+			if m := q[i]; m.src == src && (tag == AnyTag || m.tag == tag) {
+				copy(q[h+1:i+1], q[h:i])
+				q[h] = message{}
+				if cr.head = h + 1; 2*cr.head >= len(q) {
+					n := copy(q, q[cr.head:])
+					clear(q[n:])
+					cr.pending, cr.head = q[:n], 0
+				}
 				c.completeRecv(m)
 				return m.payload, nil
 			}
 		}
 		cr.waiting = waitState{active: true, src: src, tag: tag}
-		pw.park(rank)
+		k.workers[cr.worker].park(rank)
 		cr.waiting.active = false
 	}
 }
@@ -434,23 +422,20 @@ func (pw *peWorker) runWindow() {
 	}
 }
 
-// fold is the single-threaded window barrier: merge staged cross-worker
-// messages (src-worker order, lane order within — deterministic, and
-// per-src FIFO because each source's messages share one lane), then
-// release the barrier if every rank has reached it, then publish the
-// lowest failing rank's error — the first worker's that has one, as
-// workers own ascending blocks — and wake every worker's parked ranks to
-// unwind.
+// fold is the single-threaded window barrier: deliver the staged
+// cross-worker messages (source-worker order, injection order within —
+// deterministic, and per-src FIFO because each source's messages share
+// one outbox), then release the barrier if every rank has reached it,
+// then publish the lowest failing rank's error — the first worker's that
+// has one, as workers own ascending blocks — and wake every worker's
+// parked ranks to unwind.
 func (k *eventEngine) fold() {
-	for _, dst := range k.workers {
-		for _, src := range k.workers {
-			lane := src.lanes[dst.id]
-			k.staged += len(lane)
-			for i := range lane {
-				dst.deliver(lane[i].m, int(lane[i].dst))
-			}
-			src.lanes[dst.id] = lane[:0]
+	for _, src := range k.workers {
+		k.staged += len(src.outbox)
+		for _, sm := range src.outbox {
+			k.workers[k.carriers[sm.dst].worker].deliver(sm.m, int(sm.dst))
 		}
+		src.outbox = src.outbox[:0]
 	}
 	arrived := 0
 	for _, pw := range k.workers {
@@ -506,13 +491,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	w.eng = k
 	takeCarriers(k)
 	for i := range k.workers {
-		pw := &peWorker{
-			k:     k,
-			id:    i,
-			lo:    i * procs / nw,
-			hi:    (i + 1) * procs / nw,
-			lanes: make([][]stagedMsg, nw),
-		}
+		pw := &peWorker{k: k, id: i, lo: i * procs / nw, hi: (i + 1) * procs / nw}
 		pw.q.ring = make([]int32, pw.hi-pw.lo)
 		k.workers[i] = pw
 		for r := pw.lo; r < pw.hi; r++ {
@@ -548,7 +527,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 			}
 		}
 		if len(active) == 0 {
-			// Every undone rank is parked, no lane or release is pending
+			// Every undone rank is parked, no outbox or release is pending
 			// (fold drained them), and no run queue holds a rank: that is
 			// a proof of deadlock, so fail, and stop their carriers below.
 			w.fail = fmt.Errorf("mpi: deadlock: %d of %d ranks blocked with no runnable event", procs-total, procs)
@@ -573,7 +552,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	}
 	// Stopping a carrier unwinds its rank, which may wake others through
 	// k.carriers, so every stop comes before any reset. A stopped carrier
-	// is reset too: its slab may stay alive in a pooled one.
+	// is reset too: the slab it came from may stay alive in a pooled one.
 	for _, c := range k.carriers {
 		if !c.done && c.next != nil {
 			c.stop()

@@ -1,7 +1,7 @@
 package mpi
 
 // Unit tests of the event-driven kernel's multi-worker seams: per-source
-// FIFO across a staging lane, a worker running a whole superstep ahead of
+// FIFO across a worker's outbox, a worker running a whole superstep ahead of
 // its sibling, the window count, and the worker-count resolution rules.
 // The failure paths are in event_test.go, one table over worker counts.
 
@@ -66,8 +66,8 @@ func TestParallelEventWorkerCount(t *testing.T) {
 	}
 }
 
-// TestParallelEventCrossWorkerFIFO pins per-source FIFO across a staging
-// lane: many same-(src,tag) messages from one worker's rank must be
+// TestParallelEventCrossWorkerFIFO pins per-source FIFO across an outbox:
+// many same-(src,tag) messages from one worker's rank must be
 // received in program order by a rank on another worker.
 func TestParallelEventCrossWorkerFIFO(t *testing.T) {
 	const n = 32

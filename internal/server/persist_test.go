@@ -196,3 +196,28 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreIgnoresLeftoverTempFiles: a crash between WriteFileAtomic's
+// create and rename leaves a torn "<record>.<random>.tmp" file next to the
+// records; restore reads only .json files, so it neither refuses the
+// state directory nor restores the torn record.
+func TestRestoreIgnoresLeftoverTempFiles(t *testing.T) {
+	state := t.TempDir()
+	for _, sub := range []string{cellsDirName, jobsDirName} {
+		dir := filepath.Join(state, sub)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "job-000001.json.2864143.tmp"), []byte(`{"id":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(Config{Workers: 1, StateDir: state, Now: fixedNow()})
+	defer srv.Close()
+	if err := srv.RestoreError(); err != nil {
+		t.Fatalf("a leftover temp file failed the restore: %v", err)
+	}
+	if n := srv.persist.JobsRestored; n != 0 {
+		t.Fatalf("%d jobs restored from temp files, want 0", n)
+	}
+}
