@@ -201,22 +201,37 @@ var deletedNames = []struct {
 		include: "*.go",
 		exclude: "*_test.go",
 	},
+	{
+		name:    "one memo per scenario in the daemon",
+		reason:  "a scenario's jobs share the server's memo of its inputs, made only in inputsOf, so a per-job memo that rebuilds every graph and partition cannot come back",
+		pattern: `scenario\.NewInputs\(`,
+		paths:   []string{"internal/server"},
+		include: "*.go",
+		exclude: "*_test.go",
+		lines:   1,
+	},
 }
 
 // TestDeletedNamesStayDeleted enforces deletedNames. This file, which
 // spells every pattern, and hidden directories (.git, the benchmark's
 // build cache) are not searched.
 func TestDeletedNamesStayDeleted(t *testing.T) {
+	read := map[string][]string{} // each fenced file's lines, read once for every row
 	for _, row := range deletedNames {
 		t.Run(row.name, func(t *testing.T) {
 			re := regexp.MustCompile(row.pattern)
 			var hits []string
 			for _, path := range fencedFiles(t, row.paths, row.include, row.exclude, row.excludeDir) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
+				lines, ok := read[path]
+				if !ok {
+					data, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines = strings.Split(string(data), "\n")
+					read[path] = lines
 				}
-				for i, line := range strings.Split(string(data), "\n") {
+				for i, line := range lines {
 					if re.MatchString(line) {
 						hits = append(hits, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
 					}

@@ -61,29 +61,22 @@ func newWithSlots(n, slots int) *Graph {
 }
 
 // HexNeighborOffsets returns the six (dRow, dCol) neighbor offsets of a hex
-// cell in row r under odd-r offset coordinates. Exposed for the battlefield
-// simulation, which indexes damage by hex direction 0..5 exactly as the
-// original hex_node_data_struct does.
-func HexNeighborOffsets(r int) [6]Coord {
+// cell in row r under odd-r offset coordinates, from one table that callers
+// only read. Exposed for the battlefield simulation, which indexes damage by
+// hex direction 0..5 exactly as the original hex_node_data_struct does.
+func HexNeighborOffsets(r int) *[6]Coord {
 	if r%2 == 0 {
-		// Even rows shift diagonals toward lower columns.
-		return [6]Coord{
-			{0, 1},   // 0: east
-			{-1, 0},  // 1: northeast
-			{-1, -1}, // 2: northwest
-			{0, -1},  // 3: west
-			{1, -1},  // 4: southwest
-			{1, 0},   // 5: southeast
-		}
+		return &hexOffsets[0]
 	}
-	return [6]Coord{
-		{0, 1},  // 0: east
-		{-1, 1}, // 1: northeast
-		{-1, 0}, // 2: northwest
-		{0, -1}, // 3: west
-		{1, 0},  // 4: southwest
-		{1, 1},  // 5: southeast
-	}
+	return &hexOffsets[1]
+}
+
+// hexOffsets are the even-row and odd-row offsets in direction order: east,
+// northeast, northwest, west, southwest, southeast. Even rows shift the
+// diagonals toward lower columns.
+var hexOffsets = [2][6]Coord{
+	{{0, 1}, {-1, 0}, {-1, -1}, {0, -1}, {1, -1}, {1, 0}},
+	{{0, 1}, {-1, 1}, {-1, 0}, {0, -1}, {1, 0}, {1, 1}},
 }
 
 // Random returns a connected random graph with n vertices where every

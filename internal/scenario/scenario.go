@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -292,9 +293,9 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 // pure functions of their keys, so sharing them changes no byte of any
 // result, and an Inputs never reaches a CellKey, a report, a trace or a
 // snapshot. It holds at most one value per distinct key its runs asked
-// for and lives as long as its holder: experiments.RunSweep, a daemon job
-// and a shard run each make one; Scenario.Run makes one per run. It is
-// safe for concurrent use.
+// for and lives as long as its holder: experiments.RunSweep and a shard
+// run make one, a daemon keeps one per scenario across its jobs, and
+// Scenario.Run makes one per run. It is safe for concurrent use.
 type Inputs struct {
 	sc    Scenario
 	graph lazy[*graph.Graph]
@@ -315,21 +316,34 @@ type partInputs struct {
 }
 
 // lazy is a value that the first get computes, with its error, while
-// concurrent gets wait for it.
+// concurrent gets wait for it. A build that panics leaves errBuildPanicked,
+// not a zero value that reads as a success.
 type lazy[T any] struct {
 	once sync.Once
 	v    T
 	err  error
 }
 
+var errBuildPanicked = errors.New("scenario: building a run input panicked")
+
 func (l *lazy[T]) get(f func() (T, error)) (T, error) {
-	l.once.Do(func() { l.v, l.err = f() })
+	l.once.Do(func() {
+		l.err = errBuildPanicked
+		l.v, l.err = f()
+	})
 	return l.v, l.err
 }
 
 // NewInputs returns an empty memo of sc's run inputs.
 func NewInputs(sc Scenario) *Inputs {
 	return &Inputs{sc: sc, parts: map[partKey]*partInputs{}}
+}
+
+// Partitions is how many partitions the memo holds, the one part that grows.
+func (in *Inputs) Partitions() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.parts)
 }
 
 // Run is Scenario.Run with the inputs taken from the memo.
@@ -453,7 +467,7 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 // initData is the InitData of every run configured from the memo: the
 // scenario's values for the whole graph, built by the first call.
 func (in *Inputs) initData(id graph.NodeID) platform.NodeData {
-	data, _ := in.data.get(func() ([]platform.NodeData, error) {
+	data, err := in.data.get(func() ([]platform.NodeData, error) {
 		g, _ := in.graph.get(in.sc.Graph)
 		data := make([]platform.NodeData, g.NumVertices())
 		for v := range data {
@@ -461,6 +475,9 @@ func (in *Inputs) initData(id graph.NodeID) platform.NodeData {
 		}
 		return data, nil
 	})
+	if err != nil { // only errBuildPanicked: the build above returns none
+		panic(err)
+	}
 	return data[id]
 }
 

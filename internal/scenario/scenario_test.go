@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -653,5 +654,37 @@ func TestInputsBuildOncePerKey(t *testing.T) {
 	}
 	if n := inits.Load(); n != 0 {
 		t.Errorf("a resumed run called InitData %d times", n)
+	}
+}
+
+// TestPanickedBuildIsAnError: a build that panics re-panics in the get that
+// ran it, and every later get of that value returns errBuildPanicked, not a
+// zero value with a nil error, and does not build again.
+func TestPanickedBuildIsAnError(t *testing.T) {
+	base, _ := Lookup("hex32-fine")
+	var builds atomic.Int64
+	sc := base
+	sc.Graph = func() (*graph.Graph, error) {
+		if builds.Add(1) == 1 {
+			panic("graph generator failed")
+		}
+		return base.Graph()
+	}
+	in := NewInputs(sc)
+	p := Params{Procs: 2, Iterations: 2}
+	func() {
+		defer func() {
+			if r := recover(); r != "graph generator failed" {
+				t.Errorf("first run recovered %v, want the build's panic", r)
+			}
+		}()
+		in.Run(p)
+	}()
+	res, err := in.Run(p)
+	if !errors.Is(err, errBuildPanicked) || res != nil {
+		t.Errorf("second run returned (%v, %v), want errBuildPanicked", res, err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("the graph was built %d times, want once", n)
 	}
 }

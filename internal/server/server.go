@@ -95,6 +95,7 @@ type Server struct {
 	nextID   int
 	queued   chan *Job
 	draining bool
+	inputs   map[string]*scenario.Inputs // by scenario name, shared by its jobs (inputsOf)
 
 	persist    PersistStats
 	restoreErr error
@@ -114,6 +115,7 @@ func New(cfg Config) *Server {
 		cache:  newCellCache(cfg.CacheCells, cfg.StateDir),
 		jobs:   make(map[string]*Job),
 		usage:  make(map[string]*Usage),
+		inputs: make(map[string]*scenario.Inputs),
 		queued: make(chan *Job, cfg.QueueDepth),
 	}
 	s.mux = http.NewServeMux()
@@ -669,7 +671,8 @@ func (s *Server) run(j *Job) {
 // trace lines instead, so the job's non-state lines are exactly its trace.
 func (s *Server) execute(j *Job) (*experiments.SweepReport, error) {
 	tracker := newCellTracker(j.stream, j.Cells)
-	in := scenario.NewInputs(j.sc) // the inputs the job's simulated cells share
+	in, done := s.inputsOf(j.sc) // the inputs the job's cells share with its scenario's other jobs
+	defer done()
 	return experiments.RunSweepWith(j.sc, j.axes, func(sc scenario.Scenario, i int, p scenario.Params) (*scenario.Result, error) {
 		if testCellGate != nil {
 			testCellGate(j, i)
@@ -692,6 +695,31 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, error) {
 		}
 		return res, nil
 	})
+}
+
+// maxSharedPartitions bounds the partitions a scenario's shared memo keeps
+// between jobs. One is about 8 KB for the largest registered graph
+// (battlefield, 1 024 nodes): at most 13 x 64 x 8 KB, about 7 MB, in all.
+const maxSharedPartitions = 64
+
+// inputsOf returns the memo of sc's run inputs that all of sc's jobs on the
+// server share (registered names are unique); it is not the cell cache and
+// is never persisted. done drops it if it holds more than
+// maxSharedPartitions partitions; a job still running keeps the memo it took.
+func (s *Server) inputsOf(sc scenario.Scenario) (in *scenario.Inputs, done func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if in = s.inputs[sc.Name]; in == nil {
+		in = scenario.NewInputs(sc)
+		s.inputs[sc.Name] = in
+	}
+	return in, func() {
+		s.mu.Lock()
+		if s.inputs[sc.Name] == in && in.Partitions() > maxSharedPartitions {
+			delete(s.inputs, sc.Name)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // cell runs one of j's cells through the cell cache and reports whether

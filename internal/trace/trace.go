@@ -15,8 +15,9 @@
 // pin. The recorder is allocation-conscious — Start preallocates every
 // per-iteration slot, and the per-rank record path writes into disjoint
 // preallocated slots, taking a lock only while the recorder is followed
-// live (Follow) — so tracing never perturbs the simulated timeline and
-// adds little host-side cost.
+// live (Follow) — so tracing never perturbs the simulated timeline. Its
+// host-side cost is measured, not small: see the benchmark's
+// trace.record_overhead_pct row (docs/benchmarks.md).
 //
 // See the "Telemetry & docgen" section of docs/architecture.md for where
 // in the run loop each event is emitted.
