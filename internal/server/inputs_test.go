@@ -111,20 +111,21 @@ func TestJobsShareInputs(t *testing.T) {
 		"procs=2,8;iters=4;network=mesh2d,fattree",
 	}
 	const wide = "procs=1,2,3,4,5,6,7,8,9,10,11,12;iters=1;partitioner=metis,pagrid;network=hypercube,mesh2d,fattree"
-	want := map[string][]byte{}
-	keys := map[[3]string]bool{} // the (partitioner, network, procs) keys of sweeps
-	for _, sweep := range append(sweeps[:len(sweeps):len(sweeps)], wide) {
+	want := map[string][]byte{wide: sweepJSON(t, sc, wide)}
+	type partKey struct {
+		partitioner, network string
+		procs                int
+	}
+	keys := map[partKey]bool{} // the partition keys of sweeps
+	for _, sweep := range sweeps {
 		want[sweep] = sweepJSON(t, sc, sweep)
-		if sweep == wide {
-			continue
-		}
 		ax, _ := experiments.ParseAxes(sweep)
 		for _, p := range ax.Cells() {
 			np, err := sc.Normalize(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys[[3]string{np.Partitioner, np.Network, fmt.Sprint(np.Procs)}] = true
+			keys[partKey{np.Partitioner, np.Network, np.Procs}] = true
 		}
 	}
 	graphs.Store(0)
@@ -160,8 +161,11 @@ func TestJobsShareInputs(t *testing.T) {
 	s.mu.Lock()
 	in := s.inputs[sc.Name]
 	s.mu.Unlock()
-	if in == nil || in.Partitions() != len(keys) {
-		t.Fatalf("the shared memo is %v, want one holding the jobs' %d partitions", in, len(keys))
+	if in == nil {
+		t.Fatal("no shared memo after four jobs")
+	}
+	if n := in.Partitions(); n != len(keys) {
+		t.Fatalf("the shared memo holds %d partitions, want the jobs' %d", n, len(keys))
 	}
 
 	check(queueJob(t, s, sc, wide), wide)
