@@ -200,6 +200,22 @@ func BenchmarkParseAndEnumerate(b *testing.B) {
 	}
 }
 
+// TestCellKeyPinned holds one full key byte for byte. Persisted cells are
+// named by its sha256 and shard manifests compare it, so a change to its
+// spelling orphans every stored cell. Every field is set away from its
+// default except buffers, whose one accepted value is the default.
+func TestCellKeyPinned(t *testing.T) {
+	key, err := CellKey(mustScenario("heat"), scenario.Params{
+		Procs: 12, Partitioner: "pagrid", Exchange: "overlap", Buffers: "pooled",
+		Balancer: "diffusion", Network: "mesh2d", Perturb: "chaos@7", Kernel: "pevent",
+		Iterations: 33, BalanceEvery: 4, BalanceRounds: 3,
+	})
+	const want = "v1|heat|procs=12|part=pagrid|exchange=overlap|buffers=pooled|balancer=diffusion|network=mesh2d|perturb=chaos@7|kernel=pevent|iters=33|balevery=4|balrounds=3"
+	if err != nil || key != want {
+		t.Errorf("CellKey = %q (%v), want %q", key, err, want)
+	}
+}
+
 // TestCellKeyEchoesKernelName: every kernel name selects the same bytes,
 // but each is still accepted, echoed by Normalize and carried in the cell
 // key, because persisted keys, reports and snapshots name it.

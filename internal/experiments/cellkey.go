@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"ic2mpi/internal/scenario"
 )
@@ -23,7 +23,23 @@ func CellKey(sc scenario.Scenario, p scenario.Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("v1|%s|procs=%d|part=%s|exchange=%s|buffers=%s|balancer=%s|network=%s|perturb=%s|kernel=%s|iters=%d|balevery=%d|balrounds=%d",
-		sc.Name, np.Procs, np.Partitioner, np.Exchange, np.Buffers, np.Balancer,
-		np.Network, np.Perturb, np.Kernel, np.Iterations, np.BalanceEvery, np.BalanceRounds), nil
+	// The daemon builds a key per cell per job, so it is appended into one
+	// buffer sized for the registered scenarios' keys; a longer one grows.
+	b := make([]byte, 0, 192)
+	b = append(append(b, "v1|"...), sc.Name...)
+	b = strconv.AppendInt(append(b, "|procs="...), int64(np.Procs), 10)
+	for _, f := range [...][2]string{
+		{"|part=", np.Partitioner}, {"|exchange=", np.Exchange}, {"|buffers=", np.Buffers},
+		{"|balancer=", np.Balancer}, {"|network=", np.Network}, {"|perturb=", np.Perturb},
+		{"|kernel=", np.Kernel},
+	} {
+		b = append(append(b, f[0]...), f[1]...)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"|iters=", np.Iterations}, {"|balevery=", np.BalanceEvery}, {"|balrounds=", np.BalanceRounds}} {
+		b = strconv.AppendInt(append(b, f.name...), int64(f.v), 10)
+	}
+	return string(b), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -13,6 +14,12 @@ import (
 // all measured values are deterministic virtual times, so re-running the
 // same experiment yields byte-identical output — suitable for CI
 // artifacts and trajectory files.
+//
+// Every indented JSON document the program writes — a JSON report, a
+// daemon response, a shard manifest — is json.Marshal's compact bytes
+// passed through AppendIndent, the one indenter. Its byte contract is
+// encoding/json's indented form with prefix "" and indent "  ", plus a
+// trailing newline; FuzzIndent holds it to that.
 
 // Formats returns the accepted WriteReport format names.
 func Formats() []string { return []string{"text", "json", "csv"} }
@@ -107,9 +114,61 @@ func writeJSON(w io.Writer, reps []Report) error {
 		}
 		doc.Reports = append(doc.Reports, jr)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(AppendIndent(nil, data))
+	return err
+}
+
+// AppendIndent appends src, compact JSON exactly as json.Marshal writes
+// it, to dst, indented with prefix "" and indent "  ", and then a newline.
+// It makes one pass: strings are copied verbatim, a line break and the
+// indentation go after every opening bracket and comma and before every
+// closing bracket, a space after every colon, and an empty {} or [] stays
+// on one line. src must not overlap dst's spare capacity.
+func AppendIndent(dst, src []byte) []byte {
+	dst = slices.Grow(dst, 2*len(src)) // room for the indentation, in one allocation
+	depth, from := 0, 0                // src[from:i] is scanned but not yet appended
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case ':':
+			dst = append(append(dst, src[from:i+1]...), ' ')
+			from = i + 1
+		case ',':
+			dst = newline(append(dst, src[from:i+1]...), depth)
+			from = i + 1
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				continue
+			}
+			depth++
+			dst = newline(append(dst, src[from:i+1]...), depth)
+			from = i + 1
+		case '}', ']':
+			depth--
+			dst = newline(append(dst, src[from:i]...), depth)
+			from = i
+		}
+	}
+	return append(append(dst, src[from:]...), '\n')
+}
+
+// newline appends a line break and depth levels of indentation.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, "  "...)
+	}
+	return dst
 }
 
 // ftoa renders a float with Go's shortest round-trip representation,

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,6 +61,47 @@ func FuzzParseAxes(f *testing.F) {
 			if v < 1 {
 				t.Errorf("ParseAxes(%q) accepted non-positive iterations %d", spec, v)
 			}
+		}
+	})
+}
+
+// FuzzIndent holds AppendIndent to its byte contract: for any valid JSON,
+// compacted as json.Marshal would write it, the output equals encoding/json's
+// own indentation with prefix "" and indent "  ", plus a newline. The
+// corpus is seeded with the daemon's golden response documents and with
+// strings that spell brackets, commas, colons and escaped quotes.
+func FuzzIndent(f *testing.F) {
+	docs, err := filepath.Glob("../server/testdata/*.json")
+	if err != nil || len(docs) == 0 {
+		f.Fatalf("no server documents to seed the corpus (%v)", err)
+	}
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, doc := range []string{
+		`{}`, `[]`, `[{},[],{"a":[]}]`, `"x"`, `0`, `null`,
+		`{"a\"b":"c\\","d":["{","[",",",":","]","}"]}`,
+		`{"\u003chtml\u003e":-1.5e-7,"t":true,"f":false,"n":null}`,
+		`[[[[1,2],[3]],[]],{"k":{"k":{"k":{}}}}]`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var src bytes.Buffer
+		if json.Compact(&src, doc) != nil {
+			return // not JSON: AppendIndent only ever sees json.Marshal's output
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, src.Bytes(), "", "  "); err != nil {
+			t.Fatalf("json.Indent refused compacted JSON %q: %v", src.Bytes(), err)
+		}
+		want.WriteByte('\n')
+		if got := AppendIndent(nil, src.Bytes()); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("AppendIndent(%q):\n%s\nwant:\n%s", src.Bytes(), got, want.Bytes())
 		}
 	})
 }

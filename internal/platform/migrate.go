@@ -312,6 +312,9 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 	s.ownOwner()
 	touched := false
 	for _, m := range round {
+		if s.cfg.Trace != nil && s.me == 0 {
+			s.cut += s.cutDelta(m)
+		}
 		s.owner[m.node] = m.to
 		touched = touched || m.from == s.me || m.to == s.me || s.nodeState != nil && s.table.Lookup(m.node) != nil
 	}
@@ -319,6 +322,22 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 		s.reclassifyAll()
 	}
 	return s.comm.Barrier()
+}
+
+// cutDelta is how much m changes the weighted edge cut of the owner map,
+// read before m is committed: an edge to a node on m.from becomes cut, an
+// edge to a node on m.to stops being cut, and any other edge stays cut.
+func (s *rankState) cutDelta(m migration) int {
+	g, d := s.cfg.Graph, 0
+	for i, u := range g.Adj[m.node] {
+		switch s.owner[u] {
+		case m.from:
+			d += g.EdgeWeightAt(m.node, i)
+		case m.to:
+			d -= g.EdgeWeightAt(m.node, i)
+		}
+	}
+	return d
 }
 
 // migration is one planned task movement. cost is the node's observed

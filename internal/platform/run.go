@@ -91,6 +91,9 @@ func Run(cfg Config) (*Result, error) {
 		if c.Trace != nil {
 			prevPhase = st.phase
 			prevStats = comm.Stats()
+			if st.me == 0 {
+				st.cut = partitionCut(c.Graph, st.owner)
+			}
 		}
 		for iter := firstIter; iter <= c.Iterations; iter++ {
 			if tv != nil {
@@ -144,8 +147,9 @@ func Run(cfg Config) (*Result, error) {
 				prevStats = stats
 				if st.me == 0 {
 					// The owner map is rank-local state, synchronized by the
-					// migration barriers, so rank 0's copy is current here.
-					c.Trace.RecordEdgeCut(iter, partitionCut(c.Graph, st.owner))
+					// migration barriers, so rank 0's running cut of it is
+					// current here.
+					c.Trace.RecordEdgeCut(iter, st.cut)
 				}
 			}
 			if col != nil && iter%c.CheckpointEvery == 0 && iter < c.Iterations {
@@ -197,10 +201,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// partitionCut is the live edge-cut the trace subsystem samples at the
-// end of every iteration: the canonical weighted cut every other report
-// in the system uses. owner always has one entry per vertex here, so the
-// length error is impossible.
+// partitionCut is the canonical weighted edge cut every other report in
+// the system uses; a traced run counts it once at its start and keeps it
+// current through migrateRound's deltas. owner always has one entry per
+// vertex here, so the length error is impossible.
 func partitionCut(g *graph.Graph, owner []int) int {
 	cut, _ := g.EdgeCut(owner)
 	return cut

@@ -82,6 +82,11 @@ type rankState struct {
 	balHist []LoadSample
 
 	migrations int
+	// cut is the weighted edge cut of owner, which the trace records after
+	// every iteration. Kept on rank 0 of a traced run only: Run counts it
+	// once from the owner map the run starts with, and migrateRound adds
+	// each committed move's change.
+	cut int
 	// elapsed is the rank's time from start to the final barrier, which
 	// Run folds into Result.Elapsed.
 	elapsed float64
@@ -389,6 +394,11 @@ func (n *nodeState) numOwned() int {
 // Config.CheckInvariants set call it after every iteration and after
 // every migration round.
 func (s *rankState) checkInvariants() error {
+	if s.cfg.Trace != nil && s.me == 0 {
+		if want := partitionCut(s.cfg.Graph, s.owner); s.cut != want {
+			return fmt.Errorf("rank 0: running edge cut %d, owner map gives %d", s.cut, want)
+		}
+	}
 	if s.nodeState == nil {
 		if v := slices.Index(s.owner, s.me); v >= 0 {
 			return fmt.Errorf("rank %d: holds no node state but owns node %d", s.me, v)

@@ -230,13 +230,17 @@ func (s *Server) routes() {
 // ---- encoding helpers ----
 
 // writeJSON renders v indented — job documents double as human-readable
-// curl output and as byte-stable golden fixtures.
+// curl output and as byte-stable golden fixtures. The bytes are
+// json.Marshal's passed through experiments.AppendIndent, the program's
+// one indenter: two-space indentation and a trailing newline, exactly
+// encoding/json's indented form. A value that does not marshal leaves
+// the body empty.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if data, err := json.Marshal(v); err == nil {
+		w.Write(experiments.AppendIndent(nil, data))
+	}
 }
 
 // apiError is the structured error body of every non-2xx response.

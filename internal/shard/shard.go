@@ -130,11 +130,11 @@ func New(sc scenario.Scenario, spec string, ax experiments.Axes, shards int) (*M
 // definitions and all values are deterministic, so encoding the same
 // manifest state always yields identical bytes.
 func (m *Manifest) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	return append(data, '\n'), nil
+	return experiments.AppendIndent(nil, data), nil
 }
 
 // Parse decodes and validates a manifest. It is strict: unknown fields,
