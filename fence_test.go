@@ -213,6 +213,21 @@ var deletedNames = []struct {
 		excludeDir: "bench",
 	},
 	{
+		name:    "a layout holds no run's values",
+		reason:  "every run of a partition shares its platform.Layout, so node data, observed costs, send buffers and pointers into a run's entries stay out of the layout's types (Layout, rankLayout, ownNode, peer, HashTable)",
+		pattern: `NodeData|lastCost|shadowUpdate|\*entry\b|\bpools?\b|\bents\b`,
+		paths:   []string{"internal/platform/layout.go", "internal/platform/hashtable.go"},
+	},
+	{
+		name:    "graph and partition checked where their layout is built",
+		reason:  "a run's graph and initial partition are checked once, in NewLayout, not again by every run that shares the layout; the third line is validateResume's check of a snapshot's own owner map",
+		pattern: `\.Validate\(\)|partition\.Validate\(`,
+		paths:   []string{"internal/platform"},
+		include: "*.go",
+		exclude: "*_test.go",
+		lines:   3,
+	},
+	{
 		name:    "one memo per scenario in the daemon",
 		reason:  "a scenario's jobs share the server's memo of its inputs, made only in inputsOf, so a per-job memo that rebuilds every graph and partition cannot come back",
 		pattern: `scenario\.NewInputs\(`,

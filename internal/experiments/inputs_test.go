@@ -16,7 +16,8 @@ import (
 // Scenario.Run, at Parallelism 1 and 4. Two sweeps are checked: procs ×
 // balancer × network, and a PaGrid sweep, where the network changes the
 // partition. Each RunSweep generates its graph once and builds the initial
-// node data once.
+// node data once, and the cells of a sweep on one memo, as RunSweep runs
+// them, build one layout per partition key.
 func TestSweepSharesInputs(t *testing.T) {
 	base := mustScenario("hex32-fine")
 	g, err := base.Graph()
@@ -73,6 +74,14 @@ func TestSweepSharesInputs(t *testing.T) {
 				t.Errorf("%s at parallelism %d: %d graph generations and %d InitData calls, want 1 and %d",
 					spec, par, graphs.Load(), inits.Load(), g.NumVertices())
 			}
+			in := scenario.NewInputs(sc)
+			got := encode(RunSweepWith(sc, ax, func(_ scenario.Scenario, _ int, p scenario.Params) (*scenario.Result, error) {
+				return in.Run(p)
+			}))
+			if !bytes.Equal(got, want) || in.Layouts() != in.Partitions() || in.Partitions() != partitionKeys(t, sc, ax) {
+				t.Errorf("%s at parallelism %d: %d layouts and %d partitions for %d partition keys, or other bytes",
+					spec, par, in.Layouts(), in.Partitions(), partitionKeys(t, sc, ax))
+			}
 		}
 		graphs.Store(0)
 		if spec == pagrid {
@@ -88,4 +97,23 @@ func TestSweepSharesInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// partitionKeys counts the distinct (partitioner, network, procs) of the
+// cells of ax.
+func partitionKeys(t *testing.T, sc scenario.Scenario, ax Axes) int {
+	t.Helper()
+	type key struct {
+		partitioner, network string
+		procs                int
+	}
+	keys := map[key]bool{}
+	for _, p := range ax.Cells() {
+		np, err := sc.Normalize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[key{np.Partitioner, np.Network, np.Procs}] = true
+	}
+	return len(keys)
 }

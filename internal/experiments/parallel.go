@@ -102,20 +102,24 @@ func forEachParallel(n int, fn func(int)) {
 	}
 	var next atomic.Int64
 	next.Store(-1)
+	work := func() {
+		for {
+			i := int(next.Add(1))
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	wg.Add(w - 1)
+	for range w - 1 {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work() // the caller is a worker too: a daemon worker's grown stack runs a share
 	wg.Wait()
 }
 

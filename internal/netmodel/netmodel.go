@@ -294,6 +294,16 @@ func Names() []string {
 	return names
 }
 
+// Known reports whether New accepts name, without building Names' slice.
+func Known(name string) bool {
+	for _, m := range machines {
+		if m.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // New resolves a model name to a machine over procs processors with the
 // Origin 2000 base parameters — the single construction path scenarios
 // and the experiments network axis share. The empty name resolves to

@@ -15,7 +15,7 @@ import (
 )
 
 // rankShape is what two builds of one rank must agree on, with ids where
-// their pointers differ.
+// their entry indices differ.
 type rankShape struct {
 	Me         int
 	Speed      float64
@@ -24,10 +24,10 @@ type rankShape struct {
 	Peripheral []graph.NodeID
 	ShadowFor  [][]int32        // per node, internal ones first
 	Nbr        [][]graph.NodeID // per node: the ids of its resolved entries
-	Out        [][]int          // per peripheral node: whose pool each send goes to
+	Out        [][]int          // per peripheral node: whose buffers each send goes to
 	Peers      []peerShape
 	Buckets    [][]tableRow
-	SpareLinks int
+	Pools      int // send-buffer pairs
 	Phase      [NumPhases]float64
 	WorkTime   float64
 	Migrations int
@@ -58,44 +58,43 @@ func shape(s *rankState) rankShape {
 	if s.nodeState == nil {
 		return sh
 	}
-	sh.Holds, sh.SpareLinks = true, cap(s.table.slab)-len(s.table.slab)
+	sh.Holds, sh.Pools = true, len(s.pools)
 	for _, node := range s.internal {
 		sh.Internal = append(sh.Internal, node.id)
 	}
+	owned := map[int32]bool{}
 	for _, node := range s.peripheral {
 		sh.Peripheral = append(sh.Peripheral, node.id)
 		procs := []int{}
-		for _, pool := range node.out {
-			i := slices.IndexFunc(s.peers, func(pe peer) bool { return pe.pool == pool })
-			if i < 0 {
-				procs = append(procs, -1)
-				continue
-			}
-			procs = append(procs, s.peers[i].proc)
+		for _, k := range node.out {
+			procs = append(procs, s.peers[k].proc)
 		}
 		sh.Out = append(sh.Out, procs)
 	}
 	for _, node := range slices.Concat(s.internal, s.peripheral) {
+		owned[node.self] = true
 		sh.ShadowFor = append(sh.ShadowFor, append([]int32{}, node.shadowFor...))
 		ids := []graph.NodeID{}
-		for _, e := range node.nbr {
-			ids = append(ids, e.id)
+		for _, k := range node.nbr {
+			ids = append(ids, s.table.ID(k))
 		}
 		sh.Nbr = append(sh.Nbr, ids)
 	}
 	for _, pe := range s.peers {
 		in := []graph.NodeID{}
-		for _, e := range pe.in {
-			in = append(in, e.id)
+		for _, k := range pe.in {
+			in = append(in, s.table.ID(k))
 		}
 		sh.Peers = append(sh.Peers, peerShape{Proc: pe.proc, Send: pe.send, In: in})
 	}
 	for _, link := range s.table.buckets {
 		rows := []tableRow{}
-		for ; link != nil; link = link.next {
-			row := tableRow{ID: link.id, Data: link.data.data, Recent: link.data.mostRecent}
-			if own := link.data.own; own != nil {
-				row.Owned, row.LastCost = true, own.lastCost
+		for ; link != 0; link = s.table.links[link-1].next {
+			k := link - 1
+			e := s.ents[k]
+			row := tableRow{ID: s.table.ID(k), Data: e.data, Recent: e.mostRecent}
+			if owned[k] {
+				row.Owned, row.LastCost = true, e.lastCost
 			}
 			rows = append(rows, row)
 		}
@@ -343,11 +342,13 @@ func TestResumeRefusesMissingShadowBeforeLaunch(t *testing.T) {
 	}
 }
 
-// TestWindowsStayApart migrates nodes into rank 1 until its node-list,
-// peer and chain-link windows overflow, on two and on four genuine
-// workers, and checks that rank 2, whose windows follow rank 1's in every
-// machine-wide array, finds them as the builder left them. Under -race a
-// write into a neighbour's window from another worker is also a report.
+// TestWindowsStayApart migrates nodes into rank 1 until its entry and
+// send-buffer windows overflow, on two and on four genuine workers, and
+// checks that rank 2, whose windows follow rank 1's in every machine-wide
+// array, still holds exactly the values its own nodes computed, and that
+// the run's layout, which rank 1 copied its part of before the first
+// migration, is as the builder left it. Under -race a write into a
+// neighbour's window from another worker is also a report.
 //
 //	rank 0: a1..a4 and k; each a_i touches m, k and t_i
 //	rank 1: m
@@ -365,12 +366,18 @@ func TestWindowsStayApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const iterations = 6
 	for _, workers := range []int{2, 4} {
 		t.Run(fmt.Sprintf("pevent workers=%d", workers), func(t *testing.T) {
 			cfg := baseConfig(g, 8)
 			cfg.InitialPartition = []int{m: 1, 1: 0, 2: 0, 3: 0, 4: 0, k: 0, 6: 3, 7: 4, 8: 5, 9: 6, q0: 2, q1: 2, w: 7}
 			cfg.Balancer = skewedBalancer{}
 			cfg.DisableMigrationGuard = true
+			cfg.Iterations = iterations
+			want, err := RunSequential(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c, err := cfg.normalize()
 			if err != nil {
 				t.Fatal(err)
@@ -379,15 +386,9 @@ func TestWindowsStayApart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, r2 := &ranks[1], &ranks[2]
-			nodesCap, peersCap, linksCap := cap(r1.peripheral), cap(r1.peers), cap(r1.table.slab)
-			lists := [2][]*ownNode{r2.internal, r2.peripheral}
-			wantLists := [2][]*ownNode{slices.Clone(r2.internal), slices.Clone(r2.peripheral)}
-			peers, wantPeers := r2.peers, slices.Clone(r2.peers)
-			links := r2.table.slab[:cap(r2.table.slab)]
-			wantLinks := slices.Clone(links)
+			r1 := &ranks[1]
+			entsCap, poolsCap := cap(r1.ents), cap(r1.pools)
 
-			const iterations = 6
 			opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: mpi.KernelParallelEvent, Workers: workers}
 			err = mpi.Run(opts, func(comm *mpi.Comm) error {
 				st := &ranks[comm.Rank()]
@@ -416,29 +417,30 @@ func TestWindowsStayApart(t *testing.T) {
 			if got := ranks[0].migrations; got != 4 {
 				t.Fatalf("%d migrations, want a1..a4 moved to rank 1", got)
 			}
-			links1 := 0
-			for _, link := range r1.table.buckets {
-				for ; link != nil; link = link.next {
-					links1++
+			if len(r1.ents) <= entsCap || len(r1.pools) <= poolsCap {
+				t.Fatalf("rank 1 holds %d entries (window %d) and %d send-buffer pairs (%d): the test does not overflow its windows",
+					len(r1.ents), entsCap, len(r1.pools), poolsCap)
+			}
+			if r1.rankLayout == &c.Layout.parts[1] {
+				t.Fatal("rank 1 migrated on the run's shared layout part")
+			}
+			for r := range ranks {
+				st := &ranks[r]
+				if st.nodeState == nil {
+					continue
+				}
+				for _, node := range slices.Concat(st.internal, st.peripheral) {
+					if got := st.ents[node.self].data; got != want[node.id] {
+						t.Errorf("rank %d holds %v for node %d, the sequential run %v", r, got, node.id, want[node.id])
+					}
 				}
 			}
-			if len(r1.peripheral) <= nodesCap || len(r1.peers) <= peersCap || links1 <= linksCap {
-				t.Fatalf("rank 1 holds %d peripheral nodes (window %d), %d peers (%d), %d chain links (%d): the test does not overflow its windows",
-					len(r1.peripheral), nodesCap, len(r1.peers), peersCap, links1, linksCap)
+			fresh, err := NewLayout(g, cfg.InitialPartition, 8)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range lists {
-				if !slices.Equal(lists[i], wantLists[i]) {
-					t.Errorf("rank 2's node-list window %d changed", i)
-				}
-			}
-			for i, pe := range peers {
-				want := wantPeers[i]
-				if pe.proc != want.proc || pe.send != want.send || pe.pool != want.pool || !slices.Equal(pe.in, want.in) {
-					t.Errorf("rank 2's peer window slot %d changed", i)
-				}
-			}
-			if !slices.Equal(links, wantLinks) {
-				t.Error("rank 2's chain-link window changed")
+			if !reflect.DeepEqual(c.Layout, fresh) {
+				t.Error("the run's layout changed under its migrations")
 			}
 		})
 	}

@@ -172,29 +172,24 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 	// anything else in the hash table is a stale shadow that is always
 	// overwritten before its next read, so it is dropped rather than
 	// serialized.
-	live := make([]*entry, 0, s.numOwned())
-	if s.nodeState != nil {
-		for _, node := range s.internal {
-			live = append(live, node.self)
-		}
-		for _, node := range s.peripheral {
-			live = append(live, node.self)
-		}
-		for _, pe := range s.peers {
-			live = append(live, pe.in...)
-		}
-	}
 	rs.History = slices.Clone(s.balHist)
-	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
-	rs.Nodes = make([]NodeSnap, len(live))
-	for i, e := range live {
-		ns := NodeSnap{ID: e.id, Data: e.data}
-		if e.own != nil {
-			ns.Owned = true
-			ns.LastCost = e.own.lastCost
-		}
-		rs.Nodes[i] = ns
+	if s.nodeState == nil {
+		rs.Nodes = []NodeSnap{}
+		return rs
 	}
+	rs.Nodes = make([]NodeSnap, 0, len(s.table.links))
+	for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
+		for _, node := range list {
+			e := &s.ents[node.self]
+			rs.Nodes = append(rs.Nodes, NodeSnap{ID: node.id, Owned: true, LastCost: e.lastCost, Data: e.data})
+		}
+	}
+	for _, pe := range s.peers {
+		for _, k := range pe.in {
+			rs.Nodes = append(rs.Nodes, NodeSnap{ID: s.table.ID(k), Data: s.ents[k].data})
+		}
+	}
+	slices.SortFunc(rs.Nodes, func(a, b NodeSnap) int { return cmp.Compare(a.ID, b.ID) })
 	return rs
 }
 

@@ -76,19 +76,19 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 }
 
 // nextBuffers starts an exchange: it moves s.gen to the other generation of
-// peer.pool and empties that generation of every peer's send buffer, sized
+// the pools and empties that generation of every peer's send buffer, sized
 // from peer.send ("the data structure chosen for the communication buffers
 // gives optimum memory usage"). Once capacities have warmed up an exchange
-// allocates nothing, under Fig. 8 and Fig. 8a alike; the peer.pool comment
-// in state.go says why a two-generation gap is sufficient.
+// allocates nothing, under Fig. 8 and Fig. 8a alike; the nodeState.pools
+// comment in state.go says why a two-generation gap is sufficient.
 func (s *rankState) nextBuffers() {
 	s.gen ^= 1
-	for i := range s.peers {
-		pe := &s.peers[i]
-		if cap(pe.pool[s.gen]) < pe.send {
-			pe.pool[s.gen] = make([]shadowUpdate, 0, pe.send)
+	for i := range s.pools {
+		buf, send := &s.pools[i][s.gen], s.peers[i].send
+		if cap(*buf) < send {
+			*buf = make([]shadowUpdate, 0, send)
 		}
-		pe.pool[s.gen] = pe.pool[s.gen][:0]
+		*buf = (*buf)[:0]
 	}
 }
 
@@ -97,7 +97,8 @@ func (s *rankState) nextBuffers() {
 // update into the outgoing buffers. Time is attributed to the compute and
 // overhead phases exactly as Figures 21-22 split them.
 func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
-	e := node.self
+	ents := s.ents
+	e := &ents[node.self]
 	// Computation overhead: form the list of the node and its neighbors, in
 	// the one list every call on this rank recycles.
 	t0 := s.comm.Wtime()
@@ -105,7 +106,8 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 		s.nbrScratch = make([]Neighbor, len(node.nbr))
 	}
 	neighbors := s.nbrScratch[:len(node.nbr)]
-	for i, nb := range node.nbr {
+	for i, k := range node.nbr {
+		nb := &ents[k]
 		neighbors[i] = Neighbor{ID: nb.id, Data: nb.data}
 	}
 	s.comm.Charge(float64(len(neighbors)+1) * listPerNeighbor)
@@ -128,9 +130,9 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	t2 := s.comm.Wtime()
 	s.phase[PhaseCompute] += t2 - t1
 	if sub == 0 {
-		node.lastCost = 0
+		e.lastCost = 0
 	}
-	node.lastCost += t2 - t1
+	e.lastCost += t2 - t1
 
 	// Update the data node list (most_recent_data).
 	e.mostRecent = newData
@@ -140,9 +142,9 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 
 	// Pack updated peripheral node data into communication buffers, one
 	// per destination of the node's send plan.
-	if node.peripheral {
-		for _, pool := range node.out {
-			buf := &pool[s.gen]
+	if len(node.out) > 0 {
+		for _, k := range node.out {
+			buf := &s.pools[k][s.gen]
 			*buf = append(*buf, shadowUpdate{id: node.id, data: newData})
 			s.comm.Charge(packPerNode)
 		}
@@ -155,11 +157,11 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 // ("update data to most recent data before the next iteration").
 func (s *rankState) flipMostRecent() {
 	t0 := s.comm.Wtime()
-	for _, node := range s.internal {
-		node.self.data = node.self.mostRecent
-	}
-	for _, node := range s.peripheral {
-		node.self.data = node.self.mostRecent
+	for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
+		for _, node := range list {
+			e := &s.ents[node.self]
+			e.data = e.mostRecent
+		}
 	}
 	s.comm.Charge(float64(s.numOwned()) * updatePerNode)
 	s.phase[PhaseComputeOverhead] += s.comm.Wtime() - t0
@@ -170,8 +172,9 @@ func (s *rankState) flipMostRecent() {
 // plan.
 func (s *rankState) sendBuffers(sub int) error {
 	t0 := s.comm.Wtime()
-	for _, pe := range s.peers {
-		if err := s.comm.Isend(pe.proc, tagShadow(sub), &pe.pool[s.gen], updateBytes(pe.pool[s.gen])); err != nil {
+	for i, pe := range s.peers {
+		buf := &s.pools[i][s.gen]
+		if err := s.comm.Isend(pe.proc, tagShadow(sub), buf, updateBytes(*buf)); err != nil {
 			return err
 		}
 	}
@@ -202,8 +205,9 @@ func (s *rankState) recvShadows(sub int) error {
 			return fmt.Errorf("platform: rank %d received %d updates from proc %d, expected %d",
 				s.me, len(buf), pe.proc, len(pe.in))
 		}
+		ents := s.ents
 		for k, u := range buf {
-			e := pe.in[k]
+			e := &ents[pe.in[k]]
 			if e.id != u.id {
 				return fmt.Errorf("platform: rank %d: update %d from proc %d is for node %d, expected node %d",
 					s.me, k, pe.proc, u.id, e.id)
@@ -222,11 +226,10 @@ func (s *rankState) recvShadows(sub int) error {
 func (s *rankState) gatherFinalData() ([]NodeData, error) {
 	own := make([]shadowUpdate, 0, s.numOwned())
 	if s.nodeState != nil {
-		for _, node := range s.internal {
-			own = append(own, shadowUpdate{id: node.id, data: node.self.data})
-		}
-		for _, node := range s.peripheral {
-			own = append(own, shadowUpdate{id: node.id, data: node.self.data})
+		for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
+			for _, node := range list {
+				own = append(own, shadowUpdate{id: node.id, data: s.ents[node.self].data})
+			}
 		}
 	}
 	all, err := s.comm.Gather(0, own, updateBytes(own))

@@ -16,7 +16,15 @@ func NewHashTable(buckets int) (*HashTable, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("platform: hash table needs >= 1 bucket, got %d", buckets)
 	}
-	return &HashTable{buckets: make([]*hashNode, buckets), slab: make([]hashNode, 0, buckets)}, nil
+	return &HashTable{buckets: make([]int32, buckets), links: make([]hashNode, 0, buckets)}, nil
+}
+
+// chain returns the ids on bucket b's chain, in chain order.
+func chain(h *HashTable, b int) (ids []graph.NodeID) {
+	for link := h.buckets[b]; link != 0; link = h.links[link-1].next {
+		ids = append(ids, h.links[link-1].id)
+	}
+	return ids
 }
 
 func TestHashTableBasics(t *testing.T) {
@@ -24,21 +32,21 @@ func TestHashTableBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{id: 7, data: IntData(42)}
-	if err := h.Insert(e); err != nil {
-		t.Fatal(err)
+	k, err := h.Insert(7)
+	if err != nil || k != 0 {
+		t.Fatalf("first insert returned (%d, %v), want entry 0", k, err)
 	}
-	if got := h.Lookup(7); got != e {
+	if got := h.Lookup(7); got != k || h.ID(k) != 7 {
 		t.Fatal("Lookup returned wrong entry")
 	}
-	if h.Lookup(8) != nil {
+	if h.Lookup(8) != -1 {
 		t.Fatal("Lookup found absent id")
 	}
-	if err := h.Insert(&entry{id: 7}); err == nil {
+	if _, err := h.Insert(7); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	if got := h.Lookup(7); got != e {
-		t.Fatal("a refused duplicate replaced the entry")
+	if got := h.Lookup(7); got != k || len(h.links) != 1 {
+		t.Fatal("a refused duplicate replaced the entry or added one")
 	}
 }
 
@@ -47,8 +55,8 @@ func TestHashTableRejectsBadConstruction(t *testing.T) {
 		t.Fatal("accepted 0 buckets")
 	}
 	h, _ := NewHashTable(4)
-	if err := h.Insert(nil); err == nil {
-		t.Fatal("accepted nil entry")
+	if _, err := h.Insert(-1); err == nil {
+		t.Fatal("accepted a negative id")
 	}
 }
 
@@ -61,21 +69,17 @@ func TestHashTableChaining(t *testing.T) {
 	}
 	ids := []graph.NodeID{9, 3, 7, 1, 5, 0, 8, 2, 6, 4}
 	for _, id := range ids {
-		if err := h.Insert(&entry{id: id, data: IntData(int64(id) * 10)}); err != nil {
+		if _, err := h.Insert(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range ids {
-		e := h.Lookup(id)
-		if e == nil || e.data != IntData(int64(id)*10) {
-			t.Fatalf("lookup %d failed", id)
+	for i, id := range ids {
+		if k := h.Lookup(id); k != int32(i) {
+			t.Fatalf("lookup %d = entry %d, want its insertion index %d", id, k, i)
 		}
 	}
 	// The single chain must hold every id once, in sorted order.
-	var seen []graph.NodeID
-	for cur := h.buckets[0]; cur != nil; cur = cur.next {
-		seen = append(seen, cur.id)
-	}
+	seen := chain(h, 0)
 	if len(seen) != len(ids) {
 		t.Fatalf("chain holds %d entries, want %d: %v", len(seen), len(ids), seen)
 	}
@@ -86,24 +90,30 @@ func TestHashTableChaining(t *testing.T) {
 	}
 }
 
+// TestHashTableSharedEntryPointer: an entry's location never moves. The C
+// original shares node_data pointers between the lists and the buckets;
+// here the lists hold entry indices, so the index Insert returns must keep
+// answering Lookup whatever is inserted after it.
 func TestHashTableSharedEntryPointer(t *testing.T) {
-	// Updating an entry through one reference must be visible through the
-	// table, as the C original shares node_data pointers.
-	h, _ := NewHashTable(8)
-	e := &entry{id: 3, data: IntData(1)}
-	if err := h.Insert(e); err != nil {
-		t.Fatal(err)
+	h, _ := NewHashTable(2)
+	k, _ := h.Insert(3)
+	for id := graph.NodeID(10); id < 40; id++ {
+		if _, err := h.Insert(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.data = IntData(99)
-	if h.Lookup(3).data != IntData(99) {
-		t.Fatal("update not visible through table")
+	if h.Lookup(3) != k || h.ID(k) != 3 {
+		t.Fatal("entry 3 moved under later inserts")
+	}
+	if len(h.links) != 31 {
+		t.Fatalf("%d entries after 31 inserts", len(h.links))
 	}
 }
 
 // Property: a model-based test against Go's map across random sequences
 // of the table's two operations. An entry, once in, must keep answering
-// Lookup with the same pointer whatever is inserted around it — what the
-// resolved pointers of ownNode rely on.
+// Lookup with the same index whatever is inserted around it — what the
+// resolved indices of ownNode rely on.
 func TestQuickHashTableMatchesMap(t *testing.T) {
 	f := func(seed int64, bucketsRaw uint8) bool {
 		buckets := int(bucketsRaw%16) + 1
@@ -111,37 +121,39 @@ func TestQuickHashTableMatchesMap(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		model := map[graph.NodeID]*entry{}
+		model := map[graph.NodeID]int32{}
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 300; op++ {
 			id := graph.NodeID(rng.Intn(40))
 			switch rng.Intn(2) {
 			case 0: // insert
-				e := &entry{id: id, data: IntData(int64(op))}
-				err := h.Insert(e)
+				k, err := h.Insert(id)
 				if _, exists := model[id]; exists {
 					if err == nil {
 						return false
 					}
 				} else {
-					if err != nil {
+					if err != nil || k != int32(len(model)) {
 						return false
 					}
-					model[id] = e
+					model[id] = k
 				}
 			case 1: // lookup
-				got := h.Lookup(id)
-				if got != model[id] {
+				want, ok := model[id]
+				if !ok {
+					want = -1
+				}
+				if h.Lookup(id) != want {
 					return false
 				}
 			}
 		}
-		for id, e := range model {
-			if h.Lookup(id) != e {
+		for id, k := range model {
+			if h.Lookup(id) != k || h.ID(k) != id {
 				return false
 			}
 		}
-		return true
+		return len(h.links) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -153,7 +165,7 @@ func TestQuickHashTableMatchesMap(t *testing.T) {
 // NewHashTable(1) builds.
 func TestHashTableZeroValue(t *testing.T) {
 	var h HashTable
-	if h.Lookup(3) != nil || h.buckets != nil || h.slab != nil {
+	if h.Lookup(3) != -1 || h.buckets != nil || h.links != nil {
 		t.Fatal("the zero table holds something")
 	}
 	want, err := NewHashTable(1)
@@ -162,19 +174,13 @@ func TestHashTableZeroValue(t *testing.T) {
 	}
 	for _, id := range []graph.NodeID{5, 2, 9} {
 		for _, table := range []*HashTable{&h, want} {
-			if err := table.Insert(&entry{id: id}); err != nil {
+			if _, err := table.Insert(id); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	chain := func(h *HashTable) (ids []graph.NodeID) {
-		for link := h.buckets[0]; link != nil; link = link.next {
-			ids = append(ids, link.id)
-		}
-		return ids
-	}
-	if len(h.buckets) != 1 || !slices.Equal(chain(&h), chain(want)) || cap(h.slab) != cap(want.slab) {
-		t.Fatalf("the zero table grew to %d buckets, chain %v, %d links; NewHashTable(1) to chain %v, %d links",
-			len(h.buckets), chain(&h), cap(h.slab), chain(want), cap(want.slab))
+	if len(h.buckets) != 1 || !slices.Equal(chain(&h, 0), chain(want, 0)) || len(h.links) != len(want.links) {
+		t.Fatalf("the zero table grew to %d buckets, chain %v, %d entries; NewHashTable(1) to chain %v, %d entries",
+			len(h.buckets), chain(&h, 0), len(h.links), chain(want, 0), len(want.links))
 	}
 }

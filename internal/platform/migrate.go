@@ -307,8 +307,8 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 	// Commit ownership changes everywhere; the first commit of a run is
 	// where a rank stops sharing the owner map. Only a rank the round
 	// touched rebuilds its bookkeeping: one that neither sent nor took a
-	// node and holds no entry for a moved one keeps the same
-	// classification, peers and plans.
+	// node and owns no neighbour of a moved one (a stale shadow is not
+	// enough) keeps the same classification, peers and plans.
 	s.ownOwner()
 	touched := false
 	for _, m := range round {
@@ -316,7 +316,8 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 			s.cut += s.cutDelta(m)
 		}
 		s.owner[m.node] = m.to
-		touched = touched || m.from == s.me || m.to == s.me || s.nodeState != nil && s.table.Lookup(m.node) != nil
+		touched = touched || m.from == s.me || m.to == s.me ||
+			slices.ContainsFunc(s.cfg.Graph.Adj[m.node], func(u graph.NodeID) bool { return s.owner[u] == s.me })
 	}
 	if touched {
 		s.reclassifyAll()
@@ -400,29 +401,30 @@ func (s *rankState) chooseMigratingNode(idle int) (graph.NodeID, int64) {
 			continue
 		}
 		score := 0
-		for _, nb := range node.nbr {
-			switch s.owner[nb.id] {
+		for _, u := range s.cfg.Graph.Adj[node.id] {
+			switch s.owner[u] {
 			case s.me:
 				score++
 			case idle:
 				score--
 			}
 		}
+		cost := s.ents[node.self].lastCost
 		better := false
 		switch {
 		case best == -1:
 			better = true
-		case node.lastCost > bestCost:
+		case cost > bestCost:
 			better = true
-		case node.lastCost == bestCost && score < bestScore:
+		case cost == bestCost && score < bestScore:
 			better = true
-		case node.lastCost == bestCost && score == bestScore && node.id < best:
+		case cost == bestCost && score == bestScore && node.id < best:
 			better = true
 		}
 		if better {
 			best = node.id
 			bestScore = score
-			bestCost = node.lastCost
+			bestCost = cost
 		}
 	}
 	if best == -1 {
@@ -449,22 +451,22 @@ func (s *rankState) executeMigration(m migration) error {
 
 // migrateOut is the busy processor's side.
 func (s *rankState) migrateOut(m migration) error {
-	e := s.table.Lookup(m.node)
-	if e == nil || e.own == nil {
+	if s.owner[m.node] != s.me {
 		return fmt.Errorf("platform: rank %d asked to migrate node %d it does not own", s.me, m.node)
 	}
-	node := e.own
-	if !node.peripheral {
+	i := slices.IndexFunc(s.peripheral, func(n *ownNode) bool { return n.id == m.node })
+	if i < 0 {
 		return fmt.Errorf("platform: rank %d: migrating node %d is not peripheral", s.me, m.node)
 	}
+	node := s.peripheral[i]
 	// Send the data of the migrating node's neighbors: "this is needed
 	// since the neighbors of the migrating node now become shadow nodes
 	// for the 'idle' processor". The node's own current data rides along
 	// so the destination does not depend on having held the shadow.
 	buf := make([]shadowUpdate, 0, len(node.nbr)+1)
-	buf = append(buf, shadowUpdate{id: m.node, data: node.self.data})
-	for _, nb := range node.nbr {
-		buf = append(buf, shadowUpdate{id: nb.id, data: nb.data})
+	buf = append(buf, shadowUpdate{id: m.node, data: s.ents[node.self].data})
+	for j, u := range s.cfg.Graph.Adj[m.node] {
+		buf = append(buf, shadowUpdate{id: u, data: s.ents[node.nbr[j]].data})
 	}
 	if err := s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf)); err != nil {
 		return err
@@ -472,8 +474,8 @@ func (s *rankState) migrateOut(m migration) error {
 	// Remove the node from the own-node lists; its data entry stays in the
 	// hash table and data list because "the migrating node now becomes a
 	// shadow node for the 'busy' processor".
-	e.own = nil
-	s.peripheral = slices.DeleteFunc(s.peripheral, func(n *ownNode) bool { return n == node })
+	s.ownLayout()
+	s.peripheral = slices.Delete(s.peripheral, i, i+1)
 	return nil
 }
 
@@ -490,21 +492,23 @@ func (s *rankState) migrateIn(m migration) error {
 	if len(buf) == 0 || buf[0].id != m.node {
 		return fmt.Errorf("platform: rank %d: migration payload does not start with node %d", s.me, m.node)
 	}
-	if s.nodeState == nil { // the rank's first node
-		s.nodeState = new(nodeState)
+	if s.nodeState == nil { // the rank's first node, in a layout of its own
+		s.nodeState = &nodeState{rankLayout: new(rankLayout)}
 	}
+	s.ownLayout()
 	for _, u := range buf {
 		if s.owner[u.id] == s.me && u.id != m.node {
 			// Never clobber data we own with the sender's shadow copy.
 			continue
 		}
-		if e := s.table.Lookup(u.id); e != nil {
-			e.data = u.data
-			e.mostRecent = u.data
+		if k := s.table.Lookup(u.id); k >= 0 {
+			s.ents[k].data = u.data
+			s.ents[k].mostRecent = u.data
 		} else {
-			if err := s.table.Insert(&entry{id: u.id, data: u.data, mostRecent: u.data}); err != nil {
+			if _, err := s.table.Insert(u.id); err != nil {
 				return err
 			}
+			s.ents = append(s.ents, entry{id: u.id, data: u.data, mostRecent: u.data})
 		}
 	}
 	// "The node information of the migrating node is added in the
@@ -513,8 +517,9 @@ func (s *rankState) migrateIn(m migration) error {
 	n := len(s.cfg.Graph.Adj[m.node])
 	node := &ownNode{id: m.node, shadowFor: make([]int32, 0, n)}
 	// Every neighbor's entry is in the table now, received or already held.
-	node.nbr = make([]*entry, n)
+	node.nbr = make([]int32, n)
 	s.resolve(node)
+	s.ents[node.self].lastCost = 0
 	s.peripheral = append(s.peripheral, node)
 	return nil
 }

@@ -74,10 +74,10 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 			}
 			var ps []int
 			h := pools{}
-			for _, pe := range st.peers {
+			for i, pe := range st.peers {
 				ps = append(ps, pe.proc)
 				var base [2]*shadowUpdate
-				for gen, buf := range pe.pool {
+				for gen, buf := range st.pools[i] {
 					if cap(buf) > 0 {
 						base[gen] = &buf[:1][0]
 					}

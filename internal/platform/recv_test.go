@@ -49,8 +49,8 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 		}
 		err := st.recvShadows(0)
 		for v := range c.Graph.Adj {
-			if e := st.table.Lookup(graph.NodeID(v)); e != nil && (e.data == forged || e.mostRecent == forged) {
-				written = append(written, e.id)
+			if k := st.table.Lookup(graph.NodeID(v)); k >= 0 && (st.ents[k].data == forged || st.ents[k].mostRecent == forged) {
+				written = append(written, graph.NodeID(v))
 			}
 		}
 		return err

@@ -26,7 +26,7 @@ func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 		speed:       cfg.Network.Speed(comm.Rank()),
 		owner:       owner,
 		ownerShared: true,
-		nodeState:   new(nodeState),
+		nodeState:   &nodeState{rankLayout: new(rankLayout)},
 	}
 }
 
@@ -58,17 +58,16 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 		return nil, err
 	}
 	s.table = *table
-	entries := make([]entry, 0, len(mine)+shadows) // never grows: the table points into it
 	for _, id := range ids {
-		if s.table.Lookup(id) != nil {
+		if s.table.Lookup(id) >= 0 {
 			continue
 		}
 		d := cfg.InitData(id)
 		if d == nil {
 			return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
 		}
-		entries = append(entries, entry{id: id, data: d, mostRecent: d})
-		if err := s.table.Insert(&entries[len(entries)-1]); err != nil {
+		s.ents = append(s.ents, entry{id: id, data: d, mostRecent: d})
+		if _, err := s.table.Insert(id); err != nil {
 			return nil, err
 		}
 	}
@@ -77,7 +76,7 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 	// One node-list and one data entry per owned node, one entry per shadow.
 	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
-	if len(entries) == 0 {
+	if len(s.ents) == 0 {
 		s.nodeState = nil
 	}
 	return s, nil
@@ -95,10 +94,10 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	}
 	s.table = *table
 	mine := make([]graph.NodeID, 0, len(rs.Nodes))
-	entries := make([]entry, len(rs.Nodes))
+	s.ents = make([]entry, len(rs.Nodes))
 	for i, ns := range rs.Nodes {
-		entries[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
-		if err := s.table.Insert(&entries[i]); err != nil {
+		s.ents[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
+		if _, err := s.table.Insert(ns.ID); err != nil {
 			return nil, err
 		}
 		if ns.Owned {
@@ -110,21 +109,21 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	s.refRebuildCounts()
 	s.resolveAll()
 	for _, node := range s.peripheral {
-		if slices.Contains(node.nbr, nil) {
+		if slices.Contains(node.nbr, -1) {
 			return nil, fmt.Errorf("platform: resume snapshot rank %d lacks a shadow next to node %d", s.me, node.id)
 		}
 	}
 	s.refPlanExchange()
 	for i, ns := range rs.Nodes {
 		if ns.Owned {
-			entries[i].own.lastCost = ns.LastCost
+			s.ents[i].lastCost = ns.LastCost
 		}
 	}
 	s.phase = rs.Phase
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations
 	s.balHist = slices.Clone(rs.History)
-	if len(entries) == 0 {
+	if len(s.ents) == 0 {
 		s.nodeState = nil
 	}
 	if err := s.checkInvariants(); err != nil {
@@ -150,12 +149,12 @@ func (s *rankState) placeAll(ids []graph.NodeID) int {
 		node.id = id
 		n := len(s.cfg.Graph.Adj[id])
 		node.shadowFor, procs = procs[:0:n], procs[n:]
-		s.place(node)
+		s.place(node, s.cfg.Graph.Adj, s.owner, s.me)
 	}
 	return degree
 }
 
-// resolveAll resolves every owned node's entry pointers, carving the nbr
+// resolveAll resolves every owned node's entry indices, carving the nbr
 // lists out of one backing array, once the table holds every own and
 // shadow entry.
 func (s *rankState) resolveAll() {
@@ -166,7 +165,7 @@ func (s *rankState) resolveAll() {
 			total += len(s.cfg.Graph.Adj[node.id])
 		}
 	}
-	backing := make([]*entry, total)
+	backing := make([]int32, total)
 	for _, list := range lists {
 		for _, node := range list {
 			n := len(s.cfg.Graph.Adj[node.id])
@@ -190,46 +189,48 @@ func (s *rankState) refRebuildCounts() {
 	s.peers = slices.DeleteFunc(s.peers, func(pe peer) bool { return pe.send == 0 })
 }
 
-// refPeerFor returns the entry for processor p, inserting one with a new
-// pool at its place in the ascending order if there is none.
+// refPeerFor returns the entry for processor p, inserting one at its
+// place in the ascending order if there is none.
 func (s *rankState) refPeerFor(p int) *peer {
 	i := 0
 	for i < len(s.peers) && s.peers[i].proc < p {
 		i++
 	}
 	if i == len(s.peers) || s.peers[i].proc != p {
-		s.peers = slices.Insert(s.peers, i, peer{proc: p, pool: new([2][]shadowUpdate)})
+		s.peers = slices.Insert(s.peers, i, peer{proc: p})
 	}
 	return &s.peers[i]
 }
 
 // refPlanExchange gathers each peer's receive plan with one scan of every
-// peripheral arc, sorts and compacts it, and clones the plans to their
-// exact length.
+// peripheral arc, sorts and compacts it, clones the plans to their exact
+// length and gives every peer a pair of send buffers.
 func (s *rankState) refPlanExchange() {
 	arcs, sends := 0, 0
 	for _, node := range s.peripheral {
 		arcs += len(node.nbr)
 		sends += len(node.shadowFor)
 	}
-	in := make([]*entry, 0, arcs)
-	out := make([]*[2][]shadowUpdate, sends)
+	in := make([]int32, 0, arcs)
+	out := make([]int32, sends)
 	for _, node := range s.peripheral {
 		node.out, out = out[:len(node.shadowFor):len(node.shadowFor)], out[len(node.shadowFor):]
 		for j, p := range node.shadowFor {
-			node.out[j] = s.refPeerFor(int(p)).pool
+			s.refPeerFor(int(p))
+			node.out[j] = int32(slices.IndexFunc(s.peers, func(pe peer) bool { return pe.proc == int(p) }))
 		}
 	}
+	s.pools = make([][2][]shadowUpdate, len(s.peers))
 	for i := range s.peers {
 		start, p := len(in), s.peers[i].proc
 		for _, node := range s.peripheral {
-			for _, e := range node.nbr {
-				if s.owner[e.id] == p {
-					in = append(in, e)
+			for _, k := range node.nbr {
+				if s.owner[s.table.ID(k)] == p {
+					in = append(in, k)
 				}
 			}
 		}
-		slices.SortFunc(in[start:], func(a, b *entry) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(in[start:], func(a, b int32) int { return cmp.Compare(s.table.ID(a), s.table.ID(b)) })
 		in = in[:start+len(slices.Compact(in[start:]))]
 		s.peers[i].in = in[start:]
 	}

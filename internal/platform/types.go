@@ -6,7 +6,6 @@ import (
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
-	"ic2mpi/internal/partition"
 	"ic2mpi/internal/trace"
 )
 
@@ -195,8 +194,9 @@ const (
 
 // Config describes one platform run. Graph, InitialPartition, InitData and
 // Node are the user plug-ins; everything else tunes the platform. A run
-// only reads Graph, InitialPartition and the values InitData returns, so
-// callers may share them across concurrent runs (scenario.Inputs does).
+// only reads Graph, InitialPartition, Layout and the values InitData
+// returns, so callers may share them across concurrent runs
+// (scenario.Inputs does).
 type Config struct {
 	// Graph is the application program graph.
 	Graph *graph.Graph
@@ -205,6 +205,10 @@ type Config struct {
 	// InitialPartition maps every node to a processor in [0, Procs); the
 	// output of a static graph partitioner.
 	InitialPartition []int
+	// Layout, when non-nil, is NewLayout(Graph, InitialPartition, Procs) of
+	// this very graph and partition slice, shared by the runs of one
+	// partition; nil builds one for the run.
+	Layout *Layout
 	// InitData returns node v's initial data (the thesis initializes
 	// data = globalID in InitializeGlobalDataList).
 	InitData func(graph.NodeID) NodeData
@@ -294,9 +298,6 @@ func (c *Config) normalize() (*Config, error) {
 	if c.Graph == nil {
 		return nil, fmt.Errorf("platform: Config.Graph is required")
 	}
-	if err := c.Graph.Validate(); err != nil {
-		return nil, fmt.Errorf("platform: invalid graph: %w", err)
-	}
 	if c.Procs < 1 {
 		return nil, fmt.Errorf("platform: Procs must be >= 1, got %d", c.Procs)
 	}
@@ -309,13 +310,20 @@ func (c *Config) normalize() (*Config, error) {
 	if c.Iterations < 0 {
 		return nil, fmt.Errorf("platform: Iterations must be >= 0, got %d", c.Iterations)
 	}
-	if err := partition.Validate(c.Graph, c.InitialPartition, c.Procs); err != nil {
-		return nil, fmt.Errorf("platform: InitialPartition: %w", err)
+	lay := c.Layout
+	if lay == nil {
+		var err error
+		if lay, err = NewLayout(c.Graph, c.InitialPartition, c.Procs); err != nil {
+			return nil, err
+		}
+	} else if !lay.builtFor(c) {
+		return nil, fmt.Errorf("platform: Config.Layout was built for another graph, partition or processor count")
 	}
 	if c.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("platform: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
 	out := *c
+	out.Layout = lay
 	if out.SubPhases <= 0 {
 		out.SubPhases = 1
 	}

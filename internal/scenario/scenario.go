@@ -3,8 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ic2mpi/internal/balance"
 	"ic2mpi/internal/fault"
@@ -202,7 +202,7 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 			p.Network = netmodel.NameHypercube
 		}
 	}
-	if p.Network != "" && !slices.Contains(netmodel.Names(), p.Network) {
+	if p.Network != "" && !netmodel.Known(p.Network) {
 		return p, fmt.Errorf("scenario %s: unknown network %q (known: %v)", sc.Name, p.Network, netmodel.Names())
 	}
 	if p.Perturb == "" {
@@ -260,7 +260,7 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 }
 
 // Config builds the platform configuration for one run of the scenario at
-// the given parameters: graph generated, partition computed, and the
+// the given parameters: graph, partition and layout built, and the
 // named interconnect model (Origin 2000 base costs) attached — wrapped
 // in the Perturb fault-injection schedule when one is named. Callers
 // that need final node data (examples verifying against the sequential
@@ -285,9 +285,10 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 }
 
 // Inputs is a memo of what the runs of one sweep of a scenario build
-// before they simulate: the application graph; each initial partition
-// and its quality, once per (partitioner, procs, network); and the
-// initial node data, built by the first run that asks for it, so a
+// before they simulate: the application graph; each initial partition,
+// its quality and its platform.Layout (every rank's node lists, hash
+// table, peers and plans), once per (partitioner, procs, network); and
+// the initial node data, built by the first run that asks for it, so a
 // resumed run never calls InitData. Every run that needs a value gets the
 // same one, which it only reads (see platform.Config). The values are
 // pure functions of their keys, so sharing them changes no byte of any
@@ -297,11 +298,12 @@ func (sc Scenario) Run(p Params) (*Result, error) {
 // run make one, a daemon keeps one per scenario across its jobs, and
 // Scenario.Run makes one per run. It is safe for concurrent use.
 type Inputs struct {
-	sc    Scenario
-	graph lazy[*graph.Graph]
-	data  lazy[[]platform.NodeData]
-	mu    sync.Mutex
-	parts map[partKey]*partInputs
+	sc      Scenario
+	graph   lazy[*graph.Graph]
+	data    lazy[[]platform.NodeData]
+	mu      sync.Mutex
+	parts   map[partKey]*partInputs
+	layouts atomic.Int64 // layouts built
 }
 
 type partKey struct {
@@ -309,9 +311,10 @@ type partKey struct {
 	procs                int
 }
 
-// partInputs is one initial partition and, once a run asks, its quality.
+// partInputs is one initial partition, its layout and, once asked, quality.
 type partInputs struct {
 	part    lazy[[]int]
+	layout  lazy[*platform.Layout]
 	quality lazy[partition.Quality]
 }
 
@@ -345,6 +348,9 @@ func (in *Inputs) Partitions() int {
 	defer in.mu.Unlock()
 	return len(in.parts)
 }
+
+// Layouts is how many layouts the memo has built, one per partition used.
+func (in *Inputs) Layouts() int { return int(in.layouts.Load()) }
 
 // Run is Scenario.Run with the inputs taken from the memo.
 func (in *Inputs) Run(p Params) (*Result, error) {
@@ -413,6 +419,13 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	layout, err := pi.layout.get(func() (*platform.Layout, error) {
+		in.layouts.Add(1)
+		return platform.NewLayout(g, part, p.Procs)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	// Fault injection wraps the machine only after partitioning: the
 	// static partitioner targets the undegraded machine (it cannot know
 	// the future), which is also what keeps PaGrid's network-graph
@@ -445,6 +458,7 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 		Graph:            g,
 		Procs:            p.Procs,
 		InitialPartition: part,
+		Layout:           layout,
 		InitData:         initData,
 		Node:             sc.Node(g),
 		Iterations:       p.Iterations,

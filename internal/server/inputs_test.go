@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,10 +44,16 @@ func queueJob(t *testing.T, s *Server, sc scenario.Scenario, sweep string) *Job 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return queueSpec(s, JobSpec{Scenario: sc.Name, Axes: ax, Format: "json"}, sc)
+}
+
+// queueSpec queues a job of spec the way handleSubmit does once the spec
+// is decoded.
+func queueSpec(s *Server, spec JobSpec, sc scenario.Scenario) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	j := newJob(fmt.Sprintf("job-%06d", s.nextID), "test", JobSpec{Scenario: sc.Name, Axes: ax, Format: "json"}, sc, s.cfg.Now())
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), "test", spec, sc, s.cfg.Now())
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.queued <- j
@@ -95,9 +102,10 @@ func sweepJSON(t *testing.T, sc scenario.Scenario, sweep string) []byte {
 // its inputs, whether they run one after another or at the same time, and
 // sharing changes no byte. With the cache off every cell simulates, yet
 // across four jobs with overlapping partition keys the graph is generated
-// once and InitData is called once per node. A job that leaves more than
-// maxSharedPartitions partitions behind drops the memo, so the next job
-// generates the graph again, with unchanged bytes.
+// once, InitData is called once per node and one layout is built per
+// partition key. A job that leaves more than maxSharedPartitions
+// partitions behind drops the memo, so the next job generates the graph
+// and builds its layouts again, with unchanged bytes.
 func TestJobsShareInputs(t *testing.T) {
 	sc, graphs, inits := countedScenario(t)
 	g, err := sc.Graph()
@@ -112,21 +120,10 @@ func TestJobsShareInputs(t *testing.T) {
 	}
 	const wide = "procs=1,2,3,4,5,6,7,8,9,10,11,12;iters=1;partitioner=metis,pagrid;network=hypercube,mesh2d,fattree"
 	want := map[string][]byte{wide: sweepJSON(t, sc, wide)}
-	type partKey struct {
-		partitioner, network string
-		procs                int
-	}
 	keys := map[partKey]bool{} // the partition keys of sweeps
 	for _, sweep := range sweeps {
 		want[sweep] = sweepJSON(t, sc, sweep)
-		ax, _ := experiments.ParseAxes(sweep)
-		for _, p := range ax.Cells() {
-			np, err := sc.Normalize(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys[partKey{np.Partitioner, np.Network, np.Procs}] = true
-		}
+		maps.Copy(keys, partKeys(t, sc, sweep))
 	}
 	graphs.Store(0)
 	inits.Store(0)
@@ -167,6 +164,9 @@ func TestJobsShareInputs(t *testing.T) {
 	if n := in.Partitions(); n != len(keys) {
 		t.Fatalf("the shared memo holds %d partitions, want the jobs' %d", n, len(keys))
 	}
+	if n := in.Layouts(); n != len(keys) {
+		t.Fatalf("four jobs built %d layouts, want one per partition key, %d", n, len(keys))
+	}
 
 	check(queueJob(t, s, sc, wide), wide)
 	if n := in.Partitions(); n <= maxSharedPartitions {
@@ -176,5 +176,76 @@ func TestJobsShareInputs(t *testing.T) {
 	check(queueJob(t, s, sc, sweeps[0]), sweeps[0])
 	if n := graphs.Load(); n != 1 {
 		t.Errorf("the job after the wide one made %d graph generations, want 1 on a fresh memo", n)
+	}
+	s.mu.Lock()
+	fresh := s.inputs[sc.Name]
+	s.mu.Unlock()
+	if want := len(partKeys(t, sc, sweeps[0])); fresh == in || fresh.Layouts() != want {
+		t.Errorf("the job after the wide one built %d layouts, want %d on a fresh memo", fresh.Layouts(), want)
+	}
+}
+
+// partKey is a partition key of scenario.Inputs.
+type partKey struct {
+	partitioner, network string
+	procs                int
+}
+
+// partKeys returns the partition keys of sc's cells over sweep.
+func partKeys(t *testing.T, sc scenario.Scenario, sweep string) map[partKey]bool {
+	t.Helper()
+	ax, err := experiments.ParseAxes(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[partKey]bool{}
+	for _, p := range ax.Cells() {
+		np, err := sc.Normalize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[partKey{np.Partitioner, np.Network, np.Procs}] = true
+	}
+	return keys
+}
+
+// TestBenchRoundBuildsOneLayoutPerPartition runs twenty rounds of the
+// benchmark's daemon_cold mix, J1-J5 as bench/inputs.go spells them, on a
+// fresh server with the cell cache off: 440 cells over 17 distinct
+// partitions. Every cell simulates, and the server's memos build one
+// layout per partition, not one per cell.
+func TestBenchRoundBuildsOneLayoutPerPartition(t *testing.T) {
+	bodies := []string{
+		`{"scenario":"heat","sweep":"procs=1,2,4,8;iters=10"}`,
+		`{"scenario":"hex64-fine","sweep":"procs=1,2,4,16;partitioner=metis,pagrid"}`,
+		`{"scenario":"imbalance","sweep":"procs=4,8;balancer=none,diffusion,centralized"}`,
+		`{"scenario":"life","sweep":"procs=8;network=hypercube,mesh2d,fattree","format":"csv"}`,
+		`{"scenario":"heat","sweep":"procs=8;iters=20","trace":true}`,
+	}
+	s := New(Config{Workers: 2, CacheCells: -1, Now: fixedNow()})
+	defer s.Close()
+	cells := 0
+	for range 20 {
+		var jobs []*Job
+		for _, body := range bodies {
+			spec, sc, err := DecodeJobSpec([]byte(body), 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, queueSpec(s, spec, sc))
+		}
+		for _, j := range jobs {
+			awaitResult(t, s, j)
+			cells += j.Cells
+		}
+	}
+	s.mu.Lock()
+	layouts := 0
+	for _, in := range s.inputs {
+		layouts += in.Layouts()
+	}
+	s.mu.Unlock()
+	if cells != 440 || layouts != 17 {
+		t.Errorf("%d cells built %d layouts, want 440 cells on 17", cells, layouts)
 	}
 }

@@ -701,9 +701,11 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, error) {
 	})
 }
 
-// maxSharedPartitions bounds the partitions a scenario's shared memo keeps
-// between jobs. One is about 8 KB for the largest registered graph
-// (battlefield, 1 024 nodes): at most 13 x 64 x 8 KB, about 7 MB, in all.
+// maxSharedPartitions bounds the partitions, each with its layout, that a
+// scenario's shared memo keeps between jobs: for battlefield (1 024 nodes)
+// 8 KB and 120 KB at 16 processors, 0.7 MB at most. In all, 13 x 64 x 8 KB
+// (7 MB) of partitions and 27 MB of layouts at <= 16 processors, 100 MB
+// at most.
 const maxSharedPartitions = 64
 
 // inputsOf returns the memo of sc's run inputs that all of sc's jobs on the

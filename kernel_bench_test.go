@@ -156,17 +156,22 @@ func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 // per rank, which the tolerance would catch). While each run's workers
 // stored messages in a slab of their own, behind a free list and a lane
 // per pair of workers, the rows read 53, 56, 53 and 56; a message now
-// waits in its receiver's queue, which the pooled carrier keeps.
+// waits in its receiver's queue, which the pooled carrier keeps. While the
+// rank build kept one array per kind, the node-to-processor layout and the
+// run's values alike, the rows read 41; the layout (platform.NewLayout,
+// built here by each Run, as no Config names one) now cuts its int32
+// kinds and its two node lists out of one array each, and has no per-rank
+// array.
 var exchangeAllocPins = []struct {
 	name    string
 	procs   int
 	overlap bool
 	allocs  float64
 }{
-	{"Pooled8", 8, false, 41},
-	{"Pooled16", 16, false, 41},
-	{"PooledOverlap8", 8, true, 41},
-	{"PooledOverlap16", 16, true, 41},
+	{"Pooled8", 8, false, 36},
+	{"Pooled16", 16, false, 36},
+	{"PooledOverlap8", 8, true, 36},
+	{"PooledOverlap16", 16, true, 36},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
