@@ -79,6 +79,8 @@ type (
 	NodeFunc = platform.NodeFunc
 	// Config describes one platform run.
 	Config = platform.Config
+	// Host is a run's host-only attachments, embedded in Config.
+	Host = platform.Host
 	// Result reports one platform run.
 	Result = platform.Result
 	// Phase identifies one of the six instrumented platform phases.
@@ -109,7 +111,7 @@ type (
 	// ramp (see internal/fault).
 	FaultSchedule = fault.Schedule
 	// TraceRecorder collects per-iteration run telemetry when attached via
-	// Config.Trace: per-processor compute/communicate/idle time, message
+	// Config.Host.Trace: per-processor compute/communicate/idle time, message
 	// counters, task migrations, load imbalance and live edge-cut.
 	// Follow streams each iteration's canonical JSONL lines while the
 	// run executes.
@@ -151,13 +153,13 @@ const (
 // count gives the same bytes.
 const (
 	// KernelGoroutine is the default: min(GOMAXPROCS, procs) workers, or
-	// Config.KernelWorkers. The name once meant one goroutine per rank,
+	// Config.Host.KernelWorkers. The name once meant one goroutine per rank,
 	// the engine every pinned table and golden trace was recorded on.
 	KernelGoroutine = mpi.KernelGoroutine
-	// KernelEvent runs one worker, whatever Config.KernelWorkers says.
+	// KernelEvent runs one worker, whatever Config.Host.KernelWorkers says.
 	KernelEvent = mpi.KernelEvent
 	// KernelParallelEvent runs min(GOMAXPROCS, procs) workers, or
-	// Config.KernelWorkers, like KernelGoroutine; at one worker it is
+	// Config.Host.KernelWorkers, like KernelGoroutine; at one worker it is
 	// KernelEvent.
 	KernelParallelEvent = mpi.KernelParallelEvent
 )
@@ -175,7 +177,7 @@ func Run(cfg Config) (*Result, error) { return platform.Run(cfg) }
 // verified against.
 func RunSequential(cfg Config) ([]NodeData, error) { return platform.RunSequential(cfg) }
 
-// WriteTrace encodes a trace recorded through Config.Trace as "jsonl" or
+// WriteTrace encodes a trace recorded through Config.Host.Trace as "jsonl" or
 // "csv"; the encoding is byte-identical for identical runs.
 func WriteTrace(w io.Writer, format string, rec *TraceRecorder) error {
 	return trace.Write(w, format, rec)

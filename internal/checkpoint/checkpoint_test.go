@@ -252,15 +252,14 @@ func TestDecodeRejectsMalformedHistory(t *testing.T) {
 		Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
 			return self, 1e-5 * float64(1+int(id)%2)
 		},
-		Iterations:      6,
-		Network:         netmodel.NewUniform(netmodel.Origin2000()),
-		Balancer:        &balance.Predictive{},
-		BalanceEvery:    2,
-		CheckpointEvery: 5,
-		CheckpointSink: func(s *platform.RunSnapshot) error {
+		Iterations:   6,
+		Network:      netmodel.NewUniform(netmodel.Origin2000()),
+		Balancer:     &balance.Predictive{},
+		BalanceEvery: 2,
+		Host: platform.Host{CheckpointEvery: 5, CheckpointSink: func(s *platform.RunSnapshot) error {
 			snap = s
 			return nil
-		},
+		}},
 	}
 	if _, err := platform.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -497,12 +496,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Balancer:        &balance.Predictive{},
 		BalanceEvery:    1,
 		CheckInvariants: true,
-		Trace:           &trace.Recorder{},
-		CheckpointEvery: 1,
-		CheckpointSink: func(s *platform.RunSnapshot) error {
+		Host: platform.Host{Trace: &trace.Recorder{}, CheckpointEvery: 1, CheckpointSink: func(s *platform.RunSnapshot) error {
 			snaps[s.Iter] = s
 			return nil
-		},
+		}},
 	}
 	if _, err := platform.Run(cfg); err != nil {
 		f.Fatal(err)

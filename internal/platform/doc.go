@@ -18,8 +18,8 @@
 //
 // The user plugs in exactly what the thesis describes: the application
 // program graph, the node data structure, and the node computation
-// function. Config.Trace optionally attaches a per-iteration telemetry
-// recorder (internal/trace) without perturbing the simulated timeline.
+// function. Config.Host attaches a telemetry recorder (internal/trace),
+// checkpoints or a resume snapshot without perturbing the timeline.
 //
 // docs/architecture.md maps this package's files onto the thesis figures
 // and documents the virtual-clock determinism contract the run loop must

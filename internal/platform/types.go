@@ -192,11 +192,48 @@ const (
 	unpackPerNode = 55e-6
 )
 
+// Host is a run's host-only attachments: values that change what the host
+// does and never a byte of the run's Result, Stats, trace or report, nor a
+// sweep cell's key. Config and scenario.Params embed it, so each is
+// declared once and handed down whole.
+type Host struct {
+	// KernelWorkers sets the worker count for mpi.KernelGoroutine and
+	// mpi.KernelParallelEvent (0 means min(GOMAXPROCS, Procs)); ignored by
+	// mpi.KernelEvent, which is always one worker.
+	// A host-side tuning knob only: results are identical at any value.
+	KernelWorkers int
+	// CheckpointEvery, when > 0, captures a RunSnapshot at the end of
+	// every CheckpointEvery-th iteration (except the last — a completed
+	// run has nothing to resume) and hands it to CheckpointSink. Capture
+	// is host-side only: iteration boundaries are message-quiescent, so
+	// each rank contributes its state as it passes the boundary and the
+	// virtual timeline is identical with checkpointing on or off.
+	CheckpointEvery int
+	// CheckpointSink receives each completed snapshot. It runs on the
+	// last contributing rank's host goroutine; returning an error aborts
+	// the run.
+	CheckpointSink func(*RunSnapshot) error
+	// ResumeFrom, when non-nil, restores the run from a snapshot instead
+	// of initializing: every rank's clocks, stats, node data, bookkeeping
+	// and trace rows are reloaded and iteration ResumeFrom.Iter+1 runs
+	// next. The resumed run's Result, Stats and trace are byte-identical
+	// to the uninterrupted run's. The snapshot must come from an
+	// identically configured run (validated, never assumed).
+	ResumeFrom *RunSnapshot
+	// Trace, when non-nil, records per-iteration telemetry — per-processor
+	// compute/communicate/idle virtual time, message counters, migration
+	// events and the live edge-cut — into the given recorder. Tracing is
+	// host-side only: it never charges virtual time, so traced and
+	// untraced runs have identical timelines. A nil Trace costs one branch
+	// per iteration.
+	Trace *trace.Recorder
+}
+
 // Config describes one platform run. Graph, InitialPartition, InitData and
-// Node are the user plug-ins; everything else tunes the platform. A run
-// only reads Graph, InitialPartition, Layout and the values InitData
-// returns, so callers may share them across concurrent runs
-// (scenario.Inputs does).
+// Node are the user plug-ins, Host the host-only attachments; everything
+// else tunes the platform. A run only reads Graph, InitialPartition,
+// Layout and the values InitData returns, so callers may share them across
+// concurrent runs (scenario.Inputs does).
 type Config struct {
 	// Graph is the application program graph.
 	Graph *graph.Graph
@@ -252,11 +289,6 @@ type Config struct {
 	// mpi.KernelParallelEvent run KernelWorkers workers, mpi.KernelEvent
 	// runs one. Every name is bit-identical in virtual time.
 	Kernel mpi.Kernel
-	// KernelWorkers sets the worker count for mpi.KernelGoroutine and
-	// mpi.KernelParallelEvent (0 means min(GOMAXPROCS, Procs)); ignored by
-	// mpi.KernelEvent, which is always one worker.
-	// A host-side tuning knob only: results are identical at any value.
-	KernelWorkers int
 	// SkipFinalGather disables gathering final node data into
 	// Result.FinalData (large sweeps skip the gather to save memory;
 	// callers verifying results against the sequential reference keep it).
@@ -266,31 +298,7 @@ type Config struct {
 	// migration. Meant for tests; adds O(nodes) host work per iteration
 	// but no virtual time.
 	CheckInvariants bool
-	// CheckpointEvery, when > 0, captures a RunSnapshot at the end of
-	// every CheckpointEvery-th iteration (except the last — a completed
-	// run has nothing to resume) and hands it to CheckpointSink. Capture
-	// is host-side only: iteration boundaries are message-quiescent, so
-	// each rank contributes its state as it passes the boundary and the
-	// virtual timeline is identical with checkpointing on or off.
-	CheckpointEvery int
-	// CheckpointSink receives each completed snapshot. It runs on the
-	// last contributing rank's host goroutine; returning an error aborts
-	// the run.
-	CheckpointSink func(*RunSnapshot) error
-	// ResumeFrom, when non-nil, restores the run from a snapshot instead
-	// of initializing: every rank's clocks, stats, node data, bookkeeping
-	// and trace rows are reloaded and iteration ResumeFrom.Iter+1 runs
-	// next. The resumed run's Result, Stats and trace are byte-identical
-	// to the uninterrupted run's. The snapshot must come from an
-	// identically configured run (validated, never assumed).
-	ResumeFrom *RunSnapshot
-	// Trace, when non-nil, records per-iteration telemetry — per-processor
-	// compute/communicate/idle virtual time, message counters, migration
-	// events and the live edge-cut — into the given recorder. Tracing is
-	// host-side only: it never charges virtual time, so traced and
-	// untraced runs have identical timelines. A nil Trace costs one branch
-	// per iteration.
-	Trace *trace.Recorder
+	Host
 }
 
 // normalize fills defaults and validates the configuration.

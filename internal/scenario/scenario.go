@@ -14,7 +14,6 @@ import (
 	"ic2mpi/internal/partition"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/topology"
-	"ic2mpi/internal/trace"
 )
 
 // Exchange modes selectable through Params.Exchange.
@@ -74,29 +73,14 @@ type Params struct {
 	// accepted and echoed because they are part of persisted CellKeys.
 	// See mpi.KernelNames.
 	Kernel string `json:"kernel"`
-	// KernelWorkers sets the "goroutine" and "pevent" kernels' worker
-	// count (0 means min(GOMAXPROCS, procs)); ignored by "event". A
-	// host-side tuning knob, not a simulation parameter — results are
-	// identical at any value — so it is excluded from serialized reports
-	// and CellKey.
-	KernelWorkers int `json:"-"`
 	// BalanceEvery is the balancing period in iterations.
 	BalanceEvery int `json:"-"`
 	// BalanceRounds bounds plan+migrate rounds per balancing invocation.
 	BalanceRounds int `json:"-"`
-	// Trace, when non-nil, records per-iteration telemetry for the run
-	// (see internal/trace). Tracing is host-side only — a traced run's
-	// Result is identical to an untraced one — and the field is excluded
-	// from serialized reports.
-	Trace *trace.Recorder `json:"-"`
-	// CheckpointEvery, CheckpointSink and ResumeFrom thread platform
-	// checkpoint/restore through the scenario layer (see
-	// platform.Config). Like Trace they are host-side run plumbing, not
-	// part of the parameter space: excluded from serialized reports and
-	// from CellKey, and unsupported by custom-runner scenarios.
-	CheckpointEvery int                               `json:"-"`
-	CheckpointSink  func(*platform.RunSnapshot) error `json:"-"`
-	ResumeFrom      *platform.RunSnapshot             `json:"-"`
+	// Host is handed to platform.Config whole; it is not part of the
+	// parameter space, CellKey or a report. Custom-runner scenarios read
+	// only its KernelWorkers and Trace.
+	platform.Host `json:"-"`
 }
 
 // Result is the flat, machine-readable outcome of one scenario run: the
@@ -469,12 +453,8 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 		BalanceRounds:    p.BalanceRounds,
 		Network:          runNet,
 		Kernel:           kernel,
-		KernelWorkers:    p.KernelWorkers,
 		SkipFinalGather:  true,
-		Trace:            p.Trace,
-		CheckpointEvery:  p.CheckpointEvery,
-		CheckpointSink:   p.CheckpointSink,
-		ResumeFrom:       p.ResumeFrom,
+		Host:             p.Host,
 	}, pi, nil
 }
 

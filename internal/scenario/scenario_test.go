@@ -503,7 +503,7 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 // worker count included, which it used to drop — arrives in mpi.Options.
 func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	sc, _ := Lookup("pagerank-bsp")
-	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", KernelWorkers: 3})
+	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", Host: platform.Host{KernelWorkers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"testing"
 
+	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 )
@@ -97,7 +98,7 @@ func TestTraceJobByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
-	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 8, Trace: rec}); err != nil {
+	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 8, Host: platform.Host{Trace: rec}}); err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer

@@ -44,7 +44,7 @@ func TestFollowRunMatchesWriteJSONL(t *testing.T) {
 
 	var want []byte
 	for _, workers := range []int{1, 2, 4} {
-		streamed, written := run(scenario.Params{KernelWorkers: workers})
+		streamed, written := run(scenario.Params{Host: platform.Host{KernelWorkers: workers}})
 		if !bytes.Contains(written, []byte(`"kind":"migration"`)) {
 			t.Fatal("the run migrated nothing; the test no longer covers migration lines")
 		}
@@ -61,16 +61,16 @@ func TestFollowRunMatchesWriteJSONL(t *testing.T) {
 	// Cut after iteration 10: migrations lie on both sides of the cut.
 	const cut = 10
 	var snap *platform.RunSnapshot
-	run(scenario.Params{KernelWorkers: 4, CheckpointEvery: cut, CheckpointSink: func(s *platform.RunSnapshot) error {
+	run(scenario.Params{Host: platform.Host{KernelWorkers: 4, CheckpointEvery: cut, CheckpointSink: func(s *platform.RunSnapshot) error {
 		if s.Iter == cut {
 			snap = s
 		}
 		return nil
-	}})
+	}}})
 	if snap == nil || len(snap.TraceMigrations) == 0 {
 		t.Fatalf("no snapshot with migrations at iteration %d", cut)
 	}
-	if streamed, _ := run(scenario.Params{KernelWorkers: 4, ResumeFrom: snap}); !bytes.Equal(streamed, want) {
+	if streamed, _ := run(scenario.Params{Host: platform.Host{KernelWorkers: 4, ResumeFrom: snap}}); !bytes.Equal(streamed, want) {
 		t.Errorf("resumed run streamed other lines than the uninterrupted run\ngot %d bytes, want %d", len(streamed), len(want))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ic2mpi/internal/netmodel"
+	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 )
@@ -38,7 +39,7 @@ func heatTraceKernel(t *testing.T, network, perturb, kernel string) []byte {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
-	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 12, Network: network, Perturb: perturb, Kernel: kernel, Trace: rec}); err != nil {
+	if _, err := sc.Run(scenario.Params{Procs: 4, Iterations: 12, Network: network, Perturb: perturb, Kernel: kernel, Host: platform.Host{Trace: rec}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -2,12 +2,12 @@
 // run: what the paper's time-series figures plot, rather than the
 // end-of-run aggregates of platform.Result.
 //
-// A Recorder is attached to a run through platform.Config.Trace (or
-// scenario.Params.Trace). Per iteration and per processor it captures the
-// compute, overhead, communicate and idle virtual time, message and byte
-// counters, every executed task migration (source, destination, estimated
-// benefit), and a derived per-iteration series: the load imbalance ratio
-// and the live edge-cut of the evolving partition.
+// A Recorder is attached to a run through platform.Host.Trace. Per
+// iteration and per processor it captures the compute, overhead,
+// communicate and idle virtual time, message and byte counters, every
+// executed task migration (source, destination, estimated benefit), and a
+// derived per-iteration series: the load imbalance ratio and the live
+// edge-cut of the evolving partition.
 //
 // Because the platform runs on deterministic virtual clocks, a trace is a
 // pure function of the configuration: the same run always produces a
