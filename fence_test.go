@@ -236,6 +236,14 @@ var deletedNames = []struct {
 		exclude: "*_test.go",
 		lines:   1,
 	},
+	{
+		name:    "host-only fields declared once, in platform.Host",
+		reason:  "the worker count, trace recorder, checkpoint period and sink and resume snapshot are the five fields of platform.Host, which Config and scenario.Params embed, so no layer declares them again beside it",
+		pattern: `^\s*(\w+\s*,\s*)*(KernelWorkers|CheckpointEvery|CheckpointSink|ResumeFrom)(\s*,\s*\w+)*\s+[][*A-Za-z(]|^\s*Trace\s+\*(trace\.)?Recorder\b`,
+		paths:   []string{"."},
+		include: "*.go",
+		lines:   5,
+	},
 }
 
 // TestDeletedNamesStayDeleted enforces deletedNames. This file, which
