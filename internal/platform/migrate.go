@@ -128,12 +128,17 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// vector, mirroring the thesis' broadcast of task_migration_pairs.
 	var flat []int
 	if s.me == 0 {
+		// Each gathered row is added into both halves of the symmetric
+		// matrix, reading the rows in order (not gathered[j][i] by column).
 		comm := make([][]int, s.cfg.Procs)
 		for i := range comm {
 			comm[i] = make([]int, s.cfg.Procs)
-			for j := range comm[i] {
-				if i != j {
-					comm[i][j] = gathered[i][j] + gathered[j][i]
+		}
+		for i, row := range gathered {
+			for j, w := range row[:s.cfg.Procs] {
+				if i != j && w != 0 {
+					comm[i][j] += w
+					comm[j][i] += w
 				}
 			}
 		}
