@@ -34,26 +34,18 @@ var benchSweeps = []struct{ spec, rendered string }{
 	{"procs=8;iters=20", "870904e5ffc69b58accda00f384092a3b067b9340b6e082248f7982a9d0b6e7b"},
 }
 
-// hostFields are the Params fields that only change what the host does;
-// no cell of an enumeration sets them, so renderCells leaves them out.
-var hostFields = map[string]bool{
-	"KernelWorkers": true, "Trace": true, "CheckpointEvery": true, "CheckpointSink": true, "ResumeFrom": true,
-}
-
 // renderCells prints each cell's parameter-space fields by name, in
-// declaration order, and nothing of the struct's shape: an embedded
-// struct is skipped and so are the host fields, wherever they are
-// declared.
+// declaration order, and nothing of the struct's shape. It skips the
+// embedded platform.Host, whose fields no cell of an enumeration sets.
 func renderCells(cells []scenario.Params) string {
 	var b strings.Builder
 	for _, p := range cells {
 		v := reflect.ValueOf(p)
 		b.WriteByte('{')
-		for _, f := range reflect.VisibleFields(v.Type()) {
-			if f.Anonymous || hostFields[f.Name] {
-				continue
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); !f.Anonymous {
+				fmt.Fprintf(&b, "%s:%v ", f.Name, v.Field(i))
 			}
-			fmt.Fprintf(&b, "%s:%v ", f.Name, v.FieldByIndex(f.Index))
 		}
 		b.WriteString("}\n")
 	}

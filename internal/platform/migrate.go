@@ -128,8 +128,7 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// vector, mirroring the thesis' broadcast of task_migration_pairs.
 	var flat []int
 	if s.me == 0 {
-		// Each gathered row is added into both halves of the symmetric
-		// matrix, reading the rows in order (not gathered[j][i] by column).
+		// Rows in order: a column walk of gathered misses the cache at every step.
 		comm := make([][]int, s.cfg.Procs)
 		for i := range comm {
 			comm[i] = make([]int, s.cfg.Procs)
