@@ -11,7 +11,7 @@
 // Usage:
 //
 //	go run ./cmd/docgen              # rewrite docs in place
-//	go run ./cmd/docgen -check       # exit 1 if any doc is stale (CI)
+//	go run ./cmd/docgen -check       # exit 1 if any doc is stale
 //	go run ./cmd/docgen -docs dir    # operate on another docs directory
 //	go run ./cmd/docgen -parallel 4  # bound concurrent pinned runs
 //
@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -31,14 +32,20 @@ import (
 	"ic2mpi/internal/experiments"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("docgen: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	check := flag.Bool("check", false, "verify the docs match regenerated output; exit nonzero on drift")
-	docsDir := flag.String("docs", "docs", "documentation directory")
-	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent pinned scenario runs; 0 means number of CPUs")
-	flag.Parse()
+// run is the command on args. It returns the exit code: 2 for a usage
+// error, 1 for a failure or, under -check, a stale file.
+func run(args []string, stdout, stderr io.Writer) int {
+	log := log.New(stderr, "docgen: ", 0)
+	fs := flag.NewFlagSet("docgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	check := fs.Bool("check", false, "verify the docs match regenerated output; exit nonzero on drift")
+	docsDir := fs.String("docs", "docs", "documentation directory")
+	parallel := experiments.CountFlag(fs, "parallel", 0, "`count` of concurrent pinned scenario runs; 0 means number of CPUs")
+	if fs.Parse(args) != nil {
+		return 2 // -h included; the flag package has printed the usage
+	}
 	experiments.Parallelism = *parallel
 
 	files := experiments.DocFiles()
@@ -53,27 +60,32 @@ func main() {
 		path := filepath.Join(*docsDir, name)
 		src, err := os.ReadFile(path)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		rendered, err := experiments.RenderDocFile(string(src), files[name])
 		if err != nil {
-			log.Fatalf("%s: %v", path, err)
+			log.Printf("%s: %v", path, err)
+			return 1
 		}
 		if rendered == string(src) {
-			fmt.Printf("%s: up to date\n", path)
+			fmt.Fprintf(stdout, "%s: up to date\n", path)
 			continue
 		}
 		if *check {
-			fmt.Printf("%s: STALE (run `go run ./cmd/docgen` to regenerate)\n", path)
+			fmt.Fprintf(stdout, "%s: STALE (run `go run ./cmd/docgen` to regenerate)\n", path)
 			stale++
 			continue
 		}
 		if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
-		fmt.Printf("%s: regenerated\n", path)
+		fmt.Fprintf(stdout, "%s: regenerated\n", path)
 	}
 	if stale > 0 {
-		log.Fatalf("%d file(s) out of date with the code's measured results", stale)
+		log.Printf("%d file(s) out of date with the code's measured results", stale)
+		return 1
 	}
+	return 0
 }

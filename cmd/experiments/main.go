@@ -78,6 +78,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -161,16 +162,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("paper experiments (-run):")
-		for _, id := range experiments.IDs() {
-			fmt.Println("  " + id)
-		}
-		fmt.Println("\nscenarios (-scenario):")
-		for _, line := range strings.Split(strings.TrimRight(experiments.ScenarioList(), "\n"), "\n") {
-			fmt.Println("  " + line)
-		}
-		fmt.Println("\nsweep axes (-sweep; docs/scenarios.md tabulates their values):")
-		fmt.Println("  " + strings.Join(experiments.AxisNames(), ", "))
+		writeList(os.Stdout)
 		return
 	}
 
@@ -226,6 +218,20 @@ func main() {
 	if err := experiments.WriteReport(os.Stdout, *format, reports...); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// writeList prints -list: the experiment IDs, the scenarios and the axes.
+func writeList(w io.Writer) {
+	fmt.Fprintln(w, "paper experiments (-run):")
+	for _, id := range experiments.IDs() {
+		fmt.Fprintln(w, "  "+id)
+	}
+	fmt.Fprintln(w, "\nscenarios (-scenario):")
+	for _, line := range strings.Split(strings.TrimRight(experiments.ScenarioList(), "\n"), "\n") {
+		fmt.Fprintln(w, "  "+line)
+	}
+	fmt.Fprintln(w, "\nsweep axes (-sweep; docs/scenarios.md tabulates their values):")
+	fmt.Fprintln(w, "  "+strings.Join(experiments.AxisNames(), ", "))
 }
 
 // paperFlags are the flags that act on the paper experiments; every other

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,8 +370,10 @@ func TestRetiredBufferModeRefused(t *testing.T) {
 }
 
 // TestSingleRunReportsLikeTheSweep: a one-cell sweep reports the same
-// bytes however it runs — plain, traced, checkpointed or resumed — at
-// procs=1, where the cell is its own speedup baseline, and at procs=4.
+// bytes however it runs — plain, traced, checkpointed or resumed, from a
+// snapshot every third iteration or every iteration (-checkpoint-every's
+// default) — at procs=1, where the cell is its own speedup baseline, and
+// at procs=4.
 func TestSingleRunReportsLikeTheSweep(t *testing.T) {
 	sc, err := scenario.Get("heat")
 	if err != nil {
@@ -404,6 +407,8 @@ func TestSingleRunReportsLikeTheSweep(t *testing.T) {
 				{"-trace", runMode{tracePath: filepath.Join(dir, "heat.jsonl")}},
 				{"-checkpoint", runMode{checkpointPath: snap, checkpointEvery: 3}},
 				{"-resume", runMode{resumePath: snap}}, // the snapshot the row above wrote
+				{"-checkpoint every iteration", runMode{checkpointPath: snap}},
+				{"-resume from the last iteration but one", runMode{resumePath: snap}},
 			} {
 				if got := report(tc.mode); got != want {
 					t.Errorf("%s report differs from the plain sweep's\n--- got ---\n%s--- want ---\n%s", tc.name, got, want)
@@ -416,7 +421,8 @@ func TestSingleRunReportsLikeTheSweep(t *testing.T) {
 // TestShardSpellingsMerge: the cell keys are a sweep's identity, so shards
 // run under two spellings of one sweep — its clauses reordered, and a
 // -network flag for the network= clause — combine and merge to the
-// unsharded sweep's bytes.
+// unsharded sweep's bytes. Re-running a completed shard leaves its
+// manifest byte for byte unchanged.
 func TestShardSpellingsMerge(t *testing.T) {
 	sc, err := scenario.Get("heat")
 	if err != nil {
@@ -448,5 +454,83 @@ func TestShardSpellingsMerge(t *testing.T) {
 	run("iters=3;procs=1,2", map[string]string{"network": "mesh2d"}, runMode{shardSpec: "2/2", manifestPath: m2})
 	if got := encode(run("", nil, runMode{merge: true, manifestPath: m1 + "," + m2})); got != want {
 		t.Errorf("merge of two spellings differs from the unsharded sweep\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+
+	// Re-running a completed shard runs nothing and leaves its manifest's
+	// bytes as they were.
+	before, err := os.ReadFile(m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("procs=1,2;iters=3;network=mesh2d", nil, runMode{shardSpec: "1/2", manifestPath: m1})
+	if after, err := os.ReadFile(m1); err != nil || string(after) != string(before) {
+		t.Errorf("re-running a completed shard rewrote its manifest (%v)\n--- before ---\n%s--- after ---\n%s", err, before, after)
+	}
+}
+
+// TestListNamesEveryScenario: -list prints three blocks — every paper
+// experiment ID, one line per registered scenario (at least the eight the
+// paper's figures and the applications need) and the sweep axes — each
+// in registry order.
+func TestListNamesEveryScenario(t *testing.T) {
+	var b strings.Builder
+	writeList(&b)
+	blocks := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n\n")
+	if len(blocks) != 3 {
+		t.Fatalf("-list printed %d blocks, want 3:\n%s", len(blocks), b.String())
+	}
+	// names returns the first word of each indented line of a block.
+	names := func(block, header string) []string {
+		lines := strings.Split(block, "\n")
+		if lines[0] != header {
+			t.Errorf("block starts %q, want %q", lines[0], header)
+		}
+		var got []string
+		for _, line := range lines[1:] {
+			got = append(got, strings.Fields(line)[0])
+		}
+		return got
+	}
+	if got := names(blocks[0], "paper experiments (-run):"); !slices.Equal(got, experiments.IDs()) {
+		t.Errorf("-list names experiments %v, want %v", got, experiments.IDs())
+	}
+	got, want := names(blocks[1], "scenarios (-scenario):"), scenario.Names()
+	if !slices.Equal(got, want) || len(got) < 8 {
+		t.Errorf("-list names scenarios %v, want every registered one (%v), at least 8", got, want)
+	}
+	if want := "  " + strings.Join(experiments.AxisNames(), ", "); !strings.HasSuffix(blocks[2], "\n"+want) {
+		t.Errorf("-list axes block %q, want it to end %q", blocks[2], want)
+	}
+}
+
+// TestTraceFileRepeats: the -trace file of a run is a pure function of the
+// run — the migrating imbalance run at 8 processors and heat under a
+// brownout, each traced twice, write byte-identical files.
+func TestTraceFileRepeats(t *testing.T) {
+	for _, tc := range []struct{ scenario, sweep string }{
+		{"imbalance", "procs=8"},
+		{"heat", "procs=4;perturb=brownout"},
+	} {
+		sc, err := scenario.Get(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ax, err := resolveAxes(tc.sweep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traces [2][]byte
+		for i := range traces {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			if _, err := runScenario(sc, tc.sweep, ax, runMode{tracePath: path}, cellRunner(sc, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if traces[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(traces[0]) == 0 || string(traces[0]) != string(traces[1]) {
+			t.Errorf("%s -sweep %q: two traces of one run differ (%d and %d bytes)", tc.scenario, tc.sweep, len(traces[0]), len(traces[1]))
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -87,30 +88,37 @@ func main() {
 		fs.Usage()
 		os.Exit(2)
 	}
+	if err := execute(o, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// execute loads, partitions and runs o's graph, reporting on stdout.
+func execute(o options, stdout io.Writer) error {
 	f, err := os.Open(o.graph)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g, err := ic2mpi.ReadChaco(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("graph: %d nodes, %d edges, max degree %d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
+	fmt.Fprintf(stdout, "graph: %d nodes, %d edges, max degree %d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
 	pt, net, err := pickPartitioner(o.partitioner, o.np)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	part, err := pt.Partition(g, net, o.np)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	q, err := ic2mpi.EvaluatePartition(g, part, o.np)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("partitioner: %s  edge-cut %d  imbalance %.3f  weights %v\n",
+	fmt.Fprintf(stdout, "partitioner: %s  edge-cut %d  imbalance %.3f  weights %v\n",
 		pt.Name(), q.EdgeCut, q.Imbalance, q.PartWeights)
 
 	cfg := ic2mpi.Config{
@@ -125,33 +133,34 @@ func main() {
 	}
 	if o.dynamic {
 		if cfg.Balancer, err = ic2mpi.NewBalancer("centralized", "", o.np); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	res, err := ic2mpi.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nTime Elapsed = %f\n\n", res.Elapsed)
-	fmt.Printf("%-34s %s\n", "phase", "max time (s)")
+	fmt.Fprintf(stdout, "\nTime Elapsed = %f\n\n", res.Elapsed)
+	fmt.Fprintf(stdout, "%-34s %s\n", "phase", "max time (s)")
 	for ph := 0; ph < ic2mpi.NumPhases; ph++ {
-		fmt.Printf("%-34s %.6f\n", ic2mpi.Phase(ph), res.MaxPhase(ic2mpi.Phase(ph)))
+		fmt.Fprintf(stdout, "%-34s %.6f\n", ic2mpi.Phase(ph), res.MaxPhase(ic2mpi.Phase(ph)))
 	}
 	if o.dynamic {
-		fmt.Printf("\ntask migrations: %d\n", res.Migrations)
+		fmt.Fprintf(stdout, "\ntask migrations: %d\n", res.Migrations)
 	}
 	if o.verify {
 		want, err := ic2mpi.RunSequential(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for v := range want {
 			if res.FinalData[v] != want[v] {
-				log.Fatalf("VERIFY FAILED at node %d: %v != %v", v, res.FinalData[v], want[v])
+				return fmt.Errorf("VERIFY FAILED at node %d: %v != %v", v, res.FinalData[v], want[v])
 			}
 		}
-		fmt.Println("verify: distributed result matches the sequential reference")
+		fmt.Fprintln(stdout, "verify: distributed result matches the sequential reference")
 	}
+	return nil
 }
 
 // pickPartitioner resolves -partitioner: a registered partitioner or one of

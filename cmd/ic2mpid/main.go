@@ -32,8 +32,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -47,20 +47,30 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ic2mpid: ")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	os.Exit(run(os.Args[1:], os.Stderr, sig))
+}
 
-	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-	workers := experiments.CountFlag(flag.CommandLine, "workers", 0, "`count` of concurrent jobs; 0 means number of CPUs")
-	queue := experiments.CountFlag(flag.CommandLine, "queue", 0, "`count` of jobs the queue holds; 0 means 256")
-	cache := flag.Int("cache", 0, "completed-cell LRU capacity; 0 means 4096, negative disables")
-	maxCells := experiments.CountFlag(flag.CommandLine, "max-cells", 0, "largest accepted sweep, in `cells`; 0 means 4096")
-	parallel := experiments.CountFlag(flag.CommandLine, "parallel", 0, "`count` of concurrent cells per job (the experiments worker pool); 0 means number of CPUs")
-	token := flag.String("token", "", "when set, /v1/* requires 'Authorization: Bearer <token>'")
-	stateDir := flag.String("state", "", "state directory; when set, the cell cache and queued jobs survive restarts")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs on shutdown")
-	flag.Parse()
+// run is the daemon on args: it serves until a signal arrives on sig, then
+// drains. It returns the exit code: 2 for a usage error, 1 for a failure.
+func run(args []string, stderr io.Writer, sig <-chan os.Signal) int {
+	log := log.New(stderr, "ic2mpid: ", 0)
+	fs := flag.NewFlagSet("ic2mpid", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
+	workers := experiments.CountFlag(fs, "workers", 0, "`count` of concurrent jobs; 0 means number of CPUs")
+	queue := experiments.CountFlag(fs, "queue", 0, "`count` of jobs the queue holds; 0 means 256")
+	cache := fs.Int("cache", 0, "completed-cell LRU capacity; 0 means 4096, negative disables")
+	maxCells := experiments.CountFlag(fs, "max-cells", 0, "largest accepted sweep, in `cells`; 0 means 4096")
+	parallel := experiments.CountFlag(fs, "parallel", 0, "`count` of concurrent cells per job (the experiments worker pool); 0 means number of CPUs")
+	token := fs.String("token", "", "when set, /v1/* requires 'Authorization: Bearer <token>'")
+	stateDir := fs.String("state", "", "state directory; when set, the cell cache and queued jobs survive restarts")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs on shutdown")
+	if fs.Parse(args) != nil {
+		return 2 // -h included; the flag package has printed the usage
+	}
 	experiments.Parallelism = *parallel
 
 	srv := server.New(server.Config{
@@ -72,17 +82,21 @@ func main() {
 		StateDir:   *stateDir,
 	})
 	if err := srv.RestoreError(); err != nil {
-		log.Fatalf("restoring state from %s: %v", *stateDir, err)
+		log.Printf("restoring state from %s: %v", *stateDir, err)
+		return 1
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	log.Printf("listening on %s", ln.Addr())
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatal(err)
+			ln.Close()
+			log.Print(err)
+			return 1
 		}
 	}
 
@@ -90,13 +104,10 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
+	case err := <-done: // Serve stops early only on an error of its own
+		log.Print(err)
+		return 1
 	case s := <-sig:
 		log.Printf("received %s; draining (timeout %s)", s, *drainTimeout)
 		srv.Drain()
@@ -112,4 +123,5 @@ func main() {
 		}
 		log.Print("drained; exiting")
 	}
+	return 0
 }

@@ -112,29 +112,36 @@ func TestWriteReportUnknownFormat(t *testing.T) {
 	}
 }
 
-// TestSweepJSONDeterministic is the acceptance gate for machine-readable
-// sweeps: two runs of the same sweep must encode to byte-identical JSON
-// (deterministic virtual time end to end).
-func TestSweepJSONDeterministic(t *testing.T) {
-	sc := mustScenario("hex32-fine")
-	ax, err := ParseAxes("procs=1,2,4;iters=5;exchange=basic,overlap")
+// sweepJSON runs spec over the named scenario on parallelism workers and
+// returns the JSON report and the report itself.
+func sweepJSON(t *testing.T, name, spec string, parallelism int) ([]byte, *SweepReport) {
+	t.Helper()
+	ax, err := ParseAxes(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encode := func() []byte {
-		rep, err := RunSweep(sc, ax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, "json", rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	defer func(old int) { Parallelism = old }(Parallelism)
+	Parallelism = parallelism
+	rep, err := RunSweep(mustScenario(name), ax)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := encode(), encode()
-	if !bytes.Equal(a, b) {
-		t.Errorf("sweep JSON not byte-identical across runs:\n%s\n---\n%s", a, b)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, "json", rep); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), rep
+}
+
+// TestSweepJSONDeterministic is the acceptance gate for machine-readable
+// sweeps: the sweep archived as a CI artifact encodes to byte-identical
+// JSON on four workers and on one (deterministic virtual time end to
+// end, whatever order the cells finish in).
+func TestSweepJSONDeterministic(t *testing.T) {
+	const spec = "procs=1,2,4,8;iters=5;exchange=basic,overlap"
+	par, _ := sweepJSON(t, "hex32-fine", spec, 4)
+	if seq, _ := sweepJSON(t, "hex32-fine", spec, 1); !bytes.Equal(par, seq) {
+		t.Errorf("sweep JSON differs between -parallel 4 and -parallel 1:\n%s\n---\n%s", par, seq)
 	}
 }
 

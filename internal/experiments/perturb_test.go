@@ -14,29 +14,12 @@ import (
 // rows actually diverge from the unperturbed ones, so the axis is not
 // silently a no-op.
 func TestPerturbedSweepParallelDeterministic(t *testing.T) {
-	sc := mustScenario("hex32-fine")
-	ax, err := ParseAxes("procs=2,4;iters=9;balancer=centralized;perturb=none,brownout,chaos@3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	encode := func(parallelism int) ([]byte, *SweepReport) {
-		old := Parallelism
-		Parallelism = parallelism
-		defer func() { Parallelism = old }()
-		rep, err := RunSweep(sc, ax)
-		if err != nil {
-			t.Fatal(err)
+	const spec = "procs=2,4;iters=9;balancer=centralized;perturb=none,brownout,chaos@3"
+	seq, rep := sweepJSON(t, "hex32-fine", spec, 1)
+	for _, parallelism := range []int{4, 8} {
+		if par, _ := sweepJSON(t, "hex32-fine", spec, parallelism); !bytes.Equal(seq, par) {
+			t.Errorf("perturbed sweep JSON differs between -parallel 1 and -parallel %d:\n%s\n---\n%s", parallelism, seq, par)
 		}
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, "json", rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), rep
-	}
-	seq, rep := encode(1)
-	par, _ := encode(8)
-	if !bytes.Equal(seq, par) {
-		t.Errorf("perturbed sweep JSON differs between -parallel 1 and -parallel 8:\n%s\n---\n%s", seq, par)
 	}
 	elapsed := map[string]map[int]float64{}
 	for _, row := range rep.Rows {
@@ -78,5 +61,20 @@ func TestAxesPerturbSingle(t *testing.T) {
 	}
 	if _, err := multi.Single(); err == nil {
 		t.Error("multi-value perturb axis accepted as single combination")
+	}
+}
+
+// TestBalancerTournamentParallelDeterministic: all six balancer settings
+// under three perturbation schedules on a uniform and a heterogeneous
+// network, the tournament archived as a CI artifact, encode to the same
+// JSON on four workers as on one.
+func TestBalancerTournamentParallelDeterministic(t *testing.T) {
+	const spec = "procs=8;iters=15;balancer=none,centralized,diffusion,worksteal,hierarchical,predictive;perturb=none,brownout,ramp;network=hypercube,hetgrid"
+	par, rep := sweepJSON(t, "hex64-coarse", spec, 4)
+	if len(rep.Rows) != 36 {
+		t.Fatalf("tournament ran %d cells, want 36", len(rep.Rows))
+	}
+	if seq, _ := sweepJSON(t, "hex64-coarse", spec, 1); !bytes.Equal(par, seq) {
+		t.Errorf("tournament JSON differs between -parallel 4 and -parallel 1:\n%s\n---\n%s", par, seq)
 	}
 }
