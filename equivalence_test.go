@@ -99,8 +99,8 @@ func (want runBytes) diff(got runBytes) string {
 // invariants. Each snapshot at one of cuts (every epoch boundary when cuts
 // is empty) must re-encode to its own bytes, and resuming from it at a
 // worker count rotated by the cut must reproduce the result, phases and
-// trace. Custom-runner scenarios cannot checkpoint, and their traces carry
-// no wall clock: they skip the snapshot steps and the invariants.
+// trace. Custom-runner scenarios cannot checkpoint: they skip the
+// snapshot steps.
 func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...int) {
 	t.Helper()
 	p, err := sc.Normalize(p)
@@ -149,7 +149,7 @@ func checkCell(t *testing.T, sc scenario.Scenario, p scenario.Params, cuts ...in
 		if snapAt != nil && taken != p.Iterations-1 {
 			t.Fatalf("%s: %d snapshots, want one at each of %d epoch boundaries", label, taken, p.Iterations-1)
 		}
-		if sc.Runner == nil && resume == nil {
+		if resume == nil {
 			checkSampleInvariants(t, label, rec)
 		}
 		var buf bytes.Buffer

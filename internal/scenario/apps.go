@@ -230,6 +230,7 @@ func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Reco
 				rec.RecordSample(trace.Sample{
 					Iter:      iter + 1,
 					Proc:      p.Pid(),
+					WallS:     t1,
 					ComputeS:  tc - t0,
 					CommS:     t1 - tc,
 					IdleS:     stats1.IdleSeconds - stats0.IdleSeconds,
