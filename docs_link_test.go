@@ -2,7 +2,7 @@ package ic2mpi_test
 
 // Markdown link check over README.md and docs/: every relative link must
 // point at a file that exists, and every fragment into a Markdown file
-// must match a heading there. CI runs this as its link-check step.
+// must match a heading there.
 
 import (
 	"io/fs"
@@ -234,8 +234,8 @@ func docgenMarkerLine(line string) (kind, id string) {
 // TestDocgenMarkersBalanced validates the <!-- docgen --> marker pairs in
 // README.md and every docs/*.md file: every begin has a matching end with
 // the same section id, no nesting, no stray ends, no duplicate ids. The
-// content between the pairs is validated separately by
-// `go run ./cmd/docgen -check` in CI.
+// content between the pairs is validated separately by TestDocsUpToDate
+// in cmd/docgen.
 func TestDocgenMarkersBalanced(t *testing.T) {
 	for _, file := range markdownFiles(t) {
 		body, err := os.ReadFile(file)

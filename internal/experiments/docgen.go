@@ -20,8 +20,8 @@ import (
 // and cmd/docgen re-renders every marked region from a pinned set of
 // deterministic scenario runs. Because execution is in virtual time, the
 // regenerated bytes are identical on every host unless the platform's
-// behavior actually changed — so CI runs `docgen -check` and fails on any
-// drift between the docs and the code.
+// behavior actually changed — so go test runs `docgen -check`
+// (cmd/docgen TestDocsUpToDate) and fails on any drift from the code.
 
 // Marker delimiters. A begin line is DocgenBegin + id + DocgenClose.
 const (

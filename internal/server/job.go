@@ -53,8 +53,8 @@ type JobSpec struct {
 const maxProcs = 1 << 16
 
 // maxCellWork caps one cell's processors x iterations, for the same reason
-// in time: a cell owns its worker until it ends. About 300 times the
-// largest cell any doc or CI step runs (16384 x 200).
+// in time: a cell owns its worker until it ends. About 3300 times the
+// largest cell any doc or test runs (hex64-fine, 16384 x 20).
 const maxCellWork = 1 << 30
 
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
