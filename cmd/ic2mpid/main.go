@@ -22,8 +22,8 @@
 //	curl -s localhost:8080/v1/jobs/job-000001/result      # byte-identical to cmd/experiments
 //
 // On SIGTERM or SIGINT the daemon drains: readiness and submits flip to
-// 503, queued jobs are cancelled, running jobs finish (bounded by
-// -drain-timeout), then the listener closes. With -state, completed
+// 503, queued jobs are cancelled, running jobs finish (stopped once
+// -drain-timeout passes), then the listener closes. With -state, completed
 // cells and accepted job specs persist to disk; a restarted daemon
 // reloads the cache, re-queues the jobs the shutdown interrupted under
 // their original IDs, and recomputes only the cells that never
@@ -67,7 +67,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal) int {
 	parallel := experiments.CountFlag(fs, "parallel", 0, "`count` of concurrent cells per job (the experiments worker pool); 0 means number of CPUs")
 	token := fs.String("token", "", "when set, /v1/* requires 'Authorization: Bearer <token>'")
 	stateDir := fs.String("state", "", "state directory; when set, the cell cache and queued jobs survive restarts")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs on shutdown")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace before running jobs are stopped on shutdown")
 	if fs.Parse(args) != nil {
 		return 2 // -h included; the flag package has printed the usage
 	}

@@ -43,13 +43,19 @@ const conservationTol = 1e-9
 // sum of the phase deltas (idle is included inside communicate and
 // balance), so an unattributed Charge or fast-forward shows up as a leak.
 // Iteration 1 is exempt from conservation: its baseline, the
-// post-initialization clock, is not in the record.
+// post-initialization clock, is not in the record. Anchor: a processor's
+// clock starts at 0, so each sample's Wtime is at least the running sum of
+// its processor's phase deltas; a sample stamped before some of the phases
+// it reports, even by the same amount every iteration, falls below it.
 func checkSampleInvariants(t *testing.T, label string, rec *trace.Recorder) {
 	t.Helper()
 	procs := rec.Procs()
-	wall := make([]float64, procs) // each processor's clock at its previous sample
+	wall := make([]float64, procs)  // each processor's clock at its previous sample
+	spent := make([]float64, procs) // each processor's phase deltas so far
 	for i, s := range rec.Samples() {
 		it, p := i/procs+1, i%procs
+		phases := s.ComputeS + s.OverheadS + s.CommS + s.BalanceS
+		spent[p] += phases
 		switch delta := s.WallS - wall[p]; {
 		case s.Iter != it || s.Proc != p:
 			t.Fatalf("%s: sample (%d,%d) holds (%d,%d)", label, it, p, s.Iter, s.Proc)
@@ -59,9 +65,12 @@ func checkSampleInvariants(t *testing.T, label string, rec *trace.Recorder) {
 			t.Fatalf("%s: Wtime decreased at iter %d proc %d: %g -> %g", label, it, p, wall[p], s.WallS)
 		case s.IdleS > s.CommS+s.BalanceS+conservationTol:
 			t.Fatalf("%s: iter %d proc %d idle %g exceeds comm %g + balance %g", label, it, p, s.IdleS, s.CommS, s.BalanceS)
-		case it >= 2 && math.Abs(delta-(s.ComputeS+s.OverheadS+s.CommS+s.BalanceS)) > conservationTol*(1+delta):
+		case it >= 2 && math.Abs(delta-phases) > conservationTol*(1+delta):
 			t.Fatalf("%s: virtual time leaked at iter %d proc %d: wall delta %g, phase sum %g",
-				label, it, p, delta, s.ComputeS+s.OverheadS+s.CommS+s.BalanceS)
+				label, it, p, delta, phases)
+		case s.WallS < spent[p]-conservationTol*(1+spent[p]):
+			t.Fatalf("%s: iter %d proc %d stamped at %g, before the %g of phases its processor has reported",
+				label, it, p, s.WallS, spent[p])
 		}
 		wall[p] = s.WallS
 	}

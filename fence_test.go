@@ -237,12 +237,19 @@ var deletedNames = []struct {
 		lines:   1,
 	},
 	{
+		name:    "one stop signal",
+		reason:  "a cancel or a drain deadline closes the job's stop channel, which every rank reads at its iteration boundary, so the cap on a cell's rank-iterations, the cancel flag polled between cells and the drain-timeout abandon path stay deleted",
+		pattern: `maxCellWork|drainTimeoutPrefix|errCancelled|cancel\s+atomic\.Bool`,
+		paths:   []string{"internal", "cmd"},
+		include: "*.go",
+	},
+	{
 		name:    "host-only fields declared once, in platform.Host",
-		reason:  "the worker count, trace recorder, checkpoint period and sink and resume snapshot are the five fields of platform.Host, which Config and scenario.Params embed, so no layer declares them again beside it",
-		pattern: `^\s*(\w+\s*,\s*)*(KernelWorkers|CheckpointEvery|CheckpointSink|ResumeFrom)(\s*,\s*\w+)*\s+[][*A-Za-z(]|^\s*Trace\s+\*(trace\.)?Recorder\b`,
+		reason:  "the worker count, trace recorder, checkpoint period and sink, resume snapshot and stop channel are the six fields of platform.Host, which Config and scenario.Params embed, so no layer declares them again beside it; the seventh line is mpi.Options.Stop, the engine's own option that Host.Stop is handed to",
+		pattern: `^\s*(\w+\s*,\s*)*(KernelWorkers|CheckpointEvery|CheckpointSink|ResumeFrom)(\s*,\s*\w+)*\s+[][*A-Za-z(]|^\s*Trace\s+\*(trace\.)?Recorder\b|^\s*Stop\s+<-chan\b`,
 		paths:   []string{"."},
 		include: "*.go",
-		lines:   5,
+		lines:   7,
 	},
 }
 

@@ -31,10 +31,9 @@ type Message struct {
 // Proc is one BSP process's handle, valid only inside Run's body function
 // and only on its own goroutine.
 type Proc struct {
-	comm    *mpi.Comm
-	outbox  [][]outMsg // per destination, this superstep
-	step    int
-	stopped bool
+	comm   *mpi.Comm
+	outbox [][]outMsg // per destination, this superstep
+	step   int
 }
 
 type outMsg struct {
@@ -57,12 +56,7 @@ func Run(opts mpi.Options, fn func(p *Proc) error) error {
 		return fmt.Errorf("bsp: Procs must be >= 1, got %d", opts.Procs)
 	}
 	return mpi.Run(opts, func(c *mpi.Comm) error {
-		p := &Proc{comm: c, outbox: make([][]outMsg, c.Size())}
-		if err := fn(p); err != nil {
-			return err
-		}
-		p.stopped = true
-		return nil
+		return fn(&Proc{comm: c, outbox: make([][]outMsg, c.Size())})
 	})
 }
 
@@ -102,8 +96,12 @@ func (p *Proc) Put(dst, tag int, payload any, bytes int) error {
 
 // Sync ends the superstep: all messages posted with Put are exchanged, a
 // barrier synchronizes all processes (the BSP L term), and the messages
-// received by this process are returned sorted by (Src, posting order).
+// received by this process are returned sorted by (Src, posting order),
+// or, once Run's Options.Stop is closed, nothing and mpi.ErrStopped.
 func (p *Proc) Sync() ([]Message, error) {
+	if err := p.comm.Stopped(); err != nil {
+		return nil, err
+	}
 	n := p.NProcs()
 	// Exchange per-destination counts so receivers know what to expect;
 	// Allgather implements the h-relation's global knowledge exchange.

@@ -1,9 +1,12 @@
 package bsp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
@@ -237,5 +240,81 @@ func TestErrorPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected propagated error")
+	}
+}
+
+// mpiGoroutines counts the goroutines running engine code: its worker
+// goroutines and its carriers, running, parked or pooled.
+func mpiGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("ic2mpi/internal/mpi.")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStopEndsSyncAtSuperstep: process 0 closes Options.Stop in superstep
+// 3 of a ring program. Under every kernel name at one and at three
+// workers the run fails with mpi.ErrStopped and process 0 starts no later
+// superstep: its Sync returns the error without exchanging anything.
+// Processes far from it may have run ahead, so theirs are not pinned.
+// Once the pool is drained no engine goroutine is left.
+func TestStopEndsSyncAtSuperstep(t *testing.T) {
+	for _, name := range mpi.KernelNames() {
+		kernel, err := mpi.ParseKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s-w%d", name, workers), func(t *testing.T) {
+				mpi.DrainCarriers()
+				before := mpiGoroutines()
+				stop := make(chan struct{})
+				opts := free(6)
+				opts.Kernel, opts.Workers, opts.Stop = kernel, workers, stop
+				started := 0 // supersteps process 0 started
+				err := Run(opts, func(p *Proc) error {
+					for step := 1; step <= 10; step++ {
+						if p.Pid() == 0 {
+							started = step
+							if step == 3 {
+								close(stop)
+							}
+						}
+						if err := p.Put((p.Pid()+1)%p.NProcs(), 1, step, 8); err != nil {
+							return err
+						}
+						if _, err := p.Sync(); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if !errors.Is(err, mpi.ErrStopped) {
+					t.Fatalf("got %v, want an error that is mpi.ErrStopped", err)
+				}
+				if started != 3 {
+					t.Errorf("process 0 started superstep %d last, want 3", started)
+				}
+				mpi.DrainCarriers()
+				deadline := time.Now().Add(5 * time.Second)
+				for after := mpiGoroutines(); after > before; after = mpiGoroutines() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d engine goroutines before the run, %d after draining the pool", before, after)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }

@@ -45,6 +45,7 @@ func TestHostNeverReachesKeysOrReports(t *testing.T) {
 		"CheckpointEvery": 2,
 		"CheckpointSink":  func(*platform.RunSnapshot) error { return nil },
 		"ResumeFrom":      snap,
+		"Stop":            (<-chan struct{})(make(chan struct{})), // open: a closed one ends the run
 	}
 	hostType := reflect.TypeFor[platform.Host]()
 	for i := range hostType.NumField() {

@@ -165,6 +165,57 @@ func TestCarriersOfDeadlockStopped(t *testing.T) {
 	})
 }
 
+// TestStopReturnsEveryCarrier: rank 0 closes Options.Stop in the third
+// round of a ring program that checks Stopped at the top of each round.
+// Whichever rank sees the stop first fails the run with ErrStopped; every
+// other rank either sees it too or unwinds from Recv or Barrier through
+// the failure, so every rank returns and every carrier goes back to the
+// pool. A Stop never closed changes no clock or counter.
+func TestStopReturnsEveryCarrier(t *testing.T) {
+	forEventKernels(t, 4, func(t *testing.T, opts Options) {
+		stop := make(chan struct{})
+		opts.Stop = stop
+		rounds := make([]int, opts.Procs) // rounds each rank started
+		err := Run(opts, func(c *Comm) error {
+			n, r := c.Size(), c.Rank()
+			for round := 0; round < 100; round++ {
+				if err := c.Stopped(); err != nil {
+					return err
+				}
+				rounds[r]++
+				if r == 0 && round == 2 {
+					close(stop)
+				}
+				if err := c.Isend((r+1)%n, round, r, 8); err != nil {
+					return err
+				}
+				if _, err := c.Recv((r+n-1)%n, round); err != nil {
+					return err
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("got %v, want an error that is ErrStopped", err)
+		}
+		if rounds[0] != 3 {
+			t.Errorf("rank 0 started %d rounds, want 3", rounds[0])
+		}
+		if n := len(pooledCarriers()); n != opts.Procs {
+			t.Fatalf("%d carriers pooled after the stop, want %d", n, opts.Procs)
+		}
+		plain := runRing(t, freeOpts(opts.Procs))
+		open := opts
+		open.Stop = make(chan struct{})
+		if got := runRing(t, open); !slices.Equal(got, plain) {
+			t.Errorf("with an open Stop %+v, without %+v", got, plain)
+		}
+	})
+}
+
 // TestCarrierOfGoexitNeverPooled: a rank that calls runtime.Goexit ends
 // its carrier and unwinds the Run that resumed it; the dead carrier must
 // not reach the pool, where the next run would take it.

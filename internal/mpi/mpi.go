@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 
 	"ic2mpi/internal/netmodel"
@@ -35,7 +36,12 @@ type Options struct {
 	// messages), under every kernel name. It is an observer, not a
 	// setting: a run with Probe set is byte-identical to one without.
 	Probe *KernelCounters
+	// Stop, once closed, makes Stopped return ErrStopped; nil never does.
+	Stop <-chan struct{}
 }
+
+// ErrStopped is what a rank returns once its run's Options.Stop is closed.
+var ErrStopped = errors.New("mpi: stopped")
 
 // World owns the shared state of one SPMD execution: the cost model, the
 // engine that schedules the ranks and the failure state. Ranks only read
@@ -55,6 +61,7 @@ type World struct {
 	// window with one, published by the fold, or the deadlock the
 	// coordinator found. Recv and Barrier abort once it is set.
 	fail error
+	stop <-chan struct{} // Options.Stop
 }
 
 // message is one in-flight point-to-point message, priced by Isend:
@@ -155,7 +162,7 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	if err := cost.Validate(opts.Procs); err != nil {
 		return err
 	}
-	w := &World{procs: opts.Procs, cost: cost}
+	w := &World{procs: opts.Procs, cost: cost, stop: opts.Stop}
 	if tv, ok := cost.(netmodel.TimeVarying); ok {
 		w.tv = tv
 	}
@@ -208,6 +215,20 @@ func (c *Comm) SetEpoch(epoch int) {
 		c.sendOverhead = tv.SendOverheadAt(epoch, c.rank)
 		c.recvOverhead = tv.RecvOverheadAt(epoch, c.rank)
 	}
+}
+
+// Stopped returns ErrStopped, without blocking, once Options.Stop is
+// closed. A rank calls it at each iteration boundary and returns the error,
+// which fails the run as any rank's error does. A nil Stop costs a compare.
+func (c *Comm) Stopped() error {
+	if c.world.stop != nil {
+		select {
+		case <-c.world.stop:
+			return ErrStopped
+		default:
+		}
+	}
+	return nil
 }
 
 // Charge accounts d seconds of local computation to this rank: its clock

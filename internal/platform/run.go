@@ -55,7 +55,7 @@ func Run(cfg Config) (*Result, error) {
 	// iteration.
 	tv, _ := c.Network.(netmodel.TimeVarying)
 
-	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers}
+	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
 		var start float64
 		st := &ranks[comm.Rank()]
@@ -96,6 +96,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		for iter := firstIter; iter <= c.Iterations; iter++ {
+			if err := comm.Stopped(); err != nil {
+				return err
+			}
 			if tv != nil {
 				comm.SetEpoch(iter)
 				st.speed = tv.SpeedAt(iter, st.me)

@@ -227,6 +227,9 @@ type Host struct {
 	// untraced runs have identical timelines. A nil Trace costs one branch
 	// per iteration.
 	Trace *trace.Recorder
+	// Stop, once closed, ends the run at each rank's next iteration
+	// boundary with an error that is mpi.ErrStopped (mpi.Options.Stop).
+	Stop <-chan struct{}
 }
 
 // Config describes one platform run. Graph, InitialPartition, InitData and

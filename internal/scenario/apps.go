@@ -155,11 +155,11 @@ func PageRankBSPOn(g *graph.Graph, procs, iters int, model netmodel.Model, rec *
 
 // bspOptions builds the superstep layer's options from normalized
 // parameters — the one place the pagerank-bsp runner's knobs (procs,
-// network, kernel, kernel workers) cross into mpi.Options. The empty
+// network, kernel, kernel workers, stop) cross into mpi.Options. The empty
 // network keeps the scenario's built-in free-comm machine; a named one
 // prices the h-relations.
 func bspOptions(p Params) (mpi.Options, error) {
-	opts := mpi.Options{Procs: p.Procs, Workers: p.KernelWorkers}
+	opts := mpi.Options{Procs: p.Procs, Workers: p.KernelWorkers, Stop: p.Stop}
 	var err error
 	if p.Network != "" {
 		if opts.Cost, err = netmodel.New(p.Network, p.Procs); err != nil {

@@ -500,10 +500,12 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 
 // TestBSPOptionsCarryEveryKnob pins the custom runner's side of the knob
 // plumbing: every parameter the pagerank-bsp runner acts on — the pevent
-// worker count included, which it used to drop — arrives in mpi.Options.
+// worker count included, which it used to drop, and the stop channel —
+// arrives in mpi.Options.
 func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	sc, _ := Lookup("pagerank-bsp")
-	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", Host: platform.Host{KernelWorkers: 3}})
+	stop := make(chan struct{})
+	p, err := sc.Normalize(Params{Procs: 4, Network: "mesh2d", Kernel: "pevent", Host: platform.Host{KernelWorkers: 3, Stop: stop}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,8 +513,8 @@ func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Procs != 4 || opts.Kernel != mpi.KernelParallelEvent || opts.Workers != 3 {
-		t.Errorf("bspOptions = %+v, want 4 procs on the pevent kernel at 3 workers", opts)
+	if opts.Procs != 4 || opts.Kernel != mpi.KernelParallelEvent || opts.Workers != 3 || opts.Stop != stop {
+		t.Errorf("bspOptions = %+v, want 4 procs on the pevent kernel at 3 workers with the stop channel", opts)
 	}
 	if opts.Cost == nil || opts.Cost.String() != "mesh2d" {
 		t.Errorf("bspOptions cost model = %v, want mesh2d", opts.Cost)

@@ -12,7 +12,7 @@
 //	POST /v1/jobs               submit a job; 201 with the job document
 //	GET  /v1/jobs               list jobs (optionally ?state=...)
 //	GET  /v1/jobs/{id}          inspect one job
-//	POST /v1/jobs/{id}/cancel   cancel (queued: immediate; running: between cells)
+//	POST /v1/jobs/{id}/cancel   cancel (queued: immediate; running: at the next iteration)
 //	GET  /v1/jobs/{id}/result   completed report bytes (json/csv/text)
 //	GET  /v1/jobs/{id}/trace    canonical JSONL trace of a traced job
 //	GET  /v1/jobs/{id}/stream   live NDJSON (or SSE) event stream
@@ -22,11 +22,11 @@
 //	GET  /healthz, /readyz      liveness and readiness (503 while draining)
 //
 // Job lifecycle: queued -> running -> done | failed | cancelled. A
-// queued job cancels immediately; a running job cancels at the next cell
-// boundary (simulation cells are not interruptible mid-run). Drain stops
-// intake (submits and readiness return 503), cancels still-queued jobs,
-// and lets running jobs finish — the shutdown path cmd/ic2mpid wires to
-// SIGTERM.
+// queued job cancels immediately; a running one at its ranks' next
+// iteration boundary (platform.Host.Stop). Drain stops intake (submits
+// and readiness return 503), cancels still-queued jobs, and lets running
+// jobs finish, or stops them once Wait's deadline passes — the shutdown
+// path cmd/ic2mpid wires to SIGTERM.
 //
 // Determinism contract: a job's result bytes equal the output of
 // `cmd/experiments -scenario S -sweep ... -format F` for the same spec,

@@ -3,8 +3,8 @@ package server
 // FuzzJobSpec hardens the daemon's input boundary: DecodeJobSpec parses
 // attacker-controlled JSON into an experiments.Axes sweep space, and
 // must never panic and never accept a spec that violates its own
-// invariants (unknown format, over-cap sweep, over-cap cell, multi-cell
-// trace, non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
+// invariants (unknown format, over-cap sweep, over-cap cell, over-cap
+// traced cell, multi-cell trace, non-normalizable cell). Seed corpus: testdata/fuzz/FuzzJobSpec.
 
 import (
 	"fmt"
@@ -38,23 +38,29 @@ func TestDecodeJobSpecRefusesWrappedProduct(t *testing.T) {
 
 // TestDecodeJobSpecCapsTheTracedCell: a traced spec that names no
 // processor count runs one cell at the scenario's default, so that cell is
-// the one the rank-iteration cap is checked on, not the 16-processor cell
-// of the default processor sweep, which the job never runs.
+// the one the trace-sample cap is checked on, not the 16-processor cell of
+// the default processor sweep, which the job never runs. An untraced cell
+// allocates nothing per iteration up front, so its iteration count is not
+// capped at all.
 func TestDecodeJobSpecCapsTheTracedCell(t *testing.T) {
 	sc, err := scenario.Get("heat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters := maxCellWork/16 + 1 // over the cap at 16 processors
-	if np, err := sc.Normalize(scenario.Params{Iterations: iters}); err != nil || np.Procs*iters > maxCellWork {
+	iters := maxTraceSamples/16 + 1 // over the cap at 16 processors
+	if np, err := sc.Normalize(scenario.Params{Iterations: iters}); err != nil || np.Procs*iters > maxTraceSamples {
 		t.Fatalf("heat's default cell (%+v, %v) is over the cap too; the test needs one under it", np, err)
 	}
 	sweep := fmt.Sprintf(`"sweep":"iters=%d"`, iters)
-	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep+`}`), 4096); err == nil || !strings.Contains(err.Error(), "rank-iterations") {
-		t.Errorf("untraced: got %v, want the processor sweep's 16-processor cell refused", err)
-	}
 	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep+`,"trace":true}`), 4096); err != nil {
 		t.Errorf("traced: refused with %v, want its one default-processor cell accepted", err)
+	}
+	sweep16 := fmt.Sprintf(`"sweep":"procs=16;iters=%d"`, iters)
+	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep16+`,"trace":true}`), 4096); err == nil || !strings.Contains(err.Error(), "trace samples") {
+		t.Errorf("traced at 16 processors: got %v, want the trace-sample cap", err)
+	}
+	if _, _, err := DecodeJobSpec([]byte(`{"scenario":"heat",`+sweep16+`}`), 4096); err != nil {
+		t.Errorf("untraced at 16 processors: refused with %v, want it accepted", err)
 	}
 }
 
@@ -68,7 +74,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"scenario":"nope"}`,
 		`{"scenario":"heat","sweep":"procs=0"}`,
 		`{"scenario":"heat","sweep":"procs=2000000"}`,
-		`{"scenario":"heat","sweep":"procs=65536;iters=2000000000"}`,
+		`{"scenario":"heat","sweep":"procs=1024;iters=1048576","trace":true}`,
 		`{"scenario":"heat","format":"xml"}`,
 		`{"scenario":"heat","axes":{"iterations":[-1]}}`,
 		`{"scenario":"heat","sweep":"procs=1,2","trace":true}`,
@@ -114,8 +120,8 @@ func FuzzJobSpec(f *testing.F) {
 			if np.Procs > maxProcs {
 				t.Fatalf("accepted spec with a %d-processor cell (cap %d)", np.Procs, maxProcs)
 			}
-			if np.Iterations > maxCellWork/np.Procs {
-				t.Fatalf("accepted spec with a %d x %d rank-iteration cell (cap %d)", np.Procs, np.Iterations, maxCellWork)
+			if spec.Trace && np.Iterations > maxTraceSamples/np.Procs {
+				t.Fatalf("accepted a traced %d x %d cell (cap %d trace samples)", np.Procs, np.Iterations, maxTraceSamples)
 			}
 		}
 	})

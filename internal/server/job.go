@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ic2mpi/internal/experiments"
@@ -47,24 +46,22 @@ type JobSpec struct {
 }
 
 // maxProcs caps the simulated processors of one cell: the largest size any
-// doc names, about 400 MB of rank state at the measured ~6 KiB per rank. A
-// running cell cannot be cancelled, so an oversized one is refused here
-// rather than discovered as an out-of-memory kill.
+// doc names, about 400 MB of rank state at the measured ~6 KiB per rank,
+// allocated before the first iteration, where no stop reaches.
 const maxProcs = 1 << 16
 
-// maxCellWork caps one cell's processors x iterations, for the same reason
-// in time: a cell owns its worker until it ends. About 3300 times the
-// largest cell any doc or test runs (hex64-fine, 16384 x 20).
-const maxCellWork = 1 << 30
+// maxTraceSamples caps a traced cell's processors x iterations: its
+// recorder allocates a 104-byte sample for each up front, ~440 MB at most.
+const maxTraceSamples = 1 << 22
 
 // DecodeJobSpec parses and validates a submit-request body: strict JSON
 // (unknown fields rejected), a registered scenario, a well-formed sweep
 // space with a one-cell sweep when a trace is requested, and the cells the
-// job will run (JobSpec.cells): at most maxCells of them, each
-// normalizable and of at most maxProcs processors and maxCellWork
-// rank-iterations. It returns the spec with Format defaulted and the
-// resolved scenario; any error is safe to echo to the client. This is the
-// daemon's input boundary — FuzzJobSpec pins that it never panics.
+// job will run (JobSpec.cells): at most maxCells of them, each normalizable,
+// of at most maxProcs processors and, traced, maxTraceSamples samples. It
+// returns the spec with Format defaulted and the resolved scenario; any
+// error is safe to echo to the client. This is the daemon's input boundary
+// — FuzzJobSpec pins that it never panics.
 func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -117,8 +114,8 @@ func DecodeJobSpec(body []byte, maxCells int) (JobSpec, scenario.Scenario, error
 		if err != nil {
 			return spec, scenario.Scenario{}, err
 		}
-		if np.Iterations > maxCellWork/np.Procs {
-			return spec, scenario.Scenario{}, fmt.Errorf("procs=%d x iters=%d exceeds the daemon cap of %d rank-iterations per cell", np.Procs, np.Iterations, maxCellWork)
+		if spec.Trace && np.Iterations > maxTraceSamples/np.Procs {
+			return spec, scenario.Scenario{}, fmt.Errorf("traced procs=%d x iters=%d exceeds the daemon cap of %d trace samples per cell", np.Procs, np.Iterations, maxTraceSamples)
 		}
 	}
 	return spec, sc, nil
@@ -134,8 +131,9 @@ func (spec JobSpec) cells() (experiments.Axes, error) {
 }
 
 // Job is one submitted unit of work. Identity fields are immutable after
-// submit; mutable progress fields are guarded by the server mutex, and
-// the cancel flag is the only cross-cutting signal the runner polls.
+// submit; mutable progress fields are guarded by the server mutex. A
+// cancel or a drain deadline closes stop, which the runner reads before
+// each cell and every rank at each iteration boundary (Params.Stop).
 type Job struct {
 	ID     string
 	Client string
@@ -143,6 +141,7 @@ type Job struct {
 	sc     scenario.Scenario
 	axes   experiments.Axes // the sweep the job runs (JobSpec.cells)
 	stream *stream
+	stop   chan struct{} // closed by stopLocked
 
 	// Guarded by Server.mu.
 	State      string
@@ -154,8 +153,7 @@ type Job struct {
 	StartedAt  time.Time
 	FinishedAt time.Time
 	result     []byte
-
-	cancel atomic.Bool
+	stopReason string // why stop was closed; "" while it is open
 }
 
 // newJob builds a queued job from a spec DecodeJobSpec accepted.
@@ -168,14 +166,21 @@ func newJob(id, client string, spec JobSpec, sc scenario.Scenario, queuedAt time
 		sc:       sc,
 		axes:     ax,
 		stream:   newStream(),
+		stop:     make(chan struct{}),
 		State:    StateQueued,
 		Cells:    ax.Size(),
 		QueuedAt: queuedAt,
 	}
 }
 
-// errCancelled aborts the remaining cells of a cancelled running job.
-var errCancelled = errors.New("job cancelled")
+// stopLocked closes j's stop channel once; the job ends cancelled with
+// reason. Callers hold the server mutex.
+func (j *Job) stopLocked(reason string) {
+	if j.stopReason == "" {
+		j.stopReason = reason
+		close(j.stop)
+	}
+}
 
 // jobView is the stable serialized form of a Job. Host-time durations are
 // omitted when zero so fixed-clock conformance goldens stay byte-stable
@@ -230,8 +235,3 @@ func (j *Job) view() jobView {
 
 // stamp renders a timestamp in RFC3339 with nanoseconds, UTC.
 func stamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
-
-// final reports whether state is terminal.
-func final(state string) bool {
-	return state == StateDone || state == StateFailed || state == StateCancelled
-}

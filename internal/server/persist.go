@@ -25,7 +25,7 @@ import (
 //   - every accepted job spec is written to <dir>/jobs/<id>.json on
 //     submit, removed when the job reaches a terminal state through
 //     normal operation, and kept when the daemon shuts down underneath
-//     it (drain-cancelled or abandoned by the drain timeout) — on
+//     it (cancelled by a drain, queued or stopped at the deadline) — on
 //     restart those jobs are re-queued under their original IDs, and
 //     their already-completed cells come from the persisted cache, so
 //     only the remaining cells recompute.
@@ -94,15 +94,6 @@ func (s *Server) persistJobLocked(j *Job) error {
 		return err
 	}
 	return experiments.WriteFileAtomic(jobPath(s.cfg.StateDir, j.ID), append(data, '\n'))
-}
-
-// removeJobRecordLocked deletes j's spec record after a terminal state
-// reached through normal operation. Callers hold the server mutex.
-func (s *Server) removeJobRecordLocked(j *Job) {
-	if s.cfg.StateDir == "" {
-		return
-	}
-	os.Remove(jobPath(s.cfg.StateDir, j.ID))
 }
 
 // restore loads the state directory into a freshly-built server: cells
@@ -209,12 +200,4 @@ func idNumber(id string) int {
 		return 0
 	}
 	return n
-}
-
-// shutdownReason reports whether a terminal (state, errMsg) pair came
-// from the daemon shutting down underneath the job rather than from the
-// job itself — exactly the jobs a restart must pick back up.
-func shutdownReason(state, errMsg string) bool {
-	return (state == StateCancelled && errMsg == reasonDraining) ||
-		(state == StateFailed && strings.HasPrefix(errMsg, drainTimeoutPrefix))
 }

@@ -1,8 +1,8 @@
 package server
 
 // Restart conformance: a daemon with a state directory survives being
-// killed mid-job. The suite simulates the full SIGTERM-with-expired-
-// drain-timeout shutdown, starts a second daemon on the same state
+// shut down mid-job. The suite runs the full SIGTERM shutdown with an
+// expired drain deadline, starts a second daemon on the same state
 // directory, and pins that the interrupted job finishes under its
 // original ID with its already-computed cells served from the persisted
 // cache — byte-identical to an uninterrupted run.
@@ -13,37 +13,38 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestRestartResumesPersistedState kills a daemon between cells 2 and 3
-// of a three-cell sweep and restarts it on the same state directory: the
+// TestRestartResumesPersistedState shuts a daemon down between cells 2 and
+// 3 of a three-cell sweep and restarts it on the same state directory: the
 // job re-queues under its original ID, cells 0 and 1 come back as cache
 // hits whose bytes equal a cache-miss run, only cell 2 recomputes, and
 // the final result is byte-identical to the experiments engine run
-// directly — ISSUE satellite (d).
+// directly. The drain deadline has passed when Wait is called, so Wait
+// stops the running job and returns only after its worker has exited.
 func TestRestartResumesPersistedState(t *testing.T) {
 	sequentialCells(t)
 	state := t.TempDir()
 
-	var killed atomic.Bool
-	release := make(chan struct{})
+	var killed, gateReturned atomic.Bool
 	reached := make(chan struct{})
 	var reachedOnce sync.Once
-	setGate(t, func(_ *Job, cell int) {
+	setGate(t, func(j *Job, cell int) {
 		if cell == 2 && !killed.Load() {
 			reachedOnce.Do(func() { close(reached) })
-			<-release
+			<-j.stop
+			// Long enough that a Wait which did not wait for this worker
+			// would return, and the check below run, before the job ends.
+			time.Sleep(50 * time.Millisecond)
+			gateReturned.Store(true)
 		}
 	})
 
 	srvA, tsA := newTestServer(t, Config{Workers: 1, StateDir: state})
-	// LIFO: unparks the abandoned worker before srvA's cleanup waits on it.
-	t.Cleanup(func() { close(release) })
 	if err := srvA.RestoreError(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +57,19 @@ func TestRestartResumesPersistedState(t *testing.T) {
 	}
 
 	// The SIGTERM path with an already-expired drain deadline: cells 0
-	// and 1 are on disk, cell 2 never finishes, the job is abandoned.
+	// and 1 are on disk, cell 2 is stopped before it runs.
 	srvA.Drain()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := srvA.Wait(ctx); err == nil {
-		t.Fatal("Wait with an expired context should report the abandoned job")
+		t.Fatal("Wait with an expired context should report the stopped job")
+	}
+	if !gateReturned.Load() {
+		t.Fatal("Wait returned while the stopped job's worker was still in its cell")
 	}
 	r := do(t, tsA, "GET", "/v1/jobs/"+id, "", nil)
-	if d := decodeJob(t, r.body); d.State != StateFailed || !strings.HasPrefix(d.Error, drainTimeoutPrefix) {
-		t.Fatalf("after abandoned drain: %+v, want failed with %q prefix", d, drainTimeoutPrefix)
+	if d := decodeJob(t, r.body); d.State != StateCancelled || d.Error != reasonDraining || d.CellsDone != 2 {
+		t.Fatalf("after the drain deadline: %+v, want cancelled (%q) with 2 cells done", d, reasonDraining)
 	}
 	if _, err := os.Stat(jobPath(state, id)); err != nil {
 		t.Fatalf("job record should survive a shutdown: %v", err)
@@ -166,8 +170,8 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			rec := `{"id":"job-000001","client":"c","queued_at":"2026-01-02T03:04:05Z","spec":{"scenario":"no-such-scenario","axes":{"procs":[1]}}}`
 			return os.WriteFile(jobPath(dir, "job-000001"), []byte(rec), 0o644)
 		},
-		"job record above the rank-iteration cap": func(dir string) error {
-			rec := `{"id":"job-000001","client":"c","queued_at":"2026-01-02T03:04:05Z","spec":{"scenario":"heat","axes":{"procs":[65536],"iterations":[2000000000]}}}`
+		"job record above the trace-sample cap": func(dir string) error {
+			rec := `{"id":"job-000001","client":"c","queued_at":"2026-01-02T03:04:05Z","spec":{"scenario":"heat","axes":{"procs":[1024],"iterations":[1048576]},"trace":true}}`
 			return os.WriteFile(jobPath(dir, "job-000001"), []byte(rec), 0o644)
 		},
 		"cell record with a foreign key": func(dir string) error {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 )
@@ -169,18 +172,13 @@ func (s *Server) Drain() {
 	close(s.queued)
 }
 
-// Shutdown finalization reasons. finalizeLocked keeps the persisted job
-// record for exactly these (shutdownReason), so a restart re-queues the
-// jobs the shutdown interrupted.
-const (
-	reasonDraining     = "daemon draining"
-	drainTimeoutPrefix = "drain timeout: "
-)
+// reasonDraining is the error of a job a shutdown cancelled; finalizeLocked
+// keeps the persisted record of exactly these, so a restart re-queues them.
+const reasonDraining = "daemon draining"
 
-// Wait blocks until every worker has finished its running job, or ctx
-// expires — in which case still-running jobs are marked failed so their
-// state is never ambiguous to late pollers, and the error reports how
-// many were abandoned.
+// Wait blocks until every worker has finished its running job. If ctx
+// expires first, it stops the running jobs (reasonDraining) and still
+// returns only once their workers have exited.
 func (s *Server) Wait(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
@@ -191,17 +189,18 @@ func (s *Server) Wait(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		abandoned := 0
-		for _, id := range s.order {
-			if j := s.jobs[id]; j.State == StateRunning {
-				s.finalizeLocked(j, StateFailed, drainTimeoutPrefix+"daemon exited before the job finished")
-				abandoned++
-			}
-		}
-		s.mu.Unlock()
-		return fmt.Errorf("drain timed out with %d job(s) still running", abandoned)
 	}
+	s.mu.Lock()
+	stopped := 0
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.State == StateRunning {
+			j.stopLocked(reasonDraining)
+			stopped++
+		}
+	}
+	s.mu.Unlock()
+	<-done
+	return fmt.Errorf("drain deadline passed: stopped %d running job(s)", stopped)
 }
 
 // Close drains and waits without a deadline — the test teardown path.
@@ -370,9 +369,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case StateQueued:
 		s.finalizeLocked(j, StateCancelled, "cancelled by client")
 	case StateRunning:
-		// The runner observes the flag at the next cell boundary;
-		// simulation cells are not interruptible mid-run.
-		j.cancel.Store(true)
+		j.stopLocked("cancelled by client") // ends at its ranks' next iteration
 	default:
 		state := j.State
 		s.mu.Unlock()
@@ -585,17 +582,12 @@ func (s *Server) usageOf(client string) *Usage {
 }
 
 // finalizeLocked moves j to a terminal state, updates usage, and closes
-// the stream after a final "state" line. A job abandoned by a shutdown
+// the stream after a final "state" line. A job cancelled by a shutdown
 // keeps its persisted spec record (so a restart re-runs it); any other
-// terminal state removes it. Finalizing an already-final job is a no-op
-// — the abandoned run of a drain-timeout job may still report in long
-// after the job was marked failed. Callers hold the mutex.
+// terminal state removes it. Callers hold the mutex.
 func (s *Server) finalizeLocked(j *Job, state, errMsg string) {
-	if final(j.State) {
-		return
-	}
-	if s.cfg.StateDir != "" && !shutdownReason(state, errMsg) {
-		s.removeJobRecordLocked(j)
+	if s.cfg.StateDir != "" && errMsg != reasonDraining {
+		os.Remove(jobPath(s.cfg.StateDir, j.ID))
 	}
 	j.State = state
 	j.Err = errMsg
@@ -646,28 +638,22 @@ func (s *Server) worker() {
 
 // run executes one job to its terminal state.
 func (s *Server) run(j *Job) {
-	rep, err := s.execute(j)
-	if err != nil {
-		s.mu.Lock()
-		if err == errCancelled {
-			s.finalizeLocked(j, StateCancelled, "cancelled by client")
-		} else {
-			s.finalizeLocked(j, StateFailed, err.Error())
-		}
-		s.mu.Unlock()
-		return
-	}
 	var buf bytes.Buffer
-	if err := experiments.WriteReport(&buf, j.Spec.Format, rep); err != nil {
-		s.mu.Lock()
-		s.finalizeLocked(j, StateFailed, err.Error())
-		s.mu.Unlock()
-		return
+	rep, err := s.execute(j)
+	if err == nil {
+		err = experiments.WriteReport(&buf, j.Spec.Format, rep)
 	}
 	s.mu.Lock()
-	j.result = buf.Bytes()
-	s.finalizeLocked(j, StateDone, "")
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	switch {
+	case errors.Is(err, mpi.ErrStopped):
+		s.finalizeLocked(j, StateCancelled, j.stopReason)
+	case err != nil:
+		s.finalizeLocked(j, StateFailed, err.Error())
+	default:
+		j.result = buf.Bytes()
+		s.finalizeLocked(j, StateDone, "")
+	}
 }
 
 // execute runs the job's cells through RunSweepWith. An untraced job's
@@ -681,8 +667,10 @@ func (s *Server) execute(j *Job) (*experiments.SweepReport, error) {
 		if testCellGate != nil {
 			testCellGate(j, i)
 		}
-		if j.cancel.Load() {
-			return nil, errCancelled
+		select {
+		case <-j.stop:
+			return nil, mpi.ErrStopped
+		default:
 		}
 		res, hit, err := s.cell(j, in, p)
 		if err != nil {
@@ -733,6 +721,7 @@ func (s *Server) inputsOf(sc scenario.Scenario) (in *scenario.Inputs, done func(
 // streams its lines to the job, and bypasses the cache: a cached result
 // has no trace.
 func (s *Server) cell(j *Job, in *scenario.Inputs, p scenario.Params) (res *scenario.Result, hit bool, err error) {
+	p.Stop = j.stop
 	if j.Spec.Trace {
 		p.Trace = &trace.Recorder{}
 		p.Trace.Follow(j.stream.append)

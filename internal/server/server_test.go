@@ -150,6 +150,11 @@ func waitFinal(t *testing.T, ts *httptest.Server, id string) response {
 	}
 }
 
+// final reports whether state is terminal.
+func final(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCancelled
+}
+
 // golden compares got against testdata/name, rewriting it under -update.
 func golden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -315,7 +320,7 @@ func TestSubmitErrors(t *testing.T) {
 		{"trace_multi_cell", `{"scenario":"heat","sweep":"procs=1,2","trace":true}`},
 		{"too_many_cells", `{"scenario":"heat","sweep":"procs=1,2;iters=1,2,3,4,5,6,7,8,9"}`},
 		{"too_many_procs", `{"scenario":"heat","sweep":"procs=2000000"}`},
-		{"too_much_cell_work", `{"scenario":"heat","sweep":"procs=65536;iters=2000000000"}`},
+		{"too_many_trace_samples", `{"scenario":"heat","sweep":"procs=1024;iters=1048576","trace":true}`},
 		{"retired_buffers", `{"scenario":"heat","sweep":"procs=2;buffers=unpooled"}`},
 	}
 	for _, tc := range cases {
@@ -456,6 +461,62 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatalf("result of cancelled job: got %d, want 409", res.status)
 	}
 	golden(t, "result_not_done.json", res.body)
+}
+
+// TestCancelStopsRunningCell cancels a one-cell job inside its cell:
+// hex64-fine at 16 processors for 2^26 iterations, untraced, which would
+// hold its worker for about half an hour. The cancel comes once the cell
+// is building its layout, past the runner's check before each cell, so
+// only the ranks' check at their iteration boundary can stop it; the job
+// ends cancelled within seconds. The stopped cell reaches neither the
+// cache nor the state directory, and the same server then completes the
+// next job.
+func TestCancelStopsRunningCell(t *testing.T) {
+	state := t.TempDir()
+	srv, ts := newTestServer(t, Config{Workers: 1, StateDir: state})
+	id, _ := submit(t, ts, `{"scenario":"hex64-fine","sweep":"procs=16;iters=67108864"}`, nil)
+	for {
+		srv.mu.Lock()
+		in := srv.inputs["hex64-fine"]
+		srv.mu.Unlock()
+		if in != nil && in.Layouts() > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	at := time.Now()
+	if r := do(t, ts, "POST", "/v1/jobs/"+id+"/cancel", "", nil); r.status != http.StatusOK {
+		t.Fatalf("cancel: got %d\n%s", r.status, r.body)
+	}
+	for {
+		d := decodeJob(t, do(t, ts, "GET", "/v1/jobs/"+id, "", nil).body)
+		if final(d.State) {
+			if d.State != StateCancelled || d.Error != "cancelled by client" || d.CellsDone != 0 {
+				t.Fatalf("after cancel: %+v, want cancelled by client with no cell done", d)
+			}
+			break
+		}
+		if time.Since(at) > 10*time.Second {
+			t.Fatalf("job still %s 10 s after its cancel", d.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := do(t, ts, "GET", "/v1/stats", "", nil)
+	var stats Stats
+	if err := json.Unmarshal(st.body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cache.Entries != 0 {
+		t.Errorf("the stopped cell reached the cache: %+v", stats.Cache)
+	}
+	if cells, err := sortedJSONFiles(filepath.Join(state, cellsDirName)); err != nil || len(cells) != 0 {
+		t.Errorf("the stopped cell was persisted: %v %v", cells, err)
+	}
+
+	next, _ := submit(t, ts, `{"scenario":"heat","sweep":"procs=1,2;iters=2"}`, nil)
+	if d := decodeJob(t, waitFinal(t, ts, next).body); d.State != StateDone {
+		t.Fatalf("the next job ended %+v, want done", d)
+	}
 }
 
 // TestStreamReplay pins the full NDJSON and SSE event streams of a
