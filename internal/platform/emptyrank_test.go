@@ -21,8 +21,9 @@ import (
 // (Fig. 9), and no node is a shadow for a rank that owns nothing. Through
 // Run, then, those pairs are dropped while the other pairs of the same
 // plans migrate, so the empty ranks sit through every migration round. The
-// moves themselves are made by runWithForcedMoves, which executes them with
-// migrateRound, the step balanceRound runs once a plan has named its nodes.
+// moves themselves are made by runWithForcedMoves, which executes them as
+// migrateRound does, the step balanceRound runs once a plan has named its
+// nodes.
 //
 // Either way the final data must equal RunSequential's, a run at 1 worker
 // must equal one at 3, and a cut before the first migration and one after
@@ -86,7 +87,7 @@ func TestMigrationOntoEmptyRank(t *testing.T) {
 		// Node 2 goes from rank 0 to rank 4 after iteration 2 and node 3
 		// to rank 5 after iteration 5: both are in rank 0's row, next to
 		// rank 1's, and each move leaves rank 0 more than one node.
-		moves := map[int]migration{2: {node: 2, from: 0, to: 4}, 5: {node: 3, from: 0, to: 5}}
+		moves := map[int][][]migration{2: {{{node: 2, from: 0, to: 4}}}, 5: {{{node: 3, from: 0, to: 5}}}}
 		want, err := RunSequential(base)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +137,7 @@ func TestMigrationOntoEmptyRank(t *testing.T) {
 		for _, cut := range []int{1, 3} {
 			cfg := base
 			cfg.ResumeFrom = snaps[cut]
-			later := make(map[int]migration)
+			later := make(map[int][][]migration)
 			for iter, m := range moves {
 				if iter > cut {
 					later[iter] = m
@@ -150,9 +151,10 @@ func TestMigrationOntoEmptyRank(t *testing.T) {
 }
 
 // runWithForcedMoves runs cfg's ranks as Run does, except that in place of
-// balancing it executes moves[iter], through migrateRound, at the end of
+// balancing it executes the rounds moves[iter], each as migrateRound does
+// and checked against the reference (checkedRound), at the end of
 // iteration iter. A Config.ResumeFrom snapshot is resumed.
-func runWithForcedMoves(t *testing.T, cfg Config, moves map[int]migration) *Result {
+func runWithForcedMoves(t *testing.T, cfg Config, moves map[int][][]migration) *Result {
 	t.Helper()
 	c, err := cfg.normalize()
 	if err != nil {
@@ -197,12 +199,12 @@ func runWithForcedMoves(t *testing.T, cfg Config, moves map[int]migration) *Resu
 				return err
 			}
 			st.workTime = st.phase[PhaseCompute] - before
-			if m, ok := moves[iter]; ok {
+			for _, round := range moves[iter] {
 				t0 := comm.Wtime()
-				if err := st.migrateRound(iter, []migration{m}); err != nil {
-					return err
+				if err := st.checkedRound(round); err != nil {
+					return fmt.Errorf("iteration %d: %w", iter, err)
 				}
-				st.migrations++
+				st.migrations += len(round)
 				st.phase[PhaseLoadBalance] += comm.Wtime() - t0
 			}
 			if err := st.checkInvariants(); err != nil {

@@ -38,7 +38,8 @@ type rankLayout struct {
 
 	table HashTable // own + shadow entries
 
-	// planIn and planOut back the receive and send plans (planExchange).
+	// planIn and planOut back the receive and send plans planExchange
+	// builds; a clone's plans have arrays of their own.
 	planIn  []int32
 	planOut []int32
 
@@ -289,23 +290,29 @@ func nodesByOwner(owner []int, procs int) (start []int32, nodes []graph.NodeID) 
 	return start, nodes
 }
 
-// place classifies node against the owner map, for rank me, and appends
-// it to the internal or the peripheral list.
+// place classifies node against the owner map, for rank me, and inserts
+// it into the internal or the peripheral list at its place in id order.
 func (l *rankLayout) place(node *ownNode, adj [][]graph.NodeID, owner []int, me int) {
 	l.classify(node, adj, owner, me)
+	list := &l.internal
 	if len(node.shadowFor) > 0 {
-		l.peripheral = append(l.peripheral, node)
+		list = &l.peripheral
+	}
+	if n := len(*list); n > 0 && (*list)[n-1].id > node.id {
+		i, _ := nodeIndex(*list, node.id)
+		*list = slices.Insert(*list, i, node)
 	} else {
-		l.internal = append(l.internal, node)
+		*list = append(*list, node)
 	}
 }
 
 // classify recomputes a node's shadowFor set from the owner map, which
 // makes the node peripheral when it is not empty. The send plan derived
-// from the old set is dropped; planExchange builds the new one.
+// from the old set is emptied in place; planExchange, or the local update
+// after a migration round, fills the new one.
 func (l *rankLayout) classify(node *ownNode, adj [][]graph.NodeID, owner []int, me int) {
 	node.shadowFor = node.shadowFor[:0]
-	node.out = nil
+	node.out = node.out[:0]
 	for _, u := range adj[node.id] {
 		p := owner[u]
 		if p == me {
@@ -335,10 +342,10 @@ func (l *rankLayout) rebuildCounts() {
 }
 
 // planExchange builds the receive and send plans of the current partition
-// epoch from the resolved indices, with no look-up, at start-up, on resume
-// and in reclassifyAll; rounds only execute them until the next ownership
-// change. The plans fill planIn and planOut where they fit and new arrays
-// where they do not. count is scratch with one slot per peer.
+// epoch from the resolved indices, with no look-up, at start-up and on
+// resume; after a migration round the local update (localUpdate) edits
+// them in place. The plans fill planIn and planOut where they fit and new
+// arrays where they do not. count is scratch with one slot per peer.
 //
 // A peer packs its peripheral nodes in ascending id order, so its receive
 // plan is the shadows it owns, sorted and each once. A counting pass by
@@ -405,6 +412,13 @@ func (l *rankLayout) peerIndex(p int) int {
 	return sort.Search(len(l.peers), func(i int) bool { return l.peers[i].proc >= p })
 }
 
+// peerAt returns the position of processor p in the peer list and whether
+// it is there; if not, the position it would be inserted at.
+func (l *rankLayout) peerAt(p int) (int, bool) {
+	i := l.peerIndex(p)
+	return i, i < len(l.peers) && l.peers[i].proc == p
+}
+
 // peerFor returns the entry for processor p, inserting an empty one at its
 // place in the ascending order if there is none. The pointer is valid
 // until the next insertion.
@@ -416,19 +430,29 @@ func (l *rankLayout) peerFor(p int) *peer {
 	return &l.peers[i]
 }
 
-// clone copies what a migration writes: node records, shadowFor sets (with
-// room for one processor per neighbour), node lists, table and peers. The
-// nbr indices, and the plans until planExchange remakes them, are only
-// read, so the copy shares them.
+// clone copies what a migration writes, with room to edit it in place: node
+// records (shadowFor set and send plan with a slot per neighbour), node
+// lists (each with a slot per owned node), table, peers and receive plans
+// (one array). The nbr indices are only read, so the copy shares them.
 func (l *rankLayout) clone(adj [][]graph.NodeID) *rankLayout {
 	table := HashTable{buckets: slices.Clone(l.table.buckets), links: slices.Clone(l.table.links)}
 	c := &rankLayout{table: table, peers: slices.Clone(l.peers), width: l.width}
+	in := make([]int32, 0, len(l.planIn)) // planIn holds every plan
+	for i, pe := range c.peers {
+		in = append(in, pe.in...)
+		c.peers[i].in = in[len(in)-len(pe.in) : len(in) : len(in)]
+	}
+	owned := len(l.internal) + len(l.peripheral)
+	nodes, lists := make([]ownNode, 0, owned), make([]*ownNode, 2*owned)
 	copyList := func(list []*ownNode) []*ownNode {
-		out := make([]*ownNode, len(list))
-		for i, node := range list {
-			cp := *node
-			cp.shadowFor = append(make([]int32, 0, len(adj[node.id])), node.shadowFor...)
-			out[i] = &cp
+		out := take(&lists, owned)[:0]
+		for _, node := range list {
+			d := len(adj[node.id])
+			ints := make([]int32, 2*d)
+			nodes = append(nodes, *node)
+			cp := &nodes[len(nodes)-1]
+			cp.shadowFor, cp.out = append(ints[:0:d], node.shadowFor...), append(ints[d:d], node.out...)
+			out = append(out, cp)
 		}
 		return out
 	}

@@ -308,11 +308,18 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 			})
 		}
 	}
-	// Commit ownership changes everywhere; the first commit of a run is
-	// where a rank stops sharing the owner map. Only a rank the round
-	// touched rebuilds its bookkeeping: one that neither sent nor took a
-	// node and owns no neighbour of a moved one (a stale shadow is not
-	// enough) keeps the same classification, peers and plans.
+	if s.commitRound(round) {
+		s.localUpdate(round)
+	}
+	return s.comm.Barrier()
+}
+
+// commitRound writes the round's moves into the owner map; the first
+// commit of a run is where a rank stops sharing it. It reports whether the
+// rank must update its bookkeeping: one that neither sent nor took a node
+// and owns no neighbour of a moved one (a stale shadow is not enough)
+// keeps the same classification, peers and plans.
+func (s *rankState) commitRound(round []migration) bool {
 	s.ownOwner()
 	touched := false
 	for _, m := range round {
@@ -323,10 +330,7 @@ func (s *rankState) migrateRound(iter int, round []migration) error {
 		touched = touched || m.from == s.me || m.to == s.me ||
 			slices.ContainsFunc(s.cfg.Graph.Adj[m.node], func(u graph.NodeID) bool { return s.owner[u] == s.me })
 	}
-	if touched {
-		s.reclassifyAll()
-	}
-	return s.comm.Barrier()
+	return touched
 }
 
 // cutDelta is how much m changes the weighted edge cut of the owner map,
@@ -441,7 +445,8 @@ func (s *rankState) chooseMigratingNode(idle int) (graph.NodeID, int64) {
 // (Section 4.3): the busy processor sends the migrating node's neighbors'
 // data and demotes the node to a shadow; the idle processor absorbs the
 // node and the received shadow data; every other processor only adjusts
-// bookkeeping (done collectively in reclassifyAll by the caller).
+// bookkeeping, which every rank the round touched does after the commit
+// (localUpdate).
 func (s *rankState) executeMigration(m migration) error {
 	switch s.me {
 	case m.from:
@@ -458,8 +463,8 @@ func (s *rankState) migrateOut(m migration) error {
 	if s.owner[m.node] != s.me {
 		return fmt.Errorf("platform: rank %d asked to migrate node %d it does not own", s.me, m.node)
 	}
-	i := slices.IndexFunc(s.peripheral, func(n *ownNode) bool { return n.id == m.node })
-	if i < 0 {
+	i, ok := nodeIndex(s.peripheral, m.node)
+	if !ok {
 		return fmt.Errorf("platform: rank %d: migrating node %d is not peripheral", s.me, m.node)
 	}
 	node := s.peripheral[i]
@@ -475,10 +480,14 @@ func (s *rankState) migrateOut(m migration) error {
 	if err := s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf)); err != nil {
 		return err
 	}
-	// Remove the node from the own-node lists; its data entry stays in the
-	// hash table and data list because "the migrating node now becomes a
-	// shadow node for the 'busy' processor".
+	// Remove the node from the own-node lists, and from the send counts of
+	// the peers it was a shadow for; its data entry stays in the hash table
+	// and data list because "the migrating node now becomes a shadow node
+	// for the 'busy' processor".
 	s.ownLayout()
+	for _, p := range s.peripheral[i].shadowFor {
+		s.peers[s.peerIndex(int(p))].send--
+	}
 	s.peripheral = slices.Delete(s.peripheral, i, i+1)
 	return nil
 }
@@ -516,14 +525,15 @@ func (s *rankState) migrateIn(m migration) error {
 		}
 	}
 	// "The node information of the migrating node is added in the
-	// peripheral node list" — reclassifyAll will demote it to internal if
-	// it has no remote neighbors after the ownership flip.
+	// peripheral node list", in id order and with no shadowFor set yet:
+	// localUpdate places it after the commit.
 	n := len(s.cfg.Graph.Adj[m.node])
-	node := &ownNode{id: m.node, shadowFor: make([]int32, 0, n)}
+	ints := make([]int32, 3*n)
+	node := &ownNode{id: m.node, shadowFor: ints[:0:n], out: ints[n : n : 2*n], nbr: ints[2*n:]}
 	// Every neighbor's entry is in the table now, received or already held.
-	node.nbr = make([]int32, n)
 	s.resolve(node)
 	s.ents[node.self].lastCost = 0
-	s.peripheral = append(s.peripheral, node)
+	i, _ := nodeIndex(s.peripheral, m.node)
+	s.peripheral = slices.Insert(s.peripheral, i, node)
 	return nil
 }

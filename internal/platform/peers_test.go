@@ -10,10 +10,11 @@ import (
 
 // TestPeerListSurvivesChurn watches one rank's peer list while migrations
 // give it a new neighbouring processor and take an old one away, with a
-// third neighbour untouched throughout. rebuildCounts must insert the new
-// peer in order, drop the vanished one, and leave the surviving peer's
-// pooled send buffers in place, so the exchanges after a migration send
-// from the same backing arrays as the ones before it.
+// third neighbour untouched throughout. The local update after each
+// migration round (localUpdate) must insert the new peer in order, drop
+// the vanished one, and leave the surviving peer's pooled send buffers in
+// place, so the exchanges after a migration send from the same backing
+// arrays as the ones before it.
 //
 //	rank 3      rank 2      rank 0        rank 1
 //	w --- z --- y --- x --- a,b --- k     m --- n      (a and b also touch m)

@@ -240,3 +240,29 @@ func (s *rankState) refPlanExchange() {
 		s.peers[i].in, in = in[:n:n], in[n:]
 	}
 }
+
+// reclassifyAll is the full rebuild localUpdate replaced, kept as the
+// reference TestMigrationMatchesReference and FuzzMigrationRound compare
+// it with after every round: every owned node placed again in id order,
+// every peer recounted, the pools rebuilt and every peer planned again. A
+// peer that survives keeps its pair of send buffers, and a new one starts
+// with none.
+func (s *rankState) reclassifyAll() {
+	s.ownLayout()
+	adj := s.cfg.Graph.Adj
+	all := slices.Concat(s.internal, s.peripheral)
+	slices.SortFunc(all, func(a, b *ownNode) int { return cmp.Compare(a.id, b.id) })
+	s.internal, s.peripheral = s.internal[:0], s.peripheral[:0]
+	for _, node := range all {
+		s.place(node, adj, s.owner, s.me)
+	}
+	old, oldPools := slices.Clone(s.peers), s.pools
+	s.rebuildCounts()
+	s.pools = make([][2][]shadowUpdate, len(s.peers))
+	for i, pe := range s.peers {
+		if j, ok := slices.BinarySearchFunc(old, pe.proc, func(q peer, p int) int { return cmp.Compare(q.proc, p) }); ok {
+			s.pools[i] = oldPools[j]
+		}
+	}
+	s.planExchange(adj, s.owner, s.me, make([]int32, len(s.peers)))
+}

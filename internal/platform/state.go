@@ -80,8 +80,8 @@ type nodeState struct {
 	// deliver-by-reference: I also receive from every peer I send to, and
 	// proc's exchange-(k+1) buffer proves it has unpacked my exchange k.
 	// Isend carries &pools[k][gen], which allocates nothing, and the same
-	// argument covers the header the receiver reads through it. A peer
-	// that survives a migration keeps its pair (reclassifyAll).
+	// argument covers the header the receiver reads through it, so a peer
+	// that comes or goes makes a new pools array (localUpdate).
 	pools [][2][]shadowUpdate
 
 	// nbrScratch is the recycled node+neighbors list for the node function.
@@ -173,31 +173,111 @@ func (s *rankState) sendRow() []int {
 	return row
 }
 
-// reclassifyAll rebuilds the internal/peripheral split after ownership
-// changes: internal nodes that gained a remote neighbor move to the
-// peripheral list and vice versa, and every peripheral node's shadowFor
-// set is recomputed (the thesis' post-migration "Updating the
-// shadow_for_procs[] array for the peripheral nodes" loop). Placing the
-// nodes in id order keeps both lists ascending. A peer that survives
-// keeps its pair of send buffers, and a new one starts with none.
-func (s *rankState) reclassifyAll() {
+// localUpdate is the thesis' post-migration update of shadow_for_procs[],
+// made only where the round's moves can change anything: a node's
+// shadowFor set depends only on its neighbours' owners, so only the moved
+// nodes this rank now owns and its own neighbours of a moved node are
+// placed again (reclassify), and only a moved node or a neighbour of one
+// can enter or leave a receive plan (replan). A peer whose send count
+// reaches zero goes with its buffers, in a new pools array (see
+// nodeState.pools); a peer that comes or goes renumbers the send plans.
+func (s *rankState) localUpdate(round []migration) {
 	s.ownLayout()
 	adj := s.cfg.Graph.Adj
-	all := slices.Concat(s.internal, s.peripheral)
-	slices.SortFunc(all, func(a, b *ownNode) int { return cmp.Compare(a.id, b.id) })
-	s.internal, s.peripheral = s.internal[:0], s.peripheral[:0]
-	for _, node := range all {
-		s.place(node, adj, s.owner, s.me)
-	}
-	old, oldPools := slices.Clone(s.peers), s.pools
-	s.rebuildCounts()
-	s.pools = make([][2][]shadowUpdate, len(s.peers))
-	for i, pe := range s.peers {
-		if j, ok := slices.BinarySearchFunc(old, pe.proc, func(q peer, p int) int { return cmp.Compare(q.proc, p) }); ok {
-			s.pools[i] = oldPools[j]
+	renumber := false
+	for _, m := range round {
+		if s.owner[m.node] == s.me {
+			renumber = s.reclassify(m.node) || renumber
+		}
+		for _, u := range adj[m.node] {
+			if s.owner[u] == s.me {
+				renumber = s.reclassify(u) || renumber
+			}
 		}
 	}
-	s.planExchange(adj, s.owner, s.me, make([]int32, len(s.peers)))
+	for _, m := range round {
+		s.replan(m.node, m.from)
+		for _, u := range adj[m.node] {
+			s.replan(u, s.owner[u])
+		}
+	}
+	for k := len(s.peers) - 1; k >= 0; k-- {
+		if s.peers[k].send == 0 {
+			s.peers, s.pools = slices.Delete(s.peers, k, k+1), slices.Concat(s.pools[:k], s.pools[k+1:])
+			renumber = true
+		}
+	}
+	if !renumber {
+		return
+	}
+	for _, node := range s.peripheral {
+		for j, p := range node.shadowFor {
+			node.out[j] = int32(s.peerIndex(int(p)))
+		}
+	}
+}
+
+// reclassify takes owned node v out of its list and places it again, by
+// its new shadowFor set, and moves the peers' send counts from its old set
+// to its new one (a new peer with an empty pair of buffers). It fills v's
+// send plan and reports whether it inserted a peer.
+func (s *rankState) reclassify(v graph.NodeID) (inserted bool) {
+	list := &s.peripheral
+	i, ok := nodeIndex(*list, v)
+	if !ok {
+		list = &s.internal
+		i, _ = nodeIndex(*list, v)
+	}
+	node := (*list)[i]
+	*list = slices.Delete(*list, i, i+1)
+	for _, p := range node.shadowFor {
+		s.peers[s.peerIndex(int(p))].send--
+	}
+	s.place(node, s.cfg.Graph.Adj, s.owner, s.me)
+	for _, p := range node.shadowFor {
+		k, ok := s.peerAt(int(p))
+		if !ok {
+			s.peers = slices.Insert(s.peers, k, peer{proc: int(p)})
+			s.pools = slices.Insert(slices.Clip(s.pools), k, [2][]shadowUpdate{})
+			inserted = true
+		}
+		s.peers[k].send++
+		node.out = append(node.out, int32(k))
+	}
+	return inserted
+}
+
+// replan applies the receive-plan rule to c, whose owner before the round
+// was old: a shadow is in its owner's plan, in id order, exactly when a node
+// this rank owns neighbours it. A moved c leaves old's plan first. Seeing c
+// twice, as a neighbour of two moved nodes or as a moved node and a
+// neighbour (with old its new owner), applies the rule again.
+func (s *rankState) replan(c graph.NodeID, old int) {
+	p := s.owner[c]
+	if k, ok := s.peerAt(old); ok && old != p {
+		s.planHolds(k, c, false)
+	}
+	if k, ok := s.peerAt(p); ok { // without a peer p, no node of mine neighbours c
+		s.planHolds(k, c, slices.ContainsFunc(s.cfg.Graph.Adj[c], func(u graph.NodeID) bool { return s.owner[u] == s.me }))
+	}
+}
+
+// planHolds inserts c into, or deletes it from, peer k's receive plan so
+// that the plan holds c exactly when want.
+func (s *rankState) planHolds(k int, c graph.NodeID, want bool) {
+	in := &s.peers[k].in
+	j, found := slices.BinarySearchFunc(*in, c, func(e int32, id graph.NodeID) int { return cmp.Compare(s.table.ID(e), id) })
+	switch {
+	case want && !found:
+		*in = slices.Insert(*in, j, s.table.Lookup(c))
+	case found && !want:
+		*in = slices.Delete(*in, j, j+1)
+	}
+}
+
+// nodeIndex finds node id in an id-ordered node list, or its place there.
+func nodeIndex(list []*ownNode, id graph.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(list, id, func(n *ownNode, id graph.NodeID) int { return cmp.Compare(n.id, id) })
 }
 
 // numOwned returns the number of nodes this rank owns.
@@ -295,7 +375,8 @@ func (s *rankState) checkInvariants() error {
 // ascending, never this rank itself, send and receive plan non-empty on
 // every entry and equal to a from-scratch recount over the owner map and
 // the application graph; each receive plan strictly ascending, owned by its
-// peer and the table's; each send plan the peers of shadowFor.
+// peer, the table's and next to a node the rank owns; each send plan the
+// peers of shadowFor.
 func (s *rankState) checkPeers() error {
 	send := make(map[int]int)
 	recv := make(map[int]int)
@@ -344,6 +425,9 @@ func (s *rankState) checkPeers() error {
 			}
 			if s.owner[id] != pe.proc || e != s.table.Lookup(id) {
 				return fmt.Errorf("rank %d: receive plan from %d holds node %d, owned by %d, or not the table's entry", s.me, pe.proc, id, s.owner[id])
+			}
+			if !shadows[id] {
+				return fmt.Errorf("rank %d: receive plan from %d holds node %d, which no node of the rank neighbours", s.me, pe.proc, id)
 			}
 		}
 	}

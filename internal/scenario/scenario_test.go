@@ -193,28 +193,49 @@ func TestNodeFuncsNeverWriteTheirInputs(t *testing.T) {
 }
 
 // TestMigrationRunsKeepInvariants runs the two scenarios whose load moves —
-// the battlefield and the Fig. 23 imbalance — under a balancer with the
-// platform's invariant checks on, so every rank's node lists, entries and
-// exchange plans are checked against a from-scratch recount after every
-// iteration and every migration round.
+// the battlefield and the Fig. 23 imbalance — at 4 to 64 processors under
+// every registered balancer (J3's cells among them: imbalance at 4 and 8
+// under diffusion and centralized) with the platform's invariant checks
+// on, so every rank's node lists, entries and exchange plans are checked
+// against a from-scratch recount after every iteration and every
+// balancing invocation. Every row must migrate, so the table leaves out
+// the cells that cannot: "none", imbalance at 64 processors (its 64 nodes
+// one to a rank, and a rank never sheds its last node), and the cells where
+// the strict 25 % rule finds no busy processor.
 func TestMigrationRunsKeepInvariants(t *testing.T) {
+	still := map[string]bool{
+		"imbalance/procs=4/centralized-strict":    true,
+		"imbalance/procs=8/centralized-strict":    true,
+		"battlefield/procs=8/centralized-strict":  true,
+		"battlefield/procs=16/centralized-strict": true,
+	}
 	for _, name := range []string{"battlefield", "imbalance"} {
 		t.Run(name, func(t *testing.T) {
 			sc, ok := Lookup(name)
 			if !ok {
 				t.Fatalf("no scenario %q", name)
 			}
-			cfg, err := sc.Config(Params{Procs: 8, Balancer: "centralized"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.CheckInvariants = true
-			res, err := platform.Run(*cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Migrations == 0 {
-				t.Fatal("no node migrated; the run does not exercise the plans' rebuild")
+			for _, procs := range []int{4, 8, 16, 32, 64} {
+				for _, bal := range balance.Names() {
+					row := fmt.Sprintf("procs=%d/%s", procs, bal)
+					if bal == "none" || name == "imbalance" && procs == 64 || still[name+"/"+row] {
+						continue
+					}
+					t.Run(row, func(t *testing.T) {
+						cfg, err := sc.Config(Params{Procs: procs, Balancer: bal})
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.CheckInvariants = true
+						res, err := platform.Run(*cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Migrations == 0 {
+							t.Fatal("no node migrated; the run does not exercise the plans' update")
+						}
+					})
+				}
 			}
 		})
 	}

@@ -199,3 +199,43 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestMigrationAllocsPinned holds the allocation count of one balanced
+// cell, the imbalance scenario at 8 processors under the centralized
+// balancer (one of J3's cells), measured with testing.AllocsPerRun like
+// TestExchangeAllocsPinned. After a migration round each touched rank
+// edits its lists, counts and plans in place (platform's localUpdate), so
+// a round allocates only where a plan or a list outgrows its array; the
+// full rebuild it replaced read 4108 here. A round that allocates
+// per touched rank again moves the row by far more than the tolerance.
+func TestMigrationAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	sc, err := scenario.Get("imbalance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.Config(scenario.Params{Procs: 8, Balancer: "centralized"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrations := 0
+	got := testing.AllocsPerRun(5, func() {
+		res, err := platform.Run(*cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrations = res.Migrations
+	})
+	if migrations == 0 {
+		t.Fatal("the cell migrated nothing")
+	}
+	const pinned = 3599
+	if tol := pinned * 0.02; got-pinned > tol || got-pinned < -tol {
+		t.Errorf("allocs/run = %.0f, pinned %.0f (±%.0f); migration allocation behavior changed", got, float64(pinned), tol)
+	}
+}
