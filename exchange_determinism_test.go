@@ -50,16 +50,16 @@ func heatConfig(t *testing.T, procs int) ic2mpi.Config {
 				return temp(0)
 			}
 		},
-		Node: func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.NodeData, nbrs []ic2mpi.Neighbor) (ic2mpi.NodeData, float64) {
+		Node: ic2mpi.Node(func(id ic2mpi.NodeID, iter, sub int, self temp, nbrs []ic2mpi.Neighbor[temp]) (temp, float64) {
 			if id == hot || id == cold {
 				return self, 0.1e-3
 			}
-			var sum int64
+			var sum temp
 			for _, nb := range nbrs {
-				sum += int64(nb.Data.(temp))
+				sum += nb.Data
 			}
-			return temp(sum / int64(len(nbrs))), 0.1e-3
-		},
+			return sum / temp(len(nbrs)), 0.1e-3
+		}),
 		Iterations: 40,
 	}
 }

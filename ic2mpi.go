@@ -12,7 +12,7 @@
 //   - the application program graph (ic2mpi.Graph, typically from a
 //     generator or a Chaco-format file),
 //   - the node data structure (any type implementing NodeData),
-//   - the node computation function (NodeFunc).
+//   - the node computation function (Node makes a NodeFunc of it).
 //
 // Static partitioners (a Metis-style multilevel partitioner, a
 // PaGrid-style network-aware mapper, geometric band partitioners, a
@@ -36,13 +36,13 @@
 //		Procs:            4,
 //		InitialPartition: part,
 //		InitData:         func(id ic2mpi.NodeID) ic2mpi.NodeData { return ic2mpi.IntData(int64(id)) },
-//		Node: func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.NodeData, nbrs []ic2mpi.Neighbor) (ic2mpi.NodeData, float64) {
-//			sum := int64(self.(ic2mpi.IntData))
+//		Node: ic2mpi.Node(func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.IntData, nbrs []ic2mpi.Neighbor[ic2mpi.IntData]) (ic2mpi.IntData, float64) {
+//			sum := self
 //			for _, nb := range nbrs {
-//				sum += int64(nb.Data.(ic2mpi.IntData))
+//				sum += nb.Data
 //			}
-//			return ic2mpi.IntData(sum / int64(len(nbrs)+1)), 0.3e-3
-//		},
+//			return sum / ic2mpi.IntData(len(nbrs)+1), 0.3e-3
+//		}),
 //		Iterations: 20,
 //	})
 package ic2mpi
@@ -73,9 +73,7 @@ type (
 	NodeData = platform.NodeData
 	// IntData is a ready-made integer NodeData.
 	IntData = platform.IntData
-	// Neighbor pairs a neighbor ID with its previous-iteration data.
-	Neighbor = platform.Neighbor
-	// NodeFunc is the application node computation function.
+	// NodeFunc is the application node computation function (see Node).
 	NodeFunc = platform.NodeFunc
 	// Config describes one platform run.
 	Config = platform.Config
@@ -125,6 +123,16 @@ type (
 	// Kernel selects the mpi execution engine (Config.Kernel).
 	Kernel = mpi.Kernel
 )
+
+// Neighbor pairs a neighbor ID with its previous-iteration data, of the
+// node function's value type T.
+type Neighbor[T NodeData] = platform.Neighbor[T]
+
+// Node makes f the node function of a run whose values are of type T; a
+// run holds them as T, not boxed in NodeData (see platform.Node).
+func Node[T NodeData](f func(id NodeID, iter, sub int, self T, nbrs []Neighbor[T]) (T, float64)) NodeFunc {
+	return platform.Node(f)
+}
 
 // Platform phase identifiers (Figures 21-22 of the paper).
 const (

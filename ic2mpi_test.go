@@ -10,12 +10,12 @@ import (
 
 // average is the canonical user node function used across the public-API
 // tests.
-func average(id ic2mpi.NodeID, iter, sub int, self ic2mpi.NodeData, nbrs []ic2mpi.Neighbor) (ic2mpi.NodeData, float64) {
-	sum := int64(self.(ic2mpi.IntData))
+func average(id ic2mpi.NodeID, iter, sub int, self ic2mpi.IntData, nbrs []ic2mpi.Neighbor[ic2mpi.IntData]) (ic2mpi.IntData, float64) {
+	sum := self
 	for _, nb := range nbrs {
-		sum += int64(nb.Data.(ic2mpi.IntData))
+		sum += nb.Data
 	}
-	return ic2mpi.IntData(sum / int64(len(nbrs)+1)), 0.3e-3
+	return sum / ic2mpi.IntData(len(nbrs)+1), 0.3e-3
 }
 
 func initID(id ic2mpi.NodeID) ic2mpi.NodeData { return ic2mpi.IntData(int64(id) + 1) }
@@ -34,7 +34,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Procs:            4,
 		InitialPartition: part,
 		InitData:         initID,
-		Node:             average,
+		Node:             ic2mpi.Node(average),
 		Iterations:       10,
 	}
 	res, err := ic2mpi.Run(cfg)
@@ -114,7 +114,7 @@ func TestPublicAPIDynamicBalancer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotspot := func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.NodeData, nbrs []ic2mpi.Neighbor) (ic2mpi.NodeData, float64) {
+	hotspot := func(id ic2mpi.NodeID, iter, sub int, self ic2mpi.IntData, nbrs []ic2mpi.Neighbor[ic2mpi.IntData]) (ic2mpi.IntData, float64) {
 		out, _ := average(id, iter, sub, self, nbrs)
 		cost := 0.03e-3
 		if part[id] == 0 { // everything that starts on proc 0 is hot
@@ -131,7 +131,7 @@ func TestPublicAPIDynamicBalancer(t *testing.T) {
 		Procs:            4,
 		InitialPartition: part,
 		InitData:         initID,
-		Node:             hotspot,
+		Node:             ic2mpi.Node(hotspot),
 		Iterations:       30,
 		Balancer:         b,
 		BalanceEvery:     3,

@@ -245,18 +245,16 @@ func DefaultCost() CostParams {
 
 // NodeFunc returns the platform node function for the scenario. It must be
 // run with platform SubPhases = 2.
-func (sc Scenario) NodeFunc(cost CostParams) platform.NodeFunc {
+func (sc Scenario) NodeFunc(cost CostParams) platform.NodeFunc { return platform.Node(sc.node(cost)) }
+
+func (sc Scenario) node(cost CostParams) func(graph.NodeID, int, int, *HexData, []platform.Neighbor[*HexData]) (*HexData, float64) {
 	rows, cols := sc.Rows, sc.Cols
-	return func(id graph.NodeID, iter, sub int, self platform.NodeData, neighbors []platform.Neighbor) (platform.NodeData, float64) {
-		h, ok := self.(*HexData)
-		if !ok {
-			panic(fmt.Sprintf("battlefield: node %d has %T data", id, self))
-		}
+	return func(id graph.NodeID, iter, sub int, self *HexData, neighbors []platform.Neighbor[*HexData]) (*HexData, float64) {
 		switch sub {
 		case 0:
-			return intentPhase(id, iter, h, neighbors, rows, cols, cost)
+			return intentPhase(id, iter, self, neighbors, rows, cols, cost)
 		default:
-			return resolvePhase(id, h, neighbors, rows, cols, cost)
+			return resolvePhase(id, self, neighbors, rows, cols, cost)
 		}
 	}
 }
@@ -291,8 +289,8 @@ func (h *HexData) quiet() bool {
 
 // intentPhase publishes fire allocations and movement decisions. The new
 // value shares h.Units: data values are immutable once returned (see
-// platform.NodeFunc), and no phase writes a roster it did not allocate.
-func intentPhase(id graph.NodeID, iter int, h *HexData, neighbors []platform.Neighbor, rows, cols int, cost CostParams) (platform.NodeData, float64) {
+// platform.Node), and no phase writes a roster it did not allocate.
+func intentPhase(id graph.NodeID, iter int, h *HexData, neighbors []platform.Neighbor[*HexData], rows, cols int, cost CostParams) (*HexData, float64) {
 	if h.quiet() {
 		return h, cost.PerHex // no unit, no engagement
 	}
@@ -309,7 +307,7 @@ func intentPhase(id graph.NodeID, iter int, h *HexData, neighbors []platform.Nei
 	}
 	for _, nb := range neighbors {
 		d := dirOf(r, c, nb.ID, cols)
-		nd := nb.Data.(*HexData)
+		nd := nb.Data
 		for s := Side(0); s <= 1; s++ {
 			enemy[d][s] = nd.TotalStrength(s.Enemy())
 		}
@@ -399,7 +397,7 @@ func marchDirection(u Unit, r, c, iter, rows, cols int) int {
 
 // resolvePhase executes movements and applies fire to the post-move
 // rosters.
-func resolvePhase(id graph.NodeID, h *HexData, neighbors []platform.Neighbor, rows, cols int, cost CostParams) (platform.NodeData, float64) {
+func resolvePhase(id graph.NodeID, h *HexData, neighbors []platform.Neighbor[*HexData], rows, cols int, cost CostParams) (*HexData, float64) {
 	r, c := int(id)/cols, int(id)%cols
 
 	// Arrivals: every neighbor's Out lane whose direction points at us is
@@ -411,7 +409,7 @@ func resolvePhase(id graph.NodeID, h *HexData, neighbors []platform.Neighbor, ro
 	arrivals := 0
 	for _, nb := range neighbors {
 		d := dirOf(r, c, nb.ID, cols)
-		nd := nb.Data.(*HexData)
+		nd := nb.Data
 		recip := (d + 3) % 6
 		from[d] = nd
 		arrivals += len(nd.Out[recip])

@@ -446,7 +446,7 @@ func TestQuickConservation(t *testing.T) {
 // exactly-sized roster for a hex that takes arrivals and damage.
 func TestBattlefieldAllocsPinned(t *testing.T) {
 	sc := DefaultScenario()
-	node := sc.NodeFunc(DefaultCost())
+	node := sc.node(DefaultCost())
 	terrain, err := sc.Terrain()
 	if err != nil {
 		t.Fatal(err)
@@ -454,13 +454,12 @@ func TestBattlefieldAllocsPinned(t *testing.T) {
 	// Hex 15*32+5 sits on red's holding row, away from the edges.
 	const id = graph.NodeID(15*32 + 5)
 	phase := func(sub int, self *HexData, others func(d int) *HexData) (allocs float64, out *HexData) {
-		nbrs := make([]platform.Neighbor, len(terrain.Adj[id]))
+		nbrs := make([]platform.Neighbor[*HexData], len(terrain.Adj[id]))
 		for i, u := range terrain.Adj[id] {
-			nbrs[i] = platform.Neighbor{ID: u, Data: others(dirOf(int(id)/32, int(id)%32, u, 32))}
+			nbrs[i] = platform.Neighbor[*HexData]{ID: u, Data: others(dirOf(int(id)/32, int(id)%32, u, 32))}
 		}
 		allocs = testing.AllocsPerRun(100, func() {
-			d, _ := node(id, 11, sub, self, nbrs)
-			out = d.(*HexData)
+			out, _ = node(id, 11, sub, self, nbrs)
 		})
 		return allocs, out
 	}
@@ -484,8 +483,7 @@ func TestBattlefieldAllocsPinned(t *testing.T) {
 	// per direction taken, grown as units join it.
 	const rear = graph.NodeID(10*32 + 5)
 	allocs = testing.AllocsPerRun(100, func() {
-		d, _ := node(rear, 11, 0, reds, nil)
-		intent = d.(*HexData)
+		intent, _ = node(rear, 11, 0, reds, nil)
 	})
 	moving := 0
 	for _, lane := range intent.Out {

@@ -34,13 +34,13 @@ func captureSnapshots(t *testing.T) (platform.Config, *platform.Result, []byte, 
 		Procs:            4,
 		InitialPartition: part,
 		InitData:         func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id) + 1) },
-		Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
-			sum := int64(self.(platform.IntData))
+		Node: platform.Node(func(id graph.NodeID, iter, _ int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+			sum := int64(self)
 			for _, nb := range nbrs {
-				sum = sum*31 + int64(nb.Data.(platform.IntData))
+				sum = sum*31 + int64(nb.Data)
 			}
 			return platform.IntData(sum*7 + int64(id) + int64(iter)), 1e-4
-		},
+		}),
 		Iterations: 6,
 		Network:    netmodel.NewUniform(netmodel.Origin2000()),
 	}
@@ -133,15 +133,15 @@ func TestHistoryRoundTrip(t *testing.T) {
 			Procs:            4,
 			InitialPartition: part,
 			InitData:         func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id) + 1) },
-			Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
-				sum := int64(self.(platform.IntData))
+			Node: platform.Node(func(id graph.NodeID, iter, _ int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+				sum := int64(self)
 				for _, nb := range nbrs {
-					sum = sum*31 + int64(nb.Data.(platform.IntData))
+					sum = sum*31 + int64(nb.Data)
 				}
 				// Skew work toward low node ids so balancing has something
 				// to plan about.
 				return platform.IntData(sum*7 + int64(iter)), 1e-4 * float64(1+int(id)%3)
-			},
+			}),
 			Iterations:    8,
 			Network:       netmodel.NewUniform(netmodel.Origin2000()),
 			Balancer:      b,
@@ -249,9 +249,9 @@ func TestDecodeRejectsMalformedHistory(t *testing.T) {
 		Procs:            2,
 		InitialPartition: part,
 		InitData:         func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id)) },
-		Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+		Node: platform.Node(func(id graph.NodeID, iter, _ int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
 			return self, 1e-5 * float64(1+int(id)%2)
-		},
+		}),
 		Iterations:   6,
 		Network:      netmodel.NewUniform(netmodel.Origin2000()),
 		Balancer:     &balance.Predictive{},
@@ -485,12 +485,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Procs:            2,
 		InitialPartition: part,
 		InitData:         func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id)) },
-		Node: func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+		Node: platform.Node(func(id graph.NodeID, iter, _ int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
 			if int(id) < n/2 {
 				return self, 4e-5
 			}
 			return self, 1e-5
-		},
+		}),
 		Iterations:      3,
 		Network:         netmodel.NewUniform(netmodel.Origin2000()),
 		Balancer:        &balance.Predictive{},

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 )
@@ -29,12 +28,6 @@ func buildRanks(c *Config) ([]rankState, error) {
 		}
 	}
 	ranks := takeRanks(c.Procs)
-	states := make([]nodeState, len(lay.held))
-	ents := make([]entry, lay.entries)
-	pools := make([][2][]shadowUpdate, lay.peers)
-	bufs := make([]shadowUpdate, 2*lay.sends)
-	scratch := make([]Neighbor, lay.width)
-	h := 0 // the next part, and node state, to hand out
 	for r := range ranks {
 		s := &ranks[r]
 		*s = rankState{cfg: c, me: r, speed: c.Network.Speed(r), owner: owner, ownerShared: true}
@@ -45,40 +38,66 @@ func buildRanks(c *Config) ([]rankState, error) {
 			s.migrations = rs.Migrations
 			s.balHist = slices.Clone(rs.History)
 		}
-		if h == len(lay.held) || lay.held[h] != int32(r) {
-			continue
-		}
-		l, n := &lay.parts[h], &states[h]
-		h++
-		s.nodeState = n
-		n.rankLayout, n.layoutShared = l, snap == nil // a resumed run's is its own
-		n.ents = take(&ents, len(l.table.links))
+	}
+	if err := c.Node.build(c, lay, ranks); err != nil {
+		return nil, err
+	}
+	return ranks, nil
+}
+
+// build gives each rank that holds nodes its node state, the part of
+// buildRanks compiled for the node function's type: every initial value is
+// asserted to T once, here.
+func (f nodeFunc[T]) build(c *Config, lay *Layout, ranks []rankState) error {
+	snap, nillable := c.ResumeFrom, nillable[T]()
+	states := make([]struct {
+		n nodeState
+		v values[T]
+	}, len(lay.held))
+	ents := make([]entry[T], lay.entries)
+	pools := make([][2][]shadowUpdate[T], lay.peers)
+	bufs := make([]shadowUpdate[T], 2*lay.sends)
+	scratch := make([]Neighbor[T], lay.width)
+	for h, r := range lay.held {
+		n, v := &states[h].n, &states[h].v
+		*n = nodeState{rankLayout: &lay.parts[h], layoutShared: snap == nil, vals: v} // a resumed run's layout is its own
+		ranks[r].nodeState = n
+		*v = values[T]{node: f, nillable: nillable, ents: take(&ents, len(n.table.links))}
 		if snap == nil {
-			for i := range n.ents {
-				id := l.table.ID(int32(i))
-				d := c.InitData(id)
-				if d == nil {
-					return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
+			for i := range v.ents {
+				id := n.table.ID(int32(i))
+				d, err := typed[T](c.InitData(id), id, "InitData returned")
+				if err != nil {
+					return err
 				}
-				n.ents[i] = entry{id: id, data: d, mostRecent: d}
+				v.ents[i] = entry[T]{id: id, data: d, mostRecent: d}
 			}
 		} else {
 			for i, ns := range snap.Ranks[r].Nodes {
-				n.ents[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
+				d, err := typed[T](ns.Data, ns.ID, "resume snapshot holds")
+				if err != nil {
+					return err
+				}
+				v.ents[i] = entry[T]{id: ns.ID, data: d, mostRecent: d}
 				if ns.Owned {
-					n.ents[i].lastCost = ns.LastCost
+					v.ents[i].lastCost = ns.LastCost
 				}
 			}
 		}
 
 		// Both generations of each peer's send buffer.
-		n.pools = take(&pools, len(l.peers))
-		for i, pe := range l.peers {
-			n.pools[i] = [2][]shadowUpdate{take(&bufs, pe.send)[:0], take(&bufs, pe.send)[:0]}
+		v.pools = take(&pools, len(n.peers))
+		for i, pe := range n.peers {
+			v.pools[i] = [2][]shadowUpdate[T]{take(&bufs, pe.send)[:0], take(&bufs, pe.send)[:0]}
 		}
-		n.nbrScratch = take(&scratch, l.width)
+		v.nbrScratch = take(&scratch, n.width)
 	}
-	return ranks, nil
+	return nil
+}
+
+// empty returns the values of a rank whose first node arrives by migration.
+func (f nodeFunc[T]) empty() rankValues {
+	return &values[T]{node: f, nillable: nillable[T]()}
 }
 
 // rankSlabs recycles the rank-record slab of a run for the next: a run of

@@ -58,7 +58,8 @@ func shape(s *rankState) rankShape {
 	if s.nodeState == nil {
 		return sh
 	}
-	sh.Holds, sh.Pools = true, len(s.pools)
+	vals := intVals(s)
+	sh.Holds, sh.Pools = true, len(vals.pools)
 	for _, node := range s.internal {
 		sh.Internal = append(sh.Internal, node.id)
 	}
@@ -91,7 +92,7 @@ func shape(s *rankState) rankShape {
 		rows := []tableRow{}
 		for ; link != 0; link = s.table.links[link-1].next {
 			k := link - 1
-			e := s.ents[k]
+			e := vals.ents[k]
 			row := tableRow{ID: s.table.ID(k), Data: e.data, Recent: e.mostRecent}
 			if owned[k] {
 				row.Owned, row.LastCost = true, e.lastCost
@@ -313,10 +314,10 @@ func TestBuildRefusesNilInitData(t *testing.T) {
 		return initID(id)
 	}
 	ran := false
-	cfg.Node = func(graph.NodeID, int, int, NodeData, []Neighbor) (NodeData, float64) {
+	cfg.Node = Node(func(graph.NodeID, int, int, IntData, []Neighbor[IntData]) (IntData, float64) {
 		ran = true
 		return IntData(0), 0
-	}
+	})
 	_, err := Run(cfg)
 	if err == nil || err.Error() != "platform: InitData returned nil for node 21" {
 		t.Fatalf("got %v, want the nil-InitData refusal for node 21", err)
@@ -387,7 +388,8 @@ func TestWindowsStayApart(t *testing.T) {
 				t.Fatal(err)
 			}
 			r1 := &ranks[1]
-			entsCap, poolsCap := cap(r1.ents), cap(r1.pools)
+			v1 := intVals(r1)
+			entsCap, poolsCap := cap(v1.ents), cap(v1.pools)
 
 			opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: mpi.KernelParallelEvent, Workers: workers}
 			err = mpi.Run(opts, func(comm *mpi.Comm) error {
@@ -417,9 +419,9 @@ func TestWindowsStayApart(t *testing.T) {
 			if got := ranks[0].migrations; got != 4 {
 				t.Fatalf("%d migrations, want a1..a4 moved to rank 1", got)
 			}
-			if len(r1.ents) <= entsCap || len(r1.pools) <= poolsCap {
+			if v1 = intVals(r1); len(v1.ents) <= entsCap || len(v1.pools) <= poolsCap {
 				t.Fatalf("rank 1 holds %d entries (window %d) and %d send-buffer pairs (%d): the test does not overflow its windows",
-					len(r1.ents), entsCap, len(r1.pools), poolsCap)
+					len(v1.ents), entsCap, len(v1.pools), poolsCap)
 			}
 			if r1.rankLayout == &c.Layout.parts[1] {
 				t.Fatal("rank 1 migrated on the run's shared layout part")
@@ -430,7 +432,7 @@ func TestWindowsStayApart(t *testing.T) {
 					continue
 				}
 				for _, node := range slices.Concat(st.internal, st.peripheral) {
-					if got := st.ents[node.self].data; got != want[node.id] {
+					if got := intVals(st).ents[node.self].data; got != want[node.id] {
 						t.Errorf("rank %d holds %v for node %d, the sequential run %v", r, got, node.id, want[node.id])
 					}
 				}

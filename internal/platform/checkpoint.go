@@ -152,8 +152,8 @@ func (col *snapCollector) contribute(s *rankState, iter int, start float64) erro
 	return nil
 }
 
-// captureRankSnap copies one rank's live state. Data values are shared,
-// not copied: they are immutable once returned (see NodeData), so the
+// captureRankSnap copies one rank's live state. Data values are boxed,
+// not deep-copied: they are immutable once returned (see NodeData), so the
 // snapshot stays valid while the run races ahead. The history window is
 // copied because recordLoadSample trims it in place; the Times and Speeds
 // inside are shared, since nothing writes them after they are recorded.
@@ -177,20 +177,27 @@ func captureRankSnap(s *rankState, start float64) RankSnap {
 		rs.Nodes = []NodeSnap{}
 		return rs
 	}
-	rs.Nodes = make([]NodeSnap, 0, len(s.table.links))
+	rs.Nodes = s.vals.capture(s)
+	slices.SortFunc(rs.Nodes, func(a, b NodeSnap) int { return cmp.Compare(a.ID, b.ID) })
+	return rs
+}
+
+// capture boxes the rank's live entries for its snapshot: owned nodes
+// first, then each peer's receive plan.
+func (v *values[T]) capture(s *rankState) []NodeSnap {
+	nodes := make([]NodeSnap, 0, len(v.ents))
 	for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
 		for _, node := range list {
-			e := &s.ents[node.self]
-			rs.Nodes = append(rs.Nodes, NodeSnap{ID: node.id, Owned: true, LastCost: e.lastCost, Data: e.data})
+			e := &v.ents[node.self]
+			nodes = append(nodes, NodeSnap{ID: node.id, Owned: true, LastCost: e.lastCost, Data: e.data})
 		}
 	}
 	for _, pe := range s.peers {
 		for _, k := range pe.in {
-			rs.Nodes = append(rs.Nodes, NodeSnap{ID: s.table.ID(k), Data: s.ents[k].data})
+			nodes = append(nodes, NodeSnap{ID: s.table.ID(k), Data: v.ents[k].data})
 		}
 	}
-	slices.SortFunc(rs.Nodes, func(a, b NodeSnap) int { return cmp.Compare(a.ID, b.ID) })
-	return rs
+	return nodes
 }
 
 // validateResume is the one check of a snapshot's structure against the

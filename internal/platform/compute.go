@@ -14,79 +14,66 @@ func tagShadow(sub int) int { return 100 + sub }
 // computeAndCommunicate runs one compute+communicate round (Figures 8 and
 // 8a). It updates every owned node with the user's node function, packs
 // updated peripheral data into per-destination buffers, exchanges shadow
-// updates with neighboring processors, and applies received updates. A
-// rank with no node skips it all: its one Charge would be of zero nodes.
+// updates with neighboring processors, and applies received updates, in
+// code compiled for the values' type. A rank with no node skips it all:
+// its one Charge would be of zero nodes.
 func (s *rankState) computeAndCommunicate(iter, sub int) error {
-	switch {
-	case s.nodeState == nil:
+	if s.nodeState == nil {
 		return nil
-	case s.cfg.Overlap:
-		return s.roundOverlapped(iter, sub)
 	}
-	return s.roundBasic(iter, sub)
+	return s.vals.round(s, iter, sub)
 }
 
-// roundBasic is Fig. 8: internal nodes, then peripheral nodes (packing as
-// they complete), then MPI_Isend/MPI_Recv of the buffers.
-func (s *rankState) roundBasic(iter, sub int) error {
-	s.nextBuffers()
-	// Compute over nodes: internal first, then peripheral.
-	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub); err != nil {
+// round is Fig. 8: internal nodes, then peripheral nodes (packing as they
+// complete), then MPI_Isend/MPI_Recv of the buffers. Under Config.Overlap
+// it is Fig. 8a: peripheral nodes first, dispatch shadows, compute internal
+// nodes while communication is in flight, then receive and unpack. The
+// thesis posts MPI_Irecv before the internal nodes and MPI_Waits after
+// them; here a receive completes at max(now, arrival) wherever it was
+// posted, so posting late costs nothing and the blocking receive of Fig. 8
+// serves both variants.
+func (v *values[T]) round(s *rankState, iter, sub int) error {
+	v.nextBuffers(s)
+	first, then := s.internal, s.peripheral
+	if s.cfg.Overlap {
+		first, then = then, first
+	}
+	for _, node := range first {
+		if err := v.computeNode(s, node, iter, sub); err != nil {
 			return err
 		}
 	}
-	for _, node := range s.peripheral {
-		if err := s.computeNode(node, iter, sub); err != nil {
+	if s.cfg.Overlap {
+		if err := v.sendBuffers(s, sub); err != nil {
 			return err
 		}
 	}
-	s.flipMostRecent()
-	// Communicate shadows.
-	if err := s.sendBuffers(sub); err != nil {
-		return err
-	}
-	return s.recvShadows(sub)
-}
-
-// roundOverlapped is Fig. 8a: peripheral nodes first, dispatch shadows,
-// compute internal nodes while communication is in flight, then receive
-// and unpack. The thesis posts MPI_Irecv before the internal nodes and
-// MPI_Waits after them; here a receive completes at max(now, arrival)
-// wherever it was posted, so posting late costs nothing and the blocking
-// receive of Fig. 8 serves both variants.
-func (s *rankState) roundOverlapped(iter, sub int) error {
-	s.nextBuffers()
-	for _, node := range s.peripheral {
-		if err := s.computeNode(node, iter, sub); err != nil {
+	for _, node := range then {
+		if err := v.computeNode(s, node, iter, sub); err != nil {
 			return err
 		}
 	}
-	if err := s.sendBuffers(sub); err != nil {
-		return err
-	}
-	// Remainder of the computation proceeds while communication continues.
-	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub); err != nil {
+	v.flipMostRecent(s)
+	if !s.cfg.Overlap {
+		if err := v.sendBuffers(s, sub); err != nil {
 			return err
 		}
 	}
-	s.flipMostRecent()
-	return s.recvShadows(sub)
+	return v.recvShadows(s, sub)
 }
 
 // nextBuffers starts an exchange: it moves s.gen to the other generation of
 // the pools and empties that generation of every peer's send buffer, sized
 // from peer.send ("the data structure chosen for the communication buffers
 // gives optimum memory usage"). Once capacities have warmed up an exchange
-// allocates nothing, under Fig. 8 and Fig. 8a alike; the nodeState.pools
+// allocates nothing, under Fig. 8 and Fig. 8a alike; the values.pools
 // comment in state.go says why a two-generation gap is sufficient.
-func (s *rankState) nextBuffers() {
+func (v *values[T]) nextBuffers(s *rankState) {
 	s.gen ^= 1
-	for i := range s.pools {
-		buf, send := &s.pools[i][s.gen], s.peers[i].send
+	for i := range v.pools {
+		buf, send := &v.pools[i][s.gen], s.peers[i].send
 		if cap(*buf) < send {
-			*buf = make([]shadowUpdate, 0, send)
+			*buf = make([]shadowUpdate[T], 0, send)
 		}
 		*buf = (*buf)[:0]
 	}
@@ -96,19 +83,19 @@ func (s *rankState) nextBuffers() {
 // stores the new data in most_recent, and (for peripheral nodes) packs the
 // update into the outgoing buffers. Time is attributed to the compute and
 // overhead phases exactly as Figures 21-22 split them.
-func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
-	ents := s.ents
+func (v *values[T]) computeNode(s *rankState, node *ownNode, iter, sub int) error {
+	ents := v.ents
 	e := &ents[node.self]
 	// Computation overhead: form the list of the node and its neighbors, in
 	// the one list every call on this rank recycles.
 	t0 := s.comm.Wtime()
-	if cap(s.nbrScratch) < len(node.nbr) {
-		s.nbrScratch = make([]Neighbor, len(node.nbr))
+	if cap(v.nbrScratch) < len(node.nbr) {
+		v.nbrScratch = make([]Neighbor[T], len(node.nbr))
 	}
-	neighbors := s.nbrScratch[:len(node.nbr)]
+	neighbors := v.nbrScratch[:len(node.nbr)]
 	for i, k := range node.nbr {
 		nb := &ents[k]
-		neighbors[i] = Neighbor{ID: nb.id, Data: nb.data}
+		neighbors[i] = Neighbor[T]{ID: nb.id, Data: nb.data}
 	}
 	s.comm.Charge(float64(len(neighbors)+1) * listPerNeighbor)
 	t1 := s.comm.Wtime()
@@ -116,8 +103,8 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 
 	// The actual node computation (the grain), scaled by this processor's
 	// relative speed when running on a heterogeneous network.
-	newData, cost := s.cfg.Node(node.id, iter, sub, e.data, neighbors)
-	if newData == nil {
+	newData, cost := v.node(node.id, iter, sub, e.data, neighbors)
+	if v.nillable && isNil(newData) {
 		return fmt.Errorf("platform: node function returned nil data for node %d", node.id)
 	}
 	if cost < 0 {
@@ -144,8 +131,8 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 	// per destination of the node's send plan.
 	if len(node.out) > 0 {
 		for _, k := range node.out {
-			buf := &s.pools[k][s.gen]
-			*buf = append(*buf, shadowUpdate{id: node.id, data: newData})
+			buf := &v.pools[k][s.gen]
+			*buf = append(*buf, shadowUpdate[T]{id: node.id, data: newData})
 			s.comm.Charge(packPerNode)
 		}
 		s.phase[PhaseCommOverhead] += s.comm.Wtime() - t3
@@ -155,11 +142,11 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int) error {
 
 // flipMostRecent promotes most_recent_data to data for every owned node
 // ("update data to most recent data before the next iteration").
-func (s *rankState) flipMostRecent() {
+func (v *values[T]) flipMostRecent(s *rankState) {
 	t0 := s.comm.Wtime()
 	for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
 		for _, node := range list {
-			e := &s.ents[node.self]
+			e := &v.ents[node.self]
 			e.data = e.mostRecent
 		}
 	}
@@ -170,10 +157,10 @@ func (s *rankState) flipMostRecent() {
 // sendBuffers dispatches one nonblocking send per peer, in ascending
 // destination order. The receiver checks each buffer against its receive
 // plan.
-func (s *rankState) sendBuffers(sub int) error {
+func (v *values[T]) sendBuffers(s *rankState, sub int) error {
 	t0 := s.comm.Wtime()
 	for i, pe := range s.peers {
-		buf := &s.pools[i][s.gen]
+		buf := &v.pools[i][s.gen]
 		if err := s.comm.Isend(pe.proc, tagShadow(sub), buf, updateBytes(*buf)); err != nil {
 			return err
 		}
@@ -186,7 +173,7 @@ func (s *rankState) sendBuffers(sub int) error {
 // order, and stores the k-th update in the k-th entry of the peer's
 // receive plan. Checking the length and each id against the plan refuses
 // an update out of order and one for a node the peer does not own.
-func (s *rankState) recvShadows(sub int) error {
+func (v *values[T]) recvShadows(s *rankState, sub int) error {
 	for _, pe := range s.peers {
 		t0 := s.comm.Wtime()
 		payload, err := s.comm.Recv(pe.proc, tagShadow(sub))
@@ -196,7 +183,7 @@ func (s *rankState) recvShadows(sub int) error {
 		t1 := s.comm.Wtime()
 		s.phase[PhaseCommunicate] += t1 - t0
 
-		sent, ok := payload.(*[]shadowUpdate)
+		sent, ok := payload.(*[]shadowUpdate[T])
 		if !ok {
 			return fmt.Errorf("platform: rank %d: unexpected payload %T from proc %d", s.me, payload, pe.proc)
 		}
@@ -205,7 +192,7 @@ func (s *rankState) recvShadows(sub int) error {
 			return fmt.Errorf("platform: rank %d received %d updates from proc %d, expected %d",
 				s.me, len(buf), pe.proc, len(pe.in))
 		}
-		ents := s.ents
+		ents := v.ents
 		for k, u := range buf {
 			e := &ents[pe.in[k]]
 			if e.id != u.id {
@@ -221,14 +208,15 @@ func (s *rankState) recvShadows(sub int) error {
 	return nil
 }
 
-// gatherFinalData assembles every node's final data at rank 0. Each rank
-// sends (id, data) pairs for the nodes it owns.
-func (s *rankState) gatherFinalData() ([]NodeData, error) {
-	own := make([]shadowUpdate, 0, s.numOwned())
+// gather assembles every node's final data at rank 0, boxing each value
+// once. Each rank sends (id, data) pairs for the nodes it owns.
+func (nodeFunc[T]) gather(s *rankState) ([]NodeData, error) {
+	own := make([]shadowUpdate[T], 0, s.numOwned())
 	if s.nodeState != nil {
+		ents := s.vals.(*values[T]).ents
 		for _, list := range [2][]*ownNode{s.internal, s.peripheral} {
 			for _, node := range list {
-				own = append(own, shadowUpdate{id: node.id, data: s.ents[node.self].data})
+				own = append(own, shadowUpdate[T]{id: node.id, data: ents[node.self].data})
 			}
 		}
 	}
@@ -241,7 +229,7 @@ func (s *rankState) gatherFinalData() ([]NodeData, error) {
 	}
 	out := make([]NodeData, s.cfg.Graph.NumVertices())
 	for p, payload := range all {
-		buf := payload.([]shadowUpdate)
+		buf := payload.([]shadowUpdate[T])
 		for _, u := range buf {
 			if out[u.id] != nil {
 				return nil, fmt.Errorf("platform: node %d reported by two owners", u.id)

@@ -220,7 +220,7 @@ func runWithForcedMoves(t *testing.T, cfg Config, moves map[int][][]migration) *
 			return err
 		}
 		elapsed[st.me] = comm.Wtime() - start
-		final, err := st.gatherFinalData()
+		final, err := c.Node.gather(st)
 		if err != nil {
 			return err
 		}

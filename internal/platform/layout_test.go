@@ -25,7 +25,7 @@ func TestRunsShareOneLayout(t *testing.T) {
 	plain := baseConfig(g, 4)
 	plain.Iterations = 12
 	migrating := plain
-	migrating.Node = imbalancedGrain
+	migrating.Node = Node(imbalancedGrain)
 	migrating.Balancer = thresholdBalancer{}
 	migrating.BalanceEvery = 2
 

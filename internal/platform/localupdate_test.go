@@ -21,8 +21,9 @@ func (s *rankState) checkedRound(round []migration) error {
 		}
 	}
 	if s.commitRound(round) {
-		ref := *s
-		ref.nodeState = &nodeState{rankLayout: s.rankLayout.clone(s.cfg.Graph.Adj), ents: s.ents, pools: slices.Clone(s.pools)}
+		ref, vals := *s, *intVals(s)
+		vals.pools = slices.Clone(vals.pools)
+		ref.nodeState = &nodeState{rankLayout: s.rankLayout.clone(s.cfg.Graph.Adj), vals: &vals}
 		ref.reclassifyAll()
 		s.localUpdate(round)
 		if err := sameAsReference(&ref, s); err != nil {
@@ -41,15 +42,16 @@ func sameAsReference(want, got *rankState) error {
 	if w, g := shape(want), shape(got); !reflect.DeepEqual(w, g) {
 		return fmt.Errorf("local update\n got %+v\nwant %+v", g, w)
 	}
-	base := func(b []shadowUpdate) *shadowUpdate {
+	base := func(b []shadowUpdate[IntData]) *shadowUpdate[IntData] {
 		if cap(b) == 0 {
 			return nil
 		}
 		return &b[:1][0]
 	}
-	for k := range want.pools {
-		for gen, w := range want.pools[k] {
-			if g := got.pools[k][gen]; base(g) != base(w) || cap(g) != cap(w) {
+	wp, gp := intVals(want).pools, intVals(got).pools
+	for k := range wp {
+		for gen, w := range wp[k] {
+			if g := gp[k][gen]; base(g) != base(w) || cap(g) != cap(w) {
 				return fmt.Errorf("peer %d: send buffer generation %d is not the one the reference kept", want.peers[k].proc, gen)
 			}
 		}
@@ -122,13 +124,13 @@ func TestMigrationMatchesReference(t *testing.T) {
 	// One processor's share of the node ids, block by block, runs ten
 	// times as hot as the rest, four iterations at a time.
 	hot := func(procs int) NodeFunc {
-		return func(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-			d, _ := mixing(0)(id, iter, 0, self, nbrs)
+		return Node(func(id graph.NodeID, iter, _ int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+			d, _ := mix(0)(id, iter, 0, self, nbrs)
 			if int(id)*procs/64 == iter/4%procs {
 				return d, 3e-3
 			}
 			return d, 0.3e-3
-		}
+		})
 	}
 	// pairs pairs every even processor with the next odd one, each way in
 	// turn, so that most rounds move several nodes.

@@ -417,7 +417,7 @@ func (s *rankState) chooseMigratingNode(idle int) (graph.NodeID, int64) {
 				score--
 			}
 		}
-		cost := s.ents[node.self].lastCost
+		cost := s.vals.lastCost(node.self)
 		better := false
 		switch {
 		case best == -1:
@@ -467,17 +467,7 @@ func (s *rankState) migrateOut(m migration) error {
 	if !ok {
 		return fmt.Errorf("platform: rank %d: migrating node %d is not peripheral", s.me, m.node)
 	}
-	node := s.peripheral[i]
-	// Send the data of the migrating node's neighbors: "this is needed
-	// since the neighbors of the migrating node now become shadow nodes
-	// for the 'idle' processor". The node's own current data rides along
-	// so the destination does not depend on having held the shadow.
-	buf := make([]shadowUpdate, 0, len(node.nbr)+1)
-	buf = append(buf, shadowUpdate{id: m.node, data: s.ents[node.self].data})
-	for j, u := range s.cfg.Graph.Adj[m.node] {
-		buf = append(buf, shadowUpdate{id: u, data: s.ents[node.nbr[j]].data})
-	}
-	if err := s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf)); err != nil {
+	if err := s.vals.sendMigrant(s, m, s.peripheral[i]); err != nil {
 		return err
 	}
 	// Remove the node from the own-node lists, and from the send counts of
@@ -498,31 +488,12 @@ func (s *rankState) migrateIn(m migration) error {
 	if err != nil {
 		return err
 	}
-	buf, ok := payload.([]shadowUpdate)
-	if !ok {
-		return fmt.Errorf("platform: rank %d: unexpected migration payload %T", s.me, payload)
-	}
-	if len(buf) == 0 || buf[0].id != m.node {
-		return fmt.Errorf("platform: rank %d: migration payload does not start with node %d", s.me, m.node)
-	}
 	if s.nodeState == nil { // the rank's first node, in a layout of its own
-		s.nodeState = &nodeState{rankLayout: new(rankLayout)}
+		s.nodeState = &nodeState{rankLayout: new(rankLayout), vals: s.cfg.Node.empty()}
 	}
 	s.ownLayout()
-	for _, u := range buf {
-		if s.owner[u.id] == s.me && u.id != m.node {
-			// Never clobber data we own with the sender's shadow copy.
-			continue
-		}
-		if k := s.table.Lookup(u.id); k >= 0 {
-			s.ents[k].data = u.data
-			s.ents[k].mostRecent = u.data
-		} else {
-			if _, err := s.table.Insert(u.id); err != nil {
-				return err
-			}
-			s.ents = append(s.ents, entry{id: u.id, data: u.data, mostRecent: u.data})
-		}
+	if err := s.vals.absorb(s, m, payload); err != nil {
+		return err
 	}
 	// "The node information of the migrating node is added in the
 	// peripheral node list", in id order and with no shadowFor set yet:
@@ -532,8 +503,49 @@ func (s *rankState) migrateIn(m migration) error {
 	node := &ownNode{id: m.node, shadowFor: ints[:0:n], out: ints[n : n : 2*n], nbr: ints[2*n:]}
 	// Every neighbor's entry is in the table now, received or already held.
 	s.resolve(node)
-	s.ents[node.self].lastCost = 0
 	i, _ := nodeIndex(s.peripheral, m.node)
 	s.peripheral = slices.Insert(s.peripheral, i, node)
+	return nil
+}
+
+// sendMigrant sends the data of the migrating node's neighbors: "this is
+// needed since the neighbors of the migrating node now become shadow nodes
+// for the 'idle' processor". The node's own current data rides along so
+// the destination does not depend on having held the shadow.
+func (v *values[T]) sendMigrant(s *rankState, m migration, node *ownNode) error {
+	buf := make([]shadowUpdate[T], 0, len(node.nbr)+1)
+	buf = append(buf, shadowUpdate[T]{id: m.node, data: v.ents[node.self].data})
+	for j, u := range s.cfg.Graph.Adj[m.node] {
+		buf = append(buf, shadowUpdate[T]{id: u, data: v.ents[node.nbr[j]].data})
+	}
+	return s.comm.Isend(m.to, tagMigrate, buf, updateBytes(buf))
+}
+
+// absorb stores what sendMigrant sent in the idle processor's table and
+// entries, the migrating node's with no compute cost observed yet.
+func (v *values[T]) absorb(s *rankState, m migration, payload any) error {
+	buf, ok := payload.([]shadowUpdate[T])
+	if !ok {
+		return fmt.Errorf("platform: rank %d: unexpected migration payload %T", s.me, payload)
+	}
+	if len(buf) == 0 || buf[0].id != m.node {
+		return fmt.Errorf("platform: rank %d: migration payload does not start with node %d", s.me, m.node)
+	}
+	for _, u := range buf {
+		if s.owner[u.id] == s.me && u.id != m.node {
+			// Never clobber data we own with the sender's shadow copy.
+			continue
+		}
+		if k := s.table.Lookup(u.id); k >= 0 {
+			v.ents[k].data = u.data
+			v.ents[k].mostRecent = u.data
+		} else {
+			if _, err := s.table.Insert(u.id); err != nil {
+				return err
+			}
+			v.ents = append(v.ents, entry[T]{id: u.id, data: u.data, mostRecent: u.data})
+		}
+	}
+	v.ents[s.table.Lookup(m.node)].lastCost = 0
 	return nil
 }

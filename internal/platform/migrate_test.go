@@ -142,10 +142,10 @@ func TestRepeatedMigrationSameDirection(t *testing.T) {
 
 // imbalancedGrain averages like averaging, but nodes 16..31 — proc 1's under
 // the four-way block partition of an 8x8 grid — cost ten times the rest.
-func imbalancedGrain(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-	sum := int64(self.(IntData))
+func imbalancedGrain(id graph.NodeID, iter, _ int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+	sum := int64(self)
 	for _, nb := range nbrs {
-		sum += int64(nb.Data.(IntData))
+		sum += int64(nb.Data)
 	}
 	cost := 0.3e-3
 	if int(id) >= 16 && int(id) < 32 {
@@ -160,7 +160,7 @@ func TestDynamicBalancingImprovesImbalancedRun(t *testing.T) {
 	// the static run.
 	g := hexGrid(t, 8, 8)
 	static := baseConfig(g, 4)
-	static.Node = imbalancedGrain
+	static.Node = Node(imbalancedGrain)
 	static.Iterations = 40
 	staticRes, err := Run(static)
 	if err != nil {
@@ -381,13 +381,13 @@ func TestSubPhasesWithMigrations(t *testing.T) {
 	g := hexGrid(t, 4, 8)
 	cfg := baseConfig(g, 4)
 	cfg.SubPhases = 2
-	cfg.Node = func(id graph.NodeID, iter, sub int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
+	cfg.Node = Node(func(id graph.NodeID, iter, sub int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		sum := int64(self)
 		for _, nb := range nbrs {
-			sum = sum*13 + int64(nb.Data.(IntData))
+			sum = sum*13 + int64(nb.Data)
 		}
 		return IntData(sum + int64(sub)*5 + int64(iter)), 1e-4
-	}
+	})
 	cfg.Iterations = 10
 	cfg.BalanceEvery = 2
 	cfg.DisableMigrationGuard = true

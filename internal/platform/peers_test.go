@@ -32,10 +32,10 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 	}
 	cfg := baseConfig(g, 4)
 	cfg.InitialPartition = []int{a: 0, b: 0, k: 0, m: 1, n: 1, x: 2, y: 2, z: 3, w: 3}
-	cfg.Node = func(id graph.NodeID, iter, sub int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		d, _ := mixing(0)(id, iter, sub, self, nbrs)
+	cfg.Node = Node(func(id graph.NodeID, iter, sub int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		d, _ := mix(0)(id, iter, sub, self, nbrs)
 		return d, map[graph.NodeID]float64{a: 3e-4, b: 2e-4}[id] + 1e-4
-	}
+	})
 	cfg.Balancer = skewedBalancer{}
 	cfg.DisableMigrationGuard = true
 	c, err := cfg.normalize()
@@ -45,7 +45,7 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 
 	// What rank 2 holds at the end of each iteration: its peers, and the
 	// backing array of each pooled send buffer.
-	type pools map[int][2]*shadowUpdate
+	type pools map[int][2]*shadowUpdate[IntData]
 	var procs [][]int
 	var held []pools
 	const iterations = 7
@@ -77,8 +77,8 @@ func TestPeerListSurvivesChurn(t *testing.T) {
 			h := pools{}
 			for i, pe := range st.peers {
 				ps = append(ps, pe.proc)
-				var base [2]*shadowUpdate
-				for gen, buf := range st.pools[i] {
+				var base [2]*shadowUpdate[IntData]
+				for gen, buf := range intVals(st).pools[i] {
 					if cap(buf) > 0 {
 						base[gen] = &buf[:1][0]
 					}

@@ -15,11 +15,17 @@ func initID(id graph.NodeID) NodeData { return IntData(int64(id) + 1) }
 
 // averaging is the thesis' neighbor-averaging node function with uniform
 // grain.
-func averaging(grain float64) NodeFunc {
-	return func(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
+func averaging(grain float64) NodeFunc { return Node(average(grain)) }
+
+// intNode is a node function over IntData values, which tests call
+// directly or wrap.
+type intNode = func(graph.NodeID, int, int, IntData, []Neighbor[IntData]) (IntData, float64)
+
+func average(grain float64) intNode {
+	return func(id graph.NodeID, iter, _ int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		sum := int64(self)
 		for _, nb := range nbrs {
-			sum += int64(nb.Data.(IntData))
+			sum += int64(nb.Data)
 		}
 		return IntData(sum / int64(len(nbrs)+1)), grain
 	}
@@ -27,15 +33,20 @@ func averaging(grain float64) NodeFunc {
 
 // mixing makes every node's value depend sensitively on neighbor values,
 // node ID and iteration, so stale shadows can't go unnoticed.
-func mixing(grain float64) NodeFunc {
-	return func(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
+func mixing(grain float64) NodeFunc { return Node(mix(grain)) }
+
+func mix(grain float64) intNode {
+	return func(id graph.NodeID, iter, _ int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		sum := int64(self)
 		for _, nb := range nbrs {
-			sum = sum*31 + int64(nb.Data.(IntData))
+			sum = sum*31 + int64(nb.Data)
 		}
 		return IntData(sum*7 + int64(id) + int64(iter)), grain
 	}
 }
+
+// intVals returns the values of a rank of a run over IntData.
+func intVals(s *rankState) *values[IntData] { return s.vals.(*values[IntData]) }
 
 func hexGrid(t *testing.T, rows, cols int) *graph.Graph {
 	t.Helper()
@@ -119,13 +130,13 @@ func TestRunOverlappedMatchesSequential(t *testing.T) {
 func TestRunSubPhasesMatchesSequential(t *testing.T) {
 	cfg := baseConfig(hexGrid(t, 4, 8), 4)
 	cfg.SubPhases = 2
-	cfg.Node = func(id graph.NodeID, iter, sub int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
+	cfg.Node = Node(func(id graph.NodeID, iter, sub int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		sum := int64(self)
 		for _, nb := range nbrs {
-			sum = sum*17 + int64(nb.Data.(IntData))
+			sum = sum*17 + int64(nb.Data)
 		}
 		return IntData(sum + int64(sub) + int64(iter)*3), 1e-4
-	}
+	})
 	assertMatchesSequential(t, cfg)
 }
 
@@ -287,14 +298,16 @@ func TestNodeFuncFailureInjection(t *testing.T) {
 	g := hexGrid(t, 2, 4)
 	t.Run("nil data", func(t *testing.T) {
 		cfg := baseConfig(g, 2)
-		cfg.Node = func(graph.NodeID, int, int, NodeData, []Neighbor) (NodeData, float64) { return nil, 0 }
+		cfg.Node = Node(func(graph.NodeID, int, int, NodeData, []Neighbor[NodeData]) (NodeData, float64) { return nil, 0 })
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "nil data") {
 			t.Fatalf("want nil-data error, got %v", err)
 		}
 	})
 	t.Run("negative cost", func(t *testing.T) {
 		cfg := baseConfig(g, 2)
-		cfg.Node = func(id graph.NodeID, _, _ int, self NodeData, _ []Neighbor) (NodeData, float64) { return self, -1 }
+		cfg.Node = Node(func(id graph.NodeID, _, _ int, self IntData, _ []Neighbor[IntData]) (IntData, float64) {
+			return self, -1
+		})
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "negative cost") {
 			t.Fatalf("want negative-cost error, got %v", err)
 		}

@@ -18,7 +18,7 @@ const forged = IntData(-1)
 // in place of its real exchange. It returns the error rank 1's
 // recvShadows failed the run with, after checking that no entry of rank
 // 1's table holds a forged value.
-func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
+func recvForged(t *testing.T, forge func(buf []shadowUpdate[IntData]) any) error {
 	t.Helper()
 	cfg := baseConfig(hexGrid(t, 2, 4), 2)
 	c, err := cfg.normalize()
@@ -34,11 +34,11 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 		st := &ranks[comm.Rank()]
 		st.comm = comm
 		if st.me == 0 {
-			var buf []shadowUpdate
+			var buf []shadowUpdate[IntData]
 			for _, node := range st.peripheral {
 				for _, p := range node.shadowFor {
 					if p == 1 {
-						buf = append(buf, shadowUpdate{id: node.id, data: forged})
+						buf = append(buf, shadowUpdate[IntData]{id: node.id, data: forged})
 					}
 				}
 			}
@@ -47,9 +47,10 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 			}
 			return comm.Isend(1, tagShadow(0), forge(buf), updateBytes(buf))
 		}
-		err := st.recvShadows(0)
+		vals := intVals(st)
+		err := vals.recvShadows(st, 0)
 		for v := range c.Graph.Adj {
-			if k := st.table.Lookup(graph.NodeID(v)); k >= 0 && (st.ents[k].data == forged || st.ents[k].mostRecent == forged) {
+			if k := st.table.Lookup(graph.NodeID(v)); k >= 0 && (vals.ents[k].data == forged || vals.ents[k].mostRecent == forged) {
 				written = append(written, graph.NodeID(v))
 			}
 		}
@@ -66,7 +67,7 @@ func recvForged(t *testing.T, forge func(buf []shadowUpdate) any) error {
 
 // TestRecvShadowsRefusesWrongLength hands rank 1 one update too few.
 func TestRecvShadowsRefusesWrongLength(t *testing.T) {
-	err := recvForged(t, func(buf []shadowUpdate) any {
+	err := recvForged(t, func(buf []shadowUpdate[IntData]) any {
 		short := buf[:len(buf)-1]
 		return &short
 	})
@@ -78,7 +79,7 @@ func TestRecvShadowsRefusesWrongLength(t *testing.T) {
 // TestRecvShadowsRefusesWrongPayloadType hands rank 1 the buffer itself
 // where the exchange sends a pointer to it.
 func TestRecvShadowsRefusesWrongPayloadType(t *testing.T) {
-	err := recvForged(t, func(buf []shadowUpdate) any { return buf })
+	err := recvForged(t, func(buf []shadowUpdate[IntData]) any { return buf })
 	if !strings.Contains(err.Error(), "unexpected payload []platform.shadowUpdate") {
 		t.Errorf("got %v, want the unexpected-payload error", err)
 	}
@@ -88,7 +89,7 @@ func TestRecvShadowsRefusesWrongPayloadType(t *testing.T) {
 // the first two swapped: each is for a node rank 1 holds a shadow of, but
 // not the one due at its position.
 func TestRecvShadowsRefusesSwappedUpdates(t *testing.T) {
-	err := recvForged(t, func(buf []shadowUpdate) any {
+	err := recvForged(t, func(buf []shadowUpdate[IntData]) any {
 		buf[0], buf[1] = buf[1], buf[0]
 		return &buf
 	})
@@ -100,7 +101,7 @@ func TestRecvShadowsRefusesSwappedUpdates(t *testing.T) {
 // TestRecvShadowsRefusesUnownedNode hands rank 1 an update for node 4,
 // which rank 1 owns itself, in the first slot.
 func TestRecvShadowsRefusesUnownedNode(t *testing.T) {
-	err := recvForged(t, func(buf []shadowUpdate) any {
+	err := recvForged(t, func(buf []shadowUpdate[IntData]) any {
 		buf[0].id = 4
 		return &buf
 	})

@@ -45,13 +45,13 @@ func TestRecycledRanksConcurrentRuns(t *testing.T) {
 	sparse := baseConfig(hexGrid(t, 8, 8), 512)
 	sparse.Iterations = 3
 	balanced := baseConfig(hexGrid(t, 4, 6), 6)
-	balanced.Node = func(id graph.NodeID, iter, sub int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		out, _ := mixing(0)(id, iter, sub, self, nbrs)
+	balanced.Node = Node(func(id graph.NodeID, iter, sub int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		out, _ := mix(0)(id, iter, sub, self, nbrs)
 		if id >= 8 && id < 12 { // rank 2's block: busier than every neighbour
 			return out, 3e-3
 		}
 		return out, 0.3e-3
-	}
+	})
 	balanced.Balancer = thresholdBalancer{}
 	balanced.BalanceEvery = 2
 	_, _, snaps := runWithSnapshots(t, checkpointConfig(t, 4))

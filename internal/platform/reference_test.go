@@ -26,7 +26,7 @@ func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) *rankState {
 		speed:       cfg.Network.Speed(comm.Rank()),
 		owner:       owner,
 		ownerShared: true,
-		nodeState:   &nodeState{rankLayout: new(rankLayout)},
+		nodeState:   &nodeState{rankLayout: new(rankLayout), vals: cfg.Node.empty()},
 	}
 }
 
@@ -66,7 +66,8 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 		if d == nil {
 			return nil, fmt.Errorf("platform: InitData returned nil for node %d", id)
 		}
-		s.ents = append(s.ents, entry{id: id, data: d, mostRecent: d})
+		vals := intVals(s)
+		vals.ents = append(vals.ents, entry[IntData]{id: id, data: d.(IntData), mostRecent: d.(IntData)})
 		if _, err := s.table.Insert(id); err != nil {
 			return nil, err
 		}
@@ -76,7 +77,7 @@ func newRankState(cfg *Config, comm *mpi.Comm, mine []graph.NodeID) (*rankState,
 	// One node-list and one data entry per owned node, one entry per shadow.
 	comm.Charge(float64(2*len(mine)+shadows) * initPerEntry)
 	s.phase[PhaseInit] += comm.Wtime() - t0
-	if len(s.ents) == 0 {
+	if len(intVals(s).ents) == 0 {
 		s.nodeState = nil
 	}
 	return s, nil
@@ -94,9 +95,10 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	}
 	s.table = *table
 	mine := make([]graph.NodeID, 0, len(rs.Nodes))
-	s.ents = make([]entry, len(rs.Nodes))
+	vals := intVals(s)
+	vals.ents = make([]entry[IntData], len(rs.Nodes))
 	for i, ns := range rs.Nodes {
-		s.ents[i] = entry{id: ns.ID, data: ns.Data, mostRecent: ns.Data}
+		vals.ents[i] = entry[IntData]{id: ns.ID, data: ns.Data.(IntData), mostRecent: ns.Data.(IntData)}
 		if _, err := s.table.Insert(ns.ID); err != nil {
 			return nil, err
 		}
@@ -116,14 +118,14 @@ func restoreRankState(cfg *Config, comm *mpi.Comm, snap *RunSnapshot) (*rankStat
 	s.refPlanExchange()
 	for i, ns := range rs.Nodes {
 		if ns.Owned {
-			s.ents[i].lastCost = ns.LastCost
+			vals.ents[i].lastCost = ns.LastCost
 		}
 	}
 	s.phase = rs.Phase
 	s.workTime = rs.WorkTime
 	s.migrations = rs.Migrations
 	s.balHist = slices.Clone(rs.History)
-	if len(s.ents) == 0 {
+	if len(intVals(s).ents) == 0 {
 		s.nodeState = nil
 	}
 	if err := s.checkInvariants(); err != nil {
@@ -220,7 +222,7 @@ func (s *rankState) refPlanExchange() {
 			node.out[j] = int32(slices.IndexFunc(s.peers, func(pe peer) bool { return pe.proc == int(p) }))
 		}
 	}
-	s.pools = make([][2][]shadowUpdate, len(s.peers))
+	intVals(s).pools = make([][2][]shadowUpdate[IntData], len(s.peers))
 	for i := range s.peers {
 		start, p := len(in), s.peers[i].proc
 		for _, node := range s.peripheral {
@@ -256,12 +258,13 @@ func (s *rankState) reclassifyAll() {
 	for _, node := range all {
 		s.place(node, adj, s.owner, s.me)
 	}
-	old, oldPools := slices.Clone(s.peers), s.pools
+	vals := intVals(s)
+	old, oldPools := slices.Clone(s.peers), vals.pools
 	s.rebuildCounts()
-	s.pools = make([][2][]shadowUpdate, len(s.peers))
+	vals.pools = make([][2][]shadowUpdate[IntData], len(s.peers))
 	for i, pe := range s.peers {
 		if j, ok := slices.BinarySearchFunc(old, pe.proc, func(q peer, p int) int { return cmp.Compare(q.proc, p) }); ok {
-			s.pools[i] = oldPools[j]
+			vals.pools[i] = oldPools[j]
 		}
 	}
 	s.planExchange(adj, s.owner, s.me, make([]int32, len(s.peers)))

@@ -168,7 +168,7 @@ func Run(cfg Config) (*Result, error) {
 
 		var final []NodeData
 		if !c.SkipFinalGather {
-			final, err = st.gatherFinalData()
+			final, err = c.Node.gather(st)
 			if err != nil {
 				return err
 			}
@@ -223,31 +223,36 @@ func RunSequential(cfg Config) ([]NodeData, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := c.Graph.NumVertices()
-	data := make([]NodeData, n)
-	next := make([]NodeData, n)
-	for v := 0; v < n; v++ {
-		data[v] = c.InitData(graph.NodeID(v))
-		if data[v] == nil {
-			return nil, fmt.Errorf("platform: InitData returned nil for node %d", v)
+	return c.Node.sequential(c)
+}
+
+func (f nodeFunc[T]) sequential(c *Config) ([]NodeData, error) {
+	n, nillable := c.Graph.NumVertices(), nillable[T]()
+	data := make([]T, n)
+	next := make([]T, n)
+	for v := range data {
+		d, err := typed[T](c.InitData(graph.NodeID(v)), graph.NodeID(v), "InitData returned")
+		if err != nil {
+			return nil, err
 		}
+		data[v] = d
 	}
 	// The reference loop recycles the neighbor list the way the platform
 	// does: the NodeFunc retention contract applies identically here.
-	var scratch []Neighbor
+	var scratch []Neighbor[T]
 	for iter := 1; iter <= c.Iterations; iter++ {
 		for sub := 0; sub < c.SubPhases; sub++ {
 			for v := 0; v < n; v++ {
 				id := graph.NodeID(v)
 				if cap(scratch) < len(c.Graph.Adj[v]) {
-					scratch = make([]Neighbor, len(c.Graph.Adj[v]))
+					scratch = make([]Neighbor[T], len(c.Graph.Adj[v]))
 				}
 				nbrs := scratch[:len(c.Graph.Adj[v])]
 				for i, u := range c.Graph.Adj[v] {
-					nbrs[i] = Neighbor{ID: u, Data: data[u]}
+					nbrs[i] = Neighbor[T]{ID: u, Data: data[u]}
 				}
-				out, cost := c.Node(id, iter, sub, data[v], nbrs)
-				if out == nil {
+				out, cost := f(id, iter, sub, data[v], nbrs)
+				if nillable && isNil(out) {
 					return nil, fmt.Errorf("platform: node function returned nil for node %d", v)
 				}
 				if cost < 0 {
@@ -258,5 +263,9 @@ func RunSequential(cfg Config) ([]NodeData, error) {
 			data, next = next, data
 		}
 	}
-	return data, nil
+	out := make([]NodeData, n)
+	for v, d := range data {
+		out[v] = d
+	}
+	return out, nil
 }

@@ -18,7 +18,7 @@ func TestRunDoesNotMutateInitialPartition(t *testing.T) {
 	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent, mpi.KernelParallelEvent} {
 		t.Run(fmt.Sprintf("kernel=%v", kernel), func(t *testing.T) {
 			cfg := baseConfig(hexGrid(t, 8, 8), 4)
-			cfg.Node = imbalancedGrain
+			cfg.Node = Node(imbalancedGrain)
 			cfg.Iterations = 20
 			cfg.Balancer = thresholdBalancer{}
 			cfg.BalanceEvery = 5

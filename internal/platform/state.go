@@ -3,6 +3,7 @@ package platform
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"ic2mpi/internal/graph"
@@ -67,12 +68,38 @@ type rankState struct {
 
 // nodeState is what a processor that holds nodes keeps besides: its part
 // of the run's layout (node lists, table, peers, plans) and this run's
-// values: entries, a pair of send buffers per peer, the neighbour list.
+// values.
 type nodeState struct {
 	*rankLayout
 	layoutShared bool // rankLayout is still the run's shared part (ownLayout)
 
-	ents []entry // the rank's data node list, indexed as the table indexes it
+	vals rankValues
+}
+
+// rankValues is the part of a rank's state that holds node values, of the
+// node function's type (values); the rest of the rank reaches it through
+// these methods, none of which is called per node.
+type rankValues interface {
+	round(s *rankState, iter, sub int) error
+	addPeer(k int)
+	dropPeer(k int)
+	lastCost(k int32) float64
+	sendMigrant(s *rankState, m migration, node *ownNode) error
+	absorb(s *rankState, m migration, payload any) error
+	capture(s *rankState) []NodeSnap
+	checkEntries(s *rankState) error
+}
+
+// nodeFunc is the NodeFunc Node builds for values of type T.
+type nodeFunc[T NodeData] func(id graph.NodeID, iter, sub int, self T, neighbors []Neighbor[T]) (T, float64)
+
+// values is a rank's entries, send buffers and neighbour list, of the node
+// function's type T.
+type values[T NodeData] struct {
+	node     nodeFunc[T]
+	nillable bool // T is a pointer or an interface type, so a result may be nil
+
+	ents []entry[T] // the rank's data node list, indexed as the table indexes it
 
 	// pools[k] holds two generations of send buffers for peers[k].proc;
 	// exchanges alternate them (rankState.gen), so a buffer handed to Isend
@@ -82,10 +109,10 @@ type nodeState struct {
 	// Isend carries &pools[k][gen], which allocates nothing, and the same
 	// argument covers the header the receiver reads through it, so a peer
 	// that comes or goes makes a new pools array (localUpdate).
-	pools [][2][]shadowUpdate
+	pools [][2][]shadowUpdate[T]
 
 	// nbrScratch is the recycled node+neighbors list for the node function.
-	nbrScratch []Neighbor
+	nbrScratch []Neighbor[T]
 }
 
 // entry is one data-node-list element (struct node_data): the current data
@@ -94,27 +121,55 @@ type nodeState struct {
 // neighboring nodes". id repeats the table's, so a neighbour's id and data
 // are read from one place. lastCost is an owned node's compute cost in the
 // latest iteration; the migration-node selection sheds hot nodes first.
-type entry struct {
+type entry[T NodeData] struct {
 	id         graph.NodeID
-	data       NodeData
-	mostRecent NodeData
+	data       T
+	mostRecent T
 	lastCost   float64
 }
 
 // shadowUpdate is one packed buffer element (struct buffer_data_node):
 // global ID plus the node's updated data.
-type shadowUpdate struct {
+type shadowUpdate[T NodeData] struct {
 	id   graph.NodeID
-	data NodeData
+	data T
 }
 
-func updateBytes(us []shadowUpdate) int {
+func updateBytes[T NodeData](us []shadowUpdate[T]) int {
 	total := 0
 	for _, u := range us {
 		total += 4 + u.data.SizeBytes()
 	}
 	return total
 }
+
+// nillable reports whether T is a pointer or an interface type, the types
+// whose nil (isNil) a run refuses as a node value.
+func nillable[T NodeData]() bool {
+	k := reflect.TypeFor[T]().Kind()
+	return k == reflect.Pointer || k == reflect.Interface
+}
+
+func isNil[T NodeData](v T) bool { var zero T; return any(v) == any(zero) }
+
+// typed asserts d, node id's value from source, to T.
+func typed[T NodeData](d NodeData, id graph.NodeID, source string) (t T, err error) {
+	t, ok := d.(T)
+	if d == nil {
+		err = fmt.Errorf("platform: %s nil for node %d", source, id)
+	} else if !ok {
+		err = fmt.Errorf("platform: %s %T for node %d, the node function takes %v: %w", source, d, id, reflect.TypeFor[T](), ErrDataType)
+	}
+	return t, err
+}
+
+func (v *values[T]) addPeer(k int) {
+	v.pools = slices.Insert(slices.Clip(v.pools), k, [2][]shadowUpdate[T]{})
+}
+
+func (v *values[T]) dropPeer(k int) { v.pools = slices.Concat(v.pools[:k], v.pools[k+1:]) }
+
+func (v *values[T]) lastCost(k int32) float64 { return v.ents[k].lastCost }
 
 // ownOwner gives the rank a private copy of the owner map if it is still
 // reading the run's shared one. Every write to s.owner comes after it.
@@ -180,7 +235,7 @@ func (s *rankState) sendRow() []int {
 // placed again (reclassify), and only a moved node or a neighbour of one
 // can enter or leave a receive plan (replan). A peer whose send count
 // reaches zero goes with its buffers, in a new pools array (see
-// nodeState.pools); a peer that comes or goes renumbers the send plans.
+// values.pools); a peer that comes or goes renumbers the send plans.
 func (s *rankState) localUpdate(round []migration) {
 	s.ownLayout()
 	adj := s.cfg.Graph.Adj
@@ -203,7 +258,8 @@ func (s *rankState) localUpdate(round []migration) {
 	}
 	for k := len(s.peers) - 1; k >= 0; k-- {
 		if s.peers[k].send == 0 {
-			s.peers, s.pools = slices.Delete(s.peers, k, k+1), slices.Concat(s.pools[:k], s.pools[k+1:])
+			s.peers = slices.Delete(s.peers, k, k+1)
+			s.vals.dropPeer(k)
 			renumber = true
 		}
 	}
@@ -238,7 +294,7 @@ func (s *rankState) reclassify(v graph.NodeID) (inserted bool) {
 		k, ok := s.peerAt(int(p))
 		if !ok {
 			s.peers = slices.Insert(s.peers, k, peer{proc: int(p)})
-			s.pools = slices.Insert(slices.Clip(s.pools), k, [2][]shadowUpdate{})
+			s.vals.addPeer(k)
 			inserted = true
 		}
 		s.peers[k].send++
@@ -352,14 +408,23 @@ func (s *rankState) checkInvariants() error {
 			}
 		}
 	}
-	if len(s.ents) != len(s.table.links) || len(s.pools) != len(s.peers) {
-		return fmt.Errorf("rank %d: %d entries for %d table ids, %d send-buffer pairs for %d peers", s.me, len(s.ents), len(s.table.links), len(s.pools), len(s.peers))
+	if err := s.vals.checkEntries(s); err != nil {
+		return err
+	}
+	return s.checkPeers()
+}
+
+// checkEntries validates the entries against the table and the send-buffer
+// pairs against the peers.
+func (v *values[T]) checkEntries(s *rankState) error {
+	if len(v.ents) != len(s.table.links) || len(v.pools) != len(s.peers) {
+		return fmt.Errorf("rank %d: %d entries for %d table ids, %d send-buffer pairs for %d peers", s.me, len(v.ents), len(s.table.links), len(v.pools), len(s.peers))
 	}
 	owned := 0
-	for k := range s.ents {
+	for k := range v.ents {
 		id := s.table.ID(int32(k))
-		if s.ents[k].id != id {
-			return fmt.Errorf("rank %d: entry %d holds node %d, the table says %d", s.me, k, s.ents[k].id, id)
+		if v.ents[k].id != id {
+			return fmt.Errorf("rank %d: entry %d holds node %d, the table says %d", s.me, k, v.ents[k].id, id)
 		}
 		if s.owner[id] == s.me {
 			owned++
@@ -368,7 +433,7 @@ func (s *rankState) checkInvariants() error {
 	if owned != s.numOwned() {
 		return fmt.Errorf("rank %d: %d entries of owned nodes for %d owned nodes", s.me, owned, s.numOwned())
 	}
-	return s.checkPeers()
+	return nil
 }
 
 // checkPeers validates the peer list and the plans: peers strictly

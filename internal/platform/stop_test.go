@@ -54,8 +54,8 @@ func TestStopEndsRunAtIterationBoundary(t *testing.T) {
 				cfg := baseConfig(g, 6)
 				cfg.Iterations = 10
 				cfg.Kernel, cfg.KernelWorkers, cfg.Stop = kernel, workers, stop
-				node := cfg.Node
-				cfg.Node = func(id graph.NodeID, iter, sub int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
+				node := mix(1e-4) // baseConfig's
+				cfg.Node = Node(func(id graph.NodeID, iter, sub int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
 					if id == 0 {
 						lastIter = iter
 						if iter == 3 {
@@ -63,7 +63,7 @@ func TestStopEndsRunAtIterationBoundary(t *testing.T) {
 						}
 					}
 					return node(id, iter, sub, self, nbrs)
-				}
+				})
 				res, err := Run(cfg)
 				if !errors.Is(err, mpi.ErrStopped) || res != nil {
 					t.Fatalf("Run returned a result: %t, error %v; want no result and an error that is mpi.ErrStopped", res != nil, err)

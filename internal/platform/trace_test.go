@@ -19,17 +19,17 @@ import (
 func tracedConfig(t *testing.T) Config {
 	g := hexGrid(t, 8, 8)
 	cfg := baseConfig(g, 4)
-	cfg.Node = func(id graph.NodeID, iter, _ int, self NodeData, nbrs []Neighbor) (NodeData, float64) {
-		sum := int64(self.(IntData))
+	cfg.Node = Node(func(id graph.NodeID, iter, _ int, self IntData, nbrs []Neighbor[IntData]) (IntData, float64) {
+		sum := int64(self)
 		for _, nb := range nbrs {
-			sum += int64(nb.Data.(IntData))
+			sum += int64(nb.Data)
 		}
 		cost := 0.3e-3
 		if int(id) >= 16 && int(id) < 32 {
 			cost = 3e-3
 		}
 		return IntData(sum / int64(len(nbrs)+1)), cost
-	}
+	})
 	cfg.Iterations = 25
 	cfg.Balancer = thresholdBalancer{}
 	cfg.BalanceEvery = 5

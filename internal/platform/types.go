@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 
 	"ic2mpi/internal/graph"
@@ -10,13 +11,11 @@ import (
 )
 
 // NodeData is the user-supplied per-node state (the thesis' node_data
-// plug-in). A value is immutable once InitData or a NodeFunc has returned
-// it: the exchange, task migration and the final gather all deliver values
-// by reference, so one value is at once a node's data on its owner and a
-// shadow on every neighbouring rank, and nothing may write through it (see
-// NodeFunc). A checkpoint snapshot holds the live values too, and a
-// restored run starts from the decoded ones. SizeBytes reports the
-// serialized size charged to the communication cost model.
+// plug-in). A run holds each value as the node function's type (Node) and
+// boxes it only for InitData, a checkpoint and the final gather. What a
+// value refers to is shared, not copied, by the exchange, task migration
+// and the gather, so nothing may write through it (see Node). SizeBytes
+// reports the serialized size charged to the communication cost model.
 type NodeData interface {
 	SizeBytes() int
 }
@@ -29,22 +28,32 @@ type IntData int64
 func (d IntData) SizeBytes() int { return 8 }
 
 // Neighbor pairs a neighbor's global node ID with that neighbor's data
-// from the previous iteration. The slice passed to NodeFunc plays the role
-// of the thesis' linked list "with the current node's data as the head
-// followed by the data of its neighbors". The platform recycles the slice
-// between invocations, so a NodeFunc must not retain it beyond the call.
-type Neighbor struct {
+// from the previous iteration. The slice passed to the node function plays
+// the role of the thesis' linked list "with the current node's data as the
+// head followed by the data of its neighbors". The platform recycles the
+// slice between invocations, so a node function must not retain it beyond
+// the call.
+type Neighbor[T NodeData] struct {
 	ID   graph.NodeID
-	Data NodeData
+	Data T
 }
 
 // NodeFunc is the application node computation function (the thesis'
 // SimulatorFunction plug-in, invoked through a function pointer by the
-// platform's Compute Over Nodes routine). It receives the node's own data
-// and its neighbors' previous-iteration data and returns the node's new
-// data plus the virtual compute cost in seconds (the thesis injects grain
-// with dummy loops; here the grain is returned so the virtual clock can
-// charge it).
+// platform's Compute Over Nodes routine), made by Node; Run and
+// RunSequential dispatch through it to code compiled for its value type.
+type NodeFunc interface {
+	build(c *Config, lay *Layout, ranks []rankState) error
+	empty() rankValues // a rank's values before its first node arrives
+	gather(s *rankState) ([]NodeData, error)
+	sequential(c *Config) ([]NodeData, error)
+}
+
+// Node makes f the node function of a run whose values are of type T. f
+// receives the node's own data and its neighbors' previous-iteration data
+// and returns the node's new data plus the virtual compute cost in seconds
+// (the thesis injects grain with dummy loops; here the grain is returned
+// so the virtual clock can charge it).
 //
 // iter counts iterations from 1 as in the thesis' main loop; sub is the
 // sub-phase index within an iteration (always 0 unless Config.SubPhases >
@@ -55,11 +64,21 @@ type Neighbor struct {
 // platform (and RunSequential) recycles it between invocations, so an
 // implementation must not retain it and copies what it wants to keep.
 //
-// self and every neighbor's Data are shared with other ranks and must not
-// be written. In return a NodeFunc may return self when the node's value
-// does not change, and a new value may share memory with self (a slice it
-// does not modify): the platform never writes a value either.
-type NodeFunc func(id graph.NodeID, iter, sub int, self NodeData, neighbors []Neighbor) (NodeData, float64)
+// What self and every neighbor's Data refer to is shared with other ranks
+// and must not be written; in return f may return self when the node's
+// value does not change, and a new value may share memory with self: the
+// platform never writes a value either. A nil result of a pointer or
+// interface T is refused, as is an InitData value that is not a T.
+func Node[T NodeData](f func(id graph.NodeID, iter, sub int, self T, neighbors []Neighbor[T]) (T, float64)) NodeFunc {
+	if f == nil {
+		return nil
+	}
+	return nodeFunc[T](f)
+}
+
+// ErrDataType is the error of a value whose dynamic type is not the node
+// function's: an InitData result, or a node value of a resumed snapshot.
+var ErrDataType = errors.New("node data is not of the node function's type")
 
 // Pair is one busy/idle processor pair selected by the load balancer.
 type Pair struct {

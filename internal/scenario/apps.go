@@ -48,16 +48,16 @@ func HeatInit(n int) func(graph.NodeID) platform.NodeData {
 // relaxing to the mean of its neighbors.
 func HeatNode(n int) platform.NodeFunc {
 	hot, cold := graph.NodeID(0), graph.NodeID(n-1)
-	return func(id graph.NodeID, iter, sub int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+	return platform.Node(func(id graph.NodeID, iter, sub int, self Temp, nbrs []platform.Neighbor[Temp]) (Temp, float64) {
 		if id == hot || id == cold {
 			return self, 0.1e-3
 		}
-		var sum int64
+		var sum Temp
 		for _, nb := range nbrs {
-			sum += int64(nb.Data.(Temp))
+			sum += nb.Data
 		}
-		return Temp(sum / int64(len(nbrs))), 0.1e-3
-	}
+		return sum / Temp(len(nbrs)), 0.1e-3
+	})
 }
 
 // Alive and Dead are the Game of Life cell states (life scenario data is
@@ -88,15 +88,15 @@ func LifeInit(id graph.NodeID) platform.NodeData {
 // survives with two or three live neighbors, a dead cell is born with
 // exactly three. Cells on the grid boundary simply see fewer neighbors
 // (hard walls).
-func LifeNode(id graph.NodeID, iter, sub int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
+func LifeNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
 	live := 0
 	for _, nb := range nbrs {
-		if nb.Data.(platform.IntData) == Alive {
+		if nb.Data == Alive {
 			live++
 		}
 	}
 	next := Dead
-	if live == 3 || (live == 2 && self.(platform.IntData) == Alive) {
+	if live == 3 || (live == 2 && self == Alive) {
 		next = Alive
 	}
 	return next, 0.1e-3
@@ -121,10 +121,10 @@ func SSSPInit(id graph.NodeID) platform.NodeData {
 // each node takes the minimum of its own distance and its neighbors'
 // previous-iteration distances plus one. After diameter-many iterations
 // every distance equals the BFS hop count from SSSPSource.
-func SSSPNode(id graph.NodeID, iter, sub int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
-	best := self.(platform.IntData)
+func SSSPNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+	best := self
 	for _, nb := range nbrs {
-		if d := nb.Data.(platform.IntData); d < Unreachable && d+1 < best {
+		if d := nb.Data; d < Unreachable && d+1 < best {
 			best = d + 1
 		}
 	}
@@ -326,7 +326,7 @@ func init() {
 		Stresses:    "8-neighbor stencils on a non-hex topology and the geometric partitioners (grid coordinates)",
 		Graph:       func() (*graph.Graph, error) { return graph.Grid(LifeRows, LifeCols, true) },
 		InitData:    LifeInit,
-		Node:        func(*graph.Graph) platform.NodeFunc { return LifeNode },
+		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(LifeNode) },
 		Iterations:  30,
 	})
 
@@ -336,7 +336,7 @@ func init() {
 		Stresses:    "data-dependent convergence: the wavefront touches few nodes early, the whole graph late",
 		Graph:       func() (*graph.Graph, error) { return graph.PaperHexGrid(96) },
 		InitData:    SSSPInit,
-		Node:        func(*graph.Graph) platform.NodeFunc { return SSSPNode },
+		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(SSSPNode) },
 		Iterations:  24,
 	})
 

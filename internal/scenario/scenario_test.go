@@ -150,13 +150,15 @@ func snapshotData(t *testing.T, d platform.NodeData) platform.NodeData {
 }
 
 // TestNodeFuncsNeverWriteTheirInputs holds every registered platform
-// scenario's node function to the contract platform.NodeFunc states: a data
-// value is immutable once returned. The runtime delivers values by
-// reference — one value is a node's data on its owner and a shadow on every
-// neighbouring rank at once — so a node function may return self or share
-// its slices, and must never write through self or a neighbour. Each call
-// is bracketed by a deep copy and a deep comparison, on 8 ranks, over each
-// scenario's default run (25 time steps of the battlefield).
+// scenario's node function to the contract platform.Node states: what a
+// data value refers to is immutable once returned. The runtime delivers
+// values by reference — a battlefield hex is a node's data on its owner and
+// a shadow on every neighbouring rank at once — so a node function may
+// return self or share its slices, and must never write through self or a
+// neighbour. A NodeFunc is opaque, so the test rebuilds the typed function
+// it holds with reflect.MakeFunc, and brackets each call by a deep copy and
+// a deep comparison, on 8 ranks, over each scenario's default run (25 time
+// steps of the battlefield). A value type passes by construction.
 func TestNodeFuncsNeverWriteTheirInputs(t *testing.T) {
 	for _, sc := range List() {
 		if sc.Runner != nil {
@@ -167,24 +169,28 @@ func TestNodeFuncsNeverWriteTheirInputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			node := cfg.Node
-			cfg.Node = func(id graph.NodeID, iter, sub int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
-				before := make([]platform.NodeData, 0, 1+len(nbrs))
-				before = append(before, snapshotData(t, self))
-				for _, nb := range nbrs {
-					before = append(before, snapshotData(t, nb.Data))
+			node := reflect.ValueOf(cfg.Node)
+			if node.Kind() != reflect.Func {
+				t.Fatalf("the NodeFunc is a %v, not the typed function", node.Kind())
+			}
+			data := func(v reflect.Value) platform.NodeData { return v.Interface().(platform.NodeData) }
+			cfg.Node = reflect.MakeFunc(node.Type(), func(args []reflect.Value) []reflect.Value {
+				id, iter, sub, self, nbrs := args[0].Interface(), args[1].Int(), args[2].Int(), args[3], args[4]
+				before := []platform.NodeData{snapshotData(t, data(self))}
+				for i := range nbrs.Len() {
+					before = append(before, snapshotData(t, data(nbrs.Index(i).FieldByName("Data"))))
 				}
-				out, cost := node(id, iter, sub, self, nbrs)
-				if !reflect.DeepEqual(self, before[0]) {
-					t.Errorf("node %d, iteration %d, sub-phase %d: the node function wrote its own previous data", id, iter, sub)
+				out := node.Call(args)
+				if !reflect.DeepEqual(data(self), before[0]) {
+					t.Errorf("node %v, iteration %d, sub-phase %d: the node function wrote its own previous data", id, iter, sub)
 				}
-				for i, nb := range nbrs {
-					if !reflect.DeepEqual(nb.Data, before[1+i]) {
-						t.Errorf("node %d, iteration %d, sub-phase %d: the node function wrote neighbour %d's data", id, iter, sub, nb.ID)
+				for i := range nbrs.Len() {
+					if nb := nbrs.Index(i); !reflect.DeepEqual(data(nb.FieldByName("Data")), before[1+i]) {
+						t.Errorf("node %v, iteration %d, sub-phase %d: the node function wrote neighbour %v's data", id, iter, sub, nb.FieldByName("ID"))
 					}
 				}
-				return out, cost
-			}
+				return out
+			}).Interface().(platform.NodeFunc)
 			if _, err := platform.Run(*cfg); err != nil {
 				t.Fatal(err)
 			}

@@ -22,13 +22,13 @@ func init() {
 		Graph:       func() (*graph.Graph, error) { return graph.HexGrid(4, 6) },
 		InitData:    func(id graph.NodeID) platform.NodeData { return platform.IntData(int64(id) + 1) },
 		Node: func(g *graph.Graph) platform.NodeFunc {
-			return func(id graph.NodeID, iter, _ int, self platform.NodeData, nbrs []platform.Neighbor) (platform.NodeData, float64) {
-				sum := int64(self.(platform.IntData))
+			return platform.Node(func(id graph.NodeID, iter, _ int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+				sum := int64(self)
 				for _, nb := range nbrs {
-					sum = sum*31 + int64(nb.Data.(platform.IntData))
+					sum = sum*31 + int64(nb.Data)
 				}
 				return platform.IntData(sum + int64(iter)), 1e-4
-			}
+			})
 		},
 		Iterations: 4,
 	})

@@ -51,14 +51,15 @@ func Fig23Schedule(n int, coarse, fine float64) GrainFunc {
 // injected by a dummy loop — here by returning the grain cost from g.
 // The computation itself sums the node's and its neighbors' integer data
 // and divides by the list length, operating on platform.IntData.
-func Averaging(g GrainFunc) platform.NodeFunc {
-	return func(id graph.NodeID, iter, _ int, self platform.NodeData, neighbors []platform.Neighbor) (platform.NodeData, float64) {
-		sum := int64(self.(platform.IntData))
+func Averaging(g GrainFunc) platform.NodeFunc { return platform.Node(average(g)) }
+
+func average(g GrainFunc) func(graph.NodeID, int, int, platform.IntData, []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+	return func(id graph.NodeID, iter, _ int, self platform.IntData, neighbors []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+		sum := self
 		for _, nb := range neighbors {
-			sum += int64(nb.Data.(platform.IntData))
+			sum += nb.Data
 		}
-		avg := sum / int64(len(neighbors)+1)
-		return platform.IntData(avg), g(id, iter)
+		return sum / platform.IntData(len(neighbors)+1), g(id, iter)
 	}
 }
 

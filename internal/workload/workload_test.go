@@ -61,12 +61,9 @@ func TestFig23ScheduleCoarseShare(t *testing.T) {
 }
 
 func TestAveragingComputesMean(t *testing.T) {
-	fn := Averaging(UniformGrain(1e-3))
+	fn := average(UniformGrain(1e-3))
 	self := platform.IntData(10)
-	nbrs := []platform.Neighbor{
-		{ID: 1, Data: platform.IntData(20)},
-		{ID: 2, Data: platform.IntData(30)},
-	}
+	nbrs := []platform.Neighbor[platform.IntData]{{ID: 1, Data: 20}, {ID: 2, Data: 30}}
 	out, cost := fn(0, 1, 0, self, nbrs)
 	if out != platform.IntData(20) {
 		t.Fatalf("average = %v, want 20", out)
@@ -77,7 +74,7 @@ func TestAveragingComputesMean(t *testing.T) {
 }
 
 func TestAveragingNoNeighbors(t *testing.T) {
-	fn := Averaging(UniformGrain(0))
+	fn := average(UniformGrain(0))
 	out, _ := fn(0, 1, 0, platform.IntData(7), nil)
 	if out != platform.IntData(7) {
 		t.Fatalf("isolated node changed: %v", out)

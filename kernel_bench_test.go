@@ -200,6 +200,65 @@ func TestExchangeAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestIterationAllocsPinned holds a run's allocations to its start-up and
+// its final gather: a run of 2N iterations allocates what a run of N does,
+// give or take a few runtime allocations. The cells are an averaging run
+// on a 32x32 hex grid at 16 processors, whose values (workload.InitID, 1 to
+// 1024) outgrow the runtime's preallocated small-integer boxes, and the
+// heat scenario at 8. While a rank held its values boxed in NodeData, each
+// update of a value of 256 or more allocated its box: from 20 to 40
+// iterations the rows grew by about 15 300 and 4 900 allocations.
+func TestIterationAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	g, err := graph.HexGrid(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := ic2mpi.NewMetis(7).Partition(g, nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heat, err := scenario.Get("heat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heatCfg, err := heat.Config(scenario.Params{Procs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []struct {
+		name string
+		cfg  ic2mpi.Config
+	}{
+		{"Averaging16", ic2mpi.Config{Graph: g, Procs: 16, InitialPartition: part, InitData: workload.InitID,
+			Node: workload.Averaging(workload.UniformGrain(workload.FineGrain))}},
+		{"Heat8", *heatCfg},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			allocs := func(iters int) float64 {
+				cfg := cell.cfg
+				cfg.Iterations = iters
+				return testing.AllocsPerRun(5, func() {
+					if _, err := ic2mpi.Run(cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			const n = 20
+			once, twice := allocs(n), allocs(2*n)
+			t.Logf("allocs/run = %.0f at %d iterations, %.0f at %d", once, n, twice, 2*n)
+			if d := twice - once; d > 8 || d < -8 {
+				t.Errorf("%d more iterations allocate %.0f more; an iteration must allocate nothing", n, d)
+			}
+		})
+	}
+}
+
 // TestMigrationAllocsPinned holds the allocation count of one balanced
 // cell, the imbalance scenario at 8 processors under the centralized
 // balancer (one of J3's cells), measured with testing.AllocsPerRun like
