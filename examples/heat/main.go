@@ -2,15 +2,13 @@
 // mesh-structured iterative computation of the kind the thesis' Section 1
 // motivates (difference equations, finite element methods) — on the
 // iC2mpi platform, demonstrating a user-defined NodeData type beyond plain
-// integers.
+// integers. It uses the public ic2mpi package alone.
 //
-// The workload is the registered scenario "heat": a hex mesh with a hot
-// spot in one corner and a cold spot in the opposite corner, each node
-// relaxing toward the mean of its neighbors in fixed-point micro-kelvins
-// (scenario.Temp). The -rows/-cols flags resize the mesh by overriding
-// the scenario's graph plug-ins, showing how a registered scenario is
-// customized. The example verifies the distributed run against the
-// sequential reference and reports the temperature field.
+// A hex mesh has a hot spot in one corner and a cold spot in the opposite
+// corner, each node relaxing toward the mean of its neighbors in
+// fixed-point micro-kelvins (Temp). At its default flags the run is the
+// registered scenario "heat". The example verifies the distributed run
+// against the sequential reference and reports the temperature field.
 //
 // Usage:
 //
@@ -20,67 +18,116 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
-	"ic2mpi/internal/graph"
-	"ic2mpi/internal/platform"
-	"ic2mpi/internal/scenario"
+	"ic2mpi"
 )
 
+// Temp is the node data: a temperature in fixed-point micro-kelvins, so
+// the distributed and sequential runs compare bitwise.
+type Temp int64
+
+// SizeBytes implements ic2mpi.NodeData.
+func (t Temp) SizeBytes() int { return 8 }
+
 func main() {
-	rows := flag.Int("rows", scenario.HeatRows, "mesh rows")
-	cols := flag.Int("cols", scenario.HeatCols, "mesh columns")
-	iters := flag.Int("iters", 100, "relaxation iterations")
-	procs := flag.Int("procs", 8, "virtual processors")
-	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("heat: ")
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	sc, err := scenario.Get("heat")
-	if err != nil {
-		log.Fatal(err)
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("heat", flag.ContinueOnError)
+	rows := fs.Int("rows", 16, "mesh rows")
+	cols := fs.Int("cols", 16, "mesh columns")
+	iters := fs.Int("iters", 100, "relaxation iterations")
+	procs := fs.Int("procs", 8, "virtual processors")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	// Resize the mesh by overriding the scenario's graph-dependent
-	// plug-ins; everything else (cost model, defaults) is inherited.
-	n := *rows * *cols
-	sc.Graph = func() (*graph.Graph, error) { return graph.HexGrid(*rows, *cols) }
-	sc.InitData = scenario.HeatInit(n)
-	sc.Node = func(*graph.Graph) platform.NodeFunc { return scenario.HeatNode(n) }
-
-	cfg, err := sc.Config(scenario.Params{Procs: *procs, Iterations: *iters})
+	res, err := solve(*rows, *cols, *iters, *procs)
 	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.SkipFinalGather = false
-	res, err := platform.Run(*cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	want, err := platform.RunSequential(*cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for v := range want {
-		if res.FinalData[v] != want[v] {
-			log.Fatalf("node %d: distributed %v != sequential %v", v, res.FinalData[v], want[v])
-		}
+		return err
 	}
 
 	// Report the temperature field statistics.
-	var min, max, mean float64
-	min, max = math.Inf(1), math.Inf(-1)
+	lo, hi, mean := math.Inf(1), math.Inf(-1), 0.0
 	for _, d := range res.FinalData {
-		t := float64(d.(scenario.Temp)) / 1e6
+		t := float64(d.(Temp)) / 1e6
 		mean += t
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
+		lo = math.Min(lo, t)
+		hi = math.Max(hi, t)
+	}
+	mean /= float64(len(res.FinalData))
+	fmt.Fprintf(w, "%dx%d hex mesh, %d iterations on %d processors: %.4fs (virtual)\n",
+		*rows, *cols, *iters, *procs, res.Elapsed)
+	fmt.Fprintf(w, "temperature field: min=%.4f max=%.4f mean=%.4f\n", lo, hi, mean)
+	fmt.Fprintln(w, "distributed result verified bit-identical to the sequential reference")
+	return nil
+}
+
+// solve runs the solver on a rows x cols mesh over procs processors and
+// checks its final field against the sequential reference.
+func solve(rows, cols, iters, procs int) (*ic2mpi.Result, error) {
+	g, err := ic2mpi.HexGrid(rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	part, err := ic2mpi.NewMetis(1).Partition(g, nil, procs)
+	if err != nil {
+		return nil, err
+	}
+	net, err := ic2mpi.NewNetworkModel("hypercube", procs)
+	if err != nil {
+		return nil, err
+	}
+	hot, cold := ic2mpi.NodeID(0), ic2mpi.NodeID(rows*cols-1)
+	cfg := ic2mpi.Config{
+		Graph:            g,
+		Procs:            procs,
+		InitialPartition: part,
+		InitData: func(id ic2mpi.NodeID) ic2mpi.NodeData {
+			switch id {
+			case hot:
+				return Temp(1_000_000) // 1.0 in micro-units
+			case cold:
+				return Temp(-1_000_000)
+			default:
+				return Temp(0)
+			}
+		},
+		// The hot and cold spots hold their temperatures (a Dirichlet
+		// boundary); every other node relaxes to its neighbors' mean.
+		Node: ic2mpi.Node(func(id ic2mpi.NodeID, iter, sub int, self Temp, nbrs []ic2mpi.Neighbor[Temp]) (Temp, float64) {
+			if id == hot || id == cold {
+				return self, 0.1e-3
+			}
+			var sum Temp
+			for _, nb := range nbrs {
+				sum += nb.Data
+			}
+			return sum / Temp(len(nbrs)), 0.1e-3
+		}),
+		Iterations: iters,
+		Network:    net,
+	}
+	res, err := ic2mpi.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	want, err := ic2mpi.RunSequential(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for v := range want {
+		if res.FinalData[v] != want[v] {
+			return nil, fmt.Errorf("node %d: distributed %v != sequential %v", v, res.FinalData[v], want[v])
 		}
 	}
-	mean /= float64(n)
-	fmt.Printf("%dx%d hex mesh, %d iterations on %d processors: %.4fs (virtual)\n",
-		*rows, *cols, *iters, *procs, res.Elapsed)
-	fmt.Printf("temperature field: min=%.4f max=%.4f mean=%.4f\n", min, max, mean)
-	fmt.Println("distributed result verified bit-identical to the sequential reference")
+	return res, nil
 }

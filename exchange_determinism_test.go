@@ -17,13 +17,14 @@ import (
 	"ic2mpi/internal/workload"
 )
 
-// temp mirrors the heat example's fixed-point temperature NodeData.
+// temp is a fixed-point temperature NodeData, like examples/heat's Temp.
 type temp int64
 
 // SizeBytes implements ic2mpi.NodeData.
 func (t temp) SizeBytes() int { return 8 }
 
-// heatConfig reproduces examples/heat: Dirichlet hot/cold corners on a hex
+// heatConfig is examples/heat's solver on the uniform machine, a Metis
+// seed of its own and 40 iterations: Dirichlet hot/cold corners on a hex
 // mesh, every other node relaxing to the mean of its neighbors.
 func heatConfig(t *testing.T, procs int) ic2mpi.Config {
 	t.Helper()
@@ -64,8 +65,9 @@ func heatConfig(t *testing.T, procs int) ic2mpi.Config {
 	}
 }
 
-// quickstartConfig reproduces examples/quickstart: fine-grained neighbor
-// averaging over the paper's 64-node hexagonal grid.
+// quickstartConfig is examples/quickstart's workload on the uniform
+// machine: fine-grained neighbor averaging over the paper's 64-node
+// hexagonal grid.
 func quickstartConfig(t *testing.T, procs int) ic2mpi.Config {
 	t.Helper()
 	g, err := ic2mpi.HexGrid(8, 8)

@@ -267,6 +267,14 @@ var deletedNames = []struct {
 		include: "*.go",
 		exclude: "*_test.go",
 	},
+	{
+		name:    "examples are built on the facade",
+		reason:  "Go refuses an internal import from outside this module, so an example, which a user copies, imports ic2mpi and the standard library only; its tests may import the scenario registry to tie it to its scenario",
+		pattern: `"ic2mpi/internal`,
+		paths:   []string{"examples"},
+		include: "*.go",
+		exclude: "*_test.go",
+	},
 }
 
 // TestDeletedNamesStayDeleted enforces deletedNames. This file, which

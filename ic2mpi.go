@@ -182,7 +182,8 @@ func Run(cfg Config) (*Result, error) { return platform.Run(cfg) }
 
 // RunSequential executes the same iterative computation in a single
 // address space — the reference implementation distributed runs are
-// verified against.
+// verified against. It ignores cfg's partition, layout, network, balancer
+// and Host fields.
 func RunSequential(cfg Config) ([]NodeData, error) { return platform.RunSequential(cfg) }
 
 // WriteTrace encodes a trace recorded through Config.Host.Trace as "jsonl" or

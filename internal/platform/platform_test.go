@@ -2,6 +2,8 @@ package platform
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +104,36 @@ func assertMatchesSequential(t *testing.T, cfg Config) *Result {
 func TestRunSingleProcessorMatchesSequential(t *testing.T) {
 	cfg := baseConfig(hexGrid(t, 4, 8), 1)
 	assertMatchesSequential(t, cfg)
+}
+
+// TestRunSequentialBuildsNoLayout: the sequential reference reads no
+// partition, so the same run over 256 processors allocates no more objects
+// and bytes than over one, and computes the same node data. A layout of
+// 256 ranks is a few large arrays: it shows in the bytes, not the count.
+func TestRunSequentialBuildsNoLayout(t *testing.T) {
+	g := hexGrid(t, 32, 32)
+	run := func(procs int) (objects, bytes uint64, out []NodeData) {
+		cfg := baseConfig(g, procs)
+		cfg.Iterations = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := RunSequential(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, out
+	}
+	run(1) // warm up
+	oneObjects, oneBytes, want := run(1)
+	objects, bytes, got := run(256)
+	if objects > oneObjects || bytes > oneBytes {
+		t.Errorf("RunSequential allocates %d objects, %d B at 256 procs; %d, %d B at 1",
+			objects, bytes, oneObjects, oneBytes)
+	}
+	if !slices.Equal(got, want) {
+		t.Error("RunSequential's node data depends on the processor count")
+	}
 }
 
 func TestRunMatchesSequentialAcrossProcsAndTopologies(t *testing.T) {

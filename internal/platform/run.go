@@ -217,13 +217,17 @@ func partitionCut(g *graph.Graph, owner []int) int {
 // platform: a reference single-address-space Jacobi-style loop used by
 // integration tests to verify that distributed execution (with any
 // partition, with or without task migration) computes exactly the same
-// node data.
+// node data. It reads Graph, Procs (checked, not used), InitData, Node,
+// Iterations and SubPhases, and ignores the partition, the layout, the
+// network, the balancer and the Host fields.
 func RunSequential(cfg Config) ([]NodeData, error) {
-	c, err := cfg.normalize()
-	if err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	return c.Node.sequential(c)
+	if cfg.SubPhases <= 0 {
+		cfg.SubPhases = 1
+	}
+	return cfg.Node.sequential(&cfg)
 }
 
 func (f nodeFunc[T]) sequential(c *Config) ([]NodeData, error) {

@@ -323,22 +323,28 @@ type Config struct {
 	Host
 }
 
+// check validates the fields every run reads, distributed or sequential:
+// Graph, Procs, Node, InitData and Iterations.
+func (c *Config) check() error {
+	switch {
+	case c.Graph == nil:
+		return fmt.Errorf("platform: Config.Graph is required")
+	case c.Procs < 1:
+		return fmt.Errorf("platform: Procs must be >= 1, got %d", c.Procs)
+	case c.Node == nil:
+		return fmt.Errorf("platform: Config.Node is required")
+	case c.InitData == nil:
+		return fmt.Errorf("platform: Config.InitData is required")
+	case c.Iterations < 0:
+		return fmt.Errorf("platform: Iterations must be >= 0, got %d", c.Iterations)
+	}
+	return nil
+}
+
 // normalize fills defaults and validates the configuration.
 func (c *Config) normalize() (*Config, error) {
-	if c.Graph == nil {
-		return nil, fmt.Errorf("platform: Config.Graph is required")
-	}
-	if c.Procs < 1 {
-		return nil, fmt.Errorf("platform: Procs must be >= 1, got %d", c.Procs)
-	}
-	if c.Node == nil {
-		return nil, fmt.Errorf("platform: Config.Node is required")
-	}
-	if c.InitData == nil {
-		return nil, fmt.Errorf("platform: Config.InitData is required")
-	}
-	if c.Iterations < 0 {
-		return nil, fmt.Errorf("platform: Iterations must be >= 0, got %d", c.Iterations)
+	if err := c.check(); err != nil {
+		return nil, err
 	}
 	lay := c.Layout
 	if lay == nil {

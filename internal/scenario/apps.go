@@ -20,138 +20,79 @@ type Temp int64
 // SizeBytes implements platform.NodeData.
 func (t Temp) SizeBytes() int { return 8 }
 
-// HeatRows and HeatCols are the heat scenario's mesh dimensions.
-const (
-	HeatRows = 16
-	HeatCols = 16
-)
-
-// HeatInit returns the heat scenario's initial data for a mesh of n
-// nodes: a hot spot (+1.0) at node 0, a cold spot (-1.0) at node n-1,
-// everything else at zero.
-func HeatInit(n int) func(graph.NodeID) platform.NodeData {
-	hot, cold := graph.NodeID(0), graph.NodeID(n-1)
-	return func(id graph.NodeID) platform.NodeData {
-		switch id {
-		case hot:
-			return Temp(1_000_000) // 1.0 in micro-units
-		case cold:
-			return Temp(-1_000_000)
-		default:
-			return Temp(0)
-		}
-	}
-}
-
-// HeatNode returns the heat scenario's node function for a mesh of n
-// nodes: Dirichlet boundary at the hot/cold spots, everything else
-// relaxing to the mean of its neighbors.
-func HeatNode(n int) platform.NodeFunc {
-	hot, cold := graph.NodeID(0), graph.NodeID(n-1)
-	return platform.Node(func(id graph.NodeID, iter, sub int, self Temp, nbrs []platform.Neighbor[Temp]) (Temp, float64) {
-		if id == hot || id == cold {
-			return self, 0.1e-3
-		}
-		var sum Temp
-		for _, nb := range nbrs {
-			sum += nb.Data
-		}
-		return sum / Temp(len(nbrs)), 0.1e-3
-	})
-}
-
-// Alive and Dead are the Game of Life cell states (life scenario data is
+// alive and dead are the Game of Life cell states (life scenario data is
 // platform.IntData holding one of the two).
 const (
-	Dead  platform.IntData = 0
-	Alive platform.IntData = 1
+	dead  platform.IntData = 0
+	alive platform.IntData = 1
 )
 
-// LifeRows and LifeCols are the life scenario's grid dimensions.
+// lifeRows and lifeCols are the life scenario's grid dimensions.
 const (
-	LifeRows = 16
-	LifeCols = 16
+	lifeRows = 16
+	lifeCols = 16
 )
 
-// LifeInit is the life scenario's deterministic primordial soup: roughly
+// lifeInit is the life scenario's deterministic primordial soup: roughly
 // 3/8 of the cells start alive, chosen by a fixed multiplicative hash of
 // the cell ID so every run (and every processor count) starts identically.
-func LifeInit(id graph.NodeID) platform.NodeData {
+func lifeInit(id graph.NodeID) platform.NodeData {
 	x := uint64(id+1) * 0x9E3779B97F4A7C15
 	if x>>61 < 3 {
-		return Alive
+		return alive
 	}
-	return Dead
+	return dead
 }
 
-// LifeNode is Conway's rule over the Moore neighborhood: a live cell
+// lifeNode is Conway's rule over the Moore neighborhood: a live cell
 // survives with two or three live neighbors, a dead cell is born with
 // exactly three. Cells on the grid boundary simply see fewer neighbors
 // (hard walls).
-func LifeNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+func lifeNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
 	live := 0
 	for _, nb := range nbrs {
-		if nb.Data == Alive {
+		if nb.Data == alive {
 			live++
 		}
 	}
-	next := Dead
-	if live == 3 || (live == 2 && self == Alive) {
-		next = Alive
+	next := dead
+	if live == 3 || (live == 2 && self == alive) {
+		next = alive
 	}
 	return next, 0.1e-3
 }
 
-// Unreachable is the sssp scenario's infinite distance sentinel.
-const Unreachable platform.IntData = 1 << 30
+// unreachable is the sssp scenario's infinite distance sentinel.
+const unreachable platform.IntData = 1 << 30
 
-// SSSPSource is the sssp scenario's source vertex.
-const SSSPSource graph.NodeID = 0
+// ssspSource is the sssp scenario's source vertex.
+const ssspSource graph.NodeID = 0
 
-// SSSPInit initializes the source distance to zero and every other node
-// to Unreachable.
-func SSSPInit(id graph.NodeID) platform.NodeData {
-	if id == SSSPSource {
+// ssspInit initializes the source distance to zero and every other node
+// to unreachable.
+func ssspInit(id graph.NodeID) platform.NodeData {
+	if id == ssspSource {
 		return platform.IntData(0)
 	}
-	return Unreachable
+	return unreachable
 }
 
-// SSSPNode is one Bellman-Ford relaxation step over unit edge weights:
+// ssspNode is one Bellman-Ford relaxation step over unit edge weights:
 // each node takes the minimum of its own distance and its neighbors'
 // previous-iteration distances plus one. After diameter-many iterations
-// every distance equals the BFS hop count from SSSPSource.
-func SSSPNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+// every distance equals the BFS hop count from ssspSource.
+func ssspNode(id graph.NodeID, iter, sub int, self platform.IntData, nbrs []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
 	best := self
 	for _, nb := range nbrs {
-		if d := nb.Data; d < Unreachable && d+1 < best {
+		if d := nb.Data; d < unreachable && d+1 < best {
 			best = d + 1
 		}
 	}
 	return best, workload.FineGrain
 }
 
-// PageRankDamping is the damping factor of the pagerank-bsp scenario.
-const PageRankDamping = 0.85
-
-// PageRankBSP runs iters PageRank supersteps over g on procs BSP
-// processes with the scenario's built-in machine: computation charged,
-// h-relations shipped for free. See PageRankBSPOn for an explicit
-// interconnect.
-func PageRankBSP(g *graph.Graph, procs, iters int, rec *trace.Recorder) ([]float64, float64, error) {
-	return PageRankBSPOn(g, procs, iters, nil, rec)
-}
-
-// PageRankBSPOn runs iters PageRank supersteps over g on procs BSP
-// processes (block vertex distribution, one Put per edge per superstep)
-// with Put traffic priced by the given interconnect model (nil means
-// free), and returns the final ranks plus the maximum virtual completion
-// time across processes. Deterministic for a fixed (g, procs, iters,
-// model). A non-nil rec records one trace sample per (superstep,
-// process): the scatter loop as compute, Sync as communicate.
-func PageRankBSPOn(g *graph.Graph, procs, iters int, model netmodel.Model, rec *trace.Recorder) ([]float64, float64, error) {
-	return pageRankBSPRun(g, iters, mpi.Options{Procs: procs, Cost: model}, rec)
-}
+// pageRankDamping is the damping factor of the pagerank-bsp scenario.
+const pageRankDamping = 0.85
 
 // bspOptions builds the superstep layer's options from normalized
 // parameters — the one place the pagerank-bsp runner's knobs (procs,
@@ -170,8 +111,13 @@ func bspOptions(p Params) (mpi.Options, error) {
 	return opts, err
 }
 
-// pageRankBSPRun is PageRankBSPOn at explicit mpi.Options, so the scenario
-// runner can put the BSP workload under any kernel name and worker count.
+// pageRankBSPRun runs iters PageRank supersteps over g on the opts.Procs
+// BSP processes of opts (block vertex distribution, one Put per edge per
+// superstep; a nil opts.Cost ships the h-relations for free), and returns
+// the final ranks plus the maximum virtual completion time across
+// processes. Deterministic for a fixed (g, iters, opts) at any kernel name
+// and worker count. A non-nil rec records one trace sample per (superstep,
+// process): the scatter loop as compute, Sync as communicate.
 func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Recorder) ([]float64, float64, error) {
 	procs := opts.Procs
 	n := g.NumVertices()
@@ -241,10 +187,10 @@ func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Reco
 				})
 			}
 			for i := range local {
-				local[i] = (1 - PageRankDamping) / float64(n)
+				local[i] = (1 - pageRankDamping) / float64(n)
 			}
 			for _, m := range in {
-				local[m.Tag-lo] += PageRankDamping * m.Payload.(float64)
+				local[m.Tag-lo] += pageRankDamping * m.Payload.(float64)
 			}
 		}
 		// Report results home (process 0 collects).
@@ -280,53 +226,50 @@ func pageRankBSPRun(g *graph.Graph, iters int, opts mpi.Options, rec *trace.Reco
 	return ranks, elapsed, nil
 }
 
-// PageRankSequential is the single-address-space reference the BSP ranks
-// are verified against.
-func PageRankSequential(g *graph.Graph, iters int) []float64 {
-	n := g.NumVertices()
-	r := make([]float64, n)
-	next := make([]float64, n)
-	for v := range r {
-		r[v] = 1.0 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		for v := range next {
-			next[v] = (1 - PageRankDamping) / float64(n)
-		}
-		for v := 0; v < n; v++ {
-			deg := len(g.Adj[v])
-			if deg == 0 {
-				continue
-			}
-			share := r[v] / float64(deg)
-			for _, u := range g.Adj[v] {
-				next[u] += PageRankDamping * share
-			}
-		}
-		r, next = next, r
-	}
-	return r
-}
-
 func init() {
+	// heat: a hot spot (+1.0) at the mesh's first node and a cold spot
+	// (-1.0) at its last hold their temperatures (a Dirichlet boundary);
+	// every other node relaxes to the mean of its neighbors.
+	const heatRows, heatCols = 16, 16
+	hot, cold := graph.NodeID(0), graph.NodeID(heatRows*heatCols-1)
 	Register(Scenario{
 		Name:        "heat",
 		Description: "2-D heat diffusion on a 16x16 hex mesh with a user-defined fixed-point NodeData type",
 		Stresses:    "user-defined NodeData crossing processor boundaries; bitwise agreement with the sequential reference",
-		Graph:       func() (*graph.Graph, error) { return graph.HexGrid(HeatRows, HeatCols) },
-		InitData:    HeatInit(HeatRows * HeatCols),
-		Node:        func(*graph.Graph) platform.NodeFunc { return HeatNode(HeatRows * HeatCols) },
-		Iterations:  100,
-		Defaults:    Params{Partitioner: "metis"},
+		Graph:       func() (*graph.Graph, error) { return graph.HexGrid(heatRows, heatCols) },
+		InitData: func(id graph.NodeID) platform.NodeData {
+			switch id {
+			case hot:
+				return Temp(1_000_000) // 1.0 in micro-units
+			case cold:
+				return Temp(-1_000_000)
+			default:
+				return Temp(0)
+			}
+		},
+		Node: func(*graph.Graph) platform.NodeFunc {
+			return platform.Node(func(id graph.NodeID, iter, sub int, self Temp, nbrs []platform.Neighbor[Temp]) (Temp, float64) {
+				if id == hot || id == cold {
+					return self, 0.1e-3
+				}
+				var sum Temp
+				for _, nb := range nbrs {
+					sum += nb.Data
+				}
+				return sum / Temp(len(nbrs)), 0.1e-3
+			})
+		},
+		Iterations: 100,
+		Defaults:   Params{Partitioner: "metis"},
 	})
 
 	Register(Scenario{
 		Name:        "life",
 		Description: "Conway's Game of Life on a 16x16 Moore-neighborhood grid from a deterministic soup",
 		Stresses:    "8-neighbor stencils on a non-hex topology and the geometric partitioners (grid coordinates)",
-		Graph:       func() (*graph.Graph, error) { return graph.Grid(LifeRows, LifeCols, true) },
-		InitData:    LifeInit,
-		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(LifeNode) },
+		Graph:       func() (*graph.Graph, error) { return graph.Grid(lifeRows, lifeCols, true) },
+		InitData:    lifeInit,
+		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(lifeNode) },
 		Iterations:  30,
 	})
 
@@ -335,8 +278,8 @@ func init() {
 		Description: "single-source shortest paths (Bellman-Ford relaxation) on the 96-node hexagonal grid",
 		Stresses:    "data-dependent convergence: the wavefront touches few nodes early, the whole graph late",
 		Graph:       func() (*graph.Graph, error) { return graph.PaperHexGrid(96) },
-		InitData:    SSSPInit,
-		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(SSSPNode) },
+		InitData:    ssspInit,
+		Node:        func(*graph.Graph) platform.NodeFunc { return platform.Node(ssspNode) },
 		Iterations:  24,
 	})
 

@@ -1,5 +1,5 @@
 // Package scenario is the named-workload registry of the iC2mpi
-// platform: the single source of truth that examples, benchmarks and the
+// platform: the single source of truth that benchmarks, tests and the
 // experiments sweep engine draw their workloads from.
 //
 // A Scenario bundles everything one platform workload needs — the

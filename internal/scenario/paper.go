@@ -116,7 +116,7 @@ func init() {
 		workload.CoarseGrain, 20))
 
 	imb := ImbalanceScenario("imbalance", func() (*graph.Graph, error) {
-		// The dynamicbalance example's graph: average degree ~4.
+		// A 64-node random graph of average degree ~4.
 		return graph.Random(64, 4.0/64, 64*100+1)
 	})
 	Register(imb)

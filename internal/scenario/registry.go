@@ -80,16 +80,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// ExampleScenarios maps every directory under examples/ to the registered
-// scenario it is a thin wrapper over. Tested against the examples tree so
-// the mapping (and every example's scenario) cannot rot.
-var ExampleScenarios = map[string]string{
-	"quickstart":     "hex64-fine",
-	"heat":           "heat",
-	"dynamicbalance": "imbalance",
-	"battlefield":    "battlefield",
-	"bsppagerank":    "pagerank-bsp",
-	"life":           "life",
-	"sssp":           "sssp",
-}

@@ -247,7 +247,7 @@ func (sc Scenario) Normalize(p Params) (Params, error) {
 // the given parameters: graph, partition and layout built, and the
 // named interconnect model (Origin 2000 base costs) attached — wrapped
 // in the Perturb fault-injection schedule when one is named. Callers
-// that need final node data (examples verifying against the sequential
+// that need final node data (tests verifying against the sequential
 // reference) flip SkipFinalGather off before platform.Run. Scenarios with
 // a custom Runner have no platform configuration and return an error.
 func (sc Scenario) Config(p Params) (*platform.Config, error) {

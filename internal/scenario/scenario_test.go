@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"slices"
 	"sort"
@@ -68,34 +67,6 @@ func TestRegisterInvalidPanics(t *testing.T) {
 func TestGetUnknown(t *testing.T) {
 	if _, err := Get("no-such-scenario"); err == nil {
 		t.Fatal("unknown scenario accepted")
-	}
-}
-
-// TestExampleScenariosResolvable pins the examples tree to the registry:
-// every example directory must map to a registered scenario and vice
-// versa.
-func TestExampleScenariosResolvable(t *testing.T) {
-	for dir, name := range ExampleScenarios {
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("example %q maps to unregistered scenario %q", dir, name)
-		}
-	}
-	entries, err := os.ReadDir("../../examples")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if _, ok := ExampleScenarios[e.Name()]; !ok {
-			t.Errorf("example directory %q has no ExampleScenarios entry", e.Name())
-		}
-	}
-	for dir := range ExampleScenarios {
-		if _, err := os.Stat("../../examples/" + dir + "/main.go"); err != nil {
-			t.Errorf("ExampleScenarios entry %q has no example directory: %v", dir, err)
-		}
 	}
 }
 
@@ -432,7 +403,7 @@ func TestSSSPMatchesBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bfsDistances(cfg.Graph, SSSPSource)
+	want := bfsDistances(cfg.Graph, ssspSource)
 	for v, d := range res.FinalData {
 		if got := int64(d.(platform.IntData)); got != int64(want[v]) {
 			t.Errorf("node %d: distance %d, want %d", v, got, want[v])
@@ -443,7 +414,7 @@ func TestSSSPMatchesBFS(t *testing.T) {
 func bfsDistances(g *graph.Graph, src graph.NodeID) []int {
 	dist := make([]int, g.NumVertices())
 	for v := range dist {
-		dist[v] = int(Unreachable)
+		dist[v] = int(unreachable)
 	}
 	dist[src] = 0
 	queue := []graph.NodeID{src}
@@ -477,26 +448,26 @@ func TestLifeMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alive := 0
+	live := 0
 	for v := range want {
 		if res.FinalData[v] != want[v] {
 			t.Errorf("cell %d: distributed %v != sequential %v", v, res.FinalData[v], want[v])
 		}
-		if want[v].(platform.IntData) == Alive {
-			alive++
+		if want[v].(platform.IntData) == alive {
+			live++
 		}
 	}
-	if alive == 0 {
+	if live == 0 {
 		t.Error("soup died out entirely after 10 generations; initial pattern too sparse")
 	}
 	initial := 0
-	for v := 0; v < LifeRows*LifeCols; v++ {
-		if LifeInit(graph.NodeID(v)).(platform.IntData) == Alive {
+	for v := 0; v < lifeRows*lifeCols; v++ {
+		if lifeInit(graph.NodeID(v)).(platform.IntData) == alive {
 			initial++
 		}
 	}
-	if alive == initial {
-		t.Logf("note: population unchanged at %d (possible but suspicious)", alive)
+	if live == initial {
+		t.Logf("note: population unchanged at %d (possible but suspicious)", live)
 	}
 }
 
@@ -508,9 +479,9 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PageRankSequential(g, 10)
+	want := pageRankSequential(g, 10)
 	for _, procs := range []int{1, 3, 8} {
-		ranks, elapsed, err := PageRankBSP(g, procs, 10, nil)
+		ranks, elapsed, err := pageRankBSPRun(g, 10, mpi.Options{Procs: procs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,6 +494,34 @@ func TestPageRankBSPMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pageRankSequential is the single-address-space reference the BSP ranks
+// are verified against.
+func pageRankSequential(g *graph.Graph, iters int) []float64 {
+	n := g.NumVertices()
+	r := make([]float64, n)
+	next := make([]float64, n)
+	for v := range r {
+		r[v] = 1.0 / float64(n)
+	}
+	for it := 0; it < iters; it++ {
+		for v := range next {
+			next[v] = (1 - pageRankDamping) / float64(n)
+		}
+		for v := 0; v < n; v++ {
+			deg := len(g.Adj[v])
+			if deg == 0 {
+				continue
+			}
+			share := r[v] / float64(deg)
+			for _, u := range g.Adj[v] {
+				next[u] += pageRankDamping * share
+			}
+		}
+		r, next = next, r
+	}
+	return r
 }
 
 // TestBSPOptionsCarryEveryKnob pins the custom runner's side of the knob
