@@ -268,6 +268,14 @@ var deletedNames = []struct {
 		exclude: "*_test.go",
 	},
 	{
+		name:    "balancing gathers peer lists",
+		reason:  "a rank sends rank 0 its owned count and its peers as (proc, count) pairs through Gather, charged as the dense row of P+1 ints, so the dense per-rank row and the typed gather that carried it stay deleted",
+		pattern: `\bsendRow\b|\bGatherInts\b`,
+		paths:   []string{"."},
+		include: "*.go",
+		exclude: "*_test.go",
+	},
+	{
 		name:    "examples are built on the facade",
 		reason:  "Go refuses an internal import from outside this module, so an example, which a user copies, imports ic2mpi and the standard library only; its tests may import the scenario registry to tie it to its scenario",
 		pattern: `"ic2mpi/internal`,

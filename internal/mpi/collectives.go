@@ -28,7 +28,9 @@ func validRoot(root, size int) error {
 
 // Bcast broadcasts payload from root to every rank along a binomial tree
 // and returns the value each rank holds afterwards. bytes sizes the message
-// for the cost model.
+// for the cost model. A rank that relays the payload to its children
+// prices those messages with its own bytes argument, not the root's, so
+// every rank must pass the root's size.
 func (c *Comm) Bcast(root int, payload any, bytes int) (any, error) {
 	size := c.Size()
 	if err := validRoot(root, size); err != nil {
@@ -104,7 +106,11 @@ func (c *Comm) Allgather(payload any, bytes int) ([]any, error) {
 
 // BcastInts broadcasts an []int from root; all ranks return an identical
 // slice (receivers get the sender's slice by reference and must treat it as
-// read-only, as with all payloads in this runtime).
+// read-only, as with all payloads in this runtime). Each rank sizes the
+// message as 8*len(xs) of its own xs, so a rank that passes nil relays the
+// payload priced at 0 bytes: of four ranks broadcasting four ints from
+// rank 0, rank 0 sends two messages of 32 bytes and rank 2 forwards one
+// of 0.
 func (c *Comm) BcastInts(root int, xs []int) ([]int, error) {
 	v, err := c.Bcast(root, xs, 8*len(xs))
 	if err != nil {
@@ -129,27 +135,6 @@ func (c *Comm) GatherFloat64(root int, x float64) ([]float64, error) {
 	out := make([]float64, len(all))
 	for i, v := range all {
 		out[i] = v.(float64)
-	}
-	return out, nil
-}
-
-// GatherInts gathers an []int per rank at root into a [][]int indexed by
-// rank; non-root ranks receive nil. This mirrors the thesis' gathering of
-// per-processor communication-buffer-size vectors when building the
-// processor graph for the load balancer.
-func (c *Comm) GatherInts(root int, xs []int) ([][]int, error) {
-	all, err := c.Gather(root, xs, 8*len(xs))
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	out := make([][]int, len(all))
-	for i, v := range all {
-		if v != nil {
-			out[i] = v.([]int)
-		}
 	}
 	return out, nil
 }

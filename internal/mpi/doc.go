@@ -8,8 +8,8 @@
 // resumes in wake order (pevent.go; Options.Kernel and Options.Workers
 // pick the worker count, see kernel.go, and the virtual timeline is the
 // same at every count). Point-to-point operations (Isend, Recv),
-// collectives (Barrier, Bcast, Gather, Allgather and the typed BcastInts,
-// GatherFloat64, GatherInts) and Wtime mirror the MPI calls the platform
+// collectives (Barrier, Bcast, Gather, Allgather and the typed BcastInts
+// and GatherFloat64) and Wtime mirror the MPI calls the platform
 // makes (Fig. 8, Fig. 8a and the load balancer of Section 4.3). No call
 // reports whether a message has been queued yet, so
 // nothing a program can observe depends on the host schedule. Fig. 8a's

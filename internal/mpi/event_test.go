@@ -123,7 +123,7 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 					return err
 				}
 			}
-			_, err := c.GatherInts(0, []int{r})
+			_, err := c.Gather(0, []int{r}, 8)
 			return err
 		})
 		checkKernelsAgree(t, name, snaps)

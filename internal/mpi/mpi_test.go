@@ -355,13 +355,13 @@ func TestGatherFloat64AndInts(t *testing.T) {
 				}
 			}
 		}
-		is, err := c.GatherInts(0, []int{c.Rank(), c.Rank() * 2})
+		is, err := c.Gather(0, []int{c.Rank(), c.Rank() * 2}, 16)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			for r, v := range is {
-				if v[0] != r || v[1] != 2*r {
+				if v := v.([]int); v[0] != r || v[1] != 2*r {
 					return fmt.Errorf("int slot %d = %v", r, v)
 				}
 			}

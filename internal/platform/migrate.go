@@ -15,7 +15,9 @@ import (
 //
 //  1. builds the weighted processor network graph at rank 0 (node weight =
 //     compute time since the last balancing, edge weight = communication
-//     buffer lengths),
+//     buffer lengths) from what every rank gathers to it: its owned-node
+//     count and its peers as (processor, send count) pairs, charged as the
+//     dense row of P+1 ints,
 //  2. asks the pluggable Balancer for busy/idle pairs,
 //  3. has each busy processor choose the migrating node that keeps the
 //     edge-cut to a minimum (Fig. 9),
@@ -115,12 +117,20 @@ func (s *rankState) recordLoadSample(iter int, times []float64) {
 // per-processor time vector; it is updated in place after migrations so a
 // following round plans against the post-migration estimate.
 func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
-	// One gather carries both the communication-buffer-size vector (the
-	// processor graph's edge weights) and the owned-node count used by the
-	// estimated-time update. sendRow expands the peer list into a dense
-	// vector — the balancer's processor graph is dense.
-	row := s.sendRow()
-	gathered, err := s.comm.GatherInts(0, row)
+	// One gather carries the owned-node count used by the estimated-time
+	// update and the communication-buffer lengths (the processor graph's
+	// edge weights) as [numOwned, proc₁, send₁, proc₂, send₂, …], one pair
+	// per peer. It is charged as the dense row of P+1 ints the thesis'
+	// rank sends.
+	row := []int{0} // a rank that holds no node owns none and has no peer
+	if s.nodeState != nil {
+		row = make([]int, 1, 1+2*len(s.peers))
+		row[0] = s.numOwned()
+		for _, pe := range s.peers {
+			row = append(row, pe.proc, pe.send)
+		}
+	}
+	gathered, err := s.comm.Gather(0, row, 8*(s.cfg.Procs+1))
 	if err != nil {
 		return 0, err
 	}
@@ -128,17 +138,19 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// vector, mirroring the thesis' broadcast of task_migration_pairs.
 	var flat []int
 	if s.me == 0 {
-		// Rows in order: a column walk of gathered misses the cache at every step.
-		comm := make([][]int, s.cfg.Procs)
+		// The balancer takes a dense graph: its rows are cut from one array.
+		procs := s.cfg.Procs
+		cells := make([]int, procs*procs)
+		comm := make([][]int, procs)
 		for i := range comm {
-			comm[i] = make([]int, s.cfg.Procs)
+			comm[i] = cells[i*procs : (i+1)*procs : (i+1)*procs]
 		}
-		for i, row := range gathered {
-			for j, w := range row[:s.cfg.Procs] {
-				if i != j && w != 0 {
-					comm[i][j] += w
-					comm[j][i] += w
-				}
+		for i, v := range gathered {
+			peers := v.([]int)
+			for k := 1; k < len(peers); k += 2 {
+				j, w := peers[k], peers[k+1]
+				comm[i][j] += w
+				comm[j][i] += w
 			}
 		}
 		pg := ProcGraph{Times: append([]float64(nil), (*times)...), Comm: comm}
@@ -156,42 +168,36 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 			}
 			return 0, fmt.Errorf("platform: balancer %q produced invalid plan: %w", s.cfg.Balancer.Name(), err)
 		}
+		flat = make([]int, 0, 2*len(pairs))
 		for _, p := range pairs {
 			flat = append(flat, p.Busy, p.Idle)
-		}
-		if flat == nil {
-			flat = []int{}
 		}
 	}
 	flat, err = s.comm.BcastInts(0, flat)
 	if err != nil {
 		return 0, err
 	}
-	pairs := make([]Pair, len(flat)/2)
-	for i := range pairs {
-		pairs[i] = Pair{Busy: flat[2*i], Idle: flat[2*i+1]}
-	}
-	if len(pairs) == 0 {
+	if len(flat) == 0 {
 		return 0, nil
 	}
 
 	// Each busy processor chooses its migrating node and broadcasts it
 	// together with the node's observed per-iteration cost (nanoseconds);
 	// -1 means the pair has no feasible candidate and is dropped.
-	migs := make([]migration, 0, len(pairs))
-	for _, p := range pairs {
-		var node graph.NodeID = -1
-		var costNanos int64
-		if s.me == p.Busy {
-			node, costNanos = s.chooseMigratingNode(p.Idle)
+	migs := make([]migration, 0, len(flat)/2)
+	for k := 0; k < len(flat); k += 2 {
+		busy, idle := flat[k], flat[k+1]
+		var cand []int
+		if s.me == busy {
+			node, costNanos := s.chooseMigratingNode(idle)
+			cand = []int{int(node), int(costNanos)}
 		}
-		v, err := s.comm.BcastInts(p.Busy, []int{int(node), int(costNanos)})
+		v, err := s.comm.Bcast(busy, cand, 16)
 		if err != nil {
 			return 0, err
 		}
-		node = graph.NodeID(v[0])
-		if node >= 0 {
-			migs = append(migs, migration{node: node, from: p.Busy, to: p.Idle, cost: float64(v[1]) * 1e-9})
+		if cand = v.([]int); cand[0] >= 0 {
+			migs = append(migs, migration{node: graph.NodeID(cand[0]), from: busy, to: idle, cost: float64(cand[1]) * 1e-9})
 		}
 	}
 	if len(migs) == 0 {
@@ -206,8 +212,9 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// hardware timing noise limits the churn that deterministic clocks
 	// expose.
 	if !s.cfg.DisableMigrationGuard {
-		keep := make([]int, len(migs))
+		var keep []bool
 		if s.me == 0 {
+			keep = make([]bool, len(migs))
 			mean := 0.0
 			for _, t := range *times {
 				mean += t
@@ -223,18 +230,17 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 				// without flipping the pair (60%) and the node is at
 				// least half as costly as an average node — migrating
 				// cheaper nodes cannot repay the edge-cut degradation.
-				if moved > 0 && moved <= 0.6*gap && moved >= 0.5*avgNode {
-					keep[i] = 1
-				}
+				keep[i] = moved > 0 && moved <= 0.6*gap && moved >= 0.5*avgNode
 			}
 		}
-		keep, err = s.comm.BcastInts(0, keep)
+		v, err := s.comm.Bcast(0, keep, 8*len(migs))
 		if err != nil {
 			return 0, err
 		}
+		keep = v.([]bool)
 		kept := migs[:0]
 		for i, m := range migs {
-			if keep[i] == 1 {
+			if keep[i] {
 				kept = append(kept, m)
 			}
 		}
@@ -272,8 +278,8 @@ func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// processor has not yet observed the node.
 	if s.me == 0 {
 		owned := make([]int, s.cfg.Procs)
-		for p := range owned {
-			owned[p] = gathered[p][s.cfg.Procs]
+		for p, v := range gathered {
+			owned[p] = v.([]int)[0]
 		}
 		for _, m := range migs {
 			if owned[m.from] <= 0 {

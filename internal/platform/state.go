@@ -213,21 +213,6 @@ func (s *rankState) resolve(node *ownNode) {
 	}
 }
 
-// sendRow materializes the dense per-processor send-count vector (with
-// numOwned appended — the row the load balancer gathers at rank 0). The
-// balancer's processor graph is inherently dense, so the O(P) expansion is
-// paid only inside balancing rounds, never per exchange.
-func (s *rankState) sendRow() []int {
-	row := make([]int, s.cfg.Procs+1)
-	if s.nodeState != nil {
-		for _, pe := range s.peers {
-			row[pe.proc] = pe.send
-		}
-	}
-	row[s.cfg.Procs] = s.numOwned()
-	return row
-}
-
 // localUpdate is the thesis' post-migration update of shadow_for_procs[],
 // made only where the round's moves can change anything: a node's
 // shadowFor set depends only on its neighbours' owners, so only the moved

@@ -9,6 +9,7 @@ package ic2mpi_test
 // putting one of bench/'s machine cells under -cpuprofile.
 
 import (
+	"runtime"
 	"testing"
 
 	"ic2mpi"
@@ -267,6 +268,9 @@ func TestIterationAllocsPinned(t *testing.T) {
 // a round allocates only where a plan or a list outgrows its array; the
 // full rebuild it replaced read 4108 here. A round that allocates
 // per touched rank again moves the row by far more than the tolerance.
+// While every rank gathered a dense row of P+1 ints and built every
+// pair's candidate vector, the guard's keep vector and a copy of the plan
+// as pairs, the row read 3599.
 func TestMigrationAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pins skipped with -short")
@@ -293,8 +297,51 @@ func TestMigrationAllocsPinned(t *testing.T) {
 	if migrations == 0 {
 		t.Fatal("the cell migrated nothing")
 	}
-	const pinned = 3599
+	const pinned = 1871
 	if tol := pinned * 0.02; got-pinned > tol || got-pinned < -tol {
 		t.Errorf("allocs/run = %.0f, pinned %.0f (±%.0f); migration allocation behavior changed", got, float64(pinned), tol)
+	}
+}
+
+// TestBalancedCellBytesBounded bounds what one balanced cell at scale
+// allocates: the imbalance scenario at 1024 processors under the
+// centralized balancer, one run after a warm-up, read from
+// runtime.MemStats. A balancing round gathers each rank's peers as (proc,
+// count) pairs, not a dense row of P+1 ints, and only the rank that fills
+// a broadcast vector builds it; while every rank built a dense row and
+// every pair's candidate vector, the cell allocated 169.0 MB in 553 796
+// objects. Rank 0's P x P processor graph, 8.4 MB per round here, is most of
+// what remains. Not parallel: MemStats counts every goroutine's
+// allocations.
+func TestBalancedCellBytesBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("race detector instrumentation changes allocation counts")
+	}
+	sc, err := scenario.Get("imbalance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.Config(scenario.Params{Procs: 1024, Balancer: "centralized"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := platform.Run(*cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the engine's carrier pool, as AllocsPerRun's warm-up does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("%.1f MB in %d objects allocated per run", mb, objects)
+	if mb > 100 || objects > 50000 {
+		t.Errorf("%.1f MB in %d objects allocated per run, want at most 100 MB and 50000 objects", mb, objects)
 	}
 }
