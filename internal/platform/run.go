@@ -14,7 +14,10 @@ import (
 // partitioner output in, initialization, then the iteration loop of
 // computation, communication and periodic load balancing, and finally a
 // gather of results. It blocks until every virtual processor finishes and
-// returns the aggregated Result.
+// returns the aggregated Result. The last barrier is crossed in the run only
+// when the gather follows it; without one (SkipFinalGather) each rank
+// returns at its own clock and the barrier is settled after the run: every
+// rank is released at the latest rank's clock, idle for the difference.
 func Run(cfg Config) (*Result, error) {
 	c, err := cfg.normalize()
 	if err != nil {
@@ -161,12 +164,16 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		end := comm.Wtime()
-
+		// The last barrier is crossed here only when a gather follows it,
+		// whose messages must leave at one common clock; otherwise the rank
+		// returns and Run settles the barrier after the ranks have.
 		var final []NodeData
+		if !c.SkipFinalGather {
+			if err := comm.Barrier(); err != nil {
+				return err
+			}
+		}
+		st.start, st.end = start, comm.Wtime()
 		if !c.SkipFinalGather {
 			final, err = c.Node.gather(st)
 			if err != nil {
@@ -175,7 +182,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// No lock: each rank writes only its own index and rank 0 alone
 		// the run-wide fields, and mpi.Run returns after every rank has.
-		st.elapsed = end - start
 		for ph := 0; ph < NumPhases; ph++ {
 			res.PhaseTimes[ph][st.me] = st.phase[ph]
 		}
@@ -189,9 +195,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return nil
 	})
-	for i := range ranks {
-		if t := ranks[i].elapsed; t > res.Elapsed {
-			res.Elapsed = t
+	if runErr == nil {
+		// The last barrier: every rank leaves at the latest end clock, idle
+		// for the difference, as Comm.Barrier releases it.
+		out := 0.0
+		for i := range ranks {
+			out = max(out, ranks[i].end)
+		}
+		for i := range ranks {
+			if end := ranks[i].end; out > end {
+				res.Stats[i].IdleSeconds += out - end
+			}
+			if t := out - ranks[i].start; t > res.Elapsed {
+				res.Elapsed = t
+			}
 		}
 	}
 	putRanks(ranks)

@@ -61,9 +61,12 @@ type rankState struct {
 	// once from the owner map the run starts with, and migrateRound adds
 	// each committed move's change.
 	cut int
-	// elapsed is the rank's time from start to the final barrier, which
-	// Run folds into Result.Elapsed.
-	elapsed float64
+	// start and end are the rank's clock when its run started and when it
+	// reached the last barrier. Unless a gather follows it, the rank does
+	// not wait there: Run settles the barrier after every rank returns,
+	// releasing each at the latest end, and folds that time less start
+	// into Result.Elapsed.
+	start, end float64
 }
 
 // nodeState is what a processor that holds nodes keeps besides: its part

@@ -314,6 +314,8 @@ type Config struct {
 	// SkipFinalGather disables gathering final node data into
 	// Result.FinalData (large sweeps skip the gather to save memory;
 	// callers verifying results against the sequential reference keep it).
+	// Without the gather no rank waits at the last barrier: Run settles it
+	// after the ranks return, with the same clocks and idle time.
 	SkipFinalGather bool
 	// CheckInvariants makes every processor validate its node lists, hash
 	// table and shadow bookkeeping after every iteration and after every
