@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
+	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 )
 
@@ -531,6 +533,44 @@ func TestTraceFileRepeats(t *testing.T) {
 		}
 		if len(traces[0]) == 0 || string(traces[0]) != string(traces[1]) {
 			t.Errorf("%s -sweep %q: two traces of one run differ (%d and %d bytes)", tc.scenario, tc.sweep, len(traces[0]), len(traces[1]))
+		}
+	}
+}
+
+// The graphpanics scenario, for TestSweepCellPanicIsAnError: its graph
+// generator panics, as a buggy plug-in would.
+func init() {
+	scenario.Register(scenario.Scenario{
+		Name:        "graphpanics",
+		Description: "a graph generator that panics (test only)",
+		Graph:       func() (*graph.Graph, error) { panic("graph generator failed") },
+		InitData:    func(graph.NodeID) platform.NodeData { return platform.IntData(0) },
+		Node: func(*graph.Graph) platform.NodeFunc {
+			return platform.Node(func(_ graph.NodeID, _, _ int, self platform.IntData, _ []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+				return self, 0
+			})
+		},
+		Iterations: 1,
+	})
+}
+
+// TestSweepCellPanicIsAnError: a panic while a cell builds its inputs is
+// that cell's error, in a plain sweep and in a traced single run, not the
+// end of the process.
+func TestSweepCellPanicIsAnError(t *testing.T) {
+	sc, err := scenario.Get("graphpanics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweep = "procs=2"
+	ax, err := resolveAxes(sweep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []runMode{{}, {tracePath: filepath.Join(t.TempDir(), "trace.jsonl")}} {
+		_, err := runScenario(sc, sweep, ax, m, cellRunner(sc, 0))
+		if want := "experiments: cell 0 panicked: graph generator failed"; err == nil || err.Error() != want {
+			t.Errorf("mode %+v: error %v, want %q", m, err, want)
 		}
 	}
 }

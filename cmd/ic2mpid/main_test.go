@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"ic2mpi/internal/experiments"
+	"ic2mpi/internal/graph"
+	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 )
 
@@ -157,6 +159,47 @@ func TestServeDrainRestart(t *testing.T) {
 		if res, err := http.Get(url + "/healthz"); err == nil {
 			res.Body.Close()
 			t.Errorf("the daemon still answers after exiting")
+		}
+	}
+}
+
+// The graphpanics scenario, for TestPanickingCellFailsItsJob: its graph
+// generator panics, as a buggy plug-in would.
+func init() {
+	scenario.Register(scenario.Scenario{
+		Name:        "graphpanics",
+		Description: "a graph generator that panics (test only)",
+		Graph:       func() (*graph.Graph, error) { panic("graph generator failed") },
+		InitData:    func(graph.NodeID) platform.NodeData { return platform.IntData(0) },
+		Node: func(*graph.Graph) platform.NodeFunc {
+			return platform.Node(func(_ graph.NodeID, _, _ int, self platform.IntData, _ []platform.Neighbor[platform.IntData]) (platform.IntData, float64) {
+				return self, 0
+			})
+		},
+		Iterations: 1,
+	})
+}
+
+// TestPanickingCellFailsItsJob: a cell that panics fails its job with the
+// cell's error, and the daemon runs the next job to completion.
+func TestPanickingCellFailsItsJob(t *testing.T) {
+	url, _ := startDaemon(t, "-workers", "1")
+	for _, tc := range []struct{ spec, state, err string }{
+		{`{"scenario":"graphpanics","sweep":"procs=2"}`, "failed", "experiments: cell 0 panicked: graph generator failed"},
+		{`{"scenario":"hex32-fine","sweep":"procs=2;iters=3"}`, "done", ""},
+	} {
+		res, body := request(t, "POST", url+"/v1/jobs", tc.spec)
+		var job struct{ ID, State, Error string }
+		if err := json.Unmarshal(body, &job); res.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("submit %s: %d %v\n%s", tc.spec, res.StatusCode, err, body)
+		}
+		request(t, "GET", url+"/v1/jobs/"+job.ID+"/stream", "") // ends with the job
+		_, body = request(t, "GET", url+"/v1/jobs/"+job.ID, "")
+		if err := json.Unmarshal(body, &job); err != nil {
+			t.Fatal(err)
+		}
+		if job.State != tc.state || job.Error != tc.err {
+			t.Errorf("%s: state %q, error %q; want %q, %q", tc.spec, job.State, job.Error, tc.state, tc.err)
 		}
 	}
 }
