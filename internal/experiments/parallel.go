@@ -128,16 +128,15 @@ func forEachParallel(n int, fn func(int)) {
 // first error in input order. It is the sweep engine's cell executor,
 // exported so a shard runner (internal/shard) can execute an arbitrary
 // subset of a sweep's cells with the same pool and the same determinism
-// guarantees as RunSweep itself. A cell that panics (in graph generation,
-// a partitioner or its configuration) fails with an error naming it, so
-// the panic ends neither the pool nor a daemon that runs the sweep.
+// guarantees as RunSweep itself. A cell that panics (say, in its graph
+// generator) fails with an error naming it, not the process.
 func RunCells(sc scenario.Scenario, params []scenario.Params, run CellRunner) ([]*scenario.Result, error) {
 	results := make([]*scenario.Result, len(params))
 	errs := make([]error, len(params))
 	forEachParallel(len(params), func(i int) {
 		defer func() {
 			if p := recover(); p != nil {
-				results[i], errs[i] = nil, fmt.Errorf("experiments: cell %d panicked: %v", i, p)
+				errs[i] = fmt.Errorf("experiments: cell %d panicked: %v", i, p)
 			}
 		}()
 		results[i], errs[i] = run(sc, i, params[i])

@@ -60,7 +60,6 @@ func Run(cfg Config) (*Result, error) {
 
 	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
-		var start float64
 		st := &ranks[comm.Rank()]
 		st.comm = comm
 		var err error
@@ -75,11 +74,11 @@ func Run(cfg Config) (*Result, error) {
 			if err := comm.Restore(rs.Clock, rs.Stats); err != nil {
 				return err
 			}
-			start = rs.Start
+			st.start = rs.Start
 			migrated = rs.Migrations
 			firstIter = snap.Iter + 1
 		} else {
-			start = comm.Wtime()
+			st.start = comm.Wtime()
 			// buildRanks built the state; the rank is charged for it here.
 			t0 := comm.Wtime()
 			comm.Charge(float64(st.initEntries()) * initPerEntry)
@@ -159,7 +158,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			if col != nil && iter%c.CheckpointEvery == 0 && iter < c.Iterations {
-				if err := col.contribute(st, iter, start); err != nil {
+				if err := col.contribute(st, iter, st.start); err != nil {
 					return err
 				}
 			}
@@ -173,7 +172,7 @@ func Run(cfg Config) (*Result, error) {
 				return err
 			}
 		}
-		st.start, st.end = start, comm.Wtime()
+		st.end = comm.Wtime()
 		if !c.SkipFinalGather {
 			final, err = c.Node.gather(st)
 			if err != nil {
@@ -206,9 +205,7 @@ func Run(cfg Config) (*Result, error) {
 			if end := ranks[i].end; out > end {
 				res.Stats[i].IdleSeconds += out - end
 			}
-			if t := out - ranks[i].start; t > res.Elapsed {
-				res.Elapsed = t
-			}
+			res.Elapsed = max(res.Elapsed, out-ranks[i].start)
 		}
 	}
 	putRanks(ranks)

@@ -61,11 +61,9 @@ type rankState struct {
 	// once from the owner map the run starts with, and migrateRound adds
 	// each committed move's change.
 	cut int
-	// start and end are the rank's clock when its run started and when it
-	// reached the last barrier. Unless a gather follows it, the rank does
-	// not wait there: Run settles the barrier after every rank returns,
-	// releasing each at the latest end, and folds that time less start
-	// into Result.Elapsed.
+	// start and end are the rank's clock at its run's start and at the last
+	// barrier, which Run settles after the ranks return unless a gather
+	// follows it: each is released at the latest end, and Elapsed ends there.
 	start, end float64
 }
 
