@@ -18,7 +18,10 @@ import (
 // when the gather follows it; without one (SkipFinalGather) each rank
 // returns at its own clock and the barrier is settled after the run: every
 // rank is released at the latest rank's clock, idle for the difference.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run, with probe handed to the engine as mpi.Options.Probe.
+func run(cfg Config, probe *mpi.KernelCounters) (*Result, error) {
 	c, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -58,7 +61,7 @@ func Run(cfg Config) (*Result, error) {
 	// iteration.
 	tv, _ := c.Network.(netmodel.TimeVarying)
 
-	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop}
+	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop, Probe: probe}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
 		st := &ranks[comm.Rank()]
 		st.comm = comm
