@@ -184,6 +184,16 @@ var deletedNames = []struct {
 		lines:   1,
 	},
 	{
+		name:       "one never-blocking declaration",
+		reason:     "platform.Run alone declares which ranks never block, those that hold no node in a run that neither balances nor gathers; no flag, spec field, environment variable or Host, Params or Config field reaches mpi.Options.NeverBlocks",
+		pattern:    `NeverBlocks`,
+		paths:      []string{"."},
+		include:    "*.go",
+		exclude:    "*_test.go",
+		excludeDir: "mpi",
+		lines:      1,
+	},
+	{
 		name:    "one copy of a traced run",
 		reason:  "the recorder releases its own canonical lines; the Sink interface, the daemon's second trace buffer and the per-line encoders only it used stay deleted",
 		pattern: `trace\.Sink|SetSink|newTraceSink|ImbalanceOf|SampleLine\(|MigrationLine\(|SeriesLine\(`,

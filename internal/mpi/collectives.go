@@ -19,9 +19,14 @@ const (
 // relRank maps rank into a tree rooted at root, and back.
 func relRank(rank, root, size int) int { return (rank - root + size) % size }
 func absRank(rel, root, size int) int  { return (rel + root) % size }
-func validRoot(root, size int) error {
-	if root < 0 || root >= size {
-		return fmt.Errorf("mpi: invalid root %d for size %d", root, size)
+
+// enter checks a collective op's root, and that the calling rank may block.
+func (c *Comm) enter(op string, root int) error {
+	if root < 0 || root >= c.Size() {
+		return fmt.Errorf("mpi: invalid root %d for size %d", root, c.Size())
+	}
+	if c.world.eng.carriers[c.rank].direct {
+		return c.world.eng.refuse(c.rank, op)
 	}
 	return nil
 }
@@ -33,7 +38,7 @@ func validRoot(root, size int) error {
 // every rank must pass the root's size.
 func (c *Comm) Bcast(root int, payload any, bytes int) (any, error) {
 	size := c.Size()
-	if err := validRoot(root, size); err != nil {
+	if err := c.enter("Bcast", root); err != nil {
 		return nil, err
 	}
 	if size == 1 {
@@ -69,7 +74,7 @@ func (c *Comm) Bcast(root int, payload any, bytes int) (any, error) {
 // timing value from each rank with its rank as the tag).
 func (c *Comm) Gather(root int, payload any, bytes int) ([]any, error) {
 	size := c.Size()
-	if err := validRoot(root, size); err != nil {
+	if err := c.enter("Gather", root); err != nil {
 		return nil, err
 	}
 	if c.rank != root {

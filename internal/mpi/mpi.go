@@ -38,10 +38,17 @@ type Options struct {
 	Probe *KernelCounters
 	// Stop, once closed, makes Stopped return ErrStopped; nil never does.
 	Stop <-chan struct{}
+	// NeverBlocks, when non-nil, declares the ranks it is true for never to
+	// block: they run with no coroutine (pevent.go), and any Recv, Barrier
+	// or collective they call fails the run with ErrNeverBlocks.
+	NeverBlocks func(rank int) bool
 }
 
 // ErrStopped is what a rank returns once its run's Options.Stop is closed.
 var ErrStopped = errors.New("mpi: stopped")
+
+// ErrNeverBlocks fails a run whose rank declared never to block blocks.
+var ErrNeverBlocks = errors.New("blocking call on a rank declared never to block")
 
 // World owns the shared state of one SPMD execution: the cost model, the
 // engine that schedules the ranks and the failure state. Ranks only read
@@ -170,7 +177,7 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	if opts.Kernel == KernelEvent {
 		workers = 1
 	}
-	return runPEvent(w, fn, workers, opts.Probe)
+	return runPEvent(w, fn, workers, opts.NeverBlocks, opts.Probe)
 }
 
 // runRank executes fn as the program of c's rank, on the Comm its carrier

@@ -10,7 +10,8 @@ package mpi
 // of an idle P or a futex. A message is stored once, in its receiver's
 // queue, until a Recv takes it, so memory per rank is flat: a carrier,
 // which holds the rank's Comm, engine state and receive queue and is
-// recycled with its parked coroutine, and a run-queue slot.
+// recycled with its parked coroutine, and a run-queue slot; a rank declared
+// never to block (Options.NeverBlocks) runs on its worker, no coroutine.
 //
 // Ranks are partitioned into contiguous blocks across workers, each
 // owning a private run queue, an outbox and its ranks' carriers, and
@@ -120,7 +121,7 @@ func (q *runQueue) pop() int32 {
 
 // carrier is a coroutine that runs one assigned rank after another, an
 // iter.Pull pair: next switches to it until its rank parks or returns
-// (fin: idle again), stop unwinds it for good; yield is its side of the
+// (done: idle again), stop unwinds it for good; yield is its side of the
 // switch. The switch carries no value: a zero-size one costs iter.Pull no
 // allocation. k assigns the next rank and is dropped as that rank starts;
 // the rank's state rides along and reset clears it as the run ends, so an
@@ -131,7 +132,6 @@ type carrier struct {
 	stop  func()
 	yield func(struct{}) bool
 	k     *eventEngine
-	fin   bool
 	rankRun
 }
 
@@ -149,6 +149,7 @@ type rankRun struct {
 	worker    int32 // index of the owning worker
 	scheduled bool
 	done      bool
+	direct    bool // declared never to block: runs on its worker's goroutine
 }
 
 // reset clears the rank's state for the carrier's next run, dropping the
@@ -185,7 +186,9 @@ func sweepCarriers() {
 	idle.mu.Lock()
 	defer idle.mu.Unlock()
 	for _, c := range idle.free[:idle.old] {
-		c.stop()
+		if c.stop != nil { // nil for a carrier that only ever ran direct ranks
+			c.stop()
+		}
 	}
 	idle.free = slices.Delete(idle.free, 0, idle.old)
 	idle.old = len(idle.free)
@@ -223,7 +226,7 @@ func takeCarriers(k *eventEngine) {
 // — and never reach a clock, a Stats, a trace or a report.
 type KernelCounters struct {
 	Windows     int // every worker run until its queue was empty, then one fold
-	Activations int // resumes of a rank's coroutine
+	Activations int // runs of a rank: a resume of its coroutine, or a direct rank's one run
 	Parks       int // suspensions of a rank in Recv or Barrier
 	StagedMsgs  int // cross-worker messages that waited in an outbox for a fold
 }
@@ -325,6 +328,9 @@ func (k *eventEngine) send(dst int, m message) {
 func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
 	cr := k.carriers[rank]
+	if cr.direct {
+		return nil, k.refuse(rank, "Recv")
+	}
 	for {
 		if c.world.fail != nil {
 			return nil, errAborted(rank, "Recv")
@@ -356,6 +362,9 @@ func (k *eventEngine) recv(c *Comm, src, tag int) (any, error) {
 // only in a window no barrier can complete in, so a rank woken with
 // World.fail unset was released.
 func (k *eventEngine) barrier(c *Comm) (float64, error) {
+	if k.carriers[c.rank].direct {
+		return 0, k.refuse(c.rank, "Barrier")
+	}
 	if c.world.fail == nil {
 		pw := k.workers[k.carriers[c.rank].worker]
 		pw.barArrived++
@@ -385,9 +394,29 @@ func (pw *peWorker) wakeBlock() {
 	}
 }
 
-// runWindow resumes this worker's queued ranks, in wake order, until its
-// run queue is empty, one rank coroutine at a time, on the calling
-// goroutine.
+// run runs the carrier's rank to its return and records it with its worker.
+func (c *carrier) run() {
+	k := c.k
+	c.k = nil
+	pw := k.workers[c.worker]
+	if err := k.w.runRank(&c.comm, k.fn); err != nil {
+		pw.fail(c.comm.rank, err)
+	}
+	c.done = true
+	pw.ndone++
+}
+
+// refuse fails a direct rank's blocking call op, which has no coroutine to
+// park in, with the rank's worker, even if the program drops the error.
+func (k *eventEngine) refuse(rank int, op string) error {
+	err := fmt.Errorf("mpi: rank %d %s: %w", rank, op, ErrNeverBlocks)
+	k.workers[k.carriers[rank].worker].fail(rank, err)
+	return err
+}
+
+// runWindow runs this worker's queued ranks, in wake order, until its run
+// queue is empty, one rank at a time, on the calling goroutine: a direct
+// rank to its return, any other by resuming its coroutine.
 func (pw *peWorker) runWindow() {
 	k := pw.k
 	for pw.q.Len() > 0 {
@@ -397,27 +426,20 @@ func (pw *peWorker) runWindow() {
 		}
 		c.scheduled = false
 		pw.activations++
-		if c.next == nil {
+		switch {
+		case c.direct:
+			c.run()
+		case c.next == nil:
 			// Started on first use, so a rank's first stack is the one the
 			// previous rank's growth just freed.
 			c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 				c.yield = yield
-				for {
-					k := c.k
-					c.k, c.fin = nil, false
-					if err := k.w.runRank(&c.comm, k.fn); err != nil {
-						k.workers[c.worker].fail(c.comm.rank, err)
-					}
-					c.fin = true
-					if !yield(struct{}{}) {
-						return
-					}
+				for c.run(); yield(struct{}{}); c.run() {
 				}
 			})
-		}
-		if c.next(); c.fin {
-			c.done = true
-			pw.ndone++
+			fallthrough
+		default:
+			c.next()
 		}
 	}
 }
@@ -479,7 +501,7 @@ func peWorkerCount(workers, procs int) int {
 // one's is stopped. Either way its rank's state is reset. A rank that
 // calls runtime.Goexit ends its carrier and unwinds the worker that
 // resumed it.
-func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCounters) error {
+func runPEvent(w *World, fn func(c *Comm) error, workers int, neverBlocks func(rank int) bool, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
 	k := &eventEngine{
@@ -496,6 +518,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 		k.workers[i] = pw
 		for r := pw.lo; r < pw.hi; r++ {
 			k.carriers[r].worker = int32(i)
+			k.carriers[r].direct = neverBlocks != nil && neverBlocks(r)
 			// Seed: every rank starts runnable, in rank order.
 			pw.wake(r)
 		}
@@ -556,6 +579,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, probe *KernelCount
 	for _, c := range k.carriers {
 		if !c.done && c.next != nil {
 			c.stop()
+			c.done = false // its rank has returned, but its coroutine is spent
 		}
 	}
 	n := 0

@@ -2,6 +2,8 @@ package platform_test
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ic2mpi/internal/mpi"
@@ -59,5 +61,37 @@ func TestIdleRankCountersPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIdleRanksStartNoCoroutine: after three runs of the machine_sparse
+// cell at two workers, the live goroutines are at most those before the
+// runs plus one pooled carrier per rank that holds a node plus the
+// workers. A rank that holds no node runs on its worker's goroutine, so its
+// carrier never starts a coroutine.
+func TestIdleRanksStartNoCoroutine(t *testing.T) {
+	if platform.RaceEnabled {
+		t.Skip("4096 ranks under the race detector")
+	}
+	sc, err := scenario.Get("hex64-fine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	cfg, err := sc.Config(scenario.Params{Procs: 4096, Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.KernelWorkers = workers
+	busy := len(slices.Compact(slices.Sorted(slices.Values(cfg.InitialPartition))))
+	mpi.DrainCarriers()
+	before := runtime.NumGoroutine()
+	for range 3 {
+		if _, err := platform.Run(*cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before+busy+workers {
+		t.Errorf("%d goroutines after the runs, %d before: more than the %d busy ranks' carriers and %d workers", n, before, busy, workers)
 	}
 }

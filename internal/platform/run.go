@@ -62,6 +62,14 @@ func run(cfg Config, probe *mpi.KernelCounters) (*Result, error) {
 	tv, _ := c.Network.(netmodel.TimeVarying)
 
 	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop, Probe: probe}
+	// Without balancing or the final gather, a rank that holds no node never
+	// blocks. Declared only if there is one, as the closure allocates.
+	for i := 0; c.Balancer == nil && c.SkipFinalGather && i < len(ranks); i++ {
+		if ranks[i].nodeState == nil {
+			opts.NeverBlocks = func(r int) bool { return ranks[r].nodeState == nil }
+			break
+		}
+	}
 	runErr := mpi.Run(opts, func(comm *mpi.Comm) error {
 		st := &ranks[comm.Rank()]
 		st.comm = comm
