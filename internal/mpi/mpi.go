@@ -40,14 +40,15 @@ type Options struct {
 	Stop <-chan struct{}
 	// NeverBlocks, when non-nil, declares the ranks it is true for never to
 	// block: they run with no coroutine (pevent.go), and any Recv, Barrier
-	// or collective they call fails the run with ErrNeverBlocks.
+	// or collective they call fails the run (ErrNeverBlocks).
 	NeverBlocks func(rank int) bool
 }
 
 // ErrStopped is what a rank returns once its run's Options.Stop is closed.
 var ErrStopped = errors.New("mpi: stopped")
 
-// ErrNeverBlocks fails a run whose rank declared never to block blocks.
+// ErrNeverBlocks is what a rank declared never to block fails its run with
+// once it calls Recv, Barrier or a collective.
 var ErrNeverBlocks = errors.New("blocking call on a rank declared never to block")
 
 // World owns the shared state of one SPMD execution: the cost model, the

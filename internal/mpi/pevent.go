@@ -434,7 +434,10 @@ func (pw *peWorker) runWindow() {
 			// previous rank's growth just freed.
 			c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 				c.yield = yield
-				for c.run(); yield(struct{}{}); c.run() {
+				for {
+					if c.run(); !yield(struct{}{}) {
+						return
+					}
 				}
 			})
 			fallthrough
