@@ -91,7 +91,9 @@ func TestIdleRanksStartNoCoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := runtime.NumGoroutine(); n > before+busy+workers {
+	n := runtime.NumGoroutine()
+	if n > before+busy+workers {
 		t.Errorf("%d goroutines after the runs, %d before: more than the %d busy ranks' carriers and %d workers", n, before, busy, workers)
 	}
+	t.Logf("%d goroutines before the runs, %d after", before, n)
 }
