@@ -163,7 +163,10 @@ func TestRankStartupAllocsPerRank(t *testing.T) {
 //
 // It also logs GC cycles per warm 10-iteration run, without gating them:
 // the count depends on GOGC and the Go release. Every cycle scans each
-// pooled carrier's stack, so on this shape a run's GC time follows it.
+// pooled carrier's stack, so a run's GC time follows it; on this shape only
+// the 64 busy ranks' carriers have one, as a rank that holds no node runs
+// without a coroutine, and the warm run's one closure declaring those ranks
+// is 32 of its bytes.
 func TestIdleRankStartupBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("4096 ranks under the race detector")
