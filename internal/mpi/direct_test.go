@@ -15,9 +15,9 @@ import (
 // oddRanks declares every odd rank never to block.
 func oddRanks(r int) bool { return r%2 == 1 }
 
-// TestDirectRanksMatchCoroutines: odd ranks send to rank 0 and return, even
-// ranks receive what they are sent and meet no one; declaring the odd ranks
-// never to block changes no clock, counter or engine count.
+// TestDirectRanksMatchCoroutines: odd ranks send to rank 0 and return, rank
+// 0 receives from each and the other even ranks return at once; declaring
+// the odd ranks never to block changes no clock, counter or engine count.
 func TestDirectRanksMatchCoroutines(t *testing.T) {
 	const procs = 7
 	program := func(c *Comm) error {
