@@ -194,6 +194,16 @@ var deletedNames = []struct {
 		lines:      1,
 	},
 	{
+		name:       "a kernel name stops at scenario",
+		reason:     "internal/scenario resolves a kernel name to the engine's worker count (mpi.Kernel.Workers), so platform.Config declares no Kernel, the facade exports no kernel name and no other non-test code parses one; the two lines are mpi.Options.Kernel and bench/api.go's binding of mpi.ParseKernel, which the benchmark still calls",
+		pattern:    `mpi\.(ParseKernel|Kernel(Goroutine|Event|ParallelEvent)?)\b|^\s*Kernel\s+\S`,
+		paths:      []string{"."},
+		include:    "*.go",
+		exclude:    "*_test.go",
+		excludeDir: "scenario",
+		lines:      2,
+	},
+	{
 		name:    "one copy of a traced run",
 		reason:  "the recorder releases its own canonical lines; the Sink interface, the daemon's second trace buffer and the per-line encoders only it used stay deleted",
 		pattern: `trace\.Sink|SetSink|newTraceSink|ImbalanceOf|SampleLine\(|MigrationLine\(|SeriesLine\(`,

@@ -53,7 +53,6 @@ import (
 	"ic2mpi/internal/balance"
 	"ic2mpi/internal/fault"
 	"ic2mpi/internal/graph"
-	"ic2mpi/internal/mpi"
 	"ic2mpi/internal/netmodel"
 	"ic2mpi/internal/partition"
 	"ic2mpi/internal/platform"
@@ -120,8 +119,6 @@ type (
 	TraceMigration = trace.Migration
 	// TraceDerived is the per-iteration imbalance/edge-cut series entry.
 	TraceDerived = trace.Derived
-	// Kernel selects the mpi execution engine (Config.Kernel).
-	Kernel = mpi.Kernel
 )
 
 // Neighbor pairs a neighbor ID with its previous-iteration data, of the
@@ -153,28 +150,6 @@ const (
 	// NumPhases is the number of instrumented phases.
 	NumPhases = platform.NumPhases
 )
-
-// Execution kernels (Config.Kernel). There is one engine: ranks are
-// passive states with flat per-rank memory that a scheduler resumes in
-// wake order, on workers that synchronize only when every one has run out
-// of runnable ranks. The names pick its worker count, and every name and
-// count gives the same bytes.
-const (
-	// KernelGoroutine is the default: min(GOMAXPROCS, procs) workers, or
-	// Config.Host.KernelWorkers. The name once meant one goroutine per rank,
-	// the engine every pinned table and golden trace was recorded on.
-	KernelGoroutine = mpi.KernelGoroutine
-	// KernelEvent runs one worker, whatever Config.Host.KernelWorkers says.
-	KernelEvent = mpi.KernelEvent
-	// KernelParallelEvent runs min(GOMAXPROCS, procs) workers, or
-	// Config.Host.KernelWorkers, like KernelGoroutine; at one worker it is
-	// KernelEvent.
-	KernelParallelEvent = mpi.KernelParallelEvent
-)
-
-// ParseKernel resolves a kernel name (see mpi.KernelNames; "" selects the
-// default, KernelGoroutine) to a Kernel.
-func ParseKernel(name string) (Kernel, error) { return mpi.ParseKernel(name) }
 
 // Run executes the platform on cfg and blocks until every virtual
 // processor finishes.

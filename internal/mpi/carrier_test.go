@@ -10,39 +10,51 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 	"weak"
 )
 
-// engineGoroutines counts the engine's goroutines alive in the process:
-// the worker goroutines of runPEvent and the carriers, running, parked or
-// pooled, found by their functions in a dump of every goroutine's stack.
-// The process's goroutine count would also count the testing package's
-// goroutines and the runtime's cleanup goroutine, which come and go on
-// their own schedule.
+// engineGoroutines counts the engine's goroutines alive in the process
+// after a run: the carriers, running, parked or pooled, and the goroutines
+// a window forked for its workers, found by their functions in a dump of
+// every goroutine's stack. Run's join returns as each forked goroutine
+// signs off, an instant before it ends, so the count waits up to 5 s for
+// the forked ones to be gone. The process's goroutine count would also
+// count the testing package's goroutines and the runtime's cleanup
+// goroutine, which come and go on their own schedule.
 func engineGoroutines() int {
-	buf := make([]byte, 1<<16)
-	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
-		if n < len(buf) {
-			buf = buf[:n]
-			break
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<16)
+		for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+			if n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
 		}
-		buf = make([]byte, 2*len(buf))
-	}
-	count := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("mpi.runPEvent.func")) || bytes.Contains(g, []byte("mpi.(*peWorker).runWindow.func")) {
-			count++
+		carriers, forked := 0, 0
+		for _, g := range bytes.Split(buf, []byte("\n\n")) {
+			switch {
+			case bytes.Contains(g, []byte("mpi.(*peWorker).forkedWindow")):
+				forked++
+			case bytes.Contains(g, []byte("mpi.(*peWorker).runWindow.func")):
+				carriers++
+			}
 		}
+		if forked == 0 || time.Now().After(deadline) {
+			return carriers + forked
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return count
 }
 
-// quietGoroutines drains the pool and returns engineGoroutines. Run has
-// waited for its worker goroutines to exit, and stopping a carrier ends
-// its coroutine, so the count is final at once.
+// quietGoroutines drains the pool and returns engineGoroutines. Stopping a
+// carrier ends its coroutine, so the count is final once the forked
+// goroutines are gone.
 func quietGoroutines() int {
 	DrainCarriers()
 	return engineGoroutines()
@@ -239,6 +251,35 @@ func TestCarrierOfGoexitNeverPooled(t *testing.T) {
 	}
 	if n := len(pooledCarriers()); n != 0 {
 		t.Fatalf("%d carriers pooled after a Goexit, want 0", n)
+	}
+	runRing(t, freeOpts(2))
+}
+
+// TestCarrierOfForkedGoexitNeverPooled: a rank that calls runtime.Goexit
+// on a worker the window forked ends that goroutine, not the caller's. The
+// join still returns, Run fails with an error that names the rank and
+// Goexit, and of the two carriers only the other rank's is pooled.
+func TestCarrierOfForkedGoexitNeverPooled(t *testing.T) {
+	DrainCarriers()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- Run(Options{Procs: 2, Workers: 2}, func(c *Comm) error {
+			if c.Rank() == 1 {
+				runtime.Goexit()
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "Goexit") {
+			t.Fatalf("Run returned %v, want an error naming rank 1 and runtime.Goexit", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return within 10 s after a rank on a forked worker called runtime.Goexit")
+	}
+	if n := len(pooledCarriers()); n != 1 {
+		t.Fatalf("%d carriers pooled after a Goexit, want rank 0's alone", n)
 	}
 	runRing(t, freeOpts(2))
 }

@@ -5,9 +5,8 @@
 // stdlib-only code has no viable MPI bindings, so this package executes the
 // same single-program-multiple-data structure with ranks as passive states
 // on runtime coroutines, which a scheduler on one or several host workers
-// resumes in wake order (pevent.go; Options.Kernel and Options.Workers
-// pick the worker count, see kernel.go, and the virtual timeline is the
-// same at every count). Point-to-point operations (Isend, Recv),
+// resumes in wake order (pevent.go; Options.Workers is the worker count,
+// and the virtual timeline is the same at every count). Point-to-point operations (Isend, Recv),
 // collectives (Barrier, Bcast, Gather, Allgather and the typed BcastInts
 // and GatherFloat64) and Wtime mirror the MPI calls the platform
 // makes (Fig. 8, Fig. 8a and the load balancer of Section 4.3). No call

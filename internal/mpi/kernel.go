@@ -6,32 +6,25 @@ import (
 )
 
 // Kernel names a worker count for the one engine that drives the ranks of
-// a World (pevent.go): ranks are passive states on runtime coroutines,
-// resumed in the order they were woken (a run queue of ranks — no virtual
-// time takes part in scheduling), each message stored once, in its
-// receiver's queue, so a simulation scales to tens of thousands of ranks
-// with flat memory per rank. Every clock advance is a pure function of message content and
-// per-rank program order, never of host scheduling, so every name and
-// worker count is bit-identical and differs only in host-side cost. The
-// three names are kept, accepted and echoed for good: they are part of
-// every persisted CellKey, report, snapshot and manifest.
+// a World (pevent.go); Workers is the rule. Every clock advance is a pure
+// function of message content and per-rank program order, never of host
+// scheduling, so every name and worker count is bit-identical and differs
+// only in host-side cost. The three names are kept, accepted and echoed
+// for good: they are part of every persisted CellKey, report, snapshot
+// and manifest. internal/scenario resolves a name to its worker count,
+// so a platform run carries the count alone; Run applies the rule to
+// Options.Kernel for callers that still set it.
 type Kernel int
 
 const (
-	// KernelGoroutine is the default: the engine at Options.Workers
-	// workers, min(GOMAXPROCS, procs) when that is 0. The name is older
-	// than the engine; it once meant one goroutine per rank.
+	// KernelGoroutine is the default: the requested worker count. The name
+	// is older than the engine; it once meant one goroutine per rank.
 	KernelGoroutine Kernel = iota
-	// KernelEvent is the engine on one worker, whatever Options.Workers
-	// says: exactly one rank runs at a time, on the caller's goroutine.
+	// KernelEvent is one worker, whatever the requested count: exactly one
+	// rank runs at a time, on the caller's goroutine.
 	KernelEvent
-	// KernelParallelEvent is the engine at Options.Workers workers, like
-	// KernelGoroutine: ranks are partitioned across the workers, each
-	// owning a private run queue and outbox. Workers run concurrently
-	// until each is out of runnable ranks, staging cross-worker sends in
-	// their outboxes, which the window fold delivers; none waits for
-	// another's virtual time (pevent.go says why none has to). At one
-	// worker it is KernelEvent.
+	// KernelParallelEvent is the requested worker count, like
+	// KernelGoroutine.
 	KernelParallelEvent
 )
 
@@ -73,6 +66,16 @@ func ParseKernel(name string) (Kernel, error) {
 		}
 	}
 	return 0, fmt.Errorf("mpi: unknown kernel %q (want %s)", name, strings.Join(KernelNames(), ", "))
+}
+
+// Workers is the worker count the kernel name stands for, given the host's
+// requested count n (0 means min(GOMAXPROCS, procs)): 1 for KernelEvent,
+// n for the other two.
+func (k Kernel) Workers(n int) int {
+	if k == KernelEvent {
+		return 1
+	}
+	return n
 }
 
 // KernelNames returns the accepted kernel names, in default-first order.

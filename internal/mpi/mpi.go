@@ -19,17 +19,15 @@ type Options struct {
 	// arrival times plus per-rank send/receive overheads. nil means free
 	// communication (netmodel.Free()).
 	Cost netmodel.Model
-	// Kernel names the worker count of the one engine (pevent.go):
-	// KernelGoroutine (the default) and KernelParallelEvent run Workers
-	// workers, KernelEvent runs one. Every name and worker count is
-	// bit-identical in virtual time, stats and traces — see kernel.go.
+	// Kernel is kept for callers that still pick the worker count by name:
+	// Run runs Kernel.Workers(Workers) workers, so KernelEvent is one and
+	// the other two names are Workers (kernel.go).
 	Kernel Kernel
-	// Workers bounds the worker count of KernelGoroutine and
-	// KernelParallelEvent: 0 (the default) resolves to min(GOMAXPROCS,
-	// Procs); explicit values are clamped to Procs. Any worker count
-	// produces the same bytes — the knob trades host parallelism against
-	// messages that wait a window in a cross-worker outbox. Ignored by
-	// KernelEvent, which is always one worker.
+	// Workers is the engine's worker count (pevent.go): 0 (the default)
+	// resolves to min(GOMAXPROCS, Procs); explicit values are clamped to
+	// Procs. Any worker count produces the same bytes — the knob trades
+	// host parallelism against messages that wait a window in a
+	// cross-worker outbox.
 	Workers int
 	// Probe, when non-nil, is overwritten as Run returns with what the
 	// engine did on the host (windows, activations, parks, staged
@@ -174,11 +172,7 @@ func Run(opts Options, fn func(c *Comm) error) error {
 	if tv, ok := cost.(netmodel.TimeVarying); ok {
 		w.tv = tv
 	}
-	workers := opts.Workers
-	if opts.Kernel == KernelEvent {
-		workers = 1
-	}
-	return runPEvent(w, fn, workers, opts.NeverBlocks, opts.Probe)
+	return runPEvent(w, fn, opts.Kernel.Workers(opts.Workers), opts.NeverBlocks, opts.Probe)
 }
 
 // runRank executes fn as the program of c's rank, on the Comm its carrier

@@ -1,11 +1,11 @@
 package mpi
 
-// The engine behind every kernel name. Ranks are passive states: a rank's
-// program runs on a carrier, a runtime coroutine (iter.Pull) that carries
-// its suspended stack and, pooled with it, outlives the run. A worker
-// takes the next rank off its run queue — the ranks woken and not yet run,
-// in the order they were woken — and switches to it (next); a blocking MPI
-// call switches back (yield). Both are runtime.coroswitch: the thread
+// The engine, at any worker count (Options.Workers). Ranks are passive
+// states: a rank's program runs on a carrier, a runtime coroutine
+// (iter.Pull) that carries its suspended stack and, pooled with it,
+// outlives the run. A worker takes the next rank off its run queue — the
+// ranks woken and not yet run, in the order they were woken — and switches
+// to it (next); a blocking MPI call switches back (yield). Both are runtime.coroswitch: the thread
 // passes from worker to rank and back without the Go scheduler, a wake-up
 // of an idle P or a futex. A message is stored once, in its receiver's
 // queue, until a Recv takes it, so memory per rank is flat: a carrier,
@@ -25,9 +25,10 @@ package mpi
 // fold is the only place where workers meet: during a window no engine
 // field is written by more than one worker, so a window's work on each
 // worker depends only on that worker's state at the window's start, and a
-// run at a given worker count reports the same failure every time. KernelEvent is one worker, whose windows run on the
-// caller's goroutine; KernelGoroutine and KernelParallelEvent run
-// Options.Workers workers.
+// run at a given worker count reports the same failure every time. A
+// window is a fork-join: the caller's goroutine, the coordinator, runs the
+// first worker with queued ranks, forks a goroutine for each other one and
+// joins them before the fold, so a one-worker run starts no goroutine.
 //
 // No worker waits for another's virtual time, and none orders its own
 // ranks by it: the run queue holds ranks, not timed events. A sequential
@@ -55,8 +56,8 @@ package mpi
 // No Comm call reports whether a message has been queued yet, so these
 // four cover everything a program can observe. Any schedule that respects
 // per-rank program order therefore yields identical clocks, stats and
-// traces: byte-identity across kernel names and worker counts, on a
-// zero-latency network too, is by construction. The differential harness
+// traces: byte-identity across worker counts, on a zero-latency network
+// too, is by construction. The differential harness
 // (TestEquivalence at the repo root) pins it across every scenario against
 // the one-worker run, and the goldens and digests recorded under the
 // goroutine-per-rank engine this one replaced still pass unedited.
@@ -150,6 +151,7 @@ type rankRun struct {
 	scheduled bool
 	done      bool
 	direct    bool // declared never to block: runs on its worker's goroutine
+	exited    bool // ended by runtime.Goexit: its carrier is never pooled
 }
 
 // reset clears the rank's state for the carrier's next run, dropping the
@@ -235,7 +237,7 @@ type KernelCounters struct {
 // for its contiguous block of ranks [lo, hi). All fields are touched only
 // by whichever goroutine runs the worker's window (one rank coroutine
 // runs at a time per worker) and by the coordinator between windows; the
-// start/ready channel handoffs order the two.
+// window's fork and join order the two.
 type peWorker struct {
 	k      *eventEngine
 	id     int
@@ -253,11 +255,6 @@ type peWorker struct {
 	failErr  error
 	// Host-side tallies for KernelCounters, summed when Run returns.
 	activations, parks int
-	// start/ready frame one window between the coordinator and this
-	// worker's goroutine; nil for worker 0, whose windows the coordinator
-	// always runs itself.
-	start chan struct{}
-	ready chan struct{}
 }
 
 // eventEngine is the per-World state of the engine. carriers[r] is rank
@@ -268,7 +265,8 @@ type eventEngine struct {
 	fn       func(c *Comm) error // the rank program
 	workers  []*peWorker
 	carriers []*carrier
-	barOut   float64 // the clock the last barrier released its ranks at
+	barOut   float64        // the clock the last barrier released its ranks at
+	forked   sync.WaitGroup // the window's workers on goroutines of their own
 
 	staged int // host-side tally for KernelCounters, kept by fold
 }
@@ -394,11 +392,20 @@ func (pw *peWorker) wakeBlock() {
 	}
 }
 
-// run runs the carrier's rank to its return and records it with its worker.
+// run runs the carrier's rank to its return and records it with its
+// worker. A rank that calls runtime.Goexit never returns, and its carrier
+// ends with it: run records it as done, failed and exited on the way out.
 func (c *carrier) run() {
 	k := c.k
 	c.k = nil
 	pw := k.workers[c.worker]
+	defer func() {
+		if !c.done {
+			pw.fail(c.comm.rank, fmt.Errorf("mpi: rank %d called runtime.Goexit", c.comm.rank))
+			c.done, c.exited = true, true
+			pw.ndone++
+		}
+	}()
 	if err := k.w.runRank(&c.comm, k.fn); err != nil {
 		pw.fail(c.comm.rank, err)
 	}
@@ -445,6 +452,14 @@ func (pw *peWorker) runWindow() {
 			c.next()
 		}
 	}
+}
+
+// forkedWindow runs this worker's window on a goroutine of its own and
+// signs off with the coordinator's join, also when a rank's
+// runtime.Goexit ends the goroutine.
+func (pw *peWorker) forkedWindow() {
+	defer pw.k.forked.Done()
+	pw.runWindow()
 }
 
 // fold is the single-threaded window barrier: deliver the staged
@@ -497,13 +512,16 @@ func peWorkerCount(workers, procs int) int {
 
 // runPEvent drives fn across w.procs ranks on workers workers (resolved
 // by peWorkerCount) and blocks until every rank returns. The calling
-// goroutine is the window coordinator and runs the first worker that has
-// queued ranks itself; every other worker's windows run on a goroutine of
-// its own, so one worker needs none, and each has exited when runPEvent
-// returns. A finished rank's carrier goes back to the pool; a deadlocked
-// one's is stopped. Either way its rank's state is reset. A rank that
-// calls runtime.Goexit ends its carrier and unwinds the worker that
-// resumed it.
+// goroutine is the window coordinator: it runs the first worker that has
+// queued ranks itself, forks a goroutine for each other one and joins
+// them before the fold, so one worker needs none. A finished rank's
+// carrier goes back to the pool; a deadlocked one's is stopped. Either way
+// its rank's state is reset. A rank that calls runtime.Goexit ends its
+// carrier and the goroutine that ran its worker's window. On a forked
+// goroutine, that window ends early and the run fails with an error that
+// names the rank; on the coordinator, runPEvent never returns, as the
+// caller's goroutine is the one that ends. Either way the dead carrier is
+// never pooled.
 func runPEvent(w *World, fn func(c *Comm) error, workers int, neverBlocks func(rank int) bool, probe *KernelCounters) error {
 	procs := w.procs
 	nw := peWorkerCount(workers, procs)
@@ -524,16 +542,6 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, neverBlocks func(r
 			k.carriers[r].direct = neverBlocks != nil && neverBlocks(r)
 			// Seed: every rank starts runnable, in rank order.
 			pw.wake(r)
-		}
-		if i > 0 {
-			pw.start, pw.ready = make(chan struct{}), make(chan struct{})
-			go func() {
-				for range pw.start {
-					pw.runWindow()
-					pw.ready <- struct{}{}
-				}
-				close(pw.ready)
-			}()
 		}
 	}
 	active := make([]*peWorker, 0, nw) // per-window scratch: workers with queued ranks
@@ -560,21 +568,13 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, neverBlocks func(r
 			break
 		}
 		windows++
+		k.forked.Add(len(active) - 1)
 		for _, pw := range active[1:] {
-			pw.start <- struct{}{}
+			go pw.forkedWindow()
 		}
 		active[0].runWindow()
-		for _, pw := range active[1:] {
-			<-pw.ready
-		}
+		k.forked.Wait()
 		k.fold()
-	}
-	// Each worker closes ready on its way out.
-	for _, pw := range k.workers[1:] {
-		close(pw.start)
-	}
-	for _, pw := range k.workers[1:] {
-		<-pw.ready
 	}
 	// Stopping a carrier unwinds its rank, which may wake others through
 	// k.carriers, so every stop comes before any reset. A stopped carrier
@@ -587,7 +587,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int, neverBlocks func(r
 	}
 	n := 0
 	for _, c := range k.carriers {
-		if c.done {
+		if c.done && !c.exited {
 			k.carriers[n] = c
 			n++
 		}

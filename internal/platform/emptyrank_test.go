@@ -178,7 +178,7 @@ func runWithForcedMoves(t *testing.T, cfg Config, moves map[int][][]migration) *
 		res.PhaseTimes[ph] = make([]float64, c.Procs)
 	}
 	elapsed := make([]float64, c.Procs)
-	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers}
+	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Workers: c.KernelWorkers}
 	err = mpi.Run(opts, func(comm *mpi.Comm) error {
 		st := &ranks[comm.Rank()]
 		st.comm = comm

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ic2mpi/internal/graph"
-	"ic2mpi/internal/mpi"
 )
 
 // recordingBalancer keeps a copy of every processor graph it is handed
@@ -51,7 +50,9 @@ func procGraphOf(g *graph.Graph, owner []int, procs int) [][]int {
 // the ranks' gathered peer lists against one recounted from the graph and
 // the owner map, on a random graph with a random owner map, at processor
 // counts up to more processors than nodes (ranks that hold nothing send
-// only their owned count), under every kernel name.
+// only their owned count), at the automatic worker count and at one. Each
+// row is named after the kernel name that resolves to its worker count
+// (pevent's count is goroutine's).
 func TestGatheredProcGraph(t *testing.T) {
 	g, err := graph.Random(40, 0.12, 5)
 	if err != nil {
@@ -64,16 +65,15 @@ func TestGatheredProcGraph(t *testing.T) {
 			owner[v] = rng.Intn(procs)
 		}
 		want := procGraphOf(g, owner, procs)
-		for _, name := range mpi.KernelNames() {
-			kernel, err := mpi.ParseKernel(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Run(fmt.Sprintf("p%d-%s", procs, name), func(t *testing.T) {
+		for _, row := range []struct {
+			kernel  string
+			workers int
+		}{{"goroutine", 0}, {"event", 1}} {
+			t.Run(fmt.Sprintf("p%d-%s", procs, row.kernel), func(t *testing.T) {
 				bal := &recordingBalancer{}
 				cfg := baseConfig(g, procs)
 				cfg.InitialPartition = owner
-				cfg.Kernel = kernel
+				cfg.KernelWorkers = row.workers
 				cfg.Balancer = bal
 				cfg.BalanceEvery = 2
 				if _, err := Run(cfg); err != nil {

@@ -61,7 +61,7 @@ func run(cfg Config, probe *mpi.KernelCounters) (*Result, error) {
 	// iteration.
 	tv, _ := c.Network.(netmodel.TimeVarying)
 
-	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Kernel: c.Kernel, Workers: c.KernelWorkers, Stop: c.Stop, Probe: probe}
+	opts := mpi.Options{Procs: c.Procs, Cost: c.Network, Workers: c.KernelWorkers, Stop: c.Stop, Probe: probe}
 	// Without balancing or the final gather, a rank that holds no node never
 	// blocks. Declared only if there is one, as the closure allocates.
 	for i := 0; c.Balancer == nil && c.SkipFinalGather && i < len(ranks); i++ {

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -15,14 +14,19 @@ import (
 // resumed, the snapshot's Owner) in place, and a run that migrates nodes
 // must leave both as it found them. Dropping rankState.ownOwner fails it.
 func TestRunDoesNotMutateInitialPartition(t *testing.T) {
-	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent, mpi.KernelParallelEvent} {
-		t.Run(fmt.Sprintf("kernel=%v", kernel), func(t *testing.T) {
+	// Each row is a worker count, named after the kernel name that
+	// resolves to it (pevent's count is goroutine's).
+	for _, row := range []struct {
+		kernel  string
+		workers int
+	}{{"goroutine", 0}, {"event", 1}} {
+		t.Run("kernel="+row.kernel, func(t *testing.T) {
 			cfg := baseConfig(hexGrid(t, 8, 8), 4)
 			cfg.Node = Node(imbalancedGrain)
 			cfg.Iterations = 20
 			cfg.Balancer = thresholdBalancer{}
 			cfg.BalanceEvery = 5
-			cfg.Kernel = kernel
+			cfg.KernelWorkers = row.workers
 			initial := slices.Clone(cfg.InitialPartition)
 
 			// One snapshot, at iteration 10: migrations on both sides of it.

@@ -216,9 +216,10 @@ const (
 // sweep cell's key. Config and scenario.Params embed it, so each is
 // declared once and handed down whole.
 type Host struct {
-	// KernelWorkers sets the worker count for mpi.KernelGoroutine and
-	// mpi.KernelParallelEvent (0 means min(GOMAXPROCS, Procs)); ignored by
-	// mpi.KernelEvent, which is always one worker.
+	// KernelWorkers is the mpi engine's worker count, which runs ranks as
+	// passive states resumed in wake order (0 means min(GOMAXPROCS,
+	// Procs); mpi.Options.Workers). scenario.Params resolves its kernel
+	// name into it: "event" is 1, the other names keep the requested count.
 	// A host-side tuning knob only: results are identical at any value.
 	KernelWorkers int
 	// CheckpointEvery, when > 0, captures a RunSnapshot at the end of
@@ -305,12 +306,6 @@ type Config struct {
 	// uniform machine with the Origin 2000 base costs
 	// (netmodel.NewUniform(netmodel.Origin2000())).
 	Network netmodel.Model
-	// Kernel names the worker count of the mpi engine, which runs ranks as
-	// passive states resumed in wake order by a scheduler on one or
-	// several host workers: mpi.KernelGoroutine (the default) and
-	// mpi.KernelParallelEvent run KernelWorkers workers, mpi.KernelEvent
-	// runs one. Every name is bit-identical in virtual time.
-	Kernel mpi.Kernel
 	// SkipFinalGather disables gathering final node data into
 	// Result.FinalData (large sweeps skip the gather to save memory;
 	// callers verifying results against the sequential reference keep it).

@@ -96,18 +96,18 @@ const pageRankDamping = 0.85
 
 // bspOptions builds the superstep layer's options from normalized
 // parameters — the one place the pagerank-bsp runner's knobs (procs,
-// network, kernel, kernel workers, stop) cross into mpi.Options. The empty
-// network keeps the scenario's built-in free-comm machine; a named one
-// prices the h-relations.
+// network, worker count, stop) cross into mpi.Options. The empty network
+// keeps the scenario's built-in free-comm machine; a named one prices the
+// h-relations.
 func bspOptions(p Params) (mpi.Options, error) {
-	opts := mpi.Options{Procs: p.Procs, Workers: p.KernelWorkers, Stop: p.Stop}
+	opts := mpi.Options{Procs: p.Procs, Stop: p.Stop}
 	var err error
-	if p.Network != "" {
-		if opts.Cost, err = netmodel.New(p.Network, p.Procs); err != nil {
-			return opts, err
-		}
+	if opts.Workers, err = p.workers(); err != nil {
+		return opts, err
 	}
-	opts.Kernel, err = mpi.ParseKernel(p.Kernel)
+	if p.Network != "" {
+		opts.Cost, err = netmodel.New(p.Network, p.Procs)
+	}
 	return opts, err
 }
 

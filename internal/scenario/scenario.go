@@ -66,20 +66,20 @@ type Params struct {
 	Perturb string `json:"perturb"`
 	// Iterations is the number of outer iterations (time steps).
 	Iterations int `json:"iterations"`
-	// Kernel names the worker count of the mpi engine, whose scheduler
-	// resumes ranks in wake order on one or several host workers:
-	// "goroutine" (the default) and "pevent" run KernelWorkers workers,
-	// "event" runs one. Every name gives the same bytes; all three stay
-	// accepted and echoed because they are part of persisted CellKeys.
-	// See mpi.KernelNames.
+	// Kernel names the worker count of the mpi engine: "goroutine" (the
+	// default) and "pevent" run Host.KernelWorkers workers, "event" runs
+	// one (mpi.Kernel.Workers). Config and the custom runners resolve the
+	// name to that count, so no layer below this one sees a name. Every
+	// name gives the same bytes; all three stay accepted and echoed
+	// because they are part of persisted CellKeys. See mpi.KernelNames.
 	Kernel string `json:"kernel"`
 	// BalanceEvery is the balancing period in iterations.
 	BalanceEvery int `json:"-"`
 	// BalanceRounds bounds plan+migrate rounds per balancing invocation.
 	BalanceRounds int `json:"-"`
-	// Host is handed to platform.Config whole; it is not part of the
-	// parameter space, CellKey or a report. Custom-runner scenarios read
-	// only its KernelWorkers and Trace.
+	// Host is handed to platform.Config with its KernelWorkers resolved
+	// against Kernel; it is not part of the parameter space, CellKey or a
+	// report. Custom-runner scenarios read only its KernelWorkers and Trace.
 	platform.Host `json:"-"`
 }
 
@@ -430,8 +430,8 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 	if p.Procs == 1 {
 		bal = nil // one processor has nothing to balance
 	}
-	kernel, err := mpi.ParseKernel(p.Kernel)
-	if err != nil {
+	host := p.Host
+	if host.KernelWorkers, err = p.workers(); err != nil {
 		return nil, nil, err
 	}
 	initData := sc.InitData
@@ -452,10 +452,16 @@ func (in *Inputs) config(p Params) (*platform.Config, *partInputs, error) {
 		BalanceEvery:     p.BalanceEvery,
 		BalanceRounds:    p.BalanceRounds,
 		Network:          runNet,
-		Kernel:           kernel,
 		SkipFinalGather:  true,
-		Host:             p.Host,
+		Host:             host,
 	}, pi, nil
+}
+
+// workers is the engine's worker count for p: its kernel name applied to
+// the requested Host.KernelWorkers, the one place a name becomes a count.
+func (p Params) workers() (int, error) {
+	kernel, err := mpi.ParseKernel(p.Kernel)
+	return kernel.Workers(p.KernelWorkers), err
 }
 
 // initData is the InitData of every run configured from the memo: the

@@ -539,14 +539,54 @@ func TestBSPOptionsCarryEveryKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Procs != 4 || opts.Kernel != mpi.KernelParallelEvent || opts.Workers != 3 || opts.Stop != stop {
-		t.Errorf("bspOptions = %+v, want 4 procs on the pevent kernel at 3 workers with the stop channel", opts)
+	if opts.Procs != 4 || opts.Workers != 3 || opts.Stop != stop {
+		t.Errorf("bspOptions = %+v, want 4 procs at 3 workers with the stop channel", opts)
 	}
 	if opts.Cost == nil || opts.Cost.String() != "mesh2d" {
 		t.Errorf("bspOptions cost model = %v, want mesh2d", opts.Cost)
 	}
 	if free, err := bspOptions(Params{Procs: 2, Kernel: "goroutine"}); err != nil || free.Cost != nil {
 		t.Errorf("bspOptions without a network: cost %v, err %v; want the free-comm machine", free.Cost, err)
+	}
+}
+
+// TestKernelNameResolvesToWorkers pins the one rule that turns a kernel
+// name into the engine's worker count, on both paths that apply it: a
+// platform scenario's Config and the pagerank-bsp runner's options.
+// "event" is one worker; the other names keep the requested count, 0
+// (automatic) included.
+func TestKernelNameResolvesToWorkers(t *testing.T) {
+	heat, _ := Lookup("heat")
+	bsp, _ := Lookup("pagerank-bsp")
+	requests := []int{0, 1, 3}
+	runs := map[string][]int{ // the worker count at each of requests
+		"goroutine": {0, 1, 3},
+		"event":     {1, 1, 1},
+		"pevent":    {0, 1, 3},
+	}
+	for _, name := range mpi.KernelNames() {
+		for i, requested := range requests {
+			want := runs[name][i]
+			p := Params{Procs: 4, Kernel: name, Host: platform.Host{KernelWorkers: requested}}
+			cfg, err := heat.Config(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.KernelWorkers != want {
+				t.Errorf("heat, kernel %s at %d requested workers: Config runs %d, want %d", name, requested, cfg.KernelWorkers, want)
+			}
+			np, err := bsp.Normalize(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts, err := bspOptions(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Workers != want {
+				t.Errorf("pagerank-bsp, kernel %s at %d requested workers: bspOptions runs %d, want %d", name, requested, opts.Workers, want)
+			}
+		}
 	}
 }
 
