@@ -216,10 +216,10 @@ const (
 // sweep cell's key. Config and scenario.Params embed it, so each is
 // declared once and handed down whole.
 type Host struct {
-	// KernelWorkers is the mpi engine's worker count, which runs ranks as
-	// passive states resumed in wake order (0 means min(GOMAXPROCS,
-	// Procs); mpi.Options.Workers). scenario.Params resolves its kernel
-	// name into it: "event" is 1, the other names keep the requested count.
+	// KernelWorkers is the mpi engine's worker count (0 means
+	// min(GOMAXPROCS, Procs); mpi.Options.Workers). scenario.Params
+	// resolves its kernel name into it: "event" is 1, the other names keep
+	// the requested count.
 	// A host-side tuning knob only: results are identical at any value.
 	KernelWorkers int
 	// CheckpointEvery, when > 0, captures a RunSnapshot at the end of
